@@ -136,7 +136,6 @@ def _reference_payload(request: Dict) -> Tuple:
         query.topology,
         allow_replication=query.allow_replication,
         memory_limit_bytes=query.memory_limit_bytes,
-        vectorize=query.vectorize,
         memory_refine=query.memory_refine,
     ).solve(query.num_workers)
     return (

@@ -14,7 +14,7 @@ from perf.harness import best_of, workload
 from repro.core.partition import PipeDreamOptimizer
 from repro.core.schedule import data_parallel_schedule, one_f_one_b_rr_schedule
 from repro.core.topology import cluster_a
-from repro.profiler import analytic_profile, clear_profile_cache
+from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import (
     balanced_straight_stages,
@@ -150,24 +150,15 @@ def gnmt16_deep_pipeline_solve():
     """The hardest solve the paper reports: GNMT-16 on 32 workers.
 
     The deep encoder-decoder stack drives the DP toward a long straight
-    pipeline, the worst case for the per-split evaluator loop.  Times the
-    vectorized solve and asserts it agrees with the scalar reference.
+    pipeline, the worst case for the per-split evaluator loop.
     """
     profile = analytic_profile("gnmt16")
     topology = cluster_a(8)  # 32 workers
-    plan = PipeDreamOptimizer(profile, topology, vectorize=True).solve()
-    scalar = PipeDreamOptimizer(profile, topology, vectorize=False).solve()
+    plan = PipeDreamOptimizer(profile, topology).solve()
     seconds = best_of(
-        lambda: PipeDreamOptimizer(profile, topology, vectorize=True).solve()
+        lambda: PipeDreamOptimizer(profile, topology).solve()
     )
-    return seconds, {
-        "workers": 32,
-        "config": plan.config_string,
-        "matches_scalar": (
-            plan.stages == scalar.stages
-            and plan.slowest_stage_time == scalar.slowest_stage_time
-        ),
-    }
+    return seconds, {"workers": 32, "config": plan.config_string}
 
 
 @workload("memory_limited_solve_vgg16_16w")
@@ -178,8 +169,8 @@ def memory_limited_solve():
     the shared §3.3 kernel (``stage_memory_cost``); the smallest cap it
     can certify for VGG-16 @ 16 workers is ~13.2 GB (the ~820 MB early
     conv activations x 16 versions), so 14 GB/worker is feasible but
-    binding.  The DP must price out candidate splits via ``_memory_ok``
-    on every level — the feasibility-filter hot path the unconstrained
+    binding.  The DP must price out candidate splits through the bound
+    matrix on every level — the feasibility-filter hot path the unconstrained
     solves never touch.  (Historical note: this workload ran at 7 GB when
     the bound charged only the boundary activation; that arithmetic
     under-counted and is gone.)
@@ -194,10 +185,6 @@ def memory_limited_solve():
         profile, topology, memory_limit_bytes=limit, memory_refine=False
     )
     plan = capped.solve()
-    scalar_plan = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=False,
-        memory_refine=False,
-    ).solve()
     seconds = best_of(
         lambda: PipeDreamOptimizer(
             profile, topology, memory_limit_bytes=limit, memory_refine=False
@@ -208,7 +195,6 @@ def memory_limited_solve():
         "memory_limit_gb": limit / 1e9,
         "config": plan.config_string,
         "constraint_active": plan.stages != free_plan.stages,
-        "matches_scalar": plan.stages == scalar_plan.stages,
     }
 
 
@@ -243,9 +229,6 @@ def memory_refined_solve():
         bound_time = math.inf
     refined = PipeDreamOptimizer(profile, topology, memory_limit_bytes=limit)
     plan = refined.solve()
-    scalar_plan = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=False
-    ).solve()
     footprint = pipeline_memory_footprint(profile, plan.stages)
     details = evaluate_partition_details(
         profile, plan.stages, topology, memory_limit_bytes=limit
@@ -265,10 +248,6 @@ def memory_refined_solve():
         "stage_memory_gb": [b / 1e9 for b in footprint],
         "refined_beats_bound": plan.slowest_stage_time < bound_time,
         "within_limit": max(footprint) <= limit,
-        "matches_scalar": (
-            plan.stages == scalar_plan.stages
-            and plan.slowest_stage_time == scalar_plan.slowest_stage_time
-        ),
     }
 
 
@@ -340,23 +319,12 @@ def mixed_precision_sweep():
 def full_sweep():
     """The headline sweep: 7 paper models x {4,8,16} workers x {dp, pd}.
 
-    The tracked number is the optimized serial path (vectorized evaluator
-    + profile cache); the detail keeps the scalar/cold baseline measured
-    once per harness run, the speedup over it (the issue's >= 3x
-    acceptance bar), and bitwise-equality flags for both the scalar
-    baseline and a 2-worker parallel run against the serial records.
+    The tracked number is the serial path; the detail keeps a
+    bitwise-equality flag for a 2-worker parallel run against the serial
+    records.
     """
     topology = cluster_a(4)
     counts = (4, 8, 16)
-    import time as _time
-
-    clear_profile_cache()
-    t0 = _time.perf_counter()
-    baseline = run_sweep(PAPER_MODELS, topology, counts, workers=1,
-                         vectorize=False, profile_cache=False)
-    baseline_seconds = _time.perf_counter() - t0
-
-    clear_profile_cache()
     serial = run_sweep(PAPER_MODELS, topology, counts, workers=1)
     parallel = run_sweep(PAPER_MODELS, topology, counts, workers=2,
                          executor="thread")
@@ -366,10 +334,6 @@ def full_sweep():
     return seconds, {
         "models": len(PAPER_MODELS),
         "worker_counts": list(counts),
-        "baseline_seconds": baseline_seconds,
-        "speedup_vs_scalar_cold": baseline_seconds / seconds,
-        "speedup_at_least_3x": baseline_seconds >= 3.0 * seconds,
-        "identical_to_scalar_baseline": serial == baseline,
         "parallel_identical_to_serial": parallel == serial,
     }
 
@@ -506,9 +470,8 @@ def hybrid_3d_plan():
     attention stage's footprint busts the cap at every 2D cell — while
     the ``tp_degrees=(1, 2)`` menu recovers a plan by sharding the tail
     across a 2-way tensor-parallel group.  Gates: the recovered plan
-    carries at least one tp>1 stage and fits the cap; the scalar twin
-    and a warm-started solve are bitwise identical to the vectorized
-    cold solve; both sim engines agree on the hybrid timeline.  The
+    carries at least one tp>1 stage and fits the cap; a warm-started
+    solve is bitwise identical to the cold solve; both sim engines agree on the hybrid timeline.  The
     tracked number is the 3D solve plus the simulation, and the solve
     itself is held to an absolute wall-clock ceiling.
     """
@@ -528,10 +491,6 @@ def hybrid_3d_plan():
         tp1_infeasible = True
     plan = PipeDreamOptimizer(
         profile, topology, memory_limit_bytes=limit, tp_degrees=menu,
-    ).solve()
-    scalar = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, tp_degrees=menu,
-        vectorize=False,
     ).solve()
     warm = PipeDreamOptimizer(
         profile, topology, memory_limit_bytes=limit, tp_degrees=menu,
@@ -558,10 +517,6 @@ def hybrid_3d_plan():
         "config": plan.config_string,
         "tp1_infeasible": tp1_infeasible,
         "within_limit": max(plan.memory_bytes) <= limit,
-        "scalar_twin_identical": (
-            scalar.stages == plan.stages
-            and scalar.slowest_stage_time == plan.slowest_stage_time
-        ),
         "warm_identical_to_cold": (
             warm.stages == plan.stages
             and warm.slowest_stage_time == plan.slowest_stage_time

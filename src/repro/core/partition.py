@@ -32,15 +32,12 @@ import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.profile import ModelProfile
 from repro.core.sharding import SHARDABLE_KINDS, validate_tp_degrees
 from repro.core.topology import Topology, TopologyLevel
 from repro.utils.lru import LRUCache
-
-try:  # numpy accelerates the DP; the scalar fallback needs nothing.
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    np = None
 
 #: Layer kinds whose weight gradients accumulate across BPTT timesteps and
 #: only complete at the end of the backward pass — their all_reduce cannot
@@ -185,8 +182,8 @@ class SolverContext:
 
     - ``level_tables``: the hierarchical DP's per-level ``(A, ptr)`` arrays
       and the refined pass's final stage lists.  Keys embed the full solver
-      namespace (memory limit, refine/replication flags, vectorize,
-      compute scale) plus the level-signature prefix, so worker-count
+      namespace (memory limit, refine/replication flags, compute scale)
+      plus the level-signature prefix, so worker-count
       subsets of one cluster share every inner level they have in common
       and no entry can ever be reused under a different feasibility mask.
     - ``bound_matrices``: the phase-1 per-span memory bounds.  The matrix
@@ -316,13 +313,6 @@ class PipeDreamOptimizer:
             bound admits them, and the refined DP pass widens the search.
             ``False`` reproduces the historical bound-only behaviour
             (kept for comparison benchmarks).
-        vectorize: when True (default) the per-level DP runs as numpy
-            min-reductions over precomputed stage-time tables instead of the
-            five-deep scalar loop nest; per-level tables are memoized across
-            :meth:`solve` calls, so worker-count sweeps reuse inner-level
-            work.  Both paths produce identical stage lists (asserted by the
-            test suite); the scalar path is kept as the reference oracle and
-            as the fallback when numpy is unavailable.
         context: optional :class:`SolverContext` built over the same
             profile.  When given, every memoized intermediate (level
             tables, bound matrices, refined comm tables, suffix-DP rows)
@@ -374,7 +364,6 @@ class PipeDreamOptimizer:
         topology: Topology,
         allow_replication: bool = True,
         memory_limit_bytes: Optional[float] = None,
-        vectorize: bool = True,
         memory_refine: bool = True,
         context: Optional[SolverContext] = None,
         bucket_bytes: Optional[float] = None,
@@ -386,7 +375,6 @@ class PipeDreamOptimizer:
         self.allow_replication = allow_replication
         self.memory_limit_bytes = memory_limit_bytes
         self.memory_refine = memory_refine
-        self.vectorize = vectorize and np is not None
         if recompute not in (None, "auto"):
             raise ValueError(
                 f"recompute must be None or 'auto', got {recompute!r}"
@@ -421,7 +409,6 @@ class PipeDreamOptimizer:
                 "tp_degrees cannot be combined with bucket_bytes: "
                 "bucketing of sharded gradients is not modeled"
             )
-        self._bucket_table_cache: Optional[List[List[int]]] = None
         self._bucket_matrix_cache = None
         if context is not None and not context.matches(profile):
             raise ValueError(
@@ -447,7 +434,6 @@ class PipeDreamOptimizer:
             None if memory_limit_bytes is None else float(memory_limit_bytes),
             self.memory_refine,
             self.allow_replication,
-            self.vectorize,
             topology.compute_scale,
             self.bucket_bytes,
             "auto" if self._recompute_auto else None,
@@ -458,7 +444,7 @@ class PipeDreamOptimizer:
         # context (tests/test_solver_context.py pins both directions).
         if self._tp_enabled:
             self._cache_ns = self._cache_ns + (("tp", self._tp_options),)
-        #: level-table memo for the vectorized DP, keyed by the namespace
+        #: level-table memo for the level DP, keyed by the namespace
         #: plus the (count, bandwidth, allreduce_bandwidth) tuple of every
         #: level up to and including the one the table belongs to.  Subset
         #: topologies used by worker-count sweeps share inner levels, so
@@ -517,10 +503,6 @@ class PipeDreamOptimizer:
     # ------------------------------------------------------------------
     # Range helpers
     # ------------------------------------------------------------------
-    def _time(self, i: int, j: int) -> float:
-        """Sum of T_l for layers i..j inclusive."""
-        return self._prefix_time[j + 1] - self._prefix_time[i]
-
     def _weights(self, i: int, j: int) -> float:
         return self._prefix_weights[j + 1] - self._prefix_weights[i]
 
@@ -531,31 +513,14 @@ class PipeDreamOptimizer:
         """Summed activation stash of layers i..j inclusive (one minibatch)."""
         return self._prefix_acts[j + 1] - self._prefix_acts[i]
 
-    def _backward_sum(self, i: int, j: int) -> float:
-        """Backward-pass seconds of layers i..j inclusive (device-adjusted)."""
-        return self._prefix_backward[j + 1] - self._prefix_backward[i]
-
-    def _boundary_acts(self, j: int) -> float:
-        """Input-boundary activation bytes of a stage starting at layer ``j``
-        (what a recompute-on stage stashes per in-flight minibatch)."""
-        return self._prefix_acts[j] - self._prefix_acts[j - 1] if j > 0 else 0.0
-
-    def _shard_time(self, i: int, j: int) -> float:
-        """Shardable compute seconds of layers i..j inclusive."""
-        return self._prefix_shard_time[j + 1] - self._prefix_shard_time[i]
-
     def _shard_weights(self, i: int, j: int) -> float:
         return self._prefix_shard_weights[j + 1] - self._prefix_shard_weights[i]
 
     def _shard_acts(self, i: int, j: int) -> float:
         return self._prefix_shard_acts[j + 1] - self._prefix_shard_acts[i]
 
-    def _shard_backward(self, i: int, j: int) -> float:
-        return (self._prefix_shard_backward[j + 1]
-                - self._prefix_shard_backward[i])
-
-    def _bucket_count(self, i: int, j: int) -> int:
-        """Streamable collectives per round for span i..j inclusive.
+    def _bucket_matrix(self):
+        """(n, n) streamable collectives per round for every span i..j.
 
         With fusion off the stage all_reduces its streamable gradients as
         one payload; with ``bucket_bytes`` set it launches one collective
@@ -563,35 +528,21 @@ class PipeDreamOptimizer:
         (the DP only reads this under ``α > 0``, so the α=0 default stays
         bitwise untouched).
         """
-        if self.bucket_bytes is None:
-            return 1
-        if self._bucket_table_cache is None:
-            from repro.comm.bucketing import stream_bucket_count_table
-
-            # Weight bytes are compute-scale-invariant, so the device
-            # profile and the raw profile give the same table.
-            self._bucket_table_cache = stream_bucket_count_table(
-                self._device_profile, self.bucket_bytes
-            )
-        return self._bucket_table_cache[i][j]
-
-    def _bucket_matrix(self):
-        """(n, n) float64 twin of :meth:`_bucket_count` for the numpy DPs."""
         if self._bucket_matrix_cache is None:
             if self.bucket_bytes is None:
                 self._bucket_matrix_cache = np.ones((self._n, self._n))
             else:
-                self._bucket_count(0, 0)  # materialize the int table
+                from repro.comm.bucketing import stream_bucket_count_table
+
+                # Weight bytes are compute-scale-invariant, so the device
+                # profile and the raw profile give the same table.
                 self._bucket_matrix_cache = np.asarray(
-                    self._bucket_table_cache, dtype=np.float64
+                    stream_bucket_count_table(
+                        self._device_profile, self.bucket_bytes
+                    ),
+                    dtype=np.float64,
                 )
         return self._bucket_matrix_cache
-
-    def _memory_ok(self, i: int, j: int) -> bool:
-        """Phase-1 feasibility of span i..j: the shared-kernel bound."""
-        if self.memory_limit_bytes is None:
-            return True
-        return self._bound_matrix()[i][j] <= self.memory_limit_bytes
 
     def _bound_matrix(self) -> List[List[float]]:
         """(n, n) per-span memory lower/upper bounds for phase-1 pruning.
@@ -751,16 +702,18 @@ class PipeDreamOptimizer:
         if num_workers is not None and num_workers != topology.total_workers:
             topology = topology.subset(num_workers)
 
-        refine = self.memory_refine and self.memory_limit_bytes is not None
+        # Phase 1: the bound-filtered level DPs.  A binding limit can rule
+        # out one decomposition (the hierarchy masks whole spans) while the
+        # other still has feasible plans, and under a tight limit both may
+        # find nothing where the refined pass still can — only fail when
+        # *every* candidate source comes up empty.
         candidates: List[List[Stage]] = []
-        if refine:
-            # Phase 1: the historical bound-filtered DPs.  They may find
-            # nothing under a tight limit — the refined pass can still.
-            for topo in self._decompositions(topology):
-                try:
-                    candidates.append(self._solve_for(topo))
-                except RuntimeError:
-                    pass
+        for topo in self._decompositions(topology):
+            try:
+                candidates.append(self._solve_for(topo))
+            except RuntimeError:
+                pass
+        if self.memory_refine and self.memory_limit_bytes is not None:
             # Phase 2: depth-aware placement-exact DP (exact warmup_count
             # versions, evaluator-model sync and boundary costs).
             refined = self._solve_refined(topology)
@@ -773,31 +726,16 @@ class PipeDreamOptimizer:
                 for stages in candidates
                 if max(self._true_footprint(stages)) <= limit
             ]
-            if not candidates:
-                raise RuntimeError(
-                    "no feasible partition found (memory limit too tight?)"
-                )
-        else:
-            # A binding limit can rule out one decomposition (the hierarchy
-            # masks whole spans) while the other still has feasible plans —
-            # only fail when *every* decomposition comes up empty.
-            for topo in self._decompositions(topology):
-                try:
-                    candidates.append(self._solve_for(topo))
-                except RuntimeError:
-                    pass
-            if not candidates:
-                raise RuntimeError(
-                    "no feasible partition found (memory limit too tight?)"
-                )
+        if not candidates:
+            raise RuntimeError(
+                "no feasible partition found (memory limit too tight?)"
+            )
         # Note: the evaluator applies the topology's compute scale itself,
-        # so the raw (reference-device) profile is passed here.  The
-        # evaluator path follows the optimizer's own vectorize flag so the
-        # scalar optimizer remains a pure-scalar reference end to end.
+        # so the raw (reference-device) profile is passed here.
         scored = [
             (
                 evaluate_partition_on_topology(
-                    self.profile, stages, topology, vectorize=self.vectorize,
+                    self.profile, stages, topology,
                     bucket_bytes=self.bucket_bytes,
                 ),
                 stages,
@@ -838,12 +776,6 @@ class PipeDreamOptimizer:
 
         return pipeline_memory_footprint(self.profile, stages)
 
-    def _solve_for(self, topology: Topology) -> List[Stage]:
-        """Run the level-by-level DP on ``topology``; returns the stages."""
-        if self.vectorize:
-            return self._solve_for_vectorized(topology)
-        return self._solve_for_reference(topology)
-
     # ------------------------------------------------------------------
     # The refinement pass: depth-aware flat DP over worker suffixes
     # ------------------------------------------------------------------
@@ -874,9 +806,7 @@ class PipeDreamOptimizer:
         activation transfers with the *same hierarchical placement model*
         the candidate scoring uses (see :func:`_refined_comm_tables`),
         instead of the flat slowest-link approximation, so its optimum is
-        the evaluator's optimum over depth-feasible plans.  Both twins
-        consume the same precomputed tables and identical float
-        expressions, keeping scalar and vectorized paths bitwise equal.
+        the evaluator's optimum over depth-feasible plans.
 
         Returns ``None`` when no plan fits (the caller may still have
         bound-filtered candidates).
@@ -896,14 +826,9 @@ class PipeDreamOptimizer:
         tp_tables = (
             self._tp_tables_for(topology, sig) if self._tp_enabled else None
         )
-        if self.vectorize:
-            stages = self._solve_refined_vectorized(
-                topology, coeffs, link_bw, lats, tp_tables
-            )
-        else:
-            stages = self._solve_refined_reference(
-                topology, coeffs, link_bw, lats, tp_tables
-            )
+        stages = self._solve_refined_dp(
+            topology, coeffs, link_bw, lats, tp_tables
+        )
         self._level_cache[cache_key] = (stages,)
         if self.context is not None:
             self.context._bump("level_misses")
@@ -1023,7 +948,7 @@ class PipeDreamOptimizer:
         hierarchy identically, their signatures match, and the rows are
         handed over instead of recomputed.  Everything else a row depends
         on (profile arrays, memory limit, replication flag, compute scale,
-        bucket size, scalar-vs-numpy twin) lives in the namespace prefix.
+        bucket size) lives in the namespace prefix.
         """
         ns = ("rows", self._cache_ns)
         keys: List[tuple] = [()] * (W + 1)
@@ -1063,9 +988,8 @@ class PipeDreamOptimizer:
         ``coeffs[m][mp]`` is the hierarchical ring all_reduce
         seconds-per-byte of the contiguous group ``[W-m, W-m+mp-1]``,
         accumulated level by level exactly as
-        :func:`repro.sim.network.allreduce_time` (and the vectorized
-        evaluator) does: at each level the concurrent per-parent rings
-        finish with the *largest* one, so the coefficient uses the
+        :func:`repro.sim.network.allreduce_time` does: at each level the
+        concurrent per-parent rings finish with the *largest* one, so the coefficient uses the
         closed-form max per-parent sibling count of the contiguous range
         (``round(prev_span / span_above)`` — the rounded mean — used to
         under-price uneven packings such as 5 workers under 4-per-server).
@@ -1073,9 +997,7 @@ class PipeDreamOptimizer:
         the levels that group actually rings on — the once-per-collective
         cost the DP multiplies by the bucket count.  ``link_bw[w]`` is the
         bandwidth of the link between workers ``w-1`` and ``w`` — the
-        outermost level whose component they do not share.  Both twins
-        consume these shared python floats, so their candidate values
-        agree bitwise.
+        outermost level whose component they do not share.
         """
         levels = topology.levels
         W = topology.total_workers
@@ -1120,73 +1042,44 @@ class PipeDreamOptimizer:
             link_bw[w] = levels[crossing].bandwidth
         return coeffs, link_bw, lats
 
-    def _refined_stage_time(
-        self, j: int, k: int, mp: int, m: int, coeff: float, lat: float,
-        limit: float,
-    ) -> float:
-        """Leading-stage time for the suffix DP (inf when masked out).
+    def _span_table(self, prefix: Sequence[float]):
+        """(n, n) range sums ``[i, j] = prefix[j + 1] - prefix[i]``."""
+        p = np.asarray(prefix)
+        return p[None, 1:] - p[: self._n, None]
 
-        ``coeff`` is the placement-exact all_reduce seconds-per-byte of
-        the group this (suffix ``m``, replicas ``mp``) stage occupies;
-        ``lat`` the per-collective setup latency that group pays, charged
-        once per stream bucket plus once for the deferred payload.
+    @staticmethod
+    def _sync_terms(stream, deferred, coeff, lat, div, buckets):
+        """§3.1's sync term, spelled once for both DPs and both tp planes:
+        a stage replicated ``r`` ways costs
+        ``max(compute / r, overlappable) + blocked`` with
 
-        Under ``recompute="auto"`` the stage prefers stash-everything
-        whenever it fits (so generous limits stay bitwise identical to
-        the recompute-free solver) and falls back to checkpointing —
-        boundary-only stash, one extra forward of compute — only when
-        stash-everything busts the cap.  :meth:`_reconstruct_refined`
-        re-derives the same decision from the same arithmetic.
+            overlappable = stream · coeff / div + α · buckets / div
+            blocked      = deferred · coeff / div + α / div
+
+        over (n, n) ``stream`` / ``deferred`` payload bytes (wait-free vs.
+        BPTT-deferred, see ``RECURRENT_KINDS``); ``coeff`` / ``lat`` are the
+        replica group's ring seconds-per-byte and setup latency α, ``div``
+        the minibatches one sync round covers.  A payload-free span pays
+        no α, and the ``lat > 0`` guard keeps α = 0 tables bitwise equal to
+        the latency-free model.
         """
-        if mp > 1 and not self.allow_replication:
-            return math.inf
-        versions = -(-m // mp)  # exact 1F1B depth: ceil(m / m')
-        cost = self._stage_memory_cost(
-            self._weights(j, k), self._recurrent_weights(j, k),
-            self._activation_sum(j, k), versions, mp,
-        )
-        stage_compute = self._time(j, k)
-        if cost > limit:
-            if not self._recompute_auto:
-                return math.inf
-            cost_on = self._stage_memory_cost(
-                self._weights(j, k), self._recurrent_weights(j, k),
-                self._activation_sum(j, k), versions, mp,
-                recompute=True,
-                boundary_activation_bytes=self._boundary_acts(j),
-            )
-            if cost_on > limit:
-                return math.inf
-            # Checkpointing re-runs the stage's forward during backward:
-            # one extra forward = compute minus the backward share.
-            stage_compute = stage_compute + (
-                stage_compute - self._backward_sum(j, k)
-            )
-        compute_term = stage_compute / mp
-        if mp == 1:
-            return compute_term
-        weights = self._weights(j, k)
-        deferred = self._recurrent_weights(j, k)
-        overlappable = (weights - deferred) * coeff / mp
-        non_overlappable = deferred * coeff / mp
+        overlappable = stream * coeff / div
+        blocked = deferred * coeff / div
         if lat > 0.0:
-            if weights - deferred > 0:
-                overlappable = (
-                    overlappable + lat * self._bucket_count(j, k) / mp
-                )
-            if deferred > 0:
-                non_overlappable = non_overlappable + lat / mp
-        return max(compute_term, overlappable) + non_overlappable
+            overlappable = overlappable + np.where(
+                stream > 0, lat * buckets / div, 0.0
+            )
+            blocked = blocked + np.where(deferred > 0, lat / div, 0.0)
+        return overlappable, blocked
 
-    def _refined_stage_time_tp(
-        self, j: int, k: int, mp: int, t: int, m: int,
-        dp_coeff: float, dp_lat: float, tp_coeff: float, tp_lat: float,
-        limit: float,
-    ) -> float:
-        """Leading-stage time of a ``(replicas=mp/t, tp_degree=t)`` cell.
+    def _refined_tp_plane(
+        self, m, mp, t, tabs, valid, compute, Wt, D, At,
+        SW, SA, ST, SB, Bt, bacts, acts, limit,
+    ):
+        """(n, n) leading-stage times of the ``(replicas=mp/t, tp=t)`` cell.
 
         The stage's ``mp`` physical workers split into ``r = mp/t``
-        replicas of ``t`` shards.  Relative to :meth:`_refined_stage_time`:
+        replicas of ``t`` shards.  Relative to the two-axis cell:
 
         - the shardable compute share divides by ``t`` (the rest is
           replicated work every shard repeats);
@@ -1205,163 +1098,6 @@ class PipeDreamOptimizer:
           downstream over physical workers held — :func:`warmup_count`'s
           tp-aware generalization) and ``r`` logical replicas.
         """
-        r = mp // t
-        if r > 1 and not self.allow_replication:
-            return math.inf
-        versions = -(-m // mp)  # exact 1F1B depth over physical workers
-        shard_w = self._shard_weights(j, k)
-        shard_a = self._shard_acts(j, k)
-        cost = self._stage_memory_cost(
-            self._weights(j, k), self._recurrent_weights(j, k),
-            self._activation_sum(j, k), versions, r,
-            tp_degree=t, shardable_weight_bytes=shard_w,
-            shardable_activation_bytes=shard_a,
-        )
-        st = self._shard_time(j, k)
-        stage_compute = self._time(j, k) - st + st / t
-        if cost > limit:
-            if not self._recompute_auto:
-                return math.inf
-            cost_on = self._stage_memory_cost(
-                self._weights(j, k), self._recurrent_weights(j, k),
-                self._activation_sum(j, k), versions, r,
-                recompute=True,
-                boundary_activation_bytes=self._boundary_acts(j),
-                tp_degree=t, shardable_weight_bytes=shard_w,
-                shardable_activation_bytes=shard_a,
-            )
-            if cost_on > limit:
-                return math.inf
-            # Checkpointing replays the *sharded* forward during backward.
-            sb = self._shard_backward(j, k)
-            sharded_backward = self._backward_sum(j, k) - sb + sb / t
-            stage_compute = stage_compute + (stage_compute - sharded_backward)
-        out_act = self.profile.activation_bytes(k)
-        in_act = self._boundary_acts(j)
-        out_term = out_act * tp_coeff + (tp_lat if out_act > 0 else 0.0)
-        in_term = in_act * tp_coeff + (tp_lat if in_act > 0 else 0.0)
-        stage_total = stage_compute + (out_term + in_term)
-        compute_term = stage_total / r
-        if r == 1:
-            return compute_term
-        weights = self._weights(j, k)
-        deferred = self._recurrent_weights(j, k)
-        stream = (weights - deferred) - shard_w + shard_w / t
-        overlappable = stream * dp_coeff / r
-        non_overlappable = deferred * dp_coeff / r
-        if dp_lat > 0.0:
-            if stream > 0:
-                overlappable = overlappable + dp_lat / r
-            if deferred > 0:
-                non_overlappable = non_overlappable + dp_lat / r
-        return max(compute_term, overlappable) + non_overlappable
-
-    def _solve_refined_reference(
-        self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
-    ) -> Optional[List[Stage]]:
-        """Scalar suffix DP (the oracle the vectorized twin must match)."""
-        n = self._n
-        W = topology.total_workers
-        limit = self.memory_limit_bytes
-        inf = math.inf
-        # R[m][j]: bottleneck of layers j..n-1 on exactly m workers.  The
-        # base R[0][n] = 0 closes a plan that used every worker; leftover
-        # workers (R[m][n], m > 0) stay infeasible, as in the level DP.
-        R = [[inf] * (n + 1) for _ in range(W + 1)]
-        ptr_k = [[-1] * n for _ in range(W + 1)]
-        ptr_mp = [[-1] * n for _ in range(W + 1)]
-        ptr_tp = [[1] * n for _ in range(W + 1)] if tp_tables else None
-        R[0][n] = 0.0
-        row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (
-            self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
-            if row_cache is not None
-            else None
-        )
-        for m in range(1, W + 1):
-            if row_cache is not None:
-                hit = row_cache.get(row_keys[m])
-                if hit is not None:
-                    R[m] = list(hit[0])
-                    ptr_k[m] = list(hit[1])
-                    ptr_mp[m] = list(hit[2])
-                    if ptr_tp is not None:
-                        ptr_tp[m] = list(hit[3])
-                    self.context._bump("row_hits")
-                    continue
-            for j in range(n - 1, -1, -1):
-                best = inf
-                best_k = -1
-                best_mp = -1
-                best_tp = 1
-                for k in range(j, n):
-                    act = self.profile.activation_bytes(k)
-                    for mp in range(1, m + 1):
-                        rest = R[m - mp][k + 1]
-                        if k == n - 1:
-                            boundary = 0.0
-                        else:
-                            # Next stage starts at worker W-m+mp; when
-                            # mp == m there is no next worker and ``rest``
-                            # is already inf, so the clamp is value-free.
-                            boundary = (
-                                2.0 * act / link_bw[min(W - m + mp, W - 1)]
-                            )
-                        stage_t = self._refined_stage_time(
-                            j, k, mp, m, coeffs[m][mp], lats[m][mp], limit
-                        )
-                        candidate = max(stage_t, boundary, rest)
-                        if candidate < best:
-                            best = candidate
-                            best_k = k
-                            best_mp = mp
-                            best_tp = 1
-                        if tp_tables:
-                            # (k, mp, t)-lexicographic tie-break: the
-                            # two-axis cell above went first, so tp only
-                            # wins a cell by being strictly better.
-                            for t in self._tp_options[1:]:
-                                if mp % t:
-                                    continue
-                                dp_c, dp_l, tp_c, tp_l = tp_tables[t]
-                                stage_t = self._refined_stage_time_tp(
-                                    j, k, mp, t, m, dp_c[m][mp], dp_l[m][mp],
-                                    tp_c[m][mp], tp_l[m][mp], limit,
-                                )
-                                candidate = max(stage_t, boundary, rest)
-                                if candidate < best:
-                                    best = candidate
-                                    best_k = k
-                                    best_mp = mp
-                                    best_tp = t
-                R[m][j] = best
-                ptr_k[m][j] = best_k
-                ptr_mp[m][j] = best_mp
-                if ptr_tp is not None:
-                    ptr_tp[m][j] = best_tp
-            if row_cache is not None:
-                if ptr_tp is not None:
-                    row_cache[row_keys[m]] = (
-                        list(R[m]), list(ptr_k[m]), list(ptr_mp[m]),
-                        list(ptr_tp[m]),
-                    )
-                else:
-                    row_cache[row_keys[m]] = (
-                        list(R[m]), list(ptr_k[m]), list(ptr_mp[m])
-                    )
-                self.context._bump("row_misses")
-        if not math.isfinite(R[W][0]):
-            return None
-        return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
-
-    def _refined_tp_plane(
-        self, m, mp, t, tabs, valid, compute, Wt, D, At,
-        SW, SA, ST, SB, Bt, bacts, acts, limit,
-    ):
-        """(n, n) leading-stage times of the ``(mp/t, t)`` tp cell — the
-        vectorized twin of :meth:`_refined_stage_time_tp`, computed with
-        the same float expressions in the same order so both paths stay
-        bitwise equal."""
         n = self._n
         inf = math.inf
         r = mp // t
@@ -1386,15 +1122,13 @@ class PipeDreamOptimizer:
             tm = stage_total / r
             overl = nonov = None
         else:
-            stream = (Wt - D) - SW + SW / t
-            overl = stream * dp_coeff / r
-            nonov = D * dp_coeff / r
-            if dp_lat > 0.0:
-                overl = overl + np.where(stream > 0, dp_lat / r, 0.0)
-                nonov = nonov + np.where(D > 0, dp_lat / r, 0.0)
+            overl, nonov = self._sync_terms(
+                (Wt - D) - SW + SW / t, D, dp_coeff, dp_lat, r, 1.0
+            )
             tm = np.maximum(stage_total / r, overl) + nonov
         tval = np.where(valid, tm, inf)
         if self._recompute_auto:
+            # Checkpointing replays the *sharded* forward during backward.
             sharded_backward = Bt - SB + SB / t
             compute_r = stage_compute + (stage_compute - sharded_backward)
             stage_total_r = compute_r + tp_comm
@@ -1414,54 +1148,56 @@ class PipeDreamOptimizer:
             )
         return np.where(cost <= limit, tval, inf)
 
-    def _solve_refined_vectorized(
+    def _solve_refined_dp(
         self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
     ) -> Optional[List[Stage]]:
-        """Numpy suffix DP: per worker count, one argmin over a (k, m')
-        candidate cube.  The (k-major, m'-minor) flattening reproduces the
-        scalar loop's tie-break; values are selections of identically
-        computed floats, so the plans match the scalar twin bitwise."""
+        """The suffix DP: per worker count, one argmin over a (k, m')
+        candidate cube.  The (k-major, m'-minor) flattening makes
+        ``argmin``'s first-minimum rule the (k asc, m' asc, t asc)
+        tie-break of the scalar loop nest kept as the oracle in
+        ``tests/oracles/partition_reference.py``; values are selections of
+        identically computed floats, so the two agree bitwise.
+
+        A leading stage on ``mp`` of the suffix's ``m`` workers prefers
+        stash-everything whenever that fits the limit (so generous limits
+        stay bitwise identical to the recompute-free solver) and, under
+        ``recompute="auto"``, falls back to checkpointing — boundary-only
+        stash, one extra forward of compute — only when stash-everything
+        busts the cap.  :meth:`_reconstruct_refined` re-derives the same
+        decision from the same arithmetic.
+        """
         n = self._n
         W = topology.total_workers
         limit = self.memory_limit_bytes
         inf = math.inf
-        pt = np.asarray(self._prefix_time)
-        pw = np.asarray(self._prefix_weights)
-        pr = np.asarray(self._prefix_recurrent)
         pa = np.asarray(self._prefix_acts)
         rows = np.arange(n)
         valid = rows[:, None] <= rows[None, :]  # j <= k
-        compute = pt[None, 1:] - pt[:n, None]
-        Wt = pw[None, 1:] - pw[:n, None]
-        D = pr[None, 1:] - pr[:n, None]
-        At = pa[None, 1:] - pa[:n, None]
+        compute = self._span_table(self._prefix_time)
+        Wt = self._span_table(self._prefix_weights)
+        D = self._span_table(self._prefix_recurrent)
+        WD = Wt - D
+        At = self._span_table(pa)
         acts = np.asarray(
             [self.profile.activation_bytes(k) for k in range(n)]
         )
         recompute_auto = self._recompute_auto
         if recompute_auto or tp_tables:
-            pb = np.asarray(self._prefix_backward)
-            Bt = pb[None, 1:] - pb[:n, None]
+            Bt = self._span_table(self._prefix_backward)
             # Boundary stash per leading layer j: pa[j] - pa[j-1] (0 at
-            # the input stage), the same subtraction _boundary_acts does.
+            # the input stage).
             bacts = np.zeros(n)
             bacts[1:] = pa[1:n] - pa[: n - 1]
         if recompute_auto:
             # Checkpointed stage time: one extra forward (compute minus
-            # backward), same float expression as the scalar twin's
-            # ``stage_compute + (stage_compute - backward)``.
+            # backward).
             compute_r = compute + (compute - Bt)
         if tp_tables:
-            # Shardable-share range tables (same prefix-difference floats
-            # as the scalar twin's _shard_* helpers).
-            psw = np.asarray(self._prefix_shard_weights)
-            psa = np.asarray(self._prefix_shard_acts)
-            pst = np.asarray(self._prefix_shard_time)
-            psb = np.asarray(self._prefix_shard_backward)
-            SWt = psw[None, 1:] - psw[:n, None]
-            SAt = psa[None, 1:] - psa[:n, None]
-            STt = pst[None, 1:] - pst[:n, None]
-            SBt = psb[None, 1:] - psb[:n, None]
+            # Shardable-share range tables.
+            SWt = self._span_table(self._prefix_shard_weights)
+            SAt = self._span_table(self._prefix_shard_acts)
+            STt = self._span_table(self._prefix_shard_time)
+            SBt = self._span_table(self._prefix_shard_backward)
         R = np.full((W + 1, n + 1), inf)
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
@@ -1504,15 +1240,10 @@ class PipeDreamOptimizer:
                     tval = np.full((n, n), inf)
                     tval_r = tval
                 else:
-                    stream_t = (Wt - D) * coeff / mp
-                    deferred_t = D * coeff / mp
-                    if lat > 0.0:
-                        stream_t = stream_t + np.where(
-                            Wt - D > 0, lat * self._bucket_matrix() / mp, 0.0
-                        )
-                        deferred_t = deferred_t + np.where(
-                            D > 0, lat / mp, 0.0
-                        )
+                    stream_t, deferred_t = self._sync_terms(
+                        WD, D, coeff, lat, mp,
+                        self._bucket_matrix() if lat > 0.0 else 1.0,
+                    )
                     tm = np.maximum(compute / mp, stream_t)
                     tm = tm + deferred_t
                     tval = np.where(valid, tm, inf)
@@ -1525,7 +1256,7 @@ class PipeDreamOptimizer:
                 if recompute_auto:
                     # Prefer stash-everything when it fits (bitwise no-op
                     # under generous limits); checkpoint only when it is
-                    # the cap-respecting option — the scalar twin's rule.
+                    # the cap-respecting option.
                     cost_r = self._stage_memory_cost(
                         Wt, D, At, versions, mp, recompute=True,
                         boundary_activation_bytes=bacts[:, None],
@@ -1547,9 +1278,9 @@ class PipeDreamOptimizer:
                 if tp_tables:
                     # Fold the tp planes into this mp's candidate slab with
                     # strict '<' on the *full* candidate (stage, boundary,
-                    # rest) — the scalar twin's (k, mp, t) tie-break: when
-                    # the boundary or the rest dominates both, the earlier
-                    # (smaller) degree keeps the cell.
+                    # rest) — the (k, mp, t) tie-break: when the boundary
+                    # or the rest dominates both, the earlier (smaller)
+                    # degree keeps the cell.
                     tsel = np.ones((n, n), dtype=np.int64)
                     for t in self._tp_options[1:]:
                         if mp % t:
@@ -1640,36 +1371,45 @@ class PipeDreamOptimizer:
             m -= mp
         return stages
 
-    def _solve_for_vectorized(self, topology: Topology) -> List[Stage]:
-        """Numpy formulation of the level-by-level DP.
+    def _solve_for(self, topology: Topology) -> List[Stage]:
+        """Run the level-by-level DP on ``topology``; returns the stages.
 
-        Per level k the scalar recurrence
+        Per level k the recurrence
 
             A^k(i→j, m) = min( T^k(i→j, m),
                                min_{s, m'} max(A^k(i→s, m-m'),
                                                2 a_s / B_k,
                                                T^k(s+1→j, m')) )
 
-        becomes array operations: ``T[m]`` is an (n, n) stage-time table
+        runs as array operations: ``T[m]`` is an (n, n) stage-time table
         built from the prefix sums (or the previous level's ``A`` table),
         and for each m the split minimization is one ``argmin`` over a
         (s, m') candidate cube — infeasible cells carry +inf, and the
         (s-major, m'-minor) flattening makes ``argmin``'s first-minimum
-        rule reproduce the scalar loop's tie-break exactly.  Values are
-        selections (max/min) of identically-computed floats, so the tables
-        — and hence the reconstructed stages — match the scalar path
-        bitwise.
+        rule the (s asc, m' asc) tie-break of the scalar loop nest kept as
+        the oracle in ``tests/oracles/partition_reference.py``.  Values
+        are selections (max/min) of identically-computed floats, so the
+        two agree bitwise.
+
+        ``T^k(i→j, m)`` is a stage spanning layers i..j replicated over
+        ``m`` level-(k-1) components (each holding ``prev_workers``
+        workers).  Its effective per-minibatch time is the max of the
+        amortized compute rate ``A^{k-1}(i→j, m_{k-1}) / m`` and the
+        level-k ring all_reduce share ``2 (m-1)/m |w| / B_k^ar``,
+        amortized over the round of ``m * prev_workers`` minibatches that
+        one synchronization covers (replicas synchronize once per
+        round-robin sweep, §3.2/§4), plus the non-overlappable BPTT share
+        (see :meth:`_sync_terms`).  This is the paper's §3.1 formulation
+        with the communication term normalized to once-per-round semantics
+        so the optimizer, the discrete-event simulator, and the training
+        runtime share one cost model (see DESIGN.md).
         """
         n = self._n
         inf = math.inf
-        pt = np.asarray(self._prefix_time)
-        pw = np.asarray(self._prefix_weights)
-        pr = np.asarray(self._prefix_recurrent)
         rows = np.arange(n)
         valid = rows[:, None] <= rows[None, :]  # i <= j
         if self.memory_limit_bytes is not None:
-            # Same python-float bound table the scalar twin's _memory_ok
-            # reads — both phase-1 paths admit identical spans.
+            # Phase-1 feasibility of span i..j: the shared-kernel bound.
             feasible = valid & (
                 np.asarray(self._bound_matrix()) <= self.memory_limit_bytes
             )
@@ -1701,32 +1441,24 @@ class PipeDreamOptimizer:
 
             # ----- T^k(i→j, m) tables ---------------------------------
             if k == 1:
-                compute = pt[None, 1:] - pt[:n, None]
+                compute = self._span_table(self._prefix_time)
             else:
                 compute = tables[k - 2][0][prev_capacity].copy()
             compute = np.where(feasible, compute, inf)
             T = np.full((mk + 1, n, n), inf)
-            T[1] = compute / 1  # matches the scalar compute_term = compute/m
+            T[1] = compute / 1
             if mk > 1 and self.allow_replication:
-                W = pw[None, 1:] - pw[:n, None]
-                D = pr[None, 1:] - pr[:n, None]
+                W = self._span_table(self._prefix_weights)
+                D = self._span_table(self._prefix_recurrent)
                 WD = W - D
                 arbw = level.allreduce_bandwidth
                 alpha = level.allreduce_latency
+                buckets = self._bucket_matrix() if alpha > 0.0 else 1.0
                 for m in range(2, mk + 1):
-                    ring = 2.0 * (m - 1) / m / arbw
-                    round_size = m * prev_workers
-                    stream_t = ring * WD / round_size
-                    deferred_t = ring * D / round_size
-                    if alpha > 0.0:
-                        stream_t = stream_t + np.where(
-                            WD > 0,
-                            alpha * self._bucket_matrix() / round_size,
-                            0.0,
-                        )
-                        deferred_t = deferred_t + np.where(
-                            D > 0, alpha / round_size, 0.0
-                        )
+                    stream_t, deferred_t = self._sync_terms(
+                        WD, D, 2.0 * (m - 1) / m / arbw, alpha,
+                        m * prev_workers, buckets,
+                    )
                     tm = np.maximum(compute / m, stream_t)
                     tm = tm + deferred_t
                     T[m] = np.where(feasible, tm, inf)
@@ -1735,9 +1467,10 @@ class PipeDreamOptimizer:
             tchoice = None
             if k == 1 and self._tp_enabled:
                 # Fold the tp planes into T with strict '<' (degrees
-                # ascending) — identical tie-break to the scalar twin's
-                # stage_time fold, applied before the A recurrence so
-                # splits see the tp'd stage times.
+                # ascending), before the A recurrence so splits see the
+                # tp'd stage times.  The tp axis shards level-1 (leaf)
+                # stages only: upper levels replicate whatever the leaf
+                # chose.
                 tchoice = np.ones((mk + 1, n, n), dtype=np.int64)
                 for m in range(1, mk + 1):
                     for t in self._tp_options[1:]:
@@ -1775,7 +1508,7 @@ class PipeDreamOptimizer:
                     cand = np.maximum(APt[:, :, :, None], TP[:, :, None, :])
                     np.maximum(cand, boundary[None, :, None, None], out=cand)
                     # s-major, m'-minor flattening: argmin's first-minimum
-                    # rule = the scalar loop's (s asc, m' asc) tie-break.
+                    # rule = the (s asc, m' asc) tie-break.
                     cand = cand.transpose(1, 0, 2, 3).reshape(
                         (n - 1) * (m - 1), n, n
                     )
@@ -1812,8 +1545,12 @@ class PipeDreamOptimizer:
         j: int,
         m: int,
     ) -> List[Stage]:
-        """:meth:`_reconstruct` over the vectorized tables (level-1
-        entries carry a 4th element, the tp-choice array)."""
+        """Flatten the nested back-pointer tables into concrete stages.
+
+        Level-1 entries carry a 4th element, the tp-choice array: a leaf
+        that chose degree ``t`` emits ``m/t`` replicas of tp width ``t``
+        (upper levels then multiply replicas only, preserving the shard
+        width)."""
         if k == 0:
             return [Stage(i, j + 1, 1)]
         entry = tables[k - 1]
@@ -1824,6 +1561,8 @@ class PipeDreamOptimizer:
             if k == 1:
                 t = int(tchoice[m, i, j]) if tchoice is not None else 1
                 return [Stage(i, j + 1, m // t, tp_degree=t)]
+            # Single level-k stage replicated over m components; expand its
+            # internal level-(k-1) pipeline and multiply replica counts.
             prev_capacity = topology.levels[k - 2].count
             inner = self._reconstruct_arrays(
                 tables, topology, k - 1, i, j, prev_capacity
@@ -1844,165 +1583,14 @@ class PipeDreamOptimizer:
             ]
         return left + right
 
-    def _solve_for_reference(self, topology: Topology) -> List[Stage]:
-        """Scalar level-by-level DP (the oracle the vectorized path must
-        match); returns the stages."""
-        n = self._n
+    def _tp_plane_level1(self, m, t, level, feasible, compute):
+        """(n, n) ``T^1(i→j, m)`` with the ``m`` leaf workers split into
+        ``m/t`` replicas of ``t`` consecutive shards.
 
-        # A[k][(i, j, m)] -> (bottleneck_time, backpointer)
-        # backpointer: None for a single stage covering i..j, else (s, m')
-        # meaning sub-pipeline i..s on m - m' components plus stage s+1..j
-        # on m' components.
-        tables: List[Dict[Tuple[int, int, int], Tuple[float, Optional[Tuple[int, int]]]]] = []
-
-        #: Level-1 cells where a tp degree beat the two-axis stage time
-        #: (strict '<', degrees ascending — same tie-break as the
-        #: vectorized fold); consulted during reconstruction.
-        tp_choices: Dict[Tuple[int, int, int], int] = {}
-        prev_capacity = 1  # m_{k-1}: components of the level below
-        prev_workers = 1  # workers inside one level-(k-1) component
-        for k, level in enumerate(topology.levels, start=1):
-            mk, bandwidth = level.count, level.bandwidth
-            table: Dict[Tuple[int, int, int], Tuple[float, Optional[Tuple[int, int]]]] = {}
-
-            stage_cache: Dict[Tuple[int, int, int], float] = {}
-            allreduce_bandwidth = level.allreduce_bandwidth
-            allreduce_latency = level.allreduce_latency
-
-            def stage_time(i: int, j: int, m: int) -> float:
-                """T^k(i→j, m): single stage replicated over m components."""
-                cached = stage_cache.get((i, j, m))
-                if cached is not None:
-                    return cached
-                result = self._stage_time_uncached(
-                    tables, k, prev_capacity, prev_workers,
-                    allreduce_bandwidth, allreduce_latency, i, j, m,
-                )
-                if k == 1 and self._tp_enabled:
-                    # The tp axis shards level-1 (leaf) stages only: upper
-                    # levels replicate whatever the leaf chose.
-                    for t in self._tp_options[1:]:
-                        if m % t:
-                            continue
-                        tp_val = self._tp_stage_time_level1(
-                            i, j, m, t,
-                            allreduce_bandwidth, allreduce_latency,
-                        )
-                        if tp_val < result:
-                            result = tp_val
-                            tp_choices[(i, j, m)] = t
-                stage_cache[(i, j, m)] = result
-                return result
-
-            for m in range(1, mk + 1):
-                for j in range(n):
-                    for i in range(j, -1, -1):
-                        best = stage_time(i, j, m)
-                        best_ptr: Optional[Tuple[int, int]] = None
-                        for s in range(i, j):
-                            boundary = 2.0 * self.profile.activation_bytes(s) / bandwidth
-                            for m_prime in range(1, m):
-                                left = table.get((i, s, m - m_prime))
-                                if left is None:
-                                    continue
-                                right = stage_time(s + 1, j, m_prime)
-                                candidate = max(left[0], boundary, right)
-                                if candidate < best:
-                                    best = candidate
-                                    best_ptr = (s, m_prime)
-                        if best < math.inf:
-                            table[(i, j, m)] = (best, best_ptr)
-            tables.append(table)
-            prev_capacity = mk
-            prev_workers *= mk
-
-        top = len(topology.levels)
-        final = tables[top - 1].get((0, n - 1, topology.levels[top - 1].count))
-        if final is None:
-            raise RuntimeError("no feasible partition found (memory limit too tight?)")
-
-        return self._reconstruct(tables, topology, top, 0, n - 1,
-                                 topology.levels[top - 1].count,
-                                 tp_choices if self._tp_enabled else None)
-
-    def _stage_time_uncached(
-        self,
-        tables: Sequence[Dict],
-        k: int,
-        prev_capacity: int,
-        prev_workers: int,
-        allreduce_bandwidth: float,
-        allreduce_latency: float,
-        i: int,
-        j: int,
-        m: int,
-    ) -> float:
-        """T^k(i→j, m) without memoization; see :meth:`solve`.
-
-        The stage spans layers i..j, replicated over ``m`` level-(k-1)
-        components (each holding ``prev_workers`` workers internally).  Its
-        effective per-minibatch time is the max of
-
-        - the amortized compute rate ``A^{k-1}(i→j, m_{k-1}) / m``, and
-        - the level-k ring all_reduce share ``2 (m-1)/m |w| / B_k^ar``,
-          amortized over the round of ``m * prev_workers`` minibatches that
-          one synchronization covers (replicas synchronize once per
-          round-robin sweep, §3.2/§4).
-
-        With a per-collective setup latency α on the level, the stream
-        share additionally pays ``α · N / round_size`` (``N`` collectives
-        per round — one per gradient bucket, or 1 with fusion off) and the
-        deferred share ``α / round_size``; the ``α > 0`` guard keeps the
-        default tables bitwise identical to the pre-latency model.
-
-        This is the paper's §3.1 formulation with the communication term
-        normalized to once-per-round semantics so the optimizer, the
-        discrete-event simulator, and the training runtime share one cost
-        model (see DESIGN.md).
-        """
-        if k == 1:
-            compute = self._time(i, j)
-        else:
-            entry = tables[k - 2].get((i, j, prev_capacity))
-            if entry is None:
-                return math.inf
-            compute = entry[0]
-        if m > 1 and not self.allow_replication:
-            return math.inf
-        if not self._memory_ok(i, j):
-            return math.inf
-        compute_term = compute / m
-        if m == 1:
-            return compute_term
-        round_size = m * prev_workers
-        weights = self._weights(i, j)
-        deferred = self._recurrent_weights(i, j)
-        ring = 2.0 * (m - 1) / m / allreduce_bandwidth
-        overlappable = ring * (weights - deferred) / round_size
-        non_overlappable = ring * deferred / round_size
-        if allreduce_latency > 0.0:
-            if weights - deferred > 0:
-                overlappable = (
-                    overlappable
-                    + allreduce_latency * self._bucket_count(i, j) / round_size
-                )
-            if deferred > 0:
-                non_overlappable = (
-                    non_overlappable + allreduce_latency / round_size
-                )
-        return max(compute_term, overlappable) + non_overlappable
-
-    def _tp_stage_time_level1(
-        self, i: int, j: int, m: int, t: int,
-        arbw: float, alpha: float,
-    ) -> float:
-        """T^1(i→j, m) with the ``m`` leaf workers split into ``m/t``
-        replicas of ``t`` consecutive shards.
-
-        The level-1 analogue of :meth:`_refined_stage_time_tp`, priced
-        with the level's own ring model (both the intra-stage boundary
-        collectives and the strided data-parallel sync stay within one
-        level-1 component group here, so the flat ring coefficient is the
+        The level-1 analogue of :meth:`_refined_tp_plane`, priced with the
+        level's own ring model (both the intra-stage boundary collectives
+        and the strided data-parallel sync stay within one level-1
+        component group here, so the flat ring coefficient is the
         level-exact price — the refined pass re-prices cross-level spans
         through the placement).  Replication of a tp'd leaf by upper
         levels keeps the conservative full-payload sync of the two-axis
@@ -2010,59 +1598,16 @@ class PipeDreamOptimizer:
         """
         r = m // t
         if r > 1 and not self.allow_replication:
-            return math.inf
-        if not self._memory_ok(i, j):
-            return math.inf
-        st = self._shard_time(i, j)
-        stage_compute = self._time(i, j) - st + st / t
-        ring_t = 2.0 * (t - 1) / t / arbw
-        out_act = self.profile.activation_bytes(j)
-        in_act = self._boundary_acts(i)
-        out_term = out_act * ring_t
-        in_term = in_act * ring_t
-        if alpha > 0.0:
-            if out_act > 0:
-                out_term = out_term + alpha
-            if in_act > 0:
-                in_term = in_term + alpha
-        stage_total = stage_compute + (out_term + in_term)
-        if r == 1:
-            return stage_total / r
-        weights = self._weights(i, j)
-        deferred = self._recurrent_weights(i, j)
-        sw = self._shard_weights(i, j)
-        stream = (weights - deferred) - sw + sw / t
-        ring_r = 2.0 * (r - 1) / r / arbw
-        overlappable = stream * ring_r / r
-        non_overlappable = deferred * ring_r / r
-        if alpha > 0.0:
-            if stream > 0:
-                overlappable = (
-                    overlappable + alpha * self._bucket_count(i, j) / r
-                )
-            if deferred > 0:
-                non_overlappable = non_overlappable + alpha / r
-        return max(stage_total / r, overlappable) + non_overlappable
-
-    def _tp_plane_level1(self, m, t, level, feasible, compute):
-        """(n, n) twin of :meth:`_tp_stage_time_level1` for the vectorized
-        level DP (same float expressions, elementwise)."""
-        r = m // t
-        if r > 1 and not self.allow_replication:
             return None
         n = self._n
         inf = math.inf
         arbw = level.allreduce_bandwidth
         alpha = level.allreduce_latency
-        pw = np.asarray(self._prefix_weights)
-        pr = np.asarray(self._prefix_recurrent)
         pa = np.asarray(self._prefix_acts)
-        psw = np.asarray(self._prefix_shard_weights)
-        pst = np.asarray(self._prefix_shard_time)
-        Wt = pw[None, 1:] - pw[:n, None]
-        D = pr[None, 1:] - pr[:n, None]
-        SW = psw[None, 1:] - psw[:n, None]
-        ST = pst[None, 1:] - pst[:n, None]
+        Wt = self._span_table(self._prefix_weights)
+        D = self._span_table(self._prefix_recurrent)
+        SW = self._span_table(self._prefix_shard_weights)
+        ST = self._span_table(self._prefix_shard_time)
         acts = np.asarray(
             [self.profile.activation_bytes(j) for j in range(n)]
         )
@@ -2079,61 +1624,12 @@ class PipeDreamOptimizer:
         if r == 1:
             tm = stage_total / r
         else:
-            stream = (Wt - D) - SW + SW / t
-            ring_r = 2.0 * (r - 1) / r / arbw
-            overl = stream * ring_r / r
-            nonov = D * ring_r / r
-            if alpha > 0.0:
-                overl = overl + np.where(
-                    stream > 0, alpha * self._bucket_matrix() / r, 0.0
-                )
-                nonov = nonov + np.where(D > 0, alpha / r, 0.0)
+            overl, nonov = self._sync_terms(
+                (Wt - D) - SW + SW / t, D, 2.0 * (r - 1) / r / arbw, alpha,
+                r, self._bucket_matrix() if alpha > 0.0 else 1.0,
+            )
             tm = np.maximum(stage_total / r, overl) + nonov
         return np.where(feasible, tm, inf)
-
-    def _reconstruct(
-        self,
-        tables: Sequence[Dict],
-        topology: Topology,
-        k: int,
-        i: int,
-        j: int,
-        m: int,
-        tp_choices: Optional[Dict[Tuple[int, int, int], int]] = None,
-    ) -> List[Stage]:
-        """Flatten the nested back-pointer structure into concrete stages.
-
-        Level-1 cells consult ``tp_choices``: a leaf that chose degree
-        ``t`` emits ``m/t`` replicas of tp width ``t`` (upper levels then
-        multiply replicas only, preserving the shard width)."""
-        if k == 0:
-            return [Stage(i, j + 1, 1)]
-        entry = tables[k - 1][(i, j, m)]
-        _, ptr = entry
-        if ptr is None:
-            if k == 1:
-                t = tp_choices.get((i, j, m), 1) if tp_choices else 1
-                return [Stage(i, j + 1, m // t, tp_degree=t)]
-            # Single level-k stage replicated over m components; expand its
-            # internal level-(k-1) pipeline and multiply replica counts.
-            prev_capacity = topology.levels[k - 2].count
-            inner = self._reconstruct(tables, topology, k - 1, i, j,
-                                      prev_capacity, tp_choices)
-            return [replace(s, replicas=s.replicas * m) for s in inner]
-        s, m_prime = ptr
-        left = self._reconstruct(tables, topology, k, i, s, m - m_prime,
-                                 tp_choices)
-        if k == 1:
-            t = tp_choices.get((s + 1, j, m_prime), 1) if tp_choices else 1
-            right = [Stage(s + 1, j + 1, m_prime // t, tp_degree=t)]
-        else:
-            prev_capacity = topology.levels[k - 2].count
-            inner = self._reconstruct(tables, topology, k - 1, s + 1, j,
-                                      prev_capacity, tp_choices)
-            right = [
-                replace(st, replicas=st.replicas * m_prime) for st in inner
-            ]
-        return left + right
 
 
 # ----------------------------------------------------------------------
@@ -2235,22 +1731,19 @@ def _check_stages(profile: ModelProfile, stages: Sequence[Stage]) -> None:
 
 
 class _EvalTables:
-    """Prefix-sum tables shared by both topology-evaluator paths.
+    """Prefix-sum tables read by the topology evaluator.
 
-    Built once per :class:`ModelProfile` (cached in a weak-keyed registry)
-    so sweep-scale callers stop re-summing layer lists per plan.  Prefix
-    sums are accumulated sequentially, so both paths read identical floats:
-    byte counts are integers well below 2**53 and therefore exact in
-    float64, and compute-time range sums become the same prefix difference
-    the DP itself uses.
+    Built once per :class:`ModelProfile` (cached by content digest) so
+    sweep-scale callers stop re-summing layer lists per plan.  Prefix sums
+    are accumulated sequentially: byte counts are integers well below
+    2**53 and therefore exact in float64, and compute-time range sums
+    become the same prefix difference the DP itself uses.
     """
 
     __slots__ = ("prefix_time", "prefix_weights", "prefix_recurrent", "acts",
                  "prefix_backward",
                  "prefix_shard_time", "prefix_shard_weights",
-                 "prefix_shard_backward",
-                 "np_time", "np_weights", "np_recurrent", "np_acts",
-                 "np_backward")
+                 "prefix_shard_backward")
 
     def __init__(self, profile: ModelProfile):
         pt, pw, pr, pb = [0.0], [0.0], [0.0], [0.0]
@@ -2275,12 +1768,6 @@ class _EvalTables:
         self.prefix_shard_weights = psw
         self.prefix_shard_backward = psb
         self.acts = acts
-        if np is not None:
-            self.np_time = np.asarray(pt)
-            self.np_weights = np.asarray(pw)
-            self.np_recurrent = np.asarray(pr)
-            self.np_acts = np.asarray(acts)
-            self.np_backward = np.asarray(pb)
 
 
 #: Bounded, lock-guarded registry of per-profile evaluator tables, keyed
@@ -2356,51 +1843,32 @@ def evaluate_partition_details(
     profile: ModelProfile,
     stages: Sequence[Stage],
     topology: Topology,
-    vectorize: bool = True,
     memory_limit_bytes: Optional[float] = None,
     bucket_bytes: Optional[float] = None,
 ) -> PartitionEvaluation:
     """Like :func:`evaluate_partition_on_topology` with the full breakdown.
 
-    ``vectorize=True`` (default, requires numpy) computes every stage from
-    the cached prefix tables with array arithmetic; ``vectorize=False`` is
-    the scalar reference twin that walks the placement/all_reduce model of
-    :mod:`repro.sim.network` stage by stage.  Both paths evaluate the exact
-    same float expressions, so their results are bitwise identical
-    (asserted by ``tests/test_partition_evaluator_equiv.py``).
-
+    One pricing loop (:func:`_evaluate_details`) walks the
+    placement/all_reduce model of :mod:`repro.sim.network` stage by stage.
     ``bucket_bytes`` switches a replicated stage's sync pricing from the
     legacy single-payload model to the bucketed wait-free walk of
-    :func:`_evaluate_details_bucketed` (gradients fused into buckets of at
-    most ``bucket_bytes``, each collective firing as its layers' backward
-    completes).  ``None`` (default) leaves the legacy code paths — and
-    therefore every pre-bucketing result — untouched.  The bucketed walk
-    is one shared scalar routine consumed by both ``vectorize`` settings,
-    so the twins remain bitwise identical by construction.
+    :func:`_bucketed_stage_sync` (gradients fused into buckets of at most
+    ``bucket_bytes``, each collective firing as its layers' backward
+    completes).  ``None`` (default) leaves the single-payload model — and
+    therefore every pre-bucketing result — untouched.
 
-    The per-stage memory column is integer arithmetic shared by both
-    paths; ``memory_limit_bytes`` is echoed into the result for
+    The per-stage memory column is integer arithmetic;
+    ``memory_limit_bytes`` is echoed into the result for
     :attr:`PartitionEvaluation.fits_memory`.
     """
     _check_stages(profile, stages)
     # Imported lazily: repro.sim.memory imports Stage from this module.
     from repro.sim.memory import pipeline_memory_footprint
 
-    tables = _eval_tables(profile)
-    tp_active = any(s.tp_degree > 1 for s in stages)
-    if tp_active and bucket_bytes is not None:
+    if bucket_bytes is not None and any(s.tp_degree > 1 for s in stages):
         raise ValueError(
             "bucket_bytes cannot be combined with tensor-parallel stages")
-    if bucket_bytes is not None:
-        result = _evaluate_details_bucketed(
-            profile, tables, stages, topology, bucket_bytes
-        )
-    elif tp_active:
-        result = _evaluate_details_tensor_parallel(tables, stages, topology)
-    elif vectorize and np is not None:
-        result = _evaluate_details_vectorized(tables, stages, topology)
-    else:
-        result = _evaluate_details_scalar(tables, stages, topology)
+    result = _evaluate_details(profile, stages, topology, bucket_bytes)
     return replace(
         result,
         memory_bytes=tuple(pipeline_memory_footprint(profile, stages)),
@@ -2412,7 +1880,6 @@ def evaluate_partition_on_topology(
     profile: ModelProfile,
     stages: Sequence[Stage],
     topology: Topology,
-    vectorize: bool = True,
     bucket_bytes: Optional[float] = None,
 ) -> float:
     """Bottleneck time per minibatch of a stage list on a real topology.
@@ -2424,198 +1891,47 @@ def evaluate_partition_on_topology(
     BPTT portion charged additively); stage boundaries pay a point-to-point
     transfer at the bandwidth of the link between adjacent groups.
 
-    ``vectorize`` selects the numpy fast path or its scalar reference twin;
     ``bucket_bytes`` opts into the bucketed wait-free sync model (see
     :func:`evaluate_partition_details`).
     """
     return evaluate_partition_details(
-        profile, stages, topology, vectorize=vectorize, bucket_bytes=bucket_bytes
+        profile, stages, topology, bucket_bytes=bucket_bytes
     ).bottleneck_time
 
 
-def _evaluate_details_scalar(
-    tables: _EvalTables, stages: Sequence[Stage], topology: Topology
+def _evaluate_details(
+    profile: ModelProfile,
+    stages: Sequence[Stage],
+    topology: Topology,
+    bucket_bytes: Optional[float],
 ) -> PartitionEvaluation:
-    """Scalar reference path: placement objects + per-stage loops."""
-    from repro.sim.network import Placement, allreduce_time
-
-    placement = Placement(topology)
-    scale = topology.compute_scale
-    pt, pw, pr = tables.prefix_time, tables.prefix_weights, tables.prefix_recurrent
-    acts = tables.acts
-    next_worker = 0
-    groups = []
-    for stage in stages:
-        groups.append(list(range(next_worker, next_worker + stage.replicas)))
-        next_worker += stage.replicas
-    stage_times: List[float] = []
-    boundary_times: List[float] = []
-    sync_exposed: List[float] = []
-    sync_hidden: List[float] = []
-    pb = tables.prefix_backward
-    for idx, stage in enumerate(stages):
-        r = stage.replicas
-        compute = (pt[stage.stop] - pt[stage.start]) / scale
-        if stage.recompute:
-            # Checkpointing replays the stage's forward during backward.
-            compute = compute + (
-                compute - (pb[stage.stop] - pb[stage.start]) / scale
-            )
-        cost = compute / r
-        exposed = hidden = 0.0
-        if r > 1:
-            weights = pw[stage.stop] - pw[stage.start]
-            deferred = pr[stage.stop] - pr[stage.start]
-            stream = allreduce_time(placement, groups[idx], weights - deferred)
-            blocked = allreduce_time(placement, groups[idx], deferred)
-            cost = max(cost, stream / r) + blocked / r
-            # Critical-path share of the sync: whatever the round costs
-            # beyond its amortized compute; the rest hid under the max().
-            exposed = cost - compute / r
-            hidden = stream / r + blocked / r - exposed
-        stage_times.append(cost)
-        sync_exposed.append(exposed)
-        sync_hidden.append(hidden)
-        if idx + 1 < len(stages):
-            src = groups[idx][-1]
-            dst = groups[idx + 1][0]
-            bandwidth = placement.link_bandwidth(src, dst)
-            boundary_times.append(2.0 * acts[stage.stop - 1] / bandwidth)
-    worst = max(max(stage_times), max(boundary_times, default=0.0))
-    return PartitionEvaluation(
-        worst, tuple(stage_times), tuple(boundary_times),
-        sync_exposed=tuple(sync_exposed), sync_hidden=tuple(sync_hidden),
-    )
-
-
-def _evaluate_details_vectorized(
-    tables: _EvalTables, stages: Sequence[Stage], topology: Topology
-) -> PartitionEvaluation:
-    """Numpy path: all stages at once from the cached prefix tables.
-
-    Worker groups are contiguous ranges (stage-major packing), so the
-    placement queries reduce to integer arithmetic: a contiguous group
-    ``[first, last]`` spans ``last//W_k - first//W_k + 1`` level-k
-    components (``W_k`` = workers per level-k component), and the boundary
-    link between adjacent groups crosses the outermost level whose
-    component ids differ between workers ``dst-1`` and ``dst``.  The float
-    expressions mirror :func:`repro.sim.network.allreduce_time` and the
-    scalar twin exactly, term for term, so results match bitwise.
-    """
-    levels = topology.levels
-    scale = topology.compute_scale
-    S = len(stages)
-    starts = np.fromiter((s.start for s in stages), dtype=np.int64, count=S)
-    stops = np.fromiter((s.stop for s in stages), dtype=np.int64, count=S)
-    reps = np.fromiter((s.replicas for s in stages), dtype=np.int64, count=S)
-
-    compute = (tables.np_time[stops] - tables.np_time[starts]) / scale
-    if any(s.recompute for s in stages):
-        # Same float expression as the scalar twin, selected elementwise;
-        # the guard keeps recompute-free plans on the untouched arrays.
-        bwd = (tables.np_backward[stops] - tables.np_backward[starts]) / scale
-        rec = np.fromiter((s.recompute for s in stages), dtype=bool, count=S)
-        compute = np.where(rec, compute + (compute - bwd), compute)
-    cost = compute / reps
-    exposed = np.zeros(S)
-    hidden = np.zeros(S)
-    if bool((reps > 1).any()):
-        weights = tables.np_weights[stops] - tables.np_weights[starts]
-        deferred = tables.np_recurrent[stops] - tables.np_recurrent[starts]
-        gfirst = np.cumsum(reps) - reps
-        glast = gfirst + reps - 1
-        stream = np.zeros(S)
-        blocked = np.zeros(S)
-        per_component = 1
-        for k, level in enumerate(levels):
-            count_k = level.count
-            u_first = gfirst // per_component
-            u_last = glast // per_component
-            p_first = u_first // count_k
-            p_last = u_last // count_k
-            # Largest per-parent sibling group of the contiguous range
-            # (the closed form of Placement.ring_sizes): one parent → the
-            # whole span; a parent strictly inside the range is full;
-            # otherwise the larger of the two edge fragments.
-            group = np.where(
-                p_first == p_last,
-                u_last - u_first + 1,
-                np.where(
-                    p_last - p_first >= 2,
-                    count_k,
-                    np.maximum((p_first + 1) * count_k - u_first,
-                               u_last - p_last * count_k + 1),
-                ),
-            )
-            ring = 2.0 * (group - 1) / group
-            arbw = level.allreduce_bandwidth
-            stream = stream + ring * (weights - deferred) / arbw
-            blocked = blocked + ring * deferred / arbw
-            alpha = level.allreduce_latency
-            if alpha > 0.0:
-                # Per-collective setup cost: paid once per level a ring
-                # actually runs on, only when there is a payload (mirrors
-                # allreduce_time's early return on num_bytes <= 0).
-                lat = np.where(group > 1, alpha, 0.0)
-                stream = stream + np.where(weights - deferred > 0, lat, 0.0)
-                blocked = blocked + np.where(deferred > 0, lat, 0.0)
-            per_component *= count_k
-        cost = np.where(
-            reps > 1, np.maximum(cost, stream / reps) + blocked / reps, cost
-        )
-        exposed = np.where(reps > 1, cost - compute / reps, 0.0)
-        hidden = np.where(
-            reps > 1, stream / reps + blocked / reps - exposed, 0.0
-        )
-    stage_times = tuple(cost.tolist())
-
-    boundary_times: Tuple[float, ...] = ()
-    if S > 1:
-        dst = (np.cumsum(reps) - reps)[1:]  # first worker of each next group
-        src = dst - 1
-        crossing = np.zeros(S - 1, dtype=np.int64)
-        per_component = 1
-        for k, level in enumerate(levels):
-            crossing = np.where(
-                src // per_component != dst // per_component, k, crossing
-            )
-            per_component *= level.count
-        bw = np.asarray([level.bandwidth for level in levels])[crossing]
-        boundary = 2.0 * tables.np_acts[stops[:-1] - 1] / bw
-        boundary_times = tuple(boundary.tolist())
-        worst = max(max(stage_times), max(boundary_times))
-    else:
-        worst = max(stage_times)
-    return PartitionEvaluation(
-        worst, stage_times, boundary_times,
-        sync_exposed=tuple(exposed.tolist()),
-        sync_hidden=tuple(hidden.tolist()),
-    )
-
-
-def _evaluate_details_tensor_parallel(
-    tables: _EvalTables, stages: Sequence[Stage], topology: Topology
-) -> PartitionEvaluation:
-    """Tensor-parallel pricing (one scalar path for both ``vectorize``
-    modes — the :func:`_evaluate_details_bucketed` precedent).
+    """The per-stage pricing loop behind every plan evaluation.
 
     A stage is ``replicas x tp_degree`` physical workers: replica ``q``
     owns the ``t`` consecutive ids ``[first + q t, first + (q+1) t)``, and
-    the ``t`` data-parallel shard rings stride the replicas at step ``t``.
-    Shardable compute/weights divide by ``t`` (the complement stays
-    replicated, same split as the shared memory kernel); each minibatch
-    pays an intra-stage ring all_reduce on the output-boundary activation
+    the ``t`` data-parallel shard rings stride the replicas at step ``t``
+    (``t = 1``: one ring over the contiguous group).  Shardable
+    compute/weights divide by ``t`` (the complement stays replicated, same
+    split as the shared memory kernel); each minibatch of a tp stage pays
+    an intra-stage ring all_reduce on the output-boundary activation
     (always — including the last stage, so sharded compute is never free)
     and on the input boundary past stage 0.  Both collectives run once per
     replica group; the stage waits on the slowest of the ``r`` concurrent
     groups.  The dp sync charges each ring only at the topology levels its
     strided group actually crosses — never the fused ``r x t`` span — per
     :func:`repro.sim.network.allreduce_time` over the representative shard
-    group.  ``tp_degree = 1`` stages take branches textually identical to
-    :func:`_evaluate_details_scalar`.
+    group.
+
+    With ``bucket_bytes`` a replicated stage's sync is the per-bucket walk
+    of :func:`_bucketed_stage_sync` instead of the single-payload
+    ``max(compute, stream) + blocked``.  The closed-form numpy evaluator in
+    ``tests/oracles/evaluator_closed_form.py`` cross-checks the ``t = 1``,
+    unbucketed branch bitwise.
     """
+    from repro.comm.bucketing import gradient_buckets
     from repro.sim.network import Placement, allreduce_time
 
+    tables = _eval_tables(profile)
     placement = Placement(topology)
     scale = topology.compute_scale
     pt, pw, pr = tables.prefix_time, tables.prefix_weights, tables.prefix_recurrent
@@ -2638,15 +1954,19 @@ def _evaluate_details_tensor_parallel(
         t = stage.tp_degree
         first = firsts[idx]
         compute = (pt[stage.stop] - pt[stage.start]) / scale
+        backward = (pb[stage.stop] - pb[stage.start]) / scale
         if t > 1:
             st = (pst[stage.stop] - pst[stage.start]) / scale
             compute = compute - st + st / t
+            sb = (psb[stage.stop] - psb[stage.start]) / scale
+            backward = backward - sb + sb / t
         if stage.recompute:
-            bwd = (pb[stage.stop] - pb[stage.start]) / scale
-            if t > 1:
-                sb = (psb[stage.stop] - psb[stage.start]) / scale
-                bwd = bwd - sb + sb / t
-            compute = compute + (compute - bwd)
+            # Checkpointing replays the stage's forward inside the backward
+            # window: the round grows by one forward and the backward
+            # phase (which gates bucket readiness) absorbs it.
+            forward_extra = compute - backward
+            compute = compute + forward_extra
+            backward = backward + forward_extra
         out_term = in_term = 0.0
         if t > 1:
             out_act = acts[stage.stop - 1]
@@ -2661,30 +1981,44 @@ def _evaluate_details_tensor_parallel(
         cost = stage_total / r
         exposed = hidden = 0.0
         if r > 1:
-            weights = pw[stage.stop] - pw[stage.start]
             deferred = pr[stage.stop] - pr[stage.start]
-            stream_payload = weights - deferred
-            if t > 1:
-                shard_w = psw[stage.stop] - psw[stage.start]
-                stream_payload = stream_payload - shard_w + shard_w / t
             rep_group = [first + q * t for q in range(r)]
-            stream = allreduce_time(placement, rep_group, stream_payload)
-            blocked = allreduce_time(placement, rep_group, deferred)
-            cost = max(cost, stream / r) + blocked / r
-            exposed = cost - stage_total / r
-            hidden = stream / r + blocked / r - exposed
+            if bucket_bytes is not None:
+                buckets = gradient_buckets(
+                    profile, stage.start, stage.stop, bucket_bytes
+                )
+                round_time, round_exposed, total_sync = _bucketed_stage_sync(
+                    placement, rep_group, buckets, deferred, compute,
+                    backward,
+                )
+                cost = round_time / r
+                exposed = round_exposed / r
+                hidden = (total_sync - round_exposed) / r
+            else:
+                stream_payload = (pw[stage.stop] - pw[stage.start]) - deferred
+                if t > 1:
+                    shard_w = psw[stage.stop] - psw[stage.start]
+                    stream_payload = stream_payload - shard_w + shard_w / t
+                stream = allreduce_time(placement, rep_group, stream_payload)
+                blocked = allreduce_time(placement, rep_group, deferred)
+                cost = max(cost, stream / r) + blocked / r
+                # Critical-path share of the sync: whatever the round costs
+                # beyond its amortized compute; the rest hid under the max().
+                exposed = cost - stage_total / r
+                hidden = stream / r + blocked / r - exposed
         stage_times.append(cost)
         sync_exposed.append(exposed)
         sync_hidden.append(hidden)
         if idx + 1 < len(stages):
-            src = firsts[idx] + stage.replicas * stage.tp_degree - 1
-            dst = firsts[idx + 1]
-            bandwidth = placement.link_bandwidth(src, dst)
+            bandwidth = placement.link_bandwidth(
+                firsts[idx + 1] - 1, firsts[idx + 1]
+            )
             boundary_times.append(2.0 * acts[stage.stop - 1] / bandwidth)
     worst = max(max(stage_times), max(boundary_times, default=0.0))
     return PartitionEvaluation(
         worst, tuple(stage_times), tuple(boundary_times),
         sync_exposed=tuple(sync_exposed), sync_hidden=tuple(sync_hidden),
+        bucket_bytes=None if bucket_bytes is None else float(bucket_bytes),
     )
 
 
@@ -2707,10 +2041,9 @@ def _bucketed_stage_sync(
     the round's wall-clock, the sync share extending it past its compute,
     and the summed duration of every collective (each priced through
     :func:`repro.sim.network.allreduce_time`, so per-bucket latency α and
-    the hierarchical ring terms are included).  This single scalar routine
-    serves both evaluator twins and mirrors the event engine's
-    ``_execute_update`` walk with all round members collapsed onto one
-    canonical timeline.
+    the hierarchical ring terms are included).  Mirrors the event
+    engine's ``_execute_update`` walk with all round members collapsed
+    onto one canonical timeline.
     """
     from repro.sim.network import allreduce_time
 
@@ -2725,81 +2058,6 @@ def _bucketed_stage_sync(
     blocked = allreduce_time(placement, group, deferred_bytes)
     round_time = (t if t > compute else compute) + blocked
     return round_time, round_time - compute, total + blocked
-
-
-def _evaluate_details_bucketed(
-    profile: ModelProfile,
-    tables: _EvalTables,
-    stages: Sequence[Stage],
-    topology: Topology,
-    bucket_bytes: float,
-) -> PartitionEvaluation:
-    """Bucketed wait-free pricing (one path for both ``vectorize`` modes).
-
-    Identical to :func:`_evaluate_details_scalar` except that a
-    replicated stage's sync is the per-bucket walk of
-    :func:`_bucketed_stage_sync` instead of the legacy
-    ``max(compute, stream) + blocked`` single-payload model.  Buckets are
-    ragged per stage, so there is nothing to vectorize; routing both
-    twins through this one routine keeps them bitwise identical by
-    construction.
-    """
-    from repro.comm.bucketing import gradient_buckets
-    from repro.sim.network import Placement
-
-    placement = Placement(topology)
-    scale = topology.compute_scale
-    pt, pw, pr = tables.prefix_time, tables.prefix_weights, tables.prefix_recurrent
-    pb = tables.prefix_backward
-    acts = tables.acts
-    next_worker = 0
-    groups = []
-    for stage in stages:
-        groups.append(list(range(next_worker, next_worker + stage.replicas)))
-        next_worker += stage.replicas
-    stage_times: List[float] = []
-    boundary_times: List[float] = []
-    sync_exposed: List[float] = []
-    sync_hidden: List[float] = []
-    for idx, stage in enumerate(stages):
-        r = stage.replicas
-        compute = (pt[stage.stop] - pt[stage.start]) / scale
-        backward_total = (pb[stage.stop] - pb[stage.start]) / scale
-        if stage.recompute:
-            # Checkpointing replays the forward inside the backward
-            # window: the round grows by one forward and the backward
-            # phase (which gates bucket readiness) absorbs it.
-            forward_extra = compute - backward_total
-            compute = compute + forward_extra
-            backward_total = backward_total + forward_extra
-        cost = compute / r
-        exposed = hidden = 0.0
-        if r > 1:
-            deferred = pr[stage.stop] - pr[stage.start]
-            buckets = gradient_buckets(
-                profile, stage.start, stage.stop, bucket_bytes
-            )
-            round_time, round_exposed, total_sync = _bucketed_stage_sync(
-                placement, groups[idx], buckets, deferred, compute,
-                backward_total,
-            )
-            cost = round_time / r
-            exposed = round_exposed / r
-            hidden = (total_sync - round_exposed) / r
-        stage_times.append(cost)
-        sync_exposed.append(exposed)
-        sync_hidden.append(hidden)
-        if idx + 1 < len(stages):
-            src = groups[idx][-1]
-            dst = groups[idx + 1][0]
-            bandwidth = placement.link_bandwidth(src, dst)
-            boundary_times.append(2.0 * acts[stage.stop - 1] / bandwidth)
-    worst = max(max(stage_times), max(boundary_times, default=0.0))
-    return PartitionEvaluation(
-        worst, tuple(stage_times), tuple(boundary_times),
-        sync_exposed=tuple(sync_exposed), sync_hidden=tuple(sync_hidden),
-        bucket_bytes=float(bucket_bytes),
-    )
 
 
 # ----------------------------------------------------------------------

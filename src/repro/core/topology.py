@@ -164,6 +164,8 @@ def make_cluster(
     inter_allreduce_latency: float = 0.0,
 ) -> Topology:
     """Build a standard two-level server/cluster topology."""
+    if num_servers < 1:
+        raise ValueError(f"num_servers must be >= 1, got {num_servers}")
     levels = [TopologyLevel(gpus_per_server, intra_bandwidth,
                             intra_allreduce_efficiency,
                             intra_allreduce_latency)]

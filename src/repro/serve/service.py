@@ -61,15 +61,49 @@ CLUSTERS = {
 _PLAN_KEYS = frozenset({
     "model", "profile", "device", "precision",
     "cluster", "servers", "topology", "num_workers",
-    "memory_limit_bytes", "allow_replication", "memory_refine", "vectorize",
+    "memory_limit_bytes", "allow_replication", "memory_refine",
     "bucket_bytes", "recompute", "tp_degrees",
 })
-_SIMULATE_KEYS = _PLAN_KEYS | {"strategy", "minibatches", "engine",
-                               "schedule_family"}
+_SIMULATE_ONLY_KEYS = frozenset({"strategy", "minibatches", "engine",
+                                 "schedule_family"})
+_SIMULATE_KEYS = _PLAN_KEYS | _SIMULATE_ONLY_KEYS
 
 
 class RequestError(ValueError):
     """A malformed or unsatisfiable request (HTTP 400, not a server bug)."""
+
+
+def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
+           choices: Any = None, minimum: Any = None) -> Any:
+    """``request[name]`` coerced to ``kind``, or ``default`` when absent/null.
+
+    The one place scalar request fields are read: a value that does not
+    coerce, is not among ``choices`` or is below ``minimum`` raises
+    :class:`RequestError`, so a malformed field is the client's 400 and
+    never reaches the solver as a 500.
+    """
+    value = request.get(name)
+    if value is None:
+        return default
+    try:
+        value = kind(value)
+    except (TypeError, ValueError) as exc:
+        raise RequestError(
+            f"bad {name} {value!r}: expected {kind.__name__}") from exc
+    if choices is not None and value not in choices:
+        raise RequestError(f"unknown {name} {value!r} (have {sorted(choices)})")
+    if minimum is not None and value < minimum:
+        raise RequestError(f"{name} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def _require_object(request: Any, allowed_keys: Any) -> None:
+    """Strict schema: a JSON object with no field outside ``allowed_keys``."""
+    if not isinstance(request, dict):
+        raise RequestError("request must be a JSON object")
+    unknown = set(request) - allowed_keys
+    if unknown:
+        raise RequestError(f"unknown request fields: {sorted(unknown)}")
 
 
 def topology_to_dict(topology: Topology) -> Dict[str, Any]:
@@ -106,6 +140,21 @@ def topology_from_dict(data: Dict[str, Any]) -> Topology:
     )
 
 
+def _request_topology(request: Dict[str, Any]) -> Topology:
+    """The inline ``topology`` of a request, else its named ``cluster``."""
+    if "topology" in request:
+        try:
+            return topology_from_dict(request["topology"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise RequestError(f"bad topology: {exc}") from exc
+    cluster = _field(request, "cluster", str, "a", choices=CLUSTERS)
+    servers = _field(request, "servers", int, 4)
+    try:
+        return CLUSTERS[cluster](servers)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
+
+
 def _topology_signature(topology: Topology) -> tuple:
     """The value identity of a topology: levels + compute scale, not name."""
     return (
@@ -133,33 +182,22 @@ class NormalizedQuery:
     memory_limit_bytes: Optional[float]
     allow_replication: bool
     memory_refine: bool
-    vectorize: bool
     bucket_bytes: Optional[float]
     recompute: Optional[str]
     tp_degrees: Optional[Tuple[int, ...]]
     key: tuple
 
 
-def normalize_plan_request(
-    request: Dict[str, Any], allowed_keys: frozenset = _PLAN_KEYS
-) -> NormalizedQuery:
+def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
     """Resolve a JSON request into a :class:`NormalizedQuery`.
 
     The schema is strict (unknown keys are rejected) so that junk fields
     cannot split the cache; all resolution errors surface as
     :class:`RequestError` with a client-actionable message.
     """
-    if not isinstance(request, dict):
-        raise RequestError("request must be a JSON object")
-    unknown = set(request) - allowed_keys
-    if unknown:
-        raise RequestError(f"unknown request fields: {sorted(unknown)}")
-
-    precision = request.get("precision", "fp32")
-    if precision not in PRECISION_BYTES:
-        raise RequestError(
-            f"unknown precision {precision!r} (have {sorted(PRECISION_BYTES)})"
-        )
+    _require_object(request, _PLAN_KEYS)
+    precision = _field(request, "precision", str, "fp32",
+                       choices=PRECISION_BYTES)
     if ("model" in request) == ("profile" in request):
         raise RequestError("exactly one of 'model' or 'profile' is required")
     if "profile" in request:
@@ -174,6 +212,7 @@ def normalize_plan_request(
         # Imported here: the analytic profiler is the one serve dependency
         # with model tables behind it, and tests stub it.
         from repro.profiler import analytic_profile, available_models
+        from repro.profiler.analytic import DEVICE_PEAK_FLOPS
 
         model = request["model"]
         if model not in available_models():
@@ -182,26 +221,16 @@ def normalize_plan_request(
             )
         profile = analytic_profile(
             model,
-            device=request.get("device", "v100"),
+            device=_field(request, "device", str, "v100",
+                          choices=DEVICE_PEAK_FLOPS),
             bytes_per_element=PRECISION_BYTES[precision],
         )
 
     if "topology" in request and "cluster" in request:
         raise RequestError("give either 'topology' or 'cluster', not both")
-    if "topology" in request:
-        try:
-            topology = topology_from_dict(request["topology"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise RequestError(f"bad topology: {exc}") from exc
-    else:
-        cluster = request.get("cluster", "a")
-        if cluster not in CLUSTERS:
-            raise RequestError(
-                f"unknown cluster {cluster!r} (have {sorted(CLUSTERS)})"
-            )
-        topology = CLUSTERS[cluster](int(request.get("servers", 4)))
+    topology = _request_topology(request)
 
-    num_workers = int(request.get("num_workers", topology.total_workers))
+    num_workers = _field(request, "num_workers", int, topology.total_workers)
     try:
         solve_topology = (
             topology
@@ -211,16 +240,12 @@ def normalize_plan_request(
     except ValueError as exc:
         raise RequestError(str(exc)) from exc
 
-    limit = request.get("memory_limit_bytes")
-    limit = None if limit is None else float(limit)
+    limit = _field(request, "memory_limit_bytes", float)
     allow_replication = bool(request.get("allow_replication", True))
     memory_refine = bool(request.get("memory_refine", True))
-    vectorize = bool(request.get("vectorize", True))
-    bucket_bytes = request.get("bucket_bytes")
-    if bucket_bytes is not None:
-        bucket_bytes = float(bucket_bytes)
-        if bucket_bytes <= 0:
-            raise RequestError("bucket_bytes must be positive")
+    bucket_bytes = _field(request, "bucket_bytes", float)
+    if bucket_bytes is not None and bucket_bytes <= 0:
+        raise RequestError("bucket_bytes must be positive")
     recompute = request.get("recompute")
     if recompute is not None and recompute != "auto":
         raise RequestError(
@@ -256,7 +281,6 @@ def normalize_plan_request(
         limit,
         allow_replication,
         memory_refine,
-        vectorize,
         bucket_bytes,
     )
     if recompute is not None:
@@ -270,7 +294,6 @@ def normalize_plan_request(
         memory_limit_bytes=limit,
         allow_replication=allow_replication,
         memory_refine=memory_refine,
-        vectorize=vectorize,
         bucket_bytes=bucket_bytes,
         recompute=recompute,
         tp_degrees=tp_degrees,
@@ -327,7 +350,6 @@ class PlannerService:
             query.topology,
             allow_replication=query.allow_replication,
             memory_limit_bytes=query.memory_limit_bytes,
-            vectorize=query.vectorize,
             memory_refine=query.memory_refine,
             bucket_bytes=query.bucket_bytes,
             recompute=query.recompute,
@@ -386,22 +408,22 @@ class PlannerService:
         simulations of one profile re-solve from hot tables.
         """
         self._count("simulate")
-        strategy = request.get("strategy", "pipedream")
-        minibatches = int(request.get("minibatches", 48))
-        engine = request.get("engine", "event")
-        schedule_family = request.get("schedule_family", "1f1b")
-        if schedule_family not in ("1f1b", "2bp"):
-            raise RequestError(
-                f"unknown schedule_family {schedule_family!r} "
-                "(have ['1f1b', '2bp'])")
+        _require_object(request, _SIMULATE_KEYS)
+        # Imported lazily so importing the serve package stays cheap.
+        from repro.sim.executor import ENGINES
+
+        strategy = _field(request, "strategy", str, "pipedream",
+                          choices=("dp", "gpipe", "mp", "pipedream"))
+        minibatches = _field(request, "minibatches", int, 48, minimum=1)
+        engine = _field(request, "engine", str, "event", choices=ENGINES)
+        schedule_family = _field(request, "schedule_family", str, "1f1b",
+                                 choices=("1f1b", "2bp"))
         if schedule_family != "1f1b" and strategy != "pipedream":
             raise RequestError(
                 "schedule_family='2bp' applies to the pipedream strategy")
         query = normalize_plan_request(
             {k: v for k, v in request.items()
-             if k not in ("strategy", "minibatches", "engine",
-                          "schedule_family")},
-            allowed_keys=_PLAN_KEYS,
+             if k not in _SIMULATE_ONLY_KEYS}
         )
         cache_key = ("simulate", query.key, strategy, minibatches, engine)
         if schedule_family != "1f1b":
@@ -412,7 +434,6 @@ class PlannerService:
         if cached is not None:
             return dict(cached, cached=True)
 
-        # Imported lazily so importing the serve package stays cheap.
         from repro.sim import (
             simulate_data_parallel,
             simulate_gpipe,
@@ -438,15 +459,10 @@ class PlannerService:
                 profile, topology, num_minibatches=minibatches, engine=engine,
                 bucket_bytes=query.bucket_bytes,
             )
-        elif strategy == "gpipe":
+        else:
             result = simulate_gpipe(
                 profile, topology, num_batches=max(2, minibatches // 4),
                 engine=engine, bucket_bytes=query.bucket_bytes,
-            )
-        else:
-            raise RequestError(
-                f"unknown strategy {strategy!r} "
-                "(have ['dp', 'gpipe', 'mp', 'pipedream'])"
             )
         payload = {
             "strategy": result.strategy,
@@ -469,31 +485,22 @@ class PlannerService:
         context pool so per-cell solves are warm-started.
         """
         self._count("sweep")
-        allowed = {
+        _require_object(request, {
             "models", "cluster", "servers", "topology", "counts",
             "strategies", "precisions", "bucket_sizes", "device",
             "minibatches", "engine", "executor", "workers",
             "recomputes", "schedule_families", "memory_limit_bytes",
             "tp_degrees",
-        }
-        unknown = set(request) - allowed
-        if unknown:
-            raise RequestError(f"unknown request fields: {sorted(unknown)}")
+        })
         models = request.get("models")
         if not models or not isinstance(models, (list, tuple)):
             raise RequestError("'models' must be a non-empty list")
-        if "topology" in request:
-            topology = topology_from_dict(request["topology"])
-        else:
-            cluster = request.get("cluster", "a")
-            if cluster not in CLUSTERS:
-                raise RequestError(
-                    f"unknown cluster {cluster!r} (have {sorted(CLUSTERS)})"
-                )
-            topology = CLUSTERS[cluster](int(request.get("servers", 4)))
+        topology = _request_topology(request)
         counts = request.get("counts", [4, 8, 16])
 
+        from repro.profiler.analytic import DEVICE_PEAK_FLOPS
         from repro.sim import run_sweep
+        from repro.sim.executor import ENGINES
 
         try:
             records = run_sweep(
@@ -501,10 +508,13 @@ class PlannerService:
                 topology,
                 [int(c) for c in counts],
                 strategies=tuple(request.get("strategies", ("dp", "pipedream"))),
-                device=request.get("device", "v100"),
-                minibatches=int(request.get("minibatches", 48)),
-                engine=request.get("engine", "event"),
-                workers=int(request.get("workers", 1)),
+                device=_field(request, "device", str, "v100",
+                              choices=DEVICE_PEAK_FLOPS),
+                minibatches=_field(request, "minibatches", int, 48,
+                                   minimum=1),
+                engine=_field(request, "engine", str, "event",
+                              choices=ENGINES),
+                workers=_field(request, "workers", int, 1),
                 executor=request.get("executor", "auto"),
                 precisions=tuple(request.get("precisions", ("fp32",))),
                 bucket_sizes=tuple(
@@ -515,17 +525,15 @@ class PlannerService:
                 schedule_families=tuple(
                     request.get("schedule_families", ("1f1b",))
                 ),
-                memory_limit_bytes=(
-                    None if request.get("memory_limit_bytes") is None
-                    else float(request["memory_limit_bytes"])
-                ),
+                memory_limit_bytes=_field(
+                    request, "memory_limit_bytes", float),
                 tp_degrees=(
                     None if request.get("tp_degrees") is None
                     else tuple(int(t) for t in request["tp_degrees"])
                 ),
                 contexts=self.contexts if self.warm_start else None,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise RequestError(str(exc)) from exc
         return {"records": [dataclasses.asdict(r) for r in records]}
 

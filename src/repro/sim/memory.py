@@ -2,8 +2,8 @@
 
 This module is the *single source of truth* for per-stage memory: the
 partitioner's phase-1 bound, the refined suffix DP's feasibility masks
-(scalar and vectorized twins), and the simulator/strategy footprint all
-price stashed state through :func:`stage_memory_cost` /
+(and its scalar oracle under ``tests/oracles/``), and the
+simulator/strategy footprint all price stashed state through :func:`stage_memory_cost` /
 :func:`stage_memory_bytes`.  There are deliberately no other payload
 formulas in the codebase — keeping one formula is what guarantees the
 planner's bound-admitted ⊇ refined-admitted ⊇ footprint-feasible
@@ -95,9 +95,9 @@ def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,
 
     ``weight_bytes`` / ``deferred_weight_bytes`` / ``activation_bytes`` /
     ``boundary_activation_bytes`` may be scalars or numpy arrays (the
-    vectorized DP twin passes range-table arrays); ``depth`` and
-    ``replicas`` are integers.  All consumers — the bound, both refined-DP
-    twins, and the footprint — evaluate exactly this expression, so their
+    refined DP passes range-table arrays); ``depth`` and
+    ``replicas`` are integers.  All consumers — the bound, the refined DP
+    and its oracle, and the footprint — evaluate exactly this expression, so their
     admit/reject decisions can only differ through the
     ``depth``/``replicas``/``recompute``/``tp_degree`` they plug in, never
     through the formula:

@@ -234,8 +234,6 @@ def _run_cell(
     device: str,
     minibatches: int,
     engine: str,
-    vectorize: bool,
-    profile_cache: bool,
     memory_limit_bytes: Optional[float] = None,
     tp_degrees: Optional[Tuple[int, ...]] = None,
     contexts: Optional[SolverContextPool] = None,
@@ -255,7 +253,6 @@ def _run_cell(
     profile = analytic_profile(
         model, device=device,
         bytes_per_element=PRECISION_BYTES[precision],
-        cache=profile_cache,
     )
     if contexts is None:
         contexts = _WORKER_CONTEXTS
@@ -266,7 +263,7 @@ def _run_cell(
     # bitwise identical to cold ones, so records don't change.
     optimizer = (
         PipeDreamOptimizer(
-            profile, topology, vectorize=vectorize,
+            profile, topology,
             bucket_bytes=bucket_bytes,
             memory_limit_bytes=memory_limit_bytes,
             recompute=recompute,
@@ -289,12 +286,9 @@ def _run_cell(
         result: StrategyResult = STRATEGIES[strategy](
             profile, sub, minibatches, **kwargs)
         # Per-stage breakdowns of the simulated plan: the evaluator's
-        # stage/boundary seconds (same vectorize flag as the optimizer, so
-        # scalar-baseline sweeps stay bitwise-reproducible) and the §3.3
-        # per-stage footprint.
+        # stage/boundary seconds and the §3.3 per-stage footprint.
         details = evaluate_partition_details(
-            profile, result.stages, sub, vectorize=vectorize,
-            bucket_bytes=bucket_bytes,
+            profile, result.stages, sub, bucket_bytes=bucket_bytes,
         )
         stage_memory = pipeline_memory_footprint(profile, result.stages)
         out.append(SweepRecord(
@@ -361,8 +355,6 @@ def run_sweep(
     engine: str = "event",
     workers: int = 1,
     executor: str = "process",
-    vectorize: bool = True,
-    profile_cache: bool = True,
     on_error: str = "raise",
     precisions: Sequence[str] = ("fp32",),
     bucket_sizes: Sequence[Optional[float]] = (None,),
@@ -421,11 +413,6 @@ def run_sweep(
             the pool initializer, or shared in-process for threads)
             restores the per-cell table reuse the split would otherwise
             lose.  Output order and values are identical in every mode.
-        vectorize: forwarded to :class:`PipeDreamOptimizer` (DP and plan
-            evaluator).  ``False`` reproduces the scalar reference path —
-            the perf harness uses it as the sweep baseline.
-        profile_cache: forwarded to :func:`analytic_profile`; ``False``
-            rebuilds profiles per cell (again, the pre-cache baseline).
         on_error: ``"raise"`` (default) raises :class:`SweepError` *after*
             all cells complete when any cell failed; ``"skip"`` returns the
             successful cells' records and drops the failures.
@@ -500,8 +487,8 @@ def run_sweep(
     if workers <= 1 or len(cells) <= 1 or resolved == "serial":
         cell_args = [
             (model, strategy, precision, bucket, policy, family, topology,
-             worker_counts, device, minibatches, engine, vectorize,
-             profile_cache, memory_limit_bytes, tp_degrees, contexts)
+             worker_counts, device, minibatches, engine,
+             memory_limit_bytes, tp_degrees, contexts)
             for model, strategy, precision, bucket, policy, family in cells
         ]
         outcomes = [_run_cell_guarded(args) for args in cell_args]
@@ -523,7 +510,7 @@ def run_sweep(
         subtasks = [
             (cell_index, count_index,
              (model, strategy, precision, bucket, policy, family, topology,
-              [count], device, minibatches, engine, vectorize, profile_cache,
+              [count], device, minibatches, engine,
               memory_limit_bytes, tp_degrees, subtask_contexts))
             for cell_index, (model, strategy, precision, bucket, policy,
                              family) in enumerate(cells)

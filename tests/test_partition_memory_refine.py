@@ -1,7 +1,7 @@
 """Memory-faithful planning: one §3.3 formula, three consumers.
 
 Every memory decision the planner makes goes through the shared kernel
-``repro.sim.memory.stage_memory_cost``: the phase-1 ``_memory_ok`` bound
+``repro.sim.memory.stage_memory_cost``: the phase-1 ``_bound_matrix`` mask
 (an optimistic per-layer relaxation in refine mode, a conservative
 worst-case in bound-only mode), the refined suffix DP's feasibility mask
 (the kernel at the *exact* warmup depth ``ceil(suffix / replicas)``), and
@@ -17,7 +17,7 @@ This file covers:
 * the §3.3 pinning of ``pipeline_memory_footprint`` itself, including
   the deferred (BPTT-accumulated) weight-stash split on replicated
   stages,
-* scalar/vectorized bitwise identity of refined solves (differential,
+* production/oracle bitwise identity of refined solves (differential,
   `test_partition_evaluator_equiv`-style),
 * the recovery property on the memory-limited VGG-16 scenario (the perf
   workload's acceptance bar) and the regression the old boundary-
@@ -44,6 +44,7 @@ from repro.core.schedule import warmup_count
 from repro.core.topology import cluster_a, cluster_b, cluster_c, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
+from tests.oracles import ReferenceOptimizer
 
 TOPO_A = cluster_a(4)
 VGG_LIMIT = 7e9  # binding for vgg16 @ 16 workers (the perf workload cap)
@@ -128,15 +129,21 @@ class TestSection33Footprint:
 
 
 # ----------------------------------------------------------------------
-# Differential: refined solves are bitwise-identical across twins
+# Differential: refined solves are bitwise-identical to the scalar oracle
 # ----------------------------------------------------------------------
+
+def phase1_admits(opt, i, j):
+    """Phase-1 feasibility of span i..j inclusive: the shared-kernel
+    bound the level DP masks with."""
+    return opt._bound_matrix()[i][j] <= opt.memory_limit_bytes
+
 
 def assert_refined_solves_identical(profile, topology, limit, **kw):
     vec = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=True, **kw
+        profile, topology, memory_limit_bytes=limit, **kw
     ).solve()
-    ref = PipeDreamOptimizer(
-        profile, topology, memory_limit_bytes=limit, vectorize=False, **kw
+    ref = ReferenceOptimizer(
+        profile, topology, memory_limit_bytes=limit, **kw
     ).solve()
     assert vec.stages == ref.stages
     assert vec.slowest_stage_time == ref.slowest_stage_time
@@ -240,9 +247,9 @@ class TestVgg16Recovery:
             profile, TOPO_A, memory_limit_bytes=BOUND_LIMIT,
             memory_refine=False,
         ).solve()
-        off_scalar = PipeDreamOptimizer(
+        off_scalar = ReferenceOptimizer(
             profile, TOPO_A, memory_limit_bytes=BOUND_LIMIT,
-            memory_refine=False, vectorize=False,
+            memory_refine=False,
         ).solve()
         assert off.stages == off_scalar.stages
         assert off.slowest_stage_time == off_scalar.slowest_stage_time
@@ -254,8 +261,8 @@ class TestVgg16Recovery:
                 profile, TOPO_A, memory_limit_bytes=1.0
             ).solve()
         with pytest.raises(RuntimeError):
-            PipeDreamOptimizer(
-                profile, TOPO_A, memory_limit_bytes=1.0, vectorize=False
+            ReferenceOptimizer(
+                profile, TOPO_A, memory_limit_bytes=1.0
             ).solve()
 
 
@@ -265,7 +272,7 @@ class TestVgg16Recovery:
 # ----------------------------------------------------------------------
 
 class TestOldBoundRegression:
-    """Pins a plan the old ``_memory_ok`` wrongly discarded.
+    """Pins a plan the old phase-1 bound wrongly discarded.
 
     Two layers (w=50, a=10 each), two flat workers, limit 130.  The
     fully-replicated single stage has true footprint ``depth 1 x (100
@@ -290,9 +297,9 @@ class TestOldBoundRegression:
         profile, topo = self._setup()
         dp_plan = [Stage(0, 2, 2)]
         assert pipeline_memory_footprint(profile, dp_plan) == [120]
-        for vectorize in (True, False):
-            plan = PipeDreamOptimizer(
-                profile, topo, memory_limit_bytes=130.0, vectorize=vectorize
+        for optimizer_cls in (PipeDreamOptimizer, ReferenceOptimizer):
+            plan = optimizer_cls(
+                profile, topo, memory_limit_bytes=130.0
             ).solve()
             assert plan.stages == dp_plan
 
@@ -301,7 +308,7 @@ class TestOldBoundRegression:
         whole-span worst-case arithmetic rejected."""
         profile, topo = self._setup()
         opt = PipeDreamOptimizer(profile, topo, memory_limit_bytes=130.0)
-        assert opt._memory_ok(0, 1)
+        assert phase1_admits(opt, 0, 1)
 
 
 # ----------------------------------------------------------------------
@@ -421,8 +428,9 @@ class TestSupersetInvariant:
             if max(foot) <= limit:
                 # bound ⊇ footprint-feasible: phase 1 admits every span.
                 for stage in stages:
-                    assert refine_opt._memory_ok(stage.start, stage.stop - 1)
-            if all(bound_opt._memory_ok(st_.start, st_.stop - 1)
+                    assert phase1_admits(
+                        refine_opt, stage.start, stage.stop - 1)
+            if all(phase1_admits(bound_opt, st_.start, st_.stop - 1)
                    for st_ in stages):
                 # Conservative mode is sound: what it certifies, fits.
                 assert max(foot) <= limit
@@ -507,8 +515,8 @@ class TestRecomputeMaskInvariant:
                 if max(foot) <= limit:
                     # bound ⊇ footprint-feasible, whatever the mask.
                     for stage in masked:
-                        assert auto_opt._memory_ok(
-                            stage.start, stage.stop - 1)
+                        assert phase1_admits(
+                            auto_opt, stage.start, stage.stop - 1)
 
     @given(
         spec=st.lists(
@@ -590,9 +598,9 @@ class TestRecomputeBoundaryDepthAudit:
         # The auto floor admits the span and sits at or below the mask
         # (bound-admitted ⊇ refined-admitted); the default floor — no
         # recompute available — correctly prunes it.
-        assert auto._memory_ok(1, 1)
+        assert phase1_admits(auto, 1, 1)
         assert auto._bound_matrix()[1][1] <= on_cost
-        assert not default._memory_ok(1, 1)
+        assert not phase1_admits(default, 1, 1)
 
 
 class TestPrecisionMemoryShift:
@@ -658,16 +666,16 @@ class TestMemoryRefineFuzz:
         )
         limit = max(1.0, limit_scale * model_bytes)
 
-        def solve(**kw):
+        def solve(optimizer_cls=PipeDreamOptimizer, **kw):
             try:
-                return PipeDreamOptimizer(
+                return optimizer_cls(
                     profile, topo, memory_limit_bytes=limit, **kw
                 ).solve()
             except RuntimeError:
                 return None
 
         refined = solve()
-        refined_scalar = solve(vectorize=False)
+        refined_scalar = solve(ReferenceOptimizer)
         bound = solve(memory_refine=False)
 
         # Twins agree on feasibility and (bitwise) on the plan.

@@ -5,7 +5,7 @@ Two guarantees:
 * **fp32 is the default, bitwise.**  Every sweep/evaluator/engine path
   rerun with an explicit fp32 precision produces records identical to the
   precision-less call — adding the axis must not perturb a single bit of
-  existing output (serial, parallel, scalar-vectorize, every strategy,
+  existing output (serial, parallel, the oracle stack, every strategy,
   both engines).
 * **fp16 is exact scaling.**  ``with_precision`` composition collapses
   (hypothesis property on element-divisible profiles), payloads stay
@@ -42,6 +42,7 @@ from repro.sim.sweep import (
     records_to_csv,
     run_sweep,
 )
+from tests.oracles import price_sweep_record
 
 TOPO = cluster_a(4)
 MODELS = ("vgg16", "gnmt8")
@@ -73,12 +74,16 @@ class TestFp32Differential:
                              minibatches=8, precisions=("fp32",))
         assert default == explicit
 
-    def test_scalar_vectorize_identical(self):
-        default = run_sweep(("vgg16",), TOPO, COUNTS, vectorize=False,
-                            minibatches=16)
-        explicit = run_sweep(("vgg16",), TOPO, COUNTS, vectorize=False,
-                             minibatches=16, precisions=("fp32",))
-        assert default == explicit
+    def test_oracle_stack_identical(self):
+        """Both widths' records carry the floats the scalar DP plus the
+        closed-form evaluator price on the width-converted profile."""
+        records = run_sweep(("vgg16",), TOPO, COUNTS, minibatches=16,
+                            precisions=("fp32", "fp16"))
+        assert {r.precision for r in records} == {"fp32", "fp16"}
+        for record in records:
+            priced = price_sweep_record(record, TOPO)
+            assert record.stage_seconds == priced.stage_times
+            assert record.boundary_seconds == priced.boundary_times
 
     def test_parallel_thread_identical_to_serial(self):
         serial = run_sweep(MODELS, TOPO, COUNTS,

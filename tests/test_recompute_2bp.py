@@ -12,8 +12,8 @@ Covers the ISSUE 9 acceptance bars:
   gnmt16 plan;
 * the pinned feasibility shift: a straight gnmt16 pipeline under a
   2.2 GB/worker cap is infeasible with recompute off and feasible with
-  the planner checkpointing at least one stage — scalar/vectorized twins
-  and warm/cold solves all bitwise-equal;
+  the planner checkpointing at least one stage — production vs. the
+  scalar oracle and warm/cold solves all bitwise-equal;
 * the runtime executes 2BP and per-stage recompute with bitwise-identical
   losses and final weights to plain 1F1B (the semantics, not the clock,
   are unchanged).
@@ -35,6 +35,7 @@ from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import simulate_partition
 
+from tests.oracles import ReferenceOptimizer
 from tests.test_sim_engine_equiv import SCENARIOS, assert_engines_identical
 
 GNMT = analytic_profile("gnmt16")
@@ -219,12 +220,11 @@ class TestPlannerRecompute:
 
     def test_pinned_shift_twins_bitwise_equal(self):
         plans = [
-            PipeDreamOptimizer(
+            optimizer_cls(
                 GNMT, TOPO_16, memory_limit_bytes=PINNED_CAP,
                 allow_replication=False, recompute="auto",
-                vectorize=vectorize,
             ).solve()
-            for vectorize in (True, False)
+            for optimizer_cls in (PipeDreamOptimizer, ReferenceOptimizer)
         ]
         assert plans[0].stages == plans[1].stages
         assert plans[0].slowest_stage_time == plans[1].slowest_stage_time

@@ -38,7 +38,6 @@ def cold_payload(request):
         query.topology,
         allow_replication=query.allow_replication,
         memory_limit_bytes=query.memory_limit_bytes,
-        vectorize=query.vectorize,
         memory_refine=query.memory_refine,
     ).solve(query.num_workers)
     return (
@@ -250,6 +249,36 @@ class TestHTTPTransport:
             http.plan({"model": "vgg19"})
         with pytest.raises(RequestError) as local_err:
             inproc.plan({"model": "vgg19"})
+        assert str(http_err.value) == str(local_err.value)
+
+    @pytest.mark.parametrize("endpoint, body, message", [
+        ("/plan", {"model": "vgg16", "num_workers": "abc"}, "num_workers"),
+        ("/plan", {"model": "vgg16", "servers": "x"}, "servers"),
+        ("/plan", {"model": "vgg16", "memory_limit_bytes": "big"},
+         "memory_limit_bytes"),
+        ("/plan", {"model": "vgg16", "bucket_bytes": "x"}, "bucket_bytes"),
+        ("/plan", {"model": "vgg16", "device": "tpu9"}, "unknown device"),
+        ("/plan", {"model": "vgg16", "servers": 0}, "num_servers"),
+        ("/plan", {"model": "vgg16", "vectorize": False},
+         "unknown request fields"),
+        ("/simulate", {"model": "vgg16", "minibatches": "x"}, "minibatches"),
+        ("/simulate", {"model": "vgg16", "minibatches": 0}, "minibatches"),
+        ("/simulate", {"model": "vgg16", "engine": "warp"},
+         "unknown engine"),
+        ("/simulate", [1, 2], "JSON object"),
+        ("/sweep", {"models": ["vgg16"], "topology": {"levels": [{}]}},
+         "bad topology"),
+    ])
+    def test_malformed_field_is_400_not_500(self, server, endpoint, body,
+                                            message):
+        """A field that does not coerce is the client's error: HTTP 400
+        carrying the service's ``RequestError`` message (the HTTP client
+        would raise ``RuntimeError`` on a 500)."""
+        http, inproc = server
+        with pytest.raises(RequestError, match=message) as http_err:
+            http._request(endpoint, body)
+        with pytest.raises(RequestError) as local_err:
+            getattr(inproc, endpoint.lstrip("/"))(body)
         assert str(http_err.value) == str(local_err.value)
 
     def test_unknown_endpoint_404(self, server):

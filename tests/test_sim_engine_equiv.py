@@ -7,8 +7,8 @@ aggregate busy/sync accounting, and the per-minibatch completion times.
 The hypothesis case fuzzes profiles, stragglers, and NIC contention on
 top of the hand-picked regressions.
 
-A second group pins the vectorized partitioner DP to the scalar
-reference: same stages, same bottleneck time, same config string, for
+A second group pins the production partitioner DP to the scalar
+oracle (``tests/oracles/partition_reference.py``): same stages, same bottleneck time, same config string, for
 every paper model and the edge cases (no replication, memory limits,
 worker subsets, hierarchical topologies).
 """
@@ -30,6 +30,7 @@ from repro.core.topology import cluster_a, cluster_b, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import balanced_straight_stages
+from tests.oracles import ReferenceOptimizer
 
 VGG = analytic_profile("vgg16")
 TOPO_A = cluster_a(4)
@@ -187,7 +188,7 @@ class TestEngineMatchesReferenceFuzzed:
 
 
 # ----------------------------------------------------------------------
-# Vectorized partitioner DP vs the scalar reference.
+# Production (numpy) partitioner DP vs the scalar oracle.
 # ----------------------------------------------------------------------
 
 PAPER_MODELS = ("vgg16", "resnet50", "alexnet", "gnmt16", "gnmt8",
@@ -195,8 +196,8 @@ PAPER_MODELS = ("vgg16", "resnet50", "alexnet", "gnmt16", "gnmt8",
 
 
 def assert_plans_identical(profile, topo, num_workers=None, **kwargs):
-    vec = PipeDreamOptimizer(profile, topo, vectorize=True, **kwargs)
-    ref = PipeDreamOptimizer(profile, topo, vectorize=False, **kwargs)
+    vec = PipeDreamOptimizer(profile, topo, **kwargs)
+    ref = ReferenceOptimizer(profile, topo, **kwargs)
     pv = vec.solve(num_workers)
     pr = ref.solve(num_workers)
     assert pv.stages == pr.stages
@@ -228,10 +229,8 @@ def test_vectorized_memory_limit(toy_profile, flat4):
     # Generous limit: feasible in both, identical plans.
     assert_plans_identical(toy_profile, flat4, memory_limit_bytes=1e9)
     # Impossibly tight limit: both paths must agree it is infeasible.
-    vec = PipeDreamOptimizer(toy_profile, flat4, vectorize=True,
-                             memory_limit_bytes=1.0)
-    ref = PipeDreamOptimizer(toy_profile, flat4, vectorize=False,
-                             memory_limit_bytes=1.0)
+    vec = PipeDreamOptimizer(toy_profile, flat4, memory_limit_bytes=1.0)
+    ref = ReferenceOptimizer(toy_profile, flat4, memory_limit_bytes=1.0)
     with pytest.raises(RuntimeError):
         vec.solve()
     with pytest.raises(RuntimeError):
@@ -324,14 +323,13 @@ class TestTpPlanShift:
     solves agree with cold ones bitwise."""
 
     def test_vgg16_flat8_recovered_by_tp(self):
-        for vectorize in (True, False):
+        for optimizer_cls in (PipeDreamOptimizer, ReferenceOptimizer):
             with pytest.raises(RuntimeError):
-                PipeDreamOptimizer(
-                    VGG, FLAT8, memory_limit_bytes=VGG_FLAT8_CAP,
-                    vectorize=vectorize).solve()
-            plan = PipeDreamOptimizer(
+                optimizer_cls(
+                    VGG, FLAT8, memory_limit_bytes=VGG_FLAT8_CAP).solve()
+            plan = optimizer_cls(
                 VGG, FLAT8, memory_limit_bytes=VGG_FLAT8_CAP,
-                tp_degrees=(1, 2), vectorize=vectorize).solve()
+                tp_degrees=(1, 2)).solve()
             assert plan.config_string == "1x2-1x2-2x2"
             assert max(plan.memory_bytes) <= VGG_FLAT8_CAP
             assert any(s.tp_degree > 1 for s in plan.stages)

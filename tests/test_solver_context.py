@@ -5,7 +5,7 @@ comm tables, suffix-DP rows) are pure caches of deterministic
 intermediates, so a warm-started :meth:`PipeDreamOptimizer.solve` must
 return exactly — bitwise — what a cold solve returns, across every axis a
 planner service varies: worker count, memory cap, precision, solver
-options, and both scalar/vectorized twins.
+options, and the scalar oracle sharing the same context.
 """
 
 import threading
@@ -19,13 +19,14 @@ from repro.core.partition import (
 )
 from repro.core.topology import cluster_a, cluster_b
 from repro.profiler import analytic_profile
+from tests.oracles import ReferenceOptimizer
 
 TOPO = cluster_a(4)  # 16 workers
 LIMIT = 16e9
 
 
-def cold_solve(profile, workers, **kwargs):
-    return PipeDreamOptimizer(profile, TOPO, **kwargs).solve(workers)
+def cold_solve(profile, workers, optimizer_cls=PipeDreamOptimizer, **kwargs):
+    return optimizer_cls(profile, TOPO, **kwargs).solve(workers)
 
 
 def assert_same_plan(a, b):
@@ -83,36 +84,35 @@ class TestWarmStartBitwise:
             )
 
     def test_option_axes_never_collide(self):
-        """Replication/refine/vectorize variants share one context safely."""
+        """Replication/refine variants and the scalar oracle (dict-shaped
+        level tables under its own namespace tag) share one context
+        safely."""
         profile = analytic_profile("vgg16")
         context = SolverContext(profile)
         variants = [
             dict(memory_limit_bytes=LIMIT),
             dict(memory_limit_bytes=LIMIT, memory_refine=False),
             dict(memory_limit_bytes=LIMIT, allow_replication=False),
-            dict(memory_limit_bytes=LIMIT, vectorize=False),
+            dict(memory_limit_bytes=LIMIT, optimizer_cls=ReferenceOptimizer),
             dict(),
         ]
         # Interleave two passes so every variant both writes and re-reads.
         for _ in range(2):
             for kwargs in variants:
-                warm = PipeDreamOptimizer(
-                    profile, TOPO, context=context, **kwargs
-                ).solve(16)
+                warm = cold_solve(profile, 16, context=context, **kwargs)
                 assert_same_plan(warm, cold_solve(profile, 16, **kwargs))
 
     def test_refined_mode_scalar_twin(self):
         profile = analytic_profile("vgg16")
         context = SolverContext(profile)
         for workers in (16, 8):
-            warm = PipeDreamOptimizer(
-                profile, TOPO, memory_limit_bytes=7e9, vectorize=False,
-                context=context,
+            warm = ReferenceOptimizer(
+                profile, TOPO, memory_limit_bytes=7e9, context=context,
             ).solve(workers)
             assert_same_plan(
                 warm,
-                cold_solve(profile, workers, memory_limit_bytes=7e9,
-                           vectorize=False),
+                cold_solve(profile, workers, ReferenceOptimizer,
+                           memory_limit_bytes=7e9),
             )
         assert context.stats()["row_hits"] > 0
 

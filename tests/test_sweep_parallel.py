@@ -13,6 +13,7 @@ from repro.core.topology import cluster_a
 from repro.profiler import clear_profile_cache
 from repro.sim import SweepError, run_sweep
 from repro.sim import sweep as sweep_mod
+from tests.oracles import price_sweep_record
 
 TOPO = cluster_a(4)
 MODELS = ["vgg16", "resnet50"]
@@ -53,17 +54,19 @@ def test_single_cell_grid_matches():
 
 def test_profile_cache_does_not_change_results(serial_records):
     clear_profile_cache()
-    cold = run(workers=2, executor="thread", profile_cache=False)
-    clear_profile_cache()
-    warm = run(workers=2, executor="thread", profile_cache=True)
+    cold = run(workers=2, executor="thread")
+    warm = run(workers=2, executor="thread")
     assert cold == serial_records
     assert warm == serial_records
 
 
-def test_scalar_evaluator_matches_vectorized_keys(serial_records):
-    scalar = run(workers=1, vectorize=False)
-    assert [(r.model, r.workers, r.strategy) for r in scalar] == \
-        [(r.model, r.workers, r.strategy) for r in serial_records]
+def test_records_match_oracle_stack(serial_records):
+    """Every record's per-stage breakdown is what the scalar DP plus the
+    closed-form evaluator price for the same cell, bitwise."""
+    for record in serial_records:
+        priced = price_sweep_record(record, TOPO)
+        assert record.stage_seconds == priced.stage_times
+        assert record.boundary_seconds == priced.boundary_times
 
 
 def test_auto_executor_matches_serial(serial_records):

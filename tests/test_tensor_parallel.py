@@ -7,8 +7,8 @@ bytes through the shared §3.3 memory kernel.  Three families of
 properties pin the axis down:
 
 * **tp=1 is a bitwise no-op** — with the degenerate menu ``(1,)`` (or no
-  menu at all) every consumer (planner twins, evaluator twins, both sim
-  engines, the sweep harness, the serve cache key) must produce results
+  menu at all) every consumer (planner and its scalar oracle, the
+  evaluator, both sim engines, the sweep harness, the serve cache key) must produce results
   bitwise identical to the pre-tensor-parallel code paths.  The axis may
   not perturb a single historical float.
 * **the superset invariant survives the new axis** — for every plan in
@@ -55,6 +55,8 @@ from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
 from repro.sim.network import Placement, allreduce_cost_factors, allreduce_time
 from repro.sim.strategies import simulate_pipedream
 from repro.sim.sweep import records_to_csv, run_sweep
+from tests.oracles import ReferenceOptimizer, evaluate_details_closed_form
+from tests.test_partition_memory_refine import phase1_admits
 
 TOPO_A = cluster_a(4)
 VGG_LIMIT = 7e9  # binding-but-feasible for vgg16 @ 16 workers at tp=1
@@ -101,20 +103,20 @@ def assert_results_identical(a, b):
 
 
 class TestTp1BitwiseNoOp:
-    @pytest.mark.parametrize("vectorize", [True, False])
+    @pytest.mark.parametrize(
+        "optimizer_cls", [PipeDreamOptimizer, ReferenceOptimizer],
+        ids=["production", "oracle"])
     @pytest.mark.parametrize(
         "kwargs",
         [{}, {"memory_limit_bytes": VGG_LIMIT},
          {"memory_limit_bytes": VGG_LIMIT, "recompute": "auto"}],
         ids=["free", "capped", "capped-recompute"],
     )
-    def test_planner(self, vectorize, kwargs):
+    def test_planner(self, optimizer_cls, kwargs):
         profile = analytic_profile("vgg16")
-        base = PipeDreamOptimizer(
-            profile, TOPO_A, vectorize=vectorize, **kwargs).solve()
-        tp1 = PipeDreamOptimizer(
-            profile, TOPO_A, vectorize=vectorize, tp_degrees=(1,),
-            **kwargs).solve()
+        base = optimizer_cls(profile, TOPO_A, **kwargs).solve()
+        tp1 = optimizer_cls(
+            profile, TOPO_A, tp_degrees=(1,), **kwargs).solve()
         assert_results_identical(tp1, base)
 
     def test_evaluator(self):
@@ -123,12 +125,10 @@ class TestTp1BitwiseNoOp:
                   Stage(15, len(profile), 1)]
         explicit = [Stage(s.start, s.stop, s.replicas, tp_degree=1)
                     for s in stages]
-        for vectorize in (True, False):
-            a = evaluate_partition_details(
-                profile, stages, TOPO_A, vectorize=vectorize)
-            b = evaluate_partition_details(
-                profile, explicit, TOPO_A, vectorize=vectorize)
-            assert a == b
+        a = evaluate_partition_details(profile, stages, TOPO_A)
+        b = evaluate_partition_details(profile, explicit, TOPO_A)
+        assert a == b
+        assert a == evaluate_details_closed_form(profile, stages, TOPO_A)
 
     def test_both_engines(self):
         profile = analytic_profile("vgg16")
@@ -217,11 +217,9 @@ class TestTpPlannerTwins:
     def test_scalar_vectorized_identical_with_tp(self, kwargs):
         profile = analytic_profile("vgg16")
         vec = PipeDreamOptimizer(
-            profile, TOPO_A, tp_degrees=(1, 2), vectorize=True,
-            **kwargs).solve()
-        ref = PipeDreamOptimizer(
-            profile, TOPO_A, tp_degrees=(1, 2), vectorize=False,
-            **kwargs).solve()
+            profile, TOPO_A, tp_degrees=(1, 2), **kwargs).solve()
+        ref = ReferenceOptimizer(
+            profile, TOPO_A, tp_degrees=(1, 2), **kwargs).solve()
         assert_results_identical(vec, ref)
 
     def test_tp_plan_spends_the_physical_worker_budget(self):
@@ -361,8 +359,8 @@ class TestTpSupersetInvariant:
                     # bound ⊇ footprint-feasible: no (mask, tp) assignment
                     # can make phase 1 discard a feasible span.
                     for stage in masked:
-                        assert auto_opt._memory_ok(
-                            stage.start, stage.stop - 1)
+                        assert phase1_admits(
+                            auto_opt, stage.start, stage.stop - 1)
 
     @given(
         spec=tp_layer_specs,
@@ -522,28 +520,44 @@ class TestTpEvaluatorTwins:
             Stage(2 * third, n, 1, tp_degree=2),
         ]
 
+    @staticmethod
+    def _same_layout_two_axis(stages):
+        """The two-axis plan occupying the same physical workers: each tp
+        stage's ``replicas x tp_degree`` span as plain replicas."""
+        return [Stage(s.start, s.stop, s.replicas * s.tp_degree,
+                      recompute=s.recompute) for s in stages]
+
+    def assert_plain_stage_priced_as_two_axis(self, profile, stages):
+        """Inside a hybrid plan, a ``tp_degree == 1`` stage and every
+        boundary link sit on the same workers as in the two-axis plan of
+        the same layout, so the one pricing loop must give them the
+        closed-form oracle's two-axis floats, bitwise."""
+        hybrid = evaluate_partition_details(profile, stages, TOPO_A)
+        flat = evaluate_details_closed_form(
+            profile, self._same_layout_two_axis(stages), TOPO_A)
+        assert hybrid.boundary_times == flat.boundary_times
+        plain = [i for i, s in enumerate(stages) if s.tp_degree == 1]
+        assert plain
+        for i in plain:
+            assert hybrid.stage_times[i] == flat.stage_times[i]
+            assert hybrid.sync_exposed[i] == flat.sync_exposed[i]
+            assert hybrid.sync_hidden[i] == flat.sync_hidden[i]
+        return hybrid
+
     @pytest.mark.parametrize("model", ("vgg16", "gnmt8"))
-    def test_vectorize_settings_identical(self, model):
+    def test_plain_stage_in_hybrid_plan_matches_closed_form(self, model):
         profile = analytic_profile(model)
-        stages = self._tp_stages(profile)
-        vec = evaluate_partition_details(
-            profile, stages, TOPO_A, vectorize=True)
-        ref = evaluate_partition_details(
-            profile, stages, TOPO_A, vectorize=False)
-        assert vec == ref
+        self.assert_plain_stage_priced_as_two_axis(
+            profile, self._tp_stages(profile))
 
     def test_recompute_and_tp_compose(self):
         profile = analytic_profile("vgg16")
         stages = self._tp_stages(profile)
         flagged = [Stage(s.start, s.stop, s.replicas, recompute=True,
                          tp_degree=s.tp_degree) for s in stages]
-        vec = evaluate_partition_details(
-            profile, flagged, TOPO_A, vectorize=True)
-        ref = evaluate_partition_details(
-            profile, flagged, TOPO_A, vectorize=False)
-        assert vec == ref
+        checkpointed = self.assert_plain_stage_priced_as_two_axis(
+            profile, flagged)
         # Checkpointing never raises a sharded stage's footprint either.
-        plain = evaluate_partition_details(
-            profile, stages, TOPO_A, vectorize=True)
+        plain = evaluate_partition_details(profile, stages, TOPO_A)
         assert all(f <= p for f, p in
-                   zip(vec.memory_bytes, plain.memory_bytes))
+                   zip(checkpointed.memory_bytes, plain.memory_bytes))

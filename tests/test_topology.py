@@ -44,6 +44,15 @@ class TestTopology:
         with pytest.raises(ValueError):
             TopologyLevel(2, 0.0)
 
+    @pytest.mark.parametrize("num_servers", [0, -2])
+    def test_make_cluster_rejects_no_servers(self, num_servers):
+        """``num_servers <= 0`` used to build a silent one-server cluster."""
+        with pytest.raises(ValueError, match="num_servers"):
+            make_cluster("t", 4, num_servers, 100.0, 10.0)
+        with pytest.raises(ValueError, match="num_servers"):
+            cluster_a(num_servers)
+        assert make_cluster("t", 4, 1, 100.0, 10.0).total_workers == 4
+
 
 class TestSubset:
     def test_subset_within_server(self, two_level):

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Single verification entry point: tier-1 tests + the perf-regression gate.
+# Single verification entry point: tier-1 tests, the end-to-end benchmark's
+# selftest (its pinned call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -7,6 +8,10 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 tests =="
 python -m pytest -x -q
+
+echo
+echo "== benchmarks/e2e selftest =="
+python3 benchmarks/e2e/selftest.py
 
 echo
 echo "== perf gate (vs BENCH_perf.json) =="
