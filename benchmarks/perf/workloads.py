@@ -161,6 +161,68 @@ def gnmt16_deep_pipeline_solve():
     return seconds, {"workers": 32, "config": plan.config_string}
 
 
+def decoder_profile(num_layers: int):
+    """A transformer-style profile (embedding + N x (attention, mlp) +
+    head; 1024 wide, 128 tokens, batch 32, fp32) — the scale tier's
+    stand-in for models deeper than the paper's.  Compute times carry a
+    fixed +-20 % ripple so no two layers tie."""
+    from repro.core.profile import LayerProfile, ModelProfile
+
+    hidden, seq, batch, vocab = 1024, 128, 32, 8192
+    acts = batch * seq * hidden * 4
+    rows = [("embedding", 4e-3, acts, vocab * hidden * 4, "embedding")]
+    for block in range((num_layers - 2) // 2):
+        rows.append((f"attention{block}", 24e-3, acts,
+                     4 * hidden * hidden * 4, "fc"))
+        rows.append((f"mlp{block}", 36e-3, acts, 8 * hidden * hidden * 4,
+                     "fc"))
+    rows.append(("head", 32e-3, batch * seq * 4, vocab * hidden * 4, "fc"))
+    return ModelProfile(
+        f"decoder{num_layers}",
+        [LayerProfile(name, seconds * (0.8 + 0.4 * ((7 * i) % 11) / 10),
+                      a, w, kind=kind)
+         for i, (name, seconds, a, w, kind) in enumerate(rows)],
+        batch)
+
+
+@workload("scale_solve_decoder26_64w")
+def scale_solve():
+    """Scale-tier smoke: cold solves of a 26-layer decoder on 64 workers.
+
+    One free solve (the level DP: a 16-level hierarchy plus the flat
+    64-worker decomposition, whose top level holds row 0 only) and one
+    recompute + tp solve under 30 % of the free plan's peak footprint (the
+    refined suffix DP over 2 080 ``(m, m')`` cells with memoised planes).
+    The tracked number is their sum; both plans are pinned.
+    """
+    profile = decoder_profile(26)
+    topology = cluster_a(16)  # 64 workers
+    menu = (1, 2, 4)
+    free = PipeDreamOptimizer(profile, topology).solve()
+    limit = 0.30 * max(free.memory_bytes)
+
+    def capped():
+        return PipeDreamOptimizer(
+            profile, topology, memory_limit_bytes=limit,
+            recompute="auto", tp_degrees=menu,
+        ).solve()
+
+    plan = capped()
+    free_seconds = best_of(
+        lambda: PipeDreamOptimizer(profile, topology).solve()
+    )
+    capped_seconds = best_of(capped)
+    return free_seconds + capped_seconds, {
+        "workers": 64,
+        "layers": len(profile),
+        "free_seconds": free_seconds,
+        "recompute_tp_seconds": capped_seconds,
+        "config": free.config_string,
+        "recompute_tp_config": plan.config_string,
+        "within_limit": max(plan.memory_bytes) <= limit,
+    }
+
+
 @workload("memory_limited_solve_vgg16_16w")
 def memory_limited_solve():
     """VGG-16 at 16 workers under an *active* memory cap, bound-only mode.

@@ -25,11 +25,13 @@ and is used by the test suite to certify optimality of the DP.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import threading
 import time
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,6 +188,9 @@ class SolverContext:
       plus the level-signature prefix, so worker-count
       subsets of one cluster share every inner level they have in common
       and no entry can ever be reused under a different feasibility mask.
+      A topology's last level holds row 0 only and is keyed with a
+      trailing ``"row0"``: a full table (the same level solved as an inner
+      one) may answer a row-0 lookup, never the reverse.
     - ``bound_matrices``: the phase-1 per-span memory bounds.  The matrix
       itself never depends on the limit (only the ``<= limit`` comparison
       does), so *every* memory cap shares one matrix per mode.
@@ -424,6 +429,7 @@ class PipeDreamOptimizer:
 
         self._stage_memory_cost = stage_memory_cost
         self._bound_cache: Optional[List[List[float]]] = None
+        self._tables: Optional[SimpleNamespace] = None
         #: Namespace prefix of every shared-cache key: all the solver
         #: options that change DP table *values*.  Entries written under
         #: one namespace can never be read under another, which is what
@@ -707,12 +713,11 @@ class PipeDreamOptimizer:
         # other still has feasible plans, and under a tight limit both may
         # find nothing where the refined pass still can — only fail when
         # *every* candidate source comes up empty.
-        candidates: List[List[Stage]] = []
-        for topo in self._decompositions(topology):
-            try:
-                candidates.append(self._solve_for(topo))
-            except RuntimeError:
-                pass
+        candidates = [
+            stages
+            for stages in map(self._solve_for, self._decompositions(topology))
+            if stages is not None
+        ]
         if self.memory_refine and self.memory_limit_bytes is not None:
             # Phase 2: depth-aware placement-exact DP (exact warmup_count
             # versions, evaluator-model sync and boundary costs).
@@ -727,9 +732,18 @@ class PipeDreamOptimizer:
                 if max(self._true_footprint(stages)) <= limit
             ]
         if not candidates:
-            raise RuntimeError(
-                "no feasible partition found (memory limit too tight?)"
-            )
+            # Name the constraint that is actually binding.
+            n, W = self._n, topology.total_workers
+            if not self.allow_replication and n * self._tp_options[-1] < W:
+                why = (f"allow_replication=False cannot occupy {W} workers "
+                       f"with {n} layers")
+            elif self.memory_limit_bytes is not None:
+                why = (f"no plan fits memory_limit_bytes="
+                       f"{self.memory_limit_bytes:g}")
+            else:
+                why = ("no memory limit is set, so every plan has a "
+                       "non-finite cost (check the topology's bandwidths)")
+            raise RuntimeError(f"no feasible partition found: {why}")
         # Note: the evaluator applies the topology's compute scale itself,
         # so the raw (reference-device) profile is passed here.
         scored = [
@@ -908,8 +922,17 @@ class PipeDreamOptimizer:
             dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
             tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
             tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+            # A shard group's factors depend only on its first worker, so
+            # each distinct group is priced once and a cell's slowest group
+            # is the running max as ``mp`` appends one group at a time;
+            # only the strided dp group is per-(m, mp).
+            shard = [
+                allreduce_cost_factors(placement, list(range(w, w + t)))
+                for w in range(W - t + 1)
+            ]
             for m in range(t, W + 1):
                 first = W - m
+                worst_c = worst_l = 0.0
                 for mp in range(t, m + 1, t):
                     r = mp // t
                     if r > 1:
@@ -917,16 +940,11 @@ class PipeDreamOptimizer:
                         dp_c[m][mp], dp_l[m][mp] = allreduce_cost_factors(
                             placement, reps
                         )
-                    worst_c = worst_l = 0.0
-                    for q in range(r):
-                        shard_group = list(
-                            range(first + q * t, first + (q + 1) * t)
-                        )
-                        c, l = allreduce_cost_factors(placement, shard_group)
-                        if c > worst_c:
-                            worst_c = c
-                        if l > worst_l:
-                            worst_l = l
+                    c, l = shard[first + mp - t]
+                    if c > worst_c:
+                        worst_c = c
+                    if l > worst_l:
+                        worst_l = l
                     tp_c[m][mp] = worst_c
                     tp_l[m][mp] = worst_l
             tables[t] = (dp_c, dp_l, tp_c, tp_l)
@@ -1047,6 +1065,42 @@ class PipeDreamOptimizer:
         p = np.asarray(prefix)
         return p[None, 1:] - p[: self._n, None]
 
+    def _span_tables(self) -> SimpleNamespace:
+        """The range tables both DPs and their tp planes read, built once
+        per optimizer: (n, n) sums of compute / weights / deferred (BPTT)
+        weights / activations / backward over every span, their shardable
+        shares (``S*``, tp solves only), and the per-layer output
+        (``acts``) and input-boundary (``bacts``, 0 at layer 0) bytes.
+        """
+        if self._tables is None:
+            n = self._n
+            rows = np.arange(n)
+            pa = np.asarray(self._prefix_acts)
+            tb = SimpleNamespace(
+                valid=rows[:, None] <= rows[None, :],  # i <= j
+                compute=self._span_table(self._prefix_time),
+                W=self._span_table(self._prefix_weights),
+                D=self._span_table(self._prefix_recurrent),
+                A=self._span_table(pa),
+                B=self._span_table(self._prefix_backward),
+                acts=np.asarray(
+                    [self.profile.activation_bytes(k) for k in range(n)]
+                ),
+                bacts=np.zeros(n),
+            )
+            tb.WD = tb.W - tb.D
+            tb.bacts[1:] = pa[1:n] - pa[: n - 1]
+            # Checkpointed stage time: one extra forward (compute minus
+            # backward).
+            tb.compute_r = tb.compute + (tb.compute - tb.B)
+            if self._tp_enabled:
+                tb.SW = self._span_table(self._prefix_shard_weights)
+                tb.SA = self._span_table(self._prefix_shard_acts)
+                tb.ST = self._span_table(self._prefix_shard_time)
+                tb.SB = self._span_table(self._prefix_shard_backward)
+            self._tables = tb
+        return self._tables
+
     @staticmethod
     def _sync_terms(stream, deferred, coeff, lat, div, buckets):
         """§3.1's sync term, spelled once for both DPs and both tp planes:
@@ -1072,11 +1126,69 @@ class PipeDreamOptimizer:
             blocked = blocked + np.where(deferred > 0, lat / div, 0.0)
         return overlappable, blocked
 
-    def _refined_tp_plane(
-        self, m, mp, t, tabs, valid, compute, Wt, D, At,
-        SW, SA, ST, SB, Bt, bacts, acts, limit,
+    def _refined_fits(self, versions: int, replicas: int, t: int = 1):
+        """(n, n) memory masks ``(fits, fits_checkpointed)`` of a leading
+        stage: the shared kernel at the exact 1F1B depth ``versions`` =
+        ``ceil(m/mp)`` (physical workers downstream over physical workers
+        held — :func:`warmup_count`'s tp-aware generalization) with
+        ``replicas`` logical replicas of ``t`` shards.  The arguments are
+        everything the planes depend on, so the suffix DP memoises on them
+        (``ceil(m/mp)`` repeats across most of its ``(m, mp)`` cells).
+        """
+        tb = self._span_tables()
+        limit = self.memory_limit_bytes
+        shard = {} if t == 1 else dict(
+            tp_degree=t, shardable_weight_bytes=tb.SW,
+            shardable_activation_bytes=tb.SA,
+        )
+        cost = self._stage_memory_cost(
+            tb.W, tb.D, tb.A, versions, replicas, **shard
+        )
+        if not self._recompute_auto:
+            return cost <= limit, None
+        cost_r = self._stage_memory_cost(
+            tb.W, tb.D, tb.A, versions, replicas, recompute=True,
+            boundary_activation_bytes=tb.bacts[:, None], **shard
+        )
+        return cost <= limit, cost_r <= limit
+
+    def _refined_times(self, mp: int, coeff: float, lat: float):
+        """(n, n) leading-stage times ``(stash-everything, checkpointed)``
+        of the two-axis cell: ``mp`` replicas whose ring costs ``coeff``
+        seconds per byte plus ``lat`` per collective.  The placement-exact
+        ``coeff`` varies with the suffix only through the group's
+        alignment to the hierarchy — a handful of values per ``mp`` — so
+        the suffix DP memoises on the arguments.
+        """
+        tb = self._span_tables()
+        inf = math.inf
+        rc = self._recompute_auto
+        if mp == 1:
+            return (
+                np.where(tb.valid, tb.compute / 1, inf),
+                np.where(tb.valid, tb.compute_r / 1, inf) if rc else None,
+            )
+        if not self.allow_replication:
+            tval = np.full((self._n, self._n), inf)
+            return tval, tval
+        stream_t, deferred_t = self._sync_terms(
+            tb.WD, tb.D, coeff, lat, mp,
+            self._bucket_matrix() if lat > 0.0 else 1.0,
+        )
+        tm = np.maximum(tb.compute / mp, stream_t)
+        tm = tm + deferred_t
+        tval_r = None
+        if rc:
+            tm_r = np.maximum(tb.compute_r / mp, stream_t)
+            tm_r = tm_r + deferred_t
+            tval_r = np.where(tb.valid, tm_r, inf)
+        return np.where(tb.valid, tm, inf), tval_r
+
+    def _refined_tp_times(
+        self, mp: int, t: int, dp_coeff: float, dp_lat: float,
+        tp_coeff: float, tp_lat: float,
     ):
-        """(n, n) leading-stage times of the ``(replicas=mp/t, tp=t)`` cell.
+        """:meth:`_refined_times` of the ``(replicas=mp/t, tp=t)`` cell.
 
         The stage's ``mp`` physical workers split into ``r = mp/t``
         replicas of ``t`` shards.  Relative to the two-axis cell:
@@ -1092,30 +1204,17 @@ class PipeDreamOptimizer:
         - the data-parallel sync streams the *sharded* eager payload over
           the strided representative group (``dp_coeff``/``dp_lat``),
           amortized over the round of ``r`` minibatches; deferred (BPTT)
-          weights are unshardable by construction and sync in full;
-        - the memory mask evaluates the shared kernel with the shard
-          divisor at the exact depth ``ceil(m/mp)`` (physical workers
-          downstream over physical workers held — :func:`warmup_count`'s
-          tp-aware generalization) and ``r`` logical replicas.
+          weights are unshardable by construction and sync in full.
         """
-        n = self._n
+        tb = self._span_tables()
         inf = math.inf
         r = mp // t
         if r > 1 and not self.allow_replication:
-            return np.full((n, n), inf)
-        dp_c, dp_l, tp_c, tp_l = tabs
-        dp_coeff = dp_c[m][mp]
-        dp_lat = dp_l[m][mp]
-        tp_coeff = tp_c[m][mp]
-        tp_lat = tp_l[m][mp]
-        versions = -(-m // mp)
-        cost = self._stage_memory_cost(
-            Wt, D, At, versions, r, tp_degree=t,
-            shardable_weight_bytes=SW, shardable_activation_bytes=SA,
-        )
-        stage_compute = compute - ST + ST / t
-        out_term = acts * tp_coeff + np.where(acts > 0, tp_lat, 0.0)
-        in_term = bacts * tp_coeff + np.where(bacts > 0, tp_lat, 0.0)
+            tval = np.full((self._n, self._n), inf)
+            return tval, tval
+        stage_compute = tb.compute - tb.ST + tb.ST / t
+        out_term = tb.acts * tp_coeff + np.where(tb.acts > 0, tp_lat, 0.0)
+        in_term = tb.bacts * tp_coeff + np.where(tb.bacts > 0, tp_lat, 0.0)
         tp_comm = out_term[None, :] + in_term[:, None]
         stage_total = stage_compute + tp_comm
         if r == 1:
@@ -1123,30 +1222,21 @@ class PipeDreamOptimizer:
             overl = nonov = None
         else:
             overl, nonov = self._sync_terms(
-                (Wt - D) - SW + SW / t, D, dp_coeff, dp_lat, r, 1.0
+                tb.WD - tb.SW + tb.SW / t, tb.D, dp_coeff, dp_lat, r, 1.0
             )
             tm = np.maximum(stage_total / r, overl) + nonov
-        tval = np.where(valid, tm, inf)
+        tval_r = None
         if self._recompute_auto:
             # Checkpointing replays the *sharded* forward during backward.
-            sharded_backward = Bt - SB + SB / t
+            sharded_backward = tb.B - tb.SB + tb.SB / t
             compute_r = stage_compute + (stage_compute - sharded_backward)
             stage_total_r = compute_r + tp_comm
             if r == 1:
                 tm_r = stage_total_r / r
             else:
                 tm_r = np.maximum(stage_total_r / r, overl) + nonov
-            tval_r = np.where(valid, tm_r, inf)
-            cost_r = self._stage_memory_cost(
-                Wt, D, At, versions, r, recompute=True,
-                boundary_activation_bytes=bacts[:, None],
-                tp_degree=t, shardable_weight_bytes=SW,
-                shardable_activation_bytes=SA,
-            )
-            return np.where(
-                cost <= limit, tval, np.where(cost_r <= limit, tval_r, inf)
-            )
-        return np.where(cost <= limit, tval, inf)
+            tval_r = np.where(tb.valid, tm_r, inf)
+        return np.where(tb.valid, tm, inf), tval_r
 
     def _solve_refined_dp(
         self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
@@ -1165,39 +1255,30 @@ class PipeDreamOptimizer:
         stash, one extra forward of compute — only when stash-everything
         busts the cap.  :meth:`_reconstruct_refined` re-derives the same
         decision from the same arithmetic.
+
+        The (n, n) planes a cell is assembled from repeat across cells,
+        so each is built once per solve and memoised on exactly the values
+        it depends on (see :meth:`_refined_fits`, :meth:`_refined_times`).
         """
         n = self._n
         W = topology.total_workers
-        limit = self.memory_limit_bytes
         inf = math.inf
-        pa = np.asarray(self._prefix_acts)
-        rows = np.arange(n)
-        valid = rows[:, None] <= rows[None, :]  # j <= k
-        compute = self._span_table(self._prefix_time)
-        Wt = self._span_table(self._prefix_weights)
-        D = self._span_table(self._prefix_recurrent)
-        WD = Wt - D
-        At = self._span_table(pa)
-        acts = np.asarray(
-            [self.profile.activation_bytes(k) for k in range(n)]
-        )
-        recompute_auto = self._recompute_auto
-        if recompute_auto or tp_tables:
-            Bt = self._span_table(self._prefix_backward)
-            # Boundary stash per leading layer j: pa[j] - pa[j-1] (0 at
-            # the input stage).
-            bacts = np.zeros(n)
-            bacts[1:] = pa[1:n] - pa[: n - 1]
-        if recompute_auto:
-            # Checkpointed stage time: one extra forward (compute minus
-            # backward).
-            compute_r = compute + (compute - Bt)
-        if tp_tables:
-            # Shardable-share range tables.
-            SWt = self._span_table(self._prefix_shard_weights)
-            SAt = self._span_table(self._prefix_shard_acts)
-            STt = self._span_table(self._prefix_shard_time)
-            SBt = self._span_table(self._prefix_shard_backward)
+        acts = self._span_tables().acts
+        memo = functools.lru_cache(maxsize=None)  # dies with this solve
+        fits_of = memo(self._refined_fits)
+        times_of = memo(self._refined_times)
+        tp_times_of = memo(self._refined_tp_times)
+
+        def masked_plane(fits, times):
+            if self._recompute_auto:
+                # Prefer stash-everything when it fits (bitwise no-op under
+                # generous limits); checkpoint only when it is the
+                # cap-respecting option.
+                return np.where(
+                    fits[0], times[0], np.where(fits[1], times[1], inf)
+                )
+            return np.where(fits[0], times[0], inf)
+
         R = np.full((W + 1, n + 1), inf)
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
@@ -1227,46 +1308,11 @@ class PipeDreamOptimizer:
             )
             cand = np.empty((m, n, n))
             for mp in range(1, m + 1):
-                # Leading-stage time for this (m, mp): the placement-exact
-                # coeff varies with the suffix, so it cannot be hoisted.
-                coeff = coeffs[m][mp]
-                lat = lats[m][mp]
-                tval_r = None
-                if mp == 1:
-                    tval = np.where(valid, compute / 1, inf)
-                    if recompute_auto:
-                        tval_r = np.where(valid, compute_r / 1, inf)
-                elif not self.allow_replication:
-                    tval = np.full((n, n), inf)
-                    tval_r = tval
-                else:
-                    stream_t, deferred_t = self._sync_terms(
-                        WD, D, coeff, lat, mp,
-                        self._bucket_matrix() if lat > 0.0 else 1.0,
-                    )
-                    tm = np.maximum(compute / mp, stream_t)
-                    tm = tm + deferred_t
-                    tval = np.where(valid, tm, inf)
-                    if recompute_auto:
-                        tm_r = np.maximum(compute_r / mp, stream_t)
-                        tm_r = tm_r + deferred_t
-                        tval_r = np.where(valid, tm_r, inf)
                 versions = -(-m // mp)
-                cost = self._stage_memory_cost(Wt, D, At, versions, mp)
-                if recompute_auto:
-                    # Prefer stash-everything when it fits (bitwise no-op
-                    # under generous limits); checkpoint only when it is
-                    # the cap-respecting option.
-                    cost_r = self._stage_memory_cost(
-                        Wt, D, At, versions, mp, recompute=True,
-                        boundary_activation_bytes=bacts[:, None],
-                    )
-                    masked = np.where(
-                        cost <= limit, tval,
-                        np.where(cost_r <= limit, tval_r, inf),
-                    )
-                else:
-                    masked = np.where(cost <= limit, tval, inf)
+                masked = masked_plane(
+                    fits_of(versions, mp),
+                    times_of(mp, coeffs[m][mp], lats[m][mp]),
+                )
                 boundary = np.zeros(n)
                 if n > 1:
                     boundary[: n - 1] = (
@@ -1285,9 +1331,13 @@ class PipeDreamOptimizer:
                     for t in self._tp_options[1:]:
                         if mp % t:
                             continue
-                        masked_t = self._refined_tp_plane(
-                            m, mp, t, tp_tables[t], valid, compute, Wt, D,
-                            At, SWt, SAt, STt, SBt, Bt, bacts, acts, limit,
+                        dp_c, dp_l, tp_c, tp_l = tp_tables[t]
+                        masked_t = masked_plane(
+                            fits_of(versions, mp // t, t),
+                            tp_times_of(
+                                mp, t, dp_c[m][mp], dp_l[m][mp],
+                                tp_c[m][mp], tp_l[m][mp],
+                            ),
                         )
                         cand_t = np.maximum(
                             np.maximum(masked_t, boundary[None, :]),
@@ -1371,8 +1421,9 @@ class PipeDreamOptimizer:
             m -= mp
         return stages
 
-    def _solve_for(self, topology: Topology) -> List[Stage]:
-        """Run the level-by-level DP on ``topology``; returns the stages.
+    def _solve_for(self, topology: Topology) -> Optional[List[Stage]]:
+        """Run the level-by-level DP on ``topology``; returns the stages
+        (``None`` when the decomposition has no feasible plan).
 
         Per level k the recurrence
 
@@ -1391,6 +1442,17 @@ class PipeDreamOptimizer:
         are selections (max/min) of identically-computed floats, so the
         two agree bitwise.
 
+        An inner level fills ``A^k`` for every span — the level above
+        reads all of them through ``T^{k+1}`` — at ``O(N³ m_k²)``.
+        Nothing reads the *last* level except the answer
+        ``A^L(0→N-1, m_L)``, whose recurrence never leaves row ``i = 0``
+        (``A(0→s, m-m')`` on the left, ``T(s+1→j, m')`` on the right), so
+        the top level's ``A``/pointer tables hold that one row:
+        ``O(N² m_L²)``, and the flat decomposition — a single, top level
+        of all ``W`` workers — is ``O(N² W²)``.  The same cube code runs
+        on either row count; the level-cache key carries a ``"row0"`` tag
+        for the one-row tables.
+
         ``T^k(i→j, m)`` is a stage spanning layers i..j replicated over
         ``m`` level-(k-1) components (each holding ``prev_workers``
         workers).  Its effective per-minibatch time is the max of the
@@ -1406,15 +1468,14 @@ class PipeDreamOptimizer:
         """
         n = self._n
         inf = math.inf
-        rows = np.arange(n)
-        valid = rows[:, None] <= rows[None, :]  # i <= j
+        tb = self._span_tables()
         if self.memory_limit_bytes is not None:
             # Phase-1 feasibility of span i..j: the shared-kernel bound.
-            feasible = valid & (
+            feasible = tb.valid & (
                 np.asarray(self._bound_matrix()) <= self.memory_limit_bytes
             )
         else:
-            feasible = valid
+            feasible = tb.valid
 
         # tables[k-1] = (A, ptr_s, ptr_mp); ptr < 0 encodes "single stage".
         tables: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
@@ -1428,9 +1489,15 @@ class PipeDreamOptimizer:
             # The namespace prefix matters once the cache is shared: level
             # tables bake the memory-feasibility mask (and the replication
             # flag) into A, so entries are only valid under the exact
-            # solver options that built them.
-            cache_key = self._cache_ns + ("level", tuple(key_parts))
+            # solver options that built them.  The last level holds row 0
+            # only and its key says so: a full table may answer a row-0
+            # lookup, a row-0 table never answers a full one.
+            row0 = k == len(topology.levels)
+            full_key = self._cache_ns + ("level", tuple(key_parts))
+            cache_key = full_key + ("row0",) if row0 else full_key
             cached = self._level_cache.get(cache_key)
+            if cached is None and row0:
+                cached = self._level_cache.get(full_key)
             if cached is not None:
                 if self.context is not None:
                     self.context._bump("level_hits")
@@ -1440,23 +1507,19 @@ class PipeDreamOptimizer:
                 continue
 
             # ----- T^k(i→j, m) tables ---------------------------------
-            if k == 1:
-                compute = self._span_table(self._prefix_time)
-            else:
-                compute = tables[k - 2][0][prev_capacity].copy()
+            compute = (
+                tb.compute if k == 1 else tables[k - 2][0][prev_capacity]
+            )
             compute = np.where(feasible, compute, inf)
             T = np.full((mk + 1, n, n), inf)
             T[1] = compute / 1
             if mk > 1 and self.allow_replication:
-                W = self._span_table(self._prefix_weights)
-                D = self._span_table(self._prefix_recurrent)
-                WD = W - D
                 arbw = level.allreduce_bandwidth
                 alpha = level.allreduce_latency
                 buckets = self._bucket_matrix() if alpha > 0.0 else 1.0
                 for m in range(2, mk + 1):
                     stream_t, deferred_t = self._sync_terms(
-                        WD, D, 2.0 * (m - 1) / m / arbw, alpha,
+                        tb.WD, tb.D, 2.0 * (m - 1) / m / arbw, alpha,
                         m * prev_workers, buckets,
                     )
                     tm = np.maximum(compute / m, stream_t)
@@ -1486,10 +1549,13 @@ class PipeDreamOptimizer:
                         tchoice[m] = np.where(better, t, tchoice[m])
 
             # ----- A^k recurrence -------------------------------------
-            A = np.full((mk + 1, n, n), inf)
-            ptr_s = np.full((mk + 1, n, n), -1, dtype=np.int64)
-            ptr_mp = np.full((mk + 1, n, n), -1, dtype=np.int64)
-            A[1] = T[1]
+            # Rows i the table holds: all of them for an inner level (the
+            # level above reads every span), row 0 alone for the top one.
+            ni = 1 if row0 else n
+            A = np.full((mk + 1, ni, n), inf)
+            ptr_s = np.full((mk + 1, ni, n), -1, dtype=np.int64)
+            ptr_mp = np.full((mk + 1, ni, n), -1, dtype=np.int64)
+            A[1] = T[1, :ni]
             if n == 1:
                 for m in range(2, mk + 1):
                     A[m] = T[m]
@@ -1510,12 +1576,12 @@ class PipeDreamOptimizer:
                     # s-major, m'-minor flattening: argmin's first-minimum
                     # rule = the (s asc, m' asc) tie-break.
                     cand = cand.transpose(1, 0, 2, 3).reshape(
-                        (n - 1) * (m - 1), n, n
+                        (n - 1) * (m - 1), ni, n
                     )
                     flat = np.argmin(cand, axis=0)
                     best_split = np.take_along_axis(cand, flat[None], axis=0)[0]
-                    use = best_split < T[m]  # strict: single stage wins ties
-                    A[m] = np.where(use, best_split, T[m])
+                    use = best_split < T[m, :ni]  # strict: single stage wins ties
+                    A[m] = np.where(use, best_split, T[m, :ni])
                     ptr_s[m] = np.where(use, flat // (m - 1), -1)
                     ptr_mp[m] = np.where(use, flat % (m - 1) + 1, -1)
 
@@ -1533,7 +1599,7 @@ class PipeDreamOptimizer:
         top = len(topology.levels)
         top_count = topology.levels[top - 1].count
         if not math.isfinite(tables[top - 1][0][top_count, 0, n - 1]):
-            raise RuntimeError("no feasible partition found (memory limit too tight?)")
+            return None
         return self._reconstruct_arrays(tables, topology, top, 0, n - 1, top_count)
 
     def _reconstruct_arrays(
@@ -1599,37 +1665,26 @@ class PipeDreamOptimizer:
         r = m // t
         if r > 1 and not self.allow_replication:
             return None
-        n = self._n
-        inf = math.inf
+        tb = self._span_tables()
         arbw = level.allreduce_bandwidth
         alpha = level.allreduce_latency
-        pa = np.asarray(self._prefix_acts)
-        Wt = self._span_table(self._prefix_weights)
-        D = self._span_table(self._prefix_recurrent)
-        SW = self._span_table(self._prefix_shard_weights)
-        ST = self._span_table(self._prefix_shard_time)
-        acts = np.asarray(
-            [self.profile.activation_bytes(j) for j in range(n)]
-        )
-        bacts = np.zeros(n)
-        bacts[1:] = pa[1:n] - pa[: n - 1]
-        stage_compute = compute - ST + ST / t
+        stage_compute = compute - tb.ST + tb.ST / t
         ring_t = 2.0 * (t - 1) / t / arbw
-        out_term = acts * ring_t
-        in_term = bacts * ring_t
+        out_term = tb.acts * ring_t
+        in_term = tb.bacts * ring_t
         if alpha > 0.0:
-            out_term = out_term + np.where(acts > 0, alpha, 0.0)
-            in_term = in_term + np.where(bacts > 0, alpha, 0.0)
+            out_term = out_term + np.where(tb.acts > 0, alpha, 0.0)
+            in_term = in_term + np.where(tb.bacts > 0, alpha, 0.0)
         stage_total = stage_compute + (out_term[None, :] + in_term[:, None])
         if r == 1:
             tm = stage_total / r
         else:
             overl, nonov = self._sync_terms(
-                (Wt - D) - SW + SW / t, D, 2.0 * (r - 1) / r / arbw, alpha,
-                r, self._bucket_matrix() if alpha > 0.0 else 1.0,
+                tb.WD - tb.SW + tb.SW / t, tb.D, 2.0 * (r - 1) / r / arbw,
+                alpha, r, self._bucket_matrix() if alpha > 0.0 else 1.0,
             )
             tm = np.maximum(stage_total / r, overl) + nonov
-        return np.where(feasible, tm, inf)
+        return np.where(feasible, tm, math.inf)
 
 
 # ----------------------------------------------------------------------

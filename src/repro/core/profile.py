@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -47,6 +48,23 @@ class LayerProfile:
     weight_bytes: int
     forward_time: Optional[float] = None
     kind: str = "other"
+
+    def __post_init__(self):
+        # The one place profile numbers are checked: every consumer (the
+        # planner's prefix sums, the evaluator, both simulator engines)
+        # assumes finite, non-negative costs, and a NaN or negative entry
+        # otherwise surfaces as "no feasible partition" or as a plan
+        # priced with negative time.
+        fields = ("compute_time", "activation_bytes", "weight_bytes")
+        if self.forward_time is not None:
+            fields += ("forward_time",)
+        for field in fields:
+            value = getattr(self, field)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"layer {self.name!r}: {field} must be finite and >= 0, "
+                    f"got {value!r}"
+                )
 
     @property
     def forward(self) -> float:

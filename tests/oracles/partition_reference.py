@@ -2,15 +2,18 @@
 
 :class:`ReferenceOptimizer` is :class:`~repro.core.partition.PipeDreamOptimizer`
 with both DPs replaced by the loop nests the numpy formulations were
-derived from: the five-deep level DP (:meth:`_solve_for`) and the suffix
-DP over ``(m, j, k, mp, t)`` (:meth:`_solve_refined_dp`).  They spell the
+derived from: the five-deep level DP (:meth:`_solve_for`, every span of
+every level — production keeps only row 0 of the top one), the suffix DP
+over ``(m, j, k, mp, t)`` (:meth:`_solve_refined_dp`, every plane
+recomputed per cell) and its exhaustive tp collective tables
+(:meth:`_refined_tp_tables`).  They spell the
 §3.1 stage-time formula term by term in python floats, so the tier-1
 suites assert *bitwise* agreement — same stages, same bottleneck time —
 between the production class and this one.  Nothing under ``src/``
 imports this module.
 
 The bodies were moved here unchanged from ``core/partition.py``; the
-subclass only overrides the two dispatch points and tags its own cache
+subclass only overrides those dispatch points and tags its own cache
 namespace, so a shared :class:`~repro.core.partition.SolverContext` can
 never hand array-shaped level tables to the dict-shaped ones below.
 """
@@ -211,6 +214,46 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                 non_overlappable = non_overlappable + dp_lat / r
         return max(compute_term, overlappable) + non_overlappable
 
+    def _refined_tp_tables(self, topology: Topology):
+        """The tp collective factors with every shard group of every
+        ``(m, mp)`` cell priced from scratch (production prices each
+        distinct group once and keeps a running max)."""
+        from repro.sim.network import Placement, allreduce_cost_factors
+
+        placement = Placement(topology)
+        W = topology.total_workers
+        tables = {}
+        for t in self._tp_options:
+            if t == 1:
+                continue
+            dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
+            dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+            tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
+            tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+            for m in range(t, W + 1):
+                first = W - m
+                for mp in range(t, m + 1, t):
+                    r = mp // t
+                    if r > 1:
+                        reps = [first + q * t for q in range(r)]
+                        dp_c[m][mp], dp_l[m][mp] = allreduce_cost_factors(
+                            placement, reps
+                        )
+                    worst_c = worst_l = 0.0
+                    for q in range(r):
+                        shard_group = list(
+                            range(first + q * t, first + (q + 1) * t)
+                        )
+                        c, l = allreduce_cost_factors(placement, shard_group)
+                        if c > worst_c:
+                            worst_c = c
+                        if l > worst_l:
+                            worst_l = l
+                    tp_c[m][mp] = worst_c
+                    tp_l[m][mp] = worst_l
+            tables[t] = (dp_c, dp_l, tp_c, tp_l)
+        return tables
+
     def _solve_refined_dp(
         self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
     ) -> Optional[List[Stage]]:
@@ -309,9 +352,9 @@ class ReferenceOptimizer(PipeDreamOptimizer):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
 
-    def _solve_for(self, topology: Topology) -> List[Stage]:
+    def _solve_for(self, topology: Topology) -> Optional[List[Stage]]:
         """Scalar level-by-level DP (the oracle the vectorized path must
-        match); returns the stages."""
+        match); returns the stages, ``None`` when nothing is feasible."""
         n = self._n
 
         # A[k][(i, j, m)] -> (bottleneck_time, backpointer)
@@ -384,7 +427,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         top = len(topology.levels)
         final = tables[top - 1].get((0, n - 1, topology.levels[top - 1].count))
         if final is None:
-            raise RuntimeError("no feasible partition found (memory limit too tight?)")
+            return None
 
         return self._reconstruct(tables, topology, top, 0, n - 1,
                                  topology.levels[top - 1].count,

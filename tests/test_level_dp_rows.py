@@ -1,0 +1,225 @@
+"""The planner computes only the DP cells its answer reads.
+
+Two reductions are locked down here, both required to leave every plan
+*bitwise* unchanged:
+
+- the last level of the level DP holds row ``i = 0`` only (the answer
+  ``A(0→n-1, m_L)`` and its left operands ``A(0→s, m-m')`` never leave
+  it), so the top level costs ``O(N² m²)`` instead of ``O(N³ m²)``;
+- the refined suffix DP builds each memory / stage-time plane once per
+  distinct ``(depth, replicas, tp)`` / ``(mp, coeff, lat)`` and prices
+  each distinct tp shard group once.
+
+The oracle (:class:`tests.oracles.ReferenceOptimizer`) fills every span of
+every level and recomputes every plane and group per cell.
+"""
+
+import tracemalloc
+
+import pytest
+
+from repro.core.partition import PipeDreamOptimizer, SolverContext
+from repro.core.profile import LayerProfile, ModelProfile
+from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
+from repro.profiler import analytic_profile
+from tests.oracles import ReferenceOptimizer
+
+
+def toy_profile(num_layers, name="toy"):
+    """Uneven compute, mixed shardable / BPTT-deferred kinds."""
+    kinds = ("embedding", "fc", "lstm", "conv", "fc", "fc", "lstm", "fc")
+    layers = [
+        LayerProfile(
+            f"l{i}",
+            compute_time=0.010 + 0.007 * ((i * 5) % 7),
+            activation_bytes=40_000 + 9_000 * ((i * 3) % 5),
+            weight_bytes=200_000 + 150_000 * ((i * 7) % 4),
+            kind=kinds[i % len(kinds)],
+        )
+        for i in range(num_layers)
+    ]
+    return ModelProfile(name, layers, batch_size=8)
+
+
+def levels(*specs, name="t"):
+    return Topology(name, [TopologyLevel(*spec) for spec in specs])
+
+
+TOPOLOGIES = {
+    "1-level": levels((8, 4e7, 0.5)),
+    "2-level": levels((4, 8e7, 0.25), (3, 1e7, 0.5)),
+    "3-level": levels((2, 9e7, 0.3), (2, 3e7, 0.5), (3, 8e6, 0.8)),
+    "2-level-alpha": levels((4, 8e7, 0.25, 2e-4), (2, 1e7, 0.5, 4e-3)),
+}
+
+PROFILE = toy_profile(9)
+
+#: Planning axes; a memory cap is a share of the free plan's peak
+#: footprint on the same topology, so it binds without emptying the search.
+AXES = {
+    "free": (None, {}),
+    "capped": (0.6, {}),
+    "bound-capped": (2.4, dict(memory_refine=False)),
+    "recompute": (0.45, dict(recompute="auto")),
+    "tp": (None, dict(tp_degrees=(1, 2, 4))),
+    "recompute-tp": (0.5, dict(recompute="auto", tp_degrees=(1, 2, 4))),
+    "bucketed": (None, dict(bucket_bytes=300_000)),
+    "no-replication": (None, dict(allow_replication=False)),
+}
+
+
+def axis_options(axis, profile, topology):
+    share, options = AXES[axis]
+    if share is None:
+        return options
+    free = PipeDreamOptimizer(profile, topology).solve()
+    return dict(options, memory_limit_bytes=share * max(free.memory_bytes))
+
+
+def solve_or_none(optimizer_cls, profile, topology, **options):
+    try:
+        return optimizer_cls(profile, topology, **options).solve()
+    except RuntimeError:
+        return None
+
+
+def assert_twins_identical(profile, topology, **options):
+    prod = solve_or_none(PipeDreamOptimizer, profile, topology, **options)
+    ref = solve_or_none(ReferenceOptimizer, profile, topology, **options)
+    assert (prod is None) == (ref is None)
+    if prod is not None:
+        assert prod.stages == ref.stages
+        assert prod.slowest_stage_time == ref.slowest_stage_time
+    return prod
+
+
+class TestProductionMatchesOracle:
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_every_axis_on_every_depth(self, topology, axis):
+        topo = TOPOLOGIES[topology]
+        plan = assert_twins_identical(
+            PROFILE, topo, **axis_options(axis, PROFILE, topo)
+        )
+        # 9 layers cannot occupy 12 workers unreplicated, and checkpointing
+        # alone does not rescue the single-level caps; every other cell
+        # must exercise its axis rather than agree on "infeasible".
+        if axis not in ("no-replication", "recompute"):
+            assert plan is not None
+
+    @pytest.mark.parametrize("axis", ["free", "tp", "no-replication"])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_tiny_models_and_more_workers_than_layers(
+        self, num_layers, topology, axis
+    ):
+        assert_twins_identical(
+            toy_profile(num_layers), TOPOLOGIES[topology], **AXES[axis][1]
+        )
+
+    @pytest.mark.parametrize("model", ["vgg16", "gnmt8"])
+    def test_paper_models_on_subsets(self, model):
+        profile = analytic_profile(model)
+        for workers in (4, 8, 16):
+            prod = PipeDreamOptimizer(profile, cluster_a(4)).solve(workers)
+            ref = ReferenceOptimizer(profile, cluster_a(4)).solve(workers)
+            assert prod.stages == ref.stages
+            assert prod.slowest_stage_time == ref.slowest_stage_time
+
+
+class TestLevelCacheRows:
+    """A row-0 (top-level) table must never be served where the level is
+    an inner one; a full table may answer a row-0 lookup."""
+
+    TOPO = cluster_a(4)
+
+    @pytest.mark.parametrize("order", [(4, 8, 16), (16, 8, 4)])
+    @pytest.mark.parametrize("options", [
+        {}, dict(tp_degrees=(1, 2)), dict(memory_limit_bytes=12e9),
+    ], ids=["free", "tp", "capped"])
+    def test_warm_equals_cold_in_both_orders(self, order, options):
+        profile = analytic_profile("vgg16")
+        context = SolverContext(profile)
+        for workers in order:
+            warm = PipeDreamOptimizer(
+                profile, self.TOPO, context=context, **options
+            ).solve(workers)
+            cold = PipeDreamOptimizer(
+                profile, self.TOPO, **options
+            ).solve(workers)
+            assert warm.stages == cold.stages
+            assert warm.slowest_stage_time == cold.slowest_stage_time
+            assert warm.memory_bytes == cold.memory_bytes
+
+    def level_counters(self, context):
+        stats = context.stats()
+        return stats["level_hits"], stats["level_misses"]
+
+    def test_row0_table_is_not_served_as_an_inner_level(self):
+        profile = analytic_profile("vgg16")
+        context = SolverContext(profile)
+        PipeDreamOptimizer(profile, self.TOPO, context=context).solve(4)
+        assert self.level_counters(context) == (0, 1)  # [4] as top: row 0
+        PipeDreamOptimizer(profile, self.TOPO, context=context).solve(8)
+        # [4] inner (full, recomputed), [4, 2] top, flat [8] top.
+        assert self.level_counters(context) == (0, 4)
+        shapes = sorted(
+            entry[0].shape[1] for key, entry in zip(
+                context.level_tables.keys(), context.level_tables.values()
+            ) if "level" in key
+        )
+        assert shapes == [1, 1, 1, len(profile)]
+
+    def test_full_table_answers_a_row0_lookup(self):
+        profile = analytic_profile("vgg16")
+        context = SolverContext(profile)
+        PipeDreamOptimizer(profile, self.TOPO, context=context).solve(8)
+        hits, misses = self.level_counters(context)
+        PipeDreamOptimizer(profile, self.TOPO, context=context).solve(4)
+        # The 4-worker top level is the 8-worker solve's inner level.
+        assert self.level_counters(context) == (hits + 1, misses)
+
+
+def test_top_level_never_materialises_a_full_cube():
+    """Timing-free complexity guard: a cold 42-layer / 32-worker free
+    solve allocates less than one ``(m-1)(n-1) n n`` float64 candidate
+    cube of the old full top-level table (≈ 18 MB at m = 32)."""
+    n, workers = 42, 32
+    profile = toy_profile(n)
+    topology = cluster_a(workers // 4)
+    tracemalloc.start()
+    try:
+        plan = PipeDreamOptimizer(profile, topology).solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.num_workers == workers
+    assert peak < (workers - 1) * (n - 1) * n * n * 8
+
+
+class TestRefinedPlaneMemoisation:
+    """W = 64 on a [4, 16] cluster with recompute + tp: the shape where
+    ``ceil(m/mp)`` and the ring alignments repeat the most."""
+
+    TOPO = make_cluster("wide", 4, 16, 12e9, 1.25e9,
+                        intra_allreduce_efficiency=0.10,
+                        inter_allreduce_efficiency=0.25,
+                        intra_allreduce_latency=50e-6,
+                        inter_allreduce_latency=5e-3)
+    OPTIONS = dict(recompute="auto", tp_degrees=(1, 2, 4))
+
+    def test_deduplicated_tp_tables_equal_exhaustive_ones(self):
+        profile = toy_profile(4)
+        prod = PipeDreamOptimizer(profile, self.TOPO, **self.OPTIONS)
+        ref = ReferenceOptimizer(profile, self.TOPO, **self.OPTIONS)
+        assert (prod._refined_tp_tables(self.TOPO)
+                == ref._refined_tp_tables(self.TOPO))
+
+    def test_memoised_planes_give_the_recomputed_plan(self):
+        profile = toy_profile(7)
+        free = PipeDreamOptimizer(profile, self.TOPO).solve()
+        plan = assert_twins_identical(
+            profile, self.TOPO,
+            memory_limit_bytes=0.5 * max(free.memory_bytes), **self.OPTIONS
+        )
+        assert plan is not None

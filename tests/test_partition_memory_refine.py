@@ -677,8 +677,15 @@ class TestMemoryRefineFuzz:
         refined = solve()
         refined_scalar = solve(ReferenceOptimizer)
         bound = solve(memory_refine=False)
+        bound_scalar = solve(ReferenceOptimizer, memory_refine=False)
 
-        # Twins agree on feasibility and (bitwise) on the plan.
+        # Twins agree on feasibility and (bitwise) on the plan — the
+        # bound-only pair isolates the level DP (row-0 top level vs. the
+        # oracle's full tables).
+        assert (bound is None) == (bound_scalar is None)
+        if bound is not None:
+            assert bound.stages == bound_scalar.stages
+            assert bound.slowest_stage_time == bound_scalar.slowest_stage_time
         assert (refined is None) == (refined_scalar is None)
         if refined is not None:
             assert refined.stages == refined_scalar.stages

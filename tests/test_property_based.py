@@ -112,6 +112,73 @@ class TestPartitionerProperties:
         assert communication_bytes_per_minibatch(profile, single) == 0.0
 
 
+class TestDegenerateInputs:
+    """Degenerate profiles give a valid plan; hostile ones one typed
+    error at construction — never a misattributed "no feasible partition"
+    or a plan priced with negative time."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=st.lists(
+            st.tuples(
+                st.floats(0.0, 10.0),  # compute: zero-time layers allowed
+                st.integers(0, 10_000),  # zero-byte activations
+                st.integers(0, 10_000),  # zero-byte weights
+            ),
+            min_size=1,  # 1-layer models
+            max_size=4,
+        ),
+        gpus=st.integers(1, 4),
+        servers=st.integers(1, 2),  # workers > layers
+    )
+    def test_degenerate_profiles_plan_cleanly(self, spec, gpus, servers):
+        profile = build_profile(spec)
+        topo = make_cluster("d", gpus, servers, 100.0, 10.0)
+        result = PipeDreamOptimizer(profile, topo).solve()
+        assert result.stages[0].start == 0
+        assert result.stages[-1].stop == len(profile)
+        assert sum(s.replicas for s in result.stages) == gpus * servers
+        assert 0.0 <= result.slowest_stage_time < float("inf")
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        spec=layer_lists,
+        data=st.data(),
+        bad=st.sampled_from(
+            [float("nan"), float("inf"), -float("inf"), -1e-9, -3]
+        ),
+        field=st.sampled_from(
+            ["compute_time", "activation_bytes", "weight_bytes",
+             "forward_time"]
+        ),
+    )
+    def test_non_finite_or_negative_entries_are_rejected(
+        self, spec, data, bad, field
+    ):
+        victim = data.draw(st.integers(0, len(spec) - 1), label="victim")
+        layers = []
+        with pytest.raises(
+            ValueError, match=rf"layer 'l{victim}': {field} must be finite"
+        ):
+            for i, (c, a, w) in enumerate(spec):
+                fields = dict(compute_time=c, activation_bytes=a,
+                              weight_bytes=w)
+                if i == victim:
+                    fields[field] = bad
+                layers.append(LayerProfile(f"l{i}", **fields))
+        assert len(layers) == victim  # raised while building the victim
+
+    def test_infeasible_message_names_the_binding_constraint(self):
+        profile = build_profile([(1.0, 10, 10)] * 3)
+        topo = make_cluster("d", 4, 2, 100.0, 10.0)
+        with pytest.raises(RuntimeError) as no_limit:
+            PipeDreamOptimizer(profile, topo, allow_replication=False).solve()
+        assert "allow_replication=False" in str(no_limit.value)
+        assert "memory limit" not in str(no_limit.value)
+        with pytest.raises(RuntimeError, match="memory_limit_bytes=1"):
+            PipeDreamOptimizer(profile, topo, memory_limit_bytes=1.0).solve()
+
+
 # ----------------------------------------------------------------------
 # Schedule properties
 # ----------------------------------------------------------------------

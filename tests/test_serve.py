@@ -261,6 +261,13 @@ class TestHTTPTransport:
         ("/plan", {"model": "vgg16", "servers": 0}, "num_servers"),
         ("/plan", {"model": "vgg16", "vectorize": False},
          "unknown request fields"),
+        ("/plan", {"profile": {
+            "model_name": "bad", "batch_size": 1, "layers": [
+                {"name": "l0", "compute_time": 1.0,
+                 "activation_bytes": 8, "weight_bytes": 8},
+                {"name": "l1", "compute_time": float("nan"),
+                 "activation_bytes": 8, "weight_bytes": 8}]}},
+         "bad profile: layer 'l1': compute_time"),
         ("/simulate", {"model": "vgg16", "minibatches": "x"}, "minibatches"),
         ("/simulate", {"model": "vgg16", "minibatches": 0}, "minibatches"),
         ("/simulate", {"model": "vgg16", "engine": "warp"},
