@@ -132,11 +132,7 @@ def _reference_payload(request: Dict) -> Tuple:
     """The ground truth for ``request``: a direct cold optimizer solve."""
     query = normalize_plan_request(request)
     result = PipeDreamOptimizer(
-        query.profile,
-        query.topology,
-        allow_replication=query.allow_replication,
-        memory_limit_bytes=query.memory_limit_bytes,
-        memory_refine=query.memory_refine,
+        query.profile, query.topology, **query.spec.options(),
     ).solve(query.num_workers)
     return (
         [[s.start, s.stop, s.replicas] for s in result.stages],

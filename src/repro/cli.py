@@ -25,6 +25,7 @@ from repro.core.schedule import (
     model_parallel_schedule,
     one_f_one_b_schedule,
 )
+from repro.core.spec import PlanSpec
 from repro.core.topology import cluster_1080ti, cluster_a, cluster_b, cluster_c
 from repro.profiler import analytic_profile, available_models
 from repro.sim import (
@@ -96,10 +97,7 @@ def cmd_plan(args) -> int:
         args.model, device=args.device,
         bytes_per_element=PRECISION_BYTES[args.precision])
     result = PipeDreamOptimizer(
-        profile, topology, bucket_bytes=args.bucket_bytes,
-        memory_limit_bytes=args.memory_limit_bytes,
-        recompute=args.recompute,
-        tp_degrees=args.tp_degrees).solve()
+        profile, topology, **_plan_spec(args).options()).solve()
     plan = DeploymentPlan.from_partition(result)
     print(plan.describe())
     if any(s.recompute for s in result.stages):
@@ -121,6 +119,7 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    spec = _plan_spec(args)
     topology = _topology(args)
     profile = analytic_profile(
         args.model, device=args.device,
@@ -161,28 +160,26 @@ def cmd_simulate(args) -> int:
             print("--schedule-family 2bp requires --strategy pipedream",
                   file=sys.stderr)
             return 2
-        if args.tp_degrees is not None and args.strategy != "pipedream":
+        if spec.tp_degrees is not None and args.strategy != "pipedream":
             print("--tp-degrees requires --strategy pipedream",
                   file=sys.stderr)
             return 2
         drivers = {
             "pipedream": lambda: simulate_pipedream(
                 profile, topology, num_minibatches=args.minibatches,
-                faults=faults, bucket_bytes=args.bucket_bytes,
-                memory_limit_bytes=args.memory_limit_bytes,
-                recompute=args.recompute,
-                schedule_family=args.schedule_family,
-                tp_degrees=args.tp_degrees),
+                faults=faults, schedule_family=args.schedule_family,
+                optimizer=PipeDreamOptimizer(
+                    profile, topology, **spec.options())),
             "dp": lambda: simulate_data_parallel(
                 profile, topology,
                 num_minibatches=max(4, args.minibatches // 4), faults=faults,
-                bucket_bytes=args.bucket_bytes),
+                bucket_bytes=spec.bucket_bytes),
             "mp": lambda: simulate_model_parallel(
                 profile, topology, num_minibatches=args.minibatches,
-                faults=faults, bucket_bytes=args.bucket_bytes),
+                faults=faults, bucket_bytes=spec.bucket_bytes),
             "gpipe": lambda: simulate_gpipe(
                 profile, topology, num_batches=max(2, args.minibatches // 4),
-                faults=faults, bucket_bytes=args.bucket_bytes),
+                faults=faults, bucket_bytes=spec.bucket_bytes),
         }
         result = drivers[args.strategy]()
     rows = [
@@ -201,21 +198,25 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Figure-12-style grid: models x worker counts x strategies x precisions."""
+    spec = _plan_spec(args)
     topology = CLUSTERS[args.cluster](args.servers)
-    records = run_sweep(
-        args.models,
-        topology,
-        args.counts,
-        strategies=tuple(args.strategies),
-        device=args.device,
-        minibatches=args.minibatches,
-        precisions=tuple(args.precisions),
-        bucket_sizes=tuple(args.bucket_sizes),
-        recomputes=tuple(args.recomputes),
-        schedule_families=tuple(args.schedule_families),
-        memory_limit_bytes=args.memory_limit_bytes,
-        tp_degrees=args.tp_degrees,
-    )
+    try:
+        records = run_sweep(
+            args.models,
+            topology,
+            args.counts,
+            strategies=tuple(args.strategies),
+            device=args.device,
+            minibatches=args.minibatches,
+            precisions=tuple(args.precisions),
+            bucket_sizes=tuple(args.bucket_sizes),
+            recomputes=tuple(args.recomputes),
+            schedule_families=tuple(args.schedule_families),
+            memory_limit_bytes=spec.memory_limit_bytes,
+            tp_degrees=spec.tp_degrees,
+        )
+    except ValueError as exc:  # a per-cell spec the grid cannot plan
+        args.error(str(exc))
     rows = [
         [r.model, str(r.workers), r.strategy, r.precision,
          "-" if r.bucket_bytes is None else f"{r.bucket_bytes / 1e6:g}MB",
@@ -288,22 +289,27 @@ def cmd_timeline(args) -> int:
     return 0
 
 
-def _bucket_size(text: str) -> Optional[float]:
-    """Sweep axis value: a byte cap, or 'none' for the unfused baseline."""
-    if text.lower() in ("none", "off"):
-        return None
-    return float(text)
+def _plan_spec(args) -> PlanSpec:
+    """The solver options of a ``plan`` / ``simulate`` / ``sweep`` call.
+
+    ``sweep`` states its shared options here and leaves the per-cell axes
+    (``--bucket-sizes``, ``--recomputes``) to :func:`run_sweep`.  An
+    invalid value or combination exits 2 with the spec's message.
+    """
+    try:
+        return PlanSpec(
+            memory_limit_bytes=args.memory_limit_bytes,
+            bucket_bytes=getattr(args, "bucket_bytes", None),
+            recompute=getattr(args, "recompute", None),
+            tp_degrees=args.tp_degrees,
+        )
+    except ValueError as exc:
+        args.error(str(exc))
 
 
-def _recompute_policy(text: str) -> Optional[str]:
-    """Sweep axis value: 'auto', or 'none' for the stash-everything default."""
-    lowered = text.lower()
-    if lowered in ("none", "off"):
-        return None
-    if lowered == "auto":
-        return "auto"
-    raise argparse.ArgumentTypeError(
-        f"expected 'auto' or 'none', got {text!r}")
+def _axis_value(text: str) -> Optional[str]:
+    """Sweep axis value: 'none' / 'off' select the axis's default."""
+    return None if text.lower() in ("none", "off") else text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: one monolithic per-round payload)")
     p.add_argument("--memory-limit-bytes", type=float, default=None,
                    help="per-worker §3.3 memory cap the plan must satisfy")
-    p.add_argument("--recompute", default=None, choices=["auto"],
+    p.add_argument("--recompute", default=None, metavar="auto",
                    help="'auto' lets the planner turn activation "
                         "checkpointing on per stage when the memory cap "
                         "demands it (requires --memory-limit-bytes)")
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="tensor-parallel degrees the planner may assign per "
                         "stage (e.g. 1 2 4); omit for the pure 2D planner")
     p.add_argument("--json", help="write the deployment plan to this file")
-    p.set_defaults(func=cmd_plan)
+    p.set_defaults(func=cmd_plan, error=p.error)
 
     p = sub.add_parser("simulate", help="simulate a training strategy")
     p.add_argument("model", choices=available_models())
@@ -366,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "bucketed, backward-overlapped weight sync")
     p.add_argument("--memory-limit-bytes", type=float, default=None,
                    help="per-worker memory cap for the pipedream planner")
-    p.add_argument("--recompute", default=None, choices=["auto"],
+    p.add_argument("--recompute", default=None, metavar="auto",
                    help="let the pipedream planner checkpoint stages under "
                         "the memory cap")
     p.add_argument("--schedule-family", default="1f1b",
@@ -383,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "'seed=N[:crashes=..][:stragglers=..]"
                         "[:degradations=..][:horizon=..]'; a crash "
                         "triggers the elastic recovery cycle")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, error=p.error)
 
     p = sub.add_parser(
         "sweep", help="fp16/fp32 figure-12 grid over models x worker counts")
@@ -396,11 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["dp", "pipedream", "mp", "gpipe"])
     p.add_argument("--precisions", nargs="+", default=["fp32", "fp16"],
                    choices=sorted(PRECISION_BYTES))
-    p.add_argument("--bucket-sizes", nargs="+", type=_bucket_size,
+    p.add_argument("--bucket-sizes", nargs="+", type=_axis_value,
                    default=[None], metavar="BYTES|none",
                    help="gradient-fusion caps to sweep ('none' = monolithic "
                         "per-round payload)")
-    p.add_argument("--recomputes", nargs="+", type=_recompute_policy,
+    p.add_argument("--recomputes", nargs="+", type=_axis_value,
                    default=[None], metavar="auto|none",
                    help="planner recompute policies to sweep (pipedream "
                         "cells; 'auto' needs --memory-limit-bytes to bite)")
@@ -420,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="SweepRecord field plotted by --svg")
     p.add_argument("--csv", help="write the records to this CSV file")
     p.add_argument("--svg", help="write a precision comparison chart here")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, error=p.error)
 
     p = sub.add_parser(
         "serve", help="run the plan/simulate/sweep HTTP service")

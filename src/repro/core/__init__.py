@@ -9,6 +9,7 @@ The pieces map onto the paper as follows:
   and the three clusters of Table 2.
 - :mod:`repro.core.partition` — the hierarchical dynamic-programming
   optimizer computing stage boundaries, replication factors, and NOAM (§3.1).
+- :mod:`repro.core.spec` — the optimizer's options as one validated value.
 - :mod:`repro.core.schedule` — static 1F1B / 1F1B-RR schedules plus the
   GPipe, model-parallel, and data-parallel baselines (§3.2).
 - :mod:`repro.core.stashing` — weight stashing and vertical sync (§3.3).
@@ -23,6 +24,7 @@ from repro.core.partition import (
     PipeDreamOptimizer,
     brute_force_partition,
 )
+from repro.core.spec import PlanSpec
 from repro.core.schedule import (
     Op,
     OpKind,
@@ -48,6 +50,7 @@ __all__ = [
     "PartitionResult",
     "Stage",
     "PipeDreamOptimizer",
+    "PlanSpec",
     "brute_force_partition",
     "Op",
     "OpKind",

@@ -37,7 +37,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.profile import ModelProfile
-from repro.core.sharding import SHARDABLE_KINDS, validate_tp_degrees
+from repro.core.sharding import SHARDABLE_KINDS
+from repro.core.spec import PlanSpec, reject_tp_bucketing
 from repro.core.topology import Topology, TopologyLevel
 from repro.utils.lru import LRUCache
 
@@ -295,29 +296,6 @@ class PipeDreamOptimizer:
         profile: per-layer (T_l, a_l, w_l) measurements.
         topology: hierarchical cluster description; the optimizer solves one
             DP per level, innermost first.
-        allow_replication: when False, every stage is pinned to one worker
-            (used for straight-pipeline ablations).
-        memory_limit_bytes: optional per-worker memory capacity.  All
-            feasibility checks price stages through the one shared §3.3
-            kernel (:func:`repro.sim.memory.stage_memory_cost`); they only
-            differ in the depth/replica arguments they plug in.  The
-            per-level DPs use a cheap per-span *bound* (see
-            :meth:`_bound_matrix`), as in §3.1's constraint list; with
-            ``memory_refine`` (default) :meth:`solve` then re-checks every
-            candidate plan against the simulator's *true* per-stage
-            footprint (:func:`repro.sim.memory.pipeline_memory_footprint`
-            under 1F1B ``warmup_count`` depths) and runs a second,
-            depth-aware DP pass whose mask evaluates the kernel at the
-            exact warmup depth.  The bound is a relaxation of the exact
-            mask, which in turn equals the footprint, so phase-1 pruning
-            can never discard a plan the simulator admits
-            (bound-admitted ⊇ refined-admitted ⊇ footprint-feasible).
-        memory_refine: when True (default) and a memory limit is set,
-            :meth:`solve` is memory-faithful end to end: plans that
-            violate the true footprint are discarded even if the cheap
-            bound admits them, and the refined DP pass widens the search.
-            ``False`` reproduces the historical bound-only behaviour
-            (kept for comparison benchmarks).
         context: optional :class:`SolverContext` built over the same
             profile.  When given, every memoized intermediate (level
             tables, bound matrices, refined comm tables, suffix-DP rows)
@@ -326,41 +304,48 @@ class PipeDreamOptimizer:
             that differs from earlier ones only in worker count or memory
             cap is warm-started.  Results are bitwise identical to a cold
             solve.
-        bucket_bytes: gradient-fusion granularity.  ``None`` (default)
-            prices a replicated stage's streamable sync as one payload;
-            a positive value fuses gradients into buckets of at most this
-            many bytes (:mod:`repro.comm.bucketing`), and both the DP
-            interior and the final candidate scoring then charge the
-            per-collective setup latency α of the topology's levels once
-            per bucket — which is what makes fusion granularity a real
-            planning knob on latency-bearing clusters.  With every level
-            at the default ``allreduce_latency=0`` the DP tables are
-            bitwise unchanged for any ``bucket_bytes``.
-        recompute: activation-checkpointing policy.  ``None`` (default)
-            never recomputes — every path is bitwise identical to the
-            pre-recompute solver.  ``"auto"`` lets the refined suffix DP
-            decide *per stage*: a stage keeps stash-everything whenever
-            that fits the memory limit (so generous limits are bitwise
-            no-ops), and switches to checkpointing — boundary
-            activations stashed, interior rebuilt in backward, one extra
-            forward added to the stage's compute — only when
-            stash-everything busts the cap and checkpointing fits.
-            Requires ``memory_refine`` (the decision lives in the
-            depth-aware pass); without a memory limit it never triggers.
-        tp_degrees: menu of intra-layer tensor-parallel degrees the DP may
-            assign per stage (always includes 1).  ``None`` (default) keeps
-            the two-axis planner — every path is bitwise identical to the
-            tp-free solver.  With e.g. ``(1, 2, 4)`` the refined suffix DP
-            enumerates ``(replicas, tp_degree)`` cells (``tp_degree`` must
-            divide the stage's worker count) and the level DP shards
-            level-1 stages: a tp group of ``t`` consecutive workers holds a
-            shard of every shardable layer (:mod:`repro.core.sharding`),
-            dividing the shardable compute/weight/activation share by ``t``
-            while pricing the intra-stage boundary-activation collectives
-            (allgather forward, reduce-scatter backward ≡ one ring
-            all_reduce each) with the same collective model the
-            data-parallel sync uses.  Incompatible with ``bucket_bytes``
-            (sharded-gradient bucketing is not modeled).
+
+    The remaining keywords are the fields of
+    :class:`~repro.core.spec.PlanSpec` (which validates and normalises
+    them; ``self.spec`` is the result).  What each one switches here:
+
+    - ``memory_limit_bytes``: all feasibility checks price stages through
+      the one shared §3.3 kernel
+      (:func:`repro.sim.memory.stage_memory_cost`); they only differ in
+      the depth/replica arguments they plug in.  The per-level DPs use a
+      cheap per-span *bound* (see :meth:`_bound_matrix`), as in §3.1's
+      constraint list; with ``memory_refine`` :meth:`solve` then re-checks
+      every candidate plan against the simulator's *true* per-stage
+      footprint (:func:`repro.sim.memory.pipeline_memory_footprint` under
+      1F1B ``warmup_count`` depths) and runs a second, depth-aware DP pass
+      whose mask evaluates the kernel at the exact warmup depth.  The
+      bound is a relaxation of the exact mask, which in turn equals the
+      footprint, so phase-1 pruning can never discard a plan the simulator
+      admits (bound-admitted ⊇ refined-admitted ⊇ footprint-feasible).
+      ``memory_refine=False`` is the bound-only mode tests use as the
+      level-DP isolating reference.
+    - ``bucket_bytes``: both the DP interior and the final candidate
+      scoring charge the per-collective setup latency α of the topology's
+      levels once per gradient bucket (:mod:`repro.comm.bucketing`) —
+      which is what makes fusion granularity a real planning knob on
+      latency-bearing clusters.  With every level at the default
+      ``allreduce_latency=0`` the DP tables are bitwise unchanged for any
+      value.
+    - ``recompute="auto"``: the refined suffix DP decides *per stage*: a
+      stage keeps stash-everything whenever that fits the memory limit
+      (so generous limits are bitwise no-ops), and switches to
+      checkpointing — boundary activations stashed, interior rebuilt in
+      backward, one extra forward added to the stage's compute — only
+      when stash-everything busts the cap and checkpointing fits.
+    - ``tp_degrees``: the refined suffix DP enumerates
+      ``(replicas, tp_degree)`` cells (``tp_degree`` must divide the
+      stage's worker count) and the level DP shards level-1 stages: a tp
+      group of ``t`` consecutive workers holds a shard of every shardable
+      layer (:mod:`repro.core.sharding`), dividing the shardable
+      compute/weight/activation share by ``t`` while pricing the
+      intra-stage boundary-activation collectives (allgather forward,
+      reduce-scatter backward ≡ one ring all_reduce each) with the same
+      collective model the data-parallel sync uses.
     """
 
     def __init__(
@@ -377,43 +362,23 @@ class PipeDreamOptimizer:
     ):
         self.profile = profile
         self.topology = topology
-        self.allow_replication = allow_replication
-        self.memory_limit_bytes = memory_limit_bytes
-        self.memory_refine = memory_refine
-        if recompute not in (None, "auto"):
-            raise ValueError(
-                f"recompute must be None or 'auto', got {recompute!r}"
-            )
-        if recompute == "auto" and not memory_refine:
-            raise ValueError(
-                "recompute='auto' requires memory_refine: the per-stage "
-                "recompute decision lives in the depth-aware refined DP"
-            )
-        self.recompute = recompute
-        #: The decision is only live when a limit can force it; without a
-        #: cap stash-everything always fits, so normalizing to off keeps
-        #: ``recompute="auto"`` with no limit in the default namespace
-        #: (bitwise-identical tables, shared context entries).
-        self._recompute_auto = (
-            recompute == "auto" and memory_limit_bytes is not None
-        )
-        if bucket_bytes is not None and bucket_bytes <= 0:
-            raise ValueError("bucket_bytes must be positive")
-        self.bucket_bytes = None if bucket_bytes is None else float(bucket_bytes)
-        #: Normalized tp-degree menu; ``(1,)`` ≡ disabled.  Normalizing
-        #: ``tp_degrees=(1,)`` (and ``()``) to disabled keeps those calls
-        #: in the default cache namespace — bitwise-identical tables,
-        #: shared context entries (same idiom as ``_recompute_auto``).
-        self._tp_options = (
-            (1,) if tp_degrees is None else validate_tp_degrees(tp_degrees)
-        )
-        self._tp_enabled = self._tp_options != (1,)
-        self.tp_degrees = self._tp_options if self._tp_enabled else None
-        if self._tp_enabled and self.bucket_bytes is not None:
-            raise ValueError(
-                "tp_degrees cannot be combined with bucket_bytes: "
-                "bucketing of sharded gradients is not modeled"
-            )
+        #: The six solver options as one validated value; the four
+        #: attributes below mirror it for the DP loops to read.
+        self.spec = spec = PlanSpec(
+            memory_limit_bytes, allow_replication, memory_refine,
+            bucket_bytes, recompute, tp_degrees)
+        self.memory_limit_bytes = spec.memory_limit_bytes
+        self.allow_replication = spec.allow_replication
+        self.memory_refine = spec.memory_refine
+        self.bucket_bytes = spec.bucket_bytes
+        # The spec the DP tables actually depend on: without a cap
+        # stash-everything always fits, so recompute="auto" is the default
+        # solver — same tables, same shared-context entries.
+        effective = (spec if spec.memory_limit_bytes is not None
+                     else replace(spec, recompute=None))
+        self._recompute_auto = effective.recompute == "auto"
+        self._tp_options = effective.tp_degrees or (1,)
+        self._tp_enabled = effective.tp_degrees is not None
         self._bucket_matrix_cache = None
         if context is not None and not context.matches(profile):
             raise ValueError(
@@ -430,26 +395,12 @@ class PipeDreamOptimizer:
         self._stage_memory_cost = stage_memory_cost
         self._bound_cache: Optional[List[List[float]]] = None
         self._tables: Optional[SimpleNamespace] = None
-        #: Namespace prefix of every shared-cache key: all the solver
-        #: options that change DP table *values*.  Entries written under
-        #: one namespace can never be read under another, which is what
-        #: makes sharing a context across memory caps / option mixes safe
-        #: (the memory limit is baked into the level tables' feasibility
-        #: masks, so it must key them).
-        self._cache_ns = (
-            None if memory_limit_bytes is None else float(memory_limit_bytes),
-            self.memory_refine,
-            self.allow_replication,
-            topology.compute_scale,
-            self.bucket_bytes,
-            "auto" if self._recompute_auto else None,
-        )
-        # The tp component is appended only when the axis is live, so
-        # every historical (tp-free) key stays byte-identical and tp
-        # solves can never collide with two-axis entries in a shared
-        # context (tests/test_solver_context.py pins both directions).
-        if self._tp_enabled:
-            self._cache_ns = self._cache_ns + (("tp", self._tp_options),)
+        #: Namespace prefix of every shared-cache key: everything that
+        #: changes DP table *values*.  Entries written under one namespace
+        #: can never be read under another, which is what makes sharing a
+        #: context across memory caps / option mixes safe (the memory limit
+        #: is baked into the level tables' feasibility masks).
+        self._cache_ns = (topology.compute_scale,) + effective.key()
         #: level-table memo for the level DP, keyed by the namespace
         #: plus the (count, bandwidth, allreduce_bandwidth) tuple of every
         #: level up to and including the one the table belongs to.  Subset
@@ -1920,9 +1871,7 @@ def evaluate_partition_details(
     # Imported lazily: repro.sim.memory imports Stage from this module.
     from repro.sim.memory import pipeline_memory_footprint
 
-    if bucket_bytes is not None and any(s.tp_degree > 1 for s in stages):
-        raise ValueError(
-            "bucket_bytes cannot be combined with tensor-parallel stages")
+    reject_tp_bucketing(any(s.tp_degree > 1 for s in stages), bucket_bytes)
     result = _evaluate_details(profile, stages, topology, bucket_bytes)
     return replace(
         result,

@@ -40,6 +40,7 @@ from repro.core.partition import (
     eval_tables_stats,
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
+from repro.core.spec import PlanSpec
 from repro.core.topology import (
     Topology,
     TopologyLevel,
@@ -86,6 +87,9 @@ def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
     if value is None:
         return default
     try:
+        # JSON booleans are taken as they are: bool("false") is True.
+        if kind is bool and not isinstance(value, bool):
+            raise ValueError(value)
         value = kind(value)
     except (TypeError, ValueError) as exc:
         raise RequestError(
@@ -179,13 +183,12 @@ class NormalizedQuery:
     profile: ModelProfile
     topology: Topology
     num_workers: int
-    memory_limit_bytes: Optional[float]
-    allow_replication: bool
-    memory_refine: bool
-    bucket_bytes: Optional[float]
-    recompute: Optional[str]
-    tp_degrees: Optional[Tuple[int, ...]]
+    spec: PlanSpec
     key: tuple
+
+    @property
+    def memory_limit_bytes(self) -> Optional[float]:
+        return self.spec.memory_limit_bytes
 
 
 def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
@@ -240,65 +243,41 @@ def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
     except ValueError as exc:
         raise RequestError(str(exc)) from exc
 
-    limit = _field(request, "memory_limit_bytes", float)
-    allow_replication = bool(request.get("allow_replication", True))
-    memory_refine = bool(request.get("memory_refine", True))
-    bucket_bytes = _field(request, "bucket_bytes", float)
-    if bucket_bytes is not None and bucket_bytes <= 0:
-        raise RequestError("bucket_bytes must be positive")
-    recompute = request.get("recompute")
-    if recompute is not None and recompute != "auto":
-        raise RequestError(
-            f"recompute must be null or 'auto', got {recompute!r}")
-    if recompute == "auto" and not memory_refine:
-        raise RequestError("recompute='auto' requires memory_refine")
-    tp_degrees = request.get("tp_degrees")
-    if tp_degrees is not None:
-        from repro.core.sharding import validate_tp_degrees
-
-        try:
-            tp_degrees = validate_tp_degrees(tp_degrees)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"bad tp_degrees: {exc}") from exc
-        if tp_degrees == (1,):
-            # Degenerate request: tensor parallelism disabled.  Normalize
-            # to the historical query so its cache key stays byte-equal.
-            tp_degrees = None
-        elif bucket_bytes is not None:
-            raise RequestError(
-                "bucket_bytes cannot be combined with tp_degrees")
+    options = {
+        "memory_limit_bytes": _field(request, "memory_limit_bytes", float),
+        "allow_replication": _field(request, "allow_replication", bool, True),
+        "memory_refine": _field(request, "memory_refine", bool, True),
+        "bucket_bytes": _field(request, "bucket_bytes", float),
+        "recompute": _field(request, "recompute", str),
+        "tp_degrees": _field(request, "tp_degrees", tuple),
+    }
+    try:
+        spec = PlanSpec(**options)
+    except (TypeError, ValueError) as exc:
+        raise RequestError(str(exc)) from exc
 
     # The canonical identity of the query.  The profile digest already
     # encodes precision (element width changes the serialized bytes); the
     # topology enters by value, so a named cluster and its inline JSON
-    # twin are the same query.  New optional fields extend the key only
-    # when set, so every pre-existing query keeps its exact historical
-    # cache key.
+    # twin are the same query.
     key = (
-        profile.digest(),
-        _topology_signature(solve_topology),
-        num_workers,
-        limit,
-        allow_replication,
-        memory_refine,
-        bucket_bytes,
-    )
-    if recompute is not None:
-        key = key + (("recompute", recompute),)
-    if tp_degrees is not None:
-        key = key + (("tp_degrees", tp_degrees),)
-    return NormalizedQuery(
-        profile=profile,
-        topology=solve_topology,
-        num_workers=num_workers,
-        memory_limit_bytes=limit,
-        allow_replication=allow_replication,
-        memory_refine=memory_refine,
-        bucket_bytes=bucket_bytes,
-        recompute=recompute,
-        tp_degrees=tp_degrees,
-        key=key,
-    )
+        profile.digest(), _topology_signature(solve_topology), num_workers,
+    ) + spec.key()
+    return NormalizedQuery(profile, solve_topology, num_workers, spec, key)
+
+
+def _opt_in_fields(spec: PlanSpec, stages: Sequence[Any]) -> Dict[str, Any]:
+    """Per-stage recompute / tensor-parallel columns of a served plan.
+
+    Each is present only when the request opted into that axis, so the
+    payloads of requests that did not are unchanged.
+    """
+    fields: Dict[str, Any] = {}
+    if spec.recompute is not None:
+        fields["stage_recompute"] = [bool(s.recompute) for s in stages]
+    if spec.tp_degrees is not None:
+        fields["stage_tp_degrees"] = [s.tp_degree for s in stages]
+    return fields
 
 
 class PlannerService:
@@ -346,14 +325,7 @@ class PlannerService:
 
     def _optimizer(self, query: NormalizedQuery) -> PipeDreamOptimizer:
         return PipeDreamOptimizer(
-            query.profile,
-            query.topology,
-            allow_replication=query.allow_replication,
-            memory_limit_bytes=query.memory_limit_bytes,
-            memory_refine=query.memory_refine,
-            bucket_bytes=query.bucket_bytes,
-            recompute=query.recompute,
-            tp_degrees=query.tp_degrees,
+            query.profile, query.topology, **query.spec.options(),
             context=self._context_for(query.profile),
         )
 
@@ -374,20 +346,7 @@ class PlannerService:
             "memory_limit_bytes": result.memory_limit_bytes,
             "solve_seconds": result.solve_seconds,
         }
-        if query.recompute is not None:
-            # Which stages the planner chose to checkpoint; only present
-            # when the request opted into the recompute decision, so
-            # historical response payloads are unchanged.
-            payload["stage_recompute"] = [
-                bool(s.recompute) for s in result.stages
-            ]
-        if query.tp_degrees is not None:
-            # Per-stage tensor-parallel degree; only present when the
-            # request opted into the third axis, so historical response
-            # payloads are unchanged.
-            payload["stage_tp_degrees"] = [
-                s.tp_degree for s in result.stages
-            ]
+        payload.update(_opt_in_fields(query.spec, result.stages))
         self.plan_cache.put(("plan", query.key), payload)
         return dict(payload, cached=False)
 
@@ -425,11 +384,8 @@ class PlannerService:
             {k: v for k, v in request.items()
              if k not in _SIMULATE_ONLY_KEYS}
         )
-        cache_key = ("simulate", query.key, strategy, minibatches, engine)
-        if schedule_family != "1f1b":
-            # Appended only when non-default, so pre-existing simulate
-            # queries keep their exact historical cache keys.
-            cache_key = cache_key + (("schedule_family", schedule_family),)
+        cache_key = ("simulate", query.key, strategy, minibatches, engine,
+                     schedule_family)
         cached = self.plan_cache.get(cache_key)
         if cached is not None:
             return dict(cached, cached=True)
@@ -442,27 +398,27 @@ class PlannerService:
         )
 
         profile, topology = query.profile, query.topology
+        bucket_bytes = query.spec.bucket_bytes
         if strategy == "pipedream":
             result = simulate_pipedream(
                 profile, topology, num_minibatches=minibatches,
                 engine=engine, optimizer=self._optimizer(query),
-                bucket_bytes=query.bucket_bytes,
                 schedule_family=schedule_family,
             )
         elif strategy == "dp":
             result = simulate_data_parallel(
                 profile, topology, num_minibatches=minibatches, engine=engine,
-                bucket_bytes=query.bucket_bytes,
+                bucket_bytes=bucket_bytes,
             )
         elif strategy == "mp":
             result = simulate_model_parallel(
                 profile, topology, num_minibatches=minibatches, engine=engine,
-                bucket_bytes=query.bucket_bytes,
+                bucket_bytes=bucket_bytes,
             )
         else:
             result = simulate_gpipe(
                 profile, topology, num_batches=max(2, minibatches // 4),
-                engine=engine, bucket_bytes=query.bucket_bytes,
+                engine=engine, bucket_bytes=bucket_bytes,
             )
         payload = {
             "strategy": result.strategy,
@@ -475,6 +431,7 @@ class PlannerService:
             "memory_per_worker": list(result.memory_per_worker),
             "stages": [[s.start, s.stop, s.replicas] for s in result.stages],
         }
+        payload.update(_opt_in_fields(query.spec, result.stages))
         self.plan_cache.put(cache_key, payload)
         return dict(payload, cached=False)
 
@@ -517,20 +474,14 @@ class PlannerService:
                 workers=_field(request, "workers", int, 1),
                 executor=request.get("executor", "auto"),
                 precisions=tuple(request.get("precisions", ("fp32",))),
-                bucket_sizes=tuple(
-                    None if cap is None else float(cap)
-                    for cap in request.get("bucket_sizes", (None,))
-                ),
+                bucket_sizes=tuple(request.get("bucket_sizes", (None,))),
                 recomputes=tuple(request.get("recomputes", (None,))),
                 schedule_families=tuple(
                     request.get("schedule_families", ("1f1b",))
                 ),
                 memory_limit_bytes=_field(
                     request, "memory_limit_bytes", float),
-                tp_degrees=(
-                    None if request.get("tp_degrees") is None
-                    else tuple(int(t) for t in request["tp_degrees"])
-                ),
+                tp_degrees=request.get("tp_degrees"),
                 contexts=self.contexts if self.warm_start else None,
             )
         except (KeyError, TypeError, ValueError) as exc:

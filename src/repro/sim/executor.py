@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.partition import Stage, allreduce_bytes_per_worker
 from repro.core.profile import ModelProfile
 from repro.core.schedule import Op, OpKind, Schedule
+from repro.core.spec import reject_tp_bucketing
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
 from repro.sim.memory import stage_deferred_weight_bytes
@@ -256,11 +257,8 @@ class _SimCore:
         # identical to the two-axis simulator.
         tp_active = any(stage.tp_degree > 1 for stage in stages)
         shard_tables = None
+        reject_tp_bucketing(tp_active, options.bucket_bytes)
         if tp_active:
-            if options.bucket_bytes is not None:
-                raise ValueError(
-                    "bucket_bytes cannot be combined with tensor-parallel "
-                    "stages: bucketing of sharded gradients is not modeled")
             from repro.core.sharding import sharding_tables
 
             shard_tables = sharding_tables(profile)

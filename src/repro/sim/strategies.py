@@ -25,6 +25,7 @@ from repro.core.schedule import (
     one_f_one_b_rr_schedule,
     schedule_for_family,
 )
+from repro.core.spec import PlanSpec
 from repro.core.topology import Topology
 from repro.sim.executor import SimOptions, SimResult, simulate
 from repro.sim.faults import FaultSchedule
@@ -328,45 +329,41 @@ def simulate_pipedream(
     When the optimizer picks vanilla data parallelism (ResNet-50's case in
     Table 1), the DP simulation (BSP semantics) is used directly.
 
-    Pass a shared ``optimizer`` (built on the *full* cluster with the same
-    profile) to reuse its memoized DP tables across worker counts — the
-    sweep harness does this; ``solve`` is then called for this topology's
-    worker count.  ``precision`` converts the profile first; combining it
-    with a shared ``optimizer`` is an error when the conversion actually
-    changes the profile (the optimizer's memoized tables would describe
-    the wrong payload sizes).  Likewise ``memory_limit_bytes`` /
-    ``recompute`` configure the locally built optimizer, so they cannot
-    be combined with a shared one (pass them to its constructor instead).
-    ``schedule_family`` is forwarded to :func:`simulate_partition`; the
-    DP fallback has no pipeline bubbles to fill and ignores it.
-    ``tp_degrees`` opens the third (tensor-parallel) planning axis on the
-    locally built optimizer; ``None`` keeps the two-axis planner and every
-    historical timeline bitwise intact.
+    The plan options (``allow_replication``, ``bucket_bytes``,
+    ``memory_limit_bytes``, ``recompute``, ``tp_degrees``) form the
+    :class:`~repro.core.spec.PlanSpec` of the locally built optimizer;
+    ``bucket_bytes`` also prices the simulated weight sync.  Pass a shared
+    ``optimizer`` (built on the *full* cluster with the same profile) to
+    reuse its memoized DP tables across worker counts — the sweep harness
+    does this; ``solve`` is then called for this topology's worker count,
+    the optimizer's own spec is the one simulated, and giving plan options
+    here as well is an error.  ``precision`` converts the profile first;
+    combining it with a shared ``optimizer`` is an error when the
+    conversion actually changes the profile (the optimizer's memoized
+    tables would describe the wrong payload sizes).  ``schedule_family``
+    is forwarded to :func:`simulate_partition`; the DP fallback has no
+    pipeline bubbles to fill and ignores it.
     """
     converted = resolve_precision(profile, precision)
     if converted is not profile and optimizer is not None:
         raise ValueError(
-            "a shared optimizer cannot be combined with a precision "
-            "conversion; build the optimizer from the converted profile")
+            "a precision conversion would invalidate the shared optimizer's "
+            "tables; build the optimizer from the converted profile")
     profile = converted
-    if optimizer is not None and (memory_limit_bytes is not None
-                                  or recompute is not None
-                                  or tp_degrees is not None):
-        raise ValueError(
-            "memory_limit_bytes/recompute/tp_degrees configure the locally "
-            "built optimizer; pass them to the shared optimizer's "
-            "constructor")
+    spec = PlanSpec(
+        memory_limit_bytes=memory_limit_bytes,
+        allow_replication=allow_replication, bucket_bytes=bucket_bytes,
+        recompute=recompute, tp_degrees=tp_degrees)
     if optimizer is None:
-        optimizer = PipeDreamOptimizer(
-            profile, topology, allow_replication=allow_replication,
-            bucket_bytes=bucket_bytes,
-            memory_limit_bytes=memory_limit_bytes,
-            recompute=recompute,
-            tp_degrees=tp_degrees,
-        )
-        plan = optimizer.solve()
-    else:
+        plan = PipeDreamOptimizer(profile, topology, **spec.options()).solve()
+    elif spec == PlanSpec():
+        spec = optimizer.spec
         plan = optimizer.solve(topology.total_workers)
+    else:
+        raise ValueError(
+            "plan options configure the locally built optimizer; pass them "
+            "to the shared optimizer's constructor")
+    bucket_bytes = spec.bucket_bytes
     if plan.is_data_parallel:
         result = simulate_data_parallel(profile, topology, num_minibatches,
                                         engine=engine, faults=faults,

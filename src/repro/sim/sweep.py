@@ -22,7 +22,16 @@ import csv
 import io
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.partition import (
     PipeDreamOptimizer,
@@ -32,6 +41,7 @@ from repro.core.partition import (
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
 from repro.core.schedule import SCHEDULE_FAMILIES
+from repro.core.spec import PlanSpec
 from repro.core.topology import Topology
 from repro.profiler import analytic_profile
 from repro.sim.memory import pipeline_memory_footprint
@@ -222,23 +232,26 @@ def _pool_init() -> None:
     _WORKER_CONTEXTS = SolverContextPool()
 
 
+class _Cell(NamedTuple):
+    """One sweep cell: what is planned (``spec``) and what it runs on."""
+
+    model: str
+    strategy: str
+    precision: str
+    schedule_family: str
+    spec: PlanSpec
+
+
 def _run_cell(
-    model: str,
-    strategy: str,
-    precision: str,
-    bucket_bytes: Optional[float],
-    recompute: Optional[str],
-    schedule_family: str,
+    cell: _Cell,
     topology: Topology,
     worker_counts: Sequence[int],
     device: str,
     minibatches: int,
     engine: str,
-    memory_limit_bytes: Optional[float] = None,
-    tp_degrees: Optional[Tuple[int, ...]] = None,
     contexts: Optional[SolverContextPool] = None,
 ) -> List[Optional[SweepRecord]]:
-    """Run one (model, strategy, precision) cell over every worker count.
+    """Run one cell over every worker count.
 
     Returns one entry per ``worker_counts`` element, ``None`` where the
     count does not pack onto the topology — index-aligned so the caller
@@ -250,28 +263,28 @@ def _run_cell(
     elements (the profile cache is keyed on that width, so fp32 and fp16
     cells never share an entry).
     """
+    model, strategy, precision, schedule_family, spec = cell
     profile = analytic_profile(
         model, device=device,
         bytes_per_element=PRECISION_BYTES[precision],
     )
     if contexts is None:
         contexts = _WORKER_CONTEXTS
-    # One optimizer per cell: its memoized level tables are shared by every
-    # solve of the worker-count loop, exactly as in the serial sweep.  A
-    # shared context extends that reuse across cells (and across the split
-    # per-count subtasks of the parallel path) — warm-started solves are
-    # bitwise identical to cold ones, so records don't change.
-    optimizer = (
-        PipeDreamOptimizer(
-            profile, topology,
-            bucket_bytes=bucket_bytes,
-            memory_limit_bytes=memory_limit_bytes,
-            recompute=recompute,
-            tp_degrees=tp_degrees,
+    kwargs = {"engine": engine}
+    if strategy == "pipedream":
+        # One optimizer per cell: its memoized level tables are shared by
+        # every solve of the worker-count loop, exactly as in the serial
+        # sweep.  A shared context extends that reuse across cells (and
+        # across the split per-count subtasks of the parallel path) —
+        # warm-started solves are bitwise identical to cold ones, so
+        # records don't change.
+        kwargs["optimizer"] = PipeDreamOptimizer(
+            profile, topology, **spec.options(),
             context=None if contexts is None else contexts.get(profile),
         )
-        if strategy == "pipedream" else None
-    )
+        kwargs["schedule_family"] = schedule_family
+    else:
+        kwargs["bucket_bytes"] = spec.bucket_bytes
     out: List[Optional[SweepRecord]] = []
     for workers in worker_counts:
         try:
@@ -279,16 +292,12 @@ def _run_cell(
         except ValueError:
             out.append(None)
             continue
-        kwargs = {"engine": engine, "bucket_bytes": bucket_bytes}
-        if optimizer is not None:
-            kwargs["optimizer"] = optimizer
-            kwargs["schedule_family"] = schedule_family
         result: StrategyResult = STRATEGIES[strategy](
             profile, sub, minibatches, **kwargs)
         # Per-stage breakdowns of the simulated plan: the evaluator's
         # stage/boundary seconds and the §3.3 per-stage footprint.
         details = evaluate_partition_details(
-            profile, result.stages, sub, bucket_bytes=bucket_bytes,
+            profile, result.stages, sub, bucket_bytes=spec.bucket_bytes,
         )
         stage_memory = pipeline_memory_footprint(profile, result.stages)
         out.append(SweepRecord(
@@ -307,11 +316,10 @@ def _run_cell(
             precision=precision,
             allreduce_seconds=_plan_allreduce_seconds(
                 profile, result.stages, sub),
-            bucket_bytes=bucket_bytes,
-            recompute=recompute,
+            bucket_bytes=spec.bucket_bytes,
+            recompute=spec.recompute,
             schedule_family=schedule_family,
-            tp_degrees=(optimizer.tp_degrees
-                        if optimizer is not None else None),
+            tp_degrees=spec.tp_degrees,
         ))
     return out
 
@@ -381,24 +389,18 @@ def run_sweep(
             payload bit for bit; adding byte caps (e.g. ``25e6``) plans and
             simulates each cell with DDP-style bucketed, backward-overlapped
             weight synchronization — the overlap comparison.
-        recomputes: planner recompute policies to sweep (``None`` and/or
-            ``"auto"``).  Only the pipedream strategy plans, so the axis
-            applies to pipedream cells alone; other strategies keep one
-            cell.  ``"auto"`` only changes plans under
-            ``memory_limit_bytes`` — without a cap it is normalized to the
-            stash-everything default (bitwise-identical records).
+        recomputes: planner recompute policies to sweep.  Only the
+            pipedream strategy plans, so the axis applies to pipedream
+            cells alone; other strategies keep one cell.
         schedule_families: pipeline schedule families to sweep (``"1f1b"``
             and/or ``"2bp"``), again a pipedream-only axis.  The default
             single-``"1f1b"`` axis reproduces the historical sweep bit for
             bit.
-        memory_limit_bytes: per-worker §3.3 cap handed to every pipedream
-            cell's planner (``None`` = uncapped, the historical default).
-        tp_degrees: tensor-parallel degree menu handed to every pipedream
-            cell's planner (``None`` = the two-axis planner; records and
-            CSV output are then byte-identical to the pre-tp sweep).  A
-            menu such as ``(1, 2, 4)`` lets each cell's plan assign
-            ``(replicas, tp_degree)`` per stage; incompatible with
-            non-``None`` ``bucket_sizes`` entries.
+        memory_limit_bytes, tp_degrees: handed to every pipedream cell's
+            planner.  Together with one ``bucket_sizes`` and one
+            ``recomputes`` entry they form the cell's
+            :class:`~repro.core.spec.PlanSpec`; every spec is built before
+            the first cell runs, so an invalid combination fails up front.
         executor: ``"process"`` (default) or ``"thread"`` pool for
             ``workers > 1``; ``"serial"`` forces the in-process loop, and
             ``"auto"`` picks: serial for a single task, threads on small
@@ -429,13 +431,6 @@ def run_sweep(
     unknown_precisions = set(precisions) - set(PRECISION_BYTES)
     if unknown_precisions:
         raise ValueError(f"unknown precisions: {sorted(unknown_precisions)}")
-    for cap in bucket_sizes:
-        if cap is not None and cap <= 0:
-            raise ValueError(f"bucket size must be positive or None, got {cap}")
-    for policy in recomputes:
-        if policy not in (None, "auto"):
-            raise ValueError(
-                f"recompute policy must be None or 'auto', got {policy!r}")
     unknown_families = set(schedule_families) - set(SCHEDULE_FAMILIES)
     if unknown_families:
         raise ValueError(
@@ -445,51 +440,38 @@ def run_sweep(
         raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     if on_error not in ("raise", "skip"):
         raise ValueError(f"unknown on_error {on_error!r}; expected 'raise' or 'skip'")
-    if tp_degrees is not None:
-        from repro.core.sharding import validate_tp_degrees
-
-        normalized_tp = validate_tp_degrees(tp_degrees)
-        # (1,) ≡ disabled, same normalization as the optimizer — keeps the
-        # degenerate menu on the byte-identical two-axis path.
-        tp_degrees = None if normalized_tp == (1,) else normalized_tp
-        if tp_degrees is not None and any(
-            cap is not None for cap in bucket_sizes
-        ):
-            raise ValueError(
-                "tp_degrees cannot be combined with bucket_sizes: "
-                "bucketing of sharded gradients is not modeled")
     worker_counts = list(worker_counts)
+    # Every planned cell's spec, built (and so validated) before any cell
+    # runs.  Only pipedream plans: the other strategies read the bucket
+    # size alone and keep one cell per (precision, bucket).
+    planned = {
+        (bucket, policy): PlanSpec(
+            memory_limit_bytes=memory_limit_bytes, bucket_bytes=bucket,
+            recompute=policy, tp_degrees=tp_degrees)
+        for bucket in bucket_sizes for policy in recomputes
+    }
 
-    def cell_axes(strategy: str) -> List[Tuple[Optional[str], str]]:
-        """The (recompute, schedule_family) axis of one strategy's cells.
+    def cells_of(model: str, strategy: str) -> List[_Cell]:
+        if strategy != "pipedream":
+            return [_Cell(model, strategy, precision, "1f1b",
+                          PlanSpec(bucket_bytes=bucket))
+                    for precision in precisions for bucket in bucket_sizes]
+        return [_Cell(model, strategy, precision, family,
+                      planned[bucket, policy])
+                for precision in precisions for bucket in bucket_sizes
+                for policy in recomputes for family in schedule_families]
 
-        Only pipedream plans and runs 1F1B-family schedules, so the other
-        strategies keep their single historical cell instead of sprouting
-        duplicate rows per axis value.
-        """
-        if strategy == "pipedream":
-            return [(policy, family)
-                    for policy in recomputes for family in schedule_families]
-        return [(None, "1f1b")]
-
-    cells = [
-        (model, strategy, precision, bucket, policy, family)
-        for model in models
-        for strategy in strategies
-        for precision in precisions
-        for bucket in bucket_sizes
-        for policy, family in cell_axes(strategy)
-    ]
+    cells = [cell for model in models for strategy in strategies
+             for cell in cells_of(model, strategy)]
 
     resolved = _resolve_executor(
         executor, workers, len(cells) * len(worker_counts)
     )
     if workers <= 1 or len(cells) <= 1 or resolved == "serial":
         cell_args = [
-            (model, strategy, precision, bucket, policy, family, topology,
-             worker_counts, device, minibatches, engine,
-             memory_limit_bytes, tp_degrees, contexts)
-            for model, strategy, precision, bucket, policy, family in cells
+            (cell, topology, worker_counts, device, minibatches, engine,
+             contexts)
+            for cell in cells
         ]
         outcomes = [_run_cell_guarded(args) for args in cell_args]
     else:
@@ -509,11 +491,9 @@ def run_sweep(
             subtask_contexts = contexts or SolverContextPool()
         subtasks = [
             (cell_index, count_index,
-             (model, strategy, precision, bucket, policy, family, topology,
-              [count], device, minibatches, engine,
-              memory_limit_bytes, tp_degrees, subtask_contexts))
-            for cell_index, (model, strategy, precision, bucket, policy,
-                             family) in enumerate(cells)
+             (cell, topology, [count], device, minibatches, engine,
+              subtask_contexts))
+            for cell_index, cell in enumerate(cells)
             for count_index, count in enumerate(worker_counts)
         ]
         subtasks.sort(key=lambda task: -worker_counts[task[1]])
@@ -543,34 +523,28 @@ def run_sweep(
             for index in range(len(cells))
         ]
 
-    by_cell: Dict[Tuple[str, str, str, Optional[float], Optional[str], str],
-                  List[Optional[SweepRecord]]] = {}
+    by_cell: Dict[_Cell, List[Optional[SweepRecord]]] = {}
     failures: List[SweepFailure] = []
-    for (model, strategy, precision, bucket, policy, family), (
-        cell_records, error
-    ) in zip(cells, outcomes):
+    for cell, (cell_records, error) in zip(cells, outcomes):
         if error is not None:
-            failures.append(
-                SweepFailure(model, strategy, error, precision, bucket,
-                             policy, family))
+            failures.append(SweepFailure(
+                cell.model, cell.strategy, error, cell.precision,
+                cell.spec.bucket_bytes, cell.spec.recompute,
+                cell.schedule_family))
             cell_records = [None] * len(worker_counts)
-        by_cell[(model, strategy, precision, bucket, policy, family)] = cell_records
+        by_cell[cell] = cell_records
 
     # Serial iteration order: model-major, then worker count, then
     # strategy, then precision, then bucket size, then the pipedream-only
     # (recompute, schedule family) axes.
-    records: List[SweepRecord] = []
-    for model in models:
-        for idx in range(len(worker_counts)):
-            for strategy in strategies:
-                for precision in precisions:
-                    for bucket in bucket_sizes:
-                        for policy, family in cell_axes(strategy):
-                            record = by_cell[
-                                (model, strategy, precision, bucket,
-                                 policy, family)][idx]
-                            if record is not None:
-                                records.append(record)
+    records = [
+        by_cell[cell][idx]
+        for model in models
+        for idx in range(len(worker_counts))
+        for strategy in strategies
+        for cell in cells_of(model, strategy)
+        if by_cell[cell][idx] is not None
+    ]
 
     if failures and on_error == "raise":
         raise SweepError(failures, records)

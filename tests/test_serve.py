@@ -34,11 +34,7 @@ def cold_payload(request):
     """Ground truth: solve the normalized query with a fresh optimizer."""
     query = normalize_plan_request(request)
     result = PipeDreamOptimizer(
-        query.profile,
-        query.topology,
-        allow_replication=query.allow_replication,
-        memory_limit_bytes=query.memory_limit_bytes,
-        memory_refine=query.memory_refine,
+        query.profile, query.topology, **query.spec.options(),
     ).solve(query.num_workers)
     return (
         [[s.start, s.stop, s.replicas] for s in result.stages],
@@ -97,6 +93,24 @@ class TestNormalization:
             "topology": topology_to_dict(cluster_a(1)),
         })
         assert named.key == inlined.key
+
+    def test_null_field_is_the_absent_field(self):
+        nulls = dict(VGG, allow_replication=None, memory_refine=None,
+                     memory_limit_bytes=None, bucket_bytes=None,
+                     recompute=None, tp_degrees=None)
+        assert normalize_plan_request(nulls).key == \
+            normalize_plan_request(VGG).key
+        service = PlannerService()
+        assert service.plan(VGG)["config"] == "3-1"
+        assert service.plan(nulls)["cached"] is True
+
+    def test_json_booleans_are_taken_as_they_are(self):
+        service = PlannerService()
+        assert service.plan(dict(VGG, allow_replication=False))["config"] \
+            == "straight"
+        assert normalize_plan_request(
+            dict(VGG, allow_replication=True)).key == \
+            normalize_plan_request(VGG).key
 
     def test_precision_splits_the_key(self):
         fp32 = normalize_plan_request(VGG)
@@ -178,6 +192,27 @@ class TestSimulateSweepBatch:
         assert payload["config"] == direct.config
         assert service.simulate(dict(VGG, minibatches=16))["cached"] is True
 
+    def test_simulate_names_the_plan_it_simulated(self):
+        """A request that opts into tp / recompute gets the per-stage
+        columns back from /simulate exactly as from /plan, so ``stages``
+        x ``stage_tp_degrees`` accounts for every worker."""
+        request = {"model": "gnmt16", "cluster": "a", "servers": 4,
+                   "tp_degrees": [1, 2], "memory_limit_bytes": 2e9,
+                   "recompute": "auto"}
+        service = PlannerService()
+        planned = service.plan(request)
+        simulated = service.simulate(dict(request, minibatches=8))
+        assert simulated["config"] == planned["config"]
+        for column in ("stages", "stage_tp_degrees", "stage_recompute"):
+            assert simulated[column] == planned[column]
+        assert sum(
+            replicas * degree for (_, _, replicas), degree
+            in zip(simulated["stages"], simulated["stage_tp_degrees"])
+        ) == simulated["num_workers"] == 16
+        plain = service.simulate(dict(VGG, minibatches=8))
+        assert "stage_tp_degrees" not in plain
+        assert "stage_recompute" not in plain
+
     def test_simulate_unknown_strategy(self):
         with pytest.raises(RequestError, match="unknown strategy"):
             PlannerService().simulate(dict(VGG, strategy="zpp"))
@@ -257,6 +292,27 @@ class TestHTTPTransport:
         ("/plan", {"model": "vgg16", "memory_limit_bytes": "big"},
          "memory_limit_bytes"),
         ("/plan", {"model": "vgg16", "bucket_bytes": "x"}, "bucket_bytes"),
+        ("/plan", {"model": "vgg16", "bucket_bytes": float("nan")},
+         "bucket_bytes must be > 0"),
+        ("/plan", {"model": "vgg16", "memory_limit_bytes": float("nan")},
+         "memory_limit_bytes must be finite and > 0, got nan"),
+        ("/plan", {"model": "vgg16", "memory_limit_bytes": 0},
+         "memory_limit_bytes must be finite"),
+        ("/plan", {"model": "vgg16", "memory_limit_bytes": -5},
+         "memory_limit_bytes must be finite"),
+        ("/plan", {"model": "vgg16", "allow_replication": "false"},
+         "bad allow_replication 'false': expected bool"),
+        ("/plan", {"model": "vgg16", "memory_refine": "no"},
+         "bad memory_refine 'no': expected bool"),
+        ("/simulate", {"model": "vgg16", "allow_replication": 0},
+         "bad allow_replication 0: expected bool"),
+        ("/plan", {"model": "vgg16", "recompute": "always"},
+         "recompute must be None or 'auto'"),
+        ("/plan", {"model": "vgg16", "tp_degrees": [1, 2],
+                   "bucket_bytes": 1e6}, "cannot be combined"),
+        ("/sweep", {"models": ["vgg16"], "counts": [4],
+                    "bucket_sizes": [float("nan")]},
+         "bucket_bytes must be > 0"),
         ("/plan", {"model": "vgg16", "device": "tpu9"}, "unknown device"),
         ("/plan", {"model": "vgg16", "servers": 0}, "num_servers"),
         ("/plan", {"model": "vgg16", "vectorize": False},
