@@ -14,6 +14,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from typing import List, Optional
 
@@ -242,7 +243,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the planner HTTP service until interrupted."""
+    """Run the planner HTTP service until SIGINT or SIGTERM, then stop
+    gracefully (see :meth:`PlannerHTTPServer.server_close`) and exit 0."""
     from repro.serve import PlannerService, make_server
 
     service = PlannerService(
@@ -256,12 +258,17 @@ def cmd_serve(args) -> int:
     print(f"planner service listening on http://{host}:{port} "
           f"(plan cache {args.plan_cache}, "
           f"warm start {'off' if args.cold else 'on'})")
+    def interrupt(signum, frame):
+        raise KeyboardInterrupt
+
+    previous = signal.signal(signal.SIGTERM, interrupt)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down")
     finally:
         server.server_close()
+        signal.signal(signal.SIGTERM, previous)
     return 0
 
 

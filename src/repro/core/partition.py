@@ -175,6 +175,32 @@ def allreduce_bytes_per_worker(weight_bytes: float, num_workers: int) -> float:
     return 2.0 * (num_workers - 1) / num_workers * weight_bytes
 
 
+def canonical_spec_key(
+    spec: PlanSpec, profile: ModelProfile, num_workers: int
+) -> tuple:
+    """``spec.key()`` with every memory cap that cannot bind keyed as one.
+
+    A cap at or above :func:`repro.sim.memory.memory_ceiling` passes every
+    comparison a solve over ``num_workers`` workers makes, so the DP
+    tables, the plan and its price do not depend on its value: all such
+    caps are keyed ``inf``.  That stays distinct from "uncapped" (the
+    refined DP runs only under a cap), and a cap below the ceiling keeps
+    its own value.  The solver still compares against the caller's cap;
+    only the keys — the optimizer's shared-table namespace and the planner
+    service's plan-cache key, which both come from here — are shared.
+    """
+    # Imported at call time: repro.sim.memory imports this module.
+    from repro.sim.memory import memory_ceiling
+
+    cap = spec.memory_limit_bytes
+    if cap is None or cap < memory_ceiling(profile, num_workers):
+        return spec.key()
+    return tuple([
+        (name, math.inf if name == "memory_limit_bytes" else value)
+        for name, value in spec.key()
+    ])
+
+
 class SolverContext:
     """Warm-start state shared by :class:`PipeDreamOptimizer` instances.
 
@@ -210,10 +236,12 @@ class SolverContext:
 
     Every cache is value-transparent: a warm-started solve returns results
     bitwise identical to a cold one (asserted across all axes by
-    ``tests/test_solver_context.py``).  ``lock`` serializes solves that
-    share the context; the planner service acquires it per query, and the
-    dict updates themselves are benign under the GIL (racing writers store
-    equal values).
+    ``tests/test_solver_context.py``).  Solves that share a context run
+    concurrently and unserialized: an entry is a pure function of its key,
+    is stored whole and is never written to afterwards, so racing solves
+    store equal values and a reader sees a complete entry or none
+    (``tests/test_serve.py::TestConcurrencyStress``).  ``lock`` guards the
+    counters only.
     """
 
     def __init__(self, profile: ModelProfile):
@@ -399,8 +427,10 @@ class PipeDreamOptimizer:
         #: changes DP table *values*.  Entries written under one namespace
         #: can never be read under another, which is what makes sharing a
         #: context across memory caps / option mixes safe (the memory limit
-        #: is baked into the level tables' feasibility masks).
-        self._cache_ns = (topology.compute_scale,) + effective.key()
+        #: is baked into the level tables' feasibility masks — except a
+        #: cap no mask can feel, see :func:`canonical_spec_key`).
+        self._cache_ns = (topology.compute_scale,) + canonical_spec_key(
+            effective, profile, topology.total_workers)
         #: level-table memo for the level DP, keyed by the namespace
         #: plus the (count, bandwidth, allreduce_bandwidth) tuple of every
         #: level up to and including the one the table belongs to.  Subset

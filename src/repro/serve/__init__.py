@@ -12,6 +12,7 @@ from repro.serve.service import (
     NormalizedQuery,
     PlannerService,
     RequestError,
+    RequestTooLarge,
     normalize_plan_request,
     topology_from_dict,
     topology_to_dict,
@@ -25,6 +26,7 @@ __all__ = [
     "PlannerHTTPServer",
     "PlannerService",
     "RequestError",
+    "RequestTooLarge",
     "ServerThread",
     "make_server",
     "normalize_plan_request",

@@ -3,16 +3,18 @@
 ``PlannerClient`` wraps a :class:`~repro.serve.service.PlannerService`
 directly (no sockets — embedders and the sweep harness use this);
 ``HTTPPlannerClient`` speaks the JSON API of
-:mod:`repro.serve.server` over urllib.  Both expose ``plan`` /
+:mod:`repro.serve.server` over one persistent ``http.client``
+connection.  Both expose ``plan`` /
 ``simulate`` / ``sweep`` / ``batch`` / ``stats`` with identical payloads,
 so code written against one runs against the other.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.serve.service import PlannerService, RequestError
@@ -45,32 +47,57 @@ class HTTPPlannerClient:
 
     4xx responses raise :class:`~repro.serve.service.RequestError` (same
     type the in-process path raises), 5xx raise ``RuntimeError``.
+
+    A client keeps one keep-alive connection, opened by the first request
+    and re-opened once when the server has closed it; requests from
+    several threads take turns on it.
     """
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        url = urllib.parse.urlsplit(self.base_url)
+        self._path = url.path
+        self._connection = http.client.HTTPConnection(
+            url.hostname, url.port, timeout=timeout)
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the connection (the next request opens a new one)."""
+        with self._lock:
+            self._connection.close()
 
     # ------------------------------------------------------------------
     def _request(self, path: str, body: Optional[Any] = None) -> Any:
-        url = f"{self.base_url}{path}"
         data = None if body is None else json.dumps(body).encode()
-        request = urllib.request.Request(
-            url, data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-            method="POST" if data is not None else "GET",
-        )
+        with self._lock:
+            for last_try in (False, True):
+                try:
+                    self._connection.request(
+                        "GET" if data is None else "POST", self._path + path,
+                        body=data,
+                        headers={"Content-Type": "application/json"}
+                        if data else {},
+                    )
+                    response = self._connection.getresponse()
+                    status, raw = response.status, response.read()
+                    break
+                except (ConnectionError, http.client.HTTPException):
+                    # The server closed the idle connection (a restart, a
+                    # reply that said so): every request is a pure query,
+                    # so asking again on a new one is safe.
+                    self._connection.close()
+                    if last_try:
+                        raise
+        if status < 400:
+            return json.loads(raw)
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                return json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            try:
-                message = json.loads(exc.read()).get("error", str(exc))
-            except Exception:  # noqa: BLE001 - body may not be JSON
-                message = str(exc)
-            if 400 <= exc.code < 500:
-                raise RequestError(message) from exc
-            raise RuntimeError(message) from exc
+            message = json.loads(raw)["error"]
+        except (ValueError, TypeError, KeyError):  # body is not our JSON
+            message = f"HTTP {status}"
+        if status < 500:
+            raise RequestError(message)
+        raise RuntimeError(message)
 
     # ------------------------------------------------------------------
     def plan(self, request: Dict[str, Any]) -> Dict[str, Any]:
@@ -91,5 +118,6 @@ class HTTPPlannerClient:
     def healthy(self) -> bool:
         try:
             return bool(self._request("/healthz").get("ok"))
-        except (OSError, RuntimeError, RequestError):
+        except (OSError, http.client.HTTPException, RuntimeError,
+                RequestError):
             return False

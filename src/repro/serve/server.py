@@ -11,23 +11,41 @@ Endpoints::
     POST /simulate  plan fields + {strategy, minibatches, engine}
     POST /sweep     {models, counts, ...}                  -> {records}
     POST /batch     {requests: [...]}                      -> {results}
-    GET  /stats     reuse-layer counters
+    GET  /stats     request counts, ``coalesced`` waiters, reuse-layer
+                    hit/miss counters
     GET  /healthz   {"ok": true}
 
-``ThreadingHTTPServer`` gives one thread per connection; the service
-itself is thread-safe, so concurrent clients are supported directly.
+``ThreadingHTTPServer`` gives one thread per connection (HTTP/1.1
+keep-alive); the service itself is thread-safe, so concurrent clients are
+supported directly.  The wire rules, all in this module:
+
+- every reply — status line, headers, body — leaves in one ``sendall`` on
+  a ``TCP_NODELAY`` socket;
+- a request whose body is not read (``Content-Length`` missing, not a
+  number, or over ``_MAX_BODY_BYTES`` → 400 / 413) closes the connection
+  with its reply, so unread bytes are never parsed as the next request;
+  a :class:`~repro.serve.service.RequestError` answers with its
+  ``status`` (400, or 413 for a batch over its limit);
+- :meth:`PlannerHTTPServer.server_close` stops listening, closes idle
+  keep-alive connections and gives requests in flight ``_DRAIN_SECONDS``
+  to be answered.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Set, Tuple
 
-from repro.serve.service import PlannerService, RequestError
+from repro.serve.service import PlannerService, RequestError, RequestTooLarge
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024  # inline profiles are ~KBs; 16MB is ample
+#: How long :meth:`PlannerHTTPServer.server_close` waits for requests in
+#: flight to be answered.
+_DRAIN_SECONDS = 2.0
 
 
 class _PlannerRequestHandler(BaseHTTPRequestHandler):
@@ -35,6 +53,9 @@ class _PlannerRequestHandler(BaseHTTPRequestHandler):
 
     server: "PlannerHTTPServer"
     protocol_version = "HTTP/1.1"
+    # A reply is one small segment; Nagle would hold it for the client's
+    # delayed ACK of the one before.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     # Plumbing
@@ -44,22 +65,53 @@ class _PlannerRequestHandler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        """The one response writer: status line, headers and body leave in
+        a single ``sendall`` (``wfile`` is unbuffered), so no reply waits
+        on an ACK of its own first half."""
         body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = (
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
+        )
+        self.log_request(status)
+        self.wfile.write(head.encode("latin-1") + body)
+
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """``http.server``'s own rejections (a request line it cannot
+        parse, an unsupported method) as the same JSON, the same way."""
+        self.close_connection = True
+        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
 
     def _read_json(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
-        if length <= 0:
-            raise RequestError("a JSON request body is required")
+        """The request body, parsed.  A body that is not read leaves the
+        stream mis-framed — its bytes would be taken for the next request
+        line — so those errors close the connection with their reply."""
+        declared = self.headers.get("Content-Length")
+        try:
+            length = int(declared)
+            if length < 0:
+                raise ValueError(declared)
+        except (TypeError, ValueError) as exc:
+            self.close_connection = True
+            raise RequestError(
+                f"bad Content-Length {declared!r}: a JSON request body "
+                "and its length in bytes are required") from exc
         if length > _MAX_BODY_BYTES:
-            raise RequestError("request body too large")
+            self.close_connection = True
+            raise RequestTooLarge(
+                f"request body of {length} bytes is over the limit of "
+                f"{_MAX_BODY_BYTES}")
+        if length == 0:
+            raise RequestError("a JSON request body is required")
         try:
             return json.loads(self.rfile.read(length))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise RequestError(f"invalid JSON body: {exc}") from exc
 
     # ------------------------------------------------------------------
@@ -94,7 +146,7 @@ class _PlannerRequestHandler(BaseHTTPRequestHandler):
                 )
                 return
         except RequestError as exc:
-            self._send_json(400, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - server must not die
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
         else:
@@ -102,8 +154,15 @@ class _PlannerRequestHandler(BaseHTTPRequestHandler):
 
 
 class PlannerHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one planner service."""
+    """A :class:`ThreadingHTTPServer` bound to one planner service.
 
+    :meth:`server_close` is a graceful stop: it stops listening, closes
+    the keep-alive connections that are idle, and gives the requests in
+    flight ``_DRAIN_SECONDS`` to be answered.
+    """
+
+    # A request still running when the drain runs out does not hold the
+    # process.
     daemon_threads = True
 
     def __init__(
@@ -115,6 +174,33 @@ class PlannerHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _PlannerRequestHandler)
         self.service = service
         self.verbose = verbose
+        self._connections: Set[socket.socket] = set()
+        self._connection_closed = threading.Condition()
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        with self._connection_closed:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        super().shutdown_request(request)
+        with self._connection_closed:
+            self._connections.discard(request)
+            self._connection_closed.notify_all()
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._connection_closed:
+            for connection in self._connections:
+                # End of input: an idle handler sees EOF where it waits for
+                # the next request line and closes; a busy one still writes
+                # its reply, then sees the same.
+                try:
+                    connection.shutdown(socket.SHUT_RD)
+                except OSError:
+                    pass  # the peer is already gone
+            self._connection_closed.wait_for(
+                lambda: not self._connections, timeout=_DRAIN_SECONDS)
 
 
 def make_server(

@@ -10,10 +10,12 @@ answer is bitwise identical to a cold :meth:`PipeDreamOptimizer.solve`):
    ``(profile digest, topology signature, num_workers, memory limit,
    solver options)`` before anything runs, so syntactically different but
    semantically equal requests (``{"model": "vgg16"}`` vs. the same
-   profile inlined as JSON; precision via flag vs. pre-converted bytes)
-   hit one bounded LRU entry.  Precision is part of the key through the
-   digest: converting element widths changes the profile bytes and hence
-   the digest.
+   profile inlined as JSON; precision via flag vs. pre-converted bytes;
+   two memory caps that cannot bind, see
+   :func:`~repro.core.partition.canonical_spec_key`) hit one bounded LRU
+   entry.  Precision is part of the key through the digest: converting
+   element widths changes the profile bytes and hence the digest.
+   Identical misses in flight at once are answered by one solve.
 2. **Warm-started solves** — cache misses solve with a
    :class:`~repro.core.partition.SolverContext` drawn from a per-profile
    pool, reusing level tables, bound matrices, comm tables, and suffix-DP
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +40,7 @@ from repro.core.partition import (
     PipeDreamOptimizer,
     SolverContext,
     SolverContextPool,
+    canonical_spec_key,
     eval_tables_stats,
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
@@ -70,8 +74,21 @@ _SIMULATE_ONLY_KEYS = frozenset({"strategy", "minibatches", "engine",
 _SIMULATE_KEYS = _PLAN_KEYS | _SIMULATE_ONLY_KEYS
 
 
+#: Slots one :meth:`PlannerService.batch` call may carry.
+MAX_BATCH_REQUESTS = 1024
+
+
 class RequestError(ValueError):
     """A malformed or unsatisfiable request (HTTP 400, not a server bug)."""
+
+    #: The HTTP status the server answers with.
+    status = 400
+
+
+class RequestTooLarge(RequestError):
+    """A request over a fixed size limit (HTTP 413)."""
+
+    status = 413
 
 
 def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
@@ -259,10 +276,10 @@ def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
     # The canonical identity of the query.  The profile digest already
     # encodes precision (element width changes the serialized bytes); the
     # topology enters by value, so a named cluster and its inline JSON
-    # twin are the same query.
+    # twin are the same query; so are two caps that cannot bind.
     key = (
         profile.digest(), _topology_signature(solve_topology), num_workers,
-    ) + spec.key()
+    ) + canonical_spec_key(spec, profile, num_workers)
     return NormalizedQuery(profile, solve_topology, num_workers, spec, key)
 
 
@@ -293,10 +310,11 @@ class PlannerService:
             plan cache still applies; disable both for a fully cold
             service.
 
-    Thread-safe: the caches are internally locked, per-profile solver
-    state is serialized on its context lock, and counters take the
-    service lock.  Correctness under concurrent clients is asserted by
-    ``tests/test_serve.py``.
+    Thread-safe: the caches are internally locked, solves sharing a
+    context store equal values (see
+    :class:`~repro.core.partition.SolverContext`), and the counters and
+    the table of solves in flight take the service lock.  Correctness
+    under concurrent clients is asserted by ``tests/test_serve.py``.
     """
 
     def __init__(
@@ -310,6 +328,9 @@ class PlannerService:
         self.warm_start = warm_start
         self._lock = threading.Lock()
         self._requests = {"plan": 0, "simulate": 0, "sweep": 0, "batch": 0}
+        #: canonical key -> the solve answering it right now
+        self._inflight: Dict[tuple, Future] = {}
+        self._coalesced = 0
 
     # ------------------------------------------------------------------
     # Internals
@@ -330,9 +351,40 @@ class PlannerService:
         )
 
     def _plan_normalized(self, query: NormalizedQuery) -> Dict[str, Any]:
-        cached = self.plan_cache.get(("plan", query.key))
-        if cached is not None:
-            return dict(cached, cached=True)
+        """The plan of ``query``: from the cache, from an identical solve
+        already in flight (single-flight: N concurrent misses on one
+        canonical key run one solve and share its payload, or its error),
+        or from a solve of its own — the only reply with ``cached`` false.
+        """
+        key = ("plan", query.key)
+        with self._lock:
+            payload = self.plan_cache.get(key)
+            flight = None if payload is not None else self._inflight.get(key)
+            solving = payload is None and flight is None
+            if solving:
+                self._inflight[key] = flight = Future()
+            elif flight is not None:
+                self._coalesced += 1
+        if solving:
+            try:
+                payload = self._solve(query)
+                # Stored before the flight leaves the table, so a request
+                # that finds no flight finds the plan.
+                self.plan_cache.put(key, payload)
+                flight.set_result(payload)
+            except BaseException as exc:
+                flight.set_exception(exc)
+                raise
+            finally:
+                with self._lock:
+                    del self._inflight[key]
+        elif flight is not None:
+            payload = flight.result()
+        # Caps that cannot bind share one entry; each reply echoes its own.
+        return dict(payload, memory_limit_bytes=query.memory_limit_bytes,
+                    cached=not solving)
+
+    def _solve(self, query: NormalizedQuery) -> Dict[str, Any]:
         try:
             result = self._optimizer(query).solve(query.num_workers)
         except RuntimeError as exc:  # infeasible (e.g. memory cap too tight)
@@ -347,8 +399,7 @@ class PlannerService:
             "solve_seconds": result.solve_seconds,
         }
         payload.update(_opt_in_fields(query.spec, result.stages))
-        self.plan_cache.put(("plan", query.key), payload)
-        return dict(payload, cached=False)
+        return payload
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -499,6 +550,10 @@ class PlannerService:
         self._count("batch")
         if not isinstance(requests, (list, tuple)):
             raise RequestError("'requests' must be a list")
+        if len(requests) > MAX_BATCH_REQUESTS:
+            raise RequestTooLarge(
+                f"a batch carries at most {MAX_BATCH_REQUESTS} requests, "
+                f"got {len(requests)}")
         normalized: List[Tuple[int, Any]] = []
         for index, request in enumerate(requests):
             try:
@@ -527,11 +582,15 @@ class PlannerService:
         return results  # type: ignore[return-value]
 
     def stats(self) -> Dict[str, Any]:
-        """Service counters plus every reuse layer's hit/miss stats."""
+        """Requests per endpoint, plan requests that waited on an
+        identical solve in flight (``coalesced``), and every reuse
+        layer's hit/miss stats."""
         with self._lock:
             requests = dict(self._requests)
+            coalesced = self._coalesced
         return {
             "requests": requests,
+            "coalesced": coalesced,
             "warm_start": self.warm_start,
             "plan_cache": self.plan_cache.stats(),
             "solver_contexts": self.contexts.stats(),

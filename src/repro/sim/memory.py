@@ -143,6 +143,26 @@ def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,
             + acts_term)
 
 
+def memory_ceiling(profile: ModelProfile, num_workers: int) -> int:
+    """A closed-form bound on every :func:`stage_memory_cost` value a
+    solve over ``num_workers`` workers compares with its memory cap:
+    ``(Σ weight_bytes + Σ activation_bytes) · max(num_workers, 2)``.
+
+    The kernel is ``eager·d + deferred·⌈d/r⌉ + acts_term`` with
+    ``eager + deferred`` at most the span's weights (tp only divides a
+    share of them), ``⌈d/r⌉ <= d`` and ``acts_term <= acts·d`` (recompute is
+    clamped at stash-everything), so it is at most ``(W + A)·d`` for the
+    whole model's weights ``W`` and activations ``A``.  The depth ``d`` is
+    a 1F1B warmup count, at most ``num_workers`` — in the refined DP's
+    masks, the bound-only matrix and :func:`pipeline_memory_footprint`
+    alike — except that the phase-1 floor prices a non-final span at depth
+    2 whatever the worker count, hence the ``max``.  A cap at or above the
+    ceiling therefore cannot flip one ``cost <= cap`` comparison: the
+    solver's tables under it do not depend on its value.
+    """
+    return data_parallel_memory_footprint(profile) * max(num_workers, 2)
+
+
 def stage_memory_bytes(
     profile: ModelProfile,
     start: int,

@@ -10,11 +10,23 @@ Three properties carry the subsystem:
    return identical payloads, and errors map to the same exception type.
 """
 
+import contextlib
+import json
+import os
+import random
+import re
+import signal
+import socket
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.core.partition import PipeDreamOptimizer
+from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 from repro.serve import (
@@ -22,25 +34,21 @@ from repro.serve import (
     PlannerClient,
     PlannerService,
     RequestError,
+    RequestTooLarge,
     ServerThread,
     normalize_plan_request,
     topology_to_dict,
 )
+from repro.serve import server as server_module
+from repro.serve.service import MAX_BATCH_REQUESTS
+from repro.sim.memory import memory_ceiling
 
 VGG = {"model": "vgg16", "cluster": "a", "servers": 1}
 
 
 def cold_payload(request):
     """Ground truth: solve the normalized query with a fresh optimizer."""
-    query = normalize_plan_request(request)
-    result = PipeDreamOptimizer(
-        query.profile, query.topology, **query.spec.options(),
-    ).solve(query.num_workers)
-    return (
-        [[s.start, s.stop, s.replicas] for s in result.stages],
-        result.slowest_stage_time,
-        list(result.memory_bytes),
-    )
+    return served_tuple(plan_reply(request))
 
 
 def served_tuple(payload):
@@ -265,7 +273,9 @@ class TestHTTPTransport:
     def server(self):
         service = PlannerService()
         with ServerThread(service) as url:
-            yield HTTPPlannerClient(url), PlannerClient(service)
+            http = HTTPPlannerClient(url)
+            yield http, PlannerClient(service)
+            http.close()
 
     def test_healthz(self, server):
         http, _ = server
@@ -370,6 +380,7 @@ class TestHTTPTransport:
             assert second_url != http.base_url
             assert second.healthy() and http.healthy()
             assert served_tuple(second.plan(VGG)) == served_tuple(http.plan(VGG))
+            second.close()
 
     def test_concurrent_clients_all_correct(self, server):
         http, _ = server
@@ -393,3 +404,466 @@ class TestHTTPTransport:
         for t in threads:
             t.join()
         assert not failures
+
+
+# ----------------------------------------------------------------------
+# The wire: framing, keep-alive, shutdown — driven over a raw socket,
+# because a client library hides exactly what these check.
+# ----------------------------------------------------------------------
+
+HEALTHZ = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+
+
+def http_post(path, body, content_length=None):
+    """One POST as bytes; ``content_length`` overrides the true length."""
+    length = len(body) if content_length is None else content_length
+    return (f"POST {path} HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode() + body
+
+
+class RawConnection:
+    """One HTTP/1.1 connection driven by hand."""
+
+    def __init__(self, url):
+        host, port = url.split("//")[1].split(":")
+        self.sock = socket.create_connection((host, int(port)), timeout=10)
+        self.file = self.sock.makefile("rb")
+
+    def send(self, data):
+        self.sock.sendall(data)
+
+    def reply(self):
+        """``(status, headers, JSON body)`` of the next reply, or ``None``
+        once the server has closed the connection."""
+        try:
+            line = self.file.readline()
+            if not line:
+                return None
+            headers = {}
+            while (header := self.file.readline()) not in (b"\r\n", b""):
+                name, _, value = header.decode().partition(":")
+                headers[name.lower()] = value.strip()
+            body = self.file.read(int(headers["content-length"]))
+        except ConnectionError:
+            return None
+        return int(line.split()[1]), headers, json.loads(body)
+
+    def next_request_state(self):
+        """Send one more request: "open" when it is answered correctly,
+        "closed" when the server has closed the connection — a reply that
+        is neither (the unread body parsed as a request line) fails."""
+        try:
+            self.send(HEALTHZ)
+        except ConnectionError:
+            return "closed"
+        reply = self.reply()
+        if reply is None:
+            return "closed"
+        assert (reply[0], reply[2]) == (200, {"ok": True}), reply
+        return "open"
+
+    def close(self):
+        self.file.close()
+        self.sock.close()
+
+
+def plan_reply(request):
+    """Every value-bearing field of a ``/plan`` reply, from a context-free
+    solve — or the infeasibility message."""
+    query = normalize_plan_request(request)
+    try:
+        plan = PipeDreamOptimizer(
+            query.profile, query.topology, **query.spec.options(),
+        ).solve(query.num_workers)
+    except RuntimeError as exc:
+        return str(exc)
+    reply = {
+        "stages": [[s.start, s.stop, s.replicas] for s in plan.stages],
+        "config": plan.config_string,
+        "num_workers": plan.num_workers,
+        "slowest_stage_time": plan.slowest_stage_time,
+        "memory_bytes": list(plan.memory_bytes),
+        "memory_limit_bytes": plan.memory_limit_bytes,
+    }
+    if query.spec.recompute is not None:
+        reply["stage_recompute"] = [bool(s.recompute) for s in plan.stages]
+    if query.spec.tp_degrees is not None:
+        reply["stage_tp_degrees"] = [s.tp_degree for s in plan.stages]
+    return reply
+
+
+def served_reply(client, request):
+    """The same fields as :func:`plan_reply`, as ``client`` serves them."""
+    try:
+        payload = client.plan(request)
+    except RequestError as exc:
+        return str(exc)
+    return {k: v for k, v in payload.items()
+            if k not in ("cached", "solve_seconds")}
+
+
+@contextlib.contextmanager
+def fast_thread_switching():
+    """A 0.1 ms switch interval, so threads interleave inside the few
+    milliseconds a solve takes."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def inline_profile(num_layers, seed):
+    """A never-seen profile with shardable and BPTT-deferred layers."""
+    rng = random.Random(seed)
+    return ModelProfile(f"inline-{seed}", [
+        LayerProfile(
+            f"l{i}", rng.uniform(0.005, 0.05), rng.randrange(10_000, 90_000),
+            rng.randrange(100_000, 900_000),
+            kind=rng.choice(("embedding", "fc", "lstm", "conv", "fc", "pool")),
+        )
+        for i in range(num_layers)
+    ], batch_size=8)
+
+
+class TestFraming:
+    @pytest.fixture(scope="class")
+    def url(self):
+        with ServerThread(PlannerService()) as url:
+            yield url
+
+    BODY = json.dumps(VGG).encode()
+    OVERSIZED = server_module._MAX_BODY_BYTES + 1
+
+    @pytest.mark.parametrize("message, status, error, then", [
+        # The body is never read: answering on would parse it as a request.
+        (http_post("/plan", BODY).replace(
+            f"Content-Length: {len(BODY)}".encode(), b"Content-Length: abc"),
+         400, "bad Content-Length 'abc'", "closed"),
+        (http_post("/plan", BODY, content_length=-5),
+         400, "bad Content-Length '-5'", "closed"),
+        (http_post("/plan", BODY).replace(
+            f"Content-Length: {len(BODY)}\r\n".encode(), b""),
+         400, "bad Content-Length None", "closed"),
+        (http_post("/plan", BODY, content_length=OVERSIZED),
+         413, f"{OVERSIZED} bytes is over the limit of "
+              f"{server_module._MAX_BODY_BYTES}", "closed"),
+        (b"{\"model\": \"vgg16\"} /plan\r\n\r\n", 400, "Bad request", "closed"),
+        # The body is read in full: the connection carries on.
+        (http_post("/batch", json.dumps(
+            {"requests": [{}] * (MAX_BATCH_REQUESTS + 1)}).encode()),
+         413, f"at most {MAX_BATCH_REQUESTS} requests", "open"),
+        (http_post("/plan", b"{not json"), 400, "invalid JSON body", "open"),
+        (http_post("/plan", b"\xff\xfe\xfd"), 400, "invalid JSON body", "open"),
+        (http_post("/plan", b""), 400, "body is required", "open"),
+        (http_post("/plan", BODY), 200, None, "open"),
+    ], ids=["length-abc", "length-negative", "length-missing",
+            "length-over-limit", "request-line-garbage", "batch-over-limit",
+            "bad-json", "bad-utf8", "empty-body", "good"])
+    def test_reply_and_what_the_connection_does_next(
+            self, url, message, status, error, then):
+        connection = RawConnection(url)
+        try:
+            connection.send(HEALTHZ)  # a keep-alive connection in use
+            assert connection.reply()[0] == 200
+            connection.send(message)
+            got, headers, body = connection.reply()
+            assert got == status
+            if error is None:
+                assert body["config"] == "3-1"
+            else:
+                assert error in body["error"]
+            assert (headers.get("connection") == "close") == (then == "closed")
+            assert connection.next_request_state() == then
+        finally:
+            connection.close()
+
+    def test_unread_body_is_never_taken_for_a_request(self, url):
+        """The parent answered ``400 Bad request syntax ('{"model": ...}GET
+        /healthz HTTP/1.1')`` here: the body it had refused to read."""
+        connection = RawConnection(url)
+        try:
+            connection.send(
+                http_post("/plan", self.BODY, content_length=self.OVERSIZED)
+                + HEALTHZ)
+            assert connection.reply()[0] == 413
+            assert connection.reply() is None
+        finally:
+            connection.close()
+
+    def test_batch_limit_in_process(self):
+        with pytest.raises(RequestTooLarge, match="at most") as too_large:
+            PlannerService().batch([{}] * (MAX_BATCH_REQUESTS + 1))
+        assert too_large.value.status == 413
+        assert len(PlannerService().batch([{}] * MAX_BATCH_REQUESTS)) == \
+            MAX_BATCH_REQUESTS
+
+
+class TestKeepAlive:
+    def test_fifty_hot_plans_on_one_connection_inside_a_second(self):
+        """A reply written as two segments stalls ~44 ms per request on a
+        keep-alive connection (Nagle against the client's delayed ACK):
+        2.2 s for these fifty."""
+        service = PlannerService()
+        service.plan(VGG)
+        hot = service.plan(VGG)
+        message = http_post("/plan", json.dumps(VGG).encode())
+        with ServerThread(service) as url:
+            connection = RawConnection(url)
+            try:
+                start = time.perf_counter()
+                replies = []
+                for _ in range(50):
+                    connection.send(message)
+                    replies.append(connection.reply())
+                elapsed = time.perf_counter() - start
+            finally:
+                connection.close()
+        assert all(status == 200 and body == hot
+                   for status, _, body in replies)
+        assert elapsed < 1.0
+
+    def test_client_keeps_one_connection_and_reconnects_once(self):
+        service = PlannerService()
+        accepted = []
+
+        def counting(server):
+            process_request = server.process_request
+
+            def process(request, client_address):
+                accepted.append(client_address)
+                process_request(request, client_address)
+            server.process_request = process
+
+        first = ServerThread(service)
+        counting(first.server)
+        with first as url:
+            client = HTTPPlannerClient(url)
+            for _ in range(3):
+                assert served_tuple(client.plan(VGG)) == cold_payload(VGG)
+            assert client.stats()["requests"]["plan"] == 3
+            assert len(accepted) == 1
+            port = first.server.server_address[1]
+        # The server went away and came back: the idle connection is dead,
+        # and the next request opens a new one without the caller knowing.
+        second = ServerThread(service, port=port)
+        counting(second.server)
+        with second:
+            assert client.plan(VGG)["cached"] is True
+            assert client.healthy()
+            assert len(accepted) == 2
+        assert not client.healthy()
+        with pytest.raises(OSError):
+            client.plan(VGG)
+        client.close()
+
+
+class TestSingleFlight:
+    def run_together(self, count, call):
+        """``call()`` from ``count`` threads released at once; the results
+        (or raised ``RequestError``s) in thread order."""
+        barrier = threading.Barrier(count)
+        results = [None] * count
+
+        def worker(index):
+            barrier.wait()
+            try:
+                results[index] = call()
+            except RequestError as exc:
+                results[index] = exc
+
+        threads = [threading.Thread(target=worker, args=(index,))
+                   for index in range(count)]
+        with fast_thread_switching():  # the solve must not outrun the waiters
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        return results
+
+    def test_concurrent_identical_misses_run_one_solve(self):
+        profile = inline_profile(30, seed=1)
+        request = {"profile": profile.to_dict(), "cluster": "a",
+                   "servers": 4, "memory_limit_bytes": 4e7}
+        service = PlannerService()
+        replies = self.run_together(8, lambda: service.plan(request))
+        context = service.contexts.get(profile)
+        assert context.stats()["solves"] == 1
+        assert sum(reply["cached"] is False for reply in replies) == 1
+        cold = plan_reply(request)
+        assert isinstance(cold, dict)
+        for reply in replies:
+            assert {k: v for k, v in reply.items()
+                    if k not in ("cached", "solve_seconds")} == cold
+        stats = service.stats()
+        # Whoever did not solve either waited on the solve or found its
+        # plan in the cache.
+        assert stats["coalesced"] + stats["plan_cache"]["hits"] == 7
+        assert stats["coalesced"] >= 1
+
+    def test_waiters_get_the_same_request_error(self):
+        request = dict(VGG, memory_limit_bytes=1e6)
+        service = PlannerService()
+        replies = self.run_together(6, lambda: service.plan(request))
+        assert all(isinstance(reply, RequestError) for reply in replies)
+        assert {str(reply) for reply in replies} == {plan_reply(request)}
+        assert service._inflight == {}
+        # Errors are not cached: the next request solves (and fails) again.
+        with pytest.raises(RequestError, match="memory_limit_bytes=1e\\+06"):
+            service.plan(request)
+
+
+class TestConcurrencyStress:
+    """16 clients x 40 requests against one server and one context pool:
+    every reply must be, bitwise, what a context-free solve gives.
+
+    The mix is what the shared state sees in service — repeated keys
+    (plan cache, single-flight), binding and non-binding caps on shared
+    contexts (level tables, suffix rows, bound matrices written by racing
+    solves), never-seen inline profiles (pool churn), tp and recompute
+    (the per-solve memoised planes, the evaluator's table cache)."""
+
+    CLIENTS, REQUESTS = 16, 40
+    MODELS = ("vgg16", "gnmt8", "resnet50")
+
+    def requests_of(self, client):
+        rng = random.Random(f"stress/{client}")
+        requests = []
+        for index in range(self.REQUESTS):
+            model = rng.choice(self.MODELS)
+            request = {"model": model, "cluster": "a", "servers": 2,
+                       "num_workers": rng.choice((4, 8))}
+            ceiling = memory_ceiling(
+                analytic_profile(model), request["num_workers"])
+            draw = rng.random()
+            if draw < 0.35:
+                pass  # hot
+            elif draw < 0.50:  # binding (or infeasible), from a small menu
+                request["memory_limit_bytes"] = \
+                    rng.choice((0.05, 0.15, 0.3, 0.6)) * ceiling
+            elif draw < 0.65:  # cannot bind, never seen
+                request["memory_limit_bytes"] = \
+                    float(ceiling + rng.randrange(1 << 40))
+            elif draw < 0.75:  # inline cold; a few are shared by clients
+                seed = rng.choice((client * 1000 + index, index % 3))
+                request = {"profile": inline_profile(10, seed).to_dict(),
+                           "cluster": "a", "servers": 2}
+            elif draw < 0.88:
+                request["tp_degrees"] = [1, 2]
+                if rng.random() < 0.5:
+                    request["memory_limit_bytes"] = 0.3 * ceiling
+            else:
+                request["recompute"] = "auto"
+                request["memory_limit_bytes"] = \
+                    rng.choice((0.1, 0.2)) * ceiling
+            requests.append(request)
+        return requests
+
+    def test_every_reply_equals_a_cold_solve(self):
+        streams = [self.requests_of(c) for c in range(self.CLIENTS)]
+        expected = {}
+        for stream in streams:
+            for request in stream:
+                key = json.dumps(request, sort_keys=True)
+                if key not in expected:
+                    expected[key] = plan_reply(request)
+        assert any(isinstance(reply, str) for reply in expected.values())
+        # A pool that evicts nothing, so every context's counters can be
+        # read back at the end.
+        service = PlannerService(context_capacity=len(expected))
+        wrong = []
+        barrier = threading.Barrier(self.CLIENTS)
+
+        def client_loop(url, stream):
+            client = HTTPPlannerClient(url)
+            barrier.wait()
+            try:
+                for request in stream:
+                    served = served_reply(client, request)
+                    want = expected[json.dumps(request, sort_keys=True)]
+                    if served != want:
+                        wrong.append((request, served, want))
+            except BaseException as exc:  # a thread must not die silently
+                wrong.append(("raised", repr(exc), None))
+            finally:
+                client.close()
+
+        with fast_thread_switching(), ServerThread(service) as url:
+            threads = [
+                threading.Thread(target=client_loop, args=(url, stream))
+                for stream in streams
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not wrong, wrong[:3]
+        stats = service.stats()
+        assert stats["requests"]["plan"] == self.CLIENTS * self.REQUESTS
+        assert service._inflight == {}
+        # No counter lost an update: every lookup was counted, and every
+        # miss either waited on a solve in flight or ran one.
+        cache = stats["plan_cache"]
+        assert cache["hits"] + cache["misses"] == self.CLIENTS * self.REQUESTS
+        assert cache["misses"] - stats["coalesced"] == sum(
+            context["solves"]
+            for context in stats["solver_contexts"]["contexts"].values()
+        )
+
+
+class TestGracefulShutdown:
+    SWEEP = {"models": ["vgg16", "gnmt16", "resnet50", "gnmt8"],
+             "cluster": "a", "servers": 4, "counts": [4, 8, 16],
+             "minibatches": 400}  # ~0.5 s
+
+    def test_sigterm_answers_the_request_in_flight_then_exits_zero(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+        server = subprocess.Popen(
+            [sys.executable, "-u", "-m", "repro.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            url = re.search(r"http://\S+:\d+", server.stdout.readline())[0]
+            idle, sweeping = RawConnection(url), RawConnection(url)
+            idle.send(HEALTHZ)
+            assert idle.reply()[0] == 200  # now an idle keep-alive connection
+            sweeping.send(http_post("/sweep", json.dumps(self.SWEEP).encode()))
+            probe = HTTPPlannerClient(url)
+            deadline = time.perf_counter() + 10
+            while probe.stats()["requests"]["sweep"] < 1:
+                assert time.perf_counter() < deadline
+                time.sleep(0.005)
+            server.send_signal(signal.SIGTERM)
+            sent = time.perf_counter()
+            status, _, body = sweeping.reply()
+            assert status == 200 and len(body["records"]) == 24
+            assert server.wait(timeout=3) == 0
+            assert time.perf_counter() - sent < 3
+            assert idle.reply() is None
+            assert not probe.healthy()
+            for connection in (idle, sweeping):
+                connection.close()
+            probe.close()
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+
+    def test_stop_closes_idle_connections_without_waiting(self):
+        thread = ServerThread(PlannerService())
+        url = thread.start().url
+        connection = RawConnection(url)
+        connection.send(HEALTHZ)
+        assert connection.reply()[0] == 200
+        start = time.perf_counter()
+        thread.stop()
+        assert time.perf_counter() - start < 1.0  # not the 2 s drain
+        assert connection.reply() is None
+        connection.close()

@@ -6,13 +6,17 @@ per endpoint through :class:`HTTPPlannerClient`, and asserts the answers
 are identical to the in-process service and (for /plan) bitwise-equal to
 a cold :meth:`PipeDreamOptimizer.solve`.  Error mapping is exercised too:
 a bad request must come back as HTTP 400 carrying the same message the
-in-process path raises.
+in-process path raises.  The wire itself is checked over a raw socket: two
+requests on one keep-alive connection, then a request that declares a
+body over the limit — 200, 200, 413.
 
 Usage: ``python tools/serve_smoke.py``  (exit 0 = pass)
 """
 
 from __future__ import annotations
 
+import json
+import socket
 import sys
 from pathlib import Path
 
@@ -37,6 +41,27 @@ def check(label: str, condition: bool) -> None:
     print(f"  {'ok' if condition else 'FAIL'}  {label}")
     if not condition:
         raise SystemExit(f"serve smoke failed: {label}")
+
+
+def statuses_on_one_connection(url: str) -> list:
+    """HTTP statuses of plan, plan, oversized plan on a single socket."""
+    host, port = url.split("//")[1].split(":")
+    body = json.dumps(PLAN_REQUEST).encode()
+    head = ("POST /plan HTTP/1.1\r\nHost: smoke\r\n"
+            "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n")
+    statuses = []
+    with socket.create_connection((host, int(port)), timeout=30) as sock, \
+            sock.makefile("rb") as replies:
+        for declared in (len(body), len(body), 1 << 40):
+            sock.sendall(head.format(declared).encode() + body)
+            statuses.append(int(replies.readline().split()[1]))
+            length = 0
+            while (header := replies.readline()) not in (b"\r\n", b""):
+                name, _, value = header.partition(b":")
+                if name.lower() == b"content-length":
+                    length = int(value)
+            replies.read(length)
+    return statuses
 
 
 def main() -> int:
@@ -86,6 +111,9 @@ def main() -> int:
                   "unknown model" in str(exc))
         else:
             check("errors: HTTP 400 -> RequestError", False)
+
+        check("wire: keep-alive 200, 200, then 413 for an oversized body",
+              statuses_on_one_connection(url) == [200, 200, 413])
 
         stats = http.stats()
         check("stats: plan cache hit recorded",
