@@ -11,11 +11,12 @@ from repro.core import (
     ModelProfile,
     PartitionResult,
     PipeDreamOptimizer,
+    PlanSpec,
     Schedule,
+    SimSpec,
     Stage,
     Topology,
     WeightStore,
-    brute_force_partition,
     data_parallel_schedule,
     gpipe_schedule,
     model_parallel_schedule,
@@ -83,6 +84,8 @@ from repro.sim import (
     simulate_model_parallel,
     simulate_partition,
     simulate_pipedream,
+    simulate_plan,
+    simulate_strategy,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

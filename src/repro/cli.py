@@ -6,6 +6,7 @@ Usage::
     python -m repro.cli profile vgg16 --device v100
     python -m repro.cli plan vgg16 --cluster a --servers 4 [--json out.json]
     python -m repro.cli simulate vgg16 --cluster a --servers 4 --strategy pipedream
+    python -m repro.cli simulate vgg16 --strategy gpipe --minibatches 12 --bucket-bytes 25e6
     python -m repro.cli sweep vgg16 gnmt8 --counts 4 16 --precisions fp32 fp16
     python -m repro.cli serve --port 8941
     python -m repro.cli timeline --stages 4 --minibatches 8 --schedule 1f1b
@@ -26,7 +27,7 @@ from repro.core.schedule import (
     model_parallel_schedule,
     one_f_one_b_schedule,
 )
-from repro.core.spec import PlanSpec
+from repro.core.spec import STRATEGY_NAMES, PlanSpec, SimSpec, check_scenario
 from repro.core.topology import cluster_1080ti, cluster_a, cluster_b, cluster_c
 from repro.profiler import analytic_profile, available_models
 from repro.sim import (
@@ -36,10 +37,7 @@ from repro.sim import (
     records_to_csv,
     run_sweep,
     simulate,
-    simulate_data_parallel,
-    simulate_gpipe,
-    simulate_model_parallel,
-    simulate_pipedream,
+    simulate_strategy,
 )
 from repro.utils import format_table, format_timeline
 
@@ -128,6 +126,12 @@ def cmd_simulate(args) -> int:
     faults = None
     if args.faults:
         faults = parse_faults(args.faults, num_workers=topology.total_workers)
+    try:
+        sim = SimSpec(args.strategy, args.minibatches, args.schedule_family,
+                      faults)
+        check_scenario(spec, sim)
+    except ValueError as exc:
+        args.error(str(exc))
     if faults is not None and faults.halt_time is not None:
         # A crash in the schedule: run the full elastic cycle (fault-free
         # oracle, crash-interrupted run, warm re-plan, resumed run) and
@@ -157,32 +161,7 @@ def cmd_simulate(args) -> int:
         print(format_table(["recovery metric", "value"], rows))
         result = report.resumed
     else:
-        if args.schedule_family != "1f1b" and args.strategy != "pipedream":
-            print("--schedule-family 2bp requires --strategy pipedream",
-                  file=sys.stderr)
-            return 2
-        if spec.tp_degrees is not None and args.strategy != "pipedream":
-            print("--tp-degrees requires --strategy pipedream",
-                  file=sys.stderr)
-            return 2
-        drivers = {
-            "pipedream": lambda: simulate_pipedream(
-                profile, topology, num_minibatches=args.minibatches,
-                faults=faults, schedule_family=args.schedule_family,
-                optimizer=PipeDreamOptimizer(
-                    profile, topology, **spec.options())),
-            "dp": lambda: simulate_data_parallel(
-                profile, topology,
-                num_minibatches=max(4, args.minibatches // 4), faults=faults,
-                bucket_bytes=spec.bucket_bytes),
-            "mp": lambda: simulate_model_parallel(
-                profile, topology, num_minibatches=args.minibatches,
-                faults=faults, bucket_bytes=spec.bucket_bytes),
-            "gpipe": lambda: simulate_gpipe(
-                profile, topology, num_batches=max(2, args.minibatches // 4),
-                faults=faults, bucket_bytes=spec.bucket_bytes),
-        }
-        result = drivers[args.strategy]()
+        result = simulate_strategy(profile, topology, sim, spec)
     rows = [
         ["strategy", result.strategy],
         ["config", result.config],
@@ -369,9 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate a training strategy")
     p.add_argument("model", choices=available_models())
     add_cluster_args(p)
-    p.add_argument("--strategy", default="pipedream",
-                   choices=["pipedream", "dp", "mp", "gpipe"])
-    p.add_argument("--minibatches", type=int, default=48)
+    p.add_argument("--strategy", default="pipedream", choices=STRATEGY_NAMES)
+    p.add_argument("--minibatches", type=int, default=48,
+                   help="run length, literal for every strategy (gpipe: "
+                        "batches of 4 microbatches)")
     p.add_argument("--precision", default="fp32", choices=sorted(PRECISION_BYTES),
                    help="element width the profile is converted to")
     p.add_argument("--bucket-bytes", type=float, default=None,
@@ -406,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--counts", type=int, nargs="+", default=[4, 8, 16],
                    help="worker counts to sweep")
     p.add_argument("--strategies", nargs="+", default=["dp", "pipedream"],
-                   choices=["dp", "pipedream", "mp", "gpipe"])
+                   choices=STRATEGY_NAMES)
     p.add_argument("--precisions", nargs="+", default=["fp32", "fp16"],
                    choices=sorted(PRECISION_BYTES))
     p.add_argument("--bucket-sizes", nargs="+", type=_axis_value,

@@ -22,9 +22,8 @@ from repro.core.partition import (
     PartitionResult,
     Stage,
     PipeDreamOptimizer,
-    brute_force_partition,
 )
-from repro.core.spec import PlanSpec
+from repro.core.spec import PlanSpec, SimSpec
 from repro.core.schedule import (
     Op,
     OpKind,
@@ -51,7 +50,7 @@ __all__ = [
     "Stage",
     "PipeDreamOptimizer",
     "PlanSpec",
-    "brute_force_partition",
+    "SimSpec",
     "Op",
     "OpKind",
     "Schedule",

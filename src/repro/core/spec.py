@@ -1,12 +1,14 @@
-"""The solver's options as one value: stated, validated and keyed once.
+"""A scenario as two values: what is planned and how it is simulated.
 
 PipeDream's optimizer is re-run per configuration, and every surface that
 re-runs it (:class:`~repro.core.partition.PipeDreamOptimizer`, the
 simulation drivers, the sweep grid, the CLI, the planner service) builds
 one :class:`PlanSpec` and reads it.  ``__post_init__`` is the only place
 the six options are coerced, normalised and rejected; :meth:`PlanSpec.key`
-is the only omit-when-default rule.  Precision is a property of the
-profile and ``schedule_family`` of the simulation, so neither lives here.
+is the only omit-when-default rule.  :class:`SimSpec` is the same contract
+for the simulate side (strategy, run length, schedule family, faults), and
+:func:`check_scenario` is the one rule that joins the two.  Precision is a
+property of the profile, so it lives in neither.
 """
 
 from __future__ import annotations
@@ -14,9 +16,16 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence, Tuple
 
 from repro.core.sharding import validate_tp_degrees
+
+if TYPE_CHECKING:  # repro.sim imports this module
+    from repro.sim.faults import FaultSchedule
+
+#: The training strategies of the paper's evaluation (§5), in the sweep's
+#: column order; ``repro.sim.strategies.STRATEGIES`` maps each to a driver.
+STRATEGY_NAMES = ("dp", "pipedream", "mp", "gpipe")
 
 
 def reject_tp_bucketing(tp_active: bool, bucket_bytes: Optional[float]) -> None:
@@ -101,3 +110,69 @@ class PlanSpec:
 
 
 _DEFAULTS = tuple((f.name, f.default) for f in dataclasses.fields(PlanSpec))
+
+
+def _pipedream_only(strategy: str, fields: Sequence[str]) -> None:
+    """The pipedream-only rule: only that strategy plans and only its
+    schedule has bubbles to fill, so under any other strategy ``fields``
+    would be priced and then ignored."""
+    if strategy != "pipedream" and fields:
+        raise ValueError(
+            f"{', '.join(fields)} applies to the pipedream strategy only, "
+            f"not to {strategy!r}")
+
+
+@dataclass(frozen=True)
+class SimSpec:
+    """How a scenario is simulated, beyond (profile, topology, plan).
+
+    Attributes:
+        strategy: one of :data:`STRATEGY_NAMES`.
+        minibatches: run length, literal for every strategy — minibatches
+            for ``pipedream`` / ``dp`` / ``mp``, batches of 4 microbatches
+            for ``gpipe``.  An ``int`` >= 1 (``bool`` refused).
+        schedule_family: ``"1f1b"`` or the backward-split ``"2bp"``
+            (pipedream only).
+        faults: fault timeline injected into the run; an empty schedule is
+            ``None``.
+    """
+
+    strategy: str = "pipedream"
+    minibatches: int = 48
+    schedule_family: str = "1f1b"
+    faults: Optional["FaultSchedule"] = None
+
+    def __post_init__(self):
+        from repro.core.schedule import SCHEDULE_FAMILIES  # imports us
+
+        if self.strategy not in STRATEGY_NAMES:
+            raise ValueError(
+                f"unknown strategy {self.strategy!r}; expected one of "
+                f"{STRATEGY_NAMES}")
+        count = self.minibatches
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"minibatches must be an int >= 1, got {count!r}")
+        if self.schedule_family not in SCHEDULE_FAMILIES:
+            raise ValueError(
+                f"unknown schedule family {self.schedule_family!r}; expected "
+                f"one of {SCHEDULE_FAMILIES}")
+        _pipedream_only(
+            self.strategy,
+            () if self.schedule_family == "1f1b" else ("schedule_family",))
+        if self.faults is not None and not self.faults:
+            object.__setattr__(self, "faults", None)
+
+    def key(self) -> tuple:
+        """Canonical cache key: distinct for distinct specs, with the
+        fault timeline entering by :meth:`FaultSchedule.signature`."""
+        return (self.strategy, self.minibatches, self.schedule_family,
+                None if self.faults is None else self.faults.signature())
+
+
+def check_scenario(plan: PlanSpec, sim: SimSpec) -> None:
+    """The plan x sim rule: a scenario whose strategy is not ``pipedream``
+    reads only ``bucket_bytes`` (the simulated weight sync) from its
+    :class:`PlanSpec`; any other non-default plan field is an error."""
+    _pipedream_only(
+        sim.strategy,
+        [name for name, _ in plan.key() if name != "bucket_bytes"])

@@ -160,7 +160,6 @@ class ElasticCoordinator:
         self,
         num_minibatches: int,
         faults: FaultSchedule,
-        engine: str = "event",
         checkpoint_every: int = 1,
     ) -> RecoveryReport:
         """Simulate a crash-interrupted run, recover, and price it.
@@ -178,10 +177,9 @@ class ElasticCoordinator:
         old_stages = list(plan.stages)
 
         oracle = simulate_partition(
-            profile, topology, old_stages, num_minibatches, engine=engine)
+            profile, topology, old_stages, num_minibatches)
         faulted = simulate_partition(
-            profile, topology, old_stages, num_minibatches, engine=engine,
-            faults=faults)
+            profile, topology, old_stages, num_minibatches, faults=faults)
         crash_time = faulted.sim.halted_at
         if crash_time is None:
             raise ValueError(
@@ -205,7 +203,7 @@ class ElasticCoordinator:
 
         sub_topology = topology.subset(survivors)
         resumed = simulate_partition(
-            profile, sub_topology, new_stages, resumed_count, engine=engine)
+            profile, sub_topology, new_stages, resumed_count)
 
         # Downtime (detection + planning) lands on the simulated critical
         # path; the resumed run then starts from zero pipeline state.

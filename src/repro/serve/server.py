@@ -8,7 +8,7 @@ interchangeable (asserted by the CI smoke test).
 Endpoints::
 
     POST /plan      {model|profile, cluster|topology, ...} -> plan payload
-    POST /simulate  plan fields + {strategy, minibatches, engine}
+    POST /simulate  plan fields + {strategy, minibatches, schedule_family}
     POST /sweep     {models, counts, ...}                  -> {records}
     POST /batch     {requests: [...]}                      -> {results}
     GET  /stats     request counts, ``coalesced`` waiters, reuse-layer

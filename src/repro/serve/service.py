@@ -44,7 +44,7 @@ from repro.core.partition import (
     eval_tables_stats,
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
-from repro.core.spec import PlanSpec
+from repro.core.spec import PlanSpec, SimSpec, check_scenario
 from repro.core.topology import (
     Topology,
     TopologyLevel,
@@ -69,7 +69,7 @@ _PLAN_KEYS = frozenset({
     "memory_limit_bytes", "allow_replication", "memory_refine",
     "bucket_bytes", "recompute", "tp_degrees",
 })
-_SIMULATE_ONLY_KEYS = frozenset({"strategy", "minibatches", "engine",
+_SIMULATE_ONLY_KEYS = frozenset({"strategy", "minibatches",
                                  "schedule_family"})
 _SIMULATE_KEYS = _PLAN_KEYS | _SIMULATE_ONLY_KEYS
 
@@ -92,13 +92,13 @@ class RequestTooLarge(RequestError):
 
 
 def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
-           choices: Any = None, minimum: Any = None) -> Any:
+           choices: Any = None) -> Any:
     """``request[name]`` coerced to ``kind``, or ``default`` when absent/null.
 
     The one place scalar request fields are read: a value that does not
-    coerce, is not among ``choices`` or is below ``minimum`` raises
-    :class:`RequestError`, so a malformed field is the client's 400 and
-    never reaches the solver as a 500.
+    coerce or is not among ``choices`` raises :class:`RequestError`, so a
+    malformed field is the client's 400 and never reaches the solver as a
+    500.
     """
     value = request.get(name)
     if value is None:
@@ -113,8 +113,6 @@ def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
             f"bad {name} {value!r}: expected {kind.__name__}") from exc
     if choices is not None and value not in choices:
         raise RequestError(f"unknown {name} {value!r} (have {sorted(choices)})")
-    if minimum is not None and value < minimum:
-        raise RequestError(f"{name} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -412,65 +410,39 @@ class PlannerService:
     def simulate(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Plan-then-simulate one configuration.
 
-        Accepts every plan field plus ``strategy`` (``pipedream``/``dp``/
-        ``mp``/``gpipe``), ``minibatches``, and ``engine``.  The pipedream
+        Accepts every plan field plus the :class:`~repro.core.spec.SimSpec`
+        fields ``strategy``, ``minibatches`` (literal for every strategy)
+        and ``schedule_family``; a plan field the strategy would not read
+        is a 400 (:func:`~repro.core.spec.check_scenario`).  The pipedream
         strategy reuses the service's warm optimizer, so repeated
         simulations of one profile re-solve from hot tables.
         """
         self._count("simulate")
         _require_object(request, _SIMULATE_KEYS)
-        # Imported lazily so importing the serve package stays cheap.
-        from repro.sim.executor import ENGINES
-
-        strategy = _field(request, "strategy", str, "pipedream",
-                          choices=("dp", "gpipe", "mp", "pipedream"))
-        minibatches = _field(request, "minibatches", int, 48, minimum=1)
-        engine = _field(request, "engine", str, "event", choices=ENGINES)
-        schedule_family = _field(request, "schedule_family", str, "1f1b",
-                                 choices=("1f1b", "2bp"))
-        if schedule_family != "1f1b" and strategy != "pipedream":
-            raise RequestError(
-                "schedule_family='2bp' applies to the pipedream strategy")
         query = normalize_plan_request(
             {k: v for k, v in request.items()
              if k not in _SIMULATE_ONLY_KEYS}
         )
-        cache_key = ("simulate", query.key, strategy, minibatches, engine,
-                     schedule_family)
+        try:
+            sim = SimSpec(
+                _field(request, "strategy", str, "pipedream"),
+                _field(request, "minibatches", int, 48),
+                _field(request, "schedule_family", str, "1f1b"))
+            check_scenario(query.spec, sim)
+        except ValueError as exc:
+            raise RequestError(str(exc)) from exc
+        cache_key = ("simulate", query.key, sim.key())
         cached = self.plan_cache.get(cache_key)
         if cached is not None:
             return dict(cached, cached=True)
 
-        from repro.sim import (
-            simulate_data_parallel,
-            simulate_gpipe,
-            simulate_model_parallel,
-            simulate_pipedream,
-        )
+        # Imported lazily so importing the serve package stays cheap.
+        from repro.sim import simulate_strategy
 
-        profile, topology = query.profile, query.topology
-        bucket_bytes = query.spec.bucket_bytes
-        if strategy == "pipedream":
-            result = simulate_pipedream(
-                profile, topology, num_minibatches=minibatches,
-                engine=engine, optimizer=self._optimizer(query),
-                schedule_family=schedule_family,
-            )
-        elif strategy == "dp":
-            result = simulate_data_parallel(
-                profile, topology, num_minibatches=minibatches, engine=engine,
-                bucket_bytes=bucket_bytes,
-            )
-        elif strategy == "mp":
-            result = simulate_model_parallel(
-                profile, topology, num_minibatches=minibatches, engine=engine,
-                bucket_bytes=bucket_bytes,
-            )
-        else:
-            result = simulate_gpipe(
-                profile, topology, num_batches=max(2, minibatches // 4),
-                engine=engine, bucket_bytes=bucket_bytes,
-            )
+        # The (cheap, warm-started) optimizer carries the query's spec; a
+        # strategy that does not plan reads its ``bucket_bytes`` only.
+        result = simulate_strategy(query.profile, query.topology, sim,
+                                   optimizer=self._optimizer(query))
         payload = {
             "strategy": result.strategy,
             "config": result.config,
@@ -496,7 +468,7 @@ class PlannerService:
         _require_object(request, {
             "models", "cluster", "servers", "topology", "counts",
             "strategies", "precisions", "bucket_sizes", "device",
-            "minibatches", "engine", "executor", "workers",
+            "minibatches", "executor", "workers",
             "recomputes", "schedule_families", "memory_limit_bytes",
             "tp_degrees",
         })
@@ -508,7 +480,6 @@ class PlannerService:
 
         from repro.profiler.analytic import DEVICE_PEAK_FLOPS
         from repro.sim import run_sweep
-        from repro.sim.executor import ENGINES
 
         try:
             records = run_sweep(
@@ -518,10 +489,7 @@ class PlannerService:
                 strategies=tuple(request.get("strategies", ("dp", "pipedream"))),
                 device=_field(request, "device", str, "v100",
                               choices=DEVICE_PEAK_FLOPS),
-                minibatches=_field(request, "minibatches", int, 48,
-                                   minimum=1),
-                engine=_field(request, "engine", str, "event",
-                              choices=ENGINES),
+                minibatches=_field(request, "minibatches", int, 48),
                 workers=_field(request, "workers", int, 1),
                 executor=request.get("executor", "auto"),
                 precisions=tuple(request.get("precisions", ("fp32",))),

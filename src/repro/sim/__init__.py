@@ -30,12 +30,13 @@ from repro.sim.sweep import (
 )
 from repro.sim.strategies import (
     StrategyResult,
-    resolve_precision,
     simulate_data_parallel,
     simulate_gpipe,
     simulate_model_parallel,
     simulate_pipedream,
     simulate_partition,
+    simulate_plan,
+    simulate_strategy,
 )
 
 __all__ = [
@@ -63,11 +64,12 @@ __all__ = [
     "records_to_csv",
     "speedup_table",
     "precision_chart",
-    "resolve_precision",
     "StrategyResult",
     "simulate_data_parallel",
     "simulate_model_parallel",
     "simulate_gpipe",
     "simulate_pipedream",
     "simulate_partition",
+    "simulate_plan",
+    "simulate_strategy",
 ]

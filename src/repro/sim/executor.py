@@ -17,18 +17,17 @@ being simulated:
 - ``"gpipe"`` — pipeline flush: forwards of batch ``k+1`` wait for batch
   ``k``'s update; optional activation recomputation inflates backwards.
 
-Two engines share one set of commit semantics (:class:`_SimCore`):
-
-- ``engine="event"`` (default) — an event-driven main loop: per-worker
-  head-op cursors, wakeup lists keyed on the exact resolution event each
-  blocked op waits for (activation/gradient arrival, forward completion,
-  update commit), and a min-heap of ready ops with lazy invalidation.
-  O(ops · log workers) commits.
-- ``engine="reference"`` — the original full-rescan loop that re-evaluates
-  every worker's head op on every commit, O(ops · workers).  Kept as the
-  equivalence oracle; both engines produce bitwise-identical
-  :class:`OpRecord` timelines (asserted by the test suite and the perf
-  harness).
+There is one engine, an event-driven main loop over :class:`_SimCore`:
+per-worker head-op cursors, wakeup lists keyed on the exact resolution
+event each blocked op waits for (activation/gradient arrival, forward
+completion, update commit), and a min-heap of ready ops with lazy
+invalidation — O(ops · log workers) commits.  :meth:`_SimCore.run_event`
+is its inlined fault-free form and :meth:`_SimCore.run_event_general` the
+form that commits through :meth:`_SimCore.execute` when faults are
+injected.  Its oracle, a full-rescan loop that re-evaluates every worker's
+head op on every commit (O(ops · workers)) over the same ``_SimCore``,
+lives in ``tests/oracles/sim_reference.py``; the test suite asserts
+bitwise-identical :class:`OpRecord` timelines.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from repro.sim.faults import FaultSchedule
 from repro.sim.memory import stage_deferred_weight_bytes
 from repro.sim.network import Placement, allreduce_time
 
-ENGINES = ("event", "reference")
-
 
 @dataclass(slots=True)
 class SimOptions:
@@ -67,7 +64,7 @@ class SimOptions:
     nic_contention: bool = False
     #: Deterministic fault injection (crash / straggler / bandwidth
     #: degradation at simulated timestamps).  None or an empty schedule
-    #: leaves every engine code path — and hence the timeline — bitwise
+    #: leaves every code path — and hence the timeline — bitwise
     #: identical to a fault-free run.
     faults: Optional[FaultSchedule] = None
     #: Gradient-fusion granularity.  ``None`` (default) keeps the legacy
@@ -111,7 +108,7 @@ class OpRecord:
 class SimResult:
     """Timeline and summary statistics of one simulated run.
 
-    The engines log the timeline as raw ``(worker, op, start, end)``
+    The engine logs the timeline as raw ``(worker, op, start, end)``
     tuples; :attr:`records` materializes them into :class:`OpRecord`
     objects on first access.  Aggregate-only consumers (the sweeps and
     strategy drivers) never pay for record construction.
@@ -200,7 +197,7 @@ def stage_compute_times(
 
 
 class _SimCore:
-    """Shared simulation state and commit semantics for both engines.
+    """Simulation state and commit semantics, shared with the oracle.
 
     Hot-path bookkeeping uses *flattened* integer keys instead of tuples:
     a (stage, minibatch) pair maps to ``stage * B + minibatch`` (``B`` =
@@ -295,7 +292,7 @@ class _SimCore:
             ]
         if tp_active:
             # Intra-stage collectives, folded into the per-op durations so
-            # both engines price them through the same precomputed lists:
+            # every loop prices them through the same precomputed lists:
             # every forward ends with a ring all_reduce of the stage's
             # output-boundary activation over its tp group (allgather of
             # the column-parallel halves — priced on the *last* stage too,
@@ -513,58 +510,8 @@ class _SimCore:
     # ------------------------------------------------------------------
     # Readiness
     # ------------------------------------------------------------------
-    def _ready(self, worker: int, op: Op) -> Optional[float]:
-        """Earliest start for ``op``, or None if a dependency is unresolved."""
-        t = self.worker_free[worker]
-        kind = op.kind
-        if kind is OpKind.UPDATE or kind is OpKind.BACKWARD_W:
-            # UPDATE and the 2BP grad-weight op run right after their
-            # backward on the same worker — no cross-worker dependency.
-            return t
-        s = op.stage
-        sB = s * self.B
-        b = op.minibatch
-        if kind is OpKind.FORWARD:
-            if s > 0:
-                arrival = self.arrivals_f.get(sB + b)
-                if arrival is None:
-                    return None
-                if arrival > t:
-                    t = arrival
-            if self.gated_forward:
-                rnd = b // self.round_div[s]
-                if rnd > 0:
-                    gate = self.update_done.get(sB + rnd - 1)
-                    if gate is None:
-                        return None
-                    if gate > t:
-                        t = gate
-            return t
-        # BACKWARD
-        if s == self.last_stage:
-            end = self.fwd_end.get(worker * self.nk + sB + b)
-            if end is None:
-                return None
-            if end > t:
-                t = end
-        else:
-            arrival = self.arrivals_b.get(sB + b)
-            if arrival is None:
-                return None
-            if arrival > t:
-                t = arrival
-        if self.pipedream_gate and self.replicas[s] > 1:
-            rnd = b // self.round_div[s]
-            if rnd >= 2:
-                gate = self.update_done.get(sB + rnd - 2)
-                if gate is None:
-                    return None
-                if gate > t:
-                    t = gate
-        return t
-
     def _ready_or_key(self, worker: int, op: Op) -> Tuple[Optional[float], Optional[int]]:
-        """Like :meth:`_ready` but reports *which* event a blocked op awaits.
+        """Earliest start of ``op``, or *which* event a blocked op awaits.
 
         Returns ``(start, None)`` when ready, else ``(None, key)`` where
         ``key`` is the flattened id of the first unresolved dependency — the
@@ -620,7 +567,7 @@ class _SimCore:
         return t, None
 
     # ------------------------------------------------------------------
-    # Commit semantics (identical for both engines)
+    # Commit semantics (run_event inlines them)
     # ------------------------------------------------------------------
     def execute(self, worker: int, op: Op, start: float) -> float:
         s = op.stage
@@ -809,54 +756,20 @@ class _SimCore:
         }
         return RuntimeError(f"simulation deadlocked; blocked ops: {stuck}")
 
-    def run_reference(self) -> None:
-        """Original O(total_ops × workers) loop: commit the globally
-        earliest ready op, rescanning every worker's head op each time."""
-        pointers = {w: 0 for w in self.workers}
-        total_ops = sum(len(ops) for ops in self.ops_by_rank)
-        committed = 0
-        fired = self.fired
-        halt = self.halt_time
-        while committed < total_ops:
-            best_worker = None
-            best_time = math.inf
-            for rank, worker in enumerate(self.workers):
-                ops = self.ops_by_rank[rank]
-                idx = pointers[worker]
-                if idx >= len(ops):
-                    continue
-                t = self._ready(worker, ops[idx])
-                if t is not None and t < best_time:
-                    best_time = t
-                    best_worker = worker
-            if best_worker is None:
-                raise self._deadlock(pointers)
-            if halt is not None and best_time >= halt:
-                # A worker crashed: the globally earliest startable op is
-                # already past the crash instant, so nothing else starts.
-                self.halted = True
-                return
-            op = self.schedule.worker_ops[best_worker][pointers[best_worker]]
-            fired.clear()
-            self.bumped.clear()
-            self.execute(best_worker, op, best_time)
-            pointers[best_worker] += 1
-            committed += 1
-
     def run_event_general(self) -> None:
         """Event-driven loop used when fault injection is active.
 
         Same heap + wakeup-list + dirty-marking structure as
         :meth:`run_event`, but commits through the shared
         :meth:`execute` so the fault arithmetic (piecewise straggler
-        integration, bandwidth windows) lives in exactly one place for
-        both engines — engine equivalence under faults falls out for
-        free.  The fault-free hot loop stays fully inlined and untouched.
+        integration, bandwidth windows) lives in exactly one place,
+        shared with the full-rescan oracle — equivalence under faults
+        falls out for free.  The fault-free hot loop stays fully inlined.
 
         Commit times are non-decreasing (a commit can only unblock ops at
         or after its own start), so halting at the first popped ready
-        time >= the crash instant stops both engines at the identical
-        timeline prefix.
+        time >= the crash instant stops this loop and the oracle at the
+        identical timeline prefix.
         """
         workers = self.workers
         ops_by_rank = self.ops_by_rank
@@ -944,13 +857,13 @@ class _SimCore:
         clamp, not a full readiness recomputation — and clean entries are
         popped with no check at all, in every sync mode.  A ready op never
         becomes blocked and a ready time never decreases, so the heap
-        minimum matches the reference engine's full-rescan minimum, and
+        minimum matches the oracle's full-rescan minimum, and
         (time, rank) ordering reproduces its first-wins tie-break exactly.
 
         The commit path is a locals-bound inline of :meth:`execute` /
         :meth:`_ready_or_key` — identical expressions, so the arithmetic
-        (and hence the timeline) is bitwise-identical to the reference
-        engine, which the test suite asserts.
+        (and hence the timeline) is bitwise-identical to the oracle's,
+        which the test suite asserts.
         """
         if self.faults is not None:
             # Fault injection routes through the general loop (shared
@@ -1306,21 +1219,8 @@ def simulate(
     profile: ModelProfile,
     topology: Topology,
     options: Optional[SimOptions] = None,
-    engine: str = "event",
 ) -> SimResult:
-    """Execute ``schedule`` with the cluster's cost model; see module doc.
-
-    ``engine`` selects the main loop: ``"event"`` (default, event-driven)
-    or ``"reference"`` (the original full-rescan oracle).  Both produce
-    identical timelines; the reference engine exists for equivalence
-    testing and perf baselines.
-    """
-    options = options or SimOptions()
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    core = _SimCore(schedule, profile, topology, options)
-    if engine == "event":
-        core.run_event()
-    else:
-        core.run_reference()
+    """Execute ``schedule`` with the cluster's cost model; see module doc."""
+    core = _SimCore(schedule, profile, topology, options or SimOptions())
+    core.run_event()
     return core.result()

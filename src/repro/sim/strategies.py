@@ -3,21 +3,26 @@
 Each driver builds the appropriate schedule, runs the executor, and returns
 a :class:`StrategyResult` with the metrics the paper's figures report:
 steady-state throughput, communication overhead, per-sample communication
-volume, and per-worker memory.
+volume, and per-worker memory.  :func:`simulate_strategy` runs a scenario
+— a :class:`~repro.core.spec.PlanSpec` x a :class:`~repro.core.spec.SimSpec`
+— through :data:`STRATEGIES`, the one table that names a driver per
+strategy.  Precision is a property of the profile
+(:meth:`~repro.core.profile.ModelProfile.with_precision`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.partition import (
+    PartitionResult,
     PipeDreamOptimizer,
     Stage,
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
 )
-from repro.core.profile import PRECISION_BYTES, ModelProfile
+from repro.core.profile import ModelProfile
 from repro.core.schedule import (
     data_parallel_schedule,
     gpipe_schedule,
@@ -25,7 +30,7 @@ from repro.core.schedule import (
     one_f_one_b_rr_schedule,
     schedule_for_family,
 )
-from repro.core.spec import PlanSpec
+from repro.core.spec import PlanSpec, SimSpec, check_scenario
 from repro.core.topology import Topology
 from repro.sim.executor import SimOptions, SimResult, simulate
 from repro.sim.faults import FaultSchedule
@@ -86,37 +91,10 @@ class StrategyResult:
         return self.throughput * self.samples_per_minibatch
 
 
-def _epoch_time(sim: SimResult) -> float:
-    return sim.total_time
-
-
-def resolve_precision(profile: ModelProfile,
-                      precision: Optional[str]) -> ModelProfile:
-    """Convert ``profile`` to the named precision; ``None`` is a no-op.
-
-    When the profile is already at the requested element width the *same
-    object* is returned (no rescale round-trip), so default fp32 calls stay
-    bitwise-identical to the precision-less path — the differential
-    guarantee ``tests/test_precision_sweep.py`` locks down.
-    """
-    if precision is None:
-        return profile
-    if precision not in PRECISION_BYTES:
-        raise ValueError(
-            f"unknown precision {precision!r}; expected one of "
-            f"{sorted(PRECISION_BYTES)}")
-    bytes_per_element = PRECISION_BYTES[precision]
-    if profile.bytes_per_element == bytes_per_element:
-        return profile
-    return profile.with_precision(bytes_per_element)
-
-
 def simulate_data_parallel(
     profile: ModelProfile,
     topology: Topology,
     num_minibatches: int = 16,
-    engine: str = "event",
-    precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
 ) -> StrategyResult:
@@ -126,13 +104,11 @@ def simulate_data_parallel(
     simulated timeline of one worker's minibatch stream represents the
     cluster processing ``workers x minibatch`` samples per round.
     """
-    profile = resolve_precision(profile, precision)
     workers = topology.total_workers
     schedule = data_parallel_schedule(workers, num_minibatches, num_layers=len(profile))
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="bsp", faults=faults,
-                              bucket_bytes=bucket_bytes),
-                   engine=engine)
+                              bucket_bytes=bucket_bytes))
     # One simulated iteration = one minibatch per worker, so the run covers
     # ``num_minibatches * workers`` actual minibatches.
     samples = num_minibatches * profile.batch_size * workers
@@ -144,7 +120,7 @@ def simulate_data_parallel(
         config=str(workers),
         num_workers=workers,
         throughput=sim.steady_state_throughput,
-        epoch_time=_epoch_time(sim),
+        epoch_time=sim.total_time,
         communication_overhead=sim.communication_overhead,
         bytes_per_sample=total_bytes / samples,
         memory_per_worker=[data_parallel_memory_footprint(profile)] * workers,
@@ -159,13 +135,10 @@ def simulate_model_parallel(
     topology: Topology,
     stages: Optional[Sequence[Stage]] = None,
     num_minibatches: int = 16,
-    engine: str = "event",
-    precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
 ) -> StrategyResult:
     """Vanilla model parallelism (Figure 2): no pipelining, one in flight."""
-    profile = resolve_precision(profile, precision)
     if stages is None:
         stages = balanced_straight_stages(profile, topology.total_workers)
     schedule = model_parallel_schedule(
@@ -173,8 +146,7 @@ def simulate_model_parallel(
     )
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
-                              bucket_bytes=bucket_bytes),
-                   engine=engine)
+                              bucket_bytes=bucket_bytes))
     samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, list(stages)) * num_minibatches
     return StrategyResult(
@@ -182,7 +154,7 @@ def simulate_model_parallel(
         config="straight",
         num_workers=topology.total_workers,
         throughput=sim.steady_state_throughput,
-        epoch_time=_epoch_time(sim),
+        epoch_time=sim.total_time,
         communication_overhead=sim.communication_overhead,
         bytes_per_sample=total_bytes / samples,
         memory_per_worker=pipeline_memory_footprint(profile, stages, in_flight=[1] * len(stages)),
@@ -199,8 +171,6 @@ def simulate_gpipe(
     num_batches: int = 8,
     num_microbatches: int = 4,
     recompute: bool = True,
-    engine: str = "event",
-    precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
 ) -> StrategyResult:
@@ -210,7 +180,6 @@ def simulate_gpipe(
     scale down proportionally; activation recomputation (GPipe's default)
     adds a forward's worth of compute to every backward.
     """
-    profile = resolve_precision(profile, precision)
     if stages is None:
         stages = balanced_straight_stages(profile, topology.total_workers)
     # A microbatch is 1/m of a minibatch: scale compute and activations.
@@ -228,7 +197,7 @@ def simulate_gpipe(
         faults=faults,
         bucket_bytes=bucket_bytes,
     )
-    sim = simulate(schedule, micro_profile, topology, options, engine=engine)
+    sim = simulate(schedule, micro_profile, topology, options)
     samples = num_batches * profile.batch_size
     total_bytes = (
         communication_bytes_per_minibatch(micro_profile, list(stages))
@@ -243,7 +212,7 @@ def simulate_gpipe(
         config=f"straight-m{num_microbatches}",
         num_workers=topology.total_workers,
         throughput=throughput,
-        epoch_time=_epoch_time(sim),
+        epoch_time=sim.total_time,
         communication_overhead=sim.communication_overhead,
         bytes_per_sample=total_bytes / samples,
         memory_per_worker=pipeline_memory_footprint(micro_profile, stages, in_flight=in_flight),
@@ -260,7 +229,6 @@ def simulate_partition(
     num_minibatches: int = 16,
     noam: Optional[int] = None,
     strategy_name: str = "pipedream",
-    engine: str = "event",
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
     schedule_family: str = "1f1b",
@@ -276,8 +244,7 @@ def simulate_partition(
     schedule = schedule_for_family(schedule, schedule_family)
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
-                              bucket_bytes=bucket_bytes),
-                   engine=engine)
+                              bucket_bytes=bucket_bytes))
     samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, stages) * num_minibatches
 
@@ -299,7 +266,7 @@ def simulate_partition(
         config=config,
         num_workers=sum(s.replicas * s.tp_degree for s in stages),
         throughput=sim.steady_state_throughput,
-        epoch_time=_epoch_time(sim),
+        epoch_time=sim.total_time,
         communication_overhead=sim.communication_overhead,
         bytes_per_sample=total_bytes / samples,
         memory_per_worker=pipeline_memory_footprint(profile, stages),
@@ -309,82 +276,115 @@ def simulate_partition(
     )
 
 
+def simulate_plan(
+    profile: ModelProfile,
+    topology: Topology,
+    plan: PartitionResult,
+    sim: SimSpec,
+    bucket_bytes: Optional[float] = None,
+) -> StrategyResult:
+    """Simulate a solved plan for ``sim.minibatches`` minibatches.
+
+    When the optimizer picked vanilla data parallelism (ResNet-50's case
+    in Table 1) the DP simulation (BSP semantics) runs under the
+    pipedream name; it has no pipeline bubbles to fill and ignores
+    ``sim.schedule_family``.  ``bucket_bytes`` is the planned spec's: it
+    also prices the simulated weight sync.
+    """
+    if plan.is_data_parallel:
+        result = simulate_data_parallel(
+            profile, topology, sim.minibatches, faults=sim.faults,
+            bucket_bytes=bucket_bytes)
+        return replace(result, strategy="pipedream")
+    return simulate_partition(
+        profile, topology, plan.stages, sim.minibatches, plan.noam,
+        faults=sim.faults, bucket_bytes=bucket_bytes,
+        schedule_family=sim.schedule_family)
+
+
+def _planned(profile, topology, sim, *, plan, optimizer=None):
+    """Run the optimizer, then simulate its chosen configuration."""
+    if optimizer is None:
+        optimizer = PipeDreamOptimizer(profile, topology, **plan.options())
+    return simulate_plan(
+        profile, topology, optimizer.solve(topology.total_workers), sim,
+        plan.bucket_bytes)
+
+
+def _unplanned(driver: Callable, count: str) -> Callable:
+    """Table entry of a strategy that does not plan: ``count`` is the
+    driver's run-length keyword, ``bucket_bytes`` all it reads of a plan."""
+    def run(profile, topology, sim, *, plan, optimizer=None):
+        return driver(profile, topology, faults=sim.faults,
+                      bucket_bytes=plan.bucket_bytes,
+                      **{count: sim.minibatches})
+    return run
+
+
+#: strategy name -> ``run(profile, topology, sim, *, plan, optimizer)``:
+#: the one place a name is matched with its driver (keys are
+#: :data:`~repro.core.spec.STRATEGY_NAMES`, in the sweep's column order).
+STRATEGIES: Dict[str, Callable] = {
+    "dp": _unplanned(simulate_data_parallel, "num_minibatches"),
+    "pipedream": _planned,
+    "mp": _unplanned(simulate_model_parallel, "num_minibatches"),
+    "gpipe": _unplanned(simulate_gpipe, "num_batches"),
+}
+
+#: The sweep's grid budget, ``(floor, divisor)`` per strategy — the one
+#: place a run length is rescaled.  A cell's ``minibatches`` is what its
+#: pipedream run simulates; the baselines reach steady state sooner.
+GRID_BUDGET = {"dp": (4, 4), "pipedream": (1, 1), "mp": (4, 4),
+               "gpipe": (2, 8)}
+
+
+def grid_minibatches(strategy: str, minibatches: int) -> int:
+    """The literal run length of a ``strategy`` cell in a sweep whose
+    pipedream cells run ``minibatches``."""
+    floor, divisor = GRID_BUDGET[strategy]
+    return max(floor, minibatches // divisor)
+
+
+def simulate_strategy(
+    profile: ModelProfile,
+    topology: Topology,
+    sim: SimSpec,
+    plan: PlanSpec = PlanSpec(),
+    *,
+    optimizer: Optional[PipeDreamOptimizer] = None,
+) -> StrategyResult:
+    """Simulate the scenario ``plan`` x ``sim`` on ``topology``.
+
+    Pass a shared ``optimizer`` (built on the *full* cluster with the same
+    profile) to reuse its memoized DP tables across worker counts:
+    ``solve`` is then called for this topology's worker count, the
+    optimizer's own spec is the plan, and giving ``plan`` as well is an
+    error.  :func:`~repro.core.spec.check_scenario` rejects a plan option
+    the strategy would not read.
+    """
+    if optimizer is not None:
+        if plan.key():  # any non-default field
+            raise ValueError(
+                "plan options configure the locally built optimizer; pass "
+                "them to the shared optimizer's constructor")
+        plan = optimizer.spec
+    check_scenario(plan, sim)
+    return STRATEGIES[sim.strategy](
+        profile, topology, sim, plan=plan, optimizer=optimizer)
+
+
 def simulate_pipedream(
     profile: ModelProfile,
     topology: Topology,
     num_minibatches: int = 16,
-    allow_replication: bool = True,
+    spec: PlanSpec = PlanSpec(),
     optimizer: Optional[PipeDreamOptimizer] = None,
-    engine: str = "event",
-    precision: Optional[str] = None,
     faults: Optional[FaultSchedule] = None,
-    bucket_bytes: Optional[float] = None,
-    memory_limit_bytes: Optional[float] = None,
-    recompute: Optional[str] = None,
     schedule_family: str = "1f1b",
-    tp_degrees: Optional[Sequence[int]] = None,
 ) -> StrategyResult:
-    """Run the optimizer, then simulate its chosen configuration.
-
-    When the optimizer picks vanilla data parallelism (ResNet-50's case in
-    Table 1), the DP simulation (BSP semantics) is used directly.
-
-    The plan options (``allow_replication``, ``bucket_bytes``,
-    ``memory_limit_bytes``, ``recompute``, ``tp_degrees``) form the
-    :class:`~repro.core.spec.PlanSpec` of the locally built optimizer;
-    ``bucket_bytes`` also prices the simulated weight sync.  Pass a shared
-    ``optimizer`` (built on the *full* cluster with the same profile) to
-    reuse its memoized DP tables across worker counts — the sweep harness
-    does this; ``solve`` is then called for this topology's worker count,
-    the optimizer's own spec is the one simulated, and giving plan options
-    here as well is an error.  ``precision`` converts the profile first;
-    combining it with a shared ``optimizer`` is an error when the
-    conversion actually changes the profile (the optimizer's memoized
-    tables would describe the wrong payload sizes).  ``schedule_family``
-    is forwarded to :func:`simulate_partition`; the DP fallback has no
-    pipeline bubbles to fill and ignores it.
-    """
-    converted = resolve_precision(profile, precision)
-    if converted is not profile and optimizer is not None:
-        raise ValueError(
-            "a precision conversion would invalidate the shared optimizer's "
-            "tables; build the optimizer from the converted profile")
-    profile = converted
-    spec = PlanSpec(
-        memory_limit_bytes=memory_limit_bytes,
-        allow_replication=allow_replication, bucket_bytes=bucket_bytes,
-        recompute=recompute, tp_degrees=tp_degrees)
-    if optimizer is None:
-        plan = PipeDreamOptimizer(profile, topology, **spec.options()).solve()
-    elif spec == PlanSpec():
-        spec = optimizer.spec
-        plan = optimizer.solve(topology.total_workers)
-    else:
-        raise ValueError(
-            "plan options configure the locally built optimizer; pass them "
-            "to the shared optimizer's constructor")
-    bucket_bytes = spec.bucket_bytes
-    if plan.is_data_parallel:
-        result = simulate_data_parallel(profile, topology, num_minibatches,
-                                        engine=engine, faults=faults,
-                                        bucket_bytes=bucket_bytes)
-        return StrategyResult(
-            strategy="pipedream",
-            config=result.config,
-            num_workers=result.num_workers,
-            throughput=result.throughput,
-            epoch_time=result.epoch_time,
-            communication_overhead=result.communication_overhead,
-            bytes_per_sample=result.bytes_per_sample,
-            memory_per_worker=result.memory_per_worker,
-            sim=result.sim,
-            samples_per_minibatch=result.samples_per_minibatch,
-            stages=result.stages,
-        )
-    return simulate_partition(profile, topology, plan.stages, num_minibatches,
-                              plan.noam, engine=engine, faults=faults,
-                              bucket_bytes=bucket_bytes,
-                              schedule_family=schedule_family)
+    """:func:`simulate_strategy` for the pipedream strategy, spelled out."""
+    sim = SimSpec("pipedream", num_minibatches, schedule_family, faults)
+    return simulate_strategy(profile, topology, sim, spec, optimizer=optimizer)
 
 
 # ----------------------------------------------------------------------

@@ -4,9 +4,10 @@ The evaluation section's figures are weak-scaling sweeps; this module
 factors that loop out of the benches into a reusable harness producing
 tidy records, with CSV export for downstream analysis.
 
-The sweep decomposes into independent *cells* — one per
-``(model, strategy)`` pair, each cell covering every worker count — so it
-can fan out over a :mod:`concurrent.futures` executor.  Results are
+The sweep decomposes into independent *cells* — one per ``(model,
+strategy, precision, plan spec)``, each cell covering every worker count
+and planned once per count however many schedule families it is simulated
+under — so it can fan out over a :mod:`concurrent.futures` executor.  Results are
 reassembled in the serial iteration order (model, then worker count, then
 strategy) regardless of completion order, so ``workers=N`` output is
 cell-for-cell identical to the ``workers=1`` serial fallback (asserted by
@@ -22,16 +23,7 @@ import csv
 import io
 import os
 from dataclasses import asdict, dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.partition import (
     PipeDreamOptimizer,
@@ -40,30 +32,17 @@ from repro.core.partition import (
     evaluate_partition_details,
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
-from repro.core.schedule import SCHEDULE_FAMILIES
-from repro.core.spec import PlanSpec
+from repro.core.spec import PlanSpec, SimSpec
 from repro.core.topology import Topology
 from repro.profiler import analytic_profile
 from repro.sim.memory import pipeline_memory_footprint
 from repro.sim.network import Placement, allreduce_time
 from repro.sim.strategies import (
-    StrategyResult,
-    simulate_data_parallel,
-    simulate_gpipe,
-    simulate_model_parallel,
-    simulate_pipedream,
+    STRATEGIES,
+    grid_minibatches,
+    simulate_plan,
+    simulate_strategy,
 )
-
-STRATEGIES: Dict[str, Callable] = {
-    "dp": lambda profile, topo, m, **kw: simulate_data_parallel(
-        profile, topo, num_minibatches=max(4, m // 4), **kw),
-    "pipedream": lambda profile, topo, m, **kw: simulate_pipedream(
-        profile, topo, num_minibatches=m, **kw),
-    "mp": lambda profile, topo, m, **kw: simulate_model_parallel(
-        profile, topo, num_minibatches=max(4, m // 4), **kw),
-    "gpipe": lambda profile, topo, m, **kw: simulate_gpipe(
-        profile, topo, num_batches=max(2, m // 8), **kw),
-}
 
 
 @dataclass(frozen=True)
@@ -233,13 +212,14 @@ def _pool_init() -> None:
 
 
 class _Cell(NamedTuple):
-    """One sweep cell: what is planned (``spec``) and what it runs on."""
+    """One sweep cell: what is planned (``spec``), what it runs on, and
+    the simulations (``sims``, one per schedule family) of that one plan."""
 
     model: str
     strategy: str
     precision: str
-    schedule_family: str
     spec: PlanSpec
+    sims: Tuple[SimSpec, ...]
 
 
 def _run_cell(
@@ -247,60 +227,63 @@ def _run_cell(
     topology: Topology,
     worker_counts: Sequence[int],
     device: str,
-    minibatches: int,
-    engine: str,
     contexts: Optional[SolverContextPool] = None,
-) -> List[Optional[SweepRecord]]:
+) -> List[Optional[Tuple[SweepRecord, ...]]]:
     """Run one cell over every worker count.
 
-    Returns one entry per ``worker_counts`` element, ``None`` where the
-    count does not pack onto the topology — index-aligned so the caller
-    can interleave cells back into serial order.  Module-level (and built
-    from picklable arguments) so it crosses a process-pool boundary.
+    Returns one entry per ``worker_counts`` element — the records of
+    ``cell.sims``, in order — or ``None`` where the count does not pack
+    onto the topology; index-aligned so the caller can interleave cells
+    back into serial order.  Module-level (and built from picklable
+    arguments) so it crosses a process-pool boundary.
 
     The precision is applied at the *profile*: the cell's plan, simulation,
     and payload accounting all see ``PRECISION_BYTES[precision]``-wide
     elements (the profile cache is keyed on that width, so fp32 and fp16
     cells never share an entry).
     """
-    model, strategy, precision, schedule_family, spec = cell
+    model, strategy, precision, spec, sims = cell
     profile = analytic_profile(
         model, device=device,
         bytes_per_element=PRECISION_BYTES[precision],
     )
     if contexts is None:
         contexts = _WORKER_CONTEXTS
-    kwargs = {"engine": engine}
+    optimizer = None
     if strategy == "pipedream":
         # One optimizer per cell: its memoized level tables are shared by
-        # every solve of the worker-count loop, exactly as in the serial
-        # sweep.  A shared context extends that reuse across cells (and
-        # across the split per-count subtasks of the parallel path) —
-        # warm-started solves are bitwise identical to cold ones, so
-        # records don't change.
-        kwargs["optimizer"] = PipeDreamOptimizer(
+        # every solve of the worker-count loop.  A shared context extends
+        # that reuse across cells (and across the split per-count subtasks
+        # of the parallel path) — warm-started solves are bitwise identical
+        # to cold ones, so records don't change.
+        optimizer = PipeDreamOptimizer(
             profile, topology, **spec.options(),
             context=None if contexts is None else contexts.get(profile),
         )
-        kwargs["schedule_family"] = schedule_family
-    else:
-        kwargs["bucket_bytes"] = spec.bucket_bytes
-    out: List[Optional[SweepRecord]] = []
+    out: List[Optional[Tuple[SweepRecord, ...]]] = []
     for workers in worker_counts:
         try:
             sub = topology.subset(workers)
         except ValueError:
             out.append(None)
             continue
-        result: StrategyResult = STRATEGIES[strategy](
-            profile, sub, minibatches, **kwargs)
-        # Per-stage breakdowns of the simulated plan: the evaluator's
-        # stage/boundary seconds and the §3.3 per-stage footprint.
+        if optimizer is not None:
+            plan = optimizer.solve(workers)  # once, for every family
+            results = [simulate_plan(profile, sub, plan, sim, spec.bucket_bytes)
+                       for sim in sims]
+        else:
+            results = [simulate_strategy(profile, sub, sim, spec)
+                       for sim in sims]
+        # Per-stage breakdowns of the simulated plan (one per count: the
+        # families share it): the evaluator's stage/boundary seconds, the
+        # §3.3 per-stage footprint and the modeled weight-sync time.
+        stages = results[0].stages
         details = evaluate_partition_details(
-            profile, result.stages, sub, bucket_bytes=spec.bucket_bytes,
+            profile, stages, sub, bucket_bytes=spec.bucket_bytes,
         )
-        stage_memory = pipeline_memory_footprint(profile, result.stages)
-        out.append(SweepRecord(
+        stage_memory = tuple(pipeline_memory_footprint(profile, stages))
+        allreduce_seconds = _plan_allreduce_seconds(profile, stages, sub)
+        out.append(tuple(SweepRecord(
             model=model,
             cluster=topology.name,
             workers=workers,
@@ -312,19 +295,18 @@ def _run_cell(
             peak_memory_gb=max(result.memory_per_worker) / 1e9,
             stage_seconds=details.stage_times,
             boundary_seconds=details.boundary_times,
-            stage_memory_bytes=tuple(stage_memory),
+            stage_memory_bytes=stage_memory,
             precision=precision,
-            allreduce_seconds=_plan_allreduce_seconds(
-                profile, result.stages, sub),
+            allreduce_seconds=allreduce_seconds,
             bucket_bytes=spec.bucket_bytes,
             recompute=spec.recompute,
-            schedule_family=schedule_family,
+            schedule_family=sim.schedule_family,
             tp_degrees=spec.tp_degrees,
-        ))
+        ) for sim, result in zip(sims, results)))
     return out
 
 
-def _run_cell_guarded(args) -> Tuple[List[Optional[SweepRecord]], Optional[str]]:
+def _run_cell_guarded(args) -> Tuple[list, Optional[str]]:
     """(records, error): never raises, so one bad cell can't kill a pool."""
     try:
         return _run_cell(*args), None
@@ -360,7 +342,6 @@ def run_sweep(
     strategies: Sequence[str] = ("dp", "pipedream"),
     device: str = "v100",
     minibatches: int = 48,
-    engine: str = "event",
     workers: int = 1,
     executor: str = "process",
     on_error: str = "raise",
@@ -375,6 +356,8 @@ def run_sweep(
     """Simulate every combination; skips worker counts that don't pack.
 
     Args:
+        minibatches: run length of a pipedream cell; the other strategies
+            run :func:`~repro.sim.strategies.grid_minibatches` of it.
         workers: sweep parallelism.  ``1`` (default) runs every cell
             serially in-process; ``N > 1`` fans the (model, strategy,
             precision) cells out over ``N`` executor workers.  Output order
@@ -393,14 +376,17 @@ def run_sweep(
             pipedream strategy plans, so the axis applies to pipedream
             cells alone; other strategies keep one cell.
         schedule_families: pipeline schedule families to sweep (``"1f1b"``
-            and/or ``"2bp"``), again a pipedream-only axis.  The default
+            and/or ``"2bp"``), again a pipedream-only axis — and an axis
+            of the *simulation*: a pipedream cell is planned once per
+            worker count and simulated under each family.  The default
             single-``"1f1b"`` axis reproduces the historical sweep bit for
             bit.
         memory_limit_bytes, tp_degrees: handed to every pipedream cell's
             planner.  Together with one ``bucket_sizes`` and one
             ``recomputes`` entry they form the cell's
-            :class:`~repro.core.spec.PlanSpec`; every spec is built before
-            the first cell runs, so an invalid combination fails up front.
+            :class:`~repro.core.spec.PlanSpec`; every plan and simulation
+            spec is built before the first cell runs, so an invalid
+            combination fails up front.
         executor: ``"process"`` (default) or ``"thread"`` pool for
             ``workers > 1``; ``"serial"`` forces the in-process loop, and
             ``"auto"`` picks: serial for a single task, threads on small
@@ -431,11 +417,6 @@ def run_sweep(
     unknown_precisions = set(precisions) - set(PRECISION_BYTES)
     if unknown_precisions:
         raise ValueError(f"unknown precisions: {sorted(unknown_precisions)}")
-    unknown_families = set(schedule_families) - set(SCHEDULE_FAMILIES)
-    if unknown_families:
-        raise ValueError(
-            f"unknown schedule families: {sorted(unknown_families)}; "
-            f"expected one of {SCHEDULE_FAMILIES}")
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
     if on_error not in ("raise", "skip"):
@@ -451,15 +432,19 @@ def run_sweep(
         for bucket in bucket_sizes for policy in recomputes
     }
 
+    pipedream_sims = tuple(SimSpec("pipedream", minibatches, family)
+                           for family in schedule_families)
+
     def cells_of(model: str, strategy: str) -> List[_Cell]:
         if strategy != "pipedream":
-            return [_Cell(model, strategy, precision, "1f1b",
-                          PlanSpec(bucket_bytes=bucket))
+            sim = SimSpec(strategy, grid_minibatches(strategy, minibatches))
+            return [_Cell(model, strategy, precision,
+                          PlanSpec(bucket_bytes=bucket), (sim,))
                     for precision in precisions for bucket in bucket_sizes]
-        return [_Cell(model, strategy, precision, family,
-                      planned[bucket, policy])
+        return [_Cell(model, strategy, precision, planned[bucket, policy],
+                      pipedream_sims)
                 for precision in precisions for bucket in bucket_sizes
-                for policy in recomputes for family in schedule_families]
+                for policy in recomputes]
 
     cells = [cell for model in models for strategy in strategies
              for cell in cells_of(model, strategy)]
@@ -469,8 +454,7 @@ def run_sweep(
     )
     if workers <= 1 or len(cells) <= 1 or resolved == "serial":
         cell_args = [
-            (cell, topology, worker_counts, device, minibatches, engine,
-             contexts)
+            (cell, topology, worker_counts, device, contexts)
             for cell in cells
         ]
         outcomes = [_run_cell_guarded(args) for args in cell_args]
@@ -488,11 +472,11 @@ def run_sweep(
             pool_kwargs = {}
             # Threads share one pool: split subtasks of a cell regain the
             # table reuse a per-cell optimizer used to provide.
-            subtask_contexts = contexts or SolverContextPool()
+            subtask_contexts = (contexts if contexts is not None
+                                else SolverContextPool())
         subtasks = [
             (cell_index, count_index,
-             (cell, topology, [count], device, minibatches, engine,
-              subtask_contexts))
+             (cell, topology, [count], device, subtask_contexts))
             for cell_index, cell in enumerate(cells)
             for count_index, count in enumerate(worker_counts)
         ]
@@ -503,9 +487,7 @@ def run_sweep(
             results = list(
                 pool.map(_run_cell_guarded, [args for _, _, args in subtasks])
             )
-        per_cell: List[List[Optional[SweepRecord]]] = [
-            [None] * len(worker_counts) for _ in cells
-        ]
+        per_cell: List[list] = [[None] * len(worker_counts) for _ in cells]
         cell_errors: Dict[int, str] = {}
         # zip() pairs each result with its (cell, count) slot; iteration
         # follows submission order, so on a multi-count failure the
@@ -523,14 +505,14 @@ def run_sweep(
             for index in range(len(cells))
         ]
 
-    by_cell: Dict[_Cell, List[Optional[SweepRecord]]] = {}
+    by_cell: Dict[_Cell, list] = {}
     failures: List[SweepFailure] = []
     for cell, (cell_records, error) in zip(cells, outcomes):
         if error is not None:
-            failures.append(SweepFailure(
+            failures.extend(SweepFailure(
                 cell.model, cell.strategy, error, cell.precision,
                 cell.spec.bucket_bytes, cell.spec.recompute,
-                cell.schedule_family))
+                sim.schedule_family) for sim in cell.sims)
             cell_records = [None] * len(worker_counts)
         by_cell[cell] = cell_records
 
@@ -538,12 +520,12 @@ def run_sweep(
     # strategy, then precision, then bucket size, then the pipedream-only
     # (recompute, schedule family) axes.
     records = [
-        by_cell[cell][idx]
+        record
         for model in models
         for idx in range(len(worker_counts))
         for strategy in strategies
         for cell in cells_of(model, strategy)
-        if by_cell[cell][idx] is not None
+        for record in by_cell[cell][idx] or ()
     ]
 
     if failures and on_error == "raise":

@@ -7,7 +7,12 @@ more literal twin lives here, where only tests import it:
   and the refined suffix DP (``partition_reference.py``);
 - :func:`evaluate_details_closed_form` — the numpy closed-form plan
   evaluator, a second derivation of the placement/all_reduce pricing
-  (``evaluator_closed_form.py``).
+  (``evaluator_closed_form.py``);
+- :func:`~tests.oracles.sim_reference.simulate_reference` — the
+  simulator's full-rescan main loop over production's ``_SimCore``
+  (``sim_reference.py``);
+- :func:`~tests.oracles.partition_brute_force.brute_force_partition` —
+  exhaustive search over flat partitions (``partition_brute_force.py``).
 """
 
 from repro.core.partition import PartitionEvaluation, Stage

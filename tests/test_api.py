@@ -1,10 +1,14 @@
 """Public API surface and reporting utilities."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 import repro
-from repro import api
+from repro import api, sim
+from repro.core.spec import STRATEGY_NAMES
+from repro.runtime.elastic import ElasticCoordinator
 from repro.core.schedule import one_f_one_b_schedule
 from repro.core.topology import make_cluster
 from repro.sim import simulate
@@ -41,6 +45,43 @@ class TestPublicAPI:
         X, y = api.make_classification_data(num_samples=32)
         loss = trainer.train_minibatches([(X[:16], y[:16]), (X[16:], y[16:])])
         assert np.isfinite(loss)
+
+
+def _public_callables():
+    for module in (sim, api):
+        for name in module.__all__:
+            if callable(getattr(module, name)):
+                yield f"{module.__name__}.{name}", getattr(module, name)
+    for name, member in inspect.getmembers(ElasticCoordinator, callable):
+        if not name.startswith("_") or name == "__init__":
+            yield f"ElasticCoordinator.{name}", member
+
+
+class TestDeletedKnobsStayDeleted:
+    """There is one engine and precision is the profile's: neither knob
+    may be re-threaded through the public surface one hop at a time."""
+
+    def test_no_public_callable_takes_an_engine(self):
+        checked = 0
+        for name, member in _public_callables():
+            try:
+                parameters = inspect.signature(member).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                continue
+            assert "engine" not in parameters, name
+            checked += 1
+        assert checked > 100
+
+    def test_no_driver_takes_a_precision(self):
+        drivers = [name for name in sim.__all__ if name.startswith("simulate")]
+        assert len(drivers) >= 7
+        for name in drivers:
+            parameters = inspect.signature(getattr(sim, name)).parameters
+            assert "precision" not in parameters, name
+
+    def test_one_table_names_every_strategy(self):
+        assert tuple(sim.sweep.STRATEGIES) == STRATEGY_NAMES
+        assert sim.sweep.STRATEGIES is sim.strategies.STRATEGIES
 
 
 class TestReporting:

@@ -47,6 +47,7 @@ from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.faults import parse_faults
 from repro.sim.network import Placement, allreduce_time
+from tests.oracles.sim_reference import ENGINES, simulate_reference
 
 import numpy as np
 
@@ -229,8 +230,8 @@ TOPO_A4 = cluster_a(1)  # 4 workers, one server
 
 
 def _assert_engines_identical(sched, profile, topo, options):
-    ref = simulate(sched, profile, topo, options, engine="reference")
-    evt = simulate(sched, profile, topo, options, engine="event")
+    ref = simulate_reference(sched, profile, topo, options)
+    evt = simulate(sched, profile, topo, options)
     assert evt.records == ref.records
     assert evt.total_time == ref.total_time
     assert evt.sync_busy == ref.sync_busy
@@ -324,7 +325,7 @@ class TestSendUnderContentionAndFaults:
         sched = one_f_one_b_rr_schedule(stages, 10)
         options = SimOptions(sync_mode="pipedream", nic_contention=True,
                              faults=faults)
-        return simulate(sched, VGG, TOPO_A4, options, engine=engine)
+        return ENGINES[engine](sched, VGG, TOPO_A4, options)
 
     def test_engines_agree_and_fault_slows_transfers(self):
         faults = parse_faults("bw@0.0:x4:d1000", num_workers=4)

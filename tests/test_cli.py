@@ -64,6 +64,36 @@ class TestSimulate:
         assert "throughput" in out
         assert "bytes/sample" in out
 
+    @pytest.mark.parametrize("flags, field", [
+        (["--memory-limit-bytes", "1e9"], "memory_limit_bytes"),
+        (["--recompute", "auto"], "recompute"),
+        (["--tp-degrees", "1", "2"], "tp_degrees"),
+        (["--schedule-family", "2bp"], "schedule_family"),
+    ])
+    @pytest.mark.parametrize("strategy", ["dp", "mp", "gpipe"])
+    def test_pipedream_only_option_exits_2(self, capsys, strategy, flags,
+                                           field):
+        """An option the strategy would not read is refused with the
+        spec's message, never priced and ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "vgg16", "--servers", "1",
+                  "--strategy", strategy, *flags])
+        assert excinfo.value.code == 2
+        assert (f"{field} applies to the pipedream strategy only, "
+                f"not to {strategy!r}") in capsys.readouterr().err
+
+    def test_bucket_bytes_is_read_by_every_strategy(self, capsys):
+        for strategy in ("dp", "mp", "gpipe", "pipedream"):
+            assert main(["simulate", "vgg16", "--servers", "1",
+                         "--strategy", strategy, "--minibatches", "8",
+                         "--bucket-bytes", "25e6"]) == 0
+
+    def test_minibatches_must_be_positive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "vgg16", "--minibatches", "0"])
+        assert excinfo.value.code == 2
+        assert "minibatches must be an int >= 1" in capsys.readouterr().err
+
 
 class TestServe:
     def test_serve_binds_and_shuts_down(self, capsys, monkeypatch):

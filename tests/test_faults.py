@@ -23,8 +23,9 @@ from repro.core.partition import Stage
 from repro.profiler import analytic_profile
 from repro.core.schedule import one_f_one_b_rr_schedule
 from repro.core.topology import cluster_a
-from repro.sim.executor import SimOptions, simulate
+from repro.sim.executor import SimOptions
 from repro.sim.faults import FaultEvent, FaultSchedule, parse_faults
+from tests.oracles.sim_reference import ENGINES
 from tests.test_sim_engine_equiv import SCENARIOS, assert_engines_identical
 
 VGG = analytic_profile("vgg16")
@@ -60,9 +61,9 @@ def assert_results_identical(a, b):
 @pytest.mark.parametrize("engine", ["reference", "event"])
 def test_empty_schedule_is_bitwise_noop(scenario, engine):
     sched, profile, topo, options = SCENARIOS[scenario]()
-    clean = simulate(sched, profile, topo, options, engine=engine)
-    empty = simulate(sched, profile, topo, with_faults(options, FaultSchedule()),
-                     engine=engine)
+    clean = ENGINES[engine](sched, profile, topo, options)
+    empty = ENGINES[engine](sched, profile, topo,
+                            with_faults(options, FaultSchedule()))
     assert_results_identical(empty, clean)
     assert empty.halted_at is None
 
@@ -249,10 +250,10 @@ def test_engines_agree_under_crash(seed):
 def test_crash_truncates_to_prefix(engine, crash_time):
     """Crash-only schedule == fault-free timeline filtered to ops that
     started before the crash (commit times are non-decreasing)."""
-    clean = simulate(SCHED_15_1, VGG, TOPO_A, engine=engine)
+    clean = ENGINES[engine](SCHED_15_1, VGG, TOPO_A)
     faults = FaultSchedule([FaultEvent("crash", crash_time, 5)])
-    crashed = simulate(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults),
-                       engine=engine)
+    crashed = ENGINES[engine](SCHED_15_1, VGG, TOPO_A,
+                              SimOptions(faults=faults))
     assert crashed.halted_at == crash_time
     expected = [r for r in clean.records if r.start < crash_time]
     assert crashed.records == expected
@@ -260,20 +261,20 @@ def test_crash_truncates_to_prefix(engine, crash_time):
 
 @pytest.mark.parametrize("engine", ["reference", "event"])
 def test_straggler_stretches_timeline(engine):
-    clean = simulate(SCHED_15_1, VGG, TOPO_A, engine=engine)
+    clean = ENGINES[engine](SCHED_15_1, VGG, TOPO_A)
     faults = FaultSchedule([
         FaultEvent("straggler", 0.0, 0, duration=10.0, factor=2.0)])
-    slowed = simulate(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults),
-                      engine=engine)
+    slowed = ENGINES[engine](SCHED_15_1, VGG, TOPO_A,
+                             SimOptions(faults=faults))
     assert slowed.total_time > clean.total_time
     assert slowed.halted_at is None
 
 
 @pytest.mark.parametrize("engine", ["reference", "event"])
 def test_bandwidth_degradation_stretches_timeline(engine):
-    clean = simulate(SCHED_15_1, VGG, TOPO_A, engine=engine)
+    clean = ENGINES[engine](SCHED_15_1, VGG, TOPO_A)
     faults = FaultSchedule([
         FaultEvent("bandwidth", 0.0, duration=10.0, factor=8.0)])
-    slowed = simulate(SCHED_15_1, VGG, TOPO_A, SimOptions(faults=faults),
-                      engine=engine)
+    slowed = ENGINES[engine](SCHED_15_1, VGG, TOPO_A,
+                             SimOptions(faults=faults))
     assert slowed.total_time > clean.total_time

@@ -8,13 +8,13 @@ from repro.core.partition import (
     PipeDreamOptimizer,
     Stage,
     allreduce_bytes_per_worker,
-    brute_force_partition,
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
     evaluate_partition,
 )
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import make_cluster
+from tests.oracles.partition_brute_force import brute_force_partition
 
 
 class TestStage:

@@ -1,10 +1,12 @@
-"""``PlanSpec``: one statement, one validation, one key for the solver options.
+"""``PlanSpec`` and ``SimSpec``: one statement, one validation, one key
+for the solver options and for the simulate side.
 
 Four layers of evidence that every surface reads the same value:
 
 (a) unit — normalisation, hashing and the single rejection site;
 (b) hypothesis — ``options()`` round-trips and ``key()`` is injective;
-(c) cross-surface — optimizer, service, sweep and CLI name one plan;
+(c) cross-surface — optimizer, service, sweep and CLI name one plan, and
+    dispatcher, service, sweep and CLI simulate one scenario;
 (d) golden — sweep CSV and service payloads captured at the commit before
     ``PlanSpec`` existed (``tests/fixtures/plan_spec``) stay byte-equal.
     Regenerate with ``PYTHONPATH=src python tests/test_plan_spec.py``.
@@ -21,11 +23,19 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.core.partition import PipeDreamOptimizer
-from repro.core.spec import PlanSpec
+from repro.core.spec import STRATEGY_NAMES, PlanSpec, SimSpec, check_scenario
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 from repro.serve import PlannerService, RequestError
-from repro.sim import records_to_csv, run_sweep, simulate_pipedream
+from repro.sim import (
+    FaultEvent,
+    FaultSchedule,
+    records_to_csv,
+    run_sweep,
+    simulate_pipedream,
+    simulate_strategy,
+)
+from repro.sim.strategies import grid_minibatches
 
 FIXTURES = Path(__file__).parent / "fixtures" / "plan_spec"
 
@@ -106,6 +116,21 @@ REJECTED = [
 ]
 
 
+#: Every combination ``SimSpec`` rejects, as constructor keywords.
+SIM_REJECTED = [
+    {"strategy": "zero-bubble"},
+    {"strategy": None},
+    {"schedule_family": "zb-h1"},
+    {"minibatches": 0},
+    {"minibatches": -3},
+    {"minibatches": True},
+    {"minibatches": "48"},
+    {"minibatches": 4.0},
+    {"strategy": "gpipe", "schedule_family": "2bp"},
+    {"strategy": "dp", "schedule_family": "2bp"},
+]
+
+
 def _sweep_with(bucket_bytes=None, recompute=None, **shared):
     return run_sweep(["vgg16"], cluster_a(1), [4],
                      bucket_sizes=(bucket_bytes,), recomputes=(recompute,),
@@ -118,7 +143,7 @@ SURFACES = {
     "optimizer": lambda **o: PipeDreamOptimizer(
         analytic_profile("vgg16"), cluster_a(1), **o),
     "simulate": lambda **o: simulate_pipedream(
-        analytic_profile("vgg16"), cluster_a(1), **o),
+        analytic_profile("vgg16"), cluster_a(1), spec=PlanSpec(**o)),
     "sweep": _sweep_with,
 }
 
@@ -149,13 +174,45 @@ class TestUnit:
     @pytest.mark.parametrize("options", REJECTED,
                              ids=lambda o: ",".join(map(str, o.values())))
     def test_rejections_come_from_spec_py(self, surface, options):
-        if surface in ("simulate", "sweep") and "memory_refine" in options:
-            pytest.skip(f"{surface} has no memory_refine option")
+        if surface == "sweep" and "memory_refine" in options:
+            pytest.skip("sweep has no memory_refine option")
         with pytest.raises(ValueError) as excinfo:
             SURFACES[surface](**options)
         files = [Path(str(entry.path)).name for entry in excinfo.traceback]
         assert "spec.py" in files
         assert files[-1] in ("spec.py", "sharding.py")  # validate_tp_degrees
+
+    @pytest.mark.parametrize("options", SIM_REJECTED,
+                             ids=lambda o: ",".join(map(str, o.values())))
+    def test_sim_rejections_come_from_spec_py(self, options):
+        with pytest.raises(ValueError) as excinfo:
+            SimSpec(**options)
+        assert Path(str(excinfo.traceback[-1].path)).name == "spec.py"
+
+    def test_sim_spec_defaults_and_key(self):
+        assert SimSpec() == SimSpec("pipedream", 48, "1f1b", None)
+        assert SimSpec().key() == ("pipedream", 48, "1f1b", None)
+        crash = FaultSchedule([FaultEvent("crash", 0.5, 1)])
+        assert SimSpec(faults=crash).key()[-1] == crash.signature()
+        # An empty fault schedule is no faults: one spec, one key.
+        assert SimSpec(faults=FaultSchedule()) == SimSpec()
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_scenario_rule_reads_only_bucket_bytes_without_a_plan(
+            self, strategy):
+        sim = SimSpec(strategy)
+        check_scenario(PlanSpec(bucket_bytes=25e6), sim)
+        for options in ({"memory_limit_bytes": 1e9}, {"recompute": "auto"},
+                        {"tp_degrees": (1, 2)}, {"allow_replication": False},
+                        {"memory_refine": False}):
+            if strategy == "pipedream":
+                check_scenario(PlanSpec(**options), sim)
+                continue
+            with pytest.raises(ValueError, match=next(iter(options))):
+                check_scenario(PlanSpec(**options), sim)
+            with pytest.raises(ValueError, match=next(iter(options))):
+                simulate_strategy(analytic_profile("vgg16"), cluster_a(1),
+                                  sim, PlanSpec(**options))
 
     def test_effective_spec_keys_the_optimizer_namespace(self):
         profile, topology = analytic_profile("vgg16"), cluster_a(1)
@@ -195,7 +252,29 @@ def specs(draw):
     )
 
 
+@st.composite
+def sim_specs(draw):
+    strategy = draw(st.sampled_from(STRATEGY_NAMES))
+    events = draw(st.lists(st.builds(
+        FaultEvent, st.just("crash"),
+        st.sampled_from([0.25, 0.5]), st.integers(0, 2)), max_size=2))
+    return SimSpec(
+        strategy=strategy,
+        minibatches=draw(st.integers(1, 6)),
+        schedule_family=(draw(st.sampled_from(["1f1b", "2bp"]))
+                         if strategy == "pipedream" else "1f1b"),
+        faults=FaultSchedule(events) if events else None,
+    )
+
+
 class TestProperties:
+    @given(sim_specs(), sim_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_sim_key_is_injective(self, a, b):
+        assert (a == b) == (a.key() == b.key())
+        if a == b:
+            assert hash(a) == hash(b)
+
     @given(specs())
     @settings(max_examples=200, deadline=None)
     def test_options_round_trip(self, spec):
@@ -266,6 +345,58 @@ def test_every_surface_names_the_same_plan(model, servers, spec, capsys):
     assert cli_main(argv) == 0
     printed = re.search(r"config: (\S+)", capsys.readouterr().out).group(1)
     assert printed == direct.config_string
+
+
+#: (plan options, schedule family) every strategy is asked under; 2bp
+#: only where the strategy has a pipeline to fill.
+SIMULATED = [
+    (strategy, options, family)
+    for strategy in STRATEGY_NAMES
+    for options, family in [({}, "1f1b"), ({"bucket_bytes": 25e6}, "1f1b"),
+                            ({}, "2bp")]
+    if family == "1f1b" or strategy == "pipedream"
+]
+
+
+@pytest.mark.parametrize("strategy, options, family", SIMULATED)
+def test_every_surface_simulates_the_same_scenario(strategy, options, family,
+                                                   capsys):
+    """``minibatches`` is literal on every surface; the sweep, whose cell
+    budget is the one rescaling, agrees when the budget equals it."""
+    profile, topology = analytic_profile("gnmt8"), cluster_a(2)
+    count = grid_minibatches(strategy, 16)
+    sim = SimSpec(strategy, count, family)
+    direct = simulate_strategy(profile, topology, sim, PlanSpec(**options))
+
+    served = PlannerService().simulate(dict(
+        {"model": "gnmt8", "cluster": "a", "servers": 2,
+         "strategy": strategy, "minibatches": count,
+         "schedule_family": family}, **options))
+    assert served["config"] == direct.config
+    assert served["throughput"] == direct.throughput
+    assert served["communication_overhead"] == direct.communication_overhead
+
+    [record] = run_sweep(
+        ["gnmt8"], topology, [topology.total_workers],
+        strategies=(strategy,), minibatches=16,
+        bucket_sizes=(options.get("bucket_bytes"),),
+        schedule_families=(family,))
+    assert record.config == direct.config
+    assert record.samples_per_second == direct.samples_per_second
+    assert record.communication_overhead == direct.communication_overhead
+    assert record.schedule_family == family
+
+    argv = ["simulate", "gnmt8", "--cluster", "a", "--servers", "2",
+            "--strategy", strategy, "--minibatches", str(count),
+            "--schedule-family", family]
+    if options:
+        argv += ["--bucket-bytes", str(options["bucket_bytes"])]
+    assert cli_main(argv) == 0
+    printed = dict(re.findall(r"^(\S[^\n]*?)  +(\S[^\n]*?) *$",
+                              capsys.readouterr().out, re.M))
+    assert printed["config"] == direct.config
+    assert printed["throughput"] == f"{direct.throughput:.2f} minibatches/s"
+    assert printed["comm overhead"] == f"{direct.communication_overhead:.1%}"
 
 
 def test_cli_exits_2_with_the_spec_message(capsys):

@@ -24,7 +24,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import (
-    PipeDreamOptimizer,
     Stage,
     evaluate_partition_details,
 )
@@ -35,7 +34,8 @@ from repro.profiler import (
     clear_profile_cache,
     profile_cache_stats,
 )
-from repro.sim.strategies import resolve_precision, simulate_pipedream
+from repro.sim import strategies
+from repro.sim.strategies import simulate_pipedream
 from repro.sim.sweep import (
     SweepError,
     precision_chart,
@@ -43,6 +43,7 @@ from repro.sim.sweep import (
     run_sweep,
 )
 from tests.oracles import price_sweep_record
+from tests.oracles.sim_reference import simulate_reference
 
 TOPO = cluster_a(4)
 MODELS = ("vgg16", "gnmt8")
@@ -67,12 +68,13 @@ class TestFp32Differential:
                              minibatches=16, precisions=("fp32",))
         assert default == explicit
 
-    def test_reference_engine_identical(self):
-        default = run_sweep(("vgg16",), TOPO, (4,), engine="reference",
-                            minibatches=8)
-        explicit = run_sweep(("vgg16",), TOPO, (4,), engine="reference",
-                             minibatches=8, precisions=("fp32",))
-        assert default == explicit
+    def test_reference_engine_identical(self, monkeypatch):
+        event = run_sweep(("vgg16",), TOPO, (4,), minibatches=8)
+        monkeypatch.setattr(strategies, "simulate", simulate_reference)
+        default = run_sweep(("vgg16",), TOPO, (4,), minibatches=8)
+        explicit = run_sweep(("vgg16",), TOPO, (4,), minibatches=8,
+                             precisions=("fp32",))
+        assert default == explicit == event
 
     def test_oracle_stack_identical(self):
         """Both widths' records carry the floats the scalar DP plus the
@@ -97,34 +99,17 @@ class TestFp32Differential:
         records = run_sweep(("vgg16",), TOPO, (4,))
         assert all(r.precision == "fp32" for r in records)
 
-    def test_resolve_precision_is_identity_for_matching_width(self):
-        profile = analytic_profile("vgg16")
-        assert resolve_precision(profile, None) is profile
-        assert resolve_precision(profile, "fp32") is profile
-        fp16 = resolve_precision(profile, "fp16")
-        assert fp16 is not profile
-        assert fp16.bytes_per_element == 2
-        with pytest.raises(ValueError):
-            resolve_precision(profile, "int8")
-
     def test_driver_precision_fp32_identical(self):
+        """Precision is the profile's: an fp32 -> fp32 conversion hands
+        the drivers the same values, so the timeline is bitwise the same."""
         profile = analytic_profile("vgg16")
         plain = simulate_pipedream(profile, TOPO, num_minibatches=16)
-        tagged = simulate_pipedream(profile, TOPO, num_minibatches=16,
-                                    precision="fp32")
+        tagged = simulate_pipedream(
+            profile.with_precision(PRECISION_BYTES["fp32"]), TOPO,
+            num_minibatches=16)
         assert plain.sim.records == tagged.sim.records
         assert plain.samples_per_second == tagged.samples_per_second
         assert plain.memory_per_worker == tagged.memory_per_worker
-
-    def test_shared_optimizer_rejects_real_conversion(self):
-        profile = analytic_profile("vgg16")
-        optimizer = PipeDreamOptimizer(profile, TOPO)
-        # fp32 is a no-op conversion: allowed.
-        simulate_pipedream(profile, TOPO, num_minibatches=8,
-                           optimizer=optimizer, precision="fp32")
-        with pytest.raises(ValueError):
-            simulate_pipedream(profile, TOPO, num_minibatches=8,
-                               optimizer=optimizer, precision="fp16")
 
     def test_unknown_precision_rejected(self):
         with pytest.raises(ValueError):

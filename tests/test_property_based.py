@@ -9,7 +9,6 @@ from repro.autodiff.engine import unbroadcast
 from repro.core.partition import (
     PipeDreamOptimizer,
     Stage,
-    brute_force_partition,
     communication_bytes_per_minibatch,
     evaluate_partition,
 )
@@ -23,6 +22,7 @@ from repro.core.schedule import (
 )
 from repro.core.stashing import WeightStore
 from repro.core.topology import make_cluster
+from tests.oracles.partition_brute_force import brute_force_partition
 
 
 # ----------------------------------------------------------------------

@@ -336,11 +336,37 @@ class TestHTTPTransport:
          "bad profile: layer 'l1': compute_time"),
         ("/simulate", {"model": "vgg16", "minibatches": "x"}, "minibatches"),
         ("/simulate", {"model": "vgg16", "minibatches": 0}, "minibatches"),
-        ("/simulate", {"model": "vgg16", "engine": "warp"},
-         "unknown engine"),
+        ("/simulate", {"model": "vgg16", "engine": "event"},
+         "unknown request fields"),
         ("/simulate", [1, 2], "JSON object"),
         ("/sweep", {"models": ["vgg16"], "topology": {"levels": [{}]}},
          "bad topology"),
+        ("/sweep", {"models": ["vgg16"], "engine": "event"},
+         "unknown request fields"),
+        ("/sweep", {"models": ["vgg16"], "counts": [4], "minibatches": 0},
+         "minibatches must be an int >= 1"),
+        ("/simulate", {"model": "vgg16", "strategy": "gpipe",
+                       "schedule_family": "2bp"},
+         "schedule_family applies to the pipedream strategy only"),
+        ("/simulate", {"model": "vgg16", "schedule_family": "zb"},
+         "unknown schedule family"),
+    ] + [
+        # A plan option a non-pipedream strategy would not read is refused,
+        # never priced and then ignored.
+        ("/simulate", dict({"model": "vgg16", "cluster": "a", "servers": 1,
+                            "strategy": strategy}, **option),
+         f"{field} applies to the pipedream strategy only, "
+         f"not to '{strategy}'")
+        for strategy in ("dp", "mp", "gpipe")
+        for field, option in [
+            ("tp_degrees", {"tp_degrees": [1, 2]}),
+            ("recompute", {"recompute": "auto"}),
+            ("memory_limit_bytes", {"memory_limit_bytes": 1e6}),
+            ("allow_replication", {"allow_replication": False}),
+            ("memory_refine", {"memory_refine": False}),
+            ("memory_limit_bytes, recompute",
+             {"memory_limit_bytes": 1e6, "recompute": "auto"}),
+        ]
     ])
     def test_malformed_field_is_400_not_500(self, server, endpoint, body,
                                             message):

@@ -1,8 +1,8 @@
 """The event-driven engine is an optimization, not a semantic change.
 
-Every scenario here runs the same schedule through ``engine="reference"``
-(the original rescan loop) and ``engine="event"`` (heap + wakeup lists)
-and asserts bitwise-identical results: the full OpRecord timeline, the
+Every scenario here runs the same schedule through the full-rescan oracle
+(``tests/oracles/sim_reference.py``) and the production engine (heap +
+wakeup lists) and asserts bitwise-identical results: the full OpRecord timeline, the
 aggregate busy/sync accounting, and the per-minibatch completion times.
 The hypothesis case fuzzes profiles, stragglers, and NIC contention on
 top of the hand-picked regressions.
@@ -31,14 +31,15 @@ from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import balanced_straight_stages
 from tests.oracles import ReferenceOptimizer
+from tests.oracles.sim_reference import simulate_reference
 
 VGG = analytic_profile("vgg16")
 TOPO_A = cluster_a(4)
 
 
 def assert_engines_identical(sched, profile, topo, options=None):
-    ref = simulate(sched, profile, topo, options, engine="reference")
-    evt = simulate(sched, profile, topo, options, engine="event")
+    ref = simulate_reference(sched, profile, topo, options)
+    evt = simulate(sched, profile, topo, options)
     assert evt.records == ref.records
     assert evt.total_time == ref.total_time
     assert evt.channel_busy == ref.channel_busy

@@ -9,8 +9,10 @@ per cell via :class:`SweepError` (or dropped with ``on_error="skip"``).
 
 import pytest
 
+from repro.core.partition import SolverContextPool
+from repro.core.profile import PRECISION_BYTES
 from repro.core.topology import cluster_a
-from repro.profiler import clear_profile_cache
+from repro.profiler import analytic_profile, clear_profile_cache
 from repro.sim import SweepError, run_sweep
 from repro.sim import sweep as sweep_mod
 from tests.oracles import price_sweep_record
@@ -151,3 +153,71 @@ def test_on_error_skip_returns_survivors(serial_records,
     expected = [r for r in serial_records
                 if not (r.model == "resnet50" and r.strategy == "dp")]
     assert survivors == expected
+
+
+# ----------------------------------------------------------------------
+# A pipedream cell is one plan, whatever families it is simulated under
+# ----------------------------------------------------------------------
+
+FAMILIES = ("1f1b", "2bp")
+TOPO_2 = cluster_a(2)
+
+
+def family_sweep(families=FAMILIES, **kwargs):
+    return run_sweep(["gnmt8"], TOPO_2, [4, 8], strategies=("pipedream",),
+                     schedule_families=families, **kwargs)
+
+
+def solves(pool, precision="fp32"):
+    profile = analytic_profile(
+        "gnmt8", bytes_per_element=PRECISION_BYTES[precision])
+    return pool.get(profile).stats()["solves"]
+
+
+def test_family_twins_share_one_solve_per_count():
+    pool = SolverContextPool()
+    both = family_sweep(contexts=pool)
+    assert solves(pool) == 2  # one per worker count, not per (count, family)
+    one_f_one_b, two_bp = (family_sweep((family,)) for family in FAMILIES)
+    assert both == [record for pair in zip(one_f_one_b, two_bp)
+                    for record in pair]
+    assert [r.schedule_family for r in both] == list(FAMILIES) * 2
+
+
+def test_threaded_subtasks_plan_once_into_the_callers_pool():
+    """An *empty* pool is falsy (``__len__``); the threaded path must
+    still solve into it, not into a throw-away one."""
+    pool = SolverContextPool()
+    threaded = family_sweep(precisions=("fp32", "fp16"), workers=2,
+                            executor="thread", contexts=pool)
+    assert solves(pool, "fp32") + solves(pool, "fp16") == 4
+    assert threaded == family_sweep(precisions=("fp32", "fp16"))
+
+
+@pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "thread")])
+def test_failing_solve_fails_every_family_of_its_cell(monkeypatch, workers,
+                                                      executor):
+    class Exploding(sweep_mod.PipeDreamOptimizer):
+        def solve(self, num_workers=None):
+            if self.profile.model_name == "gnmt8":
+                raise RuntimeError("injected solve failure")
+            return super().solve(num_workers)
+
+    monkeypatch.setattr(sweep_mod, "PipeDreamOptimizer", Exploding)
+    with pytest.raises(SweepError) as excinfo:
+        run_sweep(["gnmt8", "vgg16"], TOPO_2, [4, 8],
+                  strategies=("dp", "pipedream"), minibatches=16,
+                  schedule_families=FAMILIES, workers=workers,
+                  executor=executor)
+    error = excinfo.value
+    assert [(f.model, f.strategy, f.schedule_family)
+            for f in error.failures] == [
+        ("gnmt8", "pipedream", "1f1b"), ("gnmt8", "pipedream", "2bp")]
+    assert all("injected solve failure" in f.error for f in error.failures)
+    monkeypatch.undo()
+    healthy = run_sweep(["gnmt8", "vgg16"], TOPO_2, [4, 8],
+                        strategies=("dp", "pipedream"), minibatches=16,
+                        schedule_families=FAMILIES)
+    assert error.records == [
+        r for r in healthy
+        if (r.model, r.strategy) != ("gnmt8", "pipedream")]

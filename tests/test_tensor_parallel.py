@@ -49,13 +49,16 @@ from repro.core.sharding import (
     shardable_weight_bytes,
     validate_tp_degrees,
 )
+from repro.core.spec import PlanSpec
 from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
 from repro.sim.network import Placement, allreduce_cost_factors, allreduce_time
+from repro.sim import strategies
 from repro.sim.strategies import simulate_pipedream
 from repro.sim.sweep import records_to_csv, run_sweep
 from tests.oracles import ReferenceOptimizer, evaluate_details_closed_form
+from tests.oracles.sim_reference import ENGINES
 from tests.test_partition_memory_refine import phase1_admits
 
 TOPO_A = cluster_a(4)
@@ -130,12 +133,13 @@ class TestTp1BitwiseNoOp:
         assert a == b
         assert a == evaluate_details_closed_form(profile, stages, TOPO_A)
 
-    def test_both_engines(self):
+    def test_both_engines(self, monkeypatch):
         profile = analytic_profile("vgg16")
         for engine in ("event", "reference"):
-            base = simulate_pipedream(profile, TOPO_A, engine=engine)
+            monkeypatch.setattr(strategies, "simulate", ENGINES[engine])
+            base = simulate_pipedream(profile, TOPO_A)
             tp1 = simulate_pipedream(
-                profile, TOPO_A, engine=engine, tp_degrees=(1,))
+                profile, TOPO_A, spec=PlanSpec(tp_degrees=(1,)))
             assert tp1.config == base.config
             assert tp1.throughput == base.throughput
             assert tp1.communication_overhead == base.communication_overhead

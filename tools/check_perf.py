@@ -4,7 +4,7 @@
 Fails (exit 1) when any recorded workload is more than ``--threshold``
 (default 2.0) times slower than its recorded seconds, when a recorded
 workload disappeared from the registry, or when a correctness flag in a
-workload's detail (e.g. the engine-equivalence check) comes back false.
+workload's detail (e.g. warm == cold solves) comes back false.
 New workloads that are not yet recorded are reported but don't fail —
 refresh the baseline with ``tools/perf_report.py``.
 """

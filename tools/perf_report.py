@@ -8,15 +8,11 @@ Usage:
 
 from __future__ import annotations
 
-import json
+import argparse
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "benchmarks"))
-
-from perf import REPORT_PATH, load_report, run_all, write_report  # noqa: E402
 
 
 def print_results(results: dict, previous: dict | None) -> None:
@@ -31,24 +27,28 @@ def print_results(results: dict, previous: dict | None) -> None:
         )
 
 
-def main(argv: list[str]) -> int:
-    dry_run = "--dry-run" in argv
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Run the perf workloads and refresh BENCH_perf.json.")
+    parser.add_argument("--dry-run", action="store_true",
+                        help="run and print, but leave BENCH_perf.json alone")
+    args = parser.parse_args(argv)
+
+    # Imported after parsing, so --help or a mistyped flag runs nothing.
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "benchmarks"))
+    from perf import REPORT_PATH, load_report, run_all, write_report
+
     previous = None
     if REPORT_PATH.exists():
         previous = load_report().get("workloads", {})
     results = run_all()
     print_results(results, previous)
-    if dry_run:
+    if args.dry_run:
         print("\n--dry-run: BENCH_perf.json not written")
         return 0
     path = write_report(results)
     print(f"\nwrote {path.relative_to(ROOT)}")
-    speed = results.get("event_vs_reference_1f1b_16w", {}).get("detail", {})
-    if speed:
-        print(
-            f"event engine: {speed['speedup']:.2f}x over reference, "
-            f"identical timeline: {speed['identical_timeline']}"
-        )
     mem = results.get("memory_refined_solve_vgg16_16w", {}).get("detail", {})
     if mem:
         print(
@@ -67,4 +67,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

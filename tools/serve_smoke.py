@@ -111,6 +111,14 @@ def main() -> int:
                   "unknown model" in str(exc))
         else:
             check("errors: HTTP 400 -> RequestError", False)
+        try:  # there is one engine: the field is not in the schema
+            http.simulate(dict(PLAN_REQUEST, engine="event"))
+        except RequestError as exc:
+            check("errors: /simulate {engine} is an unknown field (400)",
+                  "unknown request fields: ['engine']" in str(exc))
+        else:
+            check("errors: /simulate {engine} is an unknown field (400)",
+                  False)
 
         check("wire: keep-alive 200, 200, then 413 for an oversized body",
               statuses_on_one_connection(url) == [200, 200, 413])
