@@ -9,6 +9,7 @@ test:
 perf:
 	$(PYTHON) tools/perf_report.py
 
-# Tier-1 tests + perf-regression gate — the single pre-merge entry point.
+# Every CI step (tier-1, smokes, docs, selftest, perf gate) — the single
+# pre-merge entry point.
 verify:
 	bash tools/verify.sh

@@ -20,7 +20,7 @@ evaluator (``core/partition.py``) and the discrete-event simulator
 - Buckets are formed in *backward* (reverse-layer) order — the order
   gradients materialize.
 - Only streamable payloads are bucketed: layers whose kind is in
-  :data:`~repro.core.partition.RECURRENT_KINDS` accumulate their
+  :data:`~repro.core.profile.RECURRENT_KINDS` accumulate their
   gradients across the whole BPTT backward pass, cannot fire early, and
   stay one single post-backward payload (exactly the
   ``sync_deferred`` split the simulator already makes).
@@ -39,11 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.core.profile import ModelProfile
-
-# Mirrors repro.core.partition.RECURRENT_KINDS (imported lazily there to
-# avoid a cycle: partition imports this module's consumers).
-_RECURRENT_KINDS = ("lstm", "embedding")
+from repro.core.profile import RECURRENT_KINDS, ModelProfile
 
 
 @dataclass(frozen=True)
@@ -91,7 +87,7 @@ def gradient_buckets(
     first = last = -1
     for offset in range(len(layers) - 1, -1, -1):
         layer = layers[offset]
-        if layer.kind in _RECURRENT_KINDS or layer.weight_bytes <= 0:
+        if layer.kind in RECURRENT_KINDS or layer.weight_bytes <= 0:
             continue
         if fill and fill + layer.weight_bytes > bucket_bytes:
             spans.append((fill, first, last))
@@ -124,7 +120,7 @@ def stream_bucket_count(
     count = 0
     fill = 0
     for layer in reversed(profile.layers[start:stop]):
-        if layer.kind in _RECURRENT_KINDS or layer.weight_bytes <= 0:
+        if layer.kind in RECURRENT_KINDS or layer.weight_bytes <= 0:
             continue
         if fill and fill + layer.weight_bytes > bucket_bytes:
             count += 1
@@ -153,7 +149,7 @@ def stream_bucket_count_table(
         fill = 0
         for i in range(j, -1, -1):
             layer = layers[i]
-            if layer.kind not in _RECURRENT_KINDS and layer.weight_bytes > 0:
+            if layer.kind not in RECURRENT_KINDS and layer.weight_bytes > 0:
                 if fill and fill + layer.weight_bytes > bucket_bytes:
                     closed += 1
                     fill = 0

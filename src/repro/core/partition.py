@@ -35,16 +35,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.profile import ModelProfile
-from repro.core.sharding import SHARDABLE_KINDS
+# RECURRENT_KINDS and the range-table cache fronts are re-exported here.
+from repro.core.profile import RECURRENT_KINDS, ModelProfile
+from repro.core.ranges import clear_eval_tables, eval_tables_stats, range_table
 from repro.core.spec import PlanSpec, reject_tp_bucketing
 from repro.core.topology import Topology, TopologyLevel
 from repro.utils.lru import LRUCache
-
-#: Layer kinds whose weight gradients accumulate across BPTT timesteps and
-#: only complete at the end of the backward pass — their all_reduce cannot
-#: overlap compute (§2.1 wait-free backprop does not apply to them).
-RECURRENT_KINDS = ("lstm", "embedding")
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,7 @@ class SolverContext:
         # days holds a working set, not a transcript.  Level tables are the
         # big ones (O(n^2) arrays per level); suffix rows are O(n) each.
         self.level_tables = LRUCache(capacity=256, name="level_tables")
-        self.bound_matrices: Dict[tuple, List[List[float]]] = {}
+        self.bound_matrices: Dict[tuple, np.ndarray] = {}
         self.comm_tables = LRUCache(capacity=64, name="comm_tables")
         self.refined_rows = LRUCache(capacity=4096, name="refined_rows")
         self._counters = {
@@ -416,11 +412,11 @@ class PipeDreamOptimizer:
             )
         self.context = context
         # The one shared memory formula (imported at call time because
-        # repro.sim.memory imports Stage/RECURRENT_KINDS from this module).
+        # repro.sim.memory imports Stage from this module).
         from repro.sim.memory import stage_memory_cost
 
         self._stage_memory_cost = stage_memory_cost
-        self._bound_cache: Optional[List[List[float]]] = None
+        self._bound_cache: Optional[np.ndarray] = None
         self._tables: Optional[SimpleNamespace] = None
         #: Namespace prefix of every shared-cache key: everything that
         #: changes DP table *values*.  Entries written under one namespace
@@ -430,14 +426,18 @@ class PipeDreamOptimizer:
         #: cap no mask can feel, see :func:`canonical_spec_key`).
         self._cache_ns = (topology.compute_scale,) + canonical_spec_key(
             effective, profile, topology.total_workers)
-        #: level-table memo for the level DP, keyed by the namespace
-        #: plus the (count, bandwidth, allreduce_bandwidth) tuple of every
-        #: level up to and including the one the table belongs to.  Subset
-        #: topologies used by worker-count sweeps share inner levels, so
-        #: their tables are computed once per optimizer instance — or once
-        #: per *context* when one is shared.
-        self._level_cache: Dict[tuple, tuple] = (
-            context.level_tables if context is not None else {}
+        #: The memo stores :meth:`_memo` reads and writes: the shared
+        #: context's tables, or this optimizer's own dicts.  ``level``
+        #: holds the level DP's per-level tables — keyed by the namespace
+        #: plus the (count, bandwidth, allreduce_bandwidth, latency) tuple
+        #: of every level up to the table's own, so worker-count subsets
+        #: of one cluster share their inner levels — and the refined DP's
+        #: plans; ``bound`` the phase-1 matrices; ``comm`` the refined DP's
+        #: placement tables.
+        self._stores = (
+            {"level": context.level_tables, "bound": context.bound_matrices,
+             "comm": context.comm_tables}
+            if context is not None else {"level": {}, "bound": {}, "comm": {}}
         )
         self._n = len(profile)
         # Profiles are recorded on the reference device; slower clusters
@@ -447,87 +447,49 @@ class PipeDreamOptimizer:
         if topology.compute_scale != 1.0:
             profile = profile.scaled(1.0 / topology.compute_scale)
         self._device_profile = profile
-        # Prefix sums for O(1) range queries.  Recurrent (BPTT-accumulated)
-        # weights are tracked separately: their gradients only materialize
-        # at the end of a backward pass, so their synchronization cannot be
-        # overlapped and is charged additively (see RECURRENT_KINDS).
-        self._prefix_time = [0.0]
-        self._prefix_weights = [0.0]
-        self._prefix_recurrent = [0.0]
-        self._prefix_acts = [0.0]
-        self._prefix_backward = [0.0]
-        for layer in profile:
-            self._prefix_time.append(self._prefix_time[-1] + layer.compute_time)
-            self._prefix_weights.append(self._prefix_weights[-1] + layer.weight_bytes)
-            recurrent = layer.weight_bytes if layer.kind in RECURRENT_KINDS else 0
-            self._prefix_recurrent.append(self._prefix_recurrent[-1] + recurrent)
-            self._prefix_acts.append(self._prefix_acts[-1] + layer.activation_bytes)
-            self._prefix_backward.append(self._prefix_backward[-1] + layer.backward)
-        if self._tp_enabled:
-            # Shardable-share prefix sums (device-adjusted, like the ones
-            # above) — what a tp degree divides; the complement stays
-            # replicated across the tp group.
-            self._prefix_shard_time = [0.0]
-            self._prefix_shard_weights = [0.0]
-            self._prefix_shard_acts = [0.0]
-            self._prefix_shard_backward = [0.0]
-            for layer in profile:
-                shardable = layer.kind in SHARDABLE_KINDS
-                self._prefix_shard_time.append(
-                    self._prefix_shard_time[-1]
-                    + (layer.compute_time if shardable else 0.0))
-                self._prefix_shard_weights.append(
-                    self._prefix_shard_weights[-1]
-                    + (layer.weight_bytes if shardable else 0))
-                self._prefix_shard_acts.append(
-                    self._prefix_shard_acts[-1]
-                    + (layer.activation_bytes if shardable else 0))
-                self._prefix_shard_backward.append(
-                    self._prefix_shard_backward[-1]
-                    + (layer.backward if shardable else 0.0))
+        #: Range sums of the device-adjusted profile: both DPs read them.
+        self._table = range_table(profile)
 
-    # ------------------------------------------------------------------
-    # Range helpers
-    # ------------------------------------------------------------------
-    def _weights(self, i: int, j: int) -> float:
-        return self._prefix_weights[j + 1] - self._prefix_weights[i]
-
-    def _recurrent_weights(self, i: int, j: int) -> float:
-        return self._prefix_recurrent[j + 1] - self._prefix_recurrent[i]
-
-    def _activation_sum(self, i: int, j: int) -> float:
-        """Summed activation stash of layers i..j inclusive (one minibatch)."""
-        return self._prefix_acts[j + 1] - self._prefix_acts[i]
-
-    def _shard_weights(self, i: int, j: int) -> float:
-        return self._prefix_shard_weights[j + 1] - self._prefix_shard_weights[i]
-
-    def _shard_acts(self, i: int, j: int) -> float:
-        return self._prefix_shard_acts[j + 1] - self._prefix_shard_acts[i]
+    def _memo(self, kind: str, key: tuple, build, fallback=None):
+        """The ``kind`` store's entry for ``key`` (or for ``fallback``, a
+        second key allowed to answer), else ``build()`` stored under
+        ``key``.  With a shared context the lookup bumps its
+        ``{kind}_hits`` / ``{kind}_misses`` counter."""
+        store = self._stores[kind]
+        value = store.get(key)
+        if value is None and fallback is not None:
+            value = store.get(fallback)
+        outcome = "hits"
+        if value is None:
+            value = build()
+            store[key] = value
+            outcome = "misses"
+        if self.context is not None:
+            self.context._bump(f"{kind}_{outcome}")
+        return value
 
     def _bucket_matrix(self):
         """(n, n) streamable collectives per round for every span i..j.
 
         With fusion off the stage all_reduces its streamable gradients as
-        one payload; with ``bucket_bytes`` set it launches one collective
-        per gradient bucket, each paying the level setup latency α again
-        (the DP only reads this under ``α > 0``, so the α=0 default stays
-        bitwise untouched).
+        one payload (the scalar 1); with ``bucket_bytes`` set it launches
+        one collective per gradient bucket, each paying the level setup
+        latency α again (the DP only reads this under ``α > 0``, so the
+        α=0 default stays bitwise untouched).
         """
+        if self.bucket_bytes is None:
+            return 1.0
         if self._bucket_matrix_cache is None:
-            if self.bucket_bytes is None:
-                self._bucket_matrix_cache = np.ones((self._n, self._n))
-            else:
-                from repro.comm.bucketing import stream_bucket_count_table
+            from repro.comm.bucketing import stream_bucket_count_table
 
-                # Weight bytes are compute-scale-invariant, so the device
-                # profile and the raw profile give the same table.
-                self._bucket_matrix_cache = np.asarray(
-                    stream_bucket_count_table(
-                        self._device_profile, self.bucket_bytes
-                    ),
-                    dtype=np.float64,
-                )
+            # Weight bytes are compute-scale-invariant, so the device
+            # profile and the raw profile give the same table.
+            self._bucket_matrix_cache = np.asarray(
+                stream_bucket_count_table(
+                    self._device_profile, self.bucket_bytes
+                ),
+                dtype=np.float64,
+            )
         return self._bucket_matrix_cache
 
     def _bound_matrix(self) -> List[List[float]]:
@@ -555,101 +517,69 @@ class PipeDreamOptimizer:
         be in flight — so a bound-only solve never returns a plan whose
         simulated footprint overflows the limit.
         """
-        if self._bound_cache is not None:
-            return self._bound_cache
-        # The matrix depends on the profile's bytes and (in bound-only
-        # mode) the instance topology's worker count — never on the limit
-        # itself, which only enters through the <= comparison.  A shared
-        # context therefore serves every memory cap from one matrix.
-        if self.memory_refine:
-            # Recompute-auto lowers the per-layer floor (a checkpointing
-            # stage may stash as little as one full set), so its matrix
-            # carries different values and must not share the default key.
-            ctx_key = (
-                ("refined", "recompute") if self._recompute_auto
-                else ("refined",)
-            )
-            # The tp floor (shardable terms divided by the max degree)
-            # also lowers values; the component is appended only when the
-            # axis is live so tp-free keys stay byte-identical.
-            if self._tp_enabled:
-                ctx_key = ctx_key + ("tp", self._tp_options[-1])
-        else:
-            ctx_key = ("bound", max(1, self.topology.total_workers))
-        if self.context is not None:
-            cached = self.context.bound_matrices.get(ctx_key)
-            if cached is not None:
-                self.context._bump("bound_hits")
-                self._bound_cache = cached
-                return cached
-        n = self._n
-        kernel = self._stage_memory_cost
-        inf = math.inf
-        bound = [[inf] * n for _ in range(n)]
-        if self.memory_refine:
-            layers = self._device_profile.layers
-            deferred = [
-                layer.weight_bytes if layer.kind in RECURRENT_KINDS else 0
-                for layer in layers
-            ]
-            recompute_floor = self._recompute_auto
-            tp_floor = self._tp_options[-1] if self._tp_enabled else 1
+        if self._bound_cache is None:
+            # The matrix depends on the profile's bytes and (in bound-only
+            # mode) the instance topology's worker count — never on the
+            # limit itself, which only enters through the <= comparison.
+            # A shared context therefore serves every cap from one matrix.
+            if self.memory_refine:
+                # Recompute-auto lowers the per-layer floor (a
+                # checkpointing stage may stash as little as one full set),
+                # and the tp floor (shardable terms divided by the max
+                # degree) lowers it further, so both join the key — the tp
+                # component only when the axis is live, keeping tp-free
+                # keys byte-identical.
+                key = (("refined", "recompute") if self._recompute_auto
+                       else ("refined",))
+                if self._tp_enabled:
+                    key = key + ("tp", self._tp_options[-1])
+            else:
+                key = ("bound", max(1, self.topology.total_workers))
+            self._bound_cache = self._memo("bound", key, self._build_bound)
+        return self._bound_cache
 
-            def cost_at(l: int, depth: int) -> float:
-                # With recompute available the optimistic floor is the
-                # checkpointing cost at a zero-byte boundary (a stage
-                # starting at layer 0 stashes no boundary activations):
-                # eager*depth + one deferred version + one full set.  The
-                # kernel clamps recompute-on at or below stash-everything,
-                # so this floor relaxes the default one and the superset
-                # invariant extends to recompute masks (ISSUE 9 satellite:
-                # depth boundary sets + one full buffer, never depth full
-                # sets).  With tp enabled, a shardable layer's floor
-                # divides its weight/activation bytes by the *largest*
-                # degree on the menu — the kernel is non-increasing in
-                # tp_degree, so the floor relaxes further and the superset
-                # invariant extends to tp assignments.
-                if tp_floor > 1 and layers[l].kind in SHARDABLE_KINDS:
-                    return float(kernel(
-                        layers[l].weight_bytes, deferred[l],
-                        layers[l].activation_bytes, depth, depth,
-                        recompute=recompute_floor,
-                        boundary_activation_bytes=0,
-                        tp_degree=tp_floor,
-                        shardable_weight_bytes=layers[l].weight_bytes,
-                        shardable_activation_bytes=layers[l].activation_bytes,
-                    ))
-                return float(kernel(
-                    layers[l].weight_bytes, deferred[l],
-                    layers[l].activation_bytes, depth, depth,
-                    recompute=recompute_floor,
-                    boundary_activation_bytes=0,
-                ))
-            # A span reaching layer n-1 may place *any* of its layers in the
-            # final depth-1 stage, so its bound drops to the depth-1 floor.
-            floor_suffix = 0.0
-            for l in range(n - 1, -1, -1):
-                floor_suffix = max(floor_suffix, cost_at(l, 1))
-                bound[l][n - 1] = floor_suffix
-            for i in range(n):
-                running = 0.0
-                for j in range(i, n - 1):
-                    running = max(running, cost_at(j, 2))
-                    bound[i][j] = running
-        else:
+    def _build_bound(self) -> np.ndarray:
+        """The :meth:`_bound_matrix` values: one kernel call per depth."""
+        tb = self._span_tables()
+        kernel = self._stage_memory_cost
+        if not self.memory_refine:
             W = max(1, self.topology.total_workers)
-            for i in range(n):
-                for j in range(i, n):
-                    bound[i][j] = float(kernel(
-                        self._weights(i, j),
-                        self._recurrent_weights(i, j),
-                        self._activation_sum(i, j),
-                        W, 1,
-                    ))
-        self._bound_cache = bound
-        if self.context is not None:
-            self.context._bump("bound_misses")
-            self.context.bound_matrices[ctx_key] = bound
+            return np.where(tb.valid, kernel(tb.W, tb.D, tb.A, W, 1), math.inf)
+        # Per-layer floors (the span tables' diagonals).  With recompute
+        # available the optimistic floor is the checkpointing cost at a
+        # zero-byte boundary (a stage starting at layer 0 stashes no
+        # boundary activations): eager*depth + one deferred version + one
+        # full set.  The kernel clamps recompute-on at or below
+        # stash-everything, so this floor relaxes the default one and the
+        # superset invariant extends to recompute masks.  With tp enabled,
+        # a shardable layer's floor divides its weight/activation bytes by
+        # the *largest* degree on the menu (a non-shardable layer's
+        # shardable share is 0, which the kernel leaves untouched) — the
+        # kernel is non-increasing in tp_degree, so the superset invariant
+        # extends to tp assignments.
+        layer = {name: np.diagonal(getattr(tb, name))
+                 for name in ("W", "D", "A", "SW", "SA")}
+
+        def floor(depth: int) -> np.ndarray:
+            return kernel(
+                layer["W"], layer["D"], layer["A"], depth, depth,
+                recompute=self._recompute_auto, boundary_activation_bytes=0,
+                tp_degree=self._tp_options[-1] if self._tp_enabled else 1,
+                shardable_weight_bytes=layer["SW"],
+                shardable_activation_bytes=layer["SA"],
+            )
+
+        # A stage ending before the last layer has a downstream stage
+        # (depth >= 2): the span's bound is the running max of the depth-2
+        # floors.  A span reaching layer n-1 may place *any* of its layers
+        # in the final depth-1 stage, so that column is the suffix max of
+        # the depth-1 floors.
+        bound = np.where(
+            tb.valid,
+            np.maximum.accumulate(np.where(tb.valid, floor(2), 0.0), axis=1),
+            math.inf,
+        )
+        bound[:, -1] = np.maximum.accumulate(floor(1)[::-1])[::-1]
         return bound
 
     # ------------------------------------------------------------------
@@ -810,60 +740,24 @@ class PipeDreamOptimizer:
              lv.allreduce_latency)
             for lv in topology.levels
         )
-        cache_key = self._cache_ns + ("refined", sig)
-        cached = self._level_cache.get(cache_key)
-        if cached is not None:
-            if self.context is not None:
-                self.context._bump("level_hits")
-            return cached[0]
-        coeffs, link_bw, lats = self._comm_tables_for(topology, sig)
-        tp_tables = (
-            self._tp_tables_for(topology, sig) if self._tp_enabled else None
-        )
-        stages = self._solve_refined_dp(
-            topology, coeffs, link_bw, lats, tp_tables
-        )
-        self._level_cache[cache_key] = (stages,)
-        if self.context is not None:
-            self.context._bump("level_misses")
-        return stages
 
-    def _comm_tables_for(self, topology: Topology, sig: tuple):
-        """:meth:`_refined_comm_tables`, shared through the context.
+        def solve_dp():
+            # The placement tables are pure functions of the topology
+            # signature (no memory / option dependence), so one entry
+            # serves every cap and option mix; the tp tables carry the
+            # ``"tp"`` tag and the degree menu so tp and tp-free solves
+            # never hand each other tables of the wrong shape.
+            coeffs, link_bw, lats = self._memo(
+                "comm", sig, lambda: self._refined_comm_tables(topology))
+            tp_tables = self._memo(
+                "comm", ("tp", sig, self._tp_options),
+                lambda: self._refined_tp_tables(topology),
+            ) if self._tp_enabled else None
+            return (self._solve_refined_dp(
+                topology, coeffs, link_bw, lats, tp_tables),)
 
-        The tables are pure functions of the topology signature (no
-        memory/option dependence), so one entry serves every memory cap
-        and option mix — the cheap-but-measurable part of re-planning the
-        same cluster under a new constraint.
-        """
-        if self.context is None:
-            return self._refined_comm_tables(topology)
-        cached = self.context.comm_tables.get(sig)
-        if cached is not None:
-            self.context._bump("comm_hits")
-            return cached
-        tables = self._refined_comm_tables(topology)
-        self.context.comm_tables[sig] = tables
-        self.context._bump("comm_misses")
-        return tables
-
-    def _tp_tables_for(self, topology: Topology, sig: tuple):
-        """:meth:`_refined_tp_tables`, shared through the context.
-
-        Keyed separately from the two-axis comm tables (the ``"tp"`` tag
-        plus the degree menu) so tp and tp-free solves can never hand each
-        other tables of the wrong shape."""
-        if self.context is None:
-            return self._refined_tp_tables(topology)
-        key = ("tp", sig, self._tp_options)
-        cached = self.context.comm_tables.get(key)
-        if cached is not None:
-            self.context._bump("comm_hits")
-            return cached
-        tables = self._refined_tp_tables(topology)
-        self.context.comm_tables[key] = tables
-        self.context._bump("comm_misses")
-        return tables
+        return self._memo(
+            "level", self._cache_ns + ("refined", sig), solve_dp)[0]
 
     def _refined_tp_tables(self, topology: Topology):
         """Placement-exact collective factors for tensor-parallel cells.
@@ -1040,51 +934,42 @@ class PipeDreamOptimizer:
             link_bw[w] = levels[crossing].bandwidth
         return coeffs, link_bw, lats
 
-    def _span_table(self, prefix: Sequence[float]):
-        """(n, n) range sums ``[i, j] = prefix[j + 1] - prefix[i]``."""
-        p = np.asarray(prefix)
-        return p[None, 1:] - p[: self._n, None]
-
     def _span_tables(self) -> SimpleNamespace:
-        """The range tables both DPs and their tp planes read, built once
-        per optimizer: (n, n) sums of compute / weights / deferred (BPTT)
-        weights / activations / backward over every span, their shardable
-        shares (``S*``, tp solves only), and the per-layer output
-        (``acts``) and input-boundary (``bacts``, 0 at layer 0) bytes.
+        """The (n, n) planes both DPs and their tp planes read, built once
+        per optimizer from the range table: ``[i, j]`` sums over span
+        ``i..j`` of compute / weights / deferred (BPTT) weights /
+        activations / backward and their shardable shares (``S*``), plus
+        the per-layer output (``acts``) and input-boundary (``bacts``, 0 at
+        layer 0) bytes.  Cells with ``i > j`` are meaningless; ``valid``
+        masks them.
         """
         if self._tables is None:
-            n = self._n
+            rt, n = self._table, self._n
             rows = np.arange(n)
-            pa = np.asarray(self._prefix_acts)
+
+            def span(prefix):
+                p = np.asarray(prefix, dtype=float)
+                return p[None, 1:] - p[:n, None]
+
             tb = SimpleNamespace(
-                valid=rows[:, None] <= rows[None, :],  # i <= j
-                compute=self._span_table(self._prefix_time),
-                W=self._span_table(self._prefix_weights),
-                D=self._span_table(self._prefix_recurrent),
-                A=self._span_table(pa),
-                B=self._span_table(self._prefix_backward),
-                acts=np.asarray(
-                    [self.profile.activation_bytes(k) for k in range(n)]
-                ),
-                bacts=np.zeros(n),
+                valid=rows[:, None] <= rows[None, :],
+                compute=span(rt.compute), B=span(rt.backward),
+                W=span(rt.weights), D=span(rt.deferred), A=span(rt.acts),
+                ST=span(rt.shard_compute), SB=span(rt.shard_backward),
+                SW=span(rt.shard_weights), SA=span(rt.shard_acts),
+                acts=np.asarray(rt.out_bytes, dtype=float),
+                bacts=np.asarray(rt.in_bytes, dtype=float),
             )
             tb.WD = tb.W - tb.D
-            tb.bacts[1:] = pa[1:n] - pa[: n - 1]
             # Checkpointed stage time: one extra forward (compute minus
             # backward).
             tb.compute_r = tb.compute + (tb.compute - tb.B)
-            if self._tp_enabled:
-                tb.SW = self._span_table(self._prefix_shard_weights)
-                tb.SA = self._span_table(self._prefix_shard_acts)
-                tb.ST = self._span_table(self._prefix_shard_time)
-                tb.SB = self._span_table(self._prefix_shard_backward)
             self._tables = tb
         return self._tables
 
-    @staticmethod
-    def _sync_terms(stream, deferred, coeff, lat, div, buckets):
-        """§3.1's sync term, spelled once for both DPs and both tp planes:
-        a stage replicated ``r`` ways costs
+    def _sync_terms(self, stream, deferred, coeff, lat, div):
+        """§3.1's sync term, spelled once for both plane functions (and so
+        for both DPs): a stage replicated ``r`` ways costs
         ``max(compute / r, overlappable) + blocked`` with
 
             overlappable = stream · coeff / div + α · buckets / div
@@ -1093,15 +978,16 @@ class PipeDreamOptimizer:
         over (n, n) ``stream`` / ``deferred`` payload bytes (wait-free vs.
         BPTT-deferred, see ``RECURRENT_KINDS``); ``coeff`` / ``lat`` are the
         replica group's ring seconds-per-byte and setup latency α, ``div``
-        the minibatches one sync round covers.  A payload-free span pays
-        no α, and the ``lat > 0`` guard keeps α = 0 tables bitwise equal to
-        the latency-free model.
+        the minibatches one sync round covers, ``buckets`` the
+        :meth:`_bucket_matrix`.  A payload-free span pays no α, and the
+        ``lat > 0`` guard keeps α = 0 tables bitwise equal to the
+        latency-free model.
         """
         overlappable = stream * coeff / div
         blocked = deferred * coeff / div
         if lat > 0.0:
             overlappable = overlappable + np.where(
-                stream > 0, lat * buckets / div, 0.0
+                stream > 0, lat * self._bucket_matrix() / div, 0.0
             )
             blocked = blocked + np.where(deferred > 0, lat / div, 0.0)
         return overlappable, blocked
@@ -1117,10 +1003,8 @@ class PipeDreamOptimizer:
         """
         tb = self._span_tables()
         limit = self.memory_limit_bytes
-        shard = {} if t == 1 else dict(
-            tp_degree=t, shardable_weight_bytes=tb.SW,
-            shardable_activation_bytes=tb.SA,
-        )
+        shard = dict(tp_degree=t, shardable_weight_bytes=tb.SW,
+                     shardable_activation_bytes=tb.SA)
         cost = self._stage_memory_cost(
             tb.W, tb.D, tb.A, versions, replicas, **shard
         )
@@ -1132,91 +1016,68 @@ class PipeDreamOptimizer:
         )
         return cost <= limit, cost_r <= limit
 
-    def _refined_times(self, mp: int, coeff: float, lat: float):
-        """(n, n) leading-stage times ``(stash-everything, checkpointed)``
-        of the two-axis cell: ``mp`` replicas whose ring costs ``coeff``
-        seconds per byte plus ``lat`` per collective.  The placement-exact
-        ``coeff`` varies with the suffix only through the group's
-        alignment to the hierarchy — a handful of values per ``mp`` — so
-        the suffix DP memoises on the arguments.
+    def _replicated_plane(self, compute, m: int, coeff: float, lat: float,
+                          div: int, mask):
+        """(n, n) time of a stage holding ``m`` full replicas: the level
+        DP's ``T^k(i→j, m)`` and the refined DP's two-axis cell.
+
+        ``compute`` is the stage's (n, n) per-minibatch compute; one
+        replica runs it alone, ``m > 1`` replicas pay §3.1's sync term
+        (:meth:`_sync_terms`) on a ring of ``coeff`` seconds per byte plus
+        ``lat`` per collective, one round covering ``div`` minibatches.
+        Cells outside ``mask`` — and every cell of a replicated plane when
+        replication is off — are ``inf``.
         """
-        tb = self._span_tables()
-        inf = math.inf
-        rc = self._recompute_auto
-        if mp == 1:
-            return (
-                np.where(tb.valid, tb.compute / 1, inf),
-                np.where(tb.valid, tb.compute_r / 1, inf) if rc else None,
-            )
+        if m == 1:
+            return np.where(mask, compute / 1, math.inf)
         if not self.allow_replication:
-            tval = np.full((self._n, self._n), inf)
-            return tval, tval
-        stream_t, deferred_t = self._sync_terms(
-            tb.WD, tb.D, coeff, lat, mp,
-            self._bucket_matrix() if lat > 0.0 else 1.0,
-        )
-        tm = np.maximum(tb.compute / mp, stream_t)
-        tm = tm + deferred_t
-        tval_r = None
-        if rc:
-            tm_r = np.maximum(tb.compute_r / mp, stream_t)
-            tm_r = tm_r + deferred_t
-            tval_r = np.where(tb.valid, tm_r, inf)
-        return np.where(tb.valid, tm, inf), tval_r
-
-    def _refined_tp_times(
-        self, mp: int, t: int, dp_coeff: float, dp_lat: float,
-        tp_coeff: float, tp_lat: float,
-    ):
-        """:meth:`_refined_times` of the ``(replicas=mp/t, tp=t)`` cell.
-
-        The stage's ``mp`` physical workers split into ``r = mp/t``
-        replicas of ``t`` shards.  Relative to the two-axis cell:
-
-        - the shardable compute share divides by ``t`` (the rest is
-          replicated work every shard repeats);
-        - every minibatch pays two intra-stage collectives on the slowest
-          shard group (``tp_coeff``/``tp_lat``): the forward allgather of
-          the stage's *output* boundary activations — charged for the last
-          stage too, so tp never degenerates into free compute division —
-          and the backward reduce-scatter of the *input* boundary (zero at
-          the input stage, which reads training data);
-        - the data-parallel sync streams the *sharded* eager payload over
-          the strided representative group (``dp_coeff``/``dp_lat``),
-          amortized over the round of ``r`` minibatches; deferred (BPTT)
-          weights are unshardable by construction and sync in full.
-        """
+            return np.full((self._n, self._n), math.inf)
         tb = self._span_tables()
-        inf = math.inf
-        r = mp // t
+        stream_t, deferred_t = self._sync_terms(tb.WD, tb.D, coeff, lat, div)
+        return np.where(
+            mask, np.maximum(compute / m, stream_t) + deferred_t, math.inf)
+
+    def _tp_plane(self, compute, mask, t: int, r: int, tp_coeff: float,
+                  tp_lat: float, dp_coeff: float, dp_lat: float):
+        """(n, n) time of a stage of ``r`` replicas of ``t`` consecutive
+        shards, whose ``compute`` already divides the shardable share by
+        ``t`` (the rest is replicated work every shard repeats).
+
+        - every minibatch pays two intra-stage collectives on the slowest
+          shard group (ring ``tp_coeff`` seconds per byte + ``tp_lat``):
+          the forward allgather of the stage's *output* boundary
+          activations — charged for the last stage too, so tp never
+          degenerates into free compute division — and the backward
+          reduce-scatter of the *input* boundary (zero at the input stage,
+          which reads training data);
+        - with ``r > 1`` the data-parallel sync streams the *sharded* eager
+          payload over the strided representative group
+          (``dp_coeff``/``dp_lat``), amortized over the round of ``r``
+          minibatches; deferred (BPTT) weights are unshardable by
+          construction and sync in full.
+
+        The level DP prices both rings with its level's flat ring (both
+        stay within one level-1 component group there); the refined DP
+        with the placement-exact tables of :meth:`_refined_tp_tables`.
+        Cells outside ``mask`` — all of them for a replicated plane with
+        replication off — are ``inf``.
+        """
         if r > 1 and not self.allow_replication:
-            tval = np.full((self._n, self._n), inf)
-            return tval, tval
-        stage_compute = tb.compute - tb.ST + tb.ST / t
-        out_term = tb.acts * tp_coeff + np.where(tb.acts > 0, tp_lat, 0.0)
-        in_term = tb.bacts * tp_coeff + np.where(tb.bacts > 0, tp_lat, 0.0)
-        tp_comm = out_term[None, :] + in_term[:, None]
-        stage_total = stage_compute + tp_comm
+            return np.full((self._n, self._n), math.inf)
+        tb = self._span_tables()
+        out_term = tb.acts * tp_coeff
+        in_term = tb.bacts * tp_coeff
+        if tp_lat > 0.0:
+            out_term = out_term + np.where(tb.acts > 0, tp_lat, 0.0)
+            in_term = in_term + np.where(tb.bacts > 0, tp_lat, 0.0)
+        stage_total = compute + (out_term[None, :] + in_term[:, None])
         if r == 1:
             tm = stage_total / r
-            overl = nonov = None
         else:
             overl, nonov = self._sync_terms(
-                tb.WD - tb.SW + tb.SW / t, tb.D, dp_coeff, dp_lat, r, 1.0
-            )
+                tb.WD - tb.SW + tb.SW / t, tb.D, dp_coeff, dp_lat, r)
             tm = np.maximum(stage_total / r, overl) + nonov
-        tval_r = None
-        if self._recompute_auto:
-            # Checkpointing replays the *sharded* forward during backward.
-            sharded_backward = tb.B - tb.SB + tb.SB / t
-            compute_r = stage_compute + (stage_compute - sharded_backward)
-            stage_total_r = compute_r + tp_comm
-            if r == 1:
-                tm_r = stage_total_r / r
-            else:
-                tm_r = np.maximum(stage_total_r / r, overl) + nonov
-            tval_r = np.where(tb.valid, tm_r, inf)
-        return np.where(tb.valid, tm, inf), tval_r
+        return np.where(mask, tm, math.inf)
 
     def _solve_refined_dp(
         self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
@@ -1237,17 +1098,40 @@ class PipeDreamOptimizer:
         decision from the same arithmetic.
 
         The (n, n) planes a cell is assembled from repeat across cells,
-        so each is built once per solve and memoised on exactly the values
-        it depends on (see :meth:`_refined_fits`, :meth:`_refined_times`).
+        so each is built once per solve and memoised on exactly the scalars
+        it depends on (see :meth:`_refined_fits`).
         """
         n = self._n
         W = topology.total_workers
         inf = math.inf
-        acts = self._span_tables().acts
+        tb = self._span_tables()
+        acts = tb.acts
         memo = functools.lru_cache(maxsize=None)  # dies with this solve
         fits_of = memo(self._refined_fits)
-        times_of = memo(self._refined_times)
-        tp_times_of = memo(self._refined_tp_times)
+        # Stage-time planes (stash-everything[, checkpointed]) per cell.
+        computes = ((tb.compute, tb.compute_r) if self._recompute_auto
+                    else (tb.compute,))
+
+        @memo
+        def times_of(mp, coeff, lat):
+            # The two-axis cell: mp replicas on the placement's ring.
+            return tuple(
+                self._replicated_plane(c, mp, coeff, lat, mp, tb.valid)
+                for c in computes
+            )
+
+        @memo
+        def tp_times_of(mp, t, dp_c, dp_l, tp_c, tp_l):
+            # mp/t replicas of t shards; checkpointing replays the
+            # *sharded* forward.
+            sc = tb.compute - tb.ST + tb.ST / t
+            sharded = (sc,)
+            if self._recompute_auto:
+                sharded += (sc + (sc - (tb.B - tb.SB + tb.SB / t)),)
+            return tuple(
+                self._tp_plane(c, tb.valid, t, mp // t, tp_c, tp_l, dp_c, dp_l)
+                for c in sharded
+            )
 
         def masked_plane(fits, times):
             if self._recompute_auto:
@@ -1371,6 +1255,7 @@ class PipeDreamOptimizer:
         logical replicas.
         """
         n = self._n
+        tb = self._span_tables()
         stages: List[Stage] = []
         j, m = 0, W
         while j < n:
@@ -1379,21 +1264,12 @@ class PipeDreamOptimizer:
             t = int(ptr_tp[m][j]) if ptr_tp is not None else 1
             recompute = False
             if self._recompute_auto:
-                versions = -(-m // mp)
-                if t > 1:
-                    cost = self._stage_memory_cost(
-                        self._weights(j, k), self._recurrent_weights(j, k),
-                        self._activation_sum(j, k), versions, mp // t,
-                        tp_degree=t,
-                        shardable_weight_bytes=self._shard_weights(j, k),
-                        shardable_activation_bytes=self._shard_acts(j, k),
-                    )
-                else:
-                    cost = self._stage_memory_cost(
-                        self._weights(j, k), self._recurrent_weights(j, k),
-                        self._activation_sum(j, k), versions, mp,
-                    )
-                recompute = cost > self.memory_limit_bytes
+                cost = self._stage_memory_cost(
+                    tb.W[j, k], tb.D[j, k], tb.A[j, k], -(-m // mp), mp // t,
+                    tp_degree=t, shardable_weight_bytes=tb.SW[j, k],
+                    shardable_activation_bytes=tb.SA[j, k],
+                )
+                recompute = bool(cost > self.memory_limit_bytes)
             stages.append(
                 Stage(j, k + 1, mp // t, recompute=recompute, tp_degree=t)
             )
@@ -1447,140 +1323,121 @@ class PipeDreamOptimizer:
         runtime share one cost model (see DESIGN.md).
         """
         n = self._n
-        inf = math.inf
         tb = self._span_tables()
+        feasible = tb.valid
         if self.memory_limit_bytes is not None:
             # Phase-1 feasibility of span i..j: the shared-kernel bound.
-            feasible = tb.valid & (
-                np.asarray(self._bound_matrix()) <= self.memory_limit_bytes
-            )
-        else:
-            feasible = tb.valid
+            feasible = feasible & (
+                self._bound_matrix() <= self.memory_limit_bytes)
 
-        # tables[k-1] = (A, ptr_s, ptr_mp); ptr < 0 encodes "single stage".
-        tables: List[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]] = []
-        prev_capacity = 1
+        # tables[k-1] = (A, ptr_s, ptr_mp[, tchoice]); ptr < 0 encodes
+        # "single stage".  The namespace prefix keeps a table to the solver
+        # options that built it (it bakes the memory-feasibility mask and
+        # the replication flag into A).  The last level holds row 0 only
+        # and its key says so: a full table may answer a row-0 lookup, a
+        # row-0 table never answers a full one.
+        tables: List[tuple] = []
         prev_workers = 1
         key_parts: List[Tuple[int, float, float, float]] = []
         for k, level in enumerate(topology.levels, start=1):
-            mk, bandwidth = level.count, level.bandwidth
-            key_parts.append((mk, bandwidth, level.allreduce_bandwidth,
+            key_parts.append((level.count, level.bandwidth,
+                              level.allreduce_bandwidth,
                               level.allreduce_latency))
-            # The namespace prefix matters once the cache is shared: level
-            # tables bake the memory-feasibility mask (and the replication
-            # flag) into A, so entries are only valid under the exact
-            # solver options that built them.  The last level holds row 0
-            # only and its key says so: a full table may answer a row-0
-            # lookup, a row-0 table never answers a full one.
             row0 = k == len(topology.levels)
             full_key = self._cache_ns + ("level", tuple(key_parts))
-            cache_key = full_key + ("row0",) if row0 else full_key
-            cached = self._level_cache.get(cache_key)
-            if cached is None and row0:
-                cached = self._level_cache.get(full_key)
-            if cached is not None:
-                if self.context is not None:
-                    self.context._bump("level_hits")
-                tables.append(cached)
-                prev_capacity = mk
-                prev_workers *= mk
-                continue
-
-            # ----- T^k(i→j, m) tables ---------------------------------
-            compute = (
-                tb.compute if k == 1 else tables[k - 2][0][prev_capacity]
-            )
-            compute = np.where(feasible, compute, inf)
-            T = np.full((mk + 1, n, n), inf)
-            T[1] = compute / 1
-            if mk > 1 and self.allow_replication:
-                arbw = level.allreduce_bandwidth
-                alpha = level.allreduce_latency
-                buckets = self._bucket_matrix() if alpha > 0.0 else 1.0
-                for m in range(2, mk + 1):
-                    stream_t, deferred_t = self._sync_terms(
-                        tb.WD, tb.D, 2.0 * (m - 1) / m / arbw, alpha,
-                        m * prev_workers, buckets,
-                    )
-                    tm = np.maximum(compute / m, stream_t)
-                    tm = tm + deferred_t
-                    T[m] = np.where(feasible, tm, inf)
-
-            # ----- tensor-parallel leaf cells -------------------------
-            tchoice = None
-            if k == 1 and self._tp_enabled:
-                # Fold the tp planes into T with strict '<' (degrees
-                # ascending), before the A recurrence so splits see the
-                # tp'd stage times.  The tp axis shards level-1 (leaf)
-                # stages only: upper levels replicate whatever the leaf
-                # chose.
-                tchoice = np.ones((mk + 1, n, n), dtype=np.int64)
-                for m in range(1, mk + 1):
-                    for t in self._tp_options[1:]:
-                        if m % t:
-                            continue
-                        plane = self._tp_plane_level1(
-                            m, t, level, feasible, compute
-                        )
-                        if plane is None:
-                            continue
-                        better = plane < T[m]
-                        T[m] = np.where(better, plane, T[m])
-                        tchoice[m] = np.where(better, t, tchoice[m])
-
-            # ----- A^k recurrence -------------------------------------
-            # Rows i the table holds: all of them for an inner level (the
-            # level above reads every span), row 0 alone for the top one.
-            ni = 1 if row0 else n
-            A = np.full((mk + 1, ni, n), inf)
-            ptr_s = np.full((mk + 1, ni, n), -1, dtype=np.int64)
-            ptr_mp = np.full((mk + 1, ni, n), -1, dtype=np.int64)
-            A[1] = T[1, :ni]
-            if n == 1:
-                for m in range(2, mk + 1):
-                    A[m] = T[m]
-            elif mk > 1:
-                boundary = np.array([
-                    2.0 * self.profile.activation_bytes(s) / bandwidth
-                    for s in range(n - 1)
-                ])
-                for m in range(2, mk + 1):
-                    # cand[mp-1, s, i, j] = max(A[m-mp][i, s], 2a_s/B,
-                    #                           T[mp][s+1, j]); out-of-range
-                    # splits (s < i or s >= j) are inf via the tables.
-                    AP = A[m - 1:0:-1]  # axis-0 index mp-1 → A[m-mp]
-                    APt = AP.transpose(0, 2, 1)[:, : n - 1, :]  # [mp, s, i]
-                    TP = T[1:m, 1:, :]  # [mp, s, j] = T[mp][s+1, j]
-                    cand = np.maximum(APt[:, :, :, None], TP[:, :, None, :])
-                    np.maximum(cand, boundary[None, :, None, None], out=cand)
-                    # s-major, m'-minor flattening: argmin's first-minimum
-                    # rule = the (s asc, m' asc) tie-break.
-                    cand = cand.transpose(1, 0, 2, 3).reshape(
-                        (n - 1) * (m - 1), ni, n
-                    )
-                    flat = np.argmin(cand, axis=0)
-                    best_split = np.take_along_axis(cand, flat[None], axis=0)[0]
-                    use = best_split < T[m, :ni]  # strict: single stage wins ties
-                    A[m] = np.where(use, best_split, T[m, :ni])
-                    ptr_s[m] = np.where(use, flat // (m - 1), -1)
-                    ptr_mp[m] = np.where(use, flat % (m - 1) + 1, -1)
-
-            entry = (
-                (A, ptr_s, ptr_mp, tchoice) if tchoice is not None
-                else (A, ptr_s, ptr_mp)
-            )
-            self._level_cache[cache_key] = entry
-            if self.context is not None:
-                self.context._bump("level_misses")
-            tables.append(entry)
-            prev_capacity = mk
-            prev_workers *= mk
+            compute = (tb.compute if k == 1
+                       else tables[-1][0][topology.levels[k - 2].count])
+            tables.append(self._memo(
+                "level", full_key + ("row0",) if row0 else full_key,
+                lambda: self._level_table(
+                    level, compute, prev_workers, feasible, row0, k == 1),
+                fallback=full_key if row0 else None,
+            ))
+            prev_workers *= level.count
 
         top = len(topology.levels)
         top_count = topology.levels[top - 1].count
         if not math.isfinite(tables[top - 1][0][top_count, 0, n - 1]):
             return None
         return self._reconstruct_arrays(tables, topology, top, 0, n - 1, top_count)
+
+    def _level_table(self, level: TopologyLevel, compute, prev_workers: int,
+                     feasible, row0: bool, leaf: bool) -> tuple:
+        """One level's ``(A, ptr_s, ptr_mp[, tchoice])`` arrays (see
+        :meth:`_solve_for`); ``compute`` is ``T^{k-1}``'s answer per span
+        (the span sums at the leaf), ``row0`` keeps row ``i = 0`` only."""
+        n = self._n
+        inf = math.inf
+        mk, bandwidth = level.count, level.bandwidth
+        arbw, alpha = level.allreduce_bandwidth, level.allreduce_latency
+
+        # ----- T^k(i→j, m) tables ---------------------------------------
+        T = np.full((mk + 1, n, n), inf)
+        for m in range(1, mk + 1):
+            T[m] = self._replicated_plane(
+                compute, m, 2.0 * (m - 1) / m / arbw, alpha,
+                m * prev_workers, feasible)
+
+        # ----- tensor-parallel leaf cells -------------------------------
+        tchoice = None
+        if leaf and self._tp_enabled:
+            # Fold the tp planes into T with strict '<' (degrees
+            # ascending), before the A recurrence so splits see the tp'd
+            # stage times.  The tp axis shards level-1 (leaf) stages only:
+            # upper levels replicate whatever the leaf chose, keeping the
+            # conservative full-payload sync of the two-axis model.
+            tb = self._span_tables()
+            tchoice = np.ones((mk + 1, n, n), dtype=np.int64)
+            for m in range(1, mk + 1):
+                for t in self._tp_options[1:]:
+                    if m % t:
+                        continue
+                    r = m // t
+                    plane = self._tp_plane(
+                        tb.compute - tb.ST + tb.ST / t, feasible, t, r,
+                        2.0 * (t - 1) / t / arbw, alpha,
+                        2.0 * (r - 1) / r / arbw, alpha,
+                    )
+                    better = plane < T[m]
+                    T[m] = np.where(better, plane, T[m])
+                    tchoice[m] = np.where(better, t, tchoice[m])
+
+        # ----- A^k recurrence -------------------------------------------
+        # Rows i the table holds: all of them for an inner level (the
+        # level above reads every span), row 0 alone for the top one.
+        ni = 1 if row0 else n
+        A = np.full((mk + 1, ni, n), inf)
+        ptr_s = np.full((mk + 1, ni, n), -1, dtype=np.int64)
+        ptr_mp = np.full((mk + 1, ni, n), -1, dtype=np.int64)
+        A[1] = T[1, :ni]
+        if n == 1:
+            for m in range(2, mk + 1):
+                A[m] = T[m]
+        elif mk > 1:
+            boundary = 2.0 * self._span_tables().acts[: n - 1] / bandwidth
+            for m in range(2, mk + 1):
+                # cand[mp-1, s, i, j] = max(A[m-mp][i, s], 2a_s/B,
+                #                           T[mp][s+1, j]); out-of-range
+                # splits (s < i or s >= j) are inf via the tables.
+                AP = A[m - 1:0:-1]  # axis-0 index mp-1 → A[m-mp]
+                APt = AP.transpose(0, 2, 1)[:, : n - 1, :]  # [mp, s, i]
+                TP = T[1:m, 1:, :]  # [mp, s, j] = T[mp][s+1, j]
+                cand = np.maximum(APt[:, :, :, None], TP[:, :, None, :])
+                np.maximum(cand, boundary[None, :, None, None], out=cand)
+                # s-major, m'-minor flattening: argmin's first-minimum
+                # rule = the (s asc, m' asc) tie-break.
+                cand = cand.transpose(1, 0, 2, 3).reshape(
+                    (n - 1) * (m - 1), ni, n
+                )
+                flat = np.argmin(cand, axis=0)
+                best_split = np.take_along_axis(cand, flat[None], axis=0)[0]
+                use = best_split < T[m, :ni]  # strict: single stage wins ties
+                A[m] = np.where(use, best_split, T[m, :ni])
+                ptr_s[m] = np.where(use, flat // (m - 1), -1)
+                ptr_mp[m] = np.where(use, flat % (m - 1) + 1, -1)
+        if tchoice is not None:
+            return A, ptr_s, ptr_mp, tchoice
+        return A, ptr_s, ptr_mp
 
     def _reconstruct_arrays(
         self,
@@ -1629,43 +1486,6 @@ class PipeDreamOptimizer:
             ]
         return left + right
 
-    def _tp_plane_level1(self, m, t, level, feasible, compute):
-        """(n, n) ``T^1(i→j, m)`` with the ``m`` leaf workers split into
-        ``m/t`` replicas of ``t`` consecutive shards.
-
-        The level-1 analogue of :meth:`_refined_tp_plane`, priced with the
-        level's own ring model (both the intra-stage boundary collectives
-        and the strided data-parallel sync stay within one level-1
-        component group here, so the flat ring coefficient is the
-        level-exact price — the refined pass re-prices cross-level spans
-        through the placement).  Replication of a tp'd leaf by upper
-        levels keeps the conservative full-payload sync of the two-axis
-        model.
-        """
-        r = m // t
-        if r > 1 and not self.allow_replication:
-            return None
-        tb = self._span_tables()
-        arbw = level.allreduce_bandwidth
-        alpha = level.allreduce_latency
-        stage_compute = compute - tb.ST + tb.ST / t
-        ring_t = 2.0 * (t - 1) / t / arbw
-        out_term = tb.acts * ring_t
-        in_term = tb.bacts * ring_t
-        if alpha > 0.0:
-            out_term = out_term + np.where(tb.acts > 0, alpha, 0.0)
-            in_term = in_term + np.where(tb.bacts > 0, alpha, 0.0)
-        stage_total = stage_compute + (out_term[None, :] + in_term[:, None])
-        if r == 1:
-            tm = stage_total / r
-        else:
-            overl, nonov = self._sync_terms(
-                tb.WD - tb.SW + tb.SW / t, tb.D, 2.0 * (r - 1) / r / arbw,
-                alpha, r, self._bucket_matrix() if alpha > 0.0 else 1.0,
-            )
-            tm = np.maximum(stage_total / r, overl) + nonov
-        return np.where(feasible, tm, math.inf)
-
 
 # ----------------------------------------------------------------------
 # Evaluation of arbitrary partitions (used for Figure 15 and the simulator
@@ -1686,6 +1506,7 @@ def evaluate_partition(
     2 a_s / B point-to-point transfer per minibatch.
     """
     _check_stages(profile, stages)
+    tables = range_table(profile)
     worst = 0.0
     for idx, stage in enumerate(stages):
         compute = profile.compute_time(stage.start, stage.stop)
@@ -1693,11 +1514,7 @@ def evaluate_partition(
         r = stage.replicas
         cost = compute / r
         if r > 1:
-            deferred = sum(
-                l.weight_bytes
-                for l in profile.layers[stage.start : stage.stop]
-                if l.kind in RECURRENT_KINDS
-            )
+            deferred = tables.deferred[stage.stop] - tables.deferred[stage.start]
             ring = 2.0 * (r - 1) / r / (bandwidth * allreduce_efficiency)
             cost = max(cost, ring * (weights - deferred) / r) + ring * deferred / r
         worst = max(worst, cost)
@@ -1763,71 +1580,6 @@ def _check_stages(profile: ModelProfile, stages: Sequence[Stage]) -> None:
     for left, right in zip(stages, stages[1:]):
         if left.stop != right.start:
             raise ValueError("stages must be contiguous")
-
-
-class _EvalTables:
-    """Prefix-sum tables read by the topology evaluator.
-
-    Built once per :class:`ModelProfile` (cached by content digest) so
-    sweep-scale callers stop re-summing layer lists per plan.  Prefix sums
-    are accumulated sequentially: byte counts are integers well below
-    2**53 and therefore exact in float64, and compute-time range sums
-    become the same prefix difference the DP itself uses.
-    """
-
-    __slots__ = ("prefix_time", "prefix_weights", "prefix_recurrent", "acts",
-                 "prefix_backward",
-                 "prefix_shard_time", "prefix_shard_weights",
-                 "prefix_shard_backward")
-
-    def __init__(self, profile: ModelProfile):
-        pt, pw, pr, pb = [0.0], [0.0], [0.0], [0.0]
-        pst, psw, psb = [0.0], [0.0], [0.0]
-        acts: List[float] = []
-        for layer in profile:
-            pt.append(pt[-1] + layer.compute_time)
-            pw.append(pw[-1] + layer.weight_bytes)
-            recurrent = layer.weight_bytes if layer.kind in RECURRENT_KINDS else 0
-            pr.append(pr[-1] + recurrent)
-            pb.append(pb[-1] + layer.backward)
-            acts.append(float(layer.activation_bytes))
-            shardable = layer.kind in SHARDABLE_KINDS
-            pst.append(pst[-1] + (layer.compute_time if shardable else 0.0))
-            psw.append(psw[-1] + (layer.weight_bytes if shardable else 0))
-            psb.append(psb[-1] + (layer.backward if shardable else 0.0))
-        self.prefix_time = pt
-        self.prefix_weights = pw
-        self.prefix_recurrent = pr
-        self.prefix_backward = pb
-        self.prefix_shard_time = pst
-        self.prefix_shard_weights = psw
-        self.prefix_shard_backward = psb
-        self.acts = acts
-
-
-#: Bounded, lock-guarded registry of per-profile evaluator tables, keyed
-#: by content digest.  The old weak-keyed registry was unbounded while a
-#: caller pinned its profiles (a long-lived server does exactly that) and
-#: keyed on identity, so equal-valued profiles built tables twice; the LRU
-#: bounds residency, shares by value, and exposes hit/miss/eviction stats.
-_EVAL_TABLES = LRUCache(capacity=64, name="eval_tables")
-
-
-def _eval_tables(profile: ModelProfile) -> _EvalTables:
-    return _EVAL_TABLES.get_or_create(
-        profile.digest(), lambda: _EvalTables(profile)
-    )
-
-
-def eval_tables_stats() -> Dict[str, object]:
-    """Hit/miss/eviction snapshot of the shared evaluator-table cache."""
-    return _EVAL_TABLES.stats()
-
-
-def clear_eval_tables() -> None:
-    """Drop the shared evaluator tables (tests and benchmarks use this to
-    measure a true cold path)."""
-    _EVAL_TABLES.clear()
 
 
 @dataclass(frozen=True)
@@ -1964,20 +1716,24 @@ def _evaluate_details(
     from repro.comm.bucketing import gradient_buckets
     from repro.sim.network import Placement, allreduce_time
 
-    tables = _eval_tables(profile)
+    tables = range_table(profile)
     placement = Placement(topology)
     scale = topology.compute_scale
-    pt, pw, pr = tables.prefix_time, tables.prefix_weights, tables.prefix_recurrent
-    pb = tables.prefix_backward
-    pst = tables.prefix_shard_time
-    psw = tables.prefix_shard_weights
-    psb = tables.prefix_shard_backward
-    acts = tables.acts
+    pt, pw, pr = tables.compute, tables.weights, tables.deferred
+    pb = tables.backward
+    pst = tables.shard_compute
+    psw = tables.shard_weights
+    psb = tables.shard_backward
+    acts = tables.out_bytes
     next_worker = 0
     firsts: List[int] = []
     for stage in stages:
         firsts.append(next_worker)
         next_worker += stage.replicas * stage.tp_degree
+    if next_worker > topology.total_workers:
+        raise ValueError(
+            f"the plan occupies {next_worker} workers but the topology "
+            f"has {topology.total_workers}")
     stage_times: List[float] = []
     boundary_times: List[float] = []
     sync_exposed: List[float] = []
@@ -2003,7 +1759,7 @@ def _evaluate_details(
         out_term = in_term = 0.0
         if t > 1:
             out_act = acts[stage.stop - 1]
-            in_act = acts[stage.start - 1] if stage.start > 0 else 0.0
+            in_act = tables.in_bytes[stage.start]
             for q in range(r):
                 group = list(range(first + q * t, first + (q + 1) * t))
                 out_term = max(out_term,

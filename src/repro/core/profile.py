@@ -20,6 +20,12 @@ from typing import Dict, List, Optional, Sequence
 #: profile to precision ``p``.
 PRECISION_BYTES: Dict[str, int] = {"fp32": 4, "fp16": 2}
 
+#: Layer kinds whose weight gradients accumulate across BPTT timesteps and
+#: only complete at the end of the backward pass — their all_reduce cannot
+#: overlap compute (§2.1 wait-free backprop does not apply to them), and
+#: their updates land once per round of replicas (§3.3).
+RECURRENT_KINDS = ("lstm", "embedding")
+
 
 @dataclass(frozen=True)
 class LayerProfile:

@@ -12,29 +12,26 @@ which dimension:
   way out, which is what the boundary-activation collective prices.
 - ``conv`` shards output channels.
 - ``attention`` shards heads.
-- BPTT-accumulated kinds (``lstm``, ``embedding`` — the planner's
-  ``RECURRENT_KINDS``) are deliberately *not* shardable: their recurrent
-  state and gather-style lookups do not decompose along a single
-  contract dimension, so a tp group replicates them.  Unknown kinds are
-  conservatively unshardable.
+- BPTT-accumulated kinds (``lstm``, ``embedding`` —
+  :data:`~repro.core.profile.RECURRENT_KINDS`) are deliberately *not*
+  shardable: their recurrent state and gather-style lookups do not
+  decompose along a single contract dimension, so a tp group replicates
+  them.  Unknown kinds are conservatively unshardable.
 
-The registry is intentionally disjoint from
-:data:`repro.core.partition.RECURRENT_KINDS` (asserted by the test
-suite); keeping the table here, without importing the planner, avoids an
-import cycle since ``core/partition.py`` consumes this module.
+The registry is intentionally disjoint from ``RECURRENT_KINDS``
+(asserted by the test suite).
 
 Everything downstream — the shared memory kernel's shard divisor, the
 planner's ``(replicas, tp_degree)`` cell pricing, the simulator's
-intra-stage collectives — derives its shardable weight/activation/compute
-splits from the range helpers below, so the four consumers can never
-disagree on *what* shards, only on the degree they plug in.
+intra-stage collectives — reads its shardable weight/activation/compute
+splits from the ``shard_*`` columns of the one range table
+(:mod:`repro.core.ranges`), so the consumers can never disagree on
+*what* shards, only on the degree they plug in.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.core.profile import ModelProfile
 
@@ -53,12 +50,6 @@ def is_shardable(kind: str) -> bool:
     return kind in SHARDABLE_KINDS
 
 
-def partition_dim(kind: str) -> Optional[str]:
-    """Name of the dimension a shard of ``kind`` partitions (None if not
-    shardable)."""
-    return SHARDABLE_KINDS.get(kind)
-
-
 def validate_tp_degrees(tp_degrees: Sequence[int]) -> Tuple[int, ...]:
     """Normalize a tp-degree menu: ints >= 1, deduplicated, ascending,
     with degree 1 always present (the planner must always be allowed to
@@ -73,89 +64,17 @@ def validate_tp_degrees(tp_degrees: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(degrees))
 
 
-class ShardingTables:
-    """Prefix sums of the shardable share of a profile.
-
-    ``shard_*`` range queries return the portion of a ``[start, stop)``
-    stage that divides by the tp degree; the complement (total minus
-    shardable) stays replicated across the tp group.  Forward/backward
-    compute splits follow :class:`~repro.core.profile.LayerProfile`'s
-    ``forward``/``backward`` properties so the simulator's per-pass
-    sharding agrees with the planner's whole-minibatch sharding.
-    """
-
-    def __init__(self, profile: ModelProfile):
-        n = len(profile.layers)
-        pw = [0] * (n + 1)
-        pa = [0] * (n + 1)
-        pt = [0.0] * (n + 1)
-        pf = [0.0] * (n + 1)
-        for idx, layer in enumerate(profile.layers):
-            shardable = layer.kind in SHARDABLE_KINDS
-            pw[idx + 1] = pw[idx] + (layer.weight_bytes if shardable else 0)
-            pa[idx + 1] = pa[idx] + (layer.activation_bytes if shardable else 0)
-            pt[idx + 1] = pt[idx] + (layer.compute_time if shardable else 0.0)
-            pf[idx + 1] = pf[idx] + (layer.forward if shardable else 0.0)
-        self._prefix_weights = pw
-        self._prefix_acts = pa
-        self._prefix_time = pt
-        self._prefix_forward = pf
-
-    def shard_weight_bytes(self, start: int, stop: int) -> int:
-        return self._prefix_weights[stop] - self._prefix_weights[start]
-
-    def shard_activation_bytes(self, start: int, stop: int) -> int:
-        return self._prefix_acts[stop] - self._prefix_acts[start]
-
-    def shard_compute_time(self, start: int, stop: int) -> float:
-        return self._prefix_time[stop] - self._prefix_time[start]
-
-    def shard_forward_time(self, start: int, stop: int) -> float:
-        return self._prefix_forward[stop] - self._prefix_forward[start]
-
-    def shard_backward_time(self, start: int, stop: int) -> float:
-        return self.shard_compute_time(start, stop) - self.shard_forward_time(start, stop)
-
-
-_TABLES_LOCK = threading.Lock()
-_TABLES_CACHE: "OrderedDict[str, ShardingTables]" = OrderedDict()
-_TABLES_CACHE_SIZE = 64
-
-
-def sharding_tables(profile: ModelProfile) -> ShardingTables:
-    """Digest-keyed, bounded cache of :class:`ShardingTables` (same idiom
-    as the evaluator's range tables)."""
-    key = profile.digest()
-    with _TABLES_LOCK:
-        tables = _TABLES_CACHE.get(key)
-        if tables is not None:
-            _TABLES_CACHE.move_to_end(key)
-            return tables
-    tables = ShardingTables(profile)
-    with _TABLES_LOCK:
-        _TABLES_CACHE[key] = tables
-        _TABLES_CACHE.move_to_end(key)
-        while len(_TABLES_CACHE) > _TABLES_CACHE_SIZE:
-            _TABLES_CACHE.popitem(last=False)
-    return tables
-
-
 def shardable_weight_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     """Weight bytes of the shardable layers in stage ``[start, stop)``."""
-    return sharding_tables(profile).shard_weight_bytes(start, stop)
+    from repro.core.ranges import range_table  # the table imports this module
+
+    shard = range_table(profile).shard_weights
+    return shard[stop] - shard[start]
 
 
 def shardable_activation_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     """Activation-stash bytes of the shardable layers in ``[start, stop)``."""
-    return sharding_tables(profile).shard_activation_bytes(start, stop)
+    from repro.core.ranges import range_table
 
-
-def shardable_compute_time(profile: ModelProfile, start: int, stop: int) -> float:
-    """Combined fwd+bwd seconds of the shardable layers in ``[start, stop)``."""
-    return sharding_tables(profile).shard_compute_time(start, stop)
-
-
-def stage_layers_shardable(profile: ModelProfile, start: int, stop: int) -> bool:
-    """True when *every* layer of the stage is shardable (memory then
-    strictly decreases in tp_degree; the property suite leans on this)."""
-    return all(l.kind in SHARDABLE_KINDS for l in profile.layers[start:stop])
+    shard = range_table(profile).shard_acts
+    return shard[stop] - shard[start]

@@ -40,11 +40,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import Stage, allreduce_bytes_per_worker
 from repro.core.profile import ModelProfile
+from repro.core.ranges import range_table
 from repro.core.schedule import Op, OpKind, Schedule
 from repro.core.spec import reject_tp_bucketing
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
-from repro.sim.memory import stage_deferred_weight_bytes
 from repro.sim.network import Placement, allreduce_time
 
 
@@ -231,6 +231,10 @@ class _SimCore:
         topology: Topology,
         options: SimOptions,
     ):
+        if schedule.num_workers > topology.total_workers:
+            raise ValueError(
+                f"the schedule occupies {schedule.num_workers} workers but "
+                f"the topology has {topology.total_workers}")
         self.schedule = schedule
         self.options = options
         stages = schedule.stages
@@ -253,20 +257,19 @@ class _SimCore:
         # at tp_degree == 1 take no branch, keeping the timeline bitwise
         # identical to the two-axis simulator.
         tp_active = any(stage.tp_degree > 1 for stage in stages)
-        shard_tables = None
+        tb = range_table(profile)
         reject_tp_bucketing(tp_active, options.bucket_bytes)
         if tp_active:
-            from repro.core.sharding import sharding_tables
-
-            shard_tables = sharding_tables(profile)
             scale = topology.compute_scale
             for s, stage in enumerate(stages):
                 t = stage.tp_degree
                 if t > 1:
-                    sf = shard_tables.shard_forward_time(
-                        stage.start, stage.stop) / scale
-                    sb = shard_tables.shard_backward_time(
-                        stage.start, stage.stop) / scale
+                    sc = (tb.shard_compute[stage.stop]
+                          - tb.shard_compute[stage.start])
+                    sf = (tb.shard_forward[stage.stop]
+                          - tb.shard_forward[stage.start])
+                    sb = (sc - sf) / scale
+                    sf = sf / scale
                     fwd_time[s] = fwd_time[s] - sf + sf / t
                     bwd_time[s] = bwd_time[s] - sb + sb / t
         # 2BP backward split (schedules with ``backward_split``): the
@@ -325,7 +328,8 @@ class _SimCore:
             profile.activation_bytes(stage.stop - 1) for stage in stages[:-1]
         ]
         stage_weight_bytes = [
-            profile.weight_bytes(stage.start, stage.stop) for stage in stages
+            tb.weights[stage.stop] - tb.weights[stage.start]
+            for stage in stages
         ]
 
         # All_reduce duration per stage round (zero when unreplicated).  For
@@ -343,9 +347,7 @@ class _SimCore:
             workers = schedule.stage_workers[s]
             # The same decomposition the planner's memory kernel prices:
             # deferred = BPTT-accumulated weights (RECURRENT_KINDS).
-            deferred_bytes = stage_deferred_weight_bytes(
-                profile, stage.start, stage.stop
-            )
+            deferred_bytes = tb.deferred[stage.stop] - tb.deferred[stage.start]
             if stage.tp_degree > 1:
                 # Each of the t concurrent shard rings syncs its own slice:
                 # the replicated (unshardable) weights plus a 1/t shard of
@@ -354,8 +356,8 @@ class _SimCore:
                 # so allreduce_time charges exactly the levels the strided
                 # ring crosses.  Deferred (BPTT) weights are unshardable by
                 # construction and stay full.
-                shard_w = shard_tables.shard_weight_bytes(
-                    stage.start, stage.stop)
+                shard_w = (tb.shard_weights[stage.stop]
+                           - tb.shard_weights[stage.start])
                 stream_bytes = ((stage_weight_bytes[s] - deferred_bytes)
                                 - shard_w + shard_w / stage.tp_degree)
             else:

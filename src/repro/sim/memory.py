@@ -10,9 +10,9 @@ planner's bound-admitted ⊇ refined-admitted ⊇ footprint-feasible
 invariant (see ``docs/INTERNALS.md`` §7).  The aggregate helpers below
 (`stage_weight_bytes` / `stage_activation_bytes` /
 :func:`stage_deferred_weight_bytes` / :func:`stage_boundary_activation_bytes`)
-share one ``(profile, start, stop)`` signature and are the only place the
-profile's layer lists are summed; :func:`stage_memory_bytes` is composed
-from them, so the single-source claim is enforced by call structure.
+share one ``(profile, start, stop)`` signature and read the profile's one
+range table (:func:`repro.core.ranges.range_table`, the only place its
+layer lists are summed); :func:`stage_memory_bytes` reads the same columns.
 
 PipeDream's per-stage footprint is governed by the number of in-flight
 minibatches a stage holds.  The in-flight count at stage ``s`` is the
@@ -21,7 +21,7 @@ at the input stage and 1 at the output stage.  Per in-flight minibatch a
 replica stashes one activation set and (for weight stashing) one weight
 version, with one §3.3 refinement: weights whose gradients accumulate
 across BPTT timesteps (the evaluator's *non-overlappable* / deferred
-share, :data:`repro.core.partition.RECURRENT_KINDS`) only apply their
+share, :data:`repro.core.profile.RECURRENT_KINDS`) only apply their
 update at round boundaries — once per ``replicas`` minibatches of the
 stage's round-robin stream — so a replica's in-flight window spans only
 ``ceil(depth / replicas)`` distinct versions of them.  Data parallelism
@@ -41,15 +41,16 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core import sharding
-from repro.core.partition import RECURRENT_KINDS, Stage
+from repro.core.partition import Stage
 from repro.core.profile import ModelProfile
+from repro.core.ranges import range_table
 from repro.core.schedule import warmup_count
 
 
 def stage_weight_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     """Weight bytes of stage ``[start, stop)``."""
-    return profile.weight_bytes(start, stop)
+    weights = range_table(profile).weights
+    return weights[stop] - weights[start]
 
 
 def stage_activation_bytes(profile: ModelProfile, start: int, stop: int) -> int:
@@ -58,7 +59,8 @@ def stage_activation_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     Every layer's output is live between forward and backward, so the stash
     is the sum of the stage's layer outputs for one minibatch.
     """
-    return sum(l.activation_bytes for l in profile.layers[start:stop])
+    acts = range_table(profile).acts
+    return acts[stop] - acts[start]
 
 
 def stage_boundary_activation_bytes(profile: ModelProfile, start: int) -> int:
@@ -69,7 +71,7 @@ def stage_boundary_activation_bytes(profile: ModelProfile, start: int) -> int:
     interior activations are rebuilt during backward.  The input stage
     reads training data, which is not stashed activation state.
     """
-    return profile.activation_bytes(start - 1) if start > 0 else 0
+    return range_table(profile).in_bytes[start]
 
 
 def stage_deferred_weight_bytes(profile: ModelProfile, start: int, stop: int) -> int:
@@ -80,11 +82,8 @@ def stage_deferred_weight_bytes(profile: ModelProfile, start: int, stop: int) ->
     materialize at the end of a backward pass, and their updates land at
     round boundaries.
     """
-    return sum(
-        l.weight_bytes
-        for l in profile.layers[start:stop]
-        if l.kind in RECURRENT_KINDS
-    )
+    deferred = range_table(profile).deferred
+    return deferred[stop] - deferred[start]
 
 
 def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,
@@ -174,26 +173,19 @@ def stage_memory_bytes(
 ) -> int:
     """Peak bytes one replica of stage ``[start, stop)`` holds at ``depth``
     in-flight minibatches — the single source of truth for per-stage memory
-    (see module docstring).  Composed from the aggregate helpers above so
-    every byte flows through exactly one summation per quantity.  With
+    (see module docstring), priced from the profile's range table.  With
     ``tp_degree > 1`` this is the footprint of *one physical shard* of a
-    replica; the shardable share comes from the sharding registry."""
-    weights = stage_weight_bytes(profile, start, stop)
-    deferred = stage_deferred_weight_bytes(profile, start, stop)
-    acts = stage_activation_bytes(profile, start, stop)
-    boundary = stage_boundary_activation_bytes(profile, start)
-    if tp_degree > 1:
-        shard_w = sharding.shardable_weight_bytes(profile, start, stop)
-        shard_a = sharding.shardable_activation_bytes(profile, start, stop)
-        return int(stage_memory_cost(
-            weights, deferred, acts, depth, replicas,
-            recompute=recompute, boundary_activation_bytes=boundary,
-            tp_degree=tp_degree, shardable_weight_bytes=shard_w,
-            shardable_activation_bytes=shard_a,
-        ))
+    replica; the shardable share comes from the table's ``shard_*``
+    columns (the kernel reads it only when ``tp_degree > 1``)."""
+    tb = range_table(profile)
     return int(stage_memory_cost(
-        weights, deferred, acts, depth, replicas,
-        recompute=recompute, boundary_activation_bytes=boundary,
+        tb.weights[stop] - tb.weights[start],
+        tb.deferred[stop] - tb.deferred[start],
+        tb.acts[stop] - tb.acts[start], depth, replicas,
+        recompute=recompute, boundary_activation_bytes=tb.in_bytes[start],
+        tp_degree=tp_degree,
+        shardable_weight_bytes=tb.shard_weights[stop] - tb.shard_weights[start],
+        shardable_activation_bytes=tb.shard_acts[stop] - tb.shard_acts[start],
     ))
 
 

@@ -1,8 +1,8 @@
 """A lock-guarded bounded LRU cache with hit/miss/eviction counters.
 
 One implementation backs every long-lived registry that used to grow (or
-race) unboundedly: the evaluator's per-profile prefix tables
-(``repro.core.partition._EVAL_TABLES``), the planner service's canonical
+race) unboundedly: the per-profile range tables
+(``repro.core.ranges._TABLES``), the planner service's canonical
 plan cache, and the :class:`~repro.core.partition.SolverContextPool`.
 Serving workloads run for days over arbitrary client-supplied profiles, so
 every cache in the hot path must be bounded and observable.

@@ -19,27 +19,23 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.partition import (
-    PartitionEvaluation,
-    Stage,
-    _check_stages,
-    _eval_tables,
-)
+from repro.core.partition import PartitionEvaluation, Stage, _check_stages
 from repro.core.profile import ModelProfile
+from repro.core.ranges import range_table
 from repro.core.topology import Topology
 from repro.sim.memory import pipeline_memory_footprint
 
 
 class _NumpyTables:
-    """Array views of the production prefix tables (the same floats)."""
+    """Float views of the production range table (the same sums)."""
 
     def __init__(self, profile: ModelProfile):
-        tables = _eval_tables(profile)
-        self.np_time = np.asarray(tables.prefix_time)
-        self.np_weights = np.asarray(tables.prefix_weights)
-        self.np_recurrent = np.asarray(tables.prefix_recurrent)
-        self.np_acts = np.asarray(tables.acts)
-        self.np_backward = np.asarray(tables.prefix_backward)
+        tables = range_table(profile)
+        self.np_time = np.asarray(tables.compute)
+        self.np_weights = np.asarray(tables.weights, dtype=float)
+        self.np_recurrent = np.asarray(tables.deferred, dtype=float)
+        self.np_acts = np.asarray(tables.out_bytes, dtype=float)
+        self.np_backward = np.asarray(tables.backward)
 
 
 def evaluate_details_closed_form(

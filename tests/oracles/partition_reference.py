@@ -37,7 +37,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         self._bucket_table_cache: Optional[List[List[int]]] = None
 
     # ------------------------------------------------------------------
-    # Scalar range helpers
+    # Scalar range helpers (reads of the one range table)
     # ------------------------------------------------------------------
     def _bucket_count(self, i: int, j: int) -> int:
         """Streamable collectives per round for span i..j inclusive."""
@@ -51,26 +51,47 @@ class ReferenceOptimizer(PipeDreamOptimizer):
             )
         return self._bucket_table_cache[i][j]
 
+    def _range(self, column: str, i: int, j: int):
+        """Sum of the range table's ``column`` over layers i..j inclusive
+        (the optimizer's device-adjusted table)."""
+        prefix = getattr(self._table, column)
+        return prefix[j + 1] - prefix[i]
+
     def _time(self, i: int, j: int) -> float:
         """Sum of T_l for layers i..j inclusive."""
-        return self._prefix_time[j + 1] - self._prefix_time[i]
+        return self._range("compute", i, j)
 
     def _backward_sum(self, i: int, j: int) -> float:
         """Backward-pass seconds of layers i..j inclusive (device-adjusted)."""
-        return self._prefix_backward[j + 1] - self._prefix_backward[i]
+        return self._range("backward", i, j)
+
+    def _weights(self, i: int, j: int) -> float:
+        return self._range("weights", i, j)
+
+    def _recurrent_weights(self, i: int, j: int) -> float:
+        return self._range("deferred", i, j)
+
+    def _activation_sum(self, i: int, j: int) -> float:
+        """Summed activation stash of layers i..j inclusive (one minibatch)."""
+        return self._range("acts", i, j)
 
     def _boundary_acts(self, j: int) -> float:
         """Input-boundary activation bytes of a stage starting at layer ``j``
         (what a recompute-on stage stashes per in-flight minibatch)."""
-        return self._prefix_acts[j] - self._prefix_acts[j - 1] if j > 0 else 0.0
+        return self._table.in_bytes[j]
 
     def _shard_time(self, i: int, j: int) -> float:
         """Shardable compute seconds of layers i..j inclusive."""
-        return self._prefix_shard_time[j + 1] - self._prefix_shard_time[i]
+        return self._range("shard_compute", i, j)
 
     def _shard_backward(self, i: int, j: int) -> float:
-        return (self._prefix_shard_backward[j + 1]
-                - self._prefix_shard_backward[i])
+        return self._range("shard_backward", i, j)
+
+    def _shard_weights(self, i: int, j: int) -> float:
+        return self._range("shard_weights", i, j)
+
+    def _shard_acts(self, i: int, j: int) -> float:
+        return self._range("shard_acts", i, j)
 
     def _memory_ok(self, i: int, j: int) -> bool:
         """Phase-1 feasibility of span i..j: the shared-kernel bound."""

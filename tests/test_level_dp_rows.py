@@ -18,10 +18,15 @@ import tracemalloc
 
 import pytest
 
-from repro.core.partition import PipeDreamOptimizer, SolverContext
+from repro.core.partition import (
+    PipeDreamOptimizer,
+    SolverContext,
+    evaluate_partition_on_topology,
+)
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
 from repro.profiler import analytic_profile
+from repro.sim.memory import memory_ceiling
 from tests.oracles import ReferenceOptimizer
 
 
@@ -223,3 +228,39 @@ class TestRefinedPlaneMemoisation:
             memory_limit_bytes=0.5 * max(free.memory_bytes), **self.OPTIONS
         )
         assert plan is not None
+
+
+class TestWhyTwoDPs:
+    """The refined suffix DP alone — run at ``memory_ceiling``, a cap that
+    cannot bind — does not reproduce ``solve()``, so the level DP is not
+    redundant and replacing it would move plans (``docs/INTERNALS.md``,
+    "why there are two DPs")."""
+
+    @staticmethod
+    def refined_alone(profile, topology, **options):
+        cap = memory_ceiling(profile, topology.total_workers)
+        optimizer = PipeDreamOptimizer(
+            profile, topology, memory_limit_bytes=cap, **options)
+        return optimizer._solve_refined(topology)
+
+    def test_level_dp_wins_a_bucketed_plan(self):
+        topology, bucket = TOPOLOGIES["1-level"], 300_000
+        plan = PipeDreamOptimizer(
+            PROFILE, topology, bucket_bytes=bucket).solve()
+        assert plan.config_string == "2-1-3-1-1"
+        assert plan.slowest_stage_time == pytest.approx(0.047)
+        refined = self.refined_alone(PROFILE, topology, bucket_bytes=bucket)
+        assert [stage.replicas for stage in refined] == [1, 5, 1, 1]
+        cost = evaluate_partition_on_topology(
+            PROFILE, refined, topology, bucket_bytes=bucket)
+        assert cost == pytest.approx(0.055)
+        assert cost > plan.slowest_stage_time
+
+    def test_refined_dp_alone_moves_table_1_resnet50(self):
+        profile, topology = analytic_profile("resnet50"), cluster_a(4)
+        plan = PipeDreamOptimizer(profile, topology).solve()
+        assert plan.config_string == "16"
+        refined = self.refined_alone(profile, topology)
+        assert len(refined) == 8
+        assert evaluate_partition_on_topology(
+            profile, refined, topology) < plan.slowest_stage_time

@@ -11,9 +11,12 @@ from repro.core.partition import (
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
     evaluate_partition,
+    evaluate_partition_on_topology,
 )
 from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.topology import make_cluster
+from repro.core.topology import cluster_a, make_cluster
+from repro.profiler import analytic_profile
+from repro.sim.strategies import simulate_partition
 from tests.oracles.partition_brute_force import brute_force_partition
 
 
@@ -203,3 +206,31 @@ class TestCostAccounting:
 
     def test_dp_volume_single_worker_zero(self, toy_profile):
         assert data_parallel_bytes_per_minibatch(toy_profile, 1) == 0.0
+
+
+class TestPlansOnMissingWorkers:
+    """A plan that needs more workers than the topology has is an error
+    on both pricing stacks, never a number for workers that do not exist
+    (vgg16 on Cluster-A with one server: 4 workers)."""
+
+    VGG = analytic_profile("vgg16")
+    N = len(VGG)
+    PLANS = {
+        "dp8": ([Stage(0, N, 8)], 8),
+        "pipeline6": ([Stage(0, 9, 2), Stage(9, 15, 2), Stage(15, N, 2)], 6),
+        "tp5": ([Stage(0, 9, 2, tp_degree=2), Stage(9, N, 1)], 5),
+    }
+
+    @pytest.mark.parametrize("plan", sorted(PLANS))
+    @pytest.mark.parametrize("stack", ["evaluator", "simulator"])
+    def test_rejected_naming_both_counts(self, stack, plan):
+        stages, workers = self.PLANS[plan]
+        topology = cluster_a(1)
+        price = {
+            "evaluator": lambda: evaluate_partition_on_topology(
+                self.VGG, stages, topology),
+            "simulator": lambda: simulate_partition(
+                self.VGG, topology, stages, num_minibatches=8),
+        }[stack]
+        with pytest.raises(ValueError, match=f"{workers} workers.* has 4"):
+            price()

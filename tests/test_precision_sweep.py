@@ -142,8 +142,8 @@ class TestPrecisionKeying:
         assert analytic_profile("vgg16").to_dict() == before
 
     def test_eval_tables_are_per_profile_instance(self):
-        """``_EvalTables`` memoizes per ModelProfile object, so the fp16
-        conversion (a new object) can never reuse fp32 prefix tables —
+        """The range table is keyed by profile digest, so the fp16
+        conversion (new bytes) can never reuse fp32 prefix tables —
         and interleaving precisions leaves fp32 results bitwise-stable."""
         fp32 = analytic_profile("vgg16")
         fp16 = fp32.with_precision(2)

@@ -272,7 +272,7 @@ def _tp_stages_vgg():
     """A hand-built hybrid plan for vgg16 on 8 workers: a sharded
     replicated head (2x2), two plain stages, and a sharded tail (1x2)."""
     n = len(VGG)
-    return [Stage(0, 8, 2, tp_degree=2), Stage(8, 12, 2),
+    return [Stage(0, 8, 2, tp_degree=2), Stage(8, 12, 1),
             Stage(12, 16, 1), Stage(16, n, 1, tp_degree=2)]
 
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Single verification entry point: tier-1 tests, the generated-docs check,
-# the end-to-end benchmark's selftest (its pinned call surface), and the
-# perf-regression gate.
+# Single verification entry point, running every CI step: tier-1 tests,
+# the fp16/fp32 sweep smoke, the generated-docs check, the elastic-recovery
+# and planner-service smokes, the end-to-end benchmark's selftest (its
+# pinned call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -11,8 +12,20 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo
+echo "== fp16 vs fp32 sweep smoke =="
+python examples/mixed_precision_sweep.py --smoke
+
+echo
 echo "== docs/API.md is current =="
 python tools/gen_api_docs.py --check
+
+echo
+echo "== elastic recovery smoke =="
+python examples/elastic_recovery.py --smoke
+
+echo
+echo "== planner service smoke =="
+python tools/serve_smoke.py
 
 echo
 echo "== benchmarks/e2e selftest =="
