@@ -777,48 +777,54 @@ class PipeDreamOptimizer:
           elementwise max over the ``r`` groups (the round ends with the
           slowest one, e.g. the group straddling a machine boundary).
 
-        Both are computed through :func:`repro.sim.network.Placement` +
-        :func:`repro.sim.network.allreduce_cost_factors`, i.e. literally
-        the simulator's pricing, so the planner, evaluator, and both sim
-        engines agree on the per-level α accounting.  Returns
-        ``{t: (dp_coeff, dp_lat, tp_coeff, tp_lat)}`` tables indexed
-        ``[m][mp]``.
+        Along row ``m`` each step ``mp += t`` adds one shard group, so
+        both factors are grown, not re-walked: each distinct shard group is
+        priced once (:func:`repro.sim.network.allreduce_cost_factors`) and
+        a cell keeps the running max; the added representative joins its
+        parent's child set at every level, and the level's ring size is
+        the running max of those set sizes — exactly the integers
+        :meth:`~repro.sim.network.Placement.ring_sizes` counts, priced by
+        the same :func:`~repro.sim.network.ring_cost_factors` loop, so the
+        planner and the simulator agree bitwise.  Returns ``{t: (dp_coeff,
+        dp_lat, tp_coeff, tp_lat)}`` tables indexed ``[m][mp]``.
         """
-        from repro.sim.network import Placement, allreduce_cost_factors
+        from repro.sim.network import (
+            Placement, allreduce_cost_factors, ring_cost_factors)
 
         placement = Placement(topology)
         W = topology.total_workers
+        # Worker w's level-k component is w // per[k] (innermost first).
+        per = [1]
+        for level in topology.levels:
+            per.append(per[-1] * level.count)
+        depth = range(topology.num_levels)
         tables = {}
-        for t in self._tp_options:
-            if t == 1:
-                continue
+        for t in self._tp_options[1:]:
             dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
             dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
             tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
             tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
-            # A shard group's factors depend only on its first worker, so
-            # each distinct group is priced once and a cell's slowest group
-            # is the running max as ``mp`` appends one group at a time;
-            # only the strided dp group is per-(m, mp).
             shard = [
                 allreduce_cost_factors(placement, list(range(w, w + t)))
                 for w in range(W - t + 1)
             ]
             for m in range(t, W + 1):
-                first = W - m
                 worst_c = worst_l = 0.0
+                children = [{} for _ in depth]
+                sizes = [0] * topology.num_levels
                 for mp in range(t, m + 1, t):
-                    r = mp // t
-                    if r > 1:
-                        reps = [first + q * t for q in range(r)]
-                        dp_c[m][mp], dp_l[m][mp] = allreduce_cost_factors(
-                            placement, reps
-                        )
-                    c, l = shard[first + mp - t]
-                    if c > worst_c:
-                        worst_c = c
-                    if l > worst_l:
-                        worst_l = l
+                    rep = W - m + mp - t
+                    for k in depth:
+                        members = children[k].setdefault(
+                            rep // per[k + 1], set())
+                        members.add(rep // per[k])
+                        sizes[k] = max(sizes[k], len(members))
+                    if mp > t:
+                        dp_c[m][mp], dp_l[m][mp] = ring_cost_factors(
+                            topology, sizes)
+                    c, l = shard[rep]
+                    worst_c = max(worst_c, c)
+                    worst_l = max(worst_l, l)
                     tp_c[m][mp] = worst_c
                     tp_l[m][mp] = worst_l
             tables[t] = (dp_c, dp_l, tp_c, tp_l)
@@ -940,8 +946,8 @@ class PipeDreamOptimizer:
         ``i..j`` of compute / weights / deferred (BPTT) weights /
         activations / backward and their shardable shares (``S*``), plus
         the per-layer output (``acts``) and input-boundary (``bacts``, 0 at
-        layer 0) bytes.  Cells with ``i > j`` are meaningless; ``valid``
-        masks them.
+        layer 0) bytes, and per tp degree the ``sharded`` compute planes.
+        Cells with ``i > j`` are meaningless; ``valid`` masks them.
         """
         if self._tables is None:
             rt, n = self._table, self._n
@@ -964,6 +970,13 @@ class PipeDreamOptimizer:
             # Checkpointed stage time: one extra forward (compute minus
             # backward).
             tb.compute_r = tb.compute + (tb.compute - tb.B)
+            # Per tp degree: the stage compute with the shardable share
+            # divided by t, and its checkpointed form (one extra *sharded*
+            # forward).
+            tb.sharded = {}
+            for t in self._tp_options[1:]:
+                sc = tb.compute - tb.ST + tb.ST / t
+                tb.sharded[t] = (sc, sc + (sc - (tb.B - tb.SB + tb.SB / t)))
             self._tables = tb
         return self._tables
 
@@ -1099,13 +1112,16 @@ class PipeDreamOptimizer:
 
         The (n, n) planes a cell is assembled from repeat across cells,
         so each is built once per solve and memoised on exactly the scalars
-        it depends on (see :meth:`_refined_fits`).
+        it depends on (see :meth:`_refined_fits`).  Row ``m`` stacks its
+        ``m`` planes into one ``(m, n, n)`` cube and takes the boundary
+        and rest terms as ``(m, n)`` slices, so a row is one array pass;
+        each tp degree ``t`` folds into the strided slice ``mp = t, 2t,
+        …`` of the same cube.
         """
         n = self._n
         W = topology.total_workers
         inf = math.inf
         tb = self._span_tables()
-        acts = tb.acts
         memo = functools.lru_cache(maxsize=None)  # dies with this solve
         fits_of = memo(self._refined_fits)
         # Stage-time planes (stash-everything[, checkpointed]) per cell.
@@ -1124,94 +1140,79 @@ class PipeDreamOptimizer:
         def tp_times_of(mp, t, dp_c, dp_l, tp_c, tp_l):
             # mp/t replicas of t shards; checkpointing replays the
             # *sharded* forward.
-            sc = tb.compute - tb.ST + tb.ST / t
-            sharded = (sc,)
-            if self._recompute_auto:
-                sharded += (sc + (sc - (tb.B - tb.SB + tb.SB / t)),)
             return tuple(
                 self._tp_plane(c, tb.valid, t, mp // t, tp_c, tp_l, dp_c, dp_l)
-                for c in sharded
+                for c in tb.sharded[t][: len(computes)]
             )
 
-        def masked_plane(fits, times):
-            if self._recompute_auto:
-                # Prefer stash-everything when it fits (bitwise no-op under
-                # generous limits); checkpoint only when it is the
-                # cap-respecting option.
-                return np.where(
-                    fits[0], times[0], np.where(fits[1], times[1], inf)
-                )
-            return np.where(fits[0], times[0], inf)
+        def masked_cube(fits, times):
+            # One (len, n, n) cube of masked planes: checkpointed where
+            # that fits, then stash-everything over it wherever *that*
+            # fits (bitwise no-op under generous limits).  np.array stacks
+            # the planes faster than np.stack.
+            cube = np.full((len(fits), n, n), inf)
+            for c in reversed(range(len(computes))):
+                np.copyto(cube, np.array([x[c] for x in times]),
+                          where=np.array([f[c] for f in fits]))
+            return cube
 
+        # boundary[w]: 2 a_k / B over the link into worker w, where a
+        # rest starting at w receives layer k's output (the last layer
+        # sends nothing).
+        boundary = np.zeros((W + 1, n))
+        if n > 1:
+            bw = np.asarray([link_bw[min(w, W - 1)] for w in range(W + 1)])
+            boundary[:, : n - 1] = 2.0 * tb.acts[None, : n - 1] / bw[:, None]
         R = np.full((W + 1, n + 1), inf)
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
         ptr_mp = np.full((W + 1, n), -1, dtype=np.int64)
-        ptr_tp = (
-            np.ones((W + 1, n), dtype=np.int64) if tp_tables else None
-        )
+        ptr_tp = np.ones((W + 1, n), dtype=np.int64) if tp_tables else None
         row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (
-            self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
-            if row_cache is not None
-            else None
-        )
+        row_keys = (None if row_cache is None else self._refined_row_keys(
+            W, coeffs, link_bw, lats, tp_tables))
         for m in range(1, W + 1):
             if row_cache is not None:
                 hit = row_cache.get(row_keys[m])
                 if hit is not None:
-                    R[m] = hit[0]
-                    ptr_k[m] = hit[1]
-                    ptr_mp[m] = hit[2]
-                    if ptr_tp is not None:
-                        ptr_tp[m] = hit[3]
+                    for table, row in zip((R, ptr_k, ptr_mp, ptr_tp), hit):
+                        table[m] = row
                     self.context._bump("row_hits")
                     continue
-            tp_sel = (
-                np.empty((m, n, n), dtype=np.int64) if tp_tables else None
+            # cand[mp-1] = max(stage, boundary, rest) for mp = 1..m: the
+            # rest R[m-mp] starts at worker W-m+mp.
+            bound = boundary[W - m + 1:, None, :]
+            rest = R[m - 1::-1, None, 1:]
+            mps = range(1, m + 1)
+            cand = masked_cube(
+                [fits_of(-(-m // mp), mp) for mp in mps],
+                [times_of(mp, coeffs[m][mp], lats[m][mp]) for mp in mps],
             )
-            cand = np.empty((m, n, n))
-            for mp in range(1, m + 1):
-                versions = -(-m // mp)
-                masked = masked_plane(
-                    fits_of(versions, mp),
-                    times_of(mp, coeffs[m][mp], lats[m][mp]),
-                )
-                boundary = np.zeros(n)
-                if n > 1:
-                    boundary[: n - 1] = (
-                        2.0 * acts[: n - 1] / link_bw[min(W - m + mp, W - 1)]
+            np.maximum(cand, bound, out=cand)
+            np.maximum(cand, rest, out=cand)
+            if tp_tables:
+                # Fold each degree into its strided slice with strict '<'
+                # on the *full* candidate (stage, boundary, rest) — the
+                # (k, mp, t) tie-break: when the boundary or the rest
+                # dominates both, the earlier (smaller) degree keeps the
+                # cell.
+                tp_sel = np.ones((m, n, n), dtype=np.int64)
+                for t in self._tp_options[1:]:
+                    if t > m:
+                        break
+                    dp_c, dp_l, tp_c, tp_l = tp_tables[t]
+                    mps = range(t, m + 1, t)
+                    cand_t = masked_cube(
+                        [fits_of(-(-m // mp), mp // t, t) for mp in mps],
+                        [tp_times_of(mp, t, dp_c[m][mp], dp_l[m][mp],
+                                     tp_c[m][mp], tp_l[m][mp]) for mp in mps],
                     )
-                cand_mp = np.maximum(
-                    np.maximum(masked, boundary[None, :]), R[m - mp][None, 1:]
-                )
-                if tp_tables:
-                    # Fold the tp planes into this mp's candidate slab with
-                    # strict '<' on the *full* candidate (stage, boundary,
-                    # rest) — the (k, mp, t) tie-break: when the boundary
-                    # or the rest dominates both, the earlier (smaller)
-                    # degree keeps the cell.
-                    tsel = np.ones((n, n), dtype=np.int64)
-                    for t in self._tp_options[1:]:
-                        if mp % t:
-                            continue
-                        dp_c, dp_l, tp_c, tp_l = tp_tables[t]
-                        masked_t = masked_plane(
-                            fits_of(versions, mp // t, t),
-                            tp_times_of(
-                                mp, t, dp_c[m][mp], dp_l[m][mp],
-                                tp_c[m][mp], tp_l[m][mp],
-                            ),
-                        )
-                        cand_t = np.maximum(
-                            np.maximum(masked_t, boundary[None, :]),
-                            R[m - mp][None, 1:],
-                        )
-                        better = cand_t < cand_mp
-                        cand_mp = np.where(better, cand_t, cand_mp)
-                        tsel = np.where(better, t, tsel)
-                    tp_sel[mp - 1] = tsel
-                cand[mp - 1] = cand_mp
+                    sl = slice(t - 1, m, t)
+                    np.maximum(cand_t, bound[sl], out=cand_t)
+                    np.maximum(cand_t, rest[sl], out=cand_t)
+                    better = cand_t < cand[sl]
+                    np.copyto(cand[sl], cand_t, where=better)
+                    tp_sel[sl][better] = t
             candf = cand.transpose(2, 0, 1).reshape(n * m, n)
             flat = np.argmin(candf, axis=0)
             best = np.take_along_axis(candf, flat[None], axis=0)[0]
@@ -1226,15 +1227,9 @@ class PipeDreamOptimizer:
                 tsel_best = np.take_along_axis(tself, flat[None], axis=0)[0]
                 ptr_tp[m] = np.where(finite, tsel_best, 1)
             if row_cache is not None:
-                if ptr_tp is not None:
-                    row_cache[row_keys[m]] = (
-                        R[m].copy(), ptr_k[m].copy(), ptr_mp[m].copy(),
-                        ptr_tp[m].copy(),
-                    )
-                else:
-                    row_cache[row_keys[m]] = (
-                        R[m].copy(), ptr_k[m].copy(), ptr_mp[m].copy()
-                    )
+                row_cache[row_keys[m]] = tuple(
+                    table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp)
+                    if table is not None)
                 self.context._bump("row_misses")
         if not np.isfinite(R[W, 0]):
             return None
@@ -1394,7 +1389,7 @@ class PipeDreamOptimizer:
                         continue
                     r = m // t
                     plane = self._tp_plane(
-                        tb.compute - tb.ST + tb.ST / t, feasible, t, r,
+                        tb.sharded[t][0], feasible, t, r,
                         2.0 * (t - 1) / t / arbw, alpha,
                         2.0 * (r - 1) / r / arbw, alpha,
                     )

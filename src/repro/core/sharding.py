@@ -31,6 +31,8 @@ splits from the ``shard_*`` columns of the one range table
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import Dict, Sequence, Tuple
 
 from repro.core.profile import ModelProfile
@@ -53,10 +55,13 @@ def is_shardable(kind: str) -> bool:
 def validate_tp_degrees(tp_degrees: Sequence[int]) -> Tuple[int, ...]:
     """Normalize a tp-degree menu: ints >= 1, deduplicated, ascending,
     with degree 1 always present (the planner must always be allowed to
-    *not* shard a stage)."""
+    *not* shard a stage).  Booleans, non-numbers and non-finite or
+    non-integral values (JSON ``1e400`` parses to ``inf``) are rejected
+    with the same ``ValueError``."""
     degrees = set()
     for t in tp_degrees:
-        if int(t) != t or int(t) < 1:
+        if (isinstance(t, bool) or not isinstance(t, numbers.Real)
+                or not math.isfinite(t) or int(t) != t or t < 1):
             raise ValueError(
                 f"tp degrees must be positive integers, got {t!r}")
         degrees.add(int(t))

@@ -113,10 +113,17 @@ def allreduce_cost_factors(placement: Placement, workers: Sequence[int]) -> Tupl
     """
     if len(workers) <= 1:
         return 0.0, 0.0
+    return ring_cost_factors(placement.topology, placement.ring_sizes(workers))
+
+
+def ring_cost_factors(topology: Topology, sizes: Sequence[int]) -> Tuple[float, float]:
+    """``(coeff, lat)`` of a ring all_reduce with per-level ring ``sizes``
+    (:meth:`Placement.ring_sizes`): the one spelling of the per-level sum
+    :func:`allreduce_cost_factors` and the planner's incrementally grown
+    strided groups share, so both produce the same float bits."""
     coeff = 0.0
     lat = 0.0
-    sizes = placement.ring_sizes(workers)
-    for k, level in enumerate(placement.topology.levels):
+    for k, level in enumerate(topology.levels):
         group = sizes[k]
         if group > 1:
             coeff += 2.0 * (group - 1) / group / level.allreduce_bandwidth

@@ -17,6 +17,7 @@ every level and recomputes every plane and group per cell.
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.partition import (
     PipeDreamOptimizer,
@@ -27,6 +28,7 @@ from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import memory_ceiling
+from repro.sim.network import Placement, allreduce_cost_factors
 from tests.oracles import ReferenceOptimizer
 
 
@@ -228,6 +230,94 @@ class TestRefinedPlaneMemoisation:
             memory_limit_bytes=0.5 * max(free.memory_bytes), **self.OPTIONS
         )
         assert plan is not None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    counts=st.sampled_from([(3,), (5,), (2, 3), (3, 2), (2, 2, 3), (4, 5),
+                            (3, 3), (2, 5), (3, 2, 2), (6,), (2, 3, 2)]),
+    t=st.sampled_from([2, 3, 4]),
+    alphas=st.lists(st.sampled_from([0.0, 5e-5, 3e-3]), min_size=3,
+                    max_size=3),
+)
+def test_grown_strided_rings_equal_walked_ones(counts, t, alphas):
+    """Every cell of the incrementally grown tp tables equals the
+    simulator's pricing of the same groups walked from scratch: the
+    strided dp group ``{W-m+q*t}`` and the slowest of the ``mp/t``
+    consecutive shard groups (1-3 levels, counts not powers of two)."""
+    topology = Topology("p", [
+        TopologyLevel(count, 1e9 / (k + 1), 0.5 / (k + 1), alphas[k])
+        for k, count in enumerate(counts)
+    ])
+    W = topology.total_workers
+    assume(t <= W)
+    optimizer = PipeDreamOptimizer(toy_profile(3), topology,
+                                   tp_degrees=(1, t))
+    placement = Placement(topology)
+    dp_c, dp_l, tp_c, tp_l = optimizer._refined_tp_tables(topology)[t]
+    for m in range(t, W + 1):
+        first = W - m
+        for mp in range(t, m + 1, t):
+            reps = [first + q * t for q in range(mp // t)]
+            assert (dp_c[m][mp], dp_l[m][mp]) == allreduce_cost_factors(
+                placement, reps)
+            shards = [allreduce_cost_factors(placement, range(w, w + t))
+                      for w in reps]
+            assert tp_c[m][mp] == max(c for c, _ in shards)
+            assert tp_l[m][mp] == max(l for _, l in shards)
+
+
+class TestPlanScaleShape:
+    """The shape of ``plan_scale``'s slowest solve: 26 layers on 64
+    workers over two levels, recompute + tp, at a binding cap."""
+
+    PROFILE = toy_profile(26)
+    TOPO = TestRefinedPlaneMemoisation.TOPO
+
+    def options(self):
+        free = PipeDreamOptimizer(self.PROFILE, self.TOPO).solve()
+        return dict(memory_limit_bytes=0.3 * max(free.memory_bytes),
+                    recompute="auto", tp_degrees=(1, 2, 4))
+
+    def test_production_matches_oracle(self):
+        plan = assert_twins_identical(self.PROFILE, self.TOPO,
+                                      **self.options())
+        # The cap binds: some stage checkpoints, some stage shards.
+        assert any(stage.recompute for stage in plan.stages)
+        assert any(stage.tp_degree > 1 for stage in plan.stages)
+
+    def test_warm_equals_cold_through_row_cache_hits(self):
+        options = self.options()
+        context = SolverContext(self.PROFILE)
+        for workers in (32, 64):
+            warm = PipeDreamOptimizer(
+                self.PROFILE, self.TOPO, context=context, **options
+            ).solve(workers)
+            cold = PipeDreamOptimizer(
+                self.PROFILE, self.TOPO, **options).solve(workers)
+            assert warm.stages == cold.stages
+            assert warm.slowest_stage_time == cold.slowest_stage_time
+            assert warm.memory_bytes == cold.memory_bytes
+        # The 64-worker suffix rows the 32-worker solve already built.
+        assert context.stats()["row_hits"] > 0
+
+    def test_refined_solve_never_materialises_a_4d_cube(self):
+        """Timing-free complexity guard: a row builds one ``(m, n, n)``
+        cube, so the refined solve's peak stays far below one ``(W, W, n,
+        n)`` float64 array (≈ 22 MB here).  Most of the peak is the
+        per-solve plane memos (≈ 17·W·n²·8 at this shape)."""
+        n, W = len(self.PROFILE), self.TOPO.total_workers
+        optimizer = PipeDreamOptimizer(self.PROFILE, self.TOPO,
+                                       **self.options())
+        optimizer._span_tables()
+        tracemalloc.start()
+        try:
+            stages = optimizer._solve_refined(self.TOPO)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stages is not None
+        assert peak < W * W * n * n * 8 // 2
 
 
 class TestWhyTwoDPs:

@@ -606,6 +606,22 @@ class TestFraming:
         finally:
             connection.close()
 
+    @pytest.mark.parametrize("menu", [b"[1e400]", b"[NaN]", b"[true, 2]"],
+                             ids=["overflow", "nan", "bool"])
+    def test_hostile_tp_menu_is_400(self, url, menu):
+        """JSON ``1e400`` parses to ``inf`` (``int(inf)`` overflows) and
+        ``true`` would pass as degree 1: each is the client's 400, never
+        the generic 500."""
+        body = json.dumps(VGG).encode()[:-1] + b', "tp_degrees": ' + menu + b"}"
+        connection = RawConnection(url)
+        try:
+            connection.send(http_post("/plan", body))
+            status, _, reply = connection.reply()
+            assert status == 400
+            assert "tp degrees must be positive integers" in reply["error"]
+        finally:
+            connection.close()
+
     def test_unread_body_is_never_taken_for_a_request(self, url):
         """The parent answered ``400 Bad request syntax ('{"model": ...}GET
         /healthz HTTP/1.1')`` here: the body it had refused to read."""

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Single verification entry point, running every CI step: tier-1 tests,
-# the fp16/fp32 sweep smoke, the generated-docs check, the elastic-recovery
-# and planner-service smokes, the end-to-end benchmark's selftest (its
-# pinned call surface), and the perf-regression gate.
+# Single verification entry point, running every CI step in CI's order:
+# tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
+# seeded chaos suite, the elastic-recovery and planner-service smokes, the
+# end-to-end benchmark's selftest (its pinned call surface), and the
+# perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +19,10 @@ python examples/mixed_precision_sweep.py --smoke
 echo
 echo "== docs/API.md is current =="
 python tools/gen_api_docs.py --check
+
+echo
+echo "== seeded chaos suite =="
+python -m pytest -q -m chaos
 
 echo
 echo "== elastic recovery smoke =="
