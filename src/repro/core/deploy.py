@@ -173,13 +173,19 @@ class DeploymentPlan:
 
 
 def serialize_schedule(schedule: Schedule) -> Dict:
-    """Schedule -> JSON-ready dict (per-worker op lists)."""
-    return {
+    """Schedule -> JSON-ready dict (per-worker op lists).
+
+    ``tp_degree``, ``recompute`` and ``backward_split`` are written only
+    when set, so a schedule without them serializes as it always has.
+    """
+    data = {
         "num_minibatches": schedule.num_minibatches,
         "noam": schedule.noam,
         "flush_after": list(schedule.flush_after),
         "stages": [
-            {"start": s.start, "stop": s.stop, "replicas": s.replicas}
+            dict({"start": s.start, "stop": s.stop, "replicas": s.replicas},
+                 **({"tp_degree": s.tp_degree} if s.tp_degree > 1 else {}),
+                 **({"recompute": True} if s.recompute else {}))
             for s in schedule.stages
         ],
         "worker_ops": {
@@ -187,25 +193,27 @@ def serialize_schedule(schedule: Schedule) -> Dict:
             for worker, ops in schedule.worker_ops.items()
         },
     }
+    if schedule.backward_split:
+        data["backward_split"] = True
+    return data
 
 
 def deserialize_schedule(data: Dict) -> Schedule:
-    stages = [Stage(s["start"], s["stop"], s["replicas"]) for s in data["stages"]]
+    stages = [Stage(s["start"], s["stop"], s["replicas"],
+                    recompute=s.get("recompute", False),
+                    tp_degree=s.get("tp_degree", 1))
+              for s in data["stages"]]
     kind_map = {k.value: k for k in OpKind}
     worker_ops = {
         int(worker): [Op(kind_map[k], stage, mb) for k, stage, mb in ops]
         for worker, ops in data["worker_ops"].items()
     }
-    stage_workers: Dict[int, List[int]] = {}
-    next_id = 0
-    for s, stage in enumerate(stages):
-        stage_workers[s] = list(range(next_id, next_id + stage.replicas))
-        next_id += stage.replicas
+    # stage_workers defaults to the builders' (tp-strided) assignment.
     return Schedule(
         stages=stages,
         num_minibatches=data["num_minibatches"],
         worker_ops=worker_ops,
-        stage_workers=stage_workers,
         noam=data["noam"],
         flush_after=list(data.get("flush_after", [])),
+        backward_split=data.get("backward_split", False),
     )

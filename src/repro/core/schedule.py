@@ -6,22 +6,31 @@ without distributed coordination.  Ops reference (stage, minibatch) pairs;
 weight updates appear as explicit ops so both the real runtime and the
 performance simulator can interpret the same schedule.
 
+The builders emit a schedule as a :class:`ScheduleTable` — three parallel
+int columns (kind code, stage, minibatch) per worker, produced by slice
+arithmetic — which the simulator reads directly.
+:attr:`Schedule.worker_ops`, the per-worker :class:`Op` lists the trainers
+and :func:`validate_schedule` read, is built from the table on first
+access.
+
 1F1B generation: the startup phase admits NOAM minibatches per input-stage
 replica, after which every worker strictly alternates between forward and
 backward passes.  For straight pipelines the schedule is produced in closed
 form (warmup of ``num_stages - s`` forwards at stage ``s``, Figure 4).  For
-replicated stages, 1F1B-RR routes minibatch ``b`` to replica ``b mod r`` and
-the static order is derived by a deterministic logical simulation of the
-backward-priority rule, which reduces to the closed form in the straight
-case (asserted by the test suite).
+replicated stages, 1F1B-RR routes minibatch ``b`` to replica ``b mod r``
+and each replica runs the same warm-up / steady / drain pattern over its
+own minibatches, which reduces to the closed form in the straight case
+(asserted by the test suite).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.partition import Stage
 
@@ -55,7 +64,43 @@ class Op:
         return f"{self.kind.value}{self.minibatch}@s{self.stage}"
 
 
-@dataclass
+#: The op kind of each integer code in a :class:`ScheduleTable` kind column.
+OP_KINDS = (OpKind.FORWARD, OpKind.BACKWARD, OpKind.BACKWARD_W, OpKind.UPDATE)
+FWD, BWD, BWD_W, UPD = range(4)
+_CODE = {kind: code for code, kind in enumerate(OP_KINDS)}
+_op_fields = attrgetter("kind", "stage", "minibatch")
+
+
+class ScheduleTable(NamedTuple):
+    """A schedule as data: per worker, three parallel int columns.
+
+    Row ``rank`` holds worker ``workers[rank]``'s ops in execution order:
+    ``kinds[rank][i]`` (a code into :data:`OP_KINDS`), ``stages[rank][i]``
+    and ``minibatches[rank][i]``.  Rank order is the simulator's commit
+    tie-break.  Columns are read-only and may be shared between rows.
+    """
+
+    workers: List[int]
+    kinds: List[List[int]]
+    stages: List[List[int]]
+    minibatches: List[List[int]]
+
+    def ops(self, rank: int) -> List[Op]:
+        """Row ``rank`` as fresh :class:`Op` objects."""
+        return list(map(Op, map(OP_KINDS.__getitem__, self.kinds[rank]),
+                        self.stages[rank], self.minibatches[rank]))
+
+    @classmethod
+    def from_ops(cls, worker_ops: Dict[int, List[Op]]) -> "ScheduleTable":
+        kinds, stages, minibatches = [], [], []
+        for ops in worker_ops.values():
+            k, s, b = zip(*map(_op_fields, ops)) if ops else ((), (), ())
+            kinds.append(list(map(_CODE.__getitem__, k)))
+            stages.append(list(s))
+            minibatches.append(list(b))
+        return cls(list(worker_ops), kinds, stages, minibatches)
+
+
 class Schedule:
     """A static pipeline schedule.
 
@@ -63,22 +108,61 @@ class Schedule:
         stages: the stage list (layer ranges + replica counts).
         num_minibatches: how many minibatches the schedule covers.
         worker_ops: op list per global worker id, in execution order.
-        stage_workers: worker ids serving each stage, replica-indexed.
+        stage_workers: worker ids serving each stage, replica-indexed
+            (default: the stage-major, tp-strided assignment every builder
+            uses).
         noam: in-flight minibatches admitted per input-stage replica.
         flush_after: for GPipe-style schedules, minibatch ids after whose
             UPDATE the pipeline flushes (empty for 1F1B).
         backward_split: True for 2BP schedules — every BACKWARD op is the
             grad-input half of a split backward pass, with a matching
             BACKWARD_W (grad-weight) op later on the same worker.
+
+    A schedule holds one source of its ops at a time: a
+    :class:`ScheduleTable` (what the builders emit) or the ``worker_ops``
+    dict (given to the constructor, or built from the table on first
+    access, which retires the table).  :meth:`table` reads whichever is
+    current, so edits to ``worker_ops`` are what gets simulated.
     """
 
-    stages: List[Stage]
-    num_minibatches: int
-    worker_ops: Dict[int, List[Op]]
-    stage_workers: Dict[int, List[int]]
-    noam: int
-    flush_after: List[int] = field(default_factory=list)
-    backward_split: bool = False
+    def __init__(
+        self,
+        stages: List[Stage],
+        num_minibatches: int,
+        worker_ops: Optional[Dict[int, List[Op]]] = None,
+        stage_workers: Optional[Dict[int, List[int]]] = None,
+        noam: int = 1,
+        flush_after: Optional[List[int]] = None,
+        backward_split: bool = False,
+        table: Optional[ScheduleTable] = None,
+    ):
+        if (worker_ops is None) == (table is None):
+            raise ValueError("give exactly one of worker_ops and table")
+        self.stages = stages
+        self.num_minibatches = num_minibatches
+        self.stage_workers = (_assign_workers(stages) if stage_workers is None
+                              else stage_workers)
+        self.noam = noam
+        self.flush_after = [] if flush_after is None else flush_after
+        self.backward_split = backward_split
+        self._ops = worker_ops
+        self._table = table
+
+    @property
+    def worker_ops(self) -> Dict[int, List[Op]]:
+        if self._ops is None:
+            table = self._table
+            self._ops = {w: table.ops(rank)
+                         for rank, w in enumerate(table.workers)}
+            self._table = None
+        return self._ops
+
+    def table(self) -> ScheduleTable:
+        """The ops as a table; derived afresh from ``worker_ops`` once the
+        view has been handed out."""
+        if self._table is not None:
+            return self._table
+        return ScheduleTable.from_ops(self._ops)
 
     @property
     def num_workers(self) -> int:
@@ -139,6 +223,34 @@ def compute_noam(stages: Sequence[Stage]) -> int:
     return max(1, math.ceil(workers / (stages[0].replicas * stages[0].tp_degree)))
 
 
+def _interleave(*columns: List[int]) -> List[int]:
+    """``[a0, b0, ..., a1, b1, ...]`` from equal-length columns."""
+    out = [0] * (len(columns) * len(columns[0]))
+    for i, column in enumerate(columns):
+        out[i::len(columns)] = column
+    return out
+
+
+def _straight_stages(num_stages: int,
+                     layer_bounds: Optional[Sequence[Tuple[int, int]]]) -> List[Stage]:
+    if layer_bounds is None:
+        layer_bounds = [(s, s + 1) for s in range(num_stages)]
+    return [Stage(b[0], b[1], 1) for b in layer_bounds]
+
+
+def _fbu_schedule(stages: List[Stage], num_minibatches: int) -> ScheduleTable:
+    """Every worker runs forward, backward, update per minibatch, all of
+    them (data parallelism) or one at a time (model parallelism)."""
+    mbs = list(range(num_minibatches))
+    kinds = [FWD, BWD, UPD] * num_minibatches
+    mbs = _interleave(mbs, mbs, mbs)
+    rows = [(w, s) for s, workers in _assign_workers(stages).items()
+            for w in workers]
+    return ScheduleTable([w for w, _ in rows], [kinds] * len(rows),
+                         [[s] * len(kinds) for _, s in rows],
+                         [mbs] * len(rows))
+
+
 # ----------------------------------------------------------------------
 # Straight 1F1B (closed form, Figure 4)
 # ----------------------------------------------------------------------
@@ -153,33 +265,9 @@ def one_f_one_b_schedule(num_stages: int, num_minibatches: int,
     """
     if num_stages < 1:
         raise ValueError("need at least one stage")
-    if layer_bounds is None:
-        layer_bounds = [(s, s + 1) for s in range(num_stages)]
-    stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
-    stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {}
-    for s in range(num_stages):
-        ops: List[Op] = []
-        warmup = min(num_stages - s, num_minibatches)
-        fwd = bwd = 0
-        for _ in range(warmup):
-            ops.append(Op(OpKind.FORWARD, s, fwd))
-            fwd += 1
-        while bwd < num_minibatches:
-            ops.append(Op(OpKind.BACKWARD, s, bwd))
-            ops.append(Op(OpKind.UPDATE, s, bwd))
-            bwd += 1
-            if fwd < num_minibatches:
-                ops.append(Op(OpKind.FORWARD, s, fwd))
-                fwd += 1
-        worker_ops[stage_workers[s][0]] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=num_stages,
-    )
+    # 1F1B-RR's warm-up on single-replica stages is exactly num_stages - s.
+    return one_f_one_b_rr_schedule(_straight_stages(num_stages, layer_bounds),
+                                   num_minibatches, noam=num_stages)
 
 
 # ----------------------------------------------------------------------
@@ -231,7 +319,7 @@ def one_f_one_b_rr_schedule(
     if noam is None:
         noam = compute_noam(stages)
     stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {}
+    table = ScheduleTable([], [], [], [])
 
     warmups: List[int] = []
     for s, stage in enumerate(stages):
@@ -252,29 +340,22 @@ def one_f_one_b_rr_schedule(
         warmups.append(max(1, warmup))
 
     for s, stage in enumerate(stages):
-        warmup = warmups[s]
         for q, worker in enumerate(stage_workers[s]):
+            # The replica's own minibatches: w warm-up forwards, then
+            # (backward, update, forward) triples while forwards remain,
+            # then the (backward, update) drain.
             own = replica_minibatches(stage, q, num_minibatches)
-            ops: List[Op] = []
-            fwd = bwd = 0
-            for _ in range(min(warmup, len(own))):
-                ops.append(Op(OpKind.FORWARD, s, own[fwd]))
-                fwd += 1
-            while bwd < len(own):
-                ops.append(Op(OpKind.BACKWARD, s, own[bwd]))
-                ops.append(Op(OpKind.UPDATE, s, own[bwd]))
-                bwd += 1
-                if fwd < len(own):
-                    ops.append(Op(OpKind.FORWARD, s, own[fwd]))
-                    fwd += 1
-            worker_ops[worker] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=noam,
-    )
+            w = min(warmups[s], len(own))
+            k = len(own) - w
+            kinds = [FWD] * w + [BWD, UPD, FWD] * k + [BWD, UPD] * w
+            table.workers.append(worker)
+            table.kinds.append(kinds)
+            table.stages.append([s] * len(kinds))
+            table.minibatches.append(
+                own[:w] + _interleave(own[:k], own[:k], own[w:])
+                + _interleave(own[k:], own[k:]))
+    return Schedule(stages, num_minibatches, stage_workers=stage_workers,
+                    noam=noam, table=table)
 
 
 # ----------------------------------------------------------------------
@@ -284,24 +365,9 @@ def one_f_one_b_rr_schedule(
 def model_parallel_schedule(num_stages: int, num_minibatches: int,
                             layer_bounds: Optional[Sequence[Tuple[int, int]]] = None) -> Schedule:
     """Vanilla model parallelism (Figure 2): one minibatch in flight."""
-    if layer_bounds is None:
-        layer_bounds = [(s, s + 1) for s in range(num_stages)]
-    stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
-    stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {stage_workers[s][0]: [] for s in range(num_stages)}
-    for mb in range(num_minibatches):
-        for s in range(num_stages):
-            worker_ops[stage_workers[s][0]].append(Op(OpKind.FORWARD, s, mb))
-        for s in reversed(range(num_stages)):
-            worker_ops[stage_workers[s][0]].append(Op(OpKind.BACKWARD, s, mb))
-            worker_ops[stage_workers[s][0]].append(Op(OpKind.UPDATE, s, mb))
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=1,
-    )
+    stages = _straight_stages(num_stages, layer_bounds)
+    return Schedule(stages, num_minibatches, noam=1,
+                    table=_fbu_schedule(stages, num_minibatches))
 
 
 def gpipe_schedule(
@@ -317,32 +383,20 @@ def gpipe_schedule(
     and the pipeline flushes before the next batch.  Microbatch ids are
     flattened as ``batch * num_microbatches + micro``.
     """
-    if layer_bounds is None:
-        layer_bounds = [(s, s + 1) for s in range(num_stages)]
-    stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
-    stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {stage_workers[s][0]: [] for s in range(num_stages)}
-    flush_after: List[int] = []
-    for batch in range(num_batches):
-        base = batch * num_microbatches
-        for s in range(num_stages):
-            ops = worker_ops[stage_workers[s][0]]
-            for micro in range(num_microbatches):
-                ops.append(Op(OpKind.FORWARD, s, base + micro))
-        for s in reversed(range(num_stages)):
-            ops = worker_ops[stage_workers[s][0]]
-            for micro in reversed(range(num_microbatches)):
-                ops.append(Op(OpKind.BACKWARD, s, base + micro))
-            ops.append(Op(OpKind.UPDATE, s, base + num_microbatches - 1))
-        flush_after.append(base + num_microbatches - 1)
+    stages = _straight_stages(num_stages, layer_bounds)
+    m = num_microbatches
+    kinds = ([FWD] * m + [BWD] * m + [UPD]) * num_batches
+    mbs: List[int] = []
+    for base in range(0, num_batches * m, m):
+        mbs += range(base, base + m)
+        mbs += range(base + m - 1, base - 1, -1)
+        mbs.append(base + m - 1)
     return Schedule(
-        stages=stages,
-        num_minibatches=num_batches * num_microbatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=num_microbatches,
-        flush_after=flush_after,
-    )
+        stages, num_batches * m, noam=m,
+        flush_after=list(range(m - 1, num_batches * m, m)),
+        table=ScheduleTable(list(range(num_stages)), [kinds] * num_stages,
+                            [[s] * len(kinds) for s in range(num_stages)],
+                            [mbs] * num_stages))
 
 
 def data_parallel_schedule(num_workers: int, num_minibatches: int,
@@ -354,22 +408,8 @@ def data_parallel_schedule(num_workers: int, num_minibatches: int,
     marker for the simulator).
     """
     stages = [Stage(0, num_layers, num_workers)]
-    stage_workers = _assign_workers(stages)
-    worker_ops: Dict[int, List[Op]] = {}
-    for w in stage_workers[0]:
-        ops: List[Op] = []
-        for mb in range(num_minibatches):
-            ops.append(Op(OpKind.FORWARD, 0, mb))
-            ops.append(Op(OpKind.BACKWARD, 0, mb))
-            ops.append(Op(OpKind.UPDATE, 0, mb))
-        worker_ops[w] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=1,
-    )
+    return Schedule(stages, num_minibatches, noam=1,
+                    table=_fbu_schedule(stages, num_minibatches))
 
 
 # ----------------------------------------------------------------------
@@ -393,23 +433,29 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
     """
     if schedule.backward_split:
         raise ValueError("schedule backward pass is already split")
-    worker_ops: Dict[int, List[Op]] = {}
-    for worker, ops in schedule.worker_ops.items():
-        out: List[Op] = []
-        for op in ops:
-            out.append(op)
-            if op.kind is OpKind.BACKWARD:
-                out.append(Op(OpKind.BACKWARD_W, op.stage, op.minibatch))
-        worker_ops[worker] = out
+    base = schedule.table()
+    split = ScheduleTable(list(base.workers), [], [], [])
+    for kinds, stages, mbs in zip(base.kinds, base.stages, base.minibatches):
+        # Each op expands to itself, and a BACKWARD to (BACKWARD, BACKWARD_W).
+        width = list(map(_SPLIT_WIDTH.__getitem__, kinds))
+        split.kinds.append(list(chain.from_iterable(
+            map(_SPLIT_KINDS.__getitem__, kinds))))
+        split.stages.append(list(chain.from_iterable(map(repeat, stages, width))))
+        split.minibatches.append(list(chain.from_iterable(
+            map(repeat, mbs, width))))
     return Schedule(
         stages=list(schedule.stages),
         num_minibatches=schedule.num_minibatches,
-        worker_ops=worker_ops,
         stage_workers={s: list(w) for s, w in schedule.stage_workers.items()},
         noam=schedule.noam,
         flush_after=list(schedule.flush_after),
         backward_split=True,
+        table=split,
     )
+
+
+_SPLIT_KINDS = ((FWD,), (BWD, BWD_W), (BWD_W,), (UPD,))
+_SPLIT_WIDTH = tuple(map(len, _SPLIT_KINDS))
 
 
 def schedule_for_family(schedule: Schedule, family: str) -> Schedule:

@@ -17,16 +17,18 @@ being simulated:
 - ``"gpipe"`` — pipeline flush: forwards of batch ``k+1`` wait for batch
   ``k``'s update; optional activation recomputation inflates backwards.
 
-There is one engine, an event-driven main loop over :class:`_SimCore`:
-per-worker head-op cursors, wakeup lists keyed on the exact resolution
-event each blocked op waits for (activation/gradient arrival, forward
-completion, update commit), and a min-heap of ready ops with lazy
-invalidation — O(ops · log workers) commits.  :meth:`_SimCore.run_event`
-is its inlined fault-free form and :meth:`_SimCore.run_event_general` the
-form that commits through :meth:`_SimCore.execute` when faults are
-injected.  Its oracle, a full-rescan loop that re-evaluates every worker's
-head op on every commit (O(ops · workers)) over the same ``_SimCore``,
-lives in ``tests/oracles/sim_reference.py``; the test suite asserts
+There is one engine, an event-driven main loop over :class:`_SimCore`,
+which reads the schedule's :class:`~repro.core.schedule.ScheduleTable`
+(int columns per worker rank, never :class:`Op` objects): per-rank
+head-op cursors, wakeup lists keyed on the exact resolution event each
+blocked op waits for (activation/gradient arrival, forward completion,
+update commit), and a min-heap of ready ops with lazy invalidation —
+O(ops · log workers) commits.  :meth:`_SimCore.run_event` is its inlined
+fault-free form and :meth:`_SimCore.run_event_general` the form that
+commits through :meth:`_SimCore.execute` when faults are injected.  Its
+oracle, a full-rescan loop that re-evaluates every worker's head op on
+every commit (O(ops · workers)) over the same ``_SimCore``, lives in
+``tests/oracles/sim_reference.py``; the test suite asserts
 bitwise-identical :class:`OpRecord` timelines.
 """
 
@@ -36,12 +38,15 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import compress, starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import Stage, allreduce_bytes_per_worker
 from repro.core.profile import ModelProfile
 from repro.core.ranges import range_table
-from repro.core.schedule import Op, OpKind, Schedule
+from repro.core.schedule import (
+    BWD, FWD, OP_KINDS, UPD, Op, Schedule, ScheduleTable,
+)
 from repro.core.spec import reject_tp_bucketing
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
@@ -83,12 +88,14 @@ class SimOptions:
             raise ValueError(f"unknown sync mode {self.sync_mode!r}")
         if self.faults is not None and not isinstance(self.faults, FaultSchedule):
             raise TypeError("faults must be a FaultSchedule or None")
-        if self.bucket_bytes is not None and self.bucket_bytes <= 0:
-            raise ValueError("bucket_bytes must be positive")
+        if self.bucket_bytes is not None and not self.bucket_bytes > 0:
+            raise ValueError(f"bucket_bytes must be > 0, got {self.bucket_bytes}")
         if self.worker_speed is not None:
             for worker, speed in self.worker_speed.items():
-                if speed <= 0:
-                    raise ValueError(f"worker {worker} speed must be positive")
+                if not (math.isfinite(speed) and speed > 0):
+                    raise ValueError(
+                        f"worker {worker} speed must be finite and > 0, "
+                        f"got {speed}")
 
     def speed_of(self, worker: int) -> float:
         if self.worker_speed is None:
@@ -108,13 +115,14 @@ class OpRecord:
 class SimResult:
     """Timeline and summary statistics of one simulated run.
 
-    The engine logs the timeline as raw ``(worker, op, start, end)``
-    tuples; :attr:`records` materializes them into :class:`OpRecord`
-    objects on first access.  Aggregate-only consumers (the sweeps and
-    strategy drivers) never pay for record construction.
+    The engine logs the timeline as commit-ordered ``(rank, start, end)``
+    columns over the :class:`ScheduleTable` it ran (``timeline``);
+    :attr:`raw_records` (``(worker, op, start, end)`` tuples) and
+    :attr:`records` (:class:`OpRecord` objects) are built from them on
+    first access.  Aggregate-only consumers (the sweeps and strategy
+    drivers) never pay for an op or record object.
     """
 
-    raw_records: List[Tuple[int, Op, float, float]]
     total_time: float
     num_minibatches: int
     num_workers: int
@@ -133,19 +141,36 @@ class SimResult:
     #: compute by wait-free overlap.  Stages that never pay sync are
     #: absent.
     sync_exposed: Dict[int, float] = field(default_factory=dict)
+    timeline: Optional[Tuple[ScheduleTable, List[int], List[float], List[float]]] = field(
+        default=None, repr=False)
+    _raw: Optional[List[Tuple[int, Op, float, float]]] = field(
+        default=None, init=False, repr=False, compare=False)
     _records: Optional[List[OpRecord]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+        default=None, init=False, repr=False, compare=False)
+
+    def _columns(self):
+        """(worker, op, start, end) iterables in commit order: the k-th
+        commit of a rank is that rank's k-th op."""
+        if self.timeline is None:
+            return (), (), (), ()
+        table, ranks, starts, ends = self.timeline
+        heads = [iter(table.ops(rank)) for rank in range(len(table.workers))]
+        return (map(table.workers.__getitem__, ranks),
+                map(next, map(heads.__getitem__, ranks)), starts, ends)
+
+    @property
+    def raw_records(self) -> List[Tuple[int, Op, float, float]]:
+        if self._raw is None:
+            self._raw = list(zip(*self._columns()))
+        return self._raw
 
     @property
     def records(self) -> List[OpRecord]:
-        recs = self._records
-        if recs is None:
-            recs = self._records = [
-                OpRecord(w, op, start, end)
-                for (w, op, start, end) in self.raw_records
-            ]
-        return recs
+        if self._records is None:
+            self._records = (list(map(OpRecord, *self._columns()))
+                             if self._raw is None
+                             else list(starmap(OpRecord, self._raw)))
+        return self._records
 
     @property
     def throughput(self) -> float:
@@ -199,27 +224,30 @@ def stage_compute_times(
 class _SimCore:
     """Simulation state and commit semantics, shared with the oracle.
 
-    Hot-path bookkeeping uses *flattened* integer keys instead of tuples:
-    a (stage, minibatch) pair maps to ``stage * B + minibatch`` (``B`` =
-    number of minibatches), and the four dependency-resolution event
-    families are disjoint integer ranges offset by multiples of
-    ``num_stages * B``.  This avoids rebuilding ``(kind, s, b)`` tuples in
-    the inner loops and lets the event engine key its wakeup lists on plain
-    ints.
+    State is indexed by *rank* — a worker's row in the schedule table,
+    whose order is the commit tie-break.  Every dependency an op can wait
+    on is one slot of the flat list ``dep`` (``None`` until resolved, then
+    the time it resolved): activation arrivals at ``stage * B +
+    minibatch`` (``B`` = number of minibatches), gradient arrivals offset
+    by ``AB_OFF``, round commits (``stage * B + round``) by ``UD_OFF``,
+    and each last-stage rank's own forward ends at ``fe_base[rank] +
+    minibatch``.  A slot's index is also its wakeup key.
     """
 
     __slots__ = (
         "schedule", "options", "stages", "last_stage", "B", "S",
         "fwd_time", "bwd_time", "bwd_w_time", "boundary_bytes",
         "sync_duration", "sync_stream", "sync_deferred",
-        "placement", "workers", "ops_by_rank", "stage_workers_list",
+        "placement", "table", "workers", "kinds", "stage_of", "mb_of",
+        "stage_workers_list", "stage_ranks",
         "replicas", "round_div", "round_expected", "gated_forward",
-        "pipedream_gate", "is_bsp", "is_gpipe",
+        "pd_gated", "update_simple", "is_bsp", "is_gpipe",
         "worker_free", "speed", "channel_free", "channel_busy",
         "nic_send_free", "nic_recv_free", "sync_free", "sync_busy",
-        "arrivals_f", "arrivals_b", "fwd_end", "bwd_start", "update_done",
-        "round_backwards", "minibatch_done", "records", "compute_time",
-        "fired", "bumped", "nk", "AB_OFF", "FE_OFF", "UD_OFF", "_bw_cache",
+        "dep", "fe_base", "bwd_start",
+        "round_backwards", "minibatch_done", "compute_time",
+        "log_rank", "log_start", "log_end",
+        "fired", "bumped", "nk", "AB_OFF", "UD_OFF", "_bw_cache",
         "faults", "halt_time", "halted", "_lvl_cache",
         "bucket_durs", "bucket_fracs", "sync_exposed",
     )
@@ -398,9 +426,12 @@ class _SimCore:
         self.sync_stream = sync_stream
         self.sync_deferred = sync_deferred
 
-        # Commit-order tie-breaking follows the worker_ops iteration order.
-        self.workers = list(schedule.worker_ops)
-        self.ops_by_rank = [schedule.worker_ops[w] for w in self.workers]
+        # Commit-order tie-breaking follows the table's rank order.
+        table = self.table = schedule.table()
+        self.workers = table.workers
+        self.kinds = table.kinds
+        self.stage_of = table.stages
+        self.mb_of = table.minibatches
         self.stage_workers_list = [schedule.stage_workers[s] for s in range(self.S)]
         self.replicas = [stage.replicas for stage in stages]
 
@@ -413,33 +444,37 @@ class _SimCore:
         else:
             self.round_div = [stage.replicas for stage in stages]
         self.gated_forward = options.sync_mode in ("bsp", "gpipe")
-        self.pipedream_gate = options.sync_mode == "pipedream"
-        self.is_bsp = options.sync_mode == "bsp"
-        self.is_gpipe = options.sync_mode == "gpipe"
+        self.pd_gated = [options.sync_mode == "pipedream" and r > 1
+                         for r in self.replicas]
+        is_bsp = self.is_bsp = options.sync_mode == "bsp"
+        is_gpipe = self.is_gpipe = options.sync_mode == "gpipe"
+        #: Stages whose every UPDATE commits alone (straight 1F1B stages,
+        #: GPipe); the others gather rounds of replica backwards.
+        self.update_simple = [not is_bsp and (is_gpipe or r == 1)
+                              for r in self.replicas]
+        if is_bsp:
+            rank_of = {w: r for r, w in enumerate(self.workers)}
+            self.stage_ranks = [[rank_of[w] for w in ws]
+                                for ws in self.stage_workers_list]
 
         # Per-round membership comes from the ops the schedule actually
         # emits, not from an assumed round-robin minibatch→replica
-        # assignment.  A round-robin 1F1B schedule has one UPDATE per
+        # assignment: a round-robin 1F1B schedule has one UPDATE per
         # minibatch in a round, but ``data_parallel_schedule`` runs every
-        # minibatch on every replica — under ``sync_mode="pipedream"`` the
-        # old ``min(per, B - rnd*per)`` closed those rounds after the first
-        # sweep's worth of commits and then *re*-committed them on each
-        # later arrival, making ``update_done`` (and the rnd-2 backward
-        # gate reading it) depend on replica commit order.  Counting the
-        # schedule's own UPDATEs gives every round its true membership for
-        # any schedule shape.
+        # minibatch on every replica.  Counting the schedule's own UPDATEs
+        # gives every round its true membership for any schedule shape.
+        # Only round-gathering stages read it.
         round_expected: Dict[int, int] = defaultdict(int)
-        for ops in self.ops_by_rank:
-            for op in ops:
-                if op.kind is OpKind.UPDATE:
-                    s = op.stage
-                    round_expected[
-                        s * self.B + op.minibatch // self.round_div[s]
-                    ] += 1
+        if not all(self.update_simple):
+            for kinds, stage_col, mbs in zip(self.kinds, self.stage_of, self.mb_of):
+                for s, b in compress(zip(stage_col, mbs), map(UPD.__eq__, kinds)):
+                    if not self.update_simple[s]:
+                        round_expected[s * self.B + b // self.round_div[s]] += 1
         self.round_expected = dict(round_expected)
 
-        self.worker_free = {w: 0.0 for w in self.workers}
-        self.speed = {w: options.speed_of(w) for w in self.workers}
+        n = len(self.workers)
+        self.worker_free = [0.0] * n
+        self.speed = [options.speed_of(w) for w in self.workers]
         self.channel_free: Dict[Tuple[int, int], float] = defaultdict(float)
         self.channel_busy: Dict[Tuple[int, int], float] = defaultdict(float)
         self.nic_send_free: Dict[int, float] = defaultdict(float)
@@ -448,35 +483,37 @@ class _SimCore:
         self.sync_busy: Dict[int, float] = defaultdict(float)
         self.sync_exposed: Dict[int, float] = defaultdict(float)
 
-        self.arrivals_f: Dict[int, float] = {}
-        self.arrivals_b: Dict[int, float] = {}
-        # fwd_end / bwd_start are keyed ``worker * nk + s * B + b``: a
-        # worker's backward consumes *its own* forward's activations, and a
-        # BSP round collects each member's own backward start.  A shared
-        # (s, b) key would collide when a replicated stage runs the same
-        # minibatch id on every worker (data-parallel schedules), making
-        # results depend on replica commit order under stragglers.
-        self.fwd_end: Dict[int, float] = {}
-        self.bwd_start: Dict[int, float] = {}
-        self.update_done: Dict[int, float] = {}
-        self.round_backwards: Dict[int, List[Tuple[float, float]]] = {}
-        self.minibatch_done: Dict[int, float] = {}
-        self.records: List[Tuple[int, Op, float, float]] = []
-        self.compute_time: Dict[int, float] = defaultdict(float)
-
-        # Resolution events fired by the most recent commit, as flattened
-        # keys: arrivals_f use the raw (s, b) index, the other families are
-        # offset into disjoint ranges.
+        # The flat dependency list (see the class docstring).  A rank's
+        # last-stage backward reads *its own* forward's end and a BSP round
+        # collects each member's own backward start: a shared (s, b) key
+        # would collide when a replicated stage runs the same minibatch id
+        # on every rank (data-parallel schedules).
         nk = self.nk = self.S * self.B
         self.AB_OFF = nk
-        self.FE_OFF = 2 * nk
-        self.UD_OFF = 3 * nk
+        self.UD_OFF = 2 * nk
+        fe_ranks = [r for r, col in enumerate(self.stage_of) if self.last_stage in col]
+        self.fe_base = [0] * n
+        for slot, rank in enumerate(fe_ranks):
+            self.fe_base[rank] = 3 * nk + slot * self.B
+        self.dep: List[Optional[float]] = [None] * (3 * nk + len(fe_ranks) * self.B)
+        #: Backward starts by ``rank * nk + s * B + b``, on round-gathering
+        #: stages only.
+        self.bwd_start: Dict[int, float] = {}
+        self.round_backwards: Dict[int, List[Tuple[float, float]]] = {}
+        self.minibatch_done: Dict[int, float] = {}
+        self.compute_time: Dict[int, float] = defaultdict(float)
+        # The timeline, as commit-ordered columns.
+        self.log_rank: List[int] = []
+        self.log_start: List[float] = []
+        self.log_end: List[float] = []
+
+        #: ``dep`` slots the most recent commit resolved.
         self.fired: List[int] = []
-        #: Workers whose ``worker_free`` the most recent commit pushed
+        #: Ranks whose ``worker_free`` the most recent commit pushed
         #: forward from *outside* their own commit — only BSP round commits
         #: do this (the whole stage group resumes at the round's commit
         #: time).  The event engine uses it for per-stage-group dirty
-        #: marking: only these workers' queued ready times can be stale.
+        #: marking: only these ranks' queued ready times can be stale.
         self.bumped: List[int] = []
         self._bw_cache: Dict[Tuple[int, int], float] = {}
         self._lvl_cache: Dict[Tuple[int, int], int] = {}
@@ -497,41 +534,33 @@ class _SimCore:
     # BSP: every worker processes (its shard of) every minibatch, so each
     # minibatch is one collective round.  GPipe: one round per batch of
     # microbatches.  PipeDream: replicas round-robin over minibatches, so a
-    # round is one sweep across the stage's replicas.
-
-    def _round_members(self, stage_index: int, rnd: int) -> int:
-        """How many UPDATE ops make up this round (tail rounds are short).
-
-        Read off the schedule itself (see ``round_expected`` in
-        ``__init__``): one per replica-and-minibatch for data-parallel
-        schedules, one per minibatch for round-robin 1F1B, one aggregated
-        per batch for GPipe.
-        """
-        return self.round_expected.get(stage_index * self.B + rnd, 1)
+    # round is one sweep across the stage's replicas.  A round-gathering
+    # stage's membership is read off the schedule itself (``round_expected``
+    # in ``__init__``).
 
     # ------------------------------------------------------------------
     # Readiness
     # ------------------------------------------------------------------
-    def _ready_or_key(self, worker: int, op: Op) -> Tuple[Optional[float], Optional[int]]:
-        """Earliest start of ``op``, or *which* event a blocked op awaits.
+    def _ready_or_key(self, rank: int, kind: int, s: int,
+                      b: int) -> Tuple[Optional[float], Optional[int]]:
+        """Earliest start of op ``(kind, s, b)`` at the head of ``rank``, or
+        *which* event a blocked op awaits.
 
         Returns ``(start, None)`` when ready, else ``(None, key)`` where
-        ``key`` is the flattened id of the first unresolved dependency — the
-        event engine parks the worker on that key's wakeup list.  A blocked
+        ``key`` is the ``dep`` slot of the first unresolved dependency — the
+        event engine parks the rank on that key's wakeup list.  A blocked
         op may have several unresolved dependencies; re-evaluation on wakeup
         walks them one at a time, which is correct because dependencies only
         ever resolve (they never un-resolve).
         """
-        t = self.worker_free[worker]
-        kind = op.kind
-        if kind is OpKind.UPDATE or kind is OpKind.BACKWARD_W:
+        t = self.worker_free[rank]
+        if kind > BWD:  # UPDATE and grad-weight ops wait on nothing
             return t, None
-        s = op.stage
+        dep = self.dep
         sB = s * self.B
-        b = op.minibatch
-        if kind is OpKind.FORWARD:
+        if kind == FWD:
             if s > 0:
-                arrival = self.arrivals_f.get(sB + b)
+                arrival = dep[sB + b]
                 if arrival is None:
                     return None, sB + b
                 if arrival > t:
@@ -539,31 +568,29 @@ class _SimCore:
             if self.gated_forward:
                 rnd = b // self.round_div[s]
                 if rnd > 0:
-                    gate = self.update_done.get(sB + rnd - 1)
+                    key = self.UD_OFF + sB + rnd - 1
+                    gate = dep[key]
                     if gate is None:
-                        return None, self.UD_OFF + sB + rnd - 1
+                        return None, key
                     if gate > t:
                         t = gate
             return t, None
-        # BACKWARD
-        if s == self.last_stage:
-            end = self.fwd_end.get(worker * self.nk + sB + b)
-            if end is None:
-                return None, self.FE_OFF + sB + b
-            if end > t:
-                t = end
-        else:
-            arrival = self.arrivals_b.get(sB + b)
-            if arrival is None:
-                return None, self.AB_OFF + sB + b
-            if arrival > t:
-                t = arrival
-        if self.pipedream_gate and self.replicas[s] > 1:
+        # BACKWARD: the last stage consumes its own forward, the others the
+        # gradient from downstream.
+        key = (self.fe_base[rank] + b if s == self.last_stage
+               else self.AB_OFF + sB + b)
+        arrival = dep[key]
+        if arrival is None:
+            return None, key
+        if arrival > t:
+            t = arrival
+        if self.pd_gated[s]:
             rnd = b // self.round_div[s]
             if rnd >= 2:
-                gate = self.update_done.get(sB + rnd - 2)
+                key = self.UD_OFF + sB + rnd - 2
+                gate = dep[key]
                 if gate is None:
-                    return None, self.UD_OFF + sB + rnd - 2
+                    return None, key
                 if gate > t:
                     t = gate
         return t, None
@@ -571,64 +598,51 @@ class _SimCore:
     # ------------------------------------------------------------------
     # Commit semantics (run_event inlines them)
     # ------------------------------------------------------------------
-    def execute(self, worker: int, op: Op, start: float) -> float:
-        s = op.stage
-        b = op.minibatch
+    def execute(self, rank: int, kind: int, s: int, b: int,
+                start: float) -> float:
         sB = s * self.B
-        kind = op.kind
-        if kind is OpKind.FORWARD:
-            dur = self.fwd_time[s] / self.speed[worker]
+        if kind == UPD:
+            end = self._execute_update(rank, s, b, start)
+        else:
+            dur = (self.fwd_time if kind == FWD else self.bwd_time
+                   if kind == BWD else self.bwd_w_time)[s] / self.speed[rank]
             if self.faults is None:
                 end = start + dur
             else:
-                end = self.faults.compute_end(worker, start, dur)
+                end = self.faults.compute_end(self.workers[rank], start, dur)
                 dur = end - start
-            self.fwd_end[worker * self.nk + sB + b] = end
-            if s == self.last_stage:
-                # Only the last stage's own backward waits on forward
-                # completion; other stages' forwards gate nothing directly.
-                self.fired.append(self.FE_OFF + sB + b)
-            self.compute_time[worker] += dur
-            if s < self.last_stage:
-                group = self.stage_workers_list[s + 1]
-                dst = group[b % len(group)]
-                self._send(worker, dst, self.boundary_bytes[s], end,
-                           self.arrivals_f, sB + self.B + b, 0)
-            self.worker_free[worker] = end
-        elif kind is OpKind.BACKWARD:
-            dur = self.bwd_time[s] / self.speed[worker]
-            if self.faults is None:
-                end = start + dur
-            else:
-                end = self.faults.compute_end(worker, start, dur)
-                dur = end - start
-            self.bwd_start[worker * self.nk + sB + b] = start
-            self.compute_time[worker] += dur
-            if s > 0:
-                group = self.stage_workers_list[s - 1]
-                dst = group[b % len(group)]
-                self._send(worker, dst, self.boundary_bytes[s - 1], end,
-                           self.arrivals_b, sB - self.B + b, self.AB_OFF)
-            else:
-                self.minibatch_done[b] = end
-            self.worker_free[worker] = end
-        elif kind is OpKind.BACKWARD_W:
-            # 2BP grad-weight half: pure local compute — no sends, no
-            # events fired.  It sits between the grad-input backward and
-            # the round's UPDATE, so the update still starts at the
-            # unsplit backward's end time while the upstream gradient
-            # left one grad-weight duration earlier.
-            dur = self.bwd_w_time[s] / self.speed[worker]
-            if self.faults is None:
-                end = start + dur
-            else:
-                end = self.faults.compute_end(worker, start, dur)
-                dur = end - start
-            self.compute_time[worker] += dur
-            self.worker_free[worker] = end
-        else:  # UPDATE
-            end = self._execute_update(worker, op, start)
-        self.records.append((worker, op, start, end))
+            self.compute_time[rank] += dur
+            self.worker_free[rank] = end
+            if kind == FWD:
+                if s < self.last_stage:
+                    group = self.stage_workers_list[s + 1]
+                    self._send(self.workers[rank], group[b % len(group)],
+                               self.boundary_bytes[s], end, sB + self.B + b)
+                else:
+                    # Only the last stage's own backward waits on forward
+                    # completion; other stages' forwards gate nothing
+                    # directly.
+                    key = self.fe_base[rank] + b
+                    self.dep[key] = end
+                    self.fired.append(key)
+            elif kind == BWD:
+                if not self.update_simple[s]:
+                    self.bwd_start[rank * self.nk + sB + b] = start
+                if s > 0:
+                    group = self.stage_workers_list[s - 1]
+                    self._send(self.workers[rank], group[b % len(group)],
+                               self.boundary_bytes[s - 1], end,
+                               self.AB_OFF + sB - self.B + b)
+                else:
+                    self.minibatch_done[b] = end
+            # A 2BP grad-weight half (BWD_W) is pure local compute — no
+            # sends, no events fired.  It sits between the grad-input
+            # backward and the round's UPDATE, so the update still starts
+            # at the unsplit backward's end time while the upstream
+            # gradient left one grad-weight duration earlier.
+        self.log_rank.append(rank)
+        self.log_start.append(start)
+        self.log_end.append(end)
         return end
 
     def _link_bandwidth(self, src: int, dst: int) -> float:
@@ -646,10 +660,11 @@ class _SimCore:
         return cached
 
     def _send(self, src: int, dst: int, num_bytes: float, ready: float,
-              arrivals: Dict[int, float], key: int, fire_offset: int) -> None:
+              key: int) -> None:
+        """Ship a boundary tensor between workers; it arrives in ``dep[key]``."""
         if src == dst or num_bytes <= 0:
-            arrivals[key] = ready
-            self.fired.append(fire_offset + key)
+            self.dep[key] = ready
+            self.fired.append(key)
             return
         duration = num_bytes / self._link_bandwidth(src, dst)
         begin = max(ready, self.channel_free[(src, dst)])
@@ -663,19 +678,14 @@ class _SimCore:
             self.nic_recv_free[dst] = begin + duration
         self.channel_free[(src, dst)] = begin + duration
         self.channel_busy[(src, dst)] += duration
-        arrivals[key] = begin + duration
-        self.fired.append(fire_offset + key)
+        self.dep[key] = begin + duration
+        self.fired.append(key)
 
-    def _execute_update(self, worker: int, op: Op, start: float) -> float:
-        s = op.stage
-        b = op.minibatch
+    def _execute_update(self, rank: int, s: int, b: int, start: float) -> float:
         rnd = b // self.round_div[s]
         sBr = s * self.B + rnd
         is_bsp = self.is_bsp
-        if self.is_gpipe or (not is_bsp and self.replicas[s] == 1):
-            members = 1
-        else:
-            members = self.round_expected.get(sBr, 1)
+        members = 1 if self.update_simple[s] else self.round_expected.get(sBr, 1)
         if members == 1 and not is_bsp:
             # Single-member round (straight 1F1B, GPipe): the general path
             # below specialized to one backward — sync starts when it ends.
@@ -686,11 +696,11 @@ class _SimCore:
             self.sync_busy[s] += duration
             if duration > 0:
                 self.sync_exposed[s] += done - start
-            self.update_done[sBr] = done
+            self.dep[self.UD_OFF + sBr] = done
             self.fired.append(self.UD_OFF + sBr)
-            self.worker_free[worker] = start  # async commit; not blocked
+            self.worker_free[rank] = start  # async commit; not blocked
             return start if duration == 0 else done
-        bwd_start = self.bwd_start.get(worker * self.nk + s * self.B + b, start)
+        bwd_start = self.bwd_start.get(rank * self.nk + s * self.B + b, start)
         backwards = self.round_backwards.get(sBr)
         if backwards is None:
             backwards = self.round_backwards[sBr] = []
@@ -698,7 +708,7 @@ class _SimCore:
         if len(backwards) < members:
             # Not the last replica of the round: update commits later, the
             # worker moves on (the round's completion is handled below).
-            self.worker_free[worker] = start
+            self.worker_free[rank] = start
             return start
         starts = [x[0] for x in backwards]
         ends = [x[1] for x in backwards]
@@ -735,26 +745,26 @@ class _SimCore:
         self.sync_busy[s] += duration
         if duration > 0:
             self.sync_exposed[s] += done - last_end
-        self.update_done[sBr] = done
+        self.dep[self.UD_OFF + sBr] = done
         self.fired.append(self.UD_OFF + sBr)
         if is_bsp:
             # Blocking: every replica of the stage resumes after commit.
-            for w in self.stage_workers_list[s]:
-                if self.worker_free[w] < done:
-                    self.worker_free[w] = done
-                    self.bumped.append(w)
+            for r in self.stage_ranks[s]:
+                if self.worker_free[r] < done:
+                    self.worker_free[r] = done
+                    self.bumped.append(r)
             return done
-        self.worker_free[worker] = start  # async commit; worker not blocked
+        self.worker_free[rank] = start  # async commit; worker not blocked
         return start if duration == 0 else done
 
     # ------------------------------------------------------------------
     # Engines
     # ------------------------------------------------------------------
-    def _deadlock(self, pointers: Dict[int, int]) -> RuntimeError:
+    def _deadlock(self, pointers: List[int]) -> RuntimeError:
         stuck = {
-            w: self.schedule.worker_ops[w][pointers[w]]
-            for w in self.schedule.worker_ops
-            if pointers[w] < len(self.schedule.worker_ops[w])
+            w: Op(OP_KINDS[self.kinds[r][i]], self.stage_of[r][i], self.mb_of[r][i])
+            for r, (w, i) in enumerate(zip(self.workers, pointers))
+            if i < len(self.kinds[r])
         }
         return RuntimeError(f"simulation deadlocked; blocked ops: {stuck}")
 
@@ -766,37 +776,37 @@ class _SimCore:
         :meth:`execute` so the fault arithmetic (piecewise straggler
         integration, bandwidth windows) lives in exactly one place,
         shared with the full-rescan oracle — equivalence under faults
-        falls out for free.  The fault-free hot loop stays fully inlined.
+        falls out for free.
 
         Commit times are non-decreasing (a commit can only unblock ops at
         or after its own start), so halting at the first popped ready
         time >= the crash instant stops this loop and the oracle at the
         identical timeline prefix.
         """
-        workers = self.workers
-        ops_by_rank = self.ops_by_rank
-        nworkers = len(workers)
-        pointers = [0] * nworkers
-        lengths = [len(ops) for ops in ops_by_rank]
+        kinds, stage_of, mb_of = self.kinds, self.stage_of, self.mb_of
+        nranks = len(kinds)
+        pointers = [0] * nranks
+        lengths = [len(k) for k in kinds]
         total_ops = sum(lengths)
         heap: List[Tuple[float, int]] = []
         waiters: Dict[int, List[int]] = {}
-        rank_of = {w: r for r, w in enumerate(workers)}
-        dirty = [False] * nworkers
+        dirty = [False] * nranks
         halt = self.halt_time
         fired = self.fired
         bumped = self.bumped
 
+        def head(rank: int) -> Tuple[int, int, int]:
+            i = pointers[rank]
+            return kinds[rank][i], stage_of[rank][i], mb_of[rank][i]
+
         def enqueue(rank: int) -> Optional[Tuple[float, int]]:
-            worker = workers[rank]
-            op = ops_by_rank[rank][pointers[rank]]
-            t, key = self._ready_or_key(worker, op)
+            t, key = self._ready_or_key(rank, *head(rank))
             if t is None:
                 waiters.setdefault(key, []).append(rank)
                 return None
             return (t, rank)
 
-        for rank in range(nworkers):
+        for rank in range(nranks):
             if lengths[rank]:
                 cand = enqueue(rank)
                 if cand is not None:
@@ -805,25 +815,22 @@ class _SimCore:
         committed = 0
         while committed < total_ops:
             if not heap:
-                raise self._deadlock(
-                    {w: pointers[r] for r, w in enumerate(workers)})
+                raise self._deadlock(pointers)
             t, rank = heappop(heap)
             if dirty[rank]:
-                # A BSP round commit bumped this worker after its entry
-                # was queued; clamp against the fresh worker_free.
+                # A BSP round commit bumped this rank after its entry was
+                # queued; clamp against the fresh worker_free.
                 dirty[rank] = False
-                current = self.worker_free[workers[rank]]
+                current = self.worker_free[rank]
                 if current > t:
                     heappush(heap, (current, rank))
                     continue
             if halt is not None and t >= halt:
                 self.halted = True
                 return
-            worker = workers[rank]
-            op = ops_by_rank[rank][pointers[rank]]
             fired.clear()
             bumped.clear()
-            self.execute(worker, op, t)
+            self.execute(rank, *head(rank), t)
             pointers[rank] += 1
             committed += 1
             if pointers[rank] < lengths[rank]:
@@ -837,8 +844,7 @@ class _SimCore:
                         cand = enqueue(other)
                         if cand is not None:
                             heappush(heap, cand)
-            for w in bumped:
-                r2 = rank_of[w]
+            for r2 in bumped:
                 if r2 != rank:
                     dirty[r2] = True
 
@@ -846,85 +852,79 @@ class _SimCore:
         """Event-driven loop: a min-heap of ready head ops plus wakeup
         lists keyed on resolution events.
 
-        Invariant: every worker with remaining ops is either in the heap
+        Invariant: every rank with remaining ops is either in the heap
         (head op ready when enqueued) or parked on exactly one wakeup list
         (head op blocked on that event).  Heap entries can only go stale
         when a BSP round commit pushes ``worker_free`` forward for a whole
-        stage group; those commits report exactly which workers they
-        bumped (``_SimCore.bumped``), and the engine *dirty-marks* their
-        ranks instead of re-validating every pop.  A queued entry's
-        dependency component never changes after enqueue (dependencies
-        resolve monotonically and their times are final), so the fresh
-        ready time of a dirty entry is simply ``max(t, worker_free)`` — a
-        clamp, not a full readiness recomputation — and clean entries are
-        popped with no check at all, in every sync mode.  A ready op never
-        becomes blocked and a ready time never decreases, so the heap
-        minimum matches the oracle's full-rescan minimum, and
-        (time, rank) ordering reproduces its first-wins tie-break exactly.
+        stage group; those commits report exactly which ranks they
+        bumped (``_SimCore.bumped``), and the engine *dirty-marks* them
+        instead of re-validating every pop.  A queued entry's dependency
+        component never changes after enqueue (dependencies resolve
+        monotonically and their times are final), so the fresh ready time
+        of a dirty entry is simply ``max(t, worker_free)`` — a clamp, not
+        a full readiness recomputation — and clean entries are popped with
+        no check at all, in every sync mode.  A ready op never becomes
+        blocked and a ready time never decreases, so the heap minimum
+        matches the oracle's full-rescan minimum, and (time, rank)
+        ordering reproduces its first-wins tie-break exactly.
 
         The commit path is a locals-bound inline of :meth:`execute` /
-        :meth:`_ready_or_key` — identical expressions, so the arithmetic
-        (and hence the timeline) is bitwise-identical to the oracle's,
-        which the test suite asserts.
+        :meth:`_ready_or_key` over the table columns — identical
+        expressions, so the arithmetic (and hence the timeline) is
+        bitwise-identical to the oracle's, which the test suite asserts.
+        Wakeup lists live in a list indexed like ``dep``.
         """
         if self.faults is not None:
             # Fault injection routes through the general loop (shared
-            # commit path); the fault-free fast path below stays intact.
+            # commit path).
             return self.run_event_general()
-        workers = self.workers
-        ops_by_rank = self.ops_by_rank
-        nworkers = len(workers)
-        pointers = [0] * nworkers
-        lengths = [len(ops) for ops in ops_by_rank]
+        kinds_of = self.kinds
+        stages_of = self.stage_of
+        mbs_of = self.mb_of
+        nranks = len(kinds_of)
+        pointers = [0] * nranks
+        lengths = [len(k) for k in kinds_of]
         total_ops = sum(lengths)
         heap: List[Tuple[float, int]] = []
-        waiters: Dict[int, List[int]] = {}
 
         B = self.B
         last_stage = self.last_stage
+        workers = self.workers
         worker_free = self.worker_free
-        arrivals_f = self.arrivals_f
-        arrivals_b = self.arrivals_b
-        fwd_end = self.fwd_end
+        dep = self.dep
+        waiters: List[Optional[List[int]]] = [None] * len(dep)
+        fe_base = self.fe_base
         bwd_start = self.bwd_start
-        update_done = self.update_done
         round_div = self.round_div
-        replicas = self.replicas
         gated_forward = self.gated_forward
-        pipedream_gate = self.pipedream_gate
+        pd_gated = self.pd_gated
+        update_simple = self.update_simple
         fwd_time = self.fwd_time
         bwd_time = self.bwd_time
+        bwd_w_time = self.bwd_w_time
         boundary_bytes = self.boundary_bytes
         stage_workers_list = self.stage_workers_list
+        group_len = [len(g) for g in stage_workers_list]
         speed = self.speed
         compute_time = self.compute_time
         minibatch_done = self.minibatch_done
         fired = self.fired
+        bumped = self.bumped
         nk = self.nk
         AB_OFF = self.AB_OFF
-        FE_OFF = self.FE_OFF
         UD_OFF = self.UD_OFF
-        FORWARD = OpKind.FORWARD
-        UPDATE = OpKind.UPDATE
-        BACKWARD_W = OpKind.BACKWARD_W
-        bwd_w_time = self.bwd_w_time
         execute_update = self._execute_update
-        append_record = self.records.append
-        bumped = self.bumped
+        log_rank = self.log_rank.append
+        log_start = self.log_start.append
+        log_end = self.log_end.append
         # Per-rank staleness flags driven by BSP round commits; see the
-        # docstring.  rank_of maps a bumped worker id back to its rank.
-        dirty = [False] * nworkers
-        rank_of = {w: r for r, w in enumerate(workers)}
+        # docstring.
+        dirty = [False] * nranks
         nic_contention = self.options.nic_contention
         sync_duration = self.sync_duration
         sync_free = self.sync_free
         sync_busy = self.sync_busy
         sync_exposed = self.sync_exposed
-        # Stages whose UPDATE commit takes the single-member non-BSP fast
-        # path unconditionally (straight 1F1B pipelines, GPipe).
-        update_simple = [
-            not self.is_bsp and (self.is_gpipe or r == 1) for r in self.replicas
-        ]
         channel_free = self.channel_free
         channel_busy = self.channel_busy
         nic_send_free = self.nic_send_free
@@ -932,96 +932,74 @@ class _SimCore:
         bw_cache = self._bw_cache
         link_bandwidth = self.placement.link_bandwidth
 
-        pd_gated = [pipedream_gate and r > 1 for r in self.replicas]
-        group_len = [len(g) for g in stage_workers_list]
-
-        def enqueue(
-            rank: int,
-            af_get=arrivals_f.get,
-            ab_get=arrivals_b.get,
-            fe_get=fwd_end.get,
-            ud_get=update_done.get,
-            w_get=waiters.get,
-        ) -> Optional[Tuple[float, int]]:
+        def enqueue(rank: int) -> Optional[Tuple[float, int]]:
             """Readiness check for ``rank``'s head op (inline of
             :meth:`_ready_or_key`): return a heap candidate ``(t, rank)``
             when ready, else park the rank on its blocking event."""
-            op = ops_by_rank[rank][pointers[rank]]
-            t = worker_free[workers[rank]]
-            kind = op.kind
-            if kind is not UPDATE and kind is not BACKWARD_W:
-                s = op.stage
-                sB = s * B
-                b = op.minibatch
-                if kind is FORWARD:
-                    if s > 0:
-                        arrival = af_get(sB + b)
-                        if arrival is None:
-                            key = sB + b
-                            bucket = w_get(key)
+            idx = pointers[rank]
+            t = worker_free[rank]
+            kind = kinds_of[rank][idx]
+            if kind > BWD:
+                return (t, rank)
+            s = stages_of[rank][idx]
+            b = mbs_of[rank][idx]
+            sB = s * B
+            if kind == FWD:
+                key = sB + b
+                if s > 0:
+                    arrival = dep[key]
+                    if arrival is None:
+                        bucket = waiters[key]
+                        if bucket is None:
+                            waiters[key] = [rank]
+                        else:
+                            bucket.append(rank)
+                        return None
+                    if arrival > t:
+                        t = arrival
+                if gated_forward:
+                    rnd = b // round_div[s]
+                    if rnd > 0:
+                        key = UD_OFF + sB + rnd - 1
+                        gate = dep[key]
+                        if gate is None:
+                            bucket = waiters[key]
                             if bucket is None:
                                 waiters[key] = [rank]
                             else:
                                 bucket.append(rank)
                             return None
-                        if arrival > t:
-                            t = arrival
-                    if gated_forward:
-                        rnd = b // round_div[s]
-                        if rnd > 0:
-                            gate = ud_get(sB + rnd - 1)
-                            if gate is None:
-                                key = UD_OFF + sB + rnd - 1
-                                bucket = w_get(key)
-                                if bucket is None:
-                                    waiters[key] = [rank]
-                                else:
-                                    bucket.append(rank)
-                                return None
-                            if gate > t:
-                                t = gate
-                else:  # BACKWARD
-                    if s == last_stage:
-                        end = fe_get(workers[rank] * nk + sB + b)
-                        if end is None:
-                            key = FE_OFF + sB + b
-                            bucket = w_get(key)
-                            if bucket is None:
-                                waiters[key] = [rank]
-                            else:
-                                bucket.append(rank)
-                            return None
-                        if end > t:
-                            t = end
-                    else:
-                        arrival = ab_get(sB + b)
-                        if arrival is None:
-                            key = AB_OFF + sB + b
-                            bucket = w_get(key)
-                            if bucket is None:
-                                waiters[key] = [rank]
-                            else:
-                                bucket.append(rank)
-                            return None
-                        if arrival > t:
-                            t = arrival
-                    if pd_gated[s]:
-                        rnd = b // round_div[s]
-                        if rnd >= 2:
-                            gate = ud_get(sB + rnd - 2)
-                            if gate is None:
-                                key = UD_OFF + sB + rnd - 2
-                                bucket = w_get(key)
-                                if bucket is None:
-                                    waiters[key] = [rank]
-                                else:
-                                    bucket.append(rank)
-                                return None
-                            if gate > t:
-                                t = gate
+                        if gate > t:
+                            t = gate
+                return (t, rank)
+            key = fe_base[rank] + b if s == last_stage else AB_OFF + sB + b
+            arrival = dep[key]
+            if arrival is None:
+                bucket = waiters[key]
+                if bucket is None:
+                    waiters[key] = [rank]
+                else:
+                    bucket.append(rank)
+                return None
+            if arrival > t:
+                t = arrival
+            if pd_gated[s]:
+                rnd = b // round_div[s]
+                if rnd >= 2:
+                    key = UD_OFF + sB + rnd - 2
+                    gate = dep[key]
+                    if gate is None:
+                        bucket = waiters[key]
+                        if bucket is None:
+                            waiters[key] = [rank]
+                        else:
+                            bucket.append(rank)
+                        return None
+                    if gate > t:
+                        t = gate
             return (t, rank)
 
-        for rank in range(nworkers):
+        for rank in range(nranks):
             if lengths[rank]:
                 cand = enqueue(rank)
                 if cand is not None:
@@ -1037,33 +1015,31 @@ class _SimCore:
                 nxt = None
             else:
                 if not heap:
-                    raise self._deadlock(
-                        {w: pointers[r] for r, w in enumerate(workers)})
+                    raise self._deadlock(pointers)
                 t, rank = heappop(heap)
                 if dirty[rank]:
-                    # A BSP round commit bumped this worker after its entry
+                    # A BSP round commit bumped this rank after its entry
                     # was queued.  Dependency times are final once resolved,
                     # so the fresh ready time is the clamp against the
                     # current worker_free — no readiness recomputation.
                     dirty[rank] = False
-                    current = worker_free[workers[rank]]
+                    current = worker_free[rank]
                     if current > t:
                         heappush(heap, (current, rank))
                         continue
-            worker = workers[rank]
-            op = ops_by_rank[rank][pointers[rank]]
-            kind = op.kind
-            s = op.stage
-            b = op.minibatch
+            idx = pointers[rank]
+            kinds = kinds_of[rank]
+            kind = kinds[idx]
+            s = stages_of[rank][idx]
+            b = mbs_of[rank][idx]
             sB = s * B
             wake_key = -1
-            if kind is UPDATE:
+            if kind == UPD:
                 if update_simple[s]:
-                    # Inline of _execute_update's single-member fast path
+                    # Inline of _execute_update's single-member path
                     # (identical arithmetic).
                     rd = round_div[s]
-                    rnd = b if rd == 1 else b // rd
-                    sBr = sB + rnd
+                    wake_key = UD_OFF + sB + (b if rd == 1 else b // rd)
                     duration = sync_duration[s]
                     sf = sync_free[s]
                     done = (t if t >= sf else sf) + duration
@@ -1071,37 +1047,35 @@ class _SimCore:
                     sync_busy[s] += duration
                     if duration > 0:
                         sync_exposed[s] += done - t
-                    update_done[sBr] = done
-                    wake_key = UD_OFF + sBr
-                    worker_free[worker] = t
+                    dep[wake_key] = done
+                    worker_free[rank] = t
                     end = t if duration == 0 else done
                 else:
                     del fired[:]
                     del bumped[:]
-                    end = execute_update(worker, op, t)
+                    end = execute_update(rank, s, b, t)
                     if fired:
                         wake_key = fired[0]
-                    for w in bumped:
+                    for r2 in bumped:
                         # Dirty-mark ranks whose queued ready times a BSP
                         # round commit just made stale.  The committing
                         # rank's own next candidate is computed fresh below.
-                        r2 = rank_of[w]
                         if r2 != rank:
                             dirty[r2] = True
-            elif kind is FORWARD:
-                dur = fwd_time[s] / speed[worker]
+            elif kind == FWD:
+                dur = fwd_time[s] / speed[rank]
                 end = t + dur
-                fwd_end[worker * nk + sB + b] = end
-                compute_time[worker] += dur
-                worker_free[worker] = end
+                compute_time[rank] += dur
+                worker_free[rank] = end
                 if s < last_stage:
                     # Inline of _send (identical arithmetic): ship the
                     # activation to the downstream replica.
-                    akey = sB + B + b
+                    wake_key = sB + B + b
+                    worker = workers[rank]
                     dst = stage_workers_list[s + 1][b % group_len[s + 1]]
                     nbytes = boundary_bytes[s]
                     if worker == dst or nbytes <= 0:
-                        arrivals_f[akey] = end
+                        dep[wake_key] = end
                     else:
                         ch = (worker, dst)
                         bw = bw_cache.get(ch)
@@ -1117,32 +1091,27 @@ class _SimCore:
                             nic_recv_free[dst] = begin + duration
                         channel_free[ch] = begin + duration
                         channel_busy[ch] += duration
-                        arrivals_f[akey] = begin + duration
-                    wake_key = akey
+                        dep[wake_key] = begin + duration
                 else:
                     # Only the last stage's own backward waits on forward
                     # completion.
-                    wake_key = FE_OFF + sB + b
-            elif kind is BACKWARD_W:
-                # Inline of execute()'s grad-weight branch: local compute
-                # only, nothing fired.
-                dur = bwd_w_time[s] / speed[worker]
+                    wake_key = fe_base[rank] + b
+                    dep[wake_key] = end
+            elif kind == BWD:
+                dur = bwd_time[s] / speed[rank]
                 end = t + dur
-                compute_time[worker] += dur
-                worker_free[worker] = end
-            else:  # BACKWARD
-                dur = bwd_time[s] / speed[worker]
-                end = t + dur
-                bwd_start[worker * nk + sB + b] = t
-                compute_time[worker] += dur
-                worker_free[worker] = end
+                if not update_simple[s]:
+                    bwd_start[rank * nk + sB + b] = t
+                compute_time[rank] += dur
+                worker_free[rank] = end
                 if s > 0:
                     # Inline of _send: ship the gradient upstream.
-                    akey = sB - B + b
+                    wake_key = AB_OFF + sB - B + b
+                    worker = workers[rank]
                     dst = stage_workers_list[s - 1][b % group_len[s - 1]]
                     nbytes = boundary_bytes[s - 1]
                     if worker == dst or nbytes <= 0:
-                        arrivals_b[akey] = end
+                        dep[wake_key] = end
                     else:
                         ch = (worker, dst)
                         bw = bw_cache.get(ch)
@@ -1158,27 +1127,30 @@ class _SimCore:
                             nic_recv_free[dst] = begin + duration
                         channel_free[ch] = begin + duration
                         channel_busy[ch] += duration
-                        arrivals_b[akey] = begin + duration
-                    wake_key = AB_OFF + akey
+                        dep[wake_key] = begin + duration
                 else:
                     minibatch_done[b] = end
-            append_record((worker, op, t, end))
-            idx = pointers[rank] + 1
+            else:  # BWD_W: local compute only, nothing fired
+                dur = bwd_w_time[s] / speed[rank]
+                end = t + dur
+                compute_time[rank] += dur
+                worker_free[rank] = end
+            log_rank(rank)
+            log_start(t)
+            log_end(end)
+            idx += 1
             pointers[rank] = idx
             committed += 1
             if idx < lengths[rank]:
-                nop = ops_by_rank[rank][idx]
-                if nop.kind is UPDATE or nop.kind is BACKWARD_W:
-                    # UPDATE and grad-weight heads are unconditionally
-                    # ready at worker_free.
-                    own = (worker_free[worker], rank)
-                else:
-                    own = enqueue(rank)
+                # UPDATE and grad-weight heads are unconditionally ready at
+                # worker_free.
+                own = (worker_free[rank], rank) if kinds[idx] > BWD else enqueue(rank)
             else:
                 own = None
             if wake_key >= 0:
-                woken = waiters.pop(wake_key, None)
+                woken = waiters[wake_key]
                 if woken is not None:
+                    waiters[wake_key] = None
                     # Keep `own` as the minimum of this commit's fresh
                     # candidates; losers go straight to the heap.
                     for other in woken:
@@ -1201,18 +1173,19 @@ class _SimCore:
                     heappush(heap, own)
 
     def result(self) -> SimResult:
-        total_time = max((r[3] for r in self.records), default=0.0)
+        workers = self.workers
         return SimResult(
-            raw_records=self.records,
-            total_time=total_time,
+            total_time=max(self.log_end, default=0.0),
             num_minibatches=self.schedule.num_minibatches,
             num_workers=self.schedule.num_workers,
-            compute_time_per_worker=dict(self.compute_time),
+            compute_time_per_worker={
+                workers[rank]: busy for rank, busy in self.compute_time.items()},
             channel_busy=dict(self.channel_busy),
             sync_busy=dict(self.sync_busy),
             minibatch_done=self.minibatch_done,
             halted_at=self.halt_time if self.halted else None,
             sync_exposed=dict(self.sync_exposed),
+            timeline=(self.table, self.log_rank, self.log_start, self.log_end),
         )
 
 

@@ -2,7 +2,7 @@
 
 :func:`simulate_reference` is :func:`repro.sim.executor.simulate` with the
 event-driven main loop replaced by the loop it was derived from: commit the
-globally earliest ready op, re-evaluating every worker's head op after each
+globally earliest ready op, re-evaluating every rank's head op after each
 commit — O(ops x workers).  State, readiness and commit arithmetic are
 production's own :class:`~repro.sim.executor._SimCore`
 (``_ready_or_key`` minus the key, ``execute``), so the tier-1 suites assert
@@ -27,35 +27,37 @@ def simulate_reference(
     topology: Topology,
     options: Optional[SimOptions] = None,
 ) -> SimResult:
-    """Execute ``schedule`` by rescanning every worker on every commit."""
+    """Execute ``schedule`` by rescanning every rank on every commit."""
     core = _SimCore(schedule, profile, topology, options or SimOptions())
-    pointers = {w: 0 for w in core.workers}
-    total_ops = sum(len(ops) for ops in core.ops_by_rank)
+    pointers = [0] * len(core.workers)
+    total_ops = sum(len(kinds) for kinds in core.kinds)
+
+    def head(rank):
+        i = pointers[rank]
+        return core.kinds[rank][i], core.stage_of[rank][i], core.mb_of[rank][i]
+
     committed = 0
     while committed < total_ops:
-        best_worker = None
+        best_rank = None
         best_time = math.inf
-        for rank, worker in enumerate(core.workers):
-            ops = core.ops_by_rank[rank]
-            idx = pointers[worker]
-            if idx >= len(ops):
+        for rank in range(len(core.workers)):
+            if pointers[rank] >= len(core.kinds[rank]):
                 continue
-            t = core._ready_or_key(worker, ops[idx])[0]
+            t = core._ready_or_key(rank, *head(rank))[0]
             if t is not None and t < best_time:
                 best_time = t
-                best_worker = worker
-        if best_worker is None:
+                best_rank = rank
+        if best_rank is None:
             raise core._deadlock(pointers)
         if core.halt_time is not None and best_time >= core.halt_time:
             # A worker crashed: the globally earliest startable op is
             # already past the crash instant, so nothing else starts.
             core.halted = True
             break
-        op = schedule.worker_ops[best_worker][pointers[best_worker]]
         core.fired.clear()
         core.bumped.clear()
-        core.execute(best_worker, op, best_time)
-        pointers[best_worker] += 1
+        core.execute(best_rank, *head(best_rank), best_time)
+        pointers[best_rank] += 1
         committed += 1
     return core.result()
 

@@ -1,5 +1,7 @@
 """Deployment plans and schedule serialization (§4)."""
 
+import json
+
 import pytest
 
 from repro.core.deploy import (
@@ -8,9 +10,15 @@ from repro.core.deploy import (
     deserialize_schedule,
     serialize_schedule,
 )
-from repro.core.partition import PipeDreamOptimizer
-from repro.core.schedule import one_f_one_b_rr_schedule, validate_schedule
+from repro.core.partition import PipeDreamOptimizer, Stage
+from repro.core.profile import LayerProfile, ModelProfile
+from repro.core.schedule import (
+    one_f_one_b_rr_schedule,
+    schedule_for_family,
+    validate_schedule,
+)
 from repro.core.topology import make_cluster
+from repro.sim.executor import simulate
 
 
 @pytest.fixture
@@ -74,3 +82,43 @@ class TestScheduleSerialization:
         schedule = gpipe_schedule(3, 2, 4)
         restored = deserialize_schedule(serialize_schedule(schedule))
         assert restored.flush_after == schedule.flush_after
+
+
+class TestScheduleSerializationAxes:
+    """tp degree, recompute and the 2BP split survive a round trip."""
+
+    PROFILE = ModelProfile("six", [LayerProfile(f"l{i}", 1.0 + i, 400, 300,
+                                                kind="fc")
+                                   for i in range(6)], batch_size=4)
+    TOPO = make_cluster("t8", 8, 1, 100.0, 100.0)
+
+    @pytest.mark.parametrize("stages,family", [
+        ([Stage(0, 3, 2, tp_degree=2), Stage(3, 6, 1)], "1f1b"),
+        ([Stage(0, 2, 1, recompute=True), Stage(2, 6, 2)], "1f1b"),
+        ([Stage(0, 3, 2), Stage(3, 6, 1, tp_degree=2)], "2bp"),
+    ], ids=["tp", "recompute", "2bp"])
+    def test_roundtrip_equals_original(self, stages, family):
+        schedule = schedule_for_family(one_f_one_b_rr_schedule(stages, 7),
+                                       family)
+        payload = serialize_schedule(schedule)
+        restored = deserialize_schedule(json.loads(json.dumps(payload)))
+        assert restored.stages == schedule.stages
+        assert restored.stage_workers == schedule.stage_workers
+        assert restored.num_workers == schedule.num_workers
+        assert restored.backward_split == schedule.backward_split
+        assert restored.worker_ops == schedule.worker_ops
+        validate_schedule(restored)
+        got = simulate(restored, self.PROFILE, self.TOPO)
+        want = simulate(schedule, self.PROFILE, self.TOPO)
+        assert got.records == want.records
+        assert got.total_time == want.total_time
+
+    def test_old_payload_loads_with_defaults(self):
+        payload = serialize_schedule(one_f_one_b_rr_schedule(
+            [Stage(0, 3, 2), Stage(3, 6, 1)], 4))
+        assert "backward_split" not in payload
+        assert all(set(s) == {"start", "stop", "replicas"}
+                   for s in payload["stages"])
+        restored = deserialize_schedule(payload)
+        assert restored.backward_split is False
+        assert restored.stage_workers == {0: [0, 1], 1: [2]}

@@ -38,8 +38,8 @@ TOPO_A = cluster_a(4)
 
 
 def assert_engines_identical(sched, profile, topo, options=None):
-    ref = simulate_reference(sched, profile, topo, options)
     evt = simulate(sched, profile, topo, options)
+    ref = simulate_reference(sched, profile, topo, options)
     assert evt.records == ref.records
     assert evt.total_time == ref.total_time
     assert evt.channel_busy == ref.channel_busy
@@ -359,3 +359,57 @@ class TestTpPlanShift:
         # tables and stays bitwise put.
         again = warm_opt.solve(8)
         assert again.stages == warm_opt.solve(8).stages
+
+
+# ----------------------------------------------------------------------
+# The table path: what the engine reads, and what it never builds.
+# ----------------------------------------------------------------------
+
+from repro.core.schedule import Schedule  # noqa: E402
+from repro.sim.executor import SimResult  # noqa: E402
+from repro.sim.strategies import (  # noqa: E402
+    simulate_data_parallel,
+    simulate_gpipe,
+    simulate_partition,
+)
+from repro.sim.sweep import run_sweep  # noqa: E402
+
+
+class TestTablePath:
+    def test_mutated_view_is_what_gets_simulated(self):
+        """Editing ``worker_ops`` after the builder ran changes the run."""
+        sched = one_f_one_b_rr_schedule(
+            [Stage(0, 10, 2), Stage(10, len(VGG), 2)], 12)
+        untouched = simulate(sched, VGG, TOPO_A)
+        for worker, ops in sched.worker_ops.items():
+            sched.worker_ops[worker] = [op for op in ops if op.minibatch < 10]
+        assert_engines_identical(sched, VGG, TOPO_A)
+        edited = simulate(sched, VGG, TOPO_A)
+        assert edited.raw_records == [
+            (r.worker, r.op, r.start, r.end) for r in edited.records]
+        assert [(r.worker, r.op) for r in edited.records] == [
+            (r.worker, r.op) for r in untouched.records
+            if r.op.minibatch < 10]
+        assert sorted(edited.minibatch_done) == list(range(10))
+        rebuilt = Schedule(sched.stages, 12, worker_ops=dict(sched.worker_ops),
+                           noam=sched.noam)
+        assert simulate(rebuilt, VGG, TOPO_A).records == edited.records
+
+    def test_drivers_and_sweep_build_no_op_or_record(self, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("materialised on an aggregate-only path")
+
+        for cls, name in ((Schedule, "worker_ops"), (SimResult, "raw_records"),
+                          (SimResult, "records")):
+            monkeypatch.setattr(cls, name, property(forbidden))
+        stages = [Stage(0, 10, 2), Stage(10, len(VGG), 2)]
+        simulate_partition(VGG, TOPO_A, stages, 8)
+        simulate_partition(VGG, TOPO_A, stages, 8, schedule_family="2bp")
+        simulate_partition(VGG, TOPO_A, stages, 8, faults=parse_faults(
+            "seed=1:crashes=0:stragglers=2", num_workers=4, horizon=2.0))
+        simulate_data_parallel(VGG, TOPO_A, 4, bucket_bytes=1e6)
+        simulate_gpipe(VGG, TOPO_A, num_batches=2)
+        records = run_sweep(["vgg16"], cluster_a(1), [2, 4],
+                            strategies=("dp", "pipedream", "mp", "gpipe"),
+                            minibatches=8, schedule_families=("1f1b", "2bp"))
+        assert records

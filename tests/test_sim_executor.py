@@ -183,3 +183,13 @@ class TestStageComputeTimes:
     def test_invalid_sync_mode_rejected(self):
         with pytest.raises(ValueError):
             SimOptions(sync_mode="wat")
+
+    @pytest.mark.parametrize("speed", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_non_finite_or_non_positive_speed_rejected(self, speed):
+        with pytest.raises(ValueError, match="speed must be finite and > 0"):
+            SimOptions(worker_speed={0: speed})
+
+    @pytest.mark.parametrize("bucket", [float("nan"), 0.0, -5.0])
+    def test_nan_or_non_positive_bucket_bytes_rejected(self, bucket):
+        with pytest.raises(ValueError, match="bucket_bytes must be > 0"):
+            SimOptions(bucket_bytes=bucket)
