@@ -123,27 +123,32 @@ def cmd_simulate(args) -> int:
     profile = analytic_profile(
         args.model, device=args.device,
         bytes_per_element=PRECISION_BYTES[args.precision])
-    faults = None
-    if args.faults:
-        faults = parse_faults(args.faults, num_workers=topology.total_workers)
+    report = None
+    # A fault spec, or a fault the run's topology lacks, is a usage error.
     try:
+        faults = parse_faults(args.faults, num_workers=topology.total_workers)
         sim = SimSpec(args.strategy, args.minibatches, args.schedule_family,
                       faults)
         check_scenario(spec, sim)
+        if sim.faults is not None and sim.faults.halt_time is not None:
+            # A crash in the schedule: run the full elastic cycle
+            # (fault-free oracle, crash-interrupted run, warm re-plan,
+            # resumed run) and report the recovery bill alongside the
+            # resumed result.
+            if args.strategy != "pipedream":
+                print("--faults with a crash event requires --strategy "
+                      "pipedream", file=sys.stderr)
+                return 2
+            from repro.runtime.elastic import ElasticCoordinator
+
+            report = ElasticCoordinator(profile, topology).run_with_recovery(
+                args.minibatches, sim.faults)
+            result = report.resumed
+        else:
+            result = simulate_strategy(profile, topology, sim, spec)
     except ValueError as exc:
         args.error(str(exc))
-    if faults is not None and faults.halt_time is not None:
-        # A crash in the schedule: run the full elastic cycle (fault-free
-        # oracle, crash-interrupted run, warm re-plan, resumed run) and
-        # report the recovery bill alongside the resumed result.
-        if args.strategy != "pipedream":
-            print("--faults with a crash event requires --strategy pipedream",
-                  file=sys.stderr)
-            return 2
-        from repro.runtime.elastic import ElasticCoordinator
-
-        report = ElasticCoordinator(profile, topology).run_with_recovery(
-            args.minibatches, faults)
+    if report is not None:
         m = report.metrics
         rows = [
             ["crash (sim s)", f"{m.fault_time:.4f}"],
@@ -159,9 +164,6 @@ def cmd_simulate(args) -> int:
             ["minibatches lost", f"{m.minibatches_lost:.2f}"],
         ]
         print(format_table(["recovery metric", "value"], rows))
-        result = report.resumed
-    else:
-        result = simulate_strategy(profile, topology, sim, spec)
     rows = [
         ["strategy", result.strategy],
         ["config", result.config],

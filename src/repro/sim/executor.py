@@ -17,19 +17,20 @@ being simulated:
 - ``"gpipe"`` — pipeline flush: forwards of batch ``k+1`` wait for batch
   ``k``'s update; optional activation recomputation inflates backwards.
 
-There is one engine, an event-driven main loop over :class:`_SimCore`,
-which reads the schedule's :class:`~repro.core.schedule.ScheduleTable`
-(int columns per worker rank, never :class:`Op` objects): per-rank
-head-op cursors, wakeup lists keyed on the exact resolution event each
-blocked op waits for (activation/gradient arrival, forward completion,
-update commit), and a min-heap of ready ops with lazy invalidation —
-O(ops · log workers) commits.  :meth:`_SimCore.run_event` is its inlined
-fault-free form and :meth:`_SimCore.run_event_general` the form that
-commits through :meth:`_SimCore.execute` when faults are injected.  Its
-oracle, a full-rescan loop that re-evaluates every worker's head op on
-every commit (O(ops · workers)) over the same ``_SimCore``, lives in
-``tests/oracles/sim_reference.py``; the test suite asserts
-bitwise-identical :class:`OpRecord` timelines.
+There is one engine and one loop, :meth:`_SimCore.run_event`, an
+event-driven main loop that reads the schedule's
+:class:`~repro.core.schedule.ScheduleTable` (int columns per worker rank,
+never :class:`Op` objects): per-rank head-op cursors, wakeup lists keyed
+on the exact resolution event each blocked op waits for
+(activation/gradient arrival, forward completion, update commit), and a
+min-heap of ready ops with lazy invalidation — O(ops · log workers)
+commits.  Fault-free and faulted runs commit through the same inlined
+code; an injected fault only changes how long an op or a transfer takes,
+or where the timeline halts.  Its oracle, a full-rescan loop with its own
+readiness and commit functions that re-evaluates every worker's head op
+on every commit (O(ops · workers)) over the same ``_SimCore`` state,
+lives in ``tests/oracles/sim_reference.py``; the test suite asserts
+bitwise-identical :class:`OpRecord` timelines, faulted and fault-free.
 """
 
 from __future__ import annotations
@@ -222,7 +223,7 @@ def stage_compute_times(
 
 
 class _SimCore:
-    """Simulation state and commit semantics, shared with the oracle.
+    """Simulation state, shared with the oracle, and the event loop.
 
     State is indexed by *rank* — a worker's row in the schedule table,
     whose order is the commit tie-break.  Every dependency an op can wait
@@ -263,6 +264,18 @@ class _SimCore:
             raise ValueError(
                 f"the schedule occupies {schedule.num_workers} workers but "
                 f"the topology has {topology.total_workers}")
+        # A fault must name a worker and a link level the topology has.
+        for event in (options.faults.events if options.faults else ()):
+            if event.worker >= topology.total_workers:
+                raise ValueError(
+                    f"{event.kind} fault at t={event.time} names worker "
+                    f"{event.worker} but the topology has "
+                    f"{topology.total_workers}")
+            if event.level >= topology.num_levels:
+                raise ValueError(
+                    f"{event.kind} fault at t={event.time} names level "
+                    f"{event.level} but the topology has "
+                    f"{topology.num_levels}")
         self.schedule = schedule
         self.options = options
         stages = schedule.stages
@@ -507,12 +520,12 @@ class _SimCore:
         self.log_start: List[float] = []
         self.log_end: List[float] = []
 
-        #: ``dep`` slots the most recent commit resolved.
+        #: ``dep`` slots the most recent :meth:`_execute_update` resolved.
         self.fired: List[int] = []
-        #: Ranks whose ``worker_free`` the most recent commit pushed
+        #: Ranks whose ``worker_free`` the most recent update pushed
         #: forward from *outside* their own commit — only BSP round commits
         #: do this (the whole stage group resumes at the round's commit
-        #: time).  The event engine uses it for per-stage-group dirty
+        #: time).  The loop uses it for per-stage-group dirty
         #: marking: only these ranks' queued ready times can be stale.
         self.bumped: List[int] = []
         self._bw_cache: Dict[Tuple[int, int], float] = {}
@@ -539,147 +552,14 @@ class _SimCore:
     # in ``__init__``).
 
     # ------------------------------------------------------------------
-    # Readiness
+    # Commit helpers the loop calls
     # ------------------------------------------------------------------
-    def _ready_or_key(self, rank: int, kind: int, s: int,
-                      b: int) -> Tuple[Optional[float], Optional[int]]:
-        """Earliest start of op ``(kind, s, b)`` at the head of ``rank``, or
-        *which* event a blocked op awaits.
-
-        Returns ``(start, None)`` when ready, else ``(None, key)`` where
-        ``key`` is the ``dep`` slot of the first unresolved dependency — the
-        event engine parks the rank on that key's wakeup list.  A blocked
-        op may have several unresolved dependencies; re-evaluation on wakeup
-        walks them one at a time, which is correct because dependencies only
-        ever resolve (they never un-resolve).
-        """
-        t = self.worker_free[rank]
-        if kind > BWD:  # UPDATE and grad-weight ops wait on nothing
-            return t, None
-        dep = self.dep
-        sB = s * self.B
-        if kind == FWD:
-            if s > 0:
-                arrival = dep[sB + b]
-                if arrival is None:
-                    return None, sB + b
-                if arrival > t:
-                    t = arrival
-            if self.gated_forward:
-                rnd = b // self.round_div[s]
-                if rnd > 0:
-                    key = self.UD_OFF + sB + rnd - 1
-                    gate = dep[key]
-                    if gate is None:
-                        return None, key
-                    if gate > t:
-                        t = gate
-            return t, None
-        # BACKWARD: the last stage consumes its own forward, the others the
-        # gradient from downstream.
-        key = (self.fe_base[rank] + b if s == self.last_stage
-               else self.AB_OFF + sB + b)
-        arrival = dep[key]
-        if arrival is None:
-            return None, key
-        if arrival > t:
-            t = arrival
-        if self.pd_gated[s]:
-            rnd = b // self.round_div[s]
-            if rnd >= 2:
-                key = self.UD_OFF + sB + rnd - 2
-                gate = dep[key]
-                if gate is None:
-                    return None, key
-                if gate > t:
-                    t = gate
-        return t, None
-
-    # ------------------------------------------------------------------
-    # Commit semantics (run_event inlines them)
-    # ------------------------------------------------------------------
-    def execute(self, rank: int, kind: int, s: int, b: int,
-                start: float) -> float:
-        sB = s * self.B
-        if kind == UPD:
-            end = self._execute_update(rank, s, b, start)
-        else:
-            dur = (self.fwd_time if kind == FWD else self.bwd_time
-                   if kind == BWD else self.bwd_w_time)[s] / self.speed[rank]
-            if self.faults is None:
-                end = start + dur
-            else:
-                end = self.faults.compute_end(self.workers[rank], start, dur)
-                dur = end - start
-            self.compute_time[rank] += dur
-            self.worker_free[rank] = end
-            if kind == FWD:
-                if s < self.last_stage:
-                    group = self.stage_workers_list[s + 1]
-                    self._send(self.workers[rank], group[b % len(group)],
-                               self.boundary_bytes[s], end, sB + self.B + b)
-                else:
-                    # Only the last stage's own backward waits on forward
-                    # completion; other stages' forwards gate nothing
-                    # directly.
-                    key = self.fe_base[rank] + b
-                    self.dep[key] = end
-                    self.fired.append(key)
-            elif kind == BWD:
-                if not self.update_simple[s]:
-                    self.bwd_start[rank * self.nk + sB + b] = start
-                if s > 0:
-                    group = self.stage_workers_list[s - 1]
-                    self._send(self.workers[rank], group[b % len(group)],
-                               self.boundary_bytes[s - 1], end,
-                               self.AB_OFF + sB - self.B + b)
-                else:
-                    self.minibatch_done[b] = end
-            # A 2BP grad-weight half (BWD_W) is pure local compute — no
-            # sends, no events fired.  It sits between the grad-input
-            # backward and the round's UPDATE, so the update still starts
-            # at the unsplit backward's end time while the upstream
-            # gradient left one grad-weight duration earlier.
-        self.log_rank.append(rank)
-        self.log_start.append(start)
-        self.log_end.append(end)
-        return end
-
-    def _link_bandwidth(self, src: int, dst: int) -> float:
-        cached = self._bw_cache.get((src, dst))
-        if cached is None:
-            cached = self.placement.link_bandwidth(src, dst)
-            self._bw_cache[(src, dst)] = cached
-        return cached
-
     def _link_level(self, src: int, dst: int) -> int:
         cached = self._lvl_cache.get((src, dst))
         if cached is None:
             cached = self.placement.link_level(src, dst)
             self._lvl_cache[(src, dst)] = cached
         return cached
-
-    def _send(self, src: int, dst: int, num_bytes: float, ready: float,
-              key: int) -> None:
-        """Ship a boundary tensor between workers; it arrives in ``dep[key]``."""
-        if src == dst or num_bytes <= 0:
-            self.dep[key] = ready
-            self.fired.append(key)
-            return
-        duration = num_bytes / self._link_bandwidth(src, dst)
-        begin = max(ready, self.channel_free[(src, dst)])
-        if self.options.nic_contention:
-            begin = max(begin, self.nic_send_free[src], self.nic_recv_free[dst])
-        if self.faults is not None:
-            duration *= self.faults.bandwidth_factor(
-                src, dst, begin, self._link_level(src, dst))
-        if self.options.nic_contention:
-            self.nic_send_free[src] = begin + duration
-            self.nic_recv_free[dst] = begin + duration
-        self.channel_free[(src, dst)] = begin + duration
-        self.channel_busy[(src, dst)] += duration
-        self.dep[key] = begin + duration
-        self.fired.append(key)
 
     def _execute_update(self, rank: int, s: int, b: int, start: float) -> float:
         rnd = b // self.round_div[s]
@@ -758,7 +638,7 @@ class _SimCore:
         return start if duration == 0 else done
 
     # ------------------------------------------------------------------
-    # Engines
+    # The loop
     # ------------------------------------------------------------------
     def _deadlock(self, pointers: List[int]) -> RuntimeError:
         stuck = {
@@ -768,88 +648,8 @@ class _SimCore:
         }
         return RuntimeError(f"simulation deadlocked; blocked ops: {stuck}")
 
-    def run_event_general(self) -> None:
-        """Event-driven loop used when fault injection is active.
-
-        Same heap + wakeup-list + dirty-marking structure as
-        :meth:`run_event`, but commits through the shared
-        :meth:`execute` so the fault arithmetic (piecewise straggler
-        integration, bandwidth windows) lives in exactly one place,
-        shared with the full-rescan oracle — equivalence under faults
-        falls out for free.
-
-        Commit times are non-decreasing (a commit can only unblock ops at
-        or after its own start), so halting at the first popped ready
-        time >= the crash instant stops this loop and the oracle at the
-        identical timeline prefix.
-        """
-        kinds, stage_of, mb_of = self.kinds, self.stage_of, self.mb_of
-        nranks = len(kinds)
-        pointers = [0] * nranks
-        lengths = [len(k) for k in kinds]
-        total_ops = sum(lengths)
-        heap: List[Tuple[float, int]] = []
-        waiters: Dict[int, List[int]] = {}
-        dirty = [False] * nranks
-        halt = self.halt_time
-        fired = self.fired
-        bumped = self.bumped
-
-        def head(rank: int) -> Tuple[int, int, int]:
-            i = pointers[rank]
-            return kinds[rank][i], stage_of[rank][i], mb_of[rank][i]
-
-        def enqueue(rank: int) -> Optional[Tuple[float, int]]:
-            t, key = self._ready_or_key(rank, *head(rank))
-            if t is None:
-                waiters.setdefault(key, []).append(rank)
-                return None
-            return (t, rank)
-
-        for rank in range(nranks):
-            if lengths[rank]:
-                cand = enqueue(rank)
-                if cand is not None:
-                    heappush(heap, cand)
-
-        committed = 0
-        while committed < total_ops:
-            if not heap:
-                raise self._deadlock(pointers)
-            t, rank = heappop(heap)
-            if dirty[rank]:
-                # A BSP round commit bumped this rank after its entry was
-                # queued; clamp against the fresh worker_free.
-                dirty[rank] = False
-                current = self.worker_free[rank]
-                if current > t:
-                    heappush(heap, (current, rank))
-                    continue
-            if halt is not None and t >= halt:
-                self.halted = True
-                return
-            fired.clear()
-            bumped.clear()
-            self.execute(rank, *head(rank), t)
-            pointers[rank] += 1
-            committed += 1
-            if pointers[rank] < lengths[rank]:
-                cand = enqueue(rank)
-                if cand is not None:
-                    heappush(heap, cand)
-            for key in fired:
-                woken = waiters.pop(key, None)
-                if woken is not None:
-                    for other in woken:
-                        cand = enqueue(other)
-                        if cand is not None:
-                            heappush(heap, cand)
-            for r2 in bumped:
-                if r2 != rank:
-                    dirty[r2] = True
-
     def run_event(self) -> None:
-        """Event-driven loop: a min-heap of ready head ops plus wakeup
+        """The engine's one loop: a min-heap of ready head ops plus wakeup
         lists keyed on resolution events.
 
         Invariant: every rank with remaining ops is either in the heap
@@ -868,16 +668,18 @@ class _SimCore:
         matches the oracle's full-rescan minimum, and (time, rank)
         ordering reproduces its first-wins tie-break exactly.
 
-        The commit path is a locals-bound inline of :meth:`execute` /
-        :meth:`_ready_or_key` over the table columns — identical
-        expressions, so the arithmetic (and hence the timeline) is
-        bitwise-identical to the oracle's, which the test suite asserts.
-        Wakeup lists live in a list indexed like ``dep``.
+        Faulted and fault-free runs commit through the same inlined code.
+        With a fault schedule present, a compute op's end integrates its
+        worker's straggler windows (:meth:`FaultSchedule.compute_end`), a
+        transfer's duration is scaled by the bandwidth windows active when
+        it begins (:meth:`FaultSchedule.bandwidth_factor`), and a crash
+        stops the loop at the first chosen commit at or past the crash
+        instant — commit times are non-decreasing, so the timeline is the
+        prefix of ops that started before it.  Every fault branch is
+        guarded on ``faults is not None``, so a fault-free run executes
+        only the fault-free arithmetic.  Wakeup lists live in a list
+        indexed like ``dep``.
         """
-        if self.faults is not None:
-            # Fault injection routes through the general loop (shared
-            # commit path).
-            return self.run_event_general()
         kinds_of = self.kinds
         stages_of = self.stage_of
         mbs_of = self.mb_of
@@ -899,9 +701,8 @@ class _SimCore:
         gated_forward = self.gated_forward
         pd_gated = self.pd_gated
         update_simple = self.update_simple
-        fwd_time = self.fwd_time
-        bwd_time = self.bwd_time
-        bwd_w_time = self.bwd_w_time
+        # Per-op-kind durations, indexed by the FWD / BWD / BWD_W codes.
+        op_time = (self.fwd_time, self.bwd_time, self.bwd_w_time)
         boundary_bytes = self.boundary_bytes
         stage_workers_list = self.stage_workers_list
         group_len = [len(g) for g in stage_workers_list]
@@ -931,73 +732,67 @@ class _SimCore:
         nic_recv_free = self.nic_recv_free
         bw_cache = self._bw_cache
         link_bandwidth = self.placement.link_bandwidth
+        faults = self.faults
+        halt = self.halt_time
+        link_level = self._link_level
 
         def enqueue(rank: int) -> Optional[Tuple[float, int]]:
-            """Readiness check for ``rank``'s head op (inline of
-            :meth:`_ready_or_key`): return a heap candidate ``(t, rank)``
-            when ready, else park the rank on its blocking event."""
+            """Readiness check for ``rank``'s head op: return a heap
+            candidate ``(t, rank)`` when ready, else park the rank on the
+            ``dep`` slot of its first unresolved dependency.  Re-evaluation
+            on wakeup walks a blocked op's dependencies one at a time,
+            which is correct because they only ever resolve."""
             idx = pointers[rank]
             t = worker_free[rank]
             kind = kinds_of[rank][idx]
-            if kind > BWD:
+            if kind > BWD:  # UPDATE and grad-weight ops wait on nothing
                 return (t, rank)
             s = stages_of[rank][idx]
             b = mbs_of[rank][idx]
             sB = s * B
-            if kind == FWD:
-                key = sB + b
-                if s > 0:
-                    arrival = dep[key]
-                    if arrival is None:
-                        bucket = waiters[key]
-                        if bucket is None:
-                            waiters[key] = [rank]
-                        else:
-                            bucket.append(rank)
-                        return None
-                    if arrival > t:
-                        t = arrival
-                if gated_forward:
+            while True:  # one pass; ``break`` parks the rank on ``key``
+                if kind == FWD:
+                    if s > 0:
+                        key = sB + b
+                        arrival = dep[key]
+                        if arrival is None:
+                            break
+                        if arrival > t:
+                            t = arrival
+                    if gated_forward:
+                        rnd = b // round_div[s]
+                        if rnd > 0:
+                            key = UD_OFF + sB + rnd - 1
+                            arrival = dep[key]
+                            if arrival is None:
+                                break
+                            if arrival > t:
+                                t = arrival
+                    return (t, rank)
+                # BACKWARD: the last stage consumes its own forward, the
+                # others the gradient from downstream.
+                key = fe_base[rank] + b if s == last_stage else AB_OFF + sB + b
+                arrival = dep[key]
+                if arrival is None:
+                    break
+                if arrival > t:
+                    t = arrival
+                if pd_gated[s]:
                     rnd = b // round_div[s]
-                    if rnd > 0:
-                        key = UD_OFF + sB + rnd - 1
-                        gate = dep[key]
-                        if gate is None:
-                            bucket = waiters[key]
-                            if bucket is None:
-                                waiters[key] = [rank]
-                            else:
-                                bucket.append(rank)
-                            return None
-                        if gate > t:
-                            t = gate
+                    if rnd >= 2:
+                        key = UD_OFF + sB + rnd - 2
+                        arrival = dep[key]
+                        if arrival is None:
+                            break
+                        if arrival > t:
+                            t = arrival
                 return (t, rank)
-            key = fe_base[rank] + b if s == last_stage else AB_OFF + sB + b
-            arrival = dep[key]
-            if arrival is None:
-                bucket = waiters[key]
-                if bucket is None:
-                    waiters[key] = [rank]
-                else:
-                    bucket.append(rank)
-                return None
-            if arrival > t:
-                t = arrival
-            if pd_gated[s]:
-                rnd = b // round_div[s]
-                if rnd >= 2:
-                    key = UD_OFF + sB + rnd - 2
-                    gate = dep[key]
-                    if gate is None:
-                        bucket = waiters[key]
-                        if bucket is None:
-                            waiters[key] = [rank]
-                        else:
-                            bucket.append(rank)
-                        return None
-                    if gate > t:
-                        t = gate
-            return (t, rank)
+            bucket = waiters[key]
+            if bucket is None:
+                waiters[key] = [rank]
+            else:
+                bucket.append(rank)
+            return None
 
         for rank in range(nranks):
             if lengths[rank]:
@@ -1027,6 +822,11 @@ class _SimCore:
                     if current > t:
                         heappush(heap, (current, rank))
                         continue
+            if halt is not None and t >= halt:
+                # A worker crashed: the globally earliest startable op is
+                # already past the crash instant, so nothing else starts.
+                self.halted = True
+                return
             idx = pointers[rank]
             kinds = kinds_of[rank]
             kind = kinds[idx]
@@ -1062,18 +862,42 @@ class _SimCore:
                         # rank's own next candidate is computed fresh below.
                         if r2 != rank:
                             dirty[r2] = True
-            elif kind == FWD:
-                dur = fwd_time[s] / speed[rank]
-                end = t + dur
+            else:
+                dur = op_time[kind][s] / speed[rank]
+                if faults is None:
+                    end = t + dur
+                else:
+                    end = faults.compute_end(workers[rank], t, dur)
+                    dur = end - t
                 compute_time[rank] += dur
                 worker_free[rank] = end
-                if s < last_stage:
-                    # Inline of _send (identical arithmetic): ship the
-                    # activation to the downstream replica.
-                    wake_key = sB + B + b
+                # The stage this commit ships a boundary tensor to —
+                # activations downstream, gradients upstream — or -1.  A
+                # 2BP grad-weight half (BWD_W) is local compute only: it
+                # sends nothing and fires nothing.
+                peer = -1
+                if kind == FWD:
+                    if s < last_stage:
+                        peer = s + 1
+                        nbytes = boundary_bytes[s]
+                        wake_key = sB + B + b
+                    else:
+                        # Only the last stage's own backward waits on
+                        # forward completion.
+                        wake_key = fe_base[rank] + b
+                        dep[wake_key] = end
+                elif kind == BWD:
+                    if not update_simple[s]:
+                        bwd_start[rank * nk + sB + b] = t
+                    if s > 0:
+                        peer = s - 1
+                        nbytes = boundary_bytes[peer]
+                        wake_key = AB_OFF + sB - B + b
+                    else:
+                        minibatch_done[b] = end
+                if peer >= 0:
                     worker = workers[rank]
-                    dst = stage_workers_list[s + 1][b % group_len[s + 1]]
-                    nbytes = boundary_bytes[s]
+                    dst = stage_workers_list[peer][b % group_len[peer]]
                     if worker == dst or nbytes <= 0:
                         dep[wake_key] = end
                     else:
@@ -1087,54 +911,15 @@ class _SimCore:
                         if nic_contention:
                             begin = max(begin, nic_send_free[worker],
                                         nic_recv_free[dst])
-                            nic_send_free[worker] = begin + duration
-                            nic_recv_free[dst] = begin + duration
-                        channel_free[ch] = begin + duration
-                        channel_busy[ch] += duration
-                        dep[wake_key] = begin + duration
-                else:
-                    # Only the last stage's own backward waits on forward
-                    # completion.
-                    wake_key = fe_base[rank] + b
-                    dep[wake_key] = end
-            elif kind == BWD:
-                dur = bwd_time[s] / speed[rank]
-                end = t + dur
-                if not update_simple[s]:
-                    bwd_start[rank * nk + sB + b] = t
-                compute_time[rank] += dur
-                worker_free[rank] = end
-                if s > 0:
-                    # Inline of _send: ship the gradient upstream.
-                    wake_key = AB_OFF + sB - B + b
-                    worker = workers[rank]
-                    dst = stage_workers_list[s - 1][b % group_len[s - 1]]
-                    nbytes = boundary_bytes[s - 1]
-                    if worker == dst or nbytes <= 0:
-                        dep[wake_key] = end
-                    else:
-                        ch = (worker, dst)
-                        bw = bw_cache.get(ch)
-                        if bw is None:
-                            bw = bw_cache[ch] = link_bandwidth(worker, dst)
-                        duration = nbytes / bw
-                        cf = channel_free[ch]
-                        begin = end if end >= cf else cf
+                        if faults is not None:
+                            duration *= faults.bandwidth_factor(
+                                worker, dst, begin, link_level(worker, dst))
                         if nic_contention:
-                            begin = max(begin, nic_send_free[worker],
-                                        nic_recv_free[dst])
                             nic_send_free[worker] = begin + duration
                             nic_recv_free[dst] = begin + duration
                         channel_free[ch] = begin + duration
                         channel_busy[ch] += duration
                         dep[wake_key] = begin + duration
-                else:
-                    minibatch_done[b] = end
-            else:  # BWD_W: local compute only, nothing fired
-                dur = bwd_w_time[s] / speed[rank]
-                end = t + dur
-                compute_time[rank] += dur
-                worker_free[rank] = end
             log_rank(rank)
             log_start(t)
             log_end(end)

@@ -4,9 +4,9 @@ A :class:`FaultSchedule` is an immutable, sorted set of
 :class:`FaultEvent`\\ s pinned to *simulated* timestamps.  Three kinds:
 
 ``crash``
-    Worker dies at ``time``.  The engines halt the global timeline at
+    Worker dies at ``time``.  The simulator halts the global timeline at
     that instant — ops already started finish, nothing starts at or
-    after it — and report it as ``SimResult.halted_at``.  Recovery
+    after it — and reports it as ``SimResult.halted_at``.  Recovery
     (detection, re-planning, checkpoint resume) is the elastic control
     loop's job (:mod:`repro.runtime.elastic`), not the simulator's.
 
@@ -23,8 +23,8 @@ A :class:`FaultSchedule` is an immutable, sorted set of
 
 Determinism contract: a schedule is a value (frozen events under a total
 order), :meth:`FaultSchedule.generate` is a pure function of its seed,
-and an *empty* schedule is structurally invisible — the engines
-normalize it to ``None`` and take the exact fault-free code paths, so
+and an *empty* schedule is structurally invisible — the simulator
+normalizes it to ``None`` and takes the exact fault-free code paths, so
 the timeline is bitwise-identical to a run without the feature
 (asserted across every engine-equivalence scenario by
 ``tests/test_faults.py``).
@@ -32,6 +32,7 @@ the timeline is bitwise-identical to a run without the feature
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -64,17 +65,22 @@ class FaultEvent:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {FAULT_KINDS}"
             )
-        if self.time < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.time}")
+        # Written so NaN fails every check; +inf is a legal duration (a
+        # window that lasts to the end of the run).
+        if not (math.isfinite(self.time) and self.time >= 0):
+            raise ValueError(f"fault time must be finite and >= 0, got {self.time}")
         if self.kind == "crash":
             if self.worker < 0:
                 raise ValueError("crash events need a target worker")
         else:
-            if self.duration <= 0:
-                raise ValueError(f"{self.kind} events need a positive duration")
-            if self.factor < 1.0:
+            if not self.duration > 0:
                 raise ValueError(
-                    f"{self.kind} factor must be >= 1 (a slowdown), got {self.factor}"
+                    f"{self.kind} events need a positive duration, got {self.duration}"
+                )
+            if not (math.isfinite(self.factor) and self.factor >= 1.0):
+                raise ValueError(
+                    f"{self.kind} factor must be finite and >= 1 (a slowdown), "
+                    f"got {self.factor}"
                 )
         if self.kind == "straggler" and self.worker < 0:
             raise ValueError("straggler events need a target worker")
@@ -105,7 +111,7 @@ class FaultSchedule:
         )
         self.seed = seed
         crashes = [e.time for e in self.events if e.kind == "crash"]
-        #: Earliest crash time, or None.  The engines stop committing ops
+        #: Earliest crash time, or None.  The simulator stops committing ops
         #: whose start is at or past this instant.
         self.halt_time: Optional[float] = min(crashes) if crashes else None
         self._windows: Dict[int, Tuple[Tuple[float, float, float], ...]] = {}
@@ -137,7 +143,7 @@ class FaultSchedule:
             for e in self.events
         )
 
-    # -- queries the engines make ---------------------------------------
+    # -- queries the simulator makes ------------------------------------
     @property
     def crashes(self) -> Tuple[FaultEvent, ...]:
         return tuple(e for e in self.events if e.kind == "crash")

@@ -9,8 +9,11 @@ more literal twin lives here, where only tests import it:
   evaluator, a second derivation of the placement/all_reduce pricing
   (``evaluator_closed_form.py``);
 - :func:`~tests.oracles.sim_reference.simulate_reference` — the
-  simulator's full-rescan main loop over production's ``_SimCore``
+  simulator's full-rescan main loop with its own readiness, commit and
+  transfer functions over production's ``_SimCore`` state
   (``sim_reference.py``);
+- the op-by-op schedule builders the table builders are pinned to
+  (``schedule_reference.py``);
 - :func:`~tests.oracles.partition_brute_force.brute_force_partition` —
   exhaustive search over flat partitions (``partition_brute_force.py``).
 """

@@ -94,6 +94,33 @@ class TestSimulate:
         assert excinfo.value.code == 2
         assert "minibatches must be an int >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy, spec, message", [
+        # Not a fault spec at all.
+        ("pipedream", "foo", "bad fault event 'foo'"),
+        # Non-finite fields.
+        ("mp", "slow@0:w1:xnan:d100", "factor must be finite"),
+        ("pipedream", "crash@nan:w0", "fault time must be finite"),
+        # A worker or level the 4-worker, one-level cluster lacks.
+        ("pipedream", "crash@0.05:w99", "names worker 99"),
+        ("mp", "slow@0:w9:x2:d1", "names worker 9"),
+        ("dp", "bw@0:x2:d1:l5", "names level 5"),
+    ])
+    def test_bad_faults_exit_2(self, capsys, strategy, spec, message):
+        """A bad ``--faults`` is a usage error, never a traceback, a
+        silent no-op or a ``nan%`` row."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "vgg16", "--cluster", "a", "--servers", "1",
+                  "--strategy", strategy, "--minibatches", "8",
+                  "--faults", spec])
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_faults_in_range_run(self, capsys):
+        assert main(["simulate", "vgg16", "--cluster", "a", "--servers", "1",
+                     "--strategy", "mp", "--minibatches", "8",
+                     "--faults", "slow@0:w1:x2:dinf"]) == 0
+        assert "nan" not in capsys.readouterr().out
+
 
 class TestServe:
     def test_serve_binds_and_shuts_down(self, capsys, monkeypatch):

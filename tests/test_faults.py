@@ -16,6 +16,7 @@ Three locks, in order of strength:
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -23,10 +24,15 @@ from repro.core.partition import Stage
 from repro.profiler import analytic_profile
 from repro.core.schedule import one_f_one_b_rr_schedule
 from repro.core.topology import cluster_a
-from repro.sim.executor import SimOptions
+from repro.runtime.elastic import ElasticCoordinator
+from repro.sim.executor import SimOptions, simulate
 from repro.sim.faults import FaultEvent, FaultSchedule, parse_faults
 from tests.oracles.sim_reference import ENGINES
-from tests.test_sim_engine_equiv import SCENARIOS, assert_engines_identical
+from tests.test_sim_engine_equiv import (
+    SCENARIOS,
+    TP_SCENARIOS,
+    assert_engines_identical,
+)
 
 VGG = analytic_profile("vgg16")
 TOPO_A = cluster_a(4)
@@ -136,10 +142,21 @@ class TestSpecGrammar:
         "slow@0.1:w1:q9:d0.1",    # unknown field tag
         "seed=1:volcanoes=3",     # unknown seeded key
         "seed=",                  # empty seed value
+        "crash@nan:w0",           # non-finite time
+        "crash@inf:w0",
+        "slow@0:w1:xnan:d100",    # non-finite factor
+        "bw@0:xinf:d1",
+        "slow@0:w1:x2:dnan",      # NaN duration
     ])
     def test_bad_specs_raise(self, bad):
         with pytest.raises(ValueError):
             parse_faults(bad, num_workers=16)
+
+    def test_infinite_window_is_legal(self):
+        # A window with no end lasts the rest of the run.
+        sched = parse_faults("bw@0.1:x2:dinf")
+        assert sched.events[0].end == float("inf")
+        assert sched.bandwidth_factor(0, 1, 1e9, level=0) == 2.0
 
     def test_seeded_spec_needs_cluster_size(self):
         with pytest.raises(ValueError):
@@ -159,9 +176,59 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultEvent("meteor", 0.1)
 
+    @pytest.mark.parametrize("fields", [
+        dict(kind="crash", time=math.nan, worker=0),
+        dict(kind="crash", time=math.inf, worker=0),
+        dict(kind="straggler", time=math.nan, worker=0, duration=1.0,
+             factor=2.0),
+        dict(kind="straggler", time=0.0, worker=0, duration=1.0,
+             factor=math.nan),
+        dict(kind="bandwidth", time=0.0, duration=1.0, factor=math.inf),
+        dict(kind="bandwidth", time=0.0, duration=math.nan, factor=2.0),
+    ])
+    def test_non_finite_fields_rejected(self, fields):
+        with pytest.raises(ValueError):
+            FaultEvent(**fields)
+
     def test_options_validation(self):
         with pytest.raises(TypeError):
             SimOptions(faults=[FaultEvent("crash", 0.5, 1)])
+
+
+class TestFaultsFitTheTopology:
+    """A fault naming a worker or a level the topology lacks is refused in
+    one place, ``_SimCore.__init__``: the engine, the oracle and the
+    elastic loop all inherit it."""
+
+    TOPO = cluster_a(1)  # 4 workers on one level
+    SCHED = one_f_one_b_rr_schedule(
+        [Stage(0, 10, 2), Stage(10, len(VGG), 2)], 8)
+
+    @pytest.mark.parametrize("spec, named", [
+        ("crash@0.05:w99", "worker 99"),
+        ("slow@0:w9:x2:d1", "worker 9"),
+        ("bw@0:x2:d1:w4", "worker 4"),
+        ("bw@0:x2:d1:l5", "level 5"),
+        ("bw@0:x2:d1:l1", "level 1"),
+    ])
+    @pytest.mark.parametrize("engine", ["reference", "event"])
+    def test_out_of_range_rejected(self, engine, spec, named):
+        assert self.TOPO.total_workers == 4 and self.TOPO.num_levels == 1
+        with pytest.raises(ValueError, match=named):
+            ENGINES[engine](self.SCHED, VGG, self.TOPO,
+                            SimOptions(faults=parse_faults(spec)))
+
+    @pytest.mark.parametrize("engine", ["reference", "event"])
+    def test_in_range_accepted(self, engine):
+        faults = parse_faults("crash@0.05:w3, slow@0:w0:x2:d1, bw@0:x2:d1:l0")
+        sim = ENGINES[engine](self.SCHED, VGG, self.TOPO,
+                              SimOptions(faults=faults))
+        assert sim.halted_at == 0.05
+
+    def test_elastic_loop_inherits_the_check(self):
+        with pytest.raises(ValueError, match="worker 99"):
+            ElasticCoordinator(VGG, self.TOPO).run_with_recovery(
+                8, parse_faults("crash@0.05:w99"))
 
 
 # ----------------------------------------------------------------------
@@ -224,25 +291,52 @@ class TestBandwidthFactor:
 # 3. Engine equivalence under faults + crash-prefix semantics.
 # ----------------------------------------------------------------------
 
-@pytest.mark.chaos
-@pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_engines_agree_under_seeded_faults(seed):
-    """Straggler + bandwidth injection (no crash): both engines commit
-    the identical perturbed timeline."""
-    faults = FaultSchedule.generate(seed, num_workers=16, horizon=1.0,
-                                    crashes=0, stragglers=2, degradations=1)
-    assert faults  # non-empty, or the test guards nothing
-    assert_engines_identical(SCHED_15_1, VGG, TOPO_A,
-                             SimOptions(faults=faults))
+#: Every engine-equivalence scenario (sync modes, bucketing, NIC
+#: contention, 2BP, tp, stragglers), each with its own fault-free options.
+#: The engine and the oracle carry separate fault texts, so this matrix is
+#: what keeps them in step.
+FAULT_MATRIX = {**SCENARIOS, **TP_SCENARIOS}
+
+
+def seeded_case(name, seed, crashes):
+    """Scenario ``name`` with a seeded fault schedule whose windows (and
+    crash, if any) land inside its fault-free run, on workers that run ops
+    — a tp shard outside its group leader never commits one."""
+    sched, profile, topo, options = FAULT_MATRIX[name]()
+    clean = simulate(sched, profile, topo, with_faults(options, None))
+    workers = sched.table().workers
+    drawn = FaultSchedule.generate(seed, num_workers=len(workers),
+                                   horizon=clean.total_time, crashes=crashes)
+    faults = FaultSchedule([
+        dataclasses.replace(e, worker=workers[e.worker]) if e.worker >= 0
+        else e for e in drawn.events])
+    return clean, (sched, profile, topo, with_faults(options, faults))
 
 
 @pytest.mark.chaos
 @pytest.mark.parametrize("seed", CHAOS_SEEDS)
-def test_engines_agree_under_crash(seed):
-    faults = FaultSchedule.generate(seed, num_workers=16, horizon=1.0)
-    assert faults.halt_time is not None
-    assert_engines_identical(SCHED_15_1, VGG, TOPO_A,
-                             SimOptions(faults=faults))
+def test_engines_agree_under_seeded_faults(seed, subtests):
+    """Straggler + bandwidth injection (no crash) on every scenario: both
+    engines commit the identical perturbed timeline."""
+    for name in sorted(FAULT_MATRIX):
+        with subtests.test(scenario=name):
+            clean, case = seeded_case(name, seed, crashes=0)
+            faulted = assert_engines_identical(*case)
+            assert faulted.halted_at is None
+            assert faulted.records != clean.records  # the faults bit
+
+
+@pytest.mark.chaos
+@pytest.mark.parametrize("seed", CHAOS_SEEDS)
+def test_engines_agree_under_crash(seed, subtests):
+    """Stragglers, a degraded link and a mid-run crash on every scenario:
+    both engines halt at the same instant with the same prefix."""
+    for name in sorted(FAULT_MATRIX):
+        with subtests.test(scenario=name):
+            clean, case = seeded_case(name, seed, crashes=1)
+            faulted = assert_engines_identical(*case)
+            assert faulted.halted_at is not None
+            assert len(faulted.records) < len(clean.records)
 
 
 @pytest.mark.parametrize("engine", ["reference", "event"])
@@ -257,6 +351,20 @@ def test_crash_truncates_to_prefix(engine, crash_time):
     assert crashed.halted_at == crash_time
     expected = [r for r in clean.records if r.start < crash_time]
     assert crashed.records == expected
+
+
+@pytest.mark.parametrize("engine", ["reference", "event"])
+def test_crash_at_a_commit_instant_stops_it(engine):
+    """Nothing starts *at* the crash instant either: a crash landing
+    exactly on an op's start keeps that op out of the timeline."""
+    clean = ENGINES[engine](SCHED_15_1, VGG, TOPO_A)
+    crash_time = clean.records[len(clean.records) // 2].start
+    faults = FaultSchedule([FaultEvent("crash", crash_time, 5)])
+    crashed = ENGINES[engine](SCHED_15_1, VGG, TOPO_A,
+                              SimOptions(faults=faults))
+    assert crashed.records == [r for r in clean.records
+                               if r.start < crash_time]
+    assert len(crashed.records) < len(clean.records) // 2 + 1
 
 
 @pytest.mark.parametrize("engine", ["reference", "event"])

@@ -3,7 +3,9 @@
 Every scenario here runs the same schedule through the full-rescan oracle
 (``tests/oracles/sim_reference.py``) and the production engine (heap +
 wakeup lists) and asserts bitwise-identical results: the full OpRecord timeline, the
-aggregate busy/sync accounting, and the per-minibatch completion times.
+aggregate busy/sync accounting (exposed sync included), the per-minibatch
+completion times, and the crash halt instant.  ``tests/test_faults.py``
+re-runs every scenario here under seeded faults.
 The hypothesis case fuzzes profiles, stragglers, and NIC contention on
 top of the hand-picked regressions.
 
@@ -46,6 +48,9 @@ def assert_engines_identical(sched, profile, topo, options=None):
     assert evt.sync_busy == ref.sync_busy
     assert evt.compute_time_per_worker == ref.compute_time_per_worker
     assert evt.minibatch_done == ref.minibatch_done
+    assert evt.sync_exposed == ref.sync_exposed
+    assert evt.halted_at == ref.halted_at
+    return evt
 
 
 STAGES_16 = balanced_straight_stages(VGG, 16)
@@ -115,6 +120,12 @@ SCENARIOS = {
         one_f_one_b_rr_schedule([Stage(0, 10, 8), Stage(10, len(VGG), 8)], 48),
         VGG, TOPO_A,
         SimOptions(worker_speed={1: 0.6, 9: 1.9}, nic_contention=True)),
+    # Gradient bucketing on both replicated groups: per-bucket collectives
+    # fire mid-backward while stragglers skew the round members.
+    "bucketed_rr_8_8_stragglers": lambda: (
+        one_f_one_b_rr_schedule([Stage(0, 10, 8), Stage(10, len(VGG), 8)], 48),
+        VGG, TOPO_A,
+        SimOptions(worker_speed={2: 0.7, 12: 1.6}, bucket_bytes=25e6)),
 }
 
 
