@@ -58,10 +58,10 @@ def main() -> None:
     print(f"-> restored epoch {restored_epoch}, BLEU {restored_bleu:.1f} "
           "(training state survived the crash)")
 
-    # Measured communication (through the message board; per epoch).
-    print(f"\nMeasured pipeline traffic (final epoch): "
-          f"{trainer.board.bytes_sent / 1e6:.1f} MB over "
-          f"{trainer.board.messages} messages "
+    # Measured communication, accounted by the trainer's network.
+    print(f"\nMeasured pipeline traffic (all epochs): "
+          f"{trainer.network.total_bytes / 1e6:.1f} MB over "
+          f"{trainer.network.total_messages} messages "
           "(activations + gradients, counted by the comm substrate)")
 
 

@@ -8,10 +8,10 @@ performance simulator can interpret the same schedule.
 
 The builders emit a schedule as a :class:`ScheduleTable` — three parallel
 int columns (kind code, stage, minibatch) per worker, produced by slice
-arithmetic — which the simulator reads directly.
-:attr:`Schedule.worker_ops`, the per-worker :class:`Op` lists the trainers
-and :func:`validate_schedule` read, is built from the table on first
-access.
+arithmetic — which the simulator and the trainers read directly
+(:func:`lockstep_walk` drives a table in dependency order).
+:attr:`Schedule.worker_ops`, the per-worker :class:`Op` lists
+:func:`validate_schedule` reads, is built from the table on first access.
 
 1F1B generation: the startup phase admits NOAM minibatches per input-stage
 replica, after which every worker strictly alternates between forward and
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from repro.core.partition import Stage
 
@@ -549,45 +549,62 @@ def validate_schedule(schedule: Schedule) -> None:
 
 
 def _check_executable(schedule: Schedule) -> None:
-    """Verify the static schedule is deadlock-free.
+    """Verify the static schedule is deadlock-free (a stalled walk raises)."""
+    for _ in lockstep_walk(schedule):
+        pass
 
-    Greedily executes ops respecting the cross-worker data dependencies
-    (forward chain downstream, backward chain upstream, last-stage backward
-    after its own forward).  If no worker can make progress while ops
-    remain, the schedule would hang a real pipeline.
+
+def op_ready(done: Set[Tuple[int, int, int]], last_stage: int,
+             kind: int, stage: int, minibatch: int) -> bool:
+    """Whether an op's cross-worker input exists, given the ``(kind,
+    stage, minibatch)`` codes of the ops already run.
+
+    A FORWARD needs its minibatch's forward on the stage before; a
+    BACKWARD needs the backward on the stage after (on the output stage,
+    its own forward).  BACKWARD_W and UPDATE follow their backward on the
+    same worker, so they are ready once reached.
     """
+    if kind == FWD:
+        return stage == 0 or (FWD, stage - 1, minibatch) in done
+    if kind == BWD:
+        if stage == last_stage:
+            return (FWD, stage, minibatch) in done
+        return (BWD, stage + 1, minibatch) in done
+    return True
+
+
+def lockstep_walk(schedule: Schedule) -> Iterator[Tuple[int, int, int, int]]:
+    """Run ``schedule``'s table in lockstep sweeps, yielding each op as it runs.
+
+    Every sweep visits the workers in ascending id order and runs at most
+    one op per worker — its next one, if :func:`op_ready`.  Yields
+    ``(worker, kind code, stage, minibatch)``; the op counts as done once
+    the consumer resumes the walk.  Readiness only ever grows, so a sweep
+    that runs nothing means no order could finish the schedule: the walk
+    then raises ``ValueError`` naming each blocked worker's next op.
+    """
+    table = schedule.table()
     last_stage = schedule.num_stages - 1
-    counters = {worker: 0 for worker in schedule.worker_ops}
-    done_f: set = set()
-    done_b: set = set()
-
-    def ready(op: Op) -> bool:
-        if op.kind == OpKind.FORWARD:
-            return op.stage == 0 or (op.stage - 1, op.minibatch) in done_f
-        if op.kind == OpKind.BACKWARD:
-            if op.stage == last_stage:
-                return (op.stage, op.minibatch) in done_f
-            return (op.stage + 1, op.minibatch) in done_b
-        # UPDATE and BACKWARD_W follow their backward on the same worker
-        return True
-
-    remaining = sum(len(ops) for ops in schedule.worker_ops.values())
+    ranks = sorted(range(len(table.workers)), key=table.workers.__getitem__)
+    pointers = [0] * len(table.workers)
+    done: Set[Tuple[int, int, int]] = set()
+    remaining = sum(map(len, table.kinds))
     while remaining:
         progressed = False
-        for worker, ops in schedule.worker_ops.items():
-            while counters[worker] < len(ops) and ready(ops[counters[worker]]):
-                op = ops[counters[worker]]
-                if op.kind == OpKind.FORWARD:
-                    done_f.add((op.stage, op.minibatch))
-                elif op.kind == OpKind.BACKWARD:
-                    done_b.add((op.stage, op.minibatch))
-                counters[worker] += 1
-                remaining -= 1
-                progressed = True
+        for rank in ranks:
+            i = pointers[rank]
+            if i == len(table.kinds[rank]):
+                continue
+            op = table.kinds[rank][i], table.stages[rank][i], table.minibatches[rank][i]
+            if not op_ready(done, last_stage, *op):
+                continue
+            yield (table.workers[rank], *op)
+            done.add(op)
+            pointers[rank] = i + 1
+            remaining -= 1
+            progressed = True
         if not progressed:
-            stuck = {
-                worker: ops[counters[worker]]
-                for worker, ops in schedule.worker_ops.items()
-                if counters[worker] < len(ops)
-            }
-            raise ValueError(f"schedule deadlocks; blocked ops: {stuck}")
+            blocked = {table.workers[rank]: table.ops(rank)[i]
+                       for rank, i in enumerate(pointers)
+                       if i < len(table.kinds[rank])}
+            raise ValueError(f"schedule deadlocks; blocked ops: {blocked}")

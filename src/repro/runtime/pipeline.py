@@ -2,11 +2,19 @@
 
 The trainer materializes each stage replica as an independent module copy
 with its own :class:`~repro.core.stashing.WeightStore` and optimizer, then
-executes the static 1F1B-RR schedule with logical workers (round-robin
-sweeps, one op per worker per sweep — a lockstep approximation of wall-clock
-interleaving).  Activation and gradient "messages" are numpy arrays handed
-between stages; minibatch routing follows the deterministic round-robin rule
-so a minibatch's forward and backward run on the same replica.
+executes the static 1F1B-RR schedule's table.  One interpreter, two
+drivers: :meth:`PipelineTrainer._run_op` runs one table op (kind, stage,
+minibatch codes) and is all the code that gives ops their meaning; this
+class drives it with logical workers in lockstep sweeps
+(:func:`~repro.core.schedule.lockstep_walk`: one ready op per worker per
+sweep, an approximation of wall-clock interleaving), and
+:class:`~repro.runtime.threaded.ThreadedPipelineTrainer` with one thread
+per worker.  Activation and gradient "messages" are numpy arrays sent
+through the trainer's accounted :class:`~repro.comm.Network` (for the
+threaded driver, its blocking subclass); minibatch routing follows the deterministic round-robin rule so a minibatch's forward
+and backward run on the same replica.  Both drivers are bitwise-equal on
+pipelines without replicated stages, for every schedule family, precision,
+weight policy and accumulation window.
 
 Weight policies (§3.3):
 
@@ -21,7 +29,9 @@ Weight policies (§3.3):
 
 Replicated stages synchronize gradients per round (one sweep of replicas),
 averaging across replicas and applying the same update everywhere, mirroring
-PyTorch DDP semantics over each stage (§4 "Stage Replication").
+PyTorch DDP semantics over each stage (§4 "Stage Replication").  The round
+is reduced at the UPDATE of its last member; under the threaded driver every
+member's UPDATE waits for that reduction.
 """
 
 from __future__ import annotations
@@ -39,9 +49,12 @@ from repro.comm import Network, ring_allreduce
 from repro.core.partition import Stage
 from repro.core.profile import PRECISION_BYTES
 from repro.core.schedule import (
-    Op,
-    OpKind,
+    BWD,
+    BWD_W,
+    FWD,
+    UPD,
     Schedule,
+    lockstep_walk,
     one_f_one_b_rr_schedule,
     schedule_for_family,
 )
@@ -294,6 +307,36 @@ class _StageReplica:
         return versions + activations
 
 
+class _Run:
+    """The state one schedule execution shares across its workers."""
+
+    def __init__(self, schedule: Schedule, batches):
+        self.schedule = schedule
+        self.batches = batches
+        self.replica_of = {w: q for workers in schedule.stage_workers.values()
+                           for q, w in enumerate(workers)}
+        self.pins: Dict[int, int] = {}
+        self.losses: List[Optional[float]] = [None] * len(batches)
+        # One slot per (stage, update round), made up front, of
+        # (minibatch, grads) contributions: workers only append to a slot
+        # (one atomic append each) and its commit deletes it, so threads
+        # sharing this dict never check-then-insert.
+        self.round_grads: Dict[Tuple[int, int],
+                               List[Tuple[int, Dict[str, np.ndarray]]]] = {
+            (s, rnd): [] for s, stage in enumerate(schedule.stages)
+            for rnd in range(-(-len(batches) // stage.replicas))}
+        # The scale each minibatch's loss was multiplied by (1.0 unless
+        # AMP), captured at its output-stage backward — upstream gradients
+        # inherit it through the chain rule — so each round member is
+        # unscaled individually before averaging.
+        self.mb_scale: Dict[int, float] = {}
+        # 2BP (backward-split) schedules: the grad-input half (BWD) sends
+        # the upstream gradient immediately; the parameter gradients sit
+        # here until the trailing grad-weight op (BWD_W) joins them to the
+        # update round.
+        self.pending_w: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+
+
 @dataclass
 class PipelineStats:
     """Diagnostics collected during pipelined training."""
@@ -390,12 +433,6 @@ class PipelineTrainer:
         # chunks) flows through one accounted network, so measured volumes
         # can be checked against the Figure 17 model.
         self.network = Network()
-        self._worker_of: Dict[Tuple[int, int], int] = {}
-        next_worker = 0
-        for s, stage in enumerate(self.stages):
-            for q in range(stage.replicas):
-                self._worker_of[(s, q)] = next_worker
-                next_worker += 1
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -430,8 +467,7 @@ class PipelineTrainer:
         ``schedule_family="1f1b"`` (default) executes the classic 1F1B-RR
         schedule unchanged; ``"2bp"`` splits every backward into a
         grad-input op (which unblocks the upstream stage) and a deferred
-        grad-weight op (:data:`OpKind.BACKWARD_W`) that commits the
-        parameter gradients.
+        grad-weight op that commits the parameter gradients.
         """
         schedule = one_f_one_b_rr_schedule(self.stages, len(batches))
         schedule = schedule_for_family(schedule, schedule_family)
@@ -441,153 +477,87 @@ class PipelineTrainer:
         return self.train_minibatches(list(batches))
 
     def _execute(self, schedule: Schedule, batches) -> float:
-        stages = self.stages
-        last = self.num_stages - 1
-        worker_stage: Dict[int, Tuple[int, int]] = {}
-        for s, workers in schedule.stage_workers.items():
-            for q, w in enumerate(workers):
-                worker_stage[w] = (s, q)
+        run = _Run(schedule, batches)
+        for worker, kind, stage, minibatch in lockstep_walk(schedule):
+            self._run_op(run, worker, kind, stage, minibatch)
+        return self._finish(run)
 
-        done_f: set = set()
-        done_b: set = set()
-        pins: Dict[int, int] = {}
-        round_grads: Dict[Tuple[int, int], List[Dict[str, np.ndarray]]] = defaultdict(list)
-        pointers = {w: 0 for w in schedule.worker_ops}
-        losses: List[Optional[float]] = [None] * len(batches)
+    def _run_op(self, run: _Run, worker: int, kind: int, s: int, b: int) -> None:
+        """Run one schedule-table op — ``kind`` code at stage ``s`` on
+        minibatch ``b`` — on ``worker``, messaging through ``self.network``."""
+        replica = self.replicas[s][run.replica_of[worker]]
+        peer = run.schedule.replica_for
+        network = self.network
         fp16 = self.precision == "fp16"
-        # AMP bookkeeping: the scale each minibatch's loss was multiplied
-        # by (captured at its output-stage backward — upstream gradients
-        # inherit it through the chain rule), collected per update round so
-        # round members can be unscaled individually before averaging.
-        mb_scale: Dict[int, float] = {}
-        round_scales: Dict[Tuple[int, int], List[float]] = defaultdict(list)
-        # 2BP (backward-split) schedules: the grad-input half (BACKWARD)
-        # sends the upstream gradient immediately; the parameter gradients
-        # sit here until the trailing grad-weight op (BACKWARD_W) commits
-        # them to the update round.
-        split = schedule.backward_split
-        pending_w: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
-
-        def ready(op: Op) -> bool:
-            if op.kind == OpKind.FORWARD:
-                return op.stage == 0 or (op.stage - 1, op.minibatch) in done_f
-            if op.kind == OpKind.BACKWARD:
-                if op.stage == last:
-                    return (op.stage, op.minibatch) in done_f
-                return (op.stage + 1, op.minibatch) in done_b
-            return True
-
-        def execute(worker: int, op: Op) -> None:
-            s, b = op.stage, op.minibatch
-            stage_idx, replica_idx = worker_stage[worker]
-            assert stage_idx == s
-            replica = self.replicas[s][replica_idx]
-            me = self._worker_of[(s, replica_idx)]
-            if op.kind == OpKind.FORWARD:
-                if s == 0:
-                    x = batches[b][0]
-                else:
-                    upstream = self._worker_of[(s - 1, b % stages[s - 1].replicas)]
-                    x = self.network.recv(upstream, me, ("act", s - 1, b))
-                out, version = replica.forward(
-                    b, x, first_stage=(s == 0), pinned=pins.get(b)
-                )
-                if s == 0 and self.policy == "vertical_sync":
-                    pins[b] = version
-                self.stats.forward_versions[(s, b)] = version
-                if s < last:
-                    downstream = self._worker_of[(s + 1, b % stages[s + 1].replicas)]
-                    if fp16:
-                        out = cast_payload_fp16(out)
-                    self.network.send(me, downstream, ("act", s, b), out)
-                done_f.add((s, b))
-                self._track_memory(worker, replica)
-            elif op.kind == OpKind.BACKWARD:
-                if s == last:
-                    scale = self.grad_scaler.scale if fp16 else 1.0
-                    mb_scale[b] = scale
-                    grad_in, grads, loss = replica.backward(
-                        b, None, loss_fn=self.loss_fn, target=batches[b][1],
-                        loss_scale=scale,
-                    )
-                    losses[b] = loss
-                else:
-                    downstream = self._worker_of[(s + 1, b % stages[s + 1].replicas)]
-                    grad_out = self.network.recv(downstream, me, ("grad", s, b))
-                    if fp16:
-                        grad_out = upcast_payload(grad_out)
-                    grad_in, grads, _ = replica.backward(b, grad_out)
-                if s > 0:
-                    upstream = self._worker_of[(s - 1, b % stages[s - 1].replicas)]
-                    if fp16:
-                        grad_in = cast_payload_fp16(grad_in)
-                    self.network.send(me, upstream, ("grad", s - 1, b), grad_in)
-                done_b.add((s, b))
-                if split:
-                    pending_w[(s, b)] = grads
-                else:
-                    rnd = b // stages[s].replicas
-                    round_grads[(s, rnd)].append(grads)
-                    if fp16:
-                        round_scales[(s, rnd)].append(mb_scale[b])
-            elif op.kind == OpKind.BACKWARD_W:
-                rnd = b // stages[s].replicas
-                round_grads[(s, rnd)].append(pending_w.pop((s, b)))
+        last = self.num_stages - 1
+        if kind == FWD:
+            if s == 0:
+                x = run.batches[b][0]
+            else:
+                x = network.recv(peer(s - 1, b), worker, ("act", s - 1, b))
+            out, version = replica.forward(
+                b, x, first_stage=(s == 0), pinned=run.pins.get(b)
+            )
+            if s == 0 and self.policy == "vertical_sync":
+                run.pins[b] = version
+            self.stats.forward_versions[(s, b)] = version
+            if s < last:
                 if fp16:
-                    round_scales[(s, rnd)].append(mb_scale[b])
-            else:  # UPDATE
-                self._maybe_apply_round(
-                    s, b, len(batches), round_grads,
-                    round_scales if fp16 else None,
+                    out = cast_payload_fp16(out)
+                network.send(worker, peer(s + 1, b), ("act", s, b), out)
+            self._track_memory(worker, replica)
+        elif kind == BWD:
+            if s == last:
+                scale = self.grad_scaler.scale if fp16 else 1.0
+                run.mb_scale[b] = scale
+                grad_in, grads, run.losses[b] = replica.backward(
+                    b, None, loss_fn=self.loss_fn, target=run.batches[b][1],
+                    loss_scale=scale,
                 )
+            else:
+                grad_out = network.recv(peer(s + 1, b), worker, ("grad", s, b))
+                if fp16:
+                    grad_out = upcast_payload(grad_out)
+                grad_in, grads, _ = replica.backward(b, grad_out)
+            if s > 0:
+                if fp16:
+                    grad_in = cast_payload_fp16(grad_in)
+                network.send(worker, peer(s - 1, b), ("grad", s - 1, b), grad_in)
+            run.pending_w[(s, b)] = grads
+            if not run.schedule.backward_split:
+                kind = BWD_W  # an unsplit backward is its own grad-weight op
+        if kind == BWD_W:
+            rnd = b // self.stages[s].replicas
+            run.round_grads[(s, rnd)].append((b, run.pending_w.pop((s, b))))
+        elif kind == UPD:
+            self._maybe_apply_round(run, s, b)
 
-        remaining = sum(len(ops) for ops in schedule.worker_ops.values())
-        while remaining:
-            progressed = False
-            for worker in sorted(schedule.worker_ops):
-                idx = pointers[worker]
-                ops = schedule.worker_ops[worker]
-                if idx >= len(ops) or not ready(ops[idx]):
-                    continue
-                execute(worker, ops[idx])
-                pointers[worker] += 1
-                remaining -= 1
-                progressed = True
-            if not progressed:
-                raise RuntimeError("pipeline execution deadlocked")
-
-        recorded = [l for l in losses if l is not None]
+    def _finish(self, run: _Run) -> float:
+        recorded = [l for l in run.losses if l is not None]
         mean = float(np.mean(recorded)) if recorded else math.nan
         self.stats.losses.extend(recorded)
         self.stats.mean_loss = mean
         return mean
 
-    def _maybe_apply_round(
-        self,
-        stage: int,
-        minibatch: int,
-        num_minibatches: int,
-        round_grads: Dict[Tuple[int, int], List[Dict[str, np.ndarray]]],
-        round_scales: Optional[Dict[Tuple[int, int], List[float]]] = None,
-    ) -> None:
+    def _maybe_apply_round(self, run: _Run, stage: int, minibatch: int) -> None:
         replicas = self.stages[stage].replicas
         rnd = minibatch // replicas
+        num_minibatches = len(run.batches)
         members = max(1, min(replicas, num_minibatches - rnd * replicas))
-        grads_list = round_grads[(stage, rnd)]
-        if len(grads_list) < members:
+        contributions = run.round_grads.get((stage, rnd), ())
+        if len(contributions) < members:
             return
         is_last_round = (rnd + 1) * replicas >= num_minibatches
-        if round_scales is not None:
-            # AMP: every member was produced under its own loss scale (the
-            # scale may move between update rounds); unscale each before
-            # averaging.  inf/nan survive the division, so overflow in the
-            # scaled fp16 gradients is still visible afterwards.
-            scales = round_scales.pop((stage, rnd))
-            grads_list = [
-                {name: g / scale for name, g in grads.items()}
-                if scale != 1.0 else grads
-                for grads, scale in zip(grads_list, scales)
-            ]
+        # AMP: every member was produced under its own loss scale (the
+        # scale may move between update rounds); unscale each before
+        # averaging.  inf/nan survive the division, so overflow in the
+        # scaled fp16 gradients is still visible afterwards.
+        grads_list = [
+            {name: g / run.mb_scale[b] for name, g in grads.items()}
+            if run.mb_scale[b] != 1.0 else grads
+            for b, grads in contributions
+        ]
+        if self.precision == "fp16":
             overflow = any(
                 not np.isfinite(g).all()
                 for grads in grads_list for g in grads.values()
@@ -600,7 +570,7 @@ class PipelineTrainer:
                 self.grad_scaler.update(overflow)
                 self.stats.loss_scale.append(self.grad_scaler.scale)
             if overflow:
-                del round_grads[(stage, rnd)]
+                del run.round_grads[(stage, rnd)]
                 self.stats.skipped_updates[stage] = (
                     self.stats.skipped_updates.get(stage, 0) + 1)
                 if is_last_round:
@@ -613,7 +583,7 @@ class PipelineTrainer:
             # accounted network (each replica ships 2(m-1)/m of its grads).
             reduced = ring_allreduce(grads_list, self.network, average=True)
             averaged = reduced[0]
-        del round_grads[(stage, rnd)]
+        del run.round_grads[(stage, rnd)]
         self._pending_rounds[stage].append(averaged)
         if len(self._pending_rounds[stage]) < self.gradient_accumulation and not is_last_round:
             return  # aggregate more rounds before touching the weights

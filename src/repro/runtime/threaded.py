@@ -1,234 +1,140 @@
 """A truly concurrent pipeline runtime: one OS thread per worker.
 
-Where :class:`~repro.runtime.pipeline.PipelineTrainer` steps logical workers
-in lockstep sweeps, this runtime gives every worker its own thread running
-its static 1F1B-RR op list, blocking on a message board for activations and
-gradients — the same execution structure a multi-GPU deployment has (numpy
-releases the GIL inside large kernels, so stages genuinely overlap).
+One interpreter, two drivers: where :class:`~repro.runtime.pipeline.
+PipelineTrainer` steps its workers in lockstep sweeps, this runtime runs
+each schedule-table row on its own thread through the same per-op code
+(``PipelineTrainer._run_op``), blocking on a :class:`MessageBoard` for
+activations and gradients, as a multi-GPU deployment does.  Only
+concurrency is added: round commits take one lock (``ring_allreduce``
+numbers its channels by rank, so two stages reducing at once would
+cross-talk), and a replica's UPDATE returns only once its round has been
+reduced or skipped, so a commit never races a replica's own forward.
 
-Determinism: for *straight* pipelines every weight version is decided by
-the per-worker op order alone (§3.3 and `tests/test_runtime_pipeline.py`),
-so the threaded runtime produces bitwise-identical weights to the logical
-one — asserted by the test suite.  For replicated stages, cross-thread
-update application races with in-flight forwards exactly as on real
-hardware; replicas are kept consistent with per-replica locks, and the
-round synchronization uses a barrier on the contributing replicas.
+Without replicated stages every weight version is decided by each worker's
+own op order, so this runtime is bitwise-equal to the logical one (losses,
+weights, ``forward_versions``, peak memory stats, ``loss_scale``,
+``skipped_updates``, traffic) for every schedule family, precision, weight
+policy and accumulation window.  Replicated stages reduce rounds in
+arrival order, as on real hardware; replicas still commit identical weights.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Optional
 
-import numpy as np
-
-from repro.core.partition import Stage
-from repro.core.schedule import OpKind, one_f_one_b_rr_schedule
-from repro.runtime.pipeline import PipelineTrainer
+from repro.comm import Network
+from repro.runtime.pipeline import PipelineTrainer, _Run
 
 
-class MessageBoard:
-    """Tagged blocking rendezvous: ``get`` waits until ``put`` lands.
+class MessageBoard(Network):
+    """A :class:`~repro.comm.Network` that worker threads share.
 
-    Counts messages and payload bytes so the threaded runtime's traffic is
-    observable like the logical runtime's :class:`~repro.comm.Network`.
+    ``send`` and ``recv`` keep Network's signatures and accounting, under
+    one lock; ``recv`` waits up to ``timeout`` seconds for the matching
+    ``send`` instead of raising ``LookupError``.  :meth:`fail` wakes every
+    waiter with an error.
     """
 
     def __init__(self):
-        self._items: Dict[Tuple, object] = {}
+        super().__init__()
+        self.timeout = 60.0
+        self.failed: Optional[BaseException] = None
         self._condition = threading.Condition()
-        self._failed: Optional[BaseException] = None
-        self.messages = 0
-        self.bytes_sent = 0
 
-    def put(self, tag: Tuple, payload) -> None:
-        from repro.comm.channel import _payload_bytes
-
+    def send(self, src: int, dst: int, tag, payload) -> None:
         with self._condition:
-            self._items[tag] = payload
-            self.messages += 1
-            self.bytes_sent += _payload_bytes(payload)
+            super().send(src, dst, tag, payload)
             self._condition.notify_all()
 
-    def get(self, tag: Tuple, timeout: float = 60.0):
+    def recv(self, src: int, dst: int, tag=None):
+        received = []
+
+        def landed() -> bool:
+            try:
+                received.append(Network.recv(self, src, dst, tag))
+            except LookupError:
+                return self.failed is not None
+            return True
+
         with self._condition:
-            deadline_ok = self._condition.wait_for(
-                lambda: tag in self._items or self._failed is not None,
-                timeout=timeout,
-            )
-            if self._failed is not None:
-                raise RuntimeError("a worker thread failed") from self._failed
-            if not deadline_ok:
-                raise TimeoutError(f"no message tagged {tag} within {timeout}s")
-            return self._items.pop(tag)
+            if not self._condition.wait_for(landed, timeout=self.timeout):
+                raise TimeoutError(f"no message {tag} from worker {src} to "
+                                   f"{dst} within {self.timeout}s")
+        if not received:
+            raise RuntimeError("a worker thread failed") from self.failed
+        return received[0]
 
     def fail(self, error: BaseException) -> None:
+        """Record the run's first error and wake every waiter."""
         with self._condition:
-            self._failed = error
+            self.failed = self.failed or error
             self._condition.notify_all()
 
-
-class _RoundSync:
-    """Per-stage gradient round synchronization across replica threads."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._condition = threading.Condition(self._lock)
-        self._rounds: Dict[int, List[Dict[str, np.ndarray]]] = defaultdict(list)
-        self._results: Dict[int, Dict[str, np.ndarray]] = {}
-
-    def submit(self, rnd: int, grads: Dict[str, np.ndarray], members: int,
-               timeout: float = 60.0) -> Dict[str, np.ndarray]:
-        """Contribute this replica's gradients; block until the round's
-        average is available; return it."""
+    def reset(self) -> None:
+        """Forget a failed run's error and queued messages; counters stay."""
         with self._condition:
-            self._rounds[rnd].append(grads)
-            if len(self._rounds[rnd]) == members:
-                contributions = self._rounds.pop(rnd)
-                if members == 1:
-                    averaged = contributions[0]
-                else:
-                    averaged = {
-                        name: sum(g[name] for g in contributions) / members
-                        for name in contributions[0]
-                    }
-                self._results[rnd] = averaged
-                self._condition.notify_all()
-            else:
-                if not self._condition.wait_for(
-                    lambda: rnd in self._results, timeout=timeout
-                ):
-                    raise TimeoutError(f"gradient round {rnd} never completed")
-            return self._results[rnd]
+            self.failed = None
+            for channel in self._channels.values():
+                while channel:
+                    channel.recv()
 
 
 class ThreadedPipelineTrainer(PipelineTrainer):
     """PipeDream execution with one thread per stage replica.
 
     Same constructor and semantics as :class:`PipelineTrainer`; only the
-    execution engine differs.  ``worker_timeout`` bounds how long a thread
-    waits for upstream data before declaring the pipeline wedged.
+    driver differs, and ``network`` is a :class:`MessageBoard`.
+    ``worker_timeout`` bounds how long a thread waits for a message or an
+    update round before declaring the pipeline wedged.
     """
 
     def __init__(self, *args, worker_timeout: float = 60.0, **kwargs):
         super().__init__(*args, **kwargs)
-        self.worker_timeout = worker_timeout
-        self._replica_locks = {
-            (s, q): threading.Lock()
-            for s in range(self.num_stages)
-            for q in range(self.stages[s].replicas)
-        }
+        self.network = MessageBoard()
+        self.network.timeout = self.worker_timeout = worker_timeout
+        self._commits = threading.Condition()
 
-    # ------------------------------------------------------------------
     def _execute(self, schedule, batches) -> float:
-        stages = self.stages
-        last = self.num_stages - 1
-        board = MessageBoard()
-        self.board = board  # exposed for traffic accounting
-        round_syncs = [_RoundSync() for _ in stages]
-        losses: List[Optional[float]] = [None] * len(batches)
-        pins: Dict[int, int] = {}
-        pins_lock = threading.Lock()
-        errors: List[BaseException] = []
+        run = _Run(schedule, batches)
+        table = schedule.table()
+        self.network.reset()
 
-        worker_stage: Dict[int, Tuple[int, int]] = {}
-        for s, workers in schedule.stage_workers.items():
-            for q, w in enumerate(workers):
-                worker_stage[w] = (s, q)
-
-        def run_worker(worker: int) -> None:
-            s, q = worker_stage[worker]
-            replica = self.replicas[s][q]
-            lock = self._replica_locks[(s, q)]
-            pending_grads: Dict[str, np.ndarray] = {}
-            accumulated: List[Dict[str, np.ndarray]] = []
-            updates_left = sum(
-                1 for op in schedule.worker_ops[worker] if op.kind == OpKind.UPDATE
-            )
+        def work(rank: int, worker: int) -> None:
             try:
-                for op in schedule.worker_ops[worker]:
-                    b = op.minibatch
-                    if op.kind == OpKind.FORWARD:
-                        if s == 0:
-                            x = batches[b][0]
-                        else:
-                            x = board.get(("act", s - 1, b),
-                                          timeout=self.worker_timeout)
-                        with pins_lock:
-                            pinned = pins.get(b)
-                        with lock:
-                            out, version = replica.forward(
-                                b, x, first_stage=(s == 0), pinned=pinned)
-                        if s == 0 and self.policy == "vertical_sync":
-                            with pins_lock:
-                                pins[b] = version
-                        self.stats.forward_versions[(s, b)] = version
-                        if s < last:
-                            board.put(("act", s, b), out)
-                    elif op.kind == OpKind.BACKWARD:
-                        if s == last:
-                            with lock:
-                                grad_in, grads, loss = replica.backward(
-                                    b, None, loss_fn=self.loss_fn,
-                                    target=batches[b][1])
-                            losses[b] = loss
-                        else:
-                            grad_out = board.get(("grad", s, b),
-                                                 timeout=self.worker_timeout)
-                            with lock:
-                                grad_in, grads, _ = replica.backward(b, grad_out)
-                        if s > 0:
-                            board.put(("grad", s - 1, b), grad_in)
-                        pending_grads = grads  # handed to the next UPDATE op
-                    else:  # UPDATE
-                        rnd = b // stages[s].replicas
-                        members = max(
-                            1, min(stages[s].replicas,
-                                   len(batches) - rnd * stages[s].replicas))
-                        averaged = round_syncs[s].submit(
-                            rnd, pending_grads, members,
-                            timeout=self.worker_timeout)
-                        # Gradient aggregation (§3.3): every replica sees the
-                        # same round averages in the same order, so local
-                        # accumulation stays replica-consistent.
-                        accumulated.append(averaged)
-                        updates_left -= 1
-                        if (len(accumulated) >= self.gradient_accumulation
-                                or updates_left == 0):
-                            if len(accumulated) > 1:
-                                averaged = {
-                                    name: sum(g[name] for g in accumulated)
-                                    / len(accumulated)
-                                    for name in accumulated[0]
-                                }
-                            else:
-                                averaged = accumulated[0]
-                            accumulated.clear()
-                            with lock:
-                                replica.apply_update(averaged)
+                for op in zip(table.kinds[rank], table.stages[rank],
+                              table.minibatches[rank]):
+                    self._run_op(run, worker, *op)
             except BaseException as error:
-                # Record and wake every blocked peer; the coordinating
-                # thread re-raises after join, so no bare thread exception.
-                errors.append(error)
-                board.fail(error)
+                # Wake every blocked peer; re-raised after join.
+                self.network.fail(error)
+                with self._commits:
+                    self._commits.notify_all()
 
-        threads = [
-            threading.Thread(target=run_worker, args=(worker,), daemon=True,
-                             name=f"pipedream-worker-{worker}")
-            for worker in schedule.worker_ops
-        ]
+        threads = [threading.Thread(target=work, args=row, daemon=True,
+                                    name=f"pipedream-worker-{row[1]}")
+                   for row in enumerate(table.workers)]
         for thread in threads:
             thread.start()
         for thread in threads:
             thread.join(timeout=self.worker_timeout * 4)
-        if errors:
-            raise RuntimeError("pipeline worker failed") from errors[0]
+        if self.network.failed is not None:
+            raise RuntimeError("pipeline worker failed") from self.network.failed
         if any(thread.is_alive() for thread in threads):
             raise TimeoutError("pipeline workers did not finish")
+        return self._finish(run)
 
-        recorded = [l for l in losses if l is not None]
-        mean = float(np.mean(recorded)) if recorded else float("nan")
-        self.stats.losses.extend(recorded)
-        self.stats.mean_loss = mean
-        return mean
+    def _maybe_apply_round(self, run: _Run, stage: int, minibatch: int) -> None:
+        """Commit under the one lock; return once this round is reduced."""
+        key = (stage, minibatch // self.stages[stage].replicas)
+        with self._commits:
+            super()._maybe_apply_round(run, stage, minibatch)
+            self._commits.notify_all()
+            reduced = self._commits.wait_for(
+                lambda: key not in run.round_grads or self.network.failed,
+                timeout=self.worker_timeout)
+        if self.network.failed is not None:
+            raise RuntimeError("a worker thread failed") from self.network.failed
+        if not reduced:
+            raise TimeoutError(f"update round {key[1]} of stage {stage} "
+                               "never completed")

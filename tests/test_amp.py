@@ -25,6 +25,7 @@ from repro.runtime import (
     GradScaler,
     PipelineTrainer,
     SequentialTrainer,
+    ThreadedPipelineTrainer,
     fit,
 )
 from repro.runtime.amp import (
@@ -321,14 +322,46 @@ class TestPipelineAmp:
         accounted boundary traffic shrinks by the element-width ratio
         (the reference engine computes in float64, so 8 -> 2 bytes)."""
         batches = _batches()
-        m32, m16 = _mlp(), _mlp()
-        t32 = PipelineTrainer(m32, _stages(m32), LOSS,
+        for trainer_cls in (PipelineTrainer, ThreadedPipelineTrainer):
+            m32, m16 = _mlp(), _mlp()
+            t32 = trainer_cls(m32, _stages(m32), LOSS,
                               lambda ps: SGD(ps, lr=0.1))
-        t16 = PipelineTrainer(m16, _stages(m16), LOSS,
+            t16 = trainer_cls(m16, _stages(m16), LOSS,
                               lambda ps: SGD(ps, lr=0.1), precision="fp16")
-        t32.train_epoch(batches)
-        t16.train_epoch(batches)
-        assert t16.network.total_bytes == t32.network.total_bytes / 4
+            t32.train_epoch(batches)
+            t16.train_epoch(batches)
+            assert t32.network.total_bytes > 0, trainer_cls
+            assert t16.network.total_bytes == t32.network.total_bytes / 4, (
+                trainer_cls)
+
+    # The oversized scale overflows, and inf crosses stage boundaries.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_threaded_fp16_bitwise_equals_logical(self):
+        """One interpreter: loss scaling, fp16 payloads and overflow skips
+        behave identically under the threaded driver."""
+        batches = _batches()
+        trainers = []
+        for trainer_cls in (PipelineTrainer, ThreadedPipelineTrainer):
+            model = _mlp()
+            trainer = trainer_cls(
+                model, _stages(model), LOSS, lambda ps: SGD(ps, lr=0.1),
+                precision="fp16", grad_scaler=GradScaler(init_scale=2.0 ** 20),
+            )
+            for _ in range(3):
+                trainer.train_epoch(batches)
+            trainers.append(trainer)
+        logical, threaded = trainers
+        # Some rounds skip, then the backed-off scale lets updates land.
+        assert sum(logical.stats.skipped_updates.values()) > 0
+        assert min(logical.stage_versions()) > 0
+        assert threaded.stats.losses == logical.stats.losses
+        assert threaded.stats.loss_scale == logical.stats.loss_scale
+        assert threaded.stats.skipped_updates == logical.stats.skipped_updates
+        assert threaded.stage_versions() == logical.stage_versions()
+        for s in range(2):
+            for a, b in zip(logical.replicas[s][0].module.parameters(),
+                            threaded.replicas[s][0].module.parameters()):
+                assert np.array_equal(a.data, b.data)
 
     def test_fp16_pipeline_matches_fp32_loss(self):
         batches = _batches()

@@ -15,7 +15,10 @@ from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
-from repro.runtime import PipelineTrainer
+from repro.runtime import PipelineTrainer, ThreadedPipelineTrainer
+
+#: Both drivers of the one op interpreter account traffic identically.
+TRAINERS = (PipelineTrainer, ThreadedPipelineTrainer)
 
 
 class TestChannel:
@@ -194,32 +197,36 @@ class TestRuntimeAccounting:
         self.batches = [(X[i * 12 : (i + 1) * 12], y[i * 12 : (i + 1) * 12])
                         for i in range(8)]
 
-    def _train(self, stages):
+    def _train(self, stages, trainer_cls=PipelineTrainer):
         model = build_mlp(rng=np.random.default_rng(40))
-        trainer = PipelineTrainer(model, stages, CrossEntropyLoss(),
-                                  lambda ps: SGD(ps, lr=0.05))
+        trainer = trainer_cls(model, stages, CrossEntropyLoss(),
+                              lambda ps: SGD(ps, lr=0.05))
         trainer.train_minibatches(self.batches)
         return trainer
 
     def test_straight_pipeline_measured_bytes(self):
         """Measured boundary traffic == 2 a_s per minibatch per boundary."""
         stages = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)]
-        trainer = self._train(stages)
-        # fc1/fc2 output 32 float64 features x 12 samples = 3072 bytes; one
-        # activation + one gradient per boundary per minibatch.
-        per_minibatch = 2 * 3072 + 2 * 3072
-        assert trainer.network.total_bytes == per_minibatch * 8
-        assert trainer.network.in_flight() == 0
+        for trainer_cls in TRAINERS:
+            trainer = self._train(stages, trainer_cls)
+            # fc1/fc2 output 32 float64 features x 12 samples = 3072 bytes;
+            # one activation + one gradient per boundary per minibatch.
+            per_minibatch = 2 * 3072 + 2 * 3072
+            assert trainer.network.total_bytes == per_minibatch * 8, trainer_cls
+            assert trainer.network.in_flight() == 0
 
     def test_replicated_stage_includes_allreduce(self):
         stages = [Stage(0, 2, 2), Stage(2, 3, 1)]
-        trainer = self._train(stages)
-        boundary = 2 * 3072 * 8  # one boundary, 8 minibatches
-        stage0_params = sum(
-            p.size for p in trainer.replicas[0][0].module.parameters()
-        )
-        allreduce = ring_allreduce_bytes(stage0_params, 2) * 4  # 4 rounds
-        assert trainer.network.total_bytes == boundary + allreduce
+        for trainer_cls in TRAINERS:
+            trainer = self._train(stages, trainer_cls)
+            boundary = 2 * 3072 * 8  # one boundary, 8 minibatches
+            stage0_params = sum(
+                p.size for p in trainer.replicas[0][0].module.parameters()
+            )
+            allreduce = ring_allreduce_bytes(stage0_params, 2) * 4  # 4 rounds
+            assert trainer.network.total_bytes == boundary + allreduce, (
+                trainer_cls)
+            assert trainer.network.in_flight() == 0
 
     def test_measured_tracks_analytic_model(self):
         """Runtime bytes scale like communication_bytes_per_minibatch."""

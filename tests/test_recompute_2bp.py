@@ -32,6 +32,7 @@ from repro.core.schedule import (
 )
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
+from repro.runtime import PipelineTrainer, ThreadedPipelineTrainer
 from repro.sim.executor import SimOptions, simulate
 from repro.sim.strategies import simulate_partition
 
@@ -285,30 +286,36 @@ class TestRuntime2BP:
         return [(X[i * 16:(i + 1) * 16], y[i * 16:(i + 1) * 16])
                 for i in range(6)]
 
-    def _run(self, stages, family, batches):
+    def _run(self, stages, family, batches, trainer_cls=PipelineTrainer):
         from repro.models import build_mlp
         from repro.nn import CrossEntropyLoss
         from repro.optim import SGD
-        from repro.runtime import PipelineTrainer
 
         model = build_mlp(rng=np.random.default_rng(11))
-        trainer = PipelineTrainer(
+        trainer = trainer_cls(
             model, stages, CrossEntropyLoss(),
             lambda ps: SGD(ps, lr=0.1),
         )
         loss = trainer.train_minibatches(batches, schedule_family=family)
+        # One committed version per update round, however the backward splits.
+        assert trainer.stage_versions() == [
+            -(-len(batches) // stage.replicas) for stage in stages]
         trainer.consolidated_model()
         return loss, {n: p.data.copy() for n, p in model.named_parameters()}
 
-    @pytest.mark.parametrize("stages", [
-        [Stage(0, 2, 1), Stage(2, 3, 1)],
-        [Stage(0, 2, 2), Stage(2, 3, 1)],
-        [Stage(0, 2, 1, recompute=True), Stage(2, 3, 1)],
-    ], ids=["straight", "replicated", "recompute"])
-    def test_2bp_training_bitwise_equals_1f1b(self, stages):
+    @pytest.mark.parametrize("stages, trainer_cls", [
+        ([Stage(0, 2, 1), Stage(2, 3, 1)], PipelineTrainer),
+        ([Stage(0, 2, 2), Stage(2, 3, 1)], PipelineTrainer),
+        ([Stage(0, 2, 1, recompute=True), Stage(2, 3, 1)], PipelineTrainer),
+        ([Stage(0, 2, 1), Stage(2, 3, 1)], ThreadedPipelineTrainer),
+        ([Stage(0, 2, 1, recompute=True), Stage(2, 3, 1)],
+         ThreadedPipelineTrainer),
+    ], ids=["straight", "replicated", "recompute", "threaded-straight",
+            "threaded-recompute"])
+    def test_2bp_training_bitwise_equals_1f1b(self, stages, trainer_cls):
         batches = self._task()
-        loss_a, weights_a = self._run(stages, "1f1b", batches)
-        loss_b, weights_b = self._run(stages, "2bp", batches)
+        loss_a, weights_a = self._run(stages, "1f1b", batches, trainer_cls)
+        loss_b, weights_b = self._run(stages, "2bp", batches, trainer_cls)
         assert loss_a == loss_b
         for name in weights_a:
             assert np.array_equal(weights_a[name], weights_b[name]), name

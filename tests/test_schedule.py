@@ -218,19 +218,21 @@ class TestValidation:
             validate_schedule(sched)
 
     def test_detects_deadlock(self):
-        # Two stages whose op orders wait on each other.
+        # Structurally valid, but the op orders wait on each other: stage 0
+        # wants B0 back before sending F1; stage 1 wants F1 before B0.
         stages = [Stage(0, 1, 1), Stage(1, 2, 1)]
         sched = Schedule(
             stages=stages,
             num_minibatches=2,
             worker_ops={
-                0: [Op(OpKind.BACKWARD, 0, 0), Op(OpKind.FORWARD, 0, 0),
+                0: [Op(OpKind.FORWARD, 0, 0), Op(OpKind.BACKWARD, 0, 0),
                     Op(OpKind.FORWARD, 0, 1), Op(OpKind.BACKWARD, 0, 1)],
-                1: [Op(OpKind.FORWARD, 1, 0), Op(OpKind.BACKWARD, 1, 0),
-                    Op(OpKind.FORWARD, 1, 1), Op(OpKind.BACKWARD, 1, 1)],
+                1: [Op(OpKind.FORWARD, 1, 0), Op(OpKind.FORWARD, 1, 1),
+                    Op(OpKind.BACKWARD, 1, 0), Op(OpKind.BACKWARD, 1, 1)],
             },
             stage_workers={0: [0], 1: [1]},
             noam=2,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"deadlocks; blocked ops: .*B0@s0.*F1@s1"):
             validate_schedule(sched)

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Single verification entry point, running every CI step in CI's order:
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
-# seeded chaos suite, the elastic-recovery and planner-service smokes, the
-# end-to-end benchmark's selftest (its pinned call surface), and the
-# perf-regression gate.
+# seeded chaos suite, the elastic-recovery smoke, the threaded-runtime
+# example, the planner-service smoke, the end-to-end benchmark's selftest
+# (its pinned call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,6 +27,10 @@ python -m pytest -q -m chaos
 echo
 echo "== elastic recovery smoke =="
 python examples/elastic_recovery.py --smoke
+
+echo
+echo "== threaded runtime end to end =="
+python examples/production_run.py
 
 echo
 echo "== planner service smoke =="
