@@ -32,6 +32,7 @@ from repro.core.topology import cluster_1080ti, cluster_a, cluster_b, cluster_c
 from repro.profiler import analytic_profile, available_models
 from repro.sim import (
     SimOptions,
+    SweepError,
     parse_faults,
     precision_chart,
     records_to_csv,
@@ -197,7 +198,8 @@ def cmd_sweep(args) -> int:
             memory_limit_bytes=spec.memory_limit_bytes,
             tp_degrees=spec.tp_degrees,
         )
-    except ValueError as exc:  # a per-cell spec the grid cannot plan
+    # A per-cell spec the grid cannot build, or cells that cannot plan.
+    except (ValueError, SweepError) as exc:
         args.error(str(exc))
     rows = [
         [r.model, str(r.workers), r.strategy, r.precision,

@@ -479,7 +479,7 @@ class PlannerService:
         counts = request.get("counts", [4, 8, 16])
 
         from repro.profiler.analytic import DEVICE_PEAK_FLOPS
-        from repro.sim import run_sweep
+        from repro.sim import SweepError, run_sweep
 
         try:
             records = run_sweep(
@@ -503,7 +503,9 @@ class PlannerService:
                 tp_degrees=request.get("tp_degrees"),
                 contexts=self.contexts if self.warm_start else None,
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # A cell that cannot plan (e.g. a memory cap too tight) is the
+        # request's fault; the message names every failed cell.
+        except (KeyError, TypeError, ValueError, SweepError) as exc:
             raise RequestError(str(exc)) from exc
         return {"records": [dataclasses.asdict(r) for r in records]}
 

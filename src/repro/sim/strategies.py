@@ -13,7 +13,7 @@ strategy.  Precision is a property of the profile
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.partition import (
     PartitionResult,
@@ -343,6 +343,66 @@ def grid_minibatches(strategy: str, minibatches: int) -> int:
     pipedream cells run ``minibatches``."""
     floor, divisor = GRID_BUDGET[strategy]
     return max(floor, minibatches // divisor)
+
+
+def unplanned_stages(strategy: str, profile: ModelProfile,
+                     workers: int) -> List[Stage]:
+    """The stages a strategy that does not plan runs on ``workers``: data
+    parallelism's one replicated stage, else the balanced straight pipeline
+    the ``mp`` and ``gpipe`` drivers default to."""
+    if strategy == "dp":
+        return [Stage(0, len(profile), workers)]
+    return balanced_straight_stages(profile, workers)
+
+
+class RunKey(NamedTuple):
+    """Canonical key of one simulation; see :func:`run_key`."""
+
+    digest: str
+    workers: int
+    stages: Tuple[Stage, ...]
+    bucket_bytes: Optional[float]
+    noam: Optional[int]
+    sim: tuple
+
+    @property
+    def priced(self) -> tuple:
+        """The part the evaluator and the footprint read: (digest, workers,
+        stages, bucket_bytes)."""
+        return self[:4]
+
+
+def run_key(
+    profile: ModelProfile,
+    workers: int,
+    stages: Sequence[Stage],
+    noam: Optional[int],
+    sim: SimSpec,
+    bucket_bytes: Optional[float],
+) -> RunKey:
+    """Canonical key of the run of ``stages`` (``noam`` for a planned
+    pipeline, else ``None``) on ``workers`` workers under ``sim`` and
+    ``bucket_bytes``: two runs with equal keys are bitwise equal.
+
+    Two rules drop what a run cannot feel (proof obligations in
+    ``tests/test_sweep_shared_runs.py``):
+
+    - *bucket rule*: a run with no replicated stage syncs no weights —
+      :func:`~repro.sim.network.allreduce_time` is 0.0 for a group of one
+      and the evaluator walks buckets only for ``replicas > 1`` — so its
+      ``bucket_bytes`` is ``None``.  A data-parallel run is exempt even on
+      one worker: its BSP round walks the buckets.
+    - *family rule*: :func:`simulate_plan` never reads the schedule family
+      of a data-parallel plan, so it is ``"1f1b"``.
+    """
+    stages = tuple(stages)
+    data_parallel = len(stages) == 1 and stages[0].replicas == workers
+    if not data_parallel and all(s.replicas == 1 for s in stages):
+        bucket_bytes = None
+    if data_parallel and sim.schedule_family != "1f1b":
+        sim = replace(sim, schedule_family="1f1b")
+    return RunKey(profile.digest(), workers, stages, bucket_bytes, noam,
+                  sim.key())
 
 
 def simulate_strategy(

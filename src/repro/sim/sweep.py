@@ -40,8 +40,10 @@ from repro.sim.network import Placement, allreduce_time
 from repro.sim.strategies import (
     STRATEGIES,
     grid_minibatches,
+    run_key,
     simulate_plan,
     simulate_strategy,
+    unplanned_stages,
 )
 
 
@@ -198,17 +200,23 @@ def _plan_allreduce_seconds(
 #: historical one.
 _WORKER_CONTEXTS: Optional[SolverContextPool] = None
 
+#: Per-process shared runs (see :func:`_run_cell`), created by
+#: :func:`_pool_init` like ``_WORKER_CONTEXTS``.
+_WORKER_RUNS: Optional[dict] = None
+
 
 def _pool_init() -> None:
     """Process-pool initializer: one-time per-worker setup.
 
     Workers pay module import on their first task regardless; what would
-    otherwise be paid *per split subtask* is solver-table construction, so
-    the initializer installs a worker-local :class:`SolverContextPool`
-    that every subtask handled by this worker shares.
+    otherwise be paid *per split subtask* is solver-table construction and
+    re-simulating runs another subtask already did, so the initializer
+    installs a worker-local :class:`SolverContextPool` and runs dict that
+    every subtask handled by this worker shares.
     """
-    global _WORKER_CONTEXTS
+    global _WORKER_CONTEXTS, _WORKER_RUNS
     _WORKER_CONTEXTS = SolverContextPool()
+    _WORKER_RUNS = {}
 
 
 class _Cell(NamedTuple):
@@ -228,6 +236,7 @@ def _run_cell(
     worker_counts: Sequence[int],
     device: str,
     contexts: Optional[SolverContextPool] = None,
+    runs: Optional[dict] = None,
 ) -> List[Optional[Tuple[SweepRecord, ...]]]:
     """Run one cell over every worker count.
 
@@ -241,6 +250,11 @@ def _run_cell(
     and payload accounting all see ``PRECISION_BYTES[precision]``-wide
     elements (the profile cache is keyed on that width, so fp32 and fp16
     cells never share an entry).
+
+    ``runs`` maps a :func:`~repro.sim.strategies.run_key` to the record
+    fields its simulation gave, and the key's ``priced`` part to the
+    per-stage breakdown fields: a run another cell already did is read,
+    not simulated again.  It holds numbers only, never a ``SimResult``.
     """
     model, strategy, precision, spec, sims = cell
     profile = analytic_profile(
@@ -249,6 +263,8 @@ def _run_cell(
     )
     if contexts is None:
         contexts = _WORKER_CONTEXTS
+    if runs is None:
+        runs = {} if _WORKER_RUNS is None else _WORKER_RUNS
     optimizer = None
     if strategy == "pipedream":
         # One optimizer per cell: its memoized level tables are shared by
@@ -269,41 +285,62 @@ def _run_cell(
             continue
         if optimizer is not None:
             plan = optimizer.solve(workers)  # once, for every family
-            results = [simulate_plan(profile, sub, plan, sim, spec.bucket_bytes)
-                       for sim in sims]
+            stages, noam = plan.stages, plan.noam
         else:
-            results = [simulate_strategy(profile, sub, sim, spec)
-                       for sim in sims]
-        # Per-stage breakdowns of the simulated plan (one per count: the
-        # families share it): the evaluator's stage/boundary seconds, the
-        # §3.3 per-stage footprint and the modeled weight-sync time.
-        stages = results[0].stages
-        details = evaluate_partition_details(
-            profile, stages, sub, bucket_bytes=spec.bucket_bytes,
-        )
-        stage_memory = tuple(pipeline_memory_footprint(profile, stages))
-        allreduce_seconds = _plan_allreduce_seconds(profile, stages, sub)
-        out.append(tuple(SweepRecord(
-            model=model,
-            cluster=topology.name,
-            workers=workers,
-            strategy=strategy,
-            config=result.config,
-            samples_per_second=result.samples_per_second,
-            communication_overhead=result.communication_overhead,
-            bytes_per_sample=result.bytes_per_sample,
-            peak_memory_gb=max(result.memory_per_worker) / 1e9,
-            stage_seconds=details.stage_times,
-            boundary_seconds=details.boundary_times,
-            stage_memory_bytes=stage_memory,
-            precision=precision,
-            allreduce_seconds=allreduce_seconds,
-            bucket_bytes=spec.bucket_bytes,
-            recompute=spec.recompute,
-            schedule_family=sim.schedule_family,
-            tp_degrees=spec.tp_degrees,
-        ) for sim, result in zip(sims, results)))
+            plan, noam = None, None
+            stages = unplanned_stages(strategy, profile, workers)
+        records = []
+        for sim in sims:
+            key = run_key(profile, workers, stages, noam, sim,
+                          spec.bucket_bytes)
+            fields = runs.get(key)
+            if fields is None:
+                result = (
+                    simulate_strategy(profile, sub, sim, spec) if plan is None
+                    else simulate_plan(profile, sub, plan, sim,
+                                       spec.bucket_bytes))
+                # The breakdown goes in first: a thread that finds the run
+                # reads its breakdown next.
+                if key.priced not in runs:
+                    runs[key.priced] = _breakdown(
+                        profile, result.stages, sub, spec.bucket_bytes)
+                fields = runs[key] = dict(
+                    config=result.config,
+                    samples_per_second=result.samples_per_second,
+                    communication_overhead=result.communication_overhead,
+                    bytes_per_sample=result.bytes_per_sample,
+                    peak_memory_gb=max(result.memory_per_worker) / 1e9,
+                )
+            records.append(SweepRecord(
+                model=model,
+                cluster=topology.name,
+                workers=workers,
+                strategy=strategy,
+                precision=precision,
+                bucket_bytes=spec.bucket_bytes,
+                recompute=spec.recompute,
+                schedule_family=sim.schedule_family,
+                tp_degrees=spec.tp_degrees,
+                **fields,
+                **runs[key.priced],
+            ))
+        out.append(tuple(records))
     return out
+
+
+def _breakdown(profile: ModelProfile, stages: Sequence[Stage],
+               topology: Topology, bucket_bytes: Optional[float]) -> dict:
+    """Per-stage breakdown fields of a simulated plan: the evaluator's
+    stage/boundary seconds, the §3.3 per-stage footprint and the modeled
+    weight-sync time."""
+    details = evaluate_partition_details(
+        profile, stages, topology, bucket_bytes=bucket_bytes)
+    return dict(
+        stage_seconds=details.stage_times,
+        boundary_seconds=details.boundary_times,
+        stage_memory_bytes=tuple(pipeline_memory_footprint(profile, stages)),
+        allreduce_seconds=_plan_allreduce_seconds(profile, stages, topology),
+    )
 
 
 def _run_cell_guarded(args) -> Tuple[list, Optional[str]]:
@@ -354,6 +391,14 @@ def run_sweep(
     contexts: Optional[SolverContextPool] = None,
 ) -> List[SweepRecord]:
     """Simulate every combination; skips worker counts that don't pack.
+
+    Each distinct simulation runs once per call: cells whose runs share a
+    :func:`~repro.sim.strategies.run_key` — a bucket size on a plan with
+    no replicated stage (``mp``, ``gpipe``, straight pipedream plans), a
+    schedule family on a data-parallel plan — read the first one's numbers
+    instead of simulating again.  Every record is still its own cell's
+    (bucket and family columns included) and bitwise what the cell would
+    give alone.
 
     Args:
         minibatches: run length of a pipedream cell; the other strategies
@@ -452,9 +497,10 @@ def run_sweep(
     resolved = _resolve_executor(
         executor, workers, len(cells) * len(worker_counts)
     )
+    runs: dict = {}  # run key -> record fields, for this call only
     if workers <= 1 or len(cells) <= 1 or resolved == "serial":
         cell_args = [
-            (cell, topology, worker_counts, device, contexts)
+            (cell, topology, worker_counts, device, contexts, runs)
             for cell in cells
         ]
         outcomes = [_run_cell_guarded(args) for args in cell_args]
@@ -466,7 +512,9 @@ def run_sweep(
         if resolved == "process":
             pool_cls = concurrent.futures.ProcessPoolExecutor
             pool_kwargs = {"initializer": _pool_init}
-            subtask_contexts = None  # workers build their own (unpicklable)
+            # Workers build their own (a pool is unpicklable, and a dict
+            # would be copied into every subtask).
+            subtask_contexts = subtask_runs = None
         else:
             pool_cls = concurrent.futures.ThreadPoolExecutor
             pool_kwargs = {}
@@ -474,9 +522,11 @@ def run_sweep(
             # table reuse a per-cell optimizer used to provide.
             subtask_contexts = (contexts if contexts is not None
                                 else SolverContextPool())
+            subtask_runs = runs
         subtasks = [
             (cell_index, count_index,
-             (cell, topology, [count], device, subtask_contexts))
+             (cell, topology, [count], device, subtask_contexts,
+              subtask_runs))
             for cell_index, cell in enumerate(cells)
             for count_index, count in enumerate(worker_counts)
         ]
@@ -572,25 +622,36 @@ def records_to_csv(records: Iterable[SweepRecord],
 
 def speedup_table(records: Sequence[SweepRecord],
                   baseline: str = "dp") -> List[Dict]:
-    """Per (model, workers): every strategy's speedup over the baseline."""
-    by_key: Dict = {}
-    for record in records:
-        by_key.setdefault((record.model, record.workers), {})[record.strategy] = record
+    """One row per non-baseline record: its speedup over the baseline
+    record of the same (model, workers, precision, bucket_bytes).
+
+    Rows are ordered by (model, workers, strategy), the remaining axes in
+    record order; a record with no baseline to compare with is skipped.
+    """
+    def axes(record: SweepRecord) -> tuple:
+        return (record.model, record.workers, record.precision,
+                record.bucket_bytes)
+
+    bases = {axes(r): r.samples_per_second
+             for r in records if r.strategy == baseline}
     rows = []
-    for (model, workers), strategies in sorted(by_key.items()):
-        if baseline not in strategies:
+    for record in sorted(records, key=lambda r: (r.model, r.workers,
+                                                 r.strategy)):
+        base = bases.get(axes(record))
+        if record.strategy == baseline or base is None:
             continue
-        base = strategies[baseline].samples_per_second
-        for strategy, record in sorted(strategies.items()):
-            if strategy == baseline:
-                continue
-            rows.append({
-                "model": model,
-                "workers": workers,
-                "strategy": strategy,
-                "config": record.config,
-                "speedup": record.samples_per_second / base if base else float("inf"),
-            })
+        rows.append({
+            "model": record.model,
+            "workers": record.workers,
+            "strategy": record.strategy,
+            "precision": record.precision,
+            "bucket_bytes": record.bucket_bytes,
+            "schedule_family": record.schedule_family,
+            "recompute": record.recompute,
+            "config": record.config,
+            "speedup": (record.samples_per_second / base if base
+                        else float("inf")),
+        })
     return rows
 
 

@@ -122,6 +122,19 @@ class TestSimulate:
         assert "nan" not in capsys.readouterr().out
 
 
+class TestSweep:
+    def test_cells_that_cannot_plan_exit_2(self, capsys):
+        """An infeasible cap is a usage error naming each failed cell,
+        never a traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "vgg16", "--counts", "4", "--precisions", "fp32",
+                  "--memory-limit-bytes", "1000"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "1 sweep cell(s) failed: (vgg16, pipedream, fp32)" in err
+        assert "no plan fits memory_limit_bytes=1000" in err
+
+
 class TestServe:
     def test_serve_binds_and_shuts_down(self, capsys, monkeypatch):
         """Wire-through check: the subcommand builds a configured service,

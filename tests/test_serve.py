@@ -367,6 +367,12 @@ class TestHTTPTransport:
             ("memory_limit_bytes, recompute",
              {"memory_limit_bytes": 1e6, "recompute": "auto"}),
         ]
+    ] + [
+        # A cell that cannot plan is a 400 naming it, as /plan's cap is.
+        ("/sweep", {"models": ["vgg16"], "counts": [4], "minibatches": 8,
+                    "memory_limit_bytes": 1000},
+         r"1 sweep cell\(s\) failed: \(vgg16, pipedream, fp32\): "
+         "RuntimeError: no feasible partition found"),
     ])
     def test_malformed_field_is_400_not_500(self, server, endpoint, body,
                                             message):

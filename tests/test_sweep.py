@@ -74,3 +74,38 @@ class TestSpeedupTable:
         rows = speedup_table(records)
         resnet = [r for r in rows if r["model"] == "resnet50"]
         assert all(abs(r["speedup"] - 1.0) < 0.05 for r in resnet)
+
+    def test_single_axis_rows_are_per_model_and_scale(self, records):
+        by = {(r.model, r.workers, r.strategy): r for r in records}
+        rows = speedup_table(records)
+        assert [(r["model"], r["workers"], r["strategy"], r["config"],
+                 r["speedup"]) for r in rows] == [
+            (model, workers, "pipedream", by[model, workers, "pipedream"].config,
+             by[model, workers, "pipedream"].samples_per_second
+             / by[model, workers, "dp"].samples_per_second)
+            for model, workers in sorted({(r.model, r.workers)
+                                          for r in records})]
+
+    def test_every_axis_keeps_its_own_rows(self):
+        """2 precisions x 2 buckets x 2 families: one row per pipedream
+        record, each over the dp record of its own precision and bucket."""
+        records = run_sweep(
+            ["vgg16"], cluster_a(1), [4], strategies=("dp", "pipedream"),
+            minibatches=8, precisions=("fp32", "fp16"),
+            bucket_sizes=(None, 25e6), schedule_families=("1f1b", "2bp"))
+        base = {(r.precision, r.bucket_bytes): r.samples_per_second
+                for r in records if r.strategy == "dp"}
+        pipedream = [r for r in records if r.strategy == "pipedream"]
+        rows = speedup_table(records)
+        assert len(rows) == len(pipedream) == 8
+        for row, record in zip(rows, pipedream):
+            assert (row["precision"], row["bucket_bytes"],
+                    row["schedule_family"], row["recompute"],
+                    row["config"]) == (
+                record.precision, record.bucket_bytes,
+                record.schedule_family, record.recompute, record.config)
+            assert row["speedup"] == (
+                record.samples_per_second
+                / base[record.precision, record.bucket_bytes])
+        assert len({(r["precision"], r["bucket_bytes"], r["schedule_family"])
+                    for r in rows}) == 8

@@ -7,8 +7,9 @@ are identical to the in-process service and (for /plan) bitwise-equal to
 a cold :meth:`PipeDreamOptimizer.solve`.  Error mapping is exercised too:
 a bad request must come back as HTTP 400 carrying the same message the
 in-process path raises.  The wire itself is checked over a raw socket: two
-requests on one keep-alive connection, then a request that declares a
-body over the limit — 200, 200, 413.
+plan requests on one keep-alive connection, a sweep whose cap no plan
+fits, then a request that declares a body over the limit — 200, 200, 400,
+413.
 
 Usage: ``python tools/serve_smoke.py``  (exit 0 = pass)
 """
@@ -35,6 +36,10 @@ from repro.serve import (  # noqa: E402
 
 PLAN_REQUEST = {"model": "vgg16", "cluster": "a", "servers": 4,
                 "num_workers": 16, "memory_limit_bytes": 16e9}
+#: No plan fits a 1000-byte cap: the client's error (400), not the server's.
+INFEASIBLE_SWEEP = {"models": ["vgg16"], "cluster": "a", "servers": 1,
+                    "counts": [4], "minibatches": 8,
+                    "strategies": ["pipedream"], "memory_limit_bytes": 1000}
 
 
 def check(label: str, condition: bool) -> None:
@@ -44,16 +49,21 @@ def check(label: str, condition: bool) -> None:
 
 
 def statuses_on_one_connection(url: str) -> list:
-    """HTTP statuses of plan, plan, oversized plan on a single socket."""
+    """HTTP statuses of plan, plan, an infeasible sweep and an oversized
+    plan on a single socket."""
     host, port = url.split("//")[1].split(":")
-    body = json.dumps(PLAN_REQUEST).encode()
-    head = ("POST /plan HTTP/1.1\r\nHost: smoke\r\n"
+    plan = json.dumps(PLAN_REQUEST).encode()
+    sweep = json.dumps(INFEASIBLE_SWEEP).encode()
+    head = ("POST {} HTTP/1.1\r\nHost: smoke\r\n"
             "Content-Type: application/json\r\nContent-Length: {}\r\n\r\n")
     statuses = []
     with socket.create_connection((host, int(port)), timeout=30) as sock, \
             sock.makefile("rb") as replies:
-        for declared in (len(body), len(body), 1 << 40):
-            sock.sendall(head.format(declared).encode() + body)
+        for path, body, declared in (("/plan", plan, len(plan)),
+                                     ("/plan", plan, len(plan)),
+                                     ("/sweep", sweep, len(sweep)),
+                                     ("/plan", plan, 1 << 40)):
+            sock.sendall(head.format(path, declared).encode() + body)
             statuses.append(int(replies.readline().split()[1]))
             length = 0
             while (header := replies.readline()) not in (b"\r\n", b""):
@@ -120,8 +130,9 @@ def main() -> int:
             check("errors: /simulate {engine} is an unknown field (400)",
                   False)
 
-        check("wire: keep-alive 200, 200, then 413 for an oversized body",
-              statuses_on_one_connection(url) == [200, 200, 413])
+        check("wire: keep-alive 200, 200, 400 for an infeasible sweep, "
+              "then 413 for an oversized body",
+              statuses_on_one_connection(url) == [200, 200, 400, 413])
 
         stats = http.stats()
         check("stats: plan cache hit recorded",
