@@ -14,16 +14,12 @@ import numpy as np
 from common import print_header, print_rows, run_once
 
 from repro.core.partition import Stage
+from repro.core.schedule import asp_schedule, one_f_one_b_rr_schedule
 from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
-from repro.runtime import (
-    ASPTrainer,
-    BSPTrainer,
-    PipelineTrainer,
-    evaluate_accuracy,
-)
+from repro.runtime import PipelineTrainer, evaluate_accuracy
 
 EPOCHS = 14
 LR = 0.05  # staleness still destabilizes ASP at this rate (momentum 0.9)
@@ -41,31 +37,26 @@ def run():
         return build_mlp(in_features=24, hidden=(32, 32), num_classes=4,
                          rng=np.random.default_rng(8))
 
-    curves = {}
-    m = model()
-    bsp = BSPTrainer(m, loss_fn, lambda ps: SGD(ps, lr=LR, momentum=0.9), WORKERS)
-    curves["bsp"] = _train(bsp, m, batches, X, y)
+    def curve(stages, schedule):
+        trainer = PipelineTrainer(model(), stages, loss_fn,
+                                  lambda ps: SGD(ps, lr=LR, momentum=0.9))
+        accs = []
+        for _ in range(EPOCHS):
+            trainer.execute(schedule, batches)
+            accs.append(evaluate_accuracy(trainer.consolidated_model(), X, y))
+        return accs
 
-    m = model()
-    asp = ASPTrainer(m, loss_fn, lambda ps: SGD(ps, lr=LR, momentum=0.9), WORKERS)
-    curves["asp"] = _train(asp, m, batches, X, y)
-
-    m = model()
-    pipe = PipelineTrainer(
-        m, [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)],
-        loss_fn, lambda ps: SGD(ps, lr=LR, momentum=0.9),
-    )
-    curves["pipedream"] = _train(pipe, m, batches, X, y, consolidate=True)
-    return curves
-
-
-def _train(trainer, model, batches, X, y, consolidate=False):
-    accs = []
-    for _ in range(EPOCHS):
-        trainer.train_epoch(batches)
-        target = trainer.consolidated_model() if consolidate else model
-        accs.append(evaluate_accuracy(target, X, y))
-    return accs
+    # Every strategy is a schedule table run by the same trainer: BSP is
+    # 1F1B-RR on one stage of WORKERS replicas, ASP the one-worker table
+    # whose forwards see weights WORKERS - 1 updates stale.
+    n = len(batches)
+    bsp = [Stage(0, 3, WORKERS)]
+    pipedream = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)]
+    return {
+        "bsp": curve(bsp, one_f_one_b_rr_schedule(bsp, n)),
+        "asp": curve([Stage(0, 3, 1)], asp_schedule(WORKERS, n, 3)),
+        "pipedream": curve(pipedream, one_f_one_b_rr_schedule(pipedream, n)),
+    }
 
 
 def report(curves) -> None:

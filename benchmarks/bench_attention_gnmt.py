@@ -14,14 +14,14 @@ import numpy as np
 
 from common import print_header, print_rows, run_once
 
-from repro.core.partition import PipeDreamOptimizer
+from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.topology import make_cluster
 from repro.data.metrics import translation_bleu
 from repro.models.seq2seq import build_attention_seq2seq, make_reversal_data
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 from repro.profiler import profile_model
-from repro.runtime import BSPTrainer, PipelineTrainer, evaluate_accuracy
+from repro.runtime import PipelineTrainer, evaluate_accuracy
 
 EPOCHS = 22
 
@@ -51,8 +51,8 @@ def run():
     pipe = PipelineTrainer(pipe_model, plan.stages, loss_fn,
                            lambda ps: Adam(ps, lr=0.01))
     dp_model = build()
-    bsp = BSPTrainer(dp_model, loss_fn, lambda ps: Adam(ps, lr=0.01),
-                     num_workers=2)
+    bsp = PipelineTrainer(dp_model, [Stage(0, dp_model.num_layers, 2)],
+                          loss_fn, lambda ps: Adam(ps, lr=0.01))
 
     pipe_curve, dp_curve = [], []
     for _ in range(EPOCHS):
@@ -60,7 +60,8 @@ def run():
         pipe_curve.append(
             evaluate_accuracy(pipe.consolidated_model(), (src, tgt_in), tgt_out))
         bsp.train_epoch(batches)
-        dp_curve.append(evaluate_accuracy(dp_model, (src, tgt_in), tgt_out))
+        dp_curve.append(evaluate_accuracy(bsp.consolidated_model(),
+                                          (src, tgt_in), tgt_out))
 
     bleu = translation_bleu(pipe.consolidated_model(), (src, tgt_in), tgt_out)
     return {

@@ -18,7 +18,7 @@ from repro.data import make_seq2seq_data
 from repro.models import build_gnmt
 from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
-from repro.runtime import BSPTrainer, PipelineTrainer, evaluate_accuracy
+from repro.runtime import PipelineTrainer, evaluate_accuracy
 
 EPOCHS = 8
 
@@ -36,14 +36,15 @@ def _gnmt_curves():
 
     dp_model = build_gnmt(num_lstm_layers=4, vocab_size=12, hidden_size=16,
                           rng=np.random.default_rng(5))
-    bsp = BSPTrainer(dp_model, loss_fn, lambda ps: Adam(ps, lr=0.01), num_workers=2)
+    bsp = PipelineTrainer(dp_model, [Stage(0, dp_model.num_layers, 2)],
+                          loss_fn, lambda ps: Adam(ps, lr=0.01))
 
     pipe_acc, dp_acc = [], []
     for _ in range(EPOCHS):
         pipe.train_minibatches(batches)
         pipe_acc.append(evaluate_accuracy(pipe.consolidated_model(), src, tgt))
         bsp.train_epoch(batches)
-        dp_acc.append(evaluate_accuracy(dp_model, src, tgt))
+        dp_acc.append(evaluate_accuracy(bsp.consolidated_model(), src, tgt))
     return pipe_acc, dp_acc
 
 

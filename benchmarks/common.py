@@ -33,7 +33,8 @@ def vgg_convergence_curves(epochs: int = 8):
     """Per-epoch accuracies of the scaled VGG under PipeDream vs. BSP-DP.
 
     Shared by the Figure 10/11 benches: PipeDream runs a 2-stage pipeline
-    (conv body | FC tail) with weight stashing; DP runs 2-worker BSP.  Both
+    (conv body | FC tail) with weight stashing; DP runs 2-worker BSP (one
+    stage of two replicas through the same trainer).  Both
     use Adam(1e-3) on the same synthetic image task and the same seed.
     """
     import numpy as np
@@ -43,7 +44,7 @@ def vgg_convergence_curves(epochs: int = 8):
     from repro.models import build_vgg
     from repro.nn import CrossEntropyLoss
     from repro.optim import Adam
-    from repro.runtime import BSPTrainer, PipelineTrainer, evaluate_accuracy
+    from repro.runtime import PipelineTrainer, evaluate_accuracy
 
     X, y = make_image_data(num_samples=64, image_size=32, num_classes=4,
                            noise=0.15, seed=0)
@@ -60,13 +61,13 @@ def vgg_convergence_curves(epochs: int = 8):
     )
     dp_model = build_vgg(scale=0.25, num_classes=4, fc_width=64,
                          rng=np.random.default_rng(3))
-    bsp = BSPTrainer(dp_model, loss_fn, lambda ps: Adam(ps, lr=0.001),
-                     num_workers=2)
+    bsp = PipelineTrainer(dp_model, [Stage(0, dp_model.num_layers, 2)],
+                          loss_fn, lambda ps: Adam(ps, lr=0.001))
 
     pipe_acc, dp_acc = [], []
     for _ in range(epochs):
         pipe.train_minibatches(batches)
         pipe_acc.append(evaluate_accuracy(pipe.consolidated_model(), X, y))
         bsp.train_epoch(batches)
-        dp_acc.append(evaluate_accuracy(dp_model, X, y))
+        dp_acc.append(evaluate_accuracy(bsp.consolidated_model(), X, y))
     return pipe_acc, dp_acc

@@ -6,7 +6,7 @@ compares three ways to train it on the same data:
 
 - PipeDream (1F1B pipeline + weight stashing),
 - naive pipelining (no weight stashing: §3.3's invalid gradients),
-- BSP data parallelism.
+- BSP data parallelism (the same trainer on one stage of two replicas).
 
 Finally it simulates full-size VGG-16 on the paper's Cluster-A to show the
 hardware-efficiency side of the same comparison.
@@ -44,9 +44,9 @@ def main() -> None:
         "naive pipeline": api.PipelineTrainer(
             build(), stages, loss_fn, lambda ps: api.SGD(ps, lr=0.05),
             policy="none"),
-        "data parallel (BSP)": api.BSPTrainer(
-            build(), loss_fn, lambda ps: api.Adam(ps, lr=0.001),
-            num_workers=2),
+        "data parallel (BSP)": api.PipelineTrainer(
+            build(), [api.Stage(0, model.num_layers, 2)], loss_fn,
+            lambda ps: api.Adam(ps, lr=0.001)),
     }
 
     print("\nAccuracy per epoch:")
@@ -56,11 +56,7 @@ def main() -> None:
         row = [f"{epoch + 1:5d}"]
         for name, trainer in trainers.items():
             trainer.train_epoch(batches)
-            if isinstance(trainer, api.PipelineTrainer):
-                net = trainer.consolidated_model()
-            else:
-                net = trainer.model
-            acc = api.evaluate_accuracy(net, X, y)
+            acc = api.evaluate_accuracy(trainer.consolidated_model(), X, y)
             curves[name].append(acc)
             row.append(f"{acc:>22.1%}")
         print("  ".join(row))

@@ -17,6 +17,7 @@ from repro.core import (
     Stage,
     Topology,
     WeightStore,
+    asp_schedule,
     data_parallel_schedule,
     gpipe_schedule,
     model_parallel_schedule,
@@ -63,11 +64,8 @@ from repro.nn import CrossEntropyLoss, MSELoss
 from repro.optim import LARS, SGD, Adam, StepLR, WarmupLR
 from repro.profiler import analytic_profile, available_models, profile_model
 from repro.runtime import (
-    ASPTrainer,
-    BSPTrainer,
     CheckpointManager,
     fit,
-    GPipeTrainer,
     PipelineTrainer,
     SequentialTrainer,
     ThreadedPipelineTrainer,
@@ -75,6 +73,7 @@ from repro.runtime import (
     evaluate_accuracy,
     evaluate_loss,
     evaluate_perplexity,
+    split_microbatches,
 )
 from repro.sim import (
     SimOptions,

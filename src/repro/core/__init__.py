@@ -28,6 +28,7 @@ from repro.core.schedule import (
     Op,
     OpKind,
     Schedule,
+    asp_schedule,
     data_parallel_schedule,
     gpipe_schedule,
     model_parallel_schedule,
@@ -59,6 +60,7 @@ __all__ = [
     "gpipe_schedule",
     "model_parallel_schedule",
     "data_parallel_schedule",
+    "asp_schedule",
     "validate_schedule",
     "WeightStore",
     "WeightVersion",

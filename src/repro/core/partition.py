@@ -1500,7 +1500,7 @@ def evaluate_partition(
     and the once-per-round ring all_reduce share; stage boundaries pay a
     2 a_s / B point-to-point transfer per minibatch.
     """
-    _check_stages(profile, stages)
+    _check_stages(len(profile), stages)
     tables = range_table(profile)
     worst = 0.0
     for idx, stage in enumerate(stages):
@@ -1538,7 +1538,7 @@ def communication_bytes_per_minibatch(
     past stage 0, the input boundary).  ``t = 1`` leaves the original
     expressions untouched.
     """
-    _check_stages(profile, stages)
+    _check_stages(len(profile), stages)
     from repro.core import sharding
 
     total = 0.0
@@ -1567,10 +1567,12 @@ def data_parallel_bytes_per_minibatch(profile: ModelProfile, num_workers: int) -
     return communication_bytes_per_minibatch(profile, [stage])
 
 
-def _check_stages(profile: ModelProfile, stages: Sequence[Stage]) -> None:
+def _check_stages(num_layers: int, stages: Sequence[Stage]) -> None:
+    """Reject a stage list that is empty, leaves a gap, overlaps or does
+    not cover layers ``0..num_layers - 1``."""
     if not stages:
         raise ValueError("empty stage list")
-    if stages[0].start != 0 or stages[-1].stop != len(profile):
+    if stages[0].start != 0 or stages[-1].stop != num_layers:
         raise ValueError("stages must cover the whole model")
     for left, right in zip(stages, stages[1:]):
         if left.stop != right.start:
@@ -1643,7 +1645,7 @@ def evaluate_partition_details(
     ``memory_limit_bytes`` is echoed into the result for
     :attr:`PartitionEvaluation.fits_memory`.
     """
-    _check_stages(profile, stages)
+    _check_stages(len(profile), stages)
     # Imported lazily: repro.sim.memory imports Stage from this module.
     from repro.sim.memory import pipeline_memory_footprint
 

@@ -412,6 +412,24 @@ def data_parallel_schedule(num_workers: int, num_minibatches: int,
                     table=_fbu_schedule(stages, num_minibatches))
 
 
+def asp_schedule(num_workers: int, num_minibatches: int,
+                 num_layers: int = 1) -> Schedule:
+    """ASP data parallelism (§5.2) as the one-worker table it equals.
+
+    An asynchronous worker's gradient lands ``num_workers - 1`` updates
+    after the pull it was computed on, exactly the staleness of the input
+    stage of a ``num_workers``-deep 1F1B pipeline: this is that stage's
+    row, on one stage holding the whole model.  Under weight stashing the
+    forward of minibatch ``b`` binds version ``max(0, b - num_workers + 1)``.
+    """
+    row = one_f_one_b_schedule(num_workers, num_minibatches).table()
+    kinds = row.kinds[0]
+    return Schedule([Stage(0, num_layers, 1)], num_minibatches,
+                    noam=num_workers,
+                    table=ScheduleTable([0], [kinds], [[0] * len(kinds)],
+                                        [row.minibatches[0]]))
+
+
 # ----------------------------------------------------------------------
 # Schedule families (2BP backward splitting)
 # ----------------------------------------------------------------------

@@ -1,19 +1,20 @@
-"""Training runtimes: real (numpy) execution of each parallel strategy.
+"""Training runtimes: real (numpy) execution of every parallel strategy.
 
 All trainers run in one process with *logical* workers, but faithfully
 reproduce each strategy's **semantics**:
 
 - :class:`~repro.runtime.trainer.SequentialTrainer` — reference minibatch
   SGD on one worker.
-- :class:`~repro.runtime.pipeline.PipelineTrainer` — PipeDream: static
-  1F1B-RR schedule, per-replica weight version stores, weight stashing /
-  vertical sync / naive policies (§3.3), deterministic round-robin routing,
-  and gradient synchronization across replicated stages.
-- :class:`~repro.runtime.dataparallel.BSPTrainer` /
-  :class:`~repro.runtime.dataparallel.ASPTrainer` — data parallelism with
-  synchronous gradient averaging or asynchronous stale updates (§2.1).
-- :class:`~repro.runtime.gpipe.GPipeTrainer` — microbatch pipelining with
-  per-batch flushes and optional activation recomputation (§2.2).
+- :class:`~repro.runtime.pipeline.PipelineTrainer` — the one schedule-table
+  interpreter: weight stashing / vertical sync / naive policies (§3.3),
+  round-robin routing and gradient sync across replicated stages.  Each
+  strategy is the table it runs: PipeDream is 1F1B-RR, BSP (§2.1) is
+  1F1B-RR on one stage of ``n`` replicas, ASP (§5.2) is
+  :func:`~repro.core.schedule.asp_schedule` and GPipe (§2.2) is
+  :func:`~repro.core.schedule.gpipe_schedule` over
+  :func:`~repro.runtime.trainer.split_microbatches`.
+- :class:`~repro.runtime.threaded.ThreadedPipelineTrainer` — the same
+  interpreter with one OS thread per worker.
 """
 
 from repro.runtime.amp import AmpTrainer, GradScaler
@@ -23,10 +24,9 @@ from repro.runtime.trainer import (
     evaluate_accuracy,
     evaluate_loss,
     evaluate_perplexity,
+    split_microbatches,
 )
 from repro.runtime.pipeline import PipelineTrainer
-from repro.runtime.dataparallel import ASPTrainer, BSPTrainer
-from repro.runtime.gpipe import GPipeTrainer
 from repro.runtime.checkpoint import CheckpointManager
 from repro.runtime.elastic import (
     ElasticCoordinator,
@@ -52,11 +52,9 @@ __all__ = [
     "SequentialTrainer",
     "PipelineTrainer",
     "ThreadedPipelineTrainer",
-    "BSPTrainer",
-    "ASPTrainer",
-    "GPipeTrainer",
     "TrainingHistory",
     "evaluate_accuracy",
     "evaluate_loss",
     "evaluate_perplexity",
+    "split_microbatches",
 ]

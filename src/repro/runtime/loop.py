@@ -1,10 +1,10 @@
 """High-level training loop: epochs, evaluation, LR schedules, checkpoints.
 
-``fit`` drives any of the runtime trainers (pipeline, BSP, ASP, GPipe,
-sequential) through a full time-to-target-accuracy run, the measurement
-unit of the paper's Table 1: train epochs, evaluate after each, apply the
-learning-rate schedule, optionally checkpoint, and stop as soon as the
-target metric is reached.
+``fit`` drives any trainer with ``train_epoch`` (PipeDream or BSP through
+``PipelineTrainer``, threaded, AMP, sequential) through a full
+time-to-target-accuracy run, the measurement unit of the paper's Table 1:
+train epochs, evaluate after each, apply the learning-rate schedule,
+optionally checkpoint, and stop as soon as the target metric is reached.
 """
 
 from __future__ import annotations

@@ -1,20 +1,20 @@
-"""PipeDream's training runtime: 1F1B-RR execution with weight versioning.
+"""The training runtime: schedule-table execution with weight versioning.
 
 The trainer materializes each stage replica as an independent module copy
 with its own :class:`~repro.core.stashing.WeightStore` and optimizer, then
-executes the static 1F1B-RR schedule's table.  One interpreter, two
-drivers: :meth:`PipelineTrainer._run_op` runs one table op (kind, stage,
-minibatch codes) and is all the code that gives ops their meaning; this
-class drives it with logical workers in lockstep sweeps
+executes a static schedule's table (1F1B-RR, GPipe, BSP or ASP).  One
+interpreter, two drivers: :meth:`PipelineTrainer._run_op` runs one table op
+(kind, stage, minibatch codes) and is all the code that gives ops their
+meaning; this class drives it with logical workers in lockstep sweeps
 (:func:`~repro.core.schedule.lockstep_walk`: one ready op per worker per
 sweep, an approximation of wall-clock interleaving), and
 :class:`~repro.runtime.threaded.ThreadedPipelineTrainer` with one thread
 per worker.  Activation and gradient "messages" are numpy arrays sent
 through the trainer's accounted :class:`~repro.comm.Network` (for the
-threaded driver, its blocking subclass); minibatch routing follows the deterministic round-robin rule so a minibatch's forward
-and backward run on the same replica.  Both drivers are bitwise-equal on
-pipelines without replicated stages, for every schedule family, precision,
-weight policy and accumulation window.
+threaded driver, its blocking subclass); round-robin routing runs a
+minibatch's forward and backward on the same replica.  Both drivers are
+bitwise-equal on pipelines without replicated stages, for every schedule
+family, precision, weight policy and accumulation window.
 
 Weight policies (§3.3):
 
@@ -29,9 +29,10 @@ Weight policies (§3.3):
 
 Replicated stages synchronize gradients per round (one sweep of replicas),
 averaging across replicas and applying the same update everywhere, mirroring
-PyTorch DDP semantics over each stage (§4 "Stage Replication").  The round
-is reduced at the UPDATE of its last member; under the threaded driver every
-member's UPDATE waits for that reduction.
+PyTorch DDP semantics over each stage (§4 "Stage Replication").  An
+UPDATE reduces each complete round its worker fed since its last UPDATE
+(a whole flush under GPipe), then applies the accumulation window; under
+the threaded driver every member's UPDATE waits for those reductions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro.autodiff.engine import Tensor, no_grad
 from repro.comm import Network, ring_allreduce
-from repro.core.partition import Stage
+from repro.core.partition import Stage, _check_stages
 from repro.core.profile import PRECISION_BYTES
 from repro.core.schedule import (
     BWD,
@@ -335,6 +336,9 @@ class _Run:
         # here until the trailing grad-weight op (BWD_W) joins them to the
         # update round.
         self.pending_w: Dict[Tuple[int, int], Dict[str, np.ndarray]] = {}
+        # The update rounds each worker has fed since its last UPDATE.
+        self.fed: Dict[int, List[int]] = {w: [] for w in self.replica_of}
+        self.samples = [len(y) for _, y in batches]
 
 
 @dataclass
@@ -386,8 +390,7 @@ class PipelineTrainer:
         precision: str = "fp32",
         grad_scaler: Optional[GradScaler] = None,
     ):
-        if stages[0].start != 0 or stages[-1].stop != model.num_layers:
-            raise ValueError("stages must cover the whole model")
+        _check_stages(model.num_layers, stages)
         if gradient_accumulation < 1:
             raise ValueError("gradient_accumulation must be >= 1")
         if precision not in PRECISION_BYTES:
@@ -462,25 +465,38 @@ class PipelineTrainer:
         batches: Sequence[Tuple[np.ndarray, np.ndarray]],
         schedule_family: str = "1f1b",
     ) -> float:
-        """Run one schedule over ``batches``; returns mean loss.
+        """Run the 1F1B-RR schedule over ``batches``; returns mean loss.
 
         ``schedule_family="1f1b"`` (default) executes the classic 1F1B-RR
         schedule unchanged; ``"2bp"`` splits every backward into a
         grad-input op (which unblocks the upstream stage) and a deferred
         grad-weight op that commits the parameter gradients.
         """
-        schedule = one_f_one_b_rr_schedule(self.stages, len(batches))
-        schedule = schedule_for_family(schedule, schedule_family)
-        return self._execute(schedule, batches)
+        return self.execute(schedule_for_family(one_f_one_b_rr_schedule(
+            self.stages, len(batches)), schedule_family), batches)
 
     def train_epoch(self, batches: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
         return self.train_minibatches(list(batches))
 
-    def _execute(self, schedule: Schedule, batches) -> float:
-        run = _Run(schedule, batches)
+    def execute(self, schedule: Schedule, batches) -> float:
+        """Run ``schedule``, built on this trainer's stages, over
+        ``batches``; returns the sample-weighted mean loss.  Each strategy
+        is a table: 1F1B-RR (PipeDream; BSP on one replicated stage),
+        :func:`~repro.core.schedule.asp_schedule` (ASP) and
+        :func:`~repro.core.schedule.gpipe_schedule` (GPipe)."""
+        run = self._start(schedule, batches)
         for worker, kind, stage, minibatch in lockstep_walk(schedule):
             self._run_op(run, worker, kind, stage, minibatch)
         return self._finish(run)
+
+    def _start(self, schedule: Schedule, batches) -> _Run:
+        if list(schedule.stages) != self.stages:
+            raise ValueError(
+                f"schedule stages {schedule.stages} are not {self.stages}")
+        if len(batches) != schedule.num_minibatches:
+            raise ValueError(f"{len(batches)} batches for "
+                             f"{schedule.num_minibatches} minibatches")
+        return _Run(schedule, batches)
 
     def _run_op(self, run: _Run, worker: int, kind: int, s: int, b: int) -> None:
         """Run one schedule-table op — ``kind`` code at stage ``s`` on
@@ -529,24 +545,35 @@ class PipelineTrainer:
         if kind == BWD_W:
             rnd = b // self.stages[s].replicas
             run.round_grads[(s, rnd)].append((b, run.pending_w.pop((s, b))))
+            run.fed[worker].append(rnd)
         elif kind == UPD:
-            self._maybe_apply_round(run, s, b)
+            rounds, run.fed[worker] = run.fed[worker], []
+            self._update(run, s, rounds)
 
     def _finish(self, run: _Run) -> float:
-        recorded = [l for l in run.losses if l is not None]
-        mean = float(np.mean(recorded)) if recorded else math.nan
-        self.stats.losses.extend(recorded)
+        # Weights relative to the first batch: equal sizes are the plain mean.
+        mean = float(np.average(run.losses, weights=np.divide(
+            run.samples, run.samples[0]))) if run.losses else math.nan
+        self.stats.losses.extend(run.losses)
         self.stats.mean_loss = mean
         return mean
 
-    def _maybe_apply_round(self, run: _Run, stage: int, minibatch: int) -> None:
+    def _update(self, run: _Run, stage: int, rounds: List[int]) -> None:
+        """One UPDATE op: reduce each complete round of ``rounds``, then apply
+        the pending window once full or once the stage's last round is in."""
+        last = [self._reduce_round(run, stage, rnd) for rnd in rounds]
+        if any(last) or len(self._pending_rounds[stage]) >= self.gradient_accumulation:
+            self._apply_pending(stage)
+
+    def _reduce_round(self, run: _Run, stage: int, rnd: int) -> bool:
+        """All-reduce update round ``rnd`` into the pending window once all
+        its members are in; True when that was the stage's last round."""
         replicas = self.stages[stage].replicas
-        rnd = minibatch // replicas
         num_minibatches = len(run.batches)
         members = max(1, min(replicas, num_minibatches - rnd * replicas))
         contributions = run.round_grads.get((stage, rnd), ())
         if len(contributions) < members:
-            return
+            return False
         is_last_round = (rnd + 1) * replicas >= num_minibatches
         # AMP: every member was produced under its own loss scale (the
         # scale may move between update rounds); unscale each before
@@ -573,9 +600,7 @@ class PipelineTrainer:
                 del run.round_grads[(stage, rnd)]
                 self.stats.skipped_updates[stage] = (
                     self.stats.skipped_updates.get(stage, 0) + 1)
-                if is_last_round:
-                    self._apply_pending(stage)
-                return
+                return is_last_round
         if len(grads_list) == 1:
             averaged = grads_list[0]
         else:
@@ -584,10 +609,10 @@ class PipelineTrainer:
             reduced = ring_allreduce(grads_list, self.network, average=True)
             averaged = reduced[0]
         del run.round_grads[(stage, rnd)]
-        self._pending_rounds[stage].append(averaged)
-        if len(self._pending_rounds[stage]) < self.gradient_accumulation and not is_last_round:
-            return  # aggregate more rounds before touching the weights
-        self._apply_pending(stage)
+        # Samples per member weigh the round: GPipe's uneven microbatches.
+        per_member = sum(run.samples[b] for b, _ in contributions) / members
+        self._pending_rounds[stage].append((per_member, averaged))
+        return is_last_round
 
     def _apply_pending(self, stage: int) -> None:
         """Average and apply the stage's accumulated round gradients."""
@@ -595,12 +620,16 @@ class PipelineTrainer:
         if not pending:
             return
         if len(pending) > 1:
+            # Weights relative to the first round: equal ones (every
+            # window but GPipe's uneven microbatches) are the plain mean.
+            scale = [w / pending[0][0] for w, _ in pending]
             averaged = {
-                name: sum(g[name] for g in pending) / len(pending)
-                for name in pending[0]
+                name: sum(g[name] * c for c, (_, g) in zip(scale, pending))
+                / sum(scale)
+                for name in pending[0][1]
             }
         else:
-            averaged = pending[0]
+            averaged = pending[0][1]
         for replica in self.replicas[stage]:
             replica.apply_update(averaged)
 

@@ -95,8 +95,8 @@ class ThreadedPipelineTrainer(PipelineTrainer):
         self.network.timeout = self.worker_timeout = worker_timeout
         self._commits = threading.Condition()
 
-    def _execute(self, schedule, batches) -> float:
-        run = _Run(schedule, batches)
+    def execute(self, schedule, batches) -> float:
+        run = self._start(schedule, batches)
         table = schedule.table()
         self.network.reset()
 
@@ -124,17 +124,17 @@ class ThreadedPipelineTrainer(PipelineTrainer):
             raise TimeoutError("pipeline workers did not finish")
         return self._finish(run)
 
-    def _maybe_apply_round(self, run: _Run, stage: int, minibatch: int) -> None:
-        """Commit under the one lock; return once this round is reduced."""
-        key = (stage, minibatch // self.stages[stage].replicas)
+    def _update(self, run: _Run, stage: int, rounds) -> None:
+        """Commit under the one lock; return once these rounds are reduced."""
         with self._commits:
-            super()._maybe_apply_round(run, stage, minibatch)
+            super()._update(run, stage, rounds)
             self._commits.notify_all()
             reduced = self._commits.wait_for(
-                lambda: key not in run.round_grads or self.network.failed,
+                lambda: self.network.failed or not any(
+                    (stage, rnd) in run.round_grads for rnd in rounds),
                 timeout=self.worker_timeout)
         if self.network.failed is not None:
             raise RuntimeError("a worker thread failed") from self.network.failed
         if not reduced:
-            raise TimeoutError(f"update round {key[1]} of stage {stage} "
+            raise TimeoutError(f"update rounds {rounds} of stage {stage} "
                                "never completed")

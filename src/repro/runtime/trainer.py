@@ -1,4 +1,4 @@
-"""Reference sequential trainer, evaluation helpers, and history records."""
+"""Sequential reference trainer, GPipe's microbatch split, evaluation, history."""
 
 from __future__ import annotations
 
@@ -60,6 +60,26 @@ def _slice_samples(inputs, start: int, stop: int):
     return inputs[start:stop]
 
 
+def split_microbatches(batches: Sequence[Tuple], num_microbatches: int) -> List[Tuple]:
+    """GPipe's split (§2.2): each batch into ``num_microbatches`` contiguous
+    microbatches whose sizes differ by at most one (10 into 4 is 3+3+2+2).
+
+    Microbatch ``k`` of batch ``i`` lands at ``i * num_microbatches + k``,
+    the id :func:`~repro.core.schedule.gpipe_schedule` gives it.
+    """
+    micros = []
+    for x, y in batches:
+        n = len(y)
+        if not 1 <= num_microbatches <= n:
+            raise ValueError(f"num_microbatches must be in [1, {n}] for a "
+                             f"batch of {n}, got {num_microbatches}")
+        size, extra = divmod(n, num_microbatches)
+        bounds = [k * size + min(k, extra) for k in range(num_microbatches + 1)]
+        micros += [(_slice_samples(x, a, b), y[a:b])
+                   for a, b in zip(bounds, bounds[1:])]
+    return micros
+
+
 def evaluate_loss(model: Module, loss_fn, inputs, targets, batch_size: int = 64) -> float:
     total, count = 0.0, 0
     with no_grad():
@@ -93,9 +113,11 @@ def evaluate_perplexity(model: Module, loss_fn, inputs, targets, batch_size: int
 class SequentialTrainer:
     """Vanilla minibatch SGD on a single worker — the semantic reference.
 
-    Every other runtime is validated against this one: PipeDream with a
-    single stage, GPipe with one microbatch, and BSP with one worker must
-    produce numerically identical weight trajectories.
+    Every schedule :class:`~repro.runtime.pipeline.PipelineTrainer` runs
+    is validated against this one: the GPipe table (any microbatch count,
+    any stages) and BSP (one stage of ``n`` replicas, against SGD on the
+    concatenated batch) match it to rounding, and PipeDream, BSP and ASP
+    with one worker each reproduce it exactly.
     """
 
     def __init__(

@@ -15,7 +15,10 @@ more literal twin lives here, where only tests import it:
 - the op-by-op schedule builders the table builders are pinned to
   (``schedule_reference.py``);
 - :func:`~tests.oracles.partition_brute_force.brute_force_partition` —
-  exhaustive search over flat partitions (``partition_brute_force.py``).
+  exhaustive search over flat partitions (``partition_brute_force.py``);
+- :class:`~tests.oracles.asp_reference.ASPTrainer` — the asynchronous
+  parameter-server trainer the ``asp_schedule`` table is pinned to
+  (``asp_reference.py``).
 """
 
 from repro.core.partition import PartitionEvaluation, Stage

@@ -46,7 +46,7 @@ def evaluate_details_closed_form(
 ) -> PartitionEvaluation:
     """Oracle twin of :func:`repro.core.partition.evaluate_partition_details`
     for plans without tensor-parallel stages and without bucketing."""
-    _check_stages(profile, stages)
+    _check_stages(len(profile), stages)
     if any(s.tp_degree > 1 for s in stages):
         raise ValueError("the closed form covers tp_degree == 1 stages only")
     result = _evaluate_details_vectorized(

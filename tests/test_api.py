@@ -20,8 +20,8 @@ class TestPublicAPI:
         assert repro.__version__
 
     @pytest.mark.parametrize("name", [
-        "Tensor", "PipeDreamOptimizer", "PipelineTrainer", "GPipeTrainer",
-        "BSPTrainer", "ASPTrainer", "SequentialTrainer", "SGD", "Adam",
+        "Tensor", "PipeDreamOptimizer", "PipelineTrainer", "gpipe_schedule",
+        "asp_schedule", "split_microbatches", "SequentialTrainer", "SGD", "Adam",
         "LARS", "CrossEntropyLoss", "build_vgg", "build_gnmt", "build_mlp",
         "analytic_profile", "profile_model", "simulate_pipedream",
         "simulate_data_parallel", "one_f_one_b_schedule", "validate_schedule",

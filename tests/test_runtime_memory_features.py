@@ -86,20 +86,26 @@ class TestActivationRecomputation:
 
 class TestGradientAccumulation:
     def test_single_stage_matches_large_batch_sgd(self, task):
-        """Accumulating k rounds on one stage == SGD on k-batch averages."""
-        m_acc, m_ref = fresh_model(), fresh_model()
-        acc = PipelineTrainer(m_acc, [Stage(0, 3, 1)], LOSS,
-                              lambda ps: SGD(ps, lr=0.05),
-                              gradient_accumulation=2)
-        ref = SequentialTrainer(m_ref, LOSS, SGD(m_ref.parameters(), lr=0.05))
-        acc.train_minibatches(task)
-        # Reference: one update per two minibatches, gradient averaged.
-        for i in range(0, len(task), 2):
-            (x1, y1), (x2, y2) = task[i], task[i + 1]
-            big_x = np.concatenate([x1, x2])
-            big_y = np.concatenate([y1, y2])
-            ref.train_minibatch(big_x, big_y)
-        assert_same_weights(acc.consolidated_model(), m_ref)
+        """Accumulating k rounds on one stage == SGD on k-batch averages,
+        sample-weighted when the batches differ in size."""
+        X = np.concatenate([x for x, _ in task])
+        Y = np.concatenate([y for _, y in task])
+        cuts = np.cumsum([0, 8, 16, 12, 12, 18, 6, 15, 9])
+        uneven = [(X[a:b], Y[a:b]) for a, b in zip(cuts, cuts[1:])]
+        for batches in (task, uneven):
+            m_acc, m_ref = fresh_model(), fresh_model()
+            acc = PipelineTrainer(m_acc, [Stage(0, 3, 1)], LOSS,
+                                  lambda ps: SGD(ps, lr=0.05),
+                                  gradient_accumulation=2)
+            ref = SequentialTrainer(m_ref, LOSS, SGD(m_ref.parameters(), lr=0.05))
+            acc.train_minibatches(batches)
+            # Reference: one update per two minibatches, gradient averaged.
+            for i in range(0, len(batches), 2):
+                (x1, y1), (x2, y2) = batches[i], batches[i + 1]
+                big_x = np.concatenate([x1, x2])
+                big_y = np.concatenate([y1, y2])
+                ref.train_minibatch(big_x, big_y)
+            assert_same_weights(acc.consolidated_model(), m_ref)
 
     def test_fewer_weight_versions(self, task):
         m1, m2 = fresh_model(), fresh_model()

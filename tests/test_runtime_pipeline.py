@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.partition import Stage
+from repro.core.schedule import model_parallel_schedule
 from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
@@ -66,6 +67,18 @@ class TestSequentialEquivalence:
         pipe.train_minibatches(task)
         pipe.consolidated_model()
         assert_same_weights(m_ref, m_pipe, atol=1e-10)
+
+    def test_model_parallel_table_equals_sequential(self, task):
+        """Figure 2's one-minibatch-in-flight table on three stages is
+        plain SGD: every forward sees every earlier update."""
+        m_ref = fresh_model()
+        ref = SequentialTrainer(m_ref, LOSS, SGD(m_ref.parameters(), lr=0.1))
+        pipe = PipelineTrainer(
+            fresh_model(), [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)],
+            LOSS, sgd_factory())
+        l_pipe = pipe.execute(model_parallel_schedule(3, len(task)), task)
+        assert ref.train_epoch(task) == pytest.approx(l_pipe)
+        assert_same_weights(m_ref, pipe.consolidated_model())
 
 
 class TestStalenessSemantics:
@@ -241,6 +254,15 @@ class TestDiagnostics:
     def test_stage_coverage_validated(self, task):
         with pytest.raises(ValueError):
             PipelineTrainer(fresh_model(), [Stage(0, 2, 1)], LOSS, sgd_factory())
+
+    @pytest.mark.parametrize("stages, message", [
+        ([Stage(0, 1, 1), Stage(2, 3, 1)], "contiguous"),  # skips layer 1
+        ([Stage(0, 2, 1), Stage(1, 3, 1)], "contiguous"),  # runs layer 1 twice
+        ([], "empty stage list"),
+    ], ids=["gap", "overlap", "empty"])
+    def test_malformed_stage_list_rejected(self, stages, message):
+        with pytest.raises(ValueError, match=message):
+            PipelineTrainer(fresh_model(), stages, LOSS, sgd_factory())
 
     def test_convergence_stashing_close_to_sequential(self, task):
         """Figure 11's shape: stashing tracks sequential SGD per epoch."""
