@@ -7,7 +7,7 @@ parents such as integer index arrays).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 

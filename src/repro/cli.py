@@ -28,7 +28,7 @@ from repro.core.schedule import (
     one_f_one_b_schedule,
 )
 from repro.core.spec import STRATEGY_NAMES, PlanSpec, SimSpec, check_scenario
-from repro.core.topology import cluster_1080ti, cluster_a, cluster_b, cluster_c
+from repro.core.topology import CLUSTERS
 from repro.profiler import analytic_profile, available_models
 from repro.sim import (
     SimOptions,
@@ -41,13 +41,6 @@ from repro.sim import (
     simulate_strategy,
 )
 from repro.utils import format_table, format_timeline
-
-CLUSTERS = {
-    "a": cluster_a,
-    "b": cluster_b,
-    "c": cluster_c,
-    "1080ti": cluster_1080ti,
-}
 
 
 def _topology(args):

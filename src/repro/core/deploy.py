@@ -12,10 +12,9 @@ optimizer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.graph import LayerGraph
 from repro.core.partition import PartitionResult, Stage
 from repro.core.schedule import Op, OpKind, Schedule, one_f_one_b_rr_schedule
 

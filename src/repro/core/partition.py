@@ -35,10 +35,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-# RECURRENT_KINDS and the range-table cache fronts are re-exported here.
-from repro.core.profile import RECURRENT_KINDS, ModelProfile
+from repro.core.profile import ModelProfile
+# The range-table cache fronts are re-exported here.
 from repro.core.ranges import clear_eval_tables, eval_tables_stats, range_table
-from repro.core.spec import PlanSpec, reject_tp_bucketing
+from repro.core.spec import PlanSpec
 from repro.core.topology import Topology, TopologyLevel
 from repro.utils.lru import LRUCache
 
@@ -118,20 +118,8 @@ class PartitionResult:
 
     @property
     def config_string(self) -> str:
-        """Paper-style name: "15-1", "straight", "16" (pure DP), etc.
-
-        Tensor-parallel stages render as ``{replicas}x{tp_degree}`` (e.g.
-        "4x2-1"); plans without tp keep the historical byte-exact strings.
-        """
-        if self.is_data_parallel:
-            return str(self.num_workers)
-        if self.is_straight:
-            return "straight"
-        return "-".join(
-            str(stage.replicas) if stage.tp_degree == 1
-            else f"{stage.replicas}x{stage.tp_degree}"
-            for stage in self.stages
-        )
+        """Paper-style name of the plan (:func:`plan_config`)."""
+        return plan_config(self.stages)
 
     @property
     def noam(self) -> int:
@@ -159,6 +147,22 @@ class PartitionResult:
             f"stages={len(self.stages)}, workers={self.num_workers}, "
             f"bottleneck={self.slowest_stage_time * 1e3:.2f}ms/minibatch)"
         )
+
+
+def plan_config(stages: Sequence[Stage]) -> str:
+    """Paper-style name of a stage list: "15-1", "straight", "16" (one
+    replicated stage, pure DP), etc.
+
+    Tensor-parallel stages render as ``{replicas}x{tp_degree}`` (e.g.
+    "4x2-1"); plans without tp keep the historical byte-exact strings.
+    """
+    if len(stages) > 1 and all(
+            s.replicas == 1 and s.tp_degree == 1 for s in stages):
+        return "straight"
+    return "-".join(
+        str(s.replicas) if s.tp_degree == 1 else f"{s.replicas}x{s.tp_degree}"
+        for s in stages
+    )
 
 
 def allreduce_bytes_per_worker(weight_bytes: float, num_workers: int) -> float:
@@ -628,6 +632,7 @@ class PipeDreamOptimizer:
             for stages in map(self._solve_for, self._decompositions(topology))
             if stages is not None
         ]
+        footprints: Dict[int, List[int]] = {}  # by id(stages)
         if self.memory_refine and self.memory_limit_bytes is not None:
             # Phase 2: depth-aware placement-exact DP (exact warmup_count
             # versions, evaluator-model sync and boundary costs).
@@ -636,11 +641,9 @@ class PipeDreamOptimizer:
                 candidates.append(refined)
             # Ground truth: keep only plans whose simulated footprint fits.
             limit = self.memory_limit_bytes
+            footprints = {id(c): self._true_footprint(c) for c in candidates}
             candidates = [
-                stages
-                for stages in candidates
-                if max(self._true_footprint(stages)) <= limit
-            ]
+                c for c in candidates if max(footprints[id(c)]) <= limit]
         if not candidates:
             # Name the constraint that is actually binding.
             n, W = self._n, topology.total_workers
@@ -682,7 +685,8 @@ class PipeDreamOptimizer:
             profile=self.profile,
             topology=topology,
             solve_seconds=elapsed,
-            memory_bytes=tuple(self._true_footprint(stages)),
+            memory_bytes=tuple(footprints.get(id(stages))
+                               or self._true_footprint(stages)),
             memory_limit_bytes=self.memory_limit_bytes,
         )
 
@@ -1632,8 +1636,8 @@ def evaluate_partition_details(
 ) -> PartitionEvaluation:
     """Like :func:`evaluate_partition_on_topology` with the full breakdown.
 
-    One pricing loop (:func:`_evaluate_details`) walks the
-    placement/all_reduce model of :mod:`repro.sim.network` stage by stage.
+    One pricing loop (:func:`_evaluate_details`) composes each stage's
+    compute with :func:`repro.sim.network.stage_collectives`.
     ``bucket_bytes`` switches a replicated stage's sync pricing from the
     legacy single-payload model to the bucketed wait-free walk of
     :func:`_bucketed_stage_sync` (gradients fused into buckets of at most
@@ -1649,7 +1653,6 @@ def evaluate_partition_details(
     # Imported lazily: repro.sim.memory imports Stage from this module.
     from repro.sim.memory import pipeline_memory_footprint
 
-    reject_tp_bucketing(any(s.tp_degree > 1 for s in stages), bucket_bytes)
     result = _evaluate_details(profile, stages, topology, bucket_bytes)
     return replace(
         result,
@@ -1666,19 +1669,19 @@ def evaluate_partition_on_topology(
 ) -> float:
     """Bottleneck time per minibatch of a stage list on a real topology.
 
-    Uses the same placement and hierarchical all_reduce model as the
-    discrete-event simulator: workers are packed stage-major and
-    innermost-first; a stage's sync is one ring all_reduce over its replica
-    group per round of ``replicas`` minibatches (with the non-overlappable
-    BPTT portion charged additively); stage boundaries pay a point-to-point
-    transfer at the bandwidth of the link between adjacent groups.
+    Reads the discrete-event simulator's collective kernel
+    (:func:`repro.sim.network.stage_collectives`): a stage's sync is
+    charged once per round of ``replicas`` minibatches (the
+    non-overlappable BPTT portion additively); stage boundaries pay a
+    point-to-point transfer at the bandwidth of the link between adjacent
+    groups.  It skips :func:`evaluate_partition_details`'s §3.3 footprint.
 
     ``bucket_bytes`` opts into the bucketed wait-free sync model (see
     :func:`evaluate_partition_details`).
     """
-    return evaluate_partition_details(
-        profile, stages, topology, bucket_bytes=bucket_bytes
-    ).bottleneck_time
+    _check_stages(len(profile), stages)
+    return _evaluate_details(
+        profile, stages, topology, bucket_bytes).bottleneck_time
 
 
 def _evaluate_details(
@@ -1689,20 +1692,14 @@ def _evaluate_details(
 ) -> PartitionEvaluation:
     """The per-stage pricing loop behind every plan evaluation.
 
-    A stage is ``replicas x tp_degree`` physical workers: replica ``q``
-    owns the ``t`` consecutive ids ``[first + q t, first + (q+1) t)``, and
-    the ``t`` data-parallel shard rings stride the replicas at step ``t``
-    (``t = 1``: one ring over the contiguous group).  Shardable
-    compute/weights divide by ``t`` (the complement stays replicated, same
-    split as the shared memory kernel); each minibatch of a tp stage pays
-    an intra-stage ring all_reduce on the output-boundary activation
-    (always — including the last stage, so sharded compute is never free)
-    and on the input boundary past stage 0.  Both collectives run once per
-    replica group; the stage waits on the slowest of the ``r`` concurrent
-    groups.  The dp sync charges each ring only at the topology levels its
-    strided group actually crosses — never the fused ``r x t`` span — per
-    :func:`repro.sim.network.allreduce_time` over the representative shard
-    group.
+    A stage is ``replicas x tp_degree`` physical workers placed by
+    :func:`repro.core.schedule._assign_workers`.  Shardable compute
+    divides by ``t`` (the complement stays replicated, same split as the
+    shared memory kernel).  Every collective — the tp boundary all_reduces
+    (paid by every minibatch, the last stage included, so sharded compute
+    is never free), the stream and deferred sync over the leader ring and
+    the bucket list — comes from :func:`repro.sim.network.stage_collectives`,
+    the kernel the event engine reads too; this loop only composes them.
 
     With ``bucket_bytes`` a replicated stage's sync is the per-bucket walk
     of :func:`_bucketed_stage_sync` instead of the single-payload
@@ -1710,27 +1707,21 @@ def _evaluate_details(
     ``tests/oracles/evaluator_closed_form.py`` cross-checks the ``t = 1``,
     unbucketed branch bitwise.
     """
-    from repro.comm.bucketing import gradient_buckets
-    from repro.sim.network import Placement, allreduce_time
+    from repro.core.schedule import _assign_workers
+    from repro.sim.network import Placement, stage_collectives
 
+    occupied = sum(stage.replicas * stage.tp_degree for stage in stages)
+    if occupied > topology.total_workers:
+        raise ValueError(
+            f"the plan occupies {occupied} workers but the topology "
+            f"has {topology.total_workers}")
     tables = range_table(profile)
     placement = Placement(topology)
     scale = topology.compute_scale
-    pt, pw, pr = tables.compute, tables.weights, tables.deferred
-    pb = tables.backward
-    pst = tables.shard_compute
-    psw = tables.shard_weights
-    psb = tables.shard_backward
+    pt, pb = tables.compute, tables.backward
+    pst, psb = tables.shard_compute, tables.shard_backward
     acts = tables.out_bytes
-    next_worker = 0
-    firsts: List[int] = []
-    for stage in stages:
-        firsts.append(next_worker)
-        next_worker += stage.replicas * stage.tp_degree
-    if next_worker > topology.total_workers:
-        raise ValueError(
-            f"the plan occupies {next_worker} workers but the topology "
-            f"has {topology.total_workers}")
+    leaders = _assign_workers(stages)
     stage_times: List[float] = []
     boundary_times: List[float] = []
     sync_exposed: List[float] = []
@@ -1738,7 +1729,6 @@ def _evaluate_details(
     for idx, stage in enumerate(stages):
         r = stage.replicas
         t = stage.tp_degree
-        first = firsts[idx]
         compute = (pt[stage.stop] - pt[stage.start]) / scale
         backward = (pb[stage.stop] - pb[stage.start]) / scale
         if t > 1:
@@ -1753,40 +1743,20 @@ def _evaluate_details(
             forward_extra = compute - backward
             compute = compute + forward_extra
             backward = backward + forward_extra
-        out_term = in_term = 0.0
-        if t > 1:
-            out_act = acts[stage.stop - 1]
-            in_act = tables.in_bytes[stage.start]
-            for q in range(r):
-                group = list(range(first + q * t, first + (q + 1) * t))
-                out_term = max(out_term,
-                               allreduce_time(placement, group, out_act))
-                in_term = max(in_term,
-                              allreduce_time(placement, group, in_act))
-        stage_total = compute + (out_term + in_term)
+        coll = stage_collectives(placement, profile, stage, leaders[idx],
+                                 bucket_bytes)
+        stage_total = compute + (coll.tp_out + coll.tp_in)
         cost = stage_total / r
         exposed = hidden = 0.0
         if r > 1:
-            deferred = pr[stage.stop] - pr[stage.start]
-            rep_group = [first + q * t for q in range(r)]
             if bucket_bytes is not None:
-                buckets = gradient_buckets(
-                    profile, stage.start, stage.stop, bucket_bytes
-                )
                 round_time, round_exposed, total_sync = _bucketed_stage_sync(
-                    placement, rep_group, buckets, deferred, compute,
-                    backward,
-                )
+                    coll, compute, backward)
                 cost = round_time / r
                 exposed = round_exposed / r
                 hidden = (total_sync - round_exposed) / r
             else:
-                stream_payload = (pw[stage.stop] - pw[stage.start]) - deferred
-                if t > 1:
-                    shard_w = psw[stage.stop] - psw[stage.start]
-                    stream_payload = stream_payload - shard_w + shard_w / t
-                stream = allreduce_time(placement, rep_group, stream_payload)
-                blocked = allreduce_time(placement, rep_group, deferred)
+                stream, blocked = coll.stream, coll.deferred
                 cost = max(cost, stream / r) + blocked / r
                 # Critical-path share of the sync: whatever the round costs
                 # beyond its amortized compute; the rest hid under the max().
@@ -1796,9 +1766,8 @@ def _evaluate_details(
         sync_exposed.append(exposed)
         sync_hidden.append(hidden)
         if idx + 1 < len(stages):
-            bandwidth = placement.link_bandwidth(
-                firsts[idx + 1] - 1, firsts[idx + 1]
-            )
+            first = leaders[idx + 1][0]
+            bandwidth = placement.link_bandwidth(first - 1, first)
             boundary_times.append(2.0 * acts[stage.stop - 1] / bandwidth)
     worst = max(max(stage_times), max(boundary_times, default=0.0))
     return PartitionEvaluation(
@@ -1808,39 +1777,33 @@ def _evaluate_details(
     )
 
 
-def _bucketed_stage_sync(
-    placement, group, buckets, deferred_bytes, compute, backward_total
-):
+def _bucketed_stage_sync(coll, compute, backward_total):
     """Wait-free bucketed sync walk for one replicated stage's round.
 
     A round of the stage runs one minibatch per replica: ``compute``
     seconds of forward+backward, the backward portion ``backward_total``
-    at the tail.  Each stream bucket's collective fires as soon as its
-    last gradient exists (``ready_fraction`` of the backward elapsed) and
-    the per-stage sync channel is free; buckets serialize on that channel
-    in firing order.  The BPTT-deferred payload only exists once backward
+    at the tail.  Each stream bucket's collective (``coll.buckets``, from
+    :func:`repro.sim.network.stage_collectives`) fires as soon as its last
+    gradient exists (``ready_fraction`` of the backward elapsed) and the
+    per-stage sync channel is free; buckets serialize on that channel in
+    firing order.  The BPTT-deferred payload only exists once backward
     ends, so it is priced strictly after both the compute and the last
     stream bucket — the reason deferred kinds stay fully exposed no
     matter the bucket size.
 
     Returns ``(round_time, exposed, total_sync)`` in seconds per round:
     the round's wall-clock, the sync share extending it past its compute,
-    and the summed duration of every collective (each priced through
-    :func:`repro.sim.network.allreduce_time`, so per-bucket latency α and
-    the hierarchical ring terms are included).  Mirrors the event
+    and the summed duration of every collective.  Mirrors the event
     engine's ``_execute_update`` walk with all round members collapsed
     onto one canonical timeline.
     """
-    from repro.sim.network import allreduce_time
-
     forward = compute - backward_total
     t = 0.0
     total = 0.0
-    for bucket in buckets:
-        ready = forward + bucket.ready_fraction * backward_total
-        dur = allreduce_time(placement, group, bucket.payload_bytes)
+    for dur, ready_fraction in coll.buckets:
+        ready = forward + ready_fraction * backward_total
         t = (ready if ready > t else t) + dur
         total += dur
-    blocked = allreduce_time(placement, group, deferred_bytes)
+    blocked = coll.deferred
     round_time = (t if t > compute else compute) + blocked
     return round_time, round_time - compute, total + blocked

@@ -9,7 +9,7 @@ total worker count is the product of all ``m_k``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 GBPS = 1e9 / 8  # 1 Gbit/s in bytes/second
 GBYTES = 1e9  # 1 GB/s in bytes/second
@@ -230,6 +230,16 @@ def cluster_1080ti(num_servers: int = 4) -> Topology:
         intra_allreduce_efficiency=PCIE_ALLREDUCE_EFFICIENCY,
         inter_allreduce_efficiency=ETHERNET_ALLREDUCE_EFFICIENCY,
     )
+
+
+#: Named clusters (``--cluster`` on the CLI, ``"cluster"`` in a service
+#: request) and their factories, called with a server count.
+CLUSTERS = {
+    "a": cluster_a,
+    "b": cluster_b,
+    "c": cluster_c,
+    "1080ti": cluster_1080ti,
+}
 
 
 CLUSTER_A = cluster_a()

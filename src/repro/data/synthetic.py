@@ -16,7 +16,7 @@ one training loop serves every model family:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 

@@ -10,7 +10,7 @@ activation sizes, and FLOP estimates.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 

@@ -17,7 +17,6 @@ from repro.models.base import LayeredModel
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
-    Flatten,
     GlobalAvgPool2d,
     Linear,
     Module,

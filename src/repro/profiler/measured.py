@@ -8,7 +8,7 @@ a single device and record, per layer, the forward+backward compute time
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 

@@ -149,6 +149,7 @@ class ElasticCoordinator:
                 "profile": self.profile.to_dict(),
                 "topology": topology_to_dict(self.topology),
                 "num_workers": num_workers,
+                **dict(self.optimizer.spec.key()),
             })
             stages = [Stage(s, e, r) for s, e, r in payload["stages"]]
             return stages, time.perf_counter() - begin, bool(payload["cached"])

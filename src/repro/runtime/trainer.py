@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.autodiff import functional as F
-from repro.autodiff.engine import Tensor, no_grad
+from repro.autodiff.engine import no_grad
 from repro.models.base import LayeredModel
 from repro.nn.module import Module
 from repro.optim.optimizer import Optimizer

@@ -45,23 +45,8 @@ from repro.core.partition import (
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
 from repro.core.spec import PlanSpec, SimSpec, check_scenario
-from repro.core.topology import (
-    Topology,
-    TopologyLevel,
-    cluster_1080ti,
-    cluster_a,
-    cluster_b,
-    cluster_c,
-)
+from repro.core.topology import CLUSTERS, Topology, TopologyLevel
 from repro.utils.lru import LRUCache
-
-#: Named clusters a request may reference instead of an inline topology.
-CLUSTERS = {
-    "a": cluster_a,
-    "b": cluster_b,
-    "c": cluster_c,
-    "1080ti": cluster_1080ti,
-}
 
 _PLAN_KEYS = frozenset({
     "model", "profile", "device", "precision",

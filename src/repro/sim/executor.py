@@ -42,16 +42,15 @@ from heapq import heappop, heappush
 from itertools import compress, starmap
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.partition import Stage, allreduce_bytes_per_worker
+from repro.core.partition import Stage
 from repro.core.profile import ModelProfile
 from repro.core.ranges import range_table
 from repro.core.schedule import (
     BWD, FWD, OP_KINDS, UPD, Op, Schedule, ScheduleTable,
 )
-from repro.core.spec import reject_tp_bucketing
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
-from repro.sim.network import Placement, allreduce_time
+from repro.sim.network import Placement, stage_collectives
 
 
 @dataclass(slots=True)
@@ -250,7 +249,7 @@ class _SimCore:
         "log_rank", "log_start", "log_end",
         "fired", "bumped", "nk", "AB_OFF", "UD_OFF", "_bw_cache",
         "faults", "halt_time", "halted", "_lvl_cache",
-        "bucket_durs", "bucket_fracs", "sync_exposed",
+        "buckets", "sync_exposed",
     )
 
     def __init__(
@@ -297,22 +296,17 @@ class _SimCore:
         # boundary stash, so it replays compute, not collectives).  Stages
         # at tp_degree == 1 take no branch, keeping the timeline bitwise
         # identical to the two-axis simulator.
-        tp_active = any(stage.tp_degree > 1 for stage in stages)
         tb = range_table(profile)
-        reject_tp_bucketing(tp_active, options.bucket_bytes)
-        if tp_active:
-            scale = topology.compute_scale
-            for s, stage in enumerate(stages):
-                t = stage.tp_degree
-                if t > 1:
-                    sc = (tb.shard_compute[stage.stop]
-                          - tb.shard_compute[stage.start])
-                    sf = (tb.shard_forward[stage.stop]
-                          - tb.shard_forward[stage.start])
-                    sb = (sc - sf) / scale
-                    sf = sf / scale
-                    fwd_time[s] = fwd_time[s] - sf + sf / t
-                    bwd_time[s] = bwd_time[s] - sb + sb / t
+        scale = topology.compute_scale
+        for s, stage in enumerate(stages):
+            t = stage.tp_degree
+            if t > 1:
+                sc = tb.shard_compute[stage.stop] - tb.shard_compute[stage.start]
+                sf = tb.shard_forward[stage.stop] - tb.shard_forward[stage.start]
+                sb = (sc - sf) / scale
+                sf = sf / scale
+                fwd_time[s] = fwd_time[s] - sf + sf / t
+                bwd_time[s] = bwd_time[s] - sb + sb / t
         # 2BP backward split (schedules with ``backward_split``): the
         # grad-weight half leaves the critical grad-input path *before*
         # recompute is applied — the replayed forward must precede
@@ -334,33 +328,25 @@ class _SimCore:
                 b + f if stage.recompute else b
                 for stage, f, b in zip(stages, fwd_time, bwd_time)
             ]
-        if tp_active:
-            # Intra-stage collectives, folded into the per-op durations so
-            # every loop prices them through the same precomputed lists:
-            # every forward ends with a ring all_reduce of the stage's
-            # output-boundary activation over its tp group (allgather of
-            # the column-parallel halves — priced on the *last* stage too,
-            # so sharded compute is never free), and every backward (past
-            # stage 0) runs the reduce-scatter on the input boundary.  The
-            # r per-replica groups run concurrently; the stage-wide
-            # duration is governed by the slowest group, the same rule the
-            # analytic evaluator applies.  Charged per group over the
-            # group's own worker ids — never the fused replicas x tp span.
-            for s, stage in enumerate(stages):
-                t = stage.tp_degree
-                if t > 1:
-                    out_act = profile.activation_bytes(stage.stop - 1)
-                    in_act = (profile.activation_bytes(stage.start - 1)
-                              if stage.start > 0 else 0)
-                    out_term = in_term = 0.0
-                    for rep in schedule.stage_workers[s]:
-                        group = list(range(rep, rep + t))
-                        out_term = max(out_term, allreduce_time(
-                            self.placement, group, out_act))
-                        in_term = max(in_term, allreduce_time(
-                            self.placement, group, in_act))
-                    fwd_time[s] = fwd_time[s] + out_term
-                    bwd_time[s] = bwd_time[s] + in_term
+        # Every collective comes from the one kernel.  A tp stage's
+        # boundary all_reduces fold into its per-op durations: every
+        # forward ends with the output-boundary collective (the last stage
+        # too, so sharded compute is never free) and every backward runs
+        # the input-boundary one.  The sync terms are per stage round; for
+        # wait-free backprop only the stream payload overlaps the backward
+        # pass — BPTT-accumulated kinds (LSTM, embedding) keep accumulating
+        # until it ends, the reason DP fares poorly on the paper's
+        # translation and language-modelling workloads.  With bucketing
+        # the round commit walks the stream's buckets in firing order.
+        collectives = [
+            stage_collectives(self.placement, profile, stage,
+                              schedule.stage_workers[s], options.bucket_bytes)
+            for s, stage in enumerate(stages)
+        ]
+        for s, stage in enumerate(stages):
+            if stage.tp_degree > 1:
+                fwd_time[s] = fwd_time[s] + collectives[s].tp_out
+                bwd_time[s] = bwd_time[s] + collectives[s].tp_in
         self.fwd_time = fwd_time
         self.bwd_time = bwd_time
         self.bwd_w_time = bwd_w_time
@@ -368,76 +354,11 @@ class _SimCore:
         self.boundary_bytes = [
             profile.activation_bytes(stage.stop - 1) for stage in stages[:-1]
         ]
-        stage_weight_bytes = [
-            tb.weights[stage.stop] - tb.weights[stage.start]
-            for stage in stages
-        ]
-
-        # All_reduce duration per stage round (zero when unreplicated).  For
-        # wait-free backprop the paper's overlap only applies to gradients
-        # that are complete *during* the backward pass: conv/fc weight
-        # gradients finish when their layer's backward runs, but
-        # BPTT-accumulated kinds (LSTM, embedding) keep accumulating until
-        # the backward pass ends and therefore cannot be overlapped — the
-        # reason DP fares poorly on the paper's translation and
-        # language-modelling workloads.
-        sync_duration: List[float] = []
-        sync_stream: List[float] = []
-        sync_deferred: List[float] = []
-        for s, stage in enumerate(stages):
-            workers = schedule.stage_workers[s]
-            # The same decomposition the planner's memory kernel prices:
-            # deferred = BPTT-accumulated weights (RECURRENT_KINDS).
-            deferred_bytes = tb.deferred[stage.stop] - tb.deferred[stage.start]
-            if stage.tp_degree > 1:
-                # Each of the t concurrent shard rings syncs its own slice:
-                # the replicated (unshardable) weights plus a 1/t shard of
-                # the shardable share.  ``workers`` holds one representative
-                # per replica (tp-group leaders, strided tp_degree apart),
-                # so allreduce_time charges exactly the levels the strided
-                # ring crosses.  Deferred (BPTT) weights are unshardable by
-                # construction and stay full.
-                shard_w = (tb.shard_weights[stage.stop]
-                           - tb.shard_weights[stage.start])
-                stream_bytes = ((stage_weight_bytes[s] - deferred_bytes)
-                                - shard_w + shard_w / stage.tp_degree)
-            else:
-                stream_bytes = stage_weight_bytes[s] - deferred_bytes
-            sync_stream.append(allreduce_time(self.placement, workers, stream_bytes))
-            sync_deferred.append(allreduce_time(self.placement, workers, deferred_bytes))
-            sync_duration.append(sync_stream[-1] + sync_deferred[-1])
-        # Gradient bucketing: pre-price every bucket's collective per stage
-        # (same fused spans as the analytic evaluator, from the one shared
-        # bucket former).  The stream payload then costs the *sum* of its
-        # bucket collectives — each paying the topology's per-collective
-        # setup latency again — and the round commit walks them in firing
-        # order instead of pricing one monolithic payload.  ``None`` skips
-        # all of this and leaves every duration bitwise unchanged.
-        bucket_durs: Optional[List[List[float]]] = None
-        bucket_fracs: Optional[List[List[float]]] = None
-        if options.bucket_bytes is not None:
-            from repro.comm.bucketing import gradient_buckets
-
-            bucket_durs = []
-            bucket_fracs = []
-            for s, stage in enumerate(stages):
-                workers = schedule.stage_workers[s]
-                buckets = gradient_buckets(
-                    profile, stage.start, stage.stop, options.bucket_bytes
-                )
-                durs = [
-                    allreduce_time(self.placement, workers, bk.payload_bytes)
-                    for bk in buckets
-                ]
-                bucket_durs.append(durs)
-                bucket_fracs.append([bk.ready_fraction for bk in buckets])
-                sync_stream[s] = sum(durs)
-                sync_duration[s] = sync_stream[s] + sync_deferred[s]
-        self.bucket_durs = bucket_durs
-        self.bucket_fracs = bucket_fracs
-        self.sync_duration = sync_duration
-        self.sync_stream = sync_stream
-        self.sync_deferred = sync_deferred
+        self.sync_stream = [c.stream for c in collectives]
+        self.sync_deferred = [c.deferred for c in collectives]
+        self.sync_duration = [c.stream + c.deferred for c in collectives]
+        self.buckets = (None if options.bucket_bytes is None
+                        else [c.buckets for c in collectives])
 
         # Commit-order tie-breaking follows the table's rank order.
         table = self.table = schedule.table()
@@ -594,7 +515,7 @@ class _SimCore:
         ends = [x[1] for x in backwards]
         duration = self.sync_duration[s]
         last_end = max(ends)
-        if self.bucket_durs is not None:
+        if self.buckets is not None:
             # Bucketed wait-free backprop: each bucket's collective fires
             # once every member's backward has produced its last gradient
             # (the bucket's ready fraction, interpolated on each member's
@@ -605,9 +526,7 @@ class _SimCore:
             # rounds alike — with no buckets (pure-deferred stage) both
             # legacy formulas reduce to this same expression.
             t = self.sync_free[s]
-            fracs = self.bucket_fracs[s]
-            for i, dur in enumerate(self.bucket_durs[s]):
-                frac = fracs[i]
+            for dur, frac in self.buckets[s]:
                 ready = max(st + frac * (en - st) for st, en in backwards)
                 if ready > t:
                     t = ready

@@ -5,14 +5,23 @@ spilling to the next), mirroring how multi-GPU jobs are placed in the
 paper's clusters.  A transfer between two workers runs at the bandwidth of
 the outermost level at which their coordinates diverge; a ring all_reduce
 over a worker group pays ``2 (g_k - 1)/g_k * bytes / B_k`` at every level
-the group spans.
+the group spans.  :func:`stage_collectives` is the one place a stage's
+collectives are priced: the event engine, the analytic evaluator and the
+sweep read its terms and compose them each their own way.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.comm.bucketing import gradient_buckets
+from repro.core.profile import ModelProfile
+from repro.core.ranges import RangeTable, range_table
+from repro.core.spec import reject_tp_bucketing
 from repro.core.topology import Topology
+
+if TYPE_CHECKING:  # repro.core.partition imports this module lazily
+    from repro.core.partition import Stage
 
 
 class Placement:
@@ -158,3 +167,102 @@ def allreduce_time(placement: Placement, workers: Sequence[int], num_bytes: floa
             if level.allreduce_latency > 0.0:
                 total += level.allreduce_latency
     return total
+
+
+class StageCollectives(NamedTuple):
+    """Seconds of one stage's collectives (see :func:`stage_collectives`)."""
+
+    #: tp boundary all_reduces per minibatch, each the slowest of the
+    #: stage's concurrent replica groups: the output activation after
+    #: every forward, the input activation in every backward (0.0 at
+    #: ``tp_degree == 1``).
+    tp_out: float
+    tp_in: float
+    #: Per-round dp sync over the leader ring: the streamable payload
+    #: (the sum of its bucket collectives when bucketed) and the
+    #: BPTT-deferred payload, which only exists once backward ends.
+    stream: float
+    deferred: float
+    #: ``(seconds, ready_fraction)`` per stream bucket in firing order;
+    #: ``()`` unbucketed.
+    buckets: Tuple[Tuple[float, float], ...]
+
+
+def stage_collectives(
+    placement: Placement,
+    profile: ModelProfile,
+    stage: Stage,
+    leaders: Sequence[int],
+    bucket_bytes: Optional[float] = None,
+) -> StageCollectives:
+    """Price every collective of one stage on ``placement``.
+
+    ``leaders`` holds one worker id per replica — the first of its
+    ``tp_degree`` consecutive ids (the stage-major, tp-strided rule of
+    :func:`repro.core.schedule._assign_workers`).  Replica ``q``'s tp group
+    is ``[leaders[q], leaders[q] + tp_degree)``; the dp sync runs one ring
+    over ``leaders`` (each of the ``tp_degree`` concurrent shard rings
+    crosses the same levels), charged only at the levels that strided
+    ring spans — never the fused ``replicas x tp_degree`` span.  Each shard
+    ring syncs the unshardable weights plus a ``1/tp_degree`` slice of the
+    shardable share (:func:`_shard_share`); deferred (BPTT) weights are
+    unshardable and stay whole.
+
+    ``bucket_bytes`` splits the stream payload into the
+    :func:`~repro.comm.bucketing.gradient_buckets` collectives, each
+    paying the per-collective latency again.  Tensor parallelism x
+    bucketing is not modeled and is rejected here.
+    """
+    t = stage.tp_degree
+    reject_tp_bucketing(t > 1, bucket_bytes)
+    tables = range_table(profile)
+    start, stop = stage.start, stage.stop
+    tp_out = tp_in = 0.0
+    if t > 1:
+        out_act = tables.out_bytes[stop - 1]
+        in_act = tables.in_bytes[start]
+        for leader in leaders:
+            group = range(leader, leader + t)
+            tp_out = max(tp_out, allreduce_time(placement, group, out_act))
+            tp_in = max(tp_in, allreduce_time(placement, group, in_act))
+    deferred_bytes = tables.deferred[stop] - tables.deferred[start]
+    deferred = allreduce_time(placement, leaders, deferred_bytes)
+    if bucket_bytes is None:
+        stream_bytes = _shard_share(
+            tables, stage,
+            (tables.weights[stop] - tables.weights[start]) - deferred_bytes)
+        stream = allreduce_time(placement, leaders, stream_bytes)
+        return StageCollectives(tp_out, tp_in, stream, deferred, ())
+    buckets = tuple(
+        (allreduce_time(placement, leaders, bucket.payload_bytes),
+         bucket.ready_fraction)
+        for bucket in gradient_buckets(profile, start, stop, bucket_bytes)
+    )
+    stream = sum(seconds for seconds, _ in buckets)
+    return StageCollectives(tp_out, tp_in, stream, deferred, buckets)
+
+
+def _shard_share(tables: RangeTable, stage: Stage, payload: float) -> float:
+    """One tp shard ring's share of ``payload`` weight bytes of ``stage``:
+    the payload less the shardable weights plus a ``1/tp_degree`` slice of
+    them (``payload`` itself at ``tp_degree == 1``)."""
+    t = stage.tp_degree
+    if t == 1:
+        return payload
+    shard_w = tables.shard_weights[stage.stop] - tables.shard_weights[stage.start]
+    return payload - shard_w + shard_w / t
+
+
+def stage_sync_seconds(
+    placement: Placement,
+    profile: ModelProfile,
+    stage: Stage,
+    leaders: Sequence[int],
+) -> float:
+    """One ring all_reduce of the stage's whole weight payload, deferred
+    weights included, over its leader ring (each shard ring carrying its
+    :func:`_shard_share`): the sweep's ``allreduce_seconds`` column, which
+    does not split the stream from the deferred payload."""
+    tables = range_table(profile)
+    weights = tables.weights[stage.stop] - tables.weights[stage.start]
+    return allreduce_time(placement, leaders, _shard_share(tables, stage, weights))

@@ -21,6 +21,7 @@ from repro.core.partition import (
     Stage,
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
+    plan_config,
 )
 from repro.core.profile import ModelProfile
 from repro.core.schedule import (
@@ -247,23 +248,9 @@ def simulate_partition(
                               bucket_bytes=bucket_bytes))
     samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, stages) * num_minibatches
-
-    def _fmt(s: Stage) -> str:
-        # Tensor-parallel stages render as "{replicas}x{tp_degree}"; plans
-        # without tp keep the historical byte-exact strings.
-        return (str(s.replicas) if s.tp_degree == 1
-                else f"{s.replicas}x{s.tp_degree}")
-
-    config = (
-        _fmt(stages[0])
-        if len(stages) == 1
-        else ("straight"
-              if all(s.replicas == 1 and s.tp_degree == 1 for s in stages)
-              else "-".join(_fmt(s) for s in stages))
-    )
     return StrategyResult(
         strategy=strategy_name,
-        config=config,
+        config=plan_config(stages),
         num_workers=sum(s.replicas * s.tp_degree for s in stages),
         throughput=sim.steady_state_throughput,
         epoch_time=sim.total_time,

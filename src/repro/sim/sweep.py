@@ -32,11 +32,11 @@ from repro.core.partition import (
     evaluate_partition_details,
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
+from repro.core.schedule import _assign_workers
 from repro.core.spec import PlanSpec, SimSpec
 from repro.core.topology import Topology
 from repro.profiler import analytic_profile
-from repro.sim.memory import pipeline_memory_footprint
-from repro.sim.network import Placement, allreduce_time
+from repro.sim.network import Placement, stage_sync_seconds
 from repro.sim.strategies import (
     STRATEGIES,
     grid_minibatches,
@@ -152,43 +152,18 @@ def _plan_allreduce_seconds(
 ) -> float:
     """Modeled per-round weight-sync time of a plan's replicated stages.
 
-    Workers are numbered stage-major (the schedule builders' contiguous
-    assignment); each stage with ``replicas > 1`` ring-all_reduces its span's
-    ``weight_bytes`` — at the profile's own ``bytes_per_element``, so an
-    fp16 profile pays half the fp32 payload — across its replica group, and
-    the per-stage times add (groups share the hierarchy's links).
-
-    Tensor-parallel stages sync per *shard group*: the replica group is the
-    ``tp_degree``-strided representative ids (never the fused
-    ``replicas x tp_degree`` span — the strided ring is charged only at
-    the topology levels it actually crosses), and each shard's payload is
-    the unshardable weights plus a ``1/t`` slice of the shardable share.
-    ``tp_degree == 1`` stages take the original expressions untouched.
+    Each stage ring-all_reduces its whole weight payload once — at the
+    profile's own ``bytes_per_element``, so an fp16 profile pays half the
+    fp32 payload — over its leader ring
+    (:func:`repro.sim.network.stage_sync_seconds`), and the per-stage times
+    add (groups share the hierarchy's links).  An unreplicated stage
+    costs 0.0.
     """
     placement = Placement(topology)
+    leaders = _assign_workers(stages)
     total = 0.0
-    next_worker = 0
-    for stage in stages:
-        t = stage.tp_degree
-        if t > 1:
-            group = [next_worker + q * t for q in range(stage.replicas)]
-            next_worker += stage.replicas * t
-            if stage.replicas > 1:
-                from repro.core import sharding
-
-                weights = profile.weight_bytes(stage.start, stage.stop)
-                shard_w = sharding.shardable_weight_bytes(
-                    profile, stage.start, stage.stop)
-                total += allreduce_time(
-                    placement, group, weights - shard_w + shard_w / t
-                )
-        else:
-            group = list(range(next_worker, next_worker + stage.replicas))
-            next_worker += stage.replicas
-            if stage.replicas > 1:
-                total += allreduce_time(
-                    placement, group, profile.weight_bytes(stage.start, stage.stop)
-                )
+    for s, stage in enumerate(stages):
+        total += stage_sync_seconds(placement, profile, stage, leaders[s])
     return total
 
 
@@ -338,7 +313,7 @@ def _breakdown(profile: ModelProfile, stages: Sequence[Stage],
     return dict(
         stage_seconds=details.stage_times,
         boundary_seconds=details.boundary_times,
-        stage_memory_bytes=tuple(pipeline_memory_footprint(profile, stages)),
+        stage_memory_bytes=details.memory_bytes,
         allreduce_seconds=_plan_allreduce_seconds(profile, stages, topology),
     )
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from repro.core.schedule import OpKind
 from repro.sim.executor import SimResult

@@ -111,6 +111,20 @@ class TestWarmReplan:
         stages_c, _, cached_c = served.replan(12)
         assert stages_c == stages_b and cached_c is True
 
+    def test_service_replan_keeps_the_optimizer_spec(self):
+        # allow_replication=False must reach the service: without it the
+        # served plan replicates ([0,12)x3, [12,21)x1) where the direct
+        # path gives a straight 4-stage pipeline.
+        topology = cluster_a(2)
+        direct = ElasticCoordinator(VGG, topology, allow_replication=False)
+        served = ElasticCoordinator(VGG, topology, allow_replication=False,
+                                    service=PlannerService())
+        stages_a, _, _ = direct.replan(4)
+        stages_b, _, _ = served.replan(4)
+        assert stages_a == stages_b
+        assert len(stages_a) == 4
+        assert all(stage.replicas == 1 for stage in stages_a)
+
 
 # ----------------------------------------------------------------------
 # The full cycle

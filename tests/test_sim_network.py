@@ -2,8 +2,17 @@
 
 import pytest
 
+from repro.comm.bucketing import gradient_buckets
+from repro.core.partition import Stage
+from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import make_cluster
-from repro.sim.network import Placement, allreduce_time, transfer_time
+from repro.sim.network import (
+    Placement,
+    allreduce_time,
+    stage_collectives,
+    stage_sync_seconds,
+    transfer_time,
+)
 
 
 @pytest.fixture
@@ -72,3 +81,79 @@ class TestAllReduce:
         t4 = allreduce_time(placement, [0, 1, 2, 3], 400.0)
         t8 = allreduce_time(placement, list(range(8)), 400.0)
         assert t8 > t4
+
+
+# conv / lstm / fc / other / fc: weights 300 + 200 (deferred) + 120 + 8 + 40;
+# the shardable (conv, fc) share is 460.
+KERNEL_PROFILE = ModelProfile("k", [
+    LayerProfile("conv", 1.0, 64, 300, kind="conv"),
+    LayerProfile("lstm", 2.0, 32, 200, kind="lstm"),
+    LayerProfile("fc1", 1.5, 16, 120, kind="fc"),
+    LayerProfile("norm", 0.5, 16, 8),
+    LayerProfile("fc2", 1.0, 8, 40, kind="fc"),
+], batch_size=4)
+
+
+@pytest.fixture
+def latency_placement():
+    # The fixture's cluster plus a per-level collective latency, so every
+    # collective a term sums shows up in it.
+    return Placement(make_cluster("t", 4, 2, 100.0, 10.0,
+                                  intra_allreduce_latency=0.5,
+                                  inter_allreduce_latency=2.0))
+
+
+class TestStageCollectives:
+    """The one kernel every pricing stack reads, against hand-summed
+    ``allreduce_time`` calls."""
+
+    def test_contiguous_ring(self, latency_placement):
+        p = latency_placement
+        got = stage_collectives(p, KERNEL_PROFILE, Stage(0, 5, 4),
+                                [0, 1, 2, 3])
+        assert got.tp_out == 0.0 and got.tp_in == 0.0
+        assert got.stream == allreduce_time(p, [0, 1, 2, 3], 668 - 200)
+        assert got.deferred == allreduce_time(p, [0, 1, 2, 3], 200)
+        assert got.buckets == ()
+        assert stage_sync_seconds(p, KERNEL_PROFILE, Stage(0, 5, 4),
+                                  [0, 1, 2, 3]) == allreduce_time(
+            p, [0, 1, 2, 3], 668)
+
+    def test_tp_strided_stage_straddles_a_machine(self, latency_placement):
+        # Stage 1 of [Stage(0, 1, 1), Stage(1, 5, 3, tp_degree=2)]: its
+        # replicas are the tp groups {1, 2}, {3, 4} and {5, 6}; {3, 4}
+        # crosses the server boundary at id 4.
+        p = latency_placement
+        stage = Stage(1, 5, 3, tp_degree=2)
+        got = stage_collectives(p, KERNEL_PROFILE, stage, [1, 3, 5])
+        groups = ([1, 2], [3, 4], [5, 6])
+        assert got.tp_out == max(allreduce_time(p, g, 8) for g in groups)
+        assert got.tp_in == max(allreduce_time(p, g, 64) for g in groups)
+        assert got.tp_out == allreduce_time(p, [3, 4], 8)
+        # (368 - 200) - 160 + 160 / 2: the lstm weights stay whole.
+        assert got.stream == allreduce_time(p, [1, 3, 5], 168 - 160 + 80.0)
+        assert got.deferred == allreduce_time(p, [1, 3, 5], 200)
+        assert stage_sync_seconds(p, KERNEL_PROFILE, stage, [1, 3, 5]) == (
+            allreduce_time(p, [1, 3, 5], 368 - 160 + 80.0))
+
+    def test_bucketed_replicated_stage(self, latency_placement):
+        p = latency_placement
+        leaders = [2, 3, 4, 5]
+        got = stage_collectives(p, KERNEL_PROFILE, Stage(0, 5, 4), leaders,
+                                bucket_bytes=150)
+        # Backward order, lstm left out: [fc2 + norm + fc1] = 168 > 150,
+        # so the buckets are [fc2, norm] = 48, [fc1] = 120, [conv] = 300.
+        expected = [allreduce_time(p, leaders, payload)
+                    for payload in (48, 120, 300)]
+        assert [seconds for seconds, _ in got.buckets] == expected
+        assert [fraction for _, fraction in got.buckets] == [
+            b.ready_fraction
+            for b in gradient_buckets(KERNEL_PROFILE, 0, 5, 150)]
+        assert got.stream == expected[0] + expected[1] + expected[2]
+        assert got.deferred == allreduce_time(p, leaders, 200)
+
+    def test_tp_with_buckets_is_rejected(self, placement):
+        with pytest.raises(ValueError, match="bucket"):
+            stage_collectives(placement, KERNEL_PROFILE,
+                              Stage(0, 5, 1, tp_degree=2), [0],
+                              bucket_bytes=150)

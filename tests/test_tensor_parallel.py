@@ -35,12 +35,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partition import (
-    RECURRENT_KINDS,
     PipeDreamOptimizer,
     Stage,
     evaluate_partition_details,
 )
-from repro.core.profile import LayerProfile, ModelProfile
+from repro.core.profile import RECURRENT_KINDS, LayerProfile, ModelProfile
 from repro.core.schedule import warmup_count
 from repro.core.sharding import (
     SHARDABLE_KINDS,
