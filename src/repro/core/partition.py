@@ -1759,9 +1759,10 @@ def _evaluate_details(
                 stream, blocked = coll.stream, coll.deferred
                 cost = max(cost, stream / r) + blocked / r
                 # Critical-path share of the sync: whatever the round costs
-                # beyond its amortized compute; the rest hid under the max().
+                # beyond its amortized compute.  The stream hides under the
+                # compute up to its length; the deferred payload never does.
                 exposed = cost - stage_total / r
-                hidden = stream / r + blocked / r - exposed
+                hidden = min(stream, stage_total) / r
         stage_times.append(cost)
         sync_exposed.append(exposed)
         sync_hidden.append(hidden)

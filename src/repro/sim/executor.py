@@ -31,6 +31,14 @@ readiness and commit functions that re-evaluates every worker's head op
 on every commit (O(ops · workers)) over the same ``_SimCore`` state,
 lives in ``tests/oracles/sim_reference.py``; the test suite asserts
 bitwise-identical :class:`OpRecord` timelines, faulted and fault-free.
+
+Interchangeable ranks: a fault-free BSP stage whose ranks run identical
+rows at one speed commits in *block order* (each op of the row by ranks
+``0..n-1`` in turn, at one instant), so :func:`simulate` runs row 0 as a
+round of one, its sync priced over the whole group, and fans its commits
+out to every rank.  A zero-length op would run a rank ahead of its
+siblings: zero durations opt out, and a run whose clock absorbed a
+positive one is re-run on every rank.  The oracle runs every rank.
 """
 
 from __future__ import annotations
@@ -249,7 +257,7 @@ class _SimCore:
         "log_rank", "log_start", "log_end",
         "fired", "bumped", "nk", "AB_OFF", "UD_OFF", "_bw_cache",
         "faults", "halt_time", "halted", "_lvl_cache",
-        "buckets", "sync_exposed",
+        "buckets", "sync_exposed", "fanout",
     )
 
     def __init__(
@@ -258,6 +266,7 @@ class _SimCore:
         profile: ModelProfile,
         topology: Topology,
         options: SimOptions,
+        collapse: bool = False,
     ):
         if schedule.num_workers > topology.total_workers:
             raise ValueError(
@@ -275,6 +284,11 @@ class _SimCore:
                     f"{event.kind} fault at t={event.time} names level "
                     f"{event.level} but the topology has "
                     f"{topology.num_levels}")
+        for worker in options.worker_speed or ():
+            if worker not in range(topology.total_workers):
+                raise ValueError(
+                    f"worker_speed names worker {worker} but the topology "
+                    f"has {topology.total_workers}")
         self.schedule = schedule
         self.options = options
         stages = schedule.stages
@@ -360,8 +374,33 @@ class _SimCore:
         self.buckets = (None if options.bucket_bytes is None
                         else [c.buckets for c in collectives])
 
+        # An empty schedule is normalized away so the empty case takes
+        # the exact fault-free code paths — the bitwise no-op guarantee
+        # is structural, not arithmetic.
+        faults = options.faults
+        if faults is not None and not faults:
+            faults = None
+        self.faults = faults
+        self.halt_time = faults.halt_time if faults is not None else None
+        self.halted = False
+
         # Commit-order tie-breaking follows the table's rank order.
         table = self.table = schedule.table()
+        speed = [options.speed_of(w) for w in table.workers]
+        #: Ranks each simulated row stands for (module docstring); every
+        #: UPDATE must be followed by the forward its round gates.
+        self.fanout = 1
+        if (collapse and options.sync_mode == "bsp" and self.S == 1
+                and len(speed) >= 2 and faults is None
+                and speed.count(speed[0]) == len(speed)
+                and fwd_time[0] > 0 and bwd_time[0] > 0
+                and (bwd_w_time[0] > 0 or not schedule.backward_split)
+                and all(col.count(col[0]) == len(col) for col in table[1:])
+                and all(k2 == FWD and b2 == b + 1 for k, b, k2, b2 in zip(
+                    table.kinds[0], table.minibatches[0],
+                    table.kinds[0][1:], table.minibatches[0][1:]) if k == UPD)):
+            self.fanout = len(speed)
+            table = ScheduleTable(*(col[:1] for col in table))
         self.workers = table.workers
         self.kinds = table.kinds
         self.stage_of = table.stages
@@ -388,7 +427,7 @@ class _SimCore:
                               for r in self.replicas]
         if is_bsp:
             rank_of = {w: r for r, w in enumerate(self.workers)}
-            self.stage_ranks = [[rank_of[w] for w in ws]
+            self.stage_ranks = [[rank_of[w] for w in ws if w in rank_of]
                                 for ws in self.stage_workers_list]
 
         # Per-round membership comes from the ops the schedule actually
@@ -408,7 +447,7 @@ class _SimCore:
 
         n = len(self.workers)
         self.worker_free = [0.0] * n
-        self.speed = [options.speed_of(w) for w in self.workers]
+        self.speed = speed[:n]
         self.channel_free: Dict[Tuple[int, int], float] = defaultdict(float)
         self.channel_busy: Dict[Tuple[int, int], float] = defaultdict(float)
         self.nic_send_free: Dict[int, float] = defaultdict(float)
@@ -451,16 +490,6 @@ class _SimCore:
         self.bumped: List[int] = []
         self._bw_cache: Dict[Tuple[int, int], float] = {}
         self._lvl_cache: Dict[Tuple[int, int], int] = {}
-
-        # An empty schedule is normalized away so the empty case takes
-        # the exact fault-free code paths — the bitwise no-op guarantee
-        # is structural, not arithmetic.
-        faults = options.faults
-        if faults is not None and not faults:
-            faults = None
-        self.faults = faults
-        self.halt_time = faults.halt_time if faults is not None else None
-        self.halted = False
 
     # ------------------------------------------------------------------
     # Round semantics
@@ -877,19 +906,30 @@ class _SimCore:
                     heappush(heap, own)
 
     def result(self) -> SimResult:
-        workers = self.workers
+        table, n = self.table, self.fanout
+        ranks, starts, ends = self.log_rank, self.log_start, self.log_end
+        busy = self.compute_time
+        if n > 1:
+            # Block order; a round's UPDATE ends at its start on every
+            # rank but the last, which commits the round.
+            ranks = list(range(n)) * len(starts)
+            ends = [t for kind, start, end in zip(table.kinds[0], starts, ends)
+                    for t in ((start,) * (n - 1) + (end,) if kind == UPD
+                              else (end,) * n)]
+            starts = [start for start in starts for _ in range(n)]
+            busy = dict.fromkeys(range(n), busy[0]) if busy else {}
         return SimResult(
             total_time=max(self.log_end, default=0.0),
             num_minibatches=self.schedule.num_minibatches,
             num_workers=self.schedule.num_workers,
             compute_time_per_worker={
-                workers[rank]: busy for rank, busy in self.compute_time.items()},
+                table.workers[rank]: t for rank, t in busy.items()},
             channel_busy=dict(self.channel_busy),
             sync_busy=dict(self.sync_busy),
             minibatch_done=self.minibatch_done,
             halted_at=self.halt_time if self.halted else None,
             sync_exposed=dict(self.sync_exposed),
-            timeline=(self.table, self.log_rank, self.log_start, self.log_end),
+            timeline=(table, ranks, starts, ends),
         )
 
 
@@ -900,6 +940,11 @@ def simulate(
     options: Optional[SimOptions] = None,
 ) -> SimResult:
     """Execute ``schedule`` with the cluster's cost model; see module doc."""
-    core = _SimCore(schedule, profile, topology, options or SimOptions())
+    options = options or SimOptions()
+    core = _SimCore(schedule, profile, topology, options, collapse=True)
     core.run_event()
+    if core.fanout > 1 and any(start == end for kind, start, end in zip(
+            core.kinds[0], core.log_start, core.log_end) if kind != UPD):
+        core = _SimCore(schedule, profile, topology, options)  # absorbed
+        core.run_event()
     return core.result()

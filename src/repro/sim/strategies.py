@@ -102,9 +102,12 @@ def simulate_data_parallel(
     """BSP data parallelism with wait-free backprop (§2.1).
 
     Weak scaling: every worker processes its own per-GPU minibatch, so the
-    simulated timeline of one worker's minibatch stream represents the
-    cluster processing ``workers x minibatch`` samples per round.
+    cluster processes ``workers x minibatch`` samples per round.  The
+    workers are interchangeable when they run at one speed without faults:
+    the engine then simulates one worker's stream and copies its timeline
+    to the rest (see :mod:`repro.sim.executor`).
     """
+    _check_run_lengths(num_minibatches=num_minibatches)
     workers = topology.total_workers
     schedule = data_parallel_schedule(workers, num_minibatches, num_layers=len(profile))
     sim = simulate(schedule, profile, topology,
@@ -140,6 +143,7 @@ def simulate_model_parallel(
     bucket_bytes: Optional[float] = None,
 ) -> StrategyResult:
     """Vanilla model parallelism (Figure 2): no pipelining, one in flight."""
+    _check_run_lengths(num_minibatches=num_minibatches)
     if stages is None:
         stages = balanced_straight_stages(profile, topology.total_workers)
     schedule = model_parallel_schedule(
@@ -181,6 +185,8 @@ def simulate_gpipe(
     scale down proportionally; activation recomputation (GPipe's default)
     adds a forward's worth of compute to every backward.
     """
+    _check_run_lengths(num_batches=num_batches,
+                       num_microbatches=num_microbatches)
     if stages is None:
         stages = balanced_straight_stages(profile, topology.total_workers)
     # A microbatch is 1/m of a minibatch: scale compute and activations.
@@ -240,6 +246,7 @@ def simulate_partition(
     grad-weight halves (:func:`schedule_for_family`); the default
     ``"1f1b"`` runs the exact historical schedule object.
     """
+    _check_run_lengths(num_minibatches=num_minibatches)
     stages = list(stages)
     schedule = one_f_one_b_rr_schedule(stages, num_minibatches, noam=noam)
     schedule = schedule_for_family(schedule, schedule_family)
@@ -437,6 +444,13 @@ def simulate_pipedream(
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
+
+def _check_run_lengths(**lengths) -> None:
+    """The drivers' one run-length rule: every count is at least 1."""
+    for name, count in lengths.items():
+        if not count >= 1:
+            raise ValueError(f"{name} must be >= 1, got {count!r}")
+
 
 def balanced_straight_stages(profile: ModelProfile, num_workers: int) -> List[Stage]:
     """Greedy compute-balanced straight partition (the baseline partitioner

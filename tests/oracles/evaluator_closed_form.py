@@ -135,9 +135,7 @@ def _evaluate_details_vectorized(
             reps > 1, np.maximum(cost, stream / reps) + blocked / reps, cost
         )
         exposed = np.where(reps > 1, cost - compute / reps, 0.0)
-        hidden = np.where(
-            reps > 1, stream / reps + blocked / reps - exposed, 0.0
-        )
+        hidden = np.where(reps > 1, np.minimum(stream, compute) / reps, 0.0)
     stage_times = tuple(cost.tolist())
 
     boundary_times: Tuple[float, ...] = ()

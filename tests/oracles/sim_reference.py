@@ -10,7 +10,9 @@ flat ``dep`` list, channel and sync clocks) and the round commit
 (:func:`execute`) and point-to-point transfers (:func:`send`) are written
 here, independently of the engine's inlined loop, and call the one fault
 arithmetic (``FaultSchedule.compute_end`` / ``bandwidth_factor``) on their
-own.  The tier-1 suites assert *bitwise* agreement of the whole
+own.  It never asks ``_SimCore`` to collapse interchangeable BSP ranks
+into one row, so it checks the engine's fan-out against a run of every
+rank.  The tier-1 suites assert *bitwise* agreement of the whole
 :class:`~repro.sim.executor.OpRecord` timeline, faulted and fault-free.
 Nothing under ``src/`` imports this module (``tests/test_src_imports.py``).
 """

@@ -196,9 +196,10 @@ class TestValidation:
 
 
 class TestFaultsFitTheTopology:
-    """A fault naming a worker or a level the topology lacks is refused in
-    one place, ``_SimCore.__init__``: the engine, the oracle and the
-    elastic loop all inherit it."""
+    """A fault naming a worker or a level the topology lacks, or a
+    ``worker_speed`` naming an absent worker, is refused in one place,
+    ``_SimCore.__init__``: the engine, the oracle and the elastic loop all
+    inherit it."""
 
     TOPO = cluster_a(1)  # 4 workers on one level
     SCHED = one_f_one_b_rr_schedule(
@@ -224,6 +225,15 @@ class TestFaultsFitTheTopology:
         sim = ENGINES[engine](self.SCHED, VGG, self.TOPO,
                               SimOptions(faults=faults))
         assert sim.halted_at == 0.05
+
+    @pytest.mark.parametrize("speeds", [{99: 0.5}, {4: 2.0}, {-1: 0.5}])
+    @pytest.mark.parametrize("engine", ["reference", "event"])
+    def test_absent_worker_speed_rejected(self, engine, speeds):
+        worker = next(iter(speeds))
+        with pytest.raises(ValueError,
+                           match=f"worker_speed names worker {worker} "):
+            ENGINES[engine](self.SCHED, VGG, self.TOPO,
+                            SimOptions(worker_speed=speeds))
 
     def test_elastic_loop_inherits_the_check(self):
         with pytest.raises(ValueError, match="worker 99"):

@@ -156,6 +156,26 @@ def test_bottleneck_stage_is_argmax():
         details.stage_times)
 
 
+@pytest.mark.parametrize("model", PAPER_MODELS)
+def test_sync_hidden_is_never_negative(model):
+    """The hidden share is ``min(stream, stage compute) / r``.  On the
+    planner's own picks at 16 and 32 workers, ``total - exposed`` rounds
+    below zero (-8.7e-19 on gnmt16 ``1-7-5-3`` at cluster_b(2))."""
+    profile = analytic_profile(model)
+    for topo in (cluster_a(4), cluster_a(8), cluster_b(2), cluster_b(4)):
+        optimizer = PipeDreamOptimizer(profile, topo)
+        for workers in (16, 32):
+            if workers > topo.total_workers:
+                continue
+            stages = optimizer.solve(workers).stages
+            details = assert_evaluations_identical(profile, stages, topo)
+            assert min(details.sync_hidden) >= 0.0
+            for stage, exposed, hidden in zip(
+                    stages, details.sync_exposed, details.sync_hidden):
+                if stage.replicas == 1:
+                    assert exposed == hidden == 0.0
+
+
 # ----------------------------------------------------------------------
 # Hypothesis fuzz: random profiles × random topologies × random plans.
 # ----------------------------------------------------------------------

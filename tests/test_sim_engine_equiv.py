@@ -7,7 +7,9 @@ aggregate busy/sync accounting (exposed sync included), the per-minibatch
 completion times, and the crash halt instant.  ``tests/test_faults.py``
 re-runs every scenario here under seeded faults.
 The hypothesis case fuzzes profiles, stragglers, and NIC contention on
-top of the hand-picked regressions.
+top of the hand-picked regressions.  ``DP_SCENARIOS`` holds the engine's
+one-row fast path for interchangeable BSP ranks to the oracle, which
+always runs every rank, and pins which cases take it.
 
 A second group pins the production partitioner DP to the scalar
 oracle (``tests/oracles/partition_reference.py``): same stages, same bottleneck time, same config string, for
@@ -44,12 +46,16 @@ def assert_engines_identical(sched, profile, topo, options=None):
     ref = simulate_reference(sched, profile, topo, options)
     assert evt.records == ref.records
     assert evt.total_time == ref.total_time
-    assert evt.channel_busy == ref.channel_busy
-    assert evt.sync_busy == ref.sync_busy
-    assert evt.compute_time_per_worker == ref.compute_time_per_worker
-    assert evt.minibatch_done == ref.minibatch_done
-    assert evt.sync_exposed == ref.sync_exposed
+    assert evt.num_workers == ref.num_workers
+    assert evt.num_minibatches == ref.num_minibatches
+    # Insertion order too: it is the order average_utilization sums in.
+    for name in ("channel_busy", "sync_busy", "compute_time_per_worker",
+                 "minibatch_done", "sync_exposed"):
+        assert list(getattr(evt, name).items()) == list(
+            getattr(ref, name).items()), name
     assert evt.halted_at == ref.halted_at
+    assert evt.average_utilization == ref.average_utilization
+    assert evt.steady_state_throughput == ref.steady_state_throughput
     return evt
 
 
@@ -197,6 +203,124 @@ class TestEngineMatchesReferenceFuzzed:
         assert_engines_identical(
             data_parallel_schedule(8, minibatches, num_layers=3), profile,
             topo, options)
+
+
+# ----------------------------------------------------------------------
+# Interchangeable data-parallel ranks: one row simulated, fanned out.
+# ----------------------------------------------------------------------
+
+from repro.core.schedule import (  # noqa: E402
+    Op, OpKind, Schedule, schedule_for_family)
+from repro.sim.executor import _SimCore  # noqa: E402
+from repro.sim.faults import FaultSchedule, parse_faults  # noqa: E402
+from repro.sim.strategies import simulate_data_parallel  # noqa: E402
+
+GNMT16 = analytic_profile("gnmt16")
+AWD = analytic_profile("awd-lm")
+
+
+def _dp(profile, workers, m, topo=None, family="1f1b", **options):
+    """A BSP data-parallel case on ``workers`` ranks of ``topo``."""
+    topo = topo or make_cluster("flat", workers, 1, 12e9, 1e9)
+    sched = schedule_for_family(
+        data_parallel_schedule(workers, m, num_layers=len(profile)), family)
+    return sched, profile, topo, SimOptions(sync_mode="bsp", **options)
+
+
+def _vgg_forward(forward):
+    """vgg16 with every layer's forward time set to ``forward``."""
+    return ModelProfile("vgg16-f", [
+        LayerProfile(l.name, l.compute_time, l.activation_bytes,
+                     l.weight_bytes, forward_time=forward, kind=l.kind)
+        for l in VGG.layers], VGG.batch_size, VGG.bytes_per_element)
+
+
+def _repeated_minibatch(workers):
+    """Identical rows whose UPDATE is followed by a forward its round does
+    not gate: F0 B0 U0 F0 B0 U0."""
+    ops = [Op(OpKind(kind), 0, 0) for kind in "FBU"] * 2
+    return Schedule([Stage(0, len(VGG), workers)], 1,
+                    worker_ops={w: list(ops) for w in range(workers)})
+
+
+#: name -> (case builder, whether the one-row fast path applies).
+DP_SCENARIOS = {
+    "dp_2w_m1": (lambda: _dp(VGG, 2, 1), True),
+    "dp_4w_m4_cluster_a": (lambda: _dp(VGG, 4, 4, cluster_a(1)), True),
+    "dp_16w_m48_cluster_a": (lambda: _dp(VGG, 16, 48, cluster_a(4)), True),
+    "dp_32w_m4_cluster_b": (lambda: _dp(VGG, 32, 4, cluster_b(4)), True),
+    "dp_bucketed_16w_m4": (
+        lambda: _dp(VGG, 16, 4, cluster_a(4), bucket_bytes=25e6), True),
+    "dp_bucketed_small_8w_m4": (
+        lambda: _dp(VGG, 8, 4, cluster_b(1), bucket_bytes=1e5), True),
+    "dp_gnmt16_bucketed_8w_m48": (
+        lambda: _dp(GNMT16, 8, 48, cluster_b(1), bucket_bytes=25e6), True),
+    "dp_awd_32w_m4": (lambda: _dp(AWD, 32, 4, cluster_a(8)), True),
+    "dp_fp16_gnmt16_16w_m4": (
+        lambda: _dp(GNMT16.with_precision(2), 16, 4, cluster_b(2)), True),
+    "dp_fp16_bucketed_4w_m48": (
+        lambda: _dp(VGG.with_precision(2), 4, 48, bucket_bytes=25e6), True),
+    "dp_2bp_8w_m4": (lambda: _dp(VGG, 8, 4, cluster_b(1), "2bp"), True),
+    "dp_uniform_speed_8w_m4": (
+        lambda: _dp(VGG, 8, 4, worker_speed=dict.fromkeys(range(8), 0.6)),
+        True),
+    "dp_empty_faults_8w_m4": (
+        lambda: _dp(VGG, 8, 4, faults=FaultSchedule([])), True),
+    "dp_one_slow_worker_8w_m4": (
+        lambda: _dp(VGG, 8, 4, worker_speed={5: 0.6}), False),
+    "dp_straggler_fault_8w_m4": (
+        lambda: _dp(VGG, 8, 4, faults=parse_faults(
+            "slow@0:w2:x2:d0.5", num_workers=8)), False),
+    "dp_zero_forward_4w_m4": (
+        lambda: _dp(_vgg_forward(0.0), 4, 4, cluster_a(1)), False),
+    "dp_repeated_minibatch_4w": (
+        lambda: (_repeated_minibatch(4), VGG, cluster_a(1),
+                 SimOptions(sync_mode="bsp")), False),
+}
+
+
+@pytest.fixture
+def loop_commits(monkeypatch):
+    """Commit counts of every ``_SimCore.run_event`` call, in order."""
+    counts = []
+    run_event = _SimCore.run_event
+
+    def spy(core):
+        run_event(core)
+        counts.append(len(core.log_rank))
+
+    monkeypatch.setattr(_SimCore, "run_event", spy)
+    return counts
+
+
+@pytest.mark.parametrize("scenario", sorted(DP_SCENARIOS))
+def test_dp_fast_path_matches_reference(scenario, loop_commits):
+    """The fan-out of one row is the all-ranks run, bitwise, and the
+    predicate collapses exactly the interchangeable cases."""
+    build, collapses = DP_SCENARIOS[scenario]
+    sched, profile, topo, options = build()
+    sim = assert_engines_identical(sched, profile, topo, options)
+    rows = sched.table().kinds
+    assert loop_commits == [len(rows[0]) if collapses
+                            else sum(map(len, rows))]
+    assert len(sim.raw_records) == sum(map(len, rows))
+
+
+def test_dp_absorbed_duration_runs_every_rank(loop_commits):
+    """A positive forward the clock absorbs is zero-length in the run:
+    the collapsed run is discarded and every rank runs."""
+    sched, profile, topo, options = _dp(_vgg_forward(1e-30), 4, 3,
+                                        cluster_a(1))
+    assert_engines_identical(sched, profile, topo, options)
+    rows = sched.table().kinds
+    assert loop_commits == [len(rows[0]), sum(map(len, rows))]
+
+
+def test_data_parallel_driver_simulates_one_row(loop_commits):
+    """The driver's run takes the fast path: its loop commits one row."""
+    result = simulate_data_parallel(VGG, cluster_a(4), 12, bucket_bytes=25e6)
+    assert loop_commits == [3 * 12]
+    assert sorted(result.sim.compute_time_per_worker) == list(range(16))
 
 
 # ----------------------------------------------------------------------

@@ -74,6 +74,43 @@ class TestDrivers:
         assert result.config == "3-1"
 
 
+class TestRunLengths:
+    """A run length below 1 is one ValueError naming the argument, from
+    the rule the four drivers share, raised before anything divides by it
+    or reports a rate over an empty run."""
+
+    @pytest.mark.parametrize("driver, kwargs, named", [
+        (simulate_data_parallel, dict(num_minibatches=0), "num_minibatches"),
+        (simulate_data_parallel, dict(num_minibatches=-3), "num_minibatches"),
+        (simulate_partition, dict(stages=[Stage(0, 4, 2), Stage(4, 5, 1)],
+                                  num_minibatches=0), "num_minibatches"),
+        (simulate_partition, dict(stages=[Stage(0, 4, 2), Stage(4, 5, 1)],
+                                  num_minibatches=-1), "num_minibatches"),
+        (simulate_model_parallel, dict(num_minibatches=0), "num_minibatches"),
+        (simulate_gpipe, dict(num_batches=0), "num_batches"),
+        (simulate_gpipe, dict(num_batches=-2), "num_batches"),
+        (simulate_gpipe, dict(num_microbatches=0), "num_microbatches"),
+        (simulate_gpipe, dict(num_microbatches=-1), "num_microbatches"),
+        (simulate_gpipe, dict(num_batches=float("nan")), "num_batches"),
+    ])
+    def test_rejected(self, toy_profile, driver, kwargs, named):
+        topo = make_cluster("t3", 3, 1, 1e9, 1e9)
+        with pytest.raises(ValueError, match=f"{named} must be >= 1"):
+            driver(toy_profile, topo, **kwargs)
+
+    @pytest.mark.parametrize("driver, kwargs", [
+        (simulate_data_parallel, dict(num_minibatches=1)),
+        (simulate_partition, dict(stages=[Stage(0, 4, 2), Stage(4, 5, 1)],
+                                  num_minibatches=1)),
+        (simulate_model_parallel, dict(num_minibatches=1)),
+        (simulate_gpipe, dict(num_batches=1, num_microbatches=1)),
+    ])
+    def test_one_is_accepted(self, toy_profile, driver, kwargs):
+        topo = make_cluster("t3", 3, 1, 1e9, 1e9)
+        result = driver(toy_profile, topo, **kwargs)
+        assert 0 < result.epoch_time < float("inf")
+
+
 class TestBalancedStraightStages:
     def test_covers_model(self, vgg):
         stages = balanced_straight_stages(vgg, 4)
