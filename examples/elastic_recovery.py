@@ -26,6 +26,7 @@ import argparse
 import os
 
 from repro.core.partition import PipeDreamOptimizer
+from repro.core.spec import SimSpec
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 from repro.runtime import ElasticCoordinator
@@ -33,7 +34,7 @@ from repro.sim import (
     FaultEvent,
     FaultSchedule,
     records_to_csv,
-    simulate_partition,
+    simulate_plan,
 )
 from repro.utils import format_table
 
@@ -59,8 +60,8 @@ def run_grid(models, crash_fractions):
         # Fault-free minibatch horizon for this model's plan: crash
         # fractions land inside the run for every model.
         plan = coordinator.optimizer.solve()
-        oracle = simulate_partition(
-            profile, topology, list(plan.stages), MINIBATCHES)
+        oracle = simulate_plan(
+            profile, topology, plan, SimSpec(minibatches=MINIBATCHES))
         horizon = max(oracle.sim.minibatch_done.values())
         for fraction in crash_fractions:
             crash_time = fraction * horizon

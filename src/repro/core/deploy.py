@@ -123,14 +123,7 @@ class DeploymentPlan:
             "model_name": self.model_name,
             "noam": self.noam,
             "layer_names": self.layer_names,
-            "stages": [
-                # tp_degree is emitted only when sharded, so every
-                # pre-tensor-parallel plan serializes byte-identically.
-                dict({"start": s.start, "stop": s.stop,
-                      "replicas": s.replicas},
-                     **({"tp_degree": s.tp_degree} if s.tp_degree > 1 else {}))
-                for s in self.stages
-            ],
+            "stages": [_stage_to_dict(s) for s in self.stages],
             "assignments": [
                 dict(
                     {
@@ -152,11 +145,7 @@ class DeploymentPlan:
 
     @classmethod
     def from_dict(cls, data: Dict) -> "DeploymentPlan":
-        stages = [
-            Stage(s["start"], s["stop"], s["replicas"],
-                  tp_degree=s.get("tp_degree", 1))
-            for s in data["stages"]
-        ]
+        stages = [_stage_from_dict(s) for s in data["stages"]]
         assignments = [WorkerAssignment(**a) for a in data["assignments"]]
         return cls(
             model_name=data["model_name"],
@@ -171,22 +160,35 @@ class DeploymentPlan:
         return cls.from_dict(json.loads(text))
 
 
+def _stage_to_dict(stage: Stage) -> Dict:
+    """Stage -> JSON-ready dict.  ``tp_degree`` and ``recompute`` are
+    written only when set, so a plan or schedule without them serializes
+    as it always has."""
+    return dict(
+        {"start": stage.start, "stop": stage.stop, "replicas": stage.replicas},
+        **({"tp_degree": stage.tp_degree} if stage.tp_degree > 1 else {}),
+        **({"recompute": True} if stage.recompute else {}))
+
+
+def _stage_from_dict(data: Dict) -> Stage:
+    """Inverse of :func:`_stage_to_dict`."""
+    return Stage(data["start"], data["stop"], data["replicas"],
+                 recompute=data.get("recompute", False),
+                 tp_degree=data.get("tp_degree", 1))
+
+
 def serialize_schedule(schedule: Schedule) -> Dict:
     """Schedule -> JSON-ready dict (per-worker op lists).
 
-    ``tp_degree``, ``recompute`` and ``backward_split`` are written only
-    when set, so a schedule without them serializes as it always has.
+    ``backward_split`` is written only when set, as the stages' optional
+    fields are (:func:`_stage_to_dict`), so a schedule without them
+    serializes as it always has.
     """
     data = {
         "num_minibatches": schedule.num_minibatches,
         "noam": schedule.noam,
         "flush_after": list(schedule.flush_after),
-        "stages": [
-            dict({"start": s.start, "stop": s.stop, "replicas": s.replicas},
-                 **({"tp_degree": s.tp_degree} if s.tp_degree > 1 else {}),
-                 **({"recompute": True} if s.recompute else {}))
-            for s in schedule.stages
-        ],
+        "stages": [_stage_to_dict(s) for s in schedule.stages],
         "worker_ops": {
             str(worker): [[op.kind.value, op.stage, op.minibatch] for op in ops]
             for worker, ops in schedule.worker_ops.items()
@@ -198,10 +200,7 @@ def serialize_schedule(schedule: Schedule) -> Dict:
 
 
 def deserialize_schedule(data: Dict) -> Schedule:
-    stages = [Stage(s["start"], s["stop"], s["replicas"],
-                    recompute=s.get("recompute", False),
-                    tp_degree=s.get("tp_degree", 1))
-              for s in data["stages"]]
+    stages = [_stage_from_dict(s) for s in data["stages"]]
     kind_map = {k.value: k for k in OpKind}
     worker_ops = {
         int(worker): [Op(kind_map[k], stage, mb) for k, stage, mb in ops]

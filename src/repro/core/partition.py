@@ -220,9 +220,9 @@ class SolverContext:
     - ``bound_matrices``: the phase-1 per-span memory bounds.  The matrix
       itself never depends on the limit (only the ``<= limit`` comparison
       does), so *every* memory cap shares one matrix per mode.
-    - ``comm_tables``: the refined suffix DP's placement-exact
-      ``(coeffs, link_bw)`` tables, keyed by topology signature — shared
-      across memory caps and repeated queries.
+    - ``comm_tables``: the refined suffix DP's placement-exact ring
+      tables, one per (topology signature, tp degree) — shared across
+      memory caps, option mixes and repeated queries.
     - ``refined_rows``: completed suffix-DP rows ``(R[m], ptr_k[m],
       ptr_mp[m])``, keyed by a *chained placement signature*: row ``m``
       depends on the topology only through its all_reduce coefficients and
@@ -405,7 +405,6 @@ class PipeDreamOptimizer:
                      else replace(spec, recompute=None))
         self._recompute_auto = effective.recompute == "auto"
         self._tp_options = effective.tp_degrees or (1,)
-        self._tp_enabled = effective.tp_degrees is not None
         self._bucket_matrix_cache = None
         if context is not None and not context.matches(profile):
             raise ValueError(
@@ -535,7 +534,7 @@ class PipeDreamOptimizer:
                 # keys byte-identical.
                 key = (("refined", "recompute") if self._recompute_auto
                        else ("refined",))
-                if self._tp_enabled:
+                if self._tp_options[-1] > 1:
                     key = key + ("tp", self._tp_options[-1])
             else:
                 key = ("bound", max(1, self.topology.total_workers))
@@ -568,7 +567,7 @@ class PipeDreamOptimizer:
             return kernel(
                 layer["W"], layer["D"], layer["A"], depth, depth,
                 recompute=self._recompute_auto, boundary_activation_bytes=0,
-                tp_degree=self._tp_options[-1] if self._tp_enabled else 1,
+                tp_degree=self._tp_options[-1],
                 shardable_weight_bytes=layer["SW"],
                 shardable_activation_bytes=layer["SA"],
             )
@@ -732,13 +731,15 @@ class PipeDreamOptimizer:
         ``[W-m, W-m+m'-1]`` — one concrete replica group and boundary
         link per ``(m, m')`` pair.  The DP therefore prices sync and
         activation transfers with the *same hierarchical placement model*
-        the candidate scoring uses (see :func:`_refined_comm_tables`),
+        the candidate scoring uses (see :meth:`_refined_tp_tables`),
         instead of the flat slowest-link approximation, so its optimum is
         the evaluator's optimum over depth-feasible plans.
 
         Returns ``None`` when no plan fits (the caller may still have
         bound-filtered candidates).
         """
+        from repro.sim.network import Placement
+
         sig = tuple(
             (lv.count, lv.bandwidth, lv.allreduce_bandwidth,
              lv.allreduce_latency)
@@ -746,40 +747,43 @@ class PipeDreamOptimizer:
         )
 
         def solve_dp():
-            # The placement tables are pure functions of the topology
-            # signature (no memory / option dependence), so one entry
-            # serves every cap and option mix; the tp tables carry the
-            # ``"tp"`` tag and the degree menu so tp and tp-free solves
-            # never hand each other tables of the wrong shape.
-            coeffs, link_bw, lats = self._memo(
-                "comm", sig, lambda: self._refined_comm_tables(topology))
-            tp_tables = self._memo(
-                "comm", ("tp", sig, self._tp_options),
-                lambda: self._refined_tp_tables(topology),
-            ) if self._tp_enabled else None
-            return (self._solve_refined_dp(
-                topology, coeffs, link_bw, lats, tp_tables),)
+            # A ring table is a pure function of the topology signature
+            # and its degree (no memory / option dependence), so one entry
+            # serves every cap, option mix and menu holding that degree.
+            tables = {
+                t: self._memo("comm", (sig, t), functools.partial(
+                    self._refined_tp_tables, topology, t))
+                for t in self._tp_options
+            }
+            # link_bw[w]: the link between workers w-1 and w (w >= 1).
+            placement = Placement(topology)
+            link_bw = [topology.levels[0].bandwidth] + [
+                placement.link_bandwidth(w - 1, w)
+                for w in range(1, topology.total_workers)
+            ]
+            return (self._solve_refined_dp(topology, link_bw, tables),)
 
         return self._memo(
             "level", self._cache_ns + ("refined", sig), solve_dp)[0]
 
-    def _refined_tp_tables(self, topology: Topology):
-        """Placement-exact collective factors for tensor-parallel cells.
+    def _refined_tp_tables(self, topology: Topology, t: int):
+        """Placement-exact collective factors of degree-``t`` cells.
 
-        For each degree ``t`` on the menu and each ``(m, mp)`` suffix cell
-        with ``t | mp``, the stage occupies the contiguous physical span
-        ``[W-m, W-m+mp-1]`` packed as ``r = mp/t`` replicas of ``t``
-        consecutive shards.  Two collectives price differently from the
-        two-axis planner's fused contiguous group, and *must not* be fused
-        (the mixed dp×tp span fix):
+        For each ``(m, mp)`` suffix cell with ``t | mp``, the stage
+        occupies the contiguous physical span ``[W-m, W-m+mp-1]`` packed
+        as ``r = mp/t`` replicas of ``t`` consecutive shards.  Its two
+        collectives price separately and *must not* be fused into one
+        ring over the span (the mixed dp×tp span fix):
 
         - the data-parallel sync runs per shard group over the *strided*
           representative ids ``{W-m+q*t}`` — its ring only pays the setup
-          latency α of the levels that strided group actually crosses;
+          latency α of the levels that strided group actually crosses.
+          At ``t = 1`` that is the contiguous replica group itself;
         - the intra-stage boundary collectives ring over each replica's
           ``t`` *consecutive* shards; the per-cell factor takes the
           elementwise max over the ``r`` groups (the round ends with the
           slowest one, e.g. the group straddling a machine boundary).
+          A one-worker group at ``t = 1`` prices 0.
 
         Along row ``m`` each step ``mp += t`` adds one shard group, so
         both factors are grown, not re-walked: each distinct shard group is
@@ -789,8 +793,8 @@ class PipeDreamOptimizer:
         the running max of those set sizes — exactly the integers
         :meth:`~repro.sim.network.Placement.ring_sizes` counts, priced by
         the same :func:`~repro.sim.network.ring_cost_factors` loop, so the
-        planner and the simulator agree bitwise.  Returns ``{t: (dp_coeff,
-        dp_lat, tp_coeff, tp_lat)}`` tables indexed ``[m][mp]``.
+        planner and the simulator agree bitwise.  Returns ``(dp_coeff,
+        dp_lat, tp_coeff, tp_lat)`` tables indexed ``[m][mp]``.
         """
         from repro.sim.network import (
             Placement, allreduce_cost_factors, ring_cost_factors)
@@ -802,155 +806,75 @@ class PipeDreamOptimizer:
         for level in topology.levels:
             per.append(per[-1] * level.count)
         depth = range(topology.num_levels)
-        tables = {}
-        for t in self._tp_options[1:]:
-            dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
-            dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
-            tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
-            tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
-            shard = [
-                allreduce_cost_factors(placement, list(range(w, w + t)))
-                for w in range(W - t + 1)
-            ]
-            for m in range(t, W + 1):
-                worst_c = worst_l = 0.0
-                children = [{} for _ in depth]
-                sizes = [0] * topology.num_levels
-                for mp in range(t, m + 1, t):
-                    rep = W - m + mp - t
-                    for k in depth:
-                        members = children[k].setdefault(
-                            rep // per[k + 1], set())
-                        members.add(rep // per[k])
-                        sizes[k] = max(sizes[k], len(members))
-                    if mp > t:
-                        dp_c[m][mp], dp_l[m][mp] = ring_cost_factors(
-                            topology, sizes)
-                    c, l = shard[rep]
-                    worst_c = max(worst_c, c)
-                    worst_l = max(worst_l, l)
-                    tp_c[m][mp] = worst_c
-                    tp_l[m][mp] = worst_l
-            tables[t] = (dp_c, dp_l, tp_c, tp_l)
-        return tables
+        dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
+        dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+        tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
+        tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+        shard = [
+            allreduce_cost_factors(placement, list(range(w, w + t)))
+            for w in range(W - t + 1)
+        ]
+        for m in range(t, W + 1):
+            worst_c = worst_l = 0.0
+            children = [{} for _ in depth]
+            sizes = [0] * topology.num_levels
+            for mp in range(t, m + 1, t):
+                rep = W - m + mp - t
+                for k in depth:
+                    members = children[k].setdefault(rep // per[k + 1], set())
+                    members.add(rep // per[k])
+                    sizes[k] = max(sizes[k], len(members))
+                if mp > t:
+                    dp_c[m][mp], dp_l[m][mp] = ring_cost_factors(
+                        topology, sizes)
+                c, l = shard[rep]
+                worst_c = max(worst_c, c)
+                worst_l = max(worst_l, l)
+                tp_c[m][mp] = worst_c
+                tp_l[m][mp] = worst_l
+        return dp_c, dp_l, tp_c, tp_l
 
-    def _refined_row_keys(
-        self, W: int, coeffs, link_bw, lats, tp_tables=None
-    ) -> List[tuple]:
+    def _refined_row_keys(self, W: int, link_bw, tables) -> List[tuple]:
         """Chained placement signatures for suffix-DP rows ``1..W``.
 
         Row ``m`` of the suffix DP depends on the topology only through
-        ``coeffs[m][1..m]`` (and the matching setup latencies
-        ``lats[m][1..m]``), the boundary bandwidths
-        ``link_bw[W-m+mp]`` for ``mp = 1..m``, and rows ``< m`` — so a key
-        that chains exactly those values identifies the row's *bitwise*
-        value regardless of the total worker count it was computed under.
-        A 16-worker solve on a 4x4 cluster therefore seeds rows 1..8 of a
-        later 8-worker solve: both suffixes occupy the tail of the
-        hierarchy identically, their signatures match, and the rows are
-        handed over instead of recomputed.  Everything else a row depends
-        on (profile arrays, memory limit, replication flag, compute scale,
-        bucket size) lives in the namespace prefix.
+        row ``m`` of every degree's ring table (``tables[t][*][m][1..m]``),
+        the boundary bandwidths ``link_bw[W-m+mp]`` for ``mp = 1..m``, and
+        rows ``< m`` — so a key that chains exactly those values
+        identifies the row's *bitwise* value regardless of the total
+        worker count it was computed under.  A 16-worker solve on a 4x4
+        cluster therefore seeds rows 1..8 of a later 8-worker solve: both
+        suffixes occupy the tail of the hierarchy identically, their
+        signatures match, and the rows are handed over instead of
+        recomputed.  The strided tables ride the chain too, so reuse stays
+        value-transparent (warm == cold bitwise) when two suffixes pack
+        the contiguous groups alike but the strided ones differently.
+        Everything else a row depends on (profile arrays, memory limit,
+        replication flag, compute scale, bucket size) lives in the
+        namespace prefix.
         """
         ns = ("rows", self._cache_ns)
         keys: List[tuple] = [()] * (W + 1)
         chain: tuple = ("base", self._n)
         for m in range(1, W + 1):
-            coeff_m = tuple(coeffs[m][1 : m + 1])
-            lat_m = tuple(lats[m][1 : m + 1])
             bw_m = tuple(
                 link_bw[min(W - m + mp, W - 1)] for mp in range(1, m + 1)
             )
-            if tp_tables:
-                # Tensor-parallel rows additionally depend on the strided
-                # dp-group and shard-group factors of their suffix, so the
-                # chain must carry them: cross-worker-count reuse stays
-                # value-transparent (warm == cold bitwise) even when two
-                # suffixes pack the contiguous groups alike but the
-                # strided ones differently.
-                tp_m = tuple(
-                    (
-                        t,
-                        tuple(tabs[0][m][1 : m + 1]),
-                        tuple(tabs[1][m][1 : m + 1]),
-                        tuple(tabs[2][m][1 : m + 1]),
-                        tuple(tabs[3][m][1 : m + 1]),
-                    )
-                    for t, tabs in sorted(tp_tables.items())
-                )
-                chain = (coeff_m, lat_m, bw_m, tp_m, chain)
-            else:
-                chain = (coeff_m, lat_m, bw_m, chain)
+            rings = tuple(
+                (t,) + tuple(tuple(table[m][1 : m + 1]) for table in tabs)
+                for t, tabs in tables.items()
+            )
+            chain = (bw_m, rings, chain)
             keys[m] = (ns, m, chain)
         return keys
 
-    def _refined_comm_tables(self, topology: Topology):
-        """Per-``(m, m')`` placement-exact communication tables.
-
-        ``coeffs[m][mp]`` is the hierarchical ring all_reduce
-        seconds-per-byte of the contiguous group ``[W-m, W-m+mp-1]``,
-        accumulated level by level exactly as
-        :func:`repro.sim.network.allreduce_time` does: at each level the
-        concurrent per-parent rings finish with the *largest* one, so the coefficient uses the
-        closed-form max per-parent sibling count of the contiguous range
-        (``round(prev_span / span_above)`` — the rounded mean — used to
-        under-price uneven packings such as 5 workers under 4-per-server).
-        ``lats[m][mp]`` is the summed per-collective setup latency α of
-        the levels that group actually rings on — the once-per-collective
-        cost the DP multiplies by the bucket count.  ``link_bw[w]`` is the
-        bandwidth of the link between workers ``w-1`` and ``w`` — the
-        outermost level whose component they do not share.
-        """
-        levels = topology.levels
-        W = topology.total_workers
-        coeffs = [[0.0] * (m + 1) for m in range(W + 1)]
-        lats = [[0.0] * (m + 1) for m in range(W + 1)]
-        for m in range(1, W + 1):
-            first = W - m
-            for mp in range(1, m + 1):
-                last = first + mp - 1
-                coeff = 0.0
-                lat = 0.0
-                per_component = 1
-                for level in levels:
-                    count_k = level.count
-                    u_first = first // per_component
-                    u_last = last // per_component
-                    p_first = u_first // count_k
-                    p_last = u_last // count_k
-                    if p_first == p_last:
-                        group = u_last - u_first + 1
-                    elif p_last - p_first >= 2:
-                        group = count_k
-                    else:
-                        group = max((p_first + 1) * count_k - u_first,
-                                    u_last - p_last * count_k + 1)
-                    if group > 1:
-                        coeff += (
-                            2.0 * (group - 1) / group / level.allreduce_bandwidth
-                        )
-                        lat += level.allreduce_latency
-                    per_component *= count_k
-                coeffs[m][mp] = coeff
-                lats[m][mp] = lat
-        link_bw = [levels[0].bandwidth] * max(W, 2)
-        for w in range(1, W):
-            crossing = 0
-            per_component = 1
-            for k, level in enumerate(levels):
-                if (w - 1) // per_component != w // per_component:
-                    crossing = k
-                per_component *= level.count
-            link_bw[w] = levels[crossing].bandwidth
-        return coeffs, link_bw, lats
-
     def _span_tables(self) -> SimpleNamespace:
-        """The (n, n) planes both DPs and their tp planes read, built once
-        per optimizer from the range table: ``[i, j]`` sums over span
-        ``i..j`` of compute / weights / deferred (BPTT) weights /
-        activations / backward and their shardable shares (``S*``), plus
-        the per-layer output (``acts``) and input-boundary (``bacts``, 0 at
-        layer 0) bytes, and per tp degree the ``sharded`` compute planes.
+        """The (n, n) planes both DPs read, built once per optimizer from
+        the range table: ``[i, j]`` sums over span ``i..j`` of compute /
+        weights / deferred (BPTT) weights / activations / backward and
+        their shardable shares (``S*``), plus the per-layer output
+        (``acts``) and input-boundary (``bacts``, 0 at layer 0) bytes, and
+        per tp degree the ``sharded`` compute planes.
         Cells with ``i > j`` are meaningless; ``valid`` masks them.
         """
         if self._tables is None:
@@ -976,8 +900,8 @@ class PipeDreamOptimizer:
             tb.compute_r = tb.compute + (tb.compute - tb.B)
             # Per tp degree: the stage compute with the shardable share
             # divided by t, and its checkpointed form (one extra *sharded*
-            # forward).
-            tb.sharded = {}
+            # forward); degree 1 is the unsharded pair.
+            tb.sharded = {1: (tb.compute, tb.compute_r)}
             for t in self._tp_options[1:]:
                 sc = tb.compute - tb.ST + tb.ST / t
                 tb.sharded[t] = (sc, sc + (sc - (tb.B - tb.SB + tb.SB / t)))
@@ -1009,7 +933,7 @@ class PipeDreamOptimizer:
             blocked = blocked + np.where(deferred > 0, lat / div, 0.0)
         return overlappable, blocked
 
-    def _refined_fits(self, versions: int, replicas: int, t: int = 1):
+    def _refined_fits(self, versions: int, replicas: int, t: int):
         """(n, n) memory masks ``(fits, fits_checkpointed)`` of a leading
         stage: the shared kernel at the exact 1F1B depth ``versions`` =
         ``ceil(m/mp)`` (physical workers downstream over physical workers
@@ -1033,71 +957,52 @@ class PipeDreamOptimizer:
         )
         return cost <= limit, cost_r <= limit
 
-    def _replicated_plane(self, compute, m: int, coeff: float, lat: float,
-                          div: int, mask):
-        """(n, n) time of a stage holding ``m`` full replicas: the level
-        DP's ``T^k(i→j, m)`` and the refined DP's two-axis cell.
-
-        ``compute`` is the stage's (n, n) per-minibatch compute; one
-        replica runs it alone, ``m > 1`` replicas pay §3.1's sync term
-        (:meth:`_sync_terms`) on a ring of ``coeff`` seconds per byte plus
-        ``lat`` per collective, one round covering ``div`` minibatches.
-        Cells outside ``mask`` — and every cell of a replicated plane when
-        replication is off — are ``inf``.
-        """
-        if m == 1:
-            return np.where(mask, compute / 1, math.inf)
-        if not self.allow_replication:
-            return np.full((self._n, self._n), math.inf)
-        tb = self._span_tables()
-        stream_t, deferred_t = self._sync_terms(tb.WD, tb.D, coeff, lat, div)
-        return np.where(
-            mask, np.maximum(compute / m, stream_t) + deferred_t, math.inf)
-
-    def _tp_plane(self, compute, mask, t: int, r: int, tp_coeff: float,
-                  tp_lat: float, dp_coeff: float, dp_lat: float):
+    def _tp_plane(self, compute, mask, t: int, r: int, div: int,
+                  tp_coeff: float, tp_lat: float, dp_coeff: float,
+                  dp_lat: float):
         """(n, n) time of a stage of ``r`` replicas of ``t`` consecutive
-        shards, whose ``compute`` already divides the shardable share by
-        ``t`` (the rest is replicated work every shard repeats).
+        shards — the level DP's ``T^k(i→j, m)`` and the refined DP's cell
+        — whose ``compute`` already divides the shardable share by ``t``
+        (the rest is replicated work every shard repeats).
 
-        - every minibatch pays two intra-stage collectives on the slowest
-          shard group (ring ``tp_coeff`` seconds per byte + ``tp_lat``):
-          the forward allgather of the stage's *output* boundary
-          activations — charged for the last stage too, so tp never
-          degenerates into free compute division — and the backward
+        - with ``t > 1`` every minibatch pays two intra-stage collectives
+          on the slowest shard group (ring ``tp_coeff`` seconds per byte +
+          ``tp_lat``): the forward allgather of the stage's *output*
+          boundary activations — charged for the last stage too, so tp
+          never degenerates into free compute division — and the backward
           reduce-scatter of the *input* boundary (zero at the input stage,
           which reads training data);
-        - with ``r > 1`` the data-parallel sync streams the *sharded* eager
-          payload over the strided representative group
-          (``dp_coeff``/``dp_lat``), amortized over the round of ``r``
-          minibatches; deferred (BPTT) weights are unshardable by
-          construction and sync in full.
+        - with ``r > 1`` the replicas pay §3.1's sync term
+          (:meth:`_sync_terms`): the *sharded* eager payload streams over
+          the strided representative group (``dp_coeff``/``dp_lat``), one
+          round covering ``div`` minibatches; deferred (BPTT) weights are
+          unshardable by construction and sync in full.
 
         The level DP prices both rings with its level's flat ring (both
-        stay within one level-1 component group there); the refined DP
-        with the placement-exact tables of :meth:`_refined_tp_tables`.
+        stay within one level-1 component group there) and amortises an
+        inner level's sync over the components' workers too; the refined
+        DP reads the placement-exact tables of :meth:`_refined_tp_tables`.
         Cells outside ``mask`` — all of them for a replicated plane with
         replication off — are ``inf``.
         """
         if r > 1 and not self.allow_replication:
             return np.full((self._n, self._n), math.inf)
         tb = self._span_tables()
-        out_term = tb.acts * tp_coeff
-        in_term = tb.bacts * tp_coeff
-        if tp_lat > 0.0:
-            out_term = out_term + np.where(tb.acts > 0, tp_lat, 0.0)
-            in_term = in_term + np.where(tb.bacts > 0, tp_lat, 0.0)
-        stage_total = compute + (out_term[None, :] + in_term[:, None])
+        if t > 1:
+            out_term = tb.acts * tp_coeff
+            in_term = tb.bacts * tp_coeff
+            if tp_lat > 0.0:
+                out_term = out_term + np.where(tb.acts > 0, tp_lat, 0.0)
+                in_term = in_term + np.where(tb.bacts > 0, tp_lat, 0.0)
+            compute = compute + (out_term[None, :] + in_term[:, None])
         if r == 1:
-            tm = stage_total / r
-        else:
-            overl, nonov = self._sync_terms(
-                tb.WD - tb.SW + tb.SW / t, tb.D, dp_coeff, dp_lat, r)
-            tm = np.maximum(stage_total / r, overl) + nonov
-        return np.where(mask, tm, math.inf)
+            return np.where(mask, compute / 1, math.inf)
+        stream = tb.WD if t == 1 else tb.WD - tb.SW + tb.SW / t
+        overl, nonov = self._sync_terms(stream, tb.D, dp_coeff, dp_lat, div)
+        return np.where(mask, np.maximum(compute / r, overl) + nonov, math.inf)
 
     def _solve_refined_dp(
-        self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
+        self, topology: Topology, link_bw, tables
     ) -> Optional[List[Stage]]:
         """The suffix DP: per worker count, one argmin over a (k, m')
         candidate cube.  The (k-major, m'-minor) flattening makes
@@ -1117,9 +1022,10 @@ class PipeDreamOptimizer:
         The (n, n) planes a cell is assembled from repeat across cells,
         so each is built once per solve and memoised on exactly the scalars
         it depends on (see :meth:`_refined_fits`).  Row ``m`` stacks its
-        ``m`` planes into one ``(m, n, n)`` cube and takes the boundary
-        and rest terms as ``(m, n)`` slices, so a row is one array pass;
-        each tp degree ``t`` folds into the strided slice ``mp = t, 2t,
+        ``m`` degree-1 planes into one ``(m, n, n)`` cube and takes the
+        boundary and rest terms as ``(m, n)`` slices, so a row is one array
+        pass; each larger degree ``t`` on the menu (``tables`` holds one
+        ring table per degree) folds into the strided slice ``mp = t, 2t,
         …`` of the same cube.
         """
         n = self._n
@@ -1128,25 +1034,17 @@ class PipeDreamOptimizer:
         tb = self._span_tables()
         memo = functools.lru_cache(maxsize=None)  # dies with this solve
         fits_of = memo(self._refined_fits)
-        # Stage-time planes (stash-everything[, checkpointed]) per cell.
-        computes = ((tb.compute, tb.compute_r) if self._recompute_auto
-                    else (tb.compute,))
+        # Stage-time planes per cell: stash-everything[, checkpointed].
+        depth = 2 if self._recompute_auto else 1
 
         @memo
-        def times_of(mp, coeff, lat):
-            # The two-axis cell: mp replicas on the placement's ring.
-            return tuple(
-                self._replicated_plane(c, mp, coeff, lat, mp, tb.valid)
-                for c in computes
-            )
-
-        @memo
-        def tp_times_of(mp, t, dp_c, dp_l, tp_c, tp_l):
+        def times_of(mp, t, dp_c, dp_l, tp_c, tp_l):
             # mp/t replicas of t shards; checkpointing replays the
             # *sharded* forward.
+            r = mp // t
             return tuple(
-                self._tp_plane(c, tb.valid, t, mp // t, tp_c, tp_l, dp_c, dp_l)
-                for c in tb.sharded[t][: len(computes)]
+                self._tp_plane(c, tb.valid, t, r, r, tp_c, tp_l, dp_c, dp_l)
+                for c in tb.sharded[t][:depth]
             )
 
         def masked_cube(fits, times):
@@ -1155,7 +1053,7 @@ class PipeDreamOptimizer:
             # fits (bitwise no-op under generous limits).  np.array stacks
             # the planes faster than np.stack.
             cube = np.full((len(fits), n, n), inf)
-            for c in reversed(range(len(computes))):
+            for c in reversed(range(depth)):
                 np.copyto(cube, np.array([x[c] for x in times]),
                           where=np.array([f[c] for f in fits]))
             return cube
@@ -1171,10 +1069,11 @@ class PipeDreamOptimizer:
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
         ptr_mp = np.full((W + 1, n), -1, dtype=np.int64)
-        ptr_tp = np.ones((W + 1, n), dtype=np.int64) if tp_tables else None
+        ptr_tp = np.ones((W + 1, n), dtype=np.int64)
+        cols = np.arange(n)
         row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (None if row_cache is None else self._refined_row_keys(
-            W, coeffs, link_bw, lats, tp_tables))
+        row_keys = (None if row_cache is None
+                    else self._refined_row_keys(W, link_bw, tables))
         for m in range(1, W + 1):
             if row_cache is not None:
                 hit = row_cache.get(row_keys[m])
@@ -1184,39 +1083,37 @@ class PipeDreamOptimizer:
                     self.context._bump("row_hits")
                     continue
             # cand[mp-1] = max(stage, boundary, rest) for mp = 1..m: the
-            # rest R[m-mp] starts at worker W-m+mp.
+            # rest R[m-mp] starts at worker W-m+mp.  Degree 1 seeds every
+            # mp; each larger degree folds into its strided slice with
+            # strict '<' on the *full* candidate — the (k, mp, t)
+            # tie-break: when the boundary or the rest dominates both, the
+            # earlier (smaller) degree keeps the cell.  tp_sel[mp-1, j, k]
+            # is the cell's degree, copied out of a read-only view of ones
+            # only once a larger degree folds.
             bound = boundary[W - m + 1:, None, :]
             rest = R[m - 1::-1, None, 1:]
-            mps = range(1, m + 1)
-            cand = masked_cube(
-                [fits_of(-(-m // mp), mp) for mp in mps],
-                [times_of(mp, coeffs[m][mp], lats[m][mp]) for mp in mps],
-            )
-            np.maximum(cand, bound, out=cand)
-            np.maximum(cand, rest, out=cand)
-            if tp_tables:
-                # Fold each degree into its strided slice with strict '<'
-                # on the *full* candidate (stage, boundary, rest) — the
-                # (k, mp, t) tie-break: when the boundary or the rest
-                # dominates both, the earlier (smaller) degree keeps the
-                # cell.
-                tp_sel = np.ones((m, n, n), dtype=np.int64)
-                for t in self._tp_options[1:]:
-                    if t > m:
-                        break
-                    dp_c, dp_l, tp_c, tp_l = tp_tables[t]
-                    mps = range(t, m + 1, t)
-                    cand_t = masked_cube(
-                        [fits_of(-(-m // mp), mp // t, t) for mp in mps],
-                        [tp_times_of(mp, t, dp_c[m][mp], dp_l[m][mp],
-                                     tp_c[m][mp], tp_l[m][mp]) for mp in mps],
-                    )
-                    sl = slice(t - 1, m, t)
-                    np.maximum(cand_t, bound[sl], out=cand_t)
-                    np.maximum(cand_t, rest[sl], out=cand_t)
-                    better = cand_t < cand[sl]
-                    np.copyto(cand[sl], cand_t, where=better)
-                    tp_sel[sl][better] = t
+            tp_sel = np.broadcast_to(np.int64(1), (m, n, n))
+            for t in self._tp_options:
+                if t > m:
+                    break
+                dp_c, dp_l, tp_c, tp_l = tables[t]
+                mps = range(t, m + 1, t)
+                cube = masked_cube(
+                    [fits_of(-(-m // mp), mp // t, t) for mp in mps],
+                    [times_of(mp, t, dp_c[m][mp], dp_l[m][mp],
+                              tp_c[m][mp], tp_l[m][mp]) for mp in mps],
+                )
+                sl = slice(t - 1, m, t)
+                np.maximum(cube, bound[sl], out=cube)
+                np.maximum(cube, rest[sl], out=cube)
+                if t == 1:
+                    cand = cube
+                    continue
+                better = cube < cand[sl]
+                np.copyto(cand[sl], cube, where=better)
+                if not tp_sel.flags.writeable:
+                    tp_sel = tp_sel.copy()
+                tp_sel[sl][better] = t
             candf = cand.transpose(2, 0, 1).reshape(n * m, n)
             flat = np.argmin(candf, axis=0)
             best = np.take_along_axis(candf, flat[None], axis=0)[0]
@@ -1224,34 +1121,25 @@ class PipeDreamOptimizer:
             R[m, :n] = np.where(finite, best, inf)
             ptr_k[m] = np.where(finite, flat // m, -1)
             ptr_mp[m] = np.where(finite, flat % m + 1, -1)
-            if ptr_tp is not None:
-                # tp_sel shares cand's [mp-1, j, k] layout, so the same
-                # (k-major, mp-minor) flattening aligns with ``flat``.
-                tself = tp_sel.transpose(2, 0, 1).reshape(n * m, n)
-                tsel_best = np.take_along_axis(tself, flat[None], axis=0)[0]
-                ptr_tp[m] = np.where(finite, tsel_best, 1)
+            ptr_tp[m] = np.where(finite, tp_sel[flat % m, cols, flat // m], 1)
             if row_cache is not None:
                 row_cache[row_keys[m]] = tuple(
-                    table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp)
-                    if table is not None)
+                    table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp))
                 self.context._bump("row_misses")
         if not np.isfinite(R[W, 0]):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
 
-    def _reconstruct_refined(
-        self, ptr_k, ptr_mp, W: int, ptr_tp=None
-    ) -> List[Stage]:
+    def _reconstruct_refined(self, ptr_k, ptr_mp, W: int, ptr_tp) -> List[Stage]:
         """Walk the suffix DP's back-pointers front to back.
 
         Under ``recompute="auto"`` the per-stage flag is re-derived from
         the exact arithmetic the masks used: a chosen stage checkpoints
         iff its stash-everything cost busts the limit (the DP only
         admitted such a cell through the recompute mask, and always
-        prefers stash-everything when it fits).  ``ptr_tp`` (tp solves
-        only) carries the chosen degree per cell; ``mp`` stays the
-        *physical* worker count, so the emitted stage holds ``mp/t``
-        logical replicas.
+        prefers stash-everything when it fits).  ``ptr_tp`` carries the
+        chosen degree per cell; ``mp`` stays the *physical* worker count,
+        so the emitted stage holds ``mp/t`` logical replicas.
         """
         n = self._n
         tb = self._span_tables()
@@ -1260,7 +1148,7 @@ class PipeDreamOptimizer:
         while j < n:
             k = int(ptr_k[m][j])
             mp = int(ptr_mp[m][j])
-            t = int(ptr_tp[m][j]) if ptr_tp is not None else 1
+            t = int(ptr_tp[m][j])
             recompute = False
             if self._recompute_auto:
                 cost = self._stage_memory_cost(
@@ -1329,7 +1217,7 @@ class PipeDreamOptimizer:
             feasible = feasible & (
                 self._bound_matrix() <= self.memory_limit_bytes)
 
-        # tables[k-1] = (A, ptr_s, ptr_mp[, tchoice]); ptr < 0 encodes
+        # tables[k-1] = (A, ptr_s, ptr_mp, tchoice); ptr < 0 encodes
         # "single stage".  The namespace prefix keeps a table to the solver
         # options that built it (it bakes the memory-feasibility mask and
         # the replication flag into A).  The last level holds row 0 only
@@ -1362,7 +1250,7 @@ class PipeDreamOptimizer:
 
     def _level_table(self, level: TopologyLevel, compute, prev_workers: int,
                      feasible, row0: bool, leaf: bool) -> tuple:
-        """One level's ``(A, ptr_s, ptr_mp[, tchoice])`` arrays (see
+        """One level's ``(A, ptr_s, ptr_mp, tchoice)`` arrays (see
         :meth:`_solve_for`); ``compute`` is ``T^{k-1}``'s answer per span
         (the span sums at the leaf), ``row0`` keeps row ``i = 0`` only."""
         n = self._n
@@ -1371,35 +1259,37 @@ class PipeDreamOptimizer:
         arbw, alpha = level.allreduce_bandwidth, level.allreduce_latency
 
         # ----- T^k(i→j, m) tables ---------------------------------------
+        # Degree 1 seeds every cell; at the leaf each larger degree on the
+        # menu folds in with strict '<' (degrees ascending), before the A
+        # recurrence so splits see the tp'd stage times.  The tp axis
+        # shards level-1 (leaf) stages only: upper levels replicate
+        # whatever the leaf chose, keeping the conservative full-payload
+        # sync of the two-axis model.  tchoice[m, i, j] is the cell's
+        # degree, copied out of a read-only view of ones only once a
+        # larger degree folds.
+        tb = self._span_tables()
+        menu = ({t: tb.sharded[t][0] for t in self._tp_options} if leaf
+                else {1: compute})
         T = np.full((mk + 1, n, n), inf)
+        tchoice = np.broadcast_to(np.int64(1), T.shape)
         for m in range(1, mk + 1):
-            T[m] = self._replicated_plane(
-                compute, m, 2.0 * (m - 1) / m / arbw, alpha,
-                m * prev_workers, feasible)
-
-        # ----- tensor-parallel leaf cells -------------------------------
-        tchoice = None
-        if leaf and self._tp_enabled:
-            # Fold the tp planes into T with strict '<' (degrees
-            # ascending), before the A recurrence so splits see the tp'd
-            # stage times.  The tp axis shards level-1 (leaf) stages only:
-            # upper levels replicate whatever the leaf chose, keeping the
-            # conservative full-payload sync of the two-axis model.
-            tb = self._span_tables()
-            tchoice = np.ones((mk + 1, n, n), dtype=np.int64)
-            for m in range(1, mk + 1):
-                for t in self._tp_options[1:]:
-                    if m % t:
-                        continue
-                    r = m // t
-                    plane = self._tp_plane(
-                        tb.sharded[t][0], feasible, t, r,
-                        2.0 * (t - 1) / t / arbw, alpha,
-                        2.0 * (r - 1) / r / arbw, alpha,
-                    )
-                    better = plane < T[m]
-                    T[m] = np.where(better, plane, T[m])
-                    tchoice[m] = np.where(better, t, tchoice[m])
+            for t, sharded in menu.items():
+                if m % t:
+                    continue
+                r = m // t
+                plane = self._tp_plane(
+                    sharded, feasible, t, r, r * prev_workers,
+                    2.0 * (t - 1) / t / arbw, alpha,
+                    2.0 * (r - 1) / r / arbw, alpha,
+                )
+                if t == 1:
+                    T[m] = plane
+                    continue
+                better = plane < T[m]
+                T[m] = np.where(better, plane, T[m])
+                if not tchoice.flags.writeable:
+                    tchoice = tchoice.copy()
+                tchoice[m] = np.where(better, t, tchoice[m])
 
         # ----- A^k recurrence -------------------------------------------
         # Rows i the table holds: all of them for an inner level (the
@@ -1413,7 +1303,7 @@ class PipeDreamOptimizer:
             for m in range(2, mk + 1):
                 A[m] = T[m]
         elif mk > 1:
-            boundary = 2.0 * self._span_tables().acts[: n - 1] / bandwidth
+            boundary = 2.0 * tb.acts[: n - 1] / bandwidth
             for m in range(2, mk + 1):
                 # cand[mp-1, s, i, j] = max(A[m-mp][i, s], 2a_s/B,
                 #                           T[mp][s+1, j]); out-of-range
@@ -1434,13 +1324,11 @@ class PipeDreamOptimizer:
                 A[m] = np.where(use, best_split, T[m, :ni])
                 ptr_s[m] = np.where(use, flat // (m - 1), -1)
                 ptr_mp[m] = np.where(use, flat % (m - 1) + 1, -1)
-        if tchoice is not None:
-            return A, ptr_s, ptr_mp, tchoice
-        return A, ptr_s, ptr_mp
+        return A, ptr_s, ptr_mp, tchoice
 
     def _reconstruct_arrays(
         self,
-        tables: Sequence[Tuple["np.ndarray", "np.ndarray", "np.ndarray"]],
+        tables: Sequence[Tuple[np.ndarray, ...]],
         topology: Topology,
         k: int,
         i: int,
@@ -1449,19 +1337,16 @@ class PipeDreamOptimizer:
     ) -> List[Stage]:
         """Flatten the nested back-pointer tables into concrete stages.
 
-        Level-1 entries carry a 4th element, the tp-choice array: a leaf
-        that chose degree ``t`` emits ``m/t`` replicas of tp width ``t``
-        (upper levels then multiply replicas only, preserving the shard
-        width)."""
+        A level-1 cell's ``tchoice`` entry is its degree: a leaf that chose
+        degree ``t`` emits ``m/t`` replicas of tp width ``t`` (upper levels
+        then multiply replicas only, preserving the shard width)."""
         if k == 0:
             return [Stage(i, j + 1, 1)]
-        entry = tables[k - 1]
-        ptr_s, ptr_mp = entry[1], entry[2]
-        tchoice = entry[3] if len(entry) > 3 else None
+        _, ptr_s, ptr_mp, tchoice = tables[k - 1]
         s = int(ptr_s[m, i, j])
         if s < 0:
             if k == 1:
-                t = int(tchoice[m, i, j]) if tchoice is not None else 1
+                t = int(tchoice[m, i, j])
                 return [Stage(i, j + 1, m // t, tp_degree=t)]
             # Single level-k stage replicated over m components; expand its
             # internal level-(k-1) pipeline and multiply replica counts.
@@ -1473,7 +1358,7 @@ class PipeDreamOptimizer:
         m_prime = int(ptr_mp[m, i, j])
         left = self._reconstruct_arrays(tables, topology, k, i, s, m - m_prime)
         if k == 1:
-            t = int(tchoice[m_prime, s + 1, j]) if tchoice is not None else 1
+            t = int(tchoice[m_prime, s + 1, j])
             right = [Stage(s + 1, j + 1, m_prime // t, tp_degree=t)]
         else:
             prev_capacity = topology.levels[k - 2].count
@@ -1533,14 +1418,14 @@ def communication_bytes_per_minibatch(
     ``r`` minibatches with a ring all_reduce moving ``2 (r-1) |w|`` bytes in
     total, i.e. ``2 (r-1) |w| / r`` amortized per minibatch.
 
-    A tensor-parallel stage (``tp_degree = t > 1``) syncs per *shard
-    group*: each of the ``t`` concurrent r-member rings moves the shard's
-    payload — the unshardable weights replicated on every shard plus a
-    ``1/t`` slice of the shardable share — and every minibatch additionally
-    pays the intra-stage ring all_reduce on the boundary activations
-    (``2 (t-1) a`` bytes total across the group, for both the output and,
-    past stage 0, the input boundary).  ``t = 1`` leaves the original
-    expressions untouched.
+    A stage of tensor-parallel degree ``t`` syncs per *shard group*: each
+    of the ``t`` concurrent r-member rings moves the shard's payload — the
+    unshardable weights replicated on every shard plus a ``1/t`` slice of
+    the shardable share — and every minibatch additionally pays the
+    intra-stage ring all_reduce on the boundary activations (``2 (t-1) a``
+    bytes total across the group, for both the output and, past stage 0,
+    the input boundary).  At ``t = 1`` both reduce to the plain stage's
+    (integer byte counts keep the payload exact).
     """
     _check_stages(len(profile), stages)
     from repro.core import sharding
@@ -1549,17 +1434,14 @@ def communication_bytes_per_minibatch(
     for idx, stage in enumerate(stages):
         weights = profile.weight_bytes(stage.start, stage.stop)
         t = stage.tp_degree
-        if t > 1:
-            shard_w = sharding.shardable_weight_bytes(
-                profile, stage.start, stage.stop)
-            payload = t * ((weights - shard_w) + shard_w / t)
-            total += 2.0 * (stage.replicas - 1) * payload / stage.replicas
-            out_act = profile.activation_bytes(stage.stop - 1)
-            in_act = (profile.activation_bytes(stage.start - 1)
-                      if stage.start > 0 else 0)
-            total += 2.0 * (t - 1) * (out_act + in_act)
-        else:
-            total += 2.0 * (stage.replicas - 1) * weights / stage.replicas
+        shard_w = sharding.shardable_weight_bytes(
+            profile, stage.start, stage.stop)
+        payload = t * ((weights - shard_w) + shard_w / t)
+        total += 2.0 * (stage.replicas - 1) * payload / stage.replicas
+        out_act = profile.activation_bytes(stage.stop - 1)
+        in_act = (profile.activation_bytes(stage.start - 1)
+                  if stage.start > 0 else 0)
+        total += 2.0 * (t - 1) * (out_act + in_act)
         if idx + 1 < len(stages):
             total += 2.0 * profile.activation_bytes(stage.stop - 1)
     return total

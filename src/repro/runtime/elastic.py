@@ -31,12 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.partition import PipeDreamOptimizer, SolverContext, Stage
+from repro.core.spec import SimSpec
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
 from repro.sim.strategies import (
     RecoveryMetrics,
     StrategyResult,
-    simulate_partition,
+    _simulate_stages,
 )
 from repro.sim.sweep import SweepRecord
 
@@ -177,10 +178,13 @@ class ElasticCoordinator:
         plan = self.optimizer.solve()
         old_stages = list(plan.stages)
 
-        oracle = simulate_partition(
-            profile, topology, old_stages, num_minibatches)
-        faulted = simulate_partition(
-            profile, topology, old_stages, num_minibatches, faults=faults)
+        # Every run goes through the plan surfaces' one rule, so a
+        # data-parallel plan runs under BSP like everywhere else.
+        oracle = _simulate_stages(
+            profile, topology, old_stages, SimSpec(minibatches=num_minibatches))
+        faulted = _simulate_stages(
+            profile, topology, old_stages,
+            SimSpec(minibatches=num_minibatches, faults=faults))
         crash_time = faulted.sim.halted_at
         if crash_time is None:
             raise ValueError(
@@ -203,8 +207,8 @@ class ElasticCoordinator:
         resumed_count = num_minibatches - kept
 
         sub_topology = topology.subset(survivors)
-        resumed = simulate_partition(
-            profile, sub_topology, new_stages, resumed_count)
+        resumed = _simulate_stages(
+            profile, sub_topology, new_stages, SimSpec(minibatches=resumed_count))
 
         # Downtime (detection + planning) lands on the simulated critical
         # path; the resumed run then starts from zero pipeline state.

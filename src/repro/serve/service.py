@@ -88,17 +88,31 @@ def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
     value = request.get(name)
     if value is None:
         return default
-    try:
-        # JSON booleans are taken as they are: bool("false") is True.
-        if kind is bool and not isinstance(value, bool):
-            raise ValueError(value)
-        value = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise RequestError(
-            f"bad {name} {value!r}: expected {kind.__name__}") from exc
+    value = _coerce(name, value, kind)
     if choices is not None and value not in choices:
         raise RequestError(f"unknown {name} {value!r} (have {sorted(choices)})")
     return value
+
+
+def _coerce(name: str, value: Any, kind: type) -> Any:
+    """``value`` as ``kind``, else a :class:`RequestError` naming ``name``.
+
+    JSON booleans are taken as they are (``bool("false")`` is True).  An
+    int is a JSON integer or an integral finite number: ``2.7``, ``1e400``
+    (``inf``), ``true`` and the string ``"4"`` are all refused rather than
+    truncated, overflowed or parsed.
+    """
+    try:
+        if kind is bool and not isinstance(value, bool):
+            raise ValueError(value)
+        if kind is int and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+                or not float(value).is_integer()):
+            raise ValueError(value)
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RequestError(
+            f"bad {name} {value!r}: expected {kind.__name__}") from exc
 
 
 def _require_object(request: Any, allowed_keys: Any) -> None:
@@ -462,6 +476,9 @@ class PlannerService:
             raise RequestError("'models' must be a non-empty list")
         topology = _request_topology(request)
         counts = request.get("counts", [4, 8, 16])
+        if not isinstance(counts, (list, tuple)):
+            raise RequestError(f"bad counts {counts!r}: expected a list")
+        counts = [_coerce("counts", count, int) for count in counts]
 
         from repro.profiler.analytic import DEVICE_PEAK_FLOPS
         from repro.sim import SweepError, run_sweep
@@ -470,7 +487,7 @@ class PlannerService:
             records = run_sweep(
                 list(models),
                 topology,
-                [int(c) for c in counts],
+                counts,
                 strategies=tuple(request.get("strategies", ("dp", "pipedream"))),
                 device=_field(request, "device", str, "v100",
                               choices=DEVICE_PEAK_FLOPS),

@@ -285,13 +285,30 @@ def simulate_plan(
     ``sim.schedule_family``.  ``bucket_bytes`` is the planned spec's: it
     also prices the simulated weight sync.
     """
-    if plan.is_data_parallel:
+    return _simulate_stages(profile, topology, plan.stages, sim, plan.noam,
+                            bucket_bytes)
+
+
+def _simulate_stages(
+    profile: ModelProfile,
+    topology: Topology,
+    stages: Sequence[Stage],
+    sim: SimSpec,
+    noam: Optional[int] = None,
+    bucket_bytes: Optional[float] = None,
+) -> StrategyResult:
+    """:func:`simulate_plan`'s rule on a bare stage list (the elastic
+    loop's plans arrive as one): a single stage replicated over every
+    worker of ``topology`` is data parallelism and runs under BSP;
+    anything else is the 1F1B-RR pipeline of :func:`simulate_partition`.
+    """
+    if len(stages) == 1 and stages[0].replicas == topology.total_workers:
         result = simulate_data_parallel(
             profile, topology, sim.minibatches, faults=sim.faults,
             bucket_bytes=bucket_bytes)
         return replace(result, strategy="pipedream")
     return simulate_partition(
-        profile, topology, plan.stages, sim.minibatches, plan.noam,
+        profile, topology, stages, sim.minibatches, noam,
         faults=sim.faults, bucket_bytes=bucket_bytes,
         schedule_family=sim.schedule_family)
 

@@ -5,8 +5,8 @@ with both DPs replaced by the loop nests the numpy formulations were
 derived from: the five-deep level DP (:meth:`_solve_for`, every span of
 every level — production keeps only row 0 of the top one), the suffix DP
 over ``(m, j, k, mp, t)`` (:meth:`_solve_refined_dp`, every plane
-recomputed per cell) and its exhaustive tp collective tables
-(:meth:`_refined_tp_tables`).  They spell the
+recomputed per cell) and its exhaustive collective tables, degree 1
+included (:meth:`_refined_tp_tables`).  They spell the
 §3.1 stage-time formula term by term in python floats, so the tier-1
 suites assert *bitwise* agreement — same stages, same bottleneck time —
 between the production class and this one.  Nothing under ``src/``
@@ -235,65 +235,63 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                 non_overlappable = non_overlappable + dp_lat / r
         return max(compute_term, overlappable) + non_overlappable
 
-    def _refined_tp_tables(self, topology: Topology):
-        """The tp collective factors with every shard group of every
+    def _refined_tp_tables(self, topology: Topology, t: int):
+        """The degree-``t`` collective factors with every group of every
         ``(m, mp)`` cell priced from scratch (production prices each
-        distinct group once and keeps a running max)."""
+        distinct group once and keeps a running max).  At ``t = 1`` the
+        replica group is the contiguous span and every shard group one
+        worker."""
         from repro.sim.network import Placement, allreduce_cost_factors
 
         placement = Placement(topology)
         W = topology.total_workers
-        tables = {}
-        for t in self._tp_options:
-            if t == 1:
-                continue
-            dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
-            dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
-            tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
-            tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
-            for m in range(t, W + 1):
-                first = W - m
-                for mp in range(t, m + 1, t):
-                    r = mp // t
-                    if r > 1:
-                        reps = [first + q * t for q in range(r)]
-                        dp_c[m][mp], dp_l[m][mp] = allreduce_cost_factors(
-                            placement, reps
-                        )
-                    worst_c = worst_l = 0.0
-                    for q in range(r):
-                        shard_group = list(
-                            range(first + q * t, first + (q + 1) * t)
-                        )
-                        c, l = allreduce_cost_factors(placement, shard_group)
-                        if c > worst_c:
-                            worst_c = c
-                        if l > worst_l:
-                            worst_l = l
-                    tp_c[m][mp] = worst_c
-                    tp_l[m][mp] = worst_l
-            tables[t] = (dp_c, dp_l, tp_c, tp_l)
-        return tables
+        dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
+        dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+        tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
+        tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+        for m in range(t, W + 1):
+            first = W - m
+            for mp in range(t, m + 1, t):
+                r = mp // t
+                if r > 1:
+                    reps = [first + q * t for q in range(r)]
+                    dp_c[m][mp], dp_l[m][mp] = allreduce_cost_factors(
+                        placement, reps
+                    )
+                worst_c = worst_l = 0.0
+                for q in range(r):
+                    shard_group = list(
+                        range(first + q * t, first + (q + 1) * t)
+                    )
+                    c, l = allreduce_cost_factors(placement, shard_group)
+                    if c > worst_c:
+                        worst_c = c
+                    if l > worst_l:
+                        worst_l = l
+                tp_c[m][mp] = worst_c
+                tp_l[m][mp] = worst_l
+        return dp_c, dp_l, tp_c, tp_l
 
     def _solve_refined_dp(
-        self, topology: Topology, coeffs, link_bw, lats, tp_tables=None
+        self, topology: Topology, link_bw, tables
     ) -> Optional[List[Stage]]:
         """Scalar suffix DP (the oracle the vectorized twin must match)."""
         n = self._n
         W = topology.total_workers
         limit = self.memory_limit_bytes
         inf = math.inf
+        coeffs, lats = tables[1][0], tables[1][1]
         # R[m][j]: bottleneck of layers j..n-1 on exactly m workers.  The
         # base R[0][n] = 0 closes a plan that used every worker; leftover
         # workers (R[m][n], m > 0) stay infeasible, as in the level DP.
         R = [[inf] * (n + 1) for _ in range(W + 1)]
         ptr_k = [[-1] * n for _ in range(W + 1)]
         ptr_mp = [[-1] * n for _ in range(W + 1)]
-        ptr_tp = [[1] * n for _ in range(W + 1)] if tp_tables else None
+        ptr_tp = [[1] * n for _ in range(W + 1)]
         R[0][n] = 0.0
         row_cache = None if self.context is None else self.context.refined_rows
         row_keys = (
-            self._refined_row_keys(W, coeffs, link_bw, lats, tp_tables)
+            self._refined_row_keys(W, link_bw, tables)
             if row_cache is not None
             else None
         )
@@ -304,8 +302,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                     R[m] = list(hit[0])
                     ptr_k[m] = list(hit[1])
                     ptr_mp[m] = list(hit[2])
-                    if ptr_tp is not None:
-                        ptr_tp[m] = list(hit[3])
+                    ptr_tp[m] = list(hit[3])
                     self.context._bump("row_hits")
                     continue
             for j in range(n - 1, -1, -1):
@@ -335,39 +332,32 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                             best_k = k
                             best_mp = mp
                             best_tp = 1
-                        if tp_tables:
-                            # (k, mp, t)-lexicographic tie-break: the
-                            # two-axis cell above went first, so tp only
-                            # wins a cell by being strictly better.
-                            for t in self._tp_options[1:]:
-                                if mp % t:
-                                    continue
-                                dp_c, dp_l, tp_c, tp_l = tp_tables[t]
-                                stage_t = self._refined_stage_time_tp(
-                                    j, k, mp, t, m, dp_c[m][mp], dp_l[m][mp],
-                                    tp_c[m][mp], tp_l[m][mp], limit,
-                                )
-                                candidate = max(stage_t, boundary, rest)
-                                if candidate < best:
-                                    best = candidate
-                                    best_k = k
-                                    best_mp = mp
-                                    best_tp = t
+                        # (k, mp, t)-lexicographic tie-break: the
+                        # two-axis cell above went first, so tp only wins
+                        # a cell by being strictly better.
+                        for t in self._tp_options[1:]:
+                            if mp % t:
+                                continue
+                            dp_c, dp_l, tp_c, tp_l = tables[t]
+                            stage_t = self._refined_stage_time_tp(
+                                j, k, mp, t, m, dp_c[m][mp], dp_l[m][mp],
+                                tp_c[m][mp], tp_l[m][mp], limit,
+                            )
+                            candidate = max(stage_t, boundary, rest)
+                            if candidate < best:
+                                best = candidate
+                                best_k = k
+                                best_mp = mp
+                                best_tp = t
                 R[m][j] = best
                 ptr_k[m][j] = best_k
                 ptr_mp[m][j] = best_mp
-                if ptr_tp is not None:
-                    ptr_tp[m][j] = best_tp
+                ptr_tp[m][j] = best_tp
             if row_cache is not None:
-                if ptr_tp is not None:
-                    row_cache[row_keys[m]] = (
-                        list(R[m]), list(ptr_k[m]), list(ptr_mp[m]),
-                        list(ptr_tp[m]),
-                    )
-                else:
-                    row_cache[row_keys[m]] = (
-                        list(R[m]), list(ptr_k[m]), list(ptr_mp[m])
-                    )
+                row_cache[row_keys[m]] = (
+                    list(R[m]), list(ptr_k[m]), list(ptr_mp[m]),
+                    list(ptr_tp[m]),
+                )
                 self.context._bump("row_misses")
         if not math.isfinite(R[W][0]):
             return None
@@ -407,7 +397,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                     tables, k, prev_capacity, prev_workers,
                     allreduce_bandwidth, allreduce_latency, i, j, m,
                 )
-                if k == 1 and self._tp_enabled:
+                if k == 1:
                     # The tp axis shards level-1 (leaf) stages only: upper
                     # levels replicate whatever the leaf chose.
                     for t in self._tp_options[1:]:
@@ -451,8 +441,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
             return None
 
         return self._reconstruct(tables, topology, top, 0, n - 1,
-                                 topology.levels[top - 1].count,
-                                 tp_choices if self._tp_enabled else None)
+                                 topology.levels[top - 1].count, tp_choices)
 
     def _stage_time_uncached(
         self,
@@ -581,7 +570,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         i: int,
         j: int,
         m: int,
-        tp_choices: Optional[Dict[Tuple[int, int, int], int]] = None,
+        tp_choices: Dict[Tuple[int, int, int], int],
     ) -> List[Stage]:
         """Flatten the nested back-pointer structure into concrete stages.
 
@@ -594,7 +583,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         _, ptr = entry
         if ptr is None:
             if k == 1:
-                t = tp_choices.get((i, j, m), 1) if tp_choices else 1
+                t = tp_choices.get((i, j, m), 1)
                 return [Stage(i, j + 1, m // t, tp_degree=t)]
             # Single level-k stage replicated over m components; expand its
             # internal level-(k-1) pipeline and multiply replica counts.
@@ -606,7 +595,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         left = self._reconstruct(tables, topology, k, i, s, m - m_prime,
                                  tp_choices)
         if k == 1:
-            t = tp_choices.get((s + 1, j, m_prime), 1) if tp_choices else 1
+            t = tp_choices.get((s + 1, j, m_prime), 1)
             right = [Stage(s + 1, j + 1, m_prime // t, tp_degree=t)]
         else:
             prev_capacity = topology.levels[k - 2].count

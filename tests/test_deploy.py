@@ -17,7 +17,8 @@ from repro.core.schedule import (
     schedule_for_family,
     validate_schedule,
 )
-from repro.core.topology import make_cluster
+from repro.core.topology import cluster_a, make_cluster
+from repro.profiler import analytic_profile
 from repro.sim.executor import simulate
 
 
@@ -60,6 +61,20 @@ class TestDeploymentPlan:
         assert restored.stages == plan.stages
         assert restored.noam == plan.noam
         assert restored.assignments == plan.assignments
+
+    def test_json_roundtrip_keeps_checkpointing(self):
+        """A recompute decision survives the round trip; the key is
+        written only on the stages that set it."""
+        profile, topology = analytic_profile("gnmt16"), cluster_a(4)
+        free = PipeDreamOptimizer(profile, topology).solve()
+        result = PipeDreamOptimizer(
+            profile, topology, recompute="auto",
+            memory_limit_bytes=0.25 * max(free.memory_bytes)).solve()
+        flags = [stage.recompute for stage in result.stages]
+        assert flags[5] and flags.count(True) == 1
+        plan = DeploymentPlan.from_partition(result)
+        assert DeploymentPlan.from_json(plan.to_json()).stages == result.stages
+        assert ["recompute" in s for s in plan.to_dict()["stages"]] == flags
 
     def test_describe_mentions_every_stage(self, plan):
         text = plan.describe()

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.core.partition import PipeDreamOptimizer, SolverContext, Stage
+from repro.core.spec import PlanSpec, SimSpec
 from repro.core.topology import cluster_a
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
@@ -34,6 +35,7 @@ from repro.runtime import (
 from repro.runtime.elastic import consolidated_layer_states, stage_states_for
 from repro.serve import PlannerService
 from repro.sim.faults import FaultEvent, FaultSchedule
+from repro.sim.strategies import simulate_strategy
 
 from tests.test_property_runtime import make_model, make_task
 
@@ -192,6 +194,28 @@ class TestRunWithRecovery:
         assert record.workers == 12
         assert record.detection_latency == report.metrics.detection_latency
         assert record.minibatches_lost == report.metrics.minibatches_lost
+
+    def test_data_parallel_plan_runs_under_bsp(self):
+        """ResNet-50 plans "16" (Table 1): the fault-free oracle is the
+        run every other surface reports for that plan, and the resumed
+        12-worker run is the BSP one too, so it cannot out-run it."""
+        profile, minibatches = analytic_profile("resnet50"), 32
+        served = simulate_strategy(profile, TOPO_A,
+                                   SimSpec(minibatches=minibatches), PlanSpec())
+        assert served.config == "16"
+        crash = FaultSchedule([FaultEvent(
+            "crash", 0.5 * max(served.sim.minibatch_done.values()), 5)])
+        report = ElasticCoordinator(profile, TOPO_A).run_with_recovery(
+            minibatches, crash)
+        assert report.oracle.sim.records == served.sim.records
+        assert report.oracle.samples_per_second == served.samples_per_second
+        assert report.resumed.config == "12"
+        assert report.resumed.sim.records == simulate_strategy(
+            profile, TOPO_A.subset(12),
+            SimSpec(minibatches=report.metrics.minibatches_resumed),
+            PlanSpec()).sim.records
+        assert (report.resumed.samples_per_second
+                < report.oracle.samples_per_second)
 
     def test_service_backed_recovery_hits_cache(self):
         coordinator = ElasticCoordinator(VGG, TOPO_A, service=PlannerService())

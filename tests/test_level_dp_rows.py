@@ -219,8 +219,9 @@ class TestRefinedPlaneMemoisation:
         profile = toy_profile(4)
         prod = PipeDreamOptimizer(profile, self.TOPO, **self.OPTIONS)
         ref = ReferenceOptimizer(profile, self.TOPO, **self.OPTIONS)
-        assert (prod._refined_tp_tables(self.TOPO)
-                == ref._refined_tp_tables(self.TOPO))
+        for t in (1, 2, 4):
+            assert (prod._refined_tp_tables(self.TOPO, t)
+                    == ref._refined_tp_tables(self.TOPO, t))
 
     def test_memoised_planes_give_the_recomputed_plan(self):
         profile = toy_profile(7)
@@ -236,15 +237,16 @@ class TestRefinedPlaneMemoisation:
 @given(
     counts=st.sampled_from([(3,), (5,), (2, 3), (3, 2), (2, 2, 3), (4, 5),
                             (3, 3), (2, 5), (3, 2, 2), (6,), (2, 3, 2)]),
-    t=st.sampled_from([2, 3, 4]),
+    t=st.sampled_from([1, 2, 3, 4]),
     alphas=st.lists(st.sampled_from([0.0, 5e-5, 3e-3]), min_size=3,
                     max_size=3),
 )
 def test_grown_strided_rings_equal_walked_ones(counts, t, alphas):
-    """Every cell of the incrementally grown tp tables equals the
+    """Every cell of the incrementally grown ring tables equals the
     simulator's pricing of the same groups walked from scratch: the
     strided dp group ``{W-m+q*t}`` and the slowest of the ``mp/t``
-    consecutive shard groups (1-3 levels, counts not powers of two)."""
+    consecutive shard groups (1-3 levels, counts not powers of two).  At
+    ``t = 1`` the dp group is the contiguous replica group."""
     topology = Topology("p", [
         TopologyLevel(count, 1e9 / (k + 1), 0.5 / (k + 1), alphas[k])
         for k, count in enumerate(counts)
@@ -254,7 +256,7 @@ def test_grown_strided_rings_equal_walked_ones(counts, t, alphas):
     optimizer = PipeDreamOptimizer(toy_profile(3), topology,
                                    tp_degrees=(1, t))
     placement = Placement(topology)
-    dp_c, dp_l, tp_c, tp_l = optimizer._refined_tp_tables(topology)[t]
+    dp_c, dp_l, tp_c, tp_l = optimizer._refined_tp_tables(topology, t)
     for m in range(t, W + 1):
         first = W - m
         for mp in range(t, m + 1, t):

@@ -249,6 +249,8 @@ class TestSimulateSweepBatch:
             {"model": "resnet50", "cluster": "a", "servers": 1},
             dict(VGG, memory_limit_bytes=1e6),
             VGG,
+            dict(VGG, num_workers=1e400),
+            dict(VGG, servers=2.5),
         ]
         results = service.batch(requests)
         assert len(results) == len(requests)
@@ -257,6 +259,9 @@ class TestSimulateSweepBatch:
         assert served_tuple(results[2]) == cold_payload(requests[2])
         assert "error" in results[3]
         assert results[4]["cached"] is True
+        # An int that overflows or truncates is answered in its slot.
+        assert results[5] == {"error": "bad num_workers inf: expected int"}
+        assert results[6] == {"error": "bad servers 2.5: expected int"}
 
     def test_stats_shape(self):
         service = PlannerService()
@@ -373,6 +378,25 @@ class TestHTTPTransport:
                     "memory_limit_bytes": 1000},
          r"1 sweep cell\(s\) failed: \(vgg16, pipedream, fp32\): "
          "RuntimeError: no feasible partition found"),
+    ] + [
+        # An int field refuses what int() would overflow on, truncate or
+        # parse (JSON 1e400 and Infinity both load as inf).
+        ("/plan", {"model": "vgg16", "num_workers": 1e400},
+         "bad num_workers inf: expected int"),
+        ("/plan", {"model": "vgg16", "servers": float("inf")},
+         "bad servers inf: expected int"),
+        ("/simulate", {"model": "vgg16", "minibatches": 1e400},
+         "bad minibatches inf: expected int"),
+        ("/sweep", {"models": ["vgg16"], "counts": [1e400]},
+         "bad counts inf: expected int"),
+        ("/plan", {"model": "vgg16", "num_workers": 2.7},
+         "bad num_workers 2.7: expected int"),
+        ("/plan", {"model": "vgg16", "num_workers": True},
+         "bad num_workers True: expected int"),
+        ("/sweep", {"models": ["vgg16"], "counts": "4"},
+         "bad counts '4': expected a list"),
+        ("/sweep", {"models": ["vgg16"], "counts": ["4"]},
+         "bad counts '4': expected int"),
     ])
     def test_malformed_field_is_400_not_500(self, server, endpoint, body,
                                             message):
