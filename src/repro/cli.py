@@ -27,7 +27,8 @@ from repro.core.schedule import (
     model_parallel_schedule,
     one_f_one_b_schedule,
 )
-from repro.core.spec import STRATEGY_NAMES, PlanSpec, SimSpec, check_scenario
+from repro.core.spec import (FIELDS, PLAN_FIELDS, SIM_FIELDS, SWEEP_OPTIONS,
+                              Field, PlanSpec, SimSpec, check_scenario)
 from repro.core.topology import CLUSTERS
 from repro.profiler import analytic_profile, available_models
 from repro.sim import (
@@ -40,14 +41,20 @@ from repro.sim import (
     simulate,
     simulate_strategy,
 )
+from repro.sim.strategies import _check_run_lengths
 from repro.utils import format_table, format_timeline
 
 
 def _topology(args):
+    """The ``--cluster`` / ``--servers`` topology, cut to ``--workers``."""
     topology = CLUSTERS[args.cluster](args.servers)
-    if args.workers:
-        topology = topology.subset(args.workers)
-    return topology
+    workers = getattr(args, "num_workers", None)
+    return topology if workers is None else topology.subset(workers)
+
+
+def _profile(args):
+    return analytic_profile(args.model, device=args.device,
+                            bytes_per_element=PRECISION_BYTES[args.precision])
 
 
 def cmd_models(args) -> int:
@@ -85,12 +92,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    topology = _topology(args)
-    profile = analytic_profile(
-        args.model, device=args.device,
-        bytes_per_element=PRECISION_BYTES[args.precision])
-    result = PipeDreamOptimizer(
-        profile, topology, **_plan_spec(args).options()).solve()
+    result = PipeDreamOptimizer(_profile(args), _topology(args),
+                                **_plan_spec(args).options()).solve()
     plan = DeploymentPlan.from_partition(result)
     print(plan.describe())
     if any(s.recompute for s in result.stages):
@@ -114,34 +117,24 @@ def cmd_plan(args) -> int:
 def cmd_simulate(args) -> int:
     spec = _plan_spec(args)
     topology = _topology(args)
-    profile = analytic_profile(
-        args.model, device=args.device,
-        bytes_per_element=PRECISION_BYTES[args.precision])
+    profile = _profile(args)
     report = None
-    # A fault spec, or a fault the run's topology lacks, is a usage error.
-    try:
-        faults = parse_faults(args.faults, num_workers=topology.total_workers)
-        sim = SimSpec(args.strategy, args.minibatches, args.schedule_family,
-                      faults)
-        check_scenario(spec, sim)
-        if sim.faults is not None and sim.faults.halt_time is not None:
-            # A crash in the schedule: run the full elastic cycle
-            # (fault-free oracle, crash-interrupted run, warm re-plan,
-            # resumed run) and report the recovery bill alongside the
-            # resumed result.
-            if args.strategy != "pipedream":
-                print("--faults with a crash event requires --strategy "
-                      "pipedream", file=sys.stderr)
-                return 2
-            from repro.runtime.elastic import ElasticCoordinator
+    sim = _sim_spec(args, parse_faults(args.faults, topology.total_workers))
+    check_scenario(spec, sim)
+    if sim.faults is not None and sim.faults.halt_time is not None:
+        # A crash in the schedule: run the full elastic cycle (fault-free
+        # oracle, crash-interrupted run, warm re-plan, resumed run) and
+        # report the recovery bill alongside the resumed result.
+        if args.strategy != "pipedream":
+            args.error("--faults with a crash event requires "
+                       "--strategy pipedream")
+        from repro.runtime.elastic import ElasticCoordinator
 
-            report = ElasticCoordinator(profile, topology).run_with_recovery(
-                args.minibatches, sim.faults)
-            result = report.resumed
-        else:
-            result = simulate_strategy(profile, topology, sim, spec)
-    except ValueError as exc:
-        args.error(str(exc))
+        report = ElasticCoordinator(profile, topology).run_with_recovery(
+            args.minibatches, sim.faults)
+        result = report.resumed
+    else:
+        result = simulate_strategy(profile, topology, sim, spec)
     if report is not None:
         m = report.metrics
         rows = [
@@ -174,26 +167,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Figure-12-style grid: models x worker counts x strategies x precisions."""
-    spec = _plan_spec(args)
-    topology = CLUSTERS[args.cluster](args.servers)
-    try:
-        records = run_sweep(
-            args.models,
-            topology,
-            args.counts,
-            strategies=tuple(args.strategies),
-            device=args.device,
-            minibatches=args.minibatches,
-            precisions=tuple(args.precisions),
-            bucket_sizes=tuple(args.bucket_sizes),
-            recomputes=tuple(args.recomputes),
-            schedule_families=tuple(args.schedule_families),
-            memory_limit_bytes=spec.memory_limit_bytes,
-            tp_degrees=spec.tp_degrees,
-        )
-    # A per-cell spec the grid cannot build, or cells that cannot plan.
-    except (ValueError, SweepError) as exc:
-        args.error(str(exc))
+    records = run_sweep(args.models, _topology(args), args.counts,
+                        **_given(args, SWEEP_OPTIONS))
     rows = [
         [r.model, str(r.workers), r.strategy, r.precision,
          "-" if r.bucket_bytes is None else f"{r.bucket_bytes / 1e6:g}MB",
@@ -252,6 +227,7 @@ def cmd_timeline(args) -> int:
     from repro.core.profile import LayerProfile, ModelProfile
     from repro.core.topology import make_cluster
 
+    _check_run_lengths(stages=args.stages, minibatches=args.minibatches)
     layers = [LayerProfile(f"l{i}", 3.0, 0, 0) for i in range(args.stages)]
     profile = ModelProfile("uniform", layers, batch_size=1)
     topology = make_cluster("cli", args.stages, 1, 1e9, 1e9)
@@ -272,27 +248,42 @@ def cmd_timeline(args) -> int:
     return 0
 
 
+def _given(args, names) -> dict:
+    """The fields ``names`` this subcommand has, by name."""
+    return {name: value for name, value in vars(args).items() if name in names}
+
+
 def _plan_spec(args) -> PlanSpec:
-    """The solver options of a ``plan`` / ``simulate`` / ``sweep`` call.
-
-    ``sweep`` states its shared options here and leaves the per-cell axes
-    (``--bucket-sizes``, ``--recomputes``) to :func:`run_sweep`.  An
-    invalid value or combination exits 2 with the spec's message.
-    """
-    try:
-        return PlanSpec(
-            memory_limit_bytes=args.memory_limit_bytes,
-            bucket_bytes=getattr(args, "bucket_bytes", None),
-            recompute=getattr(args, "recompute", None),
-            tp_degrees=args.tp_degrees,
-        )
-    except ValueError as exc:
-        args.error(str(exc))
+    return PlanSpec(**_given(args, PLAN_FIELDS))
 
 
-def _axis_value(text: str) -> Optional[str]:
-    """Sweep axis value: 'none' / 'off' select the axis's default."""
-    return None if text.lower() in ("none", "off") else text
+def _sim_spec(args, faults=None) -> SimSpec:
+    return SimSpec(**_given(args, SIM_FIELDS), faults=faults)
+
+
+def _add(parser: argparse.ArgumentParser, field) -> None:
+    """Add a :data:`~repro.core.spec.FIELDS` row (or a CLI-only
+    :class:`Field`) to ``parser``: its flag, type, bounds, choices,
+    default and help.  A word the row refuses exits 2 with ``argument
+    --flag: <the row's message>``."""
+    field = FIELDS[field] if isinstance(field, str) else field
+
+    def parse(text: str):
+        try:
+            return field.parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    flag = field.flag or "--" + field.name.replace("_", "-")
+    keywords = {} if not flag.startswith("-") else {
+        "dest": field.name, "default": field.default}
+    parser.add_argument(flag, type=parse, choices=field.choices,
+                        nargs="+" if field.many else None, help=field.help,
+                        **keywords)
+
+
+_WHERE = ("cluster", "servers", "num_workers", "device")
+_PLAN_ARGV = ("precision", "bucket_bytes", "memory_limit_bytes", "recompute",
+              "tp_degrees")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,145 +292,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("models", help="list the full-size paper models")
-    p.add_argument("--device", default="v100", choices=["v100", "1080ti", "titanx"])
-    p.set_defaults(func=cmd_models)
+    def command(name, func, help, fields=(), **defaults):
+        p = sub.add_parser(name, help=help)
+        for field in fields:
+            _add(p, field)
+        p.set_defaults(func=func, error=p.error, **defaults)
+        return p
 
-    p = sub.add_parser("profile", help="print or save a model profile")
-    p.add_argument("model", choices=available_models())
-    p.add_argument("--batch", type=int, default=0)
-    p.add_argument("--device", default="v100", choices=["v100", "1080ti", "titanx"])
+    command("models", cmd_models, "list the full-size paper models",
+            ["device"])
+    p = command("profile", cmd_profile, "print or save a model profile", [
+        "model", Field("batch", int, 0, "batch size (0 = the paper's)", lo=0),
+        "device"])
     p.add_argument("--json", help="write the profile to this file")
-    p.set_defaults(func=cmd_profile)
-
-    def add_cluster_args(p):
-        p.add_argument("--cluster", default="a", choices=sorted(CLUSTERS))
-        p.add_argument("--servers", type=int, default=4)
-        p.add_argument("--workers", type=int, default=0,
-                       help="restrict to the first N workers")
-        p.add_argument("--device", default="v100",
-                       choices=["v100", "1080ti", "titanx"])
-
-    p = sub.add_parser("plan", help="run the partitioning optimizer")
-    p.add_argument("model", choices=available_models())
-    add_cluster_args(p)
-    p.add_argument("--precision", default="fp32", choices=sorted(PRECISION_BYTES),
-                   help="element width the profile (and plan) assumes")
-    p.add_argument("--bucket-bytes", type=float, default=None,
-                   help="gradient-fusion cap in bytes: plan with DDP-style "
-                        "bucketed, backward-overlapped weight sync "
-                        "(default: one monolithic per-round payload)")
-    p.add_argument("--memory-limit-bytes", type=float, default=None,
-                   help="per-worker §3.3 memory cap the plan must satisfy")
-    p.add_argument("--recompute", default=None, metavar="auto",
-                   help="'auto' lets the planner turn activation "
-                        "checkpointing on per stage when the memory cap "
-                        "demands it (requires --memory-limit-bytes)")
-    p.add_argument("--tp-degrees", type=int, nargs="+", default=None,
-                   metavar="T",
-                   help="tensor-parallel degrees the planner may assign per "
-                        "stage (e.g. 1 2 4); omit for the pure 2D planner")
+    p = command("plan", cmd_plan, "run the partitioning optimizer",
+                ("model",) + _WHERE + _PLAN_ARGV)
     p.add_argument("--json", help="write the deployment plan to this file")
-    p.set_defaults(func=cmd_plan, error=p.error)
-
-    p = sub.add_parser("simulate", help="simulate a training strategy")
-    p.add_argument("model", choices=available_models())
-    add_cluster_args(p)
-    p.add_argument("--strategy", default="pipedream", choices=STRATEGY_NAMES)
-    p.add_argument("--minibatches", type=int, default=48,
-                   help="run length, literal for every strategy (gpipe: "
-                        "batches of 4 microbatches)")
-    p.add_argument("--precision", default="fp32", choices=sorted(PRECISION_BYTES),
-                   help="element width the profile is converted to")
-    p.add_argument("--bucket-bytes", type=float, default=None,
-                   help="gradient-fusion cap in bytes: simulate with "
-                        "bucketed, backward-overlapped weight sync")
-    p.add_argument("--memory-limit-bytes", type=float, default=None,
-                   help="per-worker memory cap for the pipedream planner")
-    p.add_argument("--recompute", default=None, metavar="auto",
-                   help="let the pipedream planner checkpoint stages under "
-                        "the memory cap")
-    p.add_argument("--schedule-family", default="1f1b",
-                   choices=["1f1b", "2bp"],
-                   help="pipeline schedule family: classic 1F1B or the "
-                        "backward-split 2BP (pipedream strategy only)")
-    p.add_argument("--tp-degrees", type=int, nargs="+", default=None,
-                   metavar="T",
-                   help="tensor-parallel degrees the pipedream planner may "
-                        "assign per stage (pipedream strategy only)")
-    p.add_argument("--faults", default="",
-                   help="fault spec: 'crash@T:wK', 'slow@T:wK:xF:dD', "
-                        "'bw@T:xF:dD[:wK][:lL]' (comma-joined), or "
-                        "'seed=N[:crashes=..][:stragglers=..]"
-                        "[:degradations=..][:horizon=..]'; a crash "
-                        "triggers the elastic recovery cycle")
-    p.set_defaults(func=cmd_simulate, error=p.error)
-
-    p = sub.add_parser(
-        "sweep", help="fp16/fp32 figure-12 grid over models x worker counts")
-    p.add_argument("models", nargs="+", choices=available_models())
-    p.add_argument("--cluster", default="a", choices=sorted(CLUSTERS))
-    p.add_argument("--servers", type=int, default=4)
-    p.add_argument("--counts", type=int, nargs="+", default=[4, 8, 16],
-                   help="worker counts to sweep")
-    p.add_argument("--strategies", nargs="+", default=["dp", "pipedream"],
-                   choices=STRATEGY_NAMES)
-    p.add_argument("--precisions", nargs="+", default=["fp32", "fp16"],
-                   choices=sorted(PRECISION_BYTES))
-    p.add_argument("--bucket-sizes", nargs="+", type=_axis_value,
-                   default=[None], metavar="BYTES|none",
-                   help="gradient-fusion caps to sweep ('none' = monolithic "
-                        "per-round payload)")
-    p.add_argument("--recomputes", nargs="+", type=_axis_value,
-                   default=[None], metavar="auto|none",
-                   help="planner recompute policies to sweep (pipedream "
-                        "cells; 'auto' needs --memory-limit-bytes to bite)")
-    p.add_argument("--schedule-families", nargs="+", default=["1f1b"],
-                   choices=["1f1b", "2bp"],
-                   help="schedule families to sweep (pipedream cells)")
-    p.add_argument("--memory-limit-bytes", type=float, default=None,
-                   help="per-worker memory cap for pipedream cells")
-    p.add_argument("--tp-degrees", type=int, nargs="+", default=None,
-                   metavar="T",
-                   help="tensor-parallel degrees pipedream cells may assign "
-                        "per stage")
-    p.add_argument("--device", default="v100",
-                   choices=["v100", "1080ti", "titanx"])
-    p.add_argument("--minibatches", type=int, default=48)
+    command("simulate", cmd_simulate, "simulate a training strategy",
+            ("model",) + _WHERE + _PLAN_ARGV
+            + ("strategy", "minibatches", "schedule_family", "faults"))
+    # The CLI sweeps fp32 and fp16 by default; run_sweep and the service
+    # sweep fp32 alone.
+    p = command(
+        "sweep", cmd_sweep,
+        "fp16/fp32 figure-12 grid over models x worker counts",
+        ["models", "cluster", "servers", "counts", "strategies",
+         "precisions", "bucket_sizes", "recomputes", "schedule_families",
+         "memory_limit_bytes", "tp_degrees", "device", "minibatches"],
+        precisions=("fp32", "fp16"))
     p.add_argument("--metric", default="samples_per_second",
                    help="SweepRecord field plotted by --svg")
     p.add_argument("--csv", help="write the records to this CSV file")
     p.add_argument("--svg", help="write a precision comparison chart here")
-    p.set_defaults(func=cmd_sweep, error=p.error)
 
-    p = sub.add_parser(
-        "serve", help="run the plan/simulate/sweep HTTP service")
+    p = command("serve", cmd_serve,
+                "run the plan/simulate/sweep HTTP service", [
+        Field("plan_cache", int, 512,
+              "canonical response-cache entries (0 disables)", lo=0),
+        Field("context_capacity", int, 16,
+              "profiles kept warm in the solver-context pool", lo=0),
+    ])
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8941,
                    help="TCP port (0 picks a free one)")
-    p.add_argument("--plan-cache", type=int, default=512,
-                   help="canonical response-cache entries (0 disables)")
-    p.add_argument("--context-capacity", type=int, default=16,
-                   help="profiles kept warm in the solver-context pool")
     p.add_argument("--cold", action="store_true",
                    help="disable warm-started solves (benchmark baseline)")
     p.add_argument("--verbose", action="store_true",
                    help="log each HTTP request")
-    p.set_defaults(func=cmd_serve)
 
-    p = sub.add_parser("timeline", help="print an ASCII pipeline timeline")
+    p = command("timeline", cmd_timeline, "print an ASCII pipeline timeline")
     p.add_argument("--stages", type=int, default=4)
     p.add_argument("--minibatches", type=int, default=8)
     p.add_argument("--schedule", default="1f1b", choices=["1f1b", "gpipe", "mp"])
     p.add_argument("--width", type=int, default=78)
-    p.set_defaults(func=cmd_timeline)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    # What the library refuses is a usage error, exit 2 with its message:
+    # a ValueError (a spec, a topology, a fault, a run length), a plan no
+    # partition satisfies (the planner's RuntimeError) or a sweep whose
+    # cells cannot plan.
+    except (ValueError, RuntimeError, SweepError) as exc:
+        args.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -8,11 +8,18 @@ total worker count is the product of all ``m_k``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
 GBPS = 1e9 / 8  # 1 Gbit/s in bytes/second
 GBYTES = 1e9  # 1 GB/s in bytes/second
+
+#: The most workers a topology may hold.  The planner's tables grow as
+#: O(workers * layers^2): a 1 024-worker solve of vgg16 or gnmt16 takes a
+#: few seconds, a 4 096-worker one tens of seconds, and ten million
+#: workers would allocate tens of GiB, so larger inputs are refused.
+MAX_WORKERS = 1024
 
 
 @dataclass(frozen=True)
@@ -45,11 +52,11 @@ class TopologyLevel:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("level count must be >= 1")
-        if self.bandwidth <= 0:
+        if not self.bandwidth > 0:  # NaN too
             raise ValueError("bandwidth must be positive")
         if not 0 < self.allreduce_efficiency <= 1:
             raise ValueError("allreduce_efficiency must be in (0, 1]")
-        if self.allreduce_latency < 0:
+        if not self.allreduce_latency >= 0:
             raise ValueError("allreduce_latency must be >= 0")
 
     @property
@@ -74,9 +81,16 @@ class Topology:
     def __init__(self, name: str, levels: Sequence[TopologyLevel], compute_scale: float = 1.0):
         if not levels:
             raise ValueError("topology needs at least one level")
+        if not 0 < compute_scale < math.inf:
+            raise ValueError(
+                f"compute_scale must be finite and > 0, got {compute_scale}")
         self.name = name
         self.levels: List[TopologyLevel] = list(levels)
         self.compute_scale = compute_scale
+        if self.total_workers > MAX_WORKERS:
+            raise ValueError(
+                f"topology has {self.total_workers} workers, more than "
+                f"MAX_WORKERS = {MAX_WORKERS}")
 
     @property
     def num_levels(self) -> int:

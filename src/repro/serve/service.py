@@ -34,6 +34,7 @@ import dataclasses
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import (
@@ -44,23 +45,26 @@ from repro.core.partition import (
     eval_tables_stats,
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
-from repro.core.spec import PlanSpec, SimSpec, check_scenario
+from repro.core.spec import (
+    FIELDS,
+    LEVEL_FIELDS,
+    PLAN_FIELDS,
+    REQUEST_FIELDS,
+    SIM_FIELDS,
+    SWEEP_OPTIONS,
+    TOPOLOGY_KEYS,
+    PlanSpec,
+    SimSpec,
+    check_scenario,
+)
 from repro.core.topology import CLUSTERS, Topology, TopologyLevel
 from repro.utils.lru import LRUCache
 
-_PLAN_KEYS = frozenset({
-    "model", "profile", "device", "precision",
-    "cluster", "servers", "topology", "num_workers",
-    "memory_limit_bytes", "allow_replication", "memory_refine",
-    "bucket_bytes", "recompute", "tp_degrees",
-})
-_SIMULATE_ONLY_KEYS = frozenset({"strategy", "minibatches",
-                                 "schedule_family"})
-_SIMULATE_KEYS = _PLAN_KEYS | _SIMULATE_ONLY_KEYS
-
-
 #: Slots one :meth:`PlannerService.batch` call may carry.
 MAX_BATCH_REQUESTS = 1024
+
+#: A level's field values, in :data:`~repro.core.spec.LEVEL_FIELDS` order.
+_level_values = attrgetter(*LEVEL_FIELDS)
 
 
 class RequestError(ValueError):
@@ -76,85 +80,48 @@ class RequestTooLarge(RequestError):
     status = 413
 
 
-def _field(request: Dict[str, Any], name: str, kind: type, default: Any = None,
-           choices: Any = None) -> Any:
-    """``request[name]`` coerced to ``kind``, or ``default`` when absent/null.
-
-    The one place scalar request fields are read: a value that does not
-    coerce or is not among ``choices`` raises :class:`RequestError`, so a
-    malformed field is the client's 400 and never reaches the solver as a
-    500.
-    """
-    value = request.get(name)
-    if value is None:
-        return default
-    value = _coerce(name, value, kind)
-    if choices is not None and value not in choices:
-        raise RequestError(f"unknown {name} {value!r} (have {sorted(choices)})")
-    return value
-
-
-def _coerce(name: str, value: Any, kind: type) -> Any:
-    """``value`` as ``kind``, else a :class:`RequestError` naming ``name``.
-
-    JSON booleans are taken as they are (``bool("false")`` is True).  An
-    int is a JSON integer or an integral finite number: ``2.7``, ``1e400``
-    (``inf``), ``true`` and the string ``"4"`` are all refused rather than
-    truncated, overflowed or parsed.
-    """
+def _read(request: Dict[str, Any], *names: str) -> List[Any]:
+    """``request``'s fields ``names``, each read through its
+    :data:`~repro.core.spec.FIELDS` row (absent or null = the default): a
+    value the row refuses is the client's :class:`RequestError`, never a
+    500 from deep in the solver."""
     try:
-        if kind is bool and not isinstance(value, bool):
-            raise ValueError(value)
-        if kind is int and (
-                isinstance(value, bool) or not isinstance(value, (int, float))
-                or not float(value).is_integer()):
-            raise ValueError(value)
-        return kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RequestError(
-            f"bad {name} {value!r}: expected {kind.__name__}") from exc
+        return [FIELDS[name].read(request.get(name)) for name in names]
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
 
 
-def _require_object(request: Any, allowed_keys: Any) -> None:
+def _require_object(request: Any, allowed_keys: Any,
+                    what: str = "request") -> None:
     """Strict schema: a JSON object with no field outside ``allowed_keys``."""
     if not isinstance(request, dict):
-        raise RequestError("request must be a JSON object")
-    unknown = set(request) - allowed_keys
+        raise RequestError(f"{what} must be a JSON object")
+    unknown = set(request).difference(allowed_keys)
     if unknown:
-        raise RequestError(f"unknown request fields: {sorted(unknown)}")
+        raise RequestError(f"unknown {what} fields: {sorted(unknown)}")
 
 
 def topology_to_dict(topology: Topology) -> Dict[str, Any]:
     """JSON form of a topology (inverse of :func:`topology_from_dict`)."""
-    return {
-        "name": topology.name,
-        "compute_scale": topology.compute_scale,
-        "levels": [
-            {
-                "count": lv.count,
-                "bandwidth": lv.bandwidth,
-                "allreduce_efficiency": lv.allreduce_efficiency,
-                "allreduce_latency": lv.allreduce_latency,
-            }
-            for lv in topology.levels
-        ],
-    }
+    return {"name": topology.name, "compute_scale": topology.compute_scale,
+            "levels": [dict(zip(LEVEL_FIELDS, _level_values(level)))
+                       for level in topology.levels]}
 
 
 def topology_from_dict(data: Dict[str, Any]) -> Topology:
-    levels = [
-        TopologyLevel(
-            int(lv["count"]),
-            float(lv["bandwidth"]),
-            float(lv.get("allreduce_efficiency", 1.0)),
-            float(lv.get("allreduce_latency", 0.0)),
-        )
-        for lv in data["levels"]
-    ]
+    """The topology of its JSON form.  A key outside the schema, at the
+    topology or at a level, is a :class:`RequestError`; so is a value its
+    field row refuses."""
+    _require_object(data, TOPOLOGY_KEYS, "topology")
+    levels = data.get("levels")
+    if not isinstance(levels, list):
+        raise RequestError(f"bad levels {levels!r}: expected a list")
+    for level in levels:
+        _require_object(level, LEVEL_FIELDS, "level")
     return Topology(
         str(data.get("name", "request")),
-        levels,
-        compute_scale=float(data.get("compute_scale", 1.0)),
+        [TopologyLevel(*_read(level, *LEVEL_FIELDS)) for level in levels],
+        compute_scale=_read(data, "compute_scale")[0],
     )
 
 
@@ -163,10 +130,9 @@ def _request_topology(request: Dict[str, Any]) -> Topology:
     if "topology" in request:
         try:
             return topology_from_dict(request["topology"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise RequestError(f"bad topology: {exc}") from exc
-    cluster = _field(request, "cluster", str, "a", choices=CLUSTERS)
-    servers = _field(request, "servers", int, 4)
+    cluster, servers = _read(request, "cluster", "servers")
     try:
         return CLUSTERS[cluster](servers)
     except ValueError as exc:
@@ -175,14 +141,7 @@ def _request_topology(request: Dict[str, Any]) -> Topology:
 
 def _topology_signature(topology: Topology) -> tuple:
     """The value identity of a topology: levels + compute scale, not name."""
-    return (
-        topology.compute_scale,
-        tuple(
-            (lv.count, lv.bandwidth, lv.allreduce_efficiency,
-             lv.allreduce_latency)
-            for lv in topology.levels
-        ),
-    )
+    return topology.compute_scale, tuple(map(_level_values, topology.levels))
 
 
 @dataclass(frozen=True)
@@ -212,14 +171,14 @@ def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
     cannot split the cache; all resolution errors surface as
     :class:`RequestError` with a client-actionable message.
     """
-    _require_object(request, _PLAN_KEYS)
-    precision = _field(request, "precision", str, "fp32",
-                       choices=PRECISION_BYTES)
+    _require_object(request, REQUEST_FIELDS["plan"])
+    precision, profile, num_workers = _read(
+        request, "precision", "profile", "num_workers")
     if ("model" in request) == ("profile" in request):
         raise RequestError("exactly one of 'model' or 'profile' is required")
-    if "profile" in request:
+    if profile is not None:
         try:
-            profile = ModelProfile.from_dict(request["profile"])
+            profile = ModelProfile.from_dict(profile)
         except (KeyError, TypeError, ValueError) as exc:
             raise RequestError(f"bad profile: {exc}") from exc
         target_bytes = PRECISION_BYTES[precision]
@@ -228,46 +187,25 @@ def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
     else:
         # Imported here: the analytic profiler is the one serve dependency
         # with model tables behind it, and tests stub it.
-        from repro.profiler import analytic_profile, available_models
-        from repro.profiler.analytic import DEVICE_PEAK_FLOPS
+        from repro.profiler import analytic_profile
 
-        model = request["model"]
-        if model not in available_models():
-            raise RequestError(
-                f"unknown model {model!r} (have {sorted(available_models())})"
-            )
+        model, device = _read(request, "model", "device")
         profile = analytic_profile(
-            model,
-            device=_field(request, "device", str, "v100",
-                          choices=DEVICE_PEAK_FLOPS),
-            bytes_per_element=PRECISION_BYTES[precision],
-        )
+            model, device=device, bytes_per_element=PRECISION_BYTES[precision])
 
     if "topology" in request and "cluster" in request:
         raise RequestError("give either 'topology' or 'cluster', not both")
     topology = _request_topology(request)
-
-    num_workers = _field(request, "num_workers", int, topology.total_workers)
+    if num_workers is None:
+        num_workers = topology.total_workers
     try:
         solve_topology = (
             topology
             if num_workers == topology.total_workers
             else topology.subset(num_workers)
         )
+        spec = PlanSpec(**dict(zip(PLAN_FIELDS, _read(request, *PLAN_FIELDS))))
     except ValueError as exc:
-        raise RequestError(str(exc)) from exc
-
-    options = {
-        "memory_limit_bytes": _field(request, "memory_limit_bytes", float),
-        "allow_replication": _field(request, "allow_replication", bool, True),
-        "memory_refine": _field(request, "memory_refine", bool, True),
-        "bucket_bytes": _field(request, "bucket_bytes", float),
-        "recompute": _field(request, "recompute", str),
-        "tp_degrees": _field(request, "tp_degrees", tuple),
-    }
-    try:
-        spec = PlanSpec(**options)
-    except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from exc
 
     # The canonical identity of the query.  The profile digest already
@@ -278,6 +216,22 @@ def normalize_plan_request(request: Dict[str, Any]) -> NormalizedQuery:
         profile.digest(), _topology_signature(solve_topology), num_workers,
     ) + canonical_spec_key(spec, profile, num_workers)
     return NormalizedQuery(profile, solve_topology, num_workers, spec, key)
+
+
+def normalize_simulate_request(
+        request: Dict[str, Any]) -> Tuple[NormalizedQuery, SimSpec]:
+    """A simulate request as its plan query and its :class:`SimSpec`; a
+    plan field the strategy would not read is a :class:`RequestError`
+    (:func:`~repro.core.spec.check_scenario`)."""
+    _require_object(request, REQUEST_FIELDS["simulate"])
+    query = normalize_plan_request(
+        {k: v for k, v in request.items() if k not in SIM_FIELDS})
+    try:
+        sim = SimSpec(*_read(request, *SIM_FIELDS))
+        check_scenario(query.spec, sim)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from exc
+    return query, sim
 
 
 def _opt_in_fields(spec: PlanSpec, stages: Sequence[Any]) -> Dict[str, Any]:
@@ -417,19 +371,7 @@ class PlannerService:
         simulations of one profile re-solve from hot tables.
         """
         self._count("simulate")
-        _require_object(request, _SIMULATE_KEYS)
-        query = normalize_plan_request(
-            {k: v for k, v in request.items()
-             if k not in _SIMULATE_ONLY_KEYS}
-        )
-        try:
-            sim = SimSpec(
-                _field(request, "strategy", str, "pipedream"),
-                _field(request, "minibatches", int, 48),
-                _field(request, "schedule_family", str, "1f1b"))
-            check_scenario(query.spec, sim)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from exc
+        query, sim = normalize_simulate_request(request)
         cache_key = ("simulate", query.key, sim.key())
         cached = self.plan_cache.get(cache_key)
         if cached is not None:
@@ -464,47 +406,19 @@ class PlannerService:
         context pool so per-cell solves are warm-started.
         """
         self._count("sweep")
-        _require_object(request, {
-            "models", "cluster", "servers", "topology", "counts",
-            "strategies", "precisions", "bucket_sizes", "device",
-            "minibatches", "executor", "workers",
-            "recomputes", "schedule_families", "memory_limit_bytes",
-            "tp_degrees",
-        })
-        models = request.get("models")
-        if not models or not isinstance(models, (list, tuple)):
-            raise RequestError("'models' must be a non-empty list")
+        _require_object(request, REQUEST_FIELDS["sweep"])
+        models, counts = _read(request, "models", "counts")
         topology = _request_topology(request)
-        counts = request.get("counts", [4, 8, 16])
-        if not isinstance(counts, (list, tuple)):
-            raise RequestError(f"bad counts {counts!r}: expected a list")
-        counts = [_coerce("counts", count, int) for count in counts]
+        options = dict(zip(SWEEP_OPTIONS, _read(request, *SWEEP_OPTIONS)))
+        if request.get("executor") is None:
+            options["executor"] = "auto"  # run_sweep's own is "process"
 
-        from repro.profiler.analytic import DEVICE_PEAK_FLOPS
         from repro.sim import SweepError, run_sweep
 
         try:
             records = run_sweep(
-                list(models),
-                topology,
-                counts,
-                strategies=tuple(request.get("strategies", ("dp", "pipedream"))),
-                device=_field(request, "device", str, "v100",
-                              choices=DEVICE_PEAK_FLOPS),
-                minibatches=_field(request, "minibatches", int, 48),
-                workers=_field(request, "workers", int, 1),
-                executor=request.get("executor", "auto"),
-                precisions=tuple(request.get("precisions", ("fp32",))),
-                bucket_sizes=tuple(request.get("bucket_sizes", (None,))),
-                recomputes=tuple(request.get("recomputes", (None,))),
-                schedule_families=tuple(
-                    request.get("schedule_families", ("1f1b",))
-                ),
-                memory_limit_bytes=_field(
-                    request, "memory_limit_bytes", float),
-                tp_degrees=request.get("tp_degrees"),
-                contexts=self.contexts if self.warm_start else None,
-            )
+                models, topology, counts, **options,
+                contexts=self.contexts if self.warm_start else None)
         # A cell that cannot plan (e.g. a memory cap too tight) is the
         # request's fault; the message names every failed cell.
         except (KeyError, TypeError, ValueError, SweepError) as exc:

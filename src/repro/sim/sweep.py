@@ -33,7 +33,7 @@ from repro.core.partition import (
 )
 from repro.core.profile import PRECISION_BYTES, ModelProfile
 from repro.core.schedule import _assign_workers
-from repro.core.spec import PlanSpec, SimSpec
+from repro.core.spec import DEFAULTS, FIELDS, PlanSpec, SimSpec
 from repro.core.topology import Topology
 from repro.profiler import analytic_profile
 from repro.sim.network import Placement, stage_sync_seconds
@@ -326,9 +326,6 @@ def _run_cell_guarded(args) -> Tuple[list, Optional[str]]:
         return [], f"{type(exc).__name__}: {exc}"
 
 
-EXECUTORS = ("auto", "process", "thread", "serial")
-
-
 def _resolve_executor(executor: str, workers: int, num_tasks: int) -> str:
     """Pick an execution mode for ``executor="auto"``.
 
@@ -351,16 +348,16 @@ def run_sweep(
     models: Sequence[str],
     topology: Topology,
     worker_counts: Sequence[int],
-    strategies: Sequence[str] = ("dp", "pipedream"),
-    device: str = "v100",
-    minibatches: int = 48,
-    workers: int = 1,
-    executor: str = "process",
+    strategies: Sequence[str] = DEFAULTS["strategies"],
+    device: str = DEFAULTS["device"],
+    minibatches: int = DEFAULTS["minibatches"],
+    workers: int = DEFAULTS["workers"],
+    executor: str = DEFAULTS["executor"],
     on_error: str = "raise",
-    precisions: Sequence[str] = ("fp32",),
-    bucket_sizes: Sequence[Optional[float]] = (None,),
-    recomputes: Sequence[Optional[str]] = (None,),
-    schedule_families: Sequence[str] = ("1f1b",),
+    precisions: Sequence[str] = DEFAULTS["precisions"],
+    bucket_sizes: Sequence[Optional[float]] = DEFAULTS["bucket_sizes"],
+    recomputes: Sequence[Optional[str]] = DEFAULTS["recomputes"],
+    schedule_families: Sequence[str] = DEFAULTS["schedule_families"],
     memory_limit_bytes: Optional[float] = None,
     tp_degrees: Optional[Sequence[int]] = None,
     contexts: Optional[SolverContextPool] = None,
@@ -431,14 +428,11 @@ def run_sweep(
             instead (locks don't pickle).  Warm starts are
             value-transparent, so records are unchanged.
     """
-    unknown = set(strategies) - set(STRATEGIES)
-    if unknown:
-        raise ValueError(f"unknown strategies: {sorted(unknown)}")
-    unknown_precisions = set(precisions) - set(PRECISION_BYTES)
-    if unknown_precisions:
-        raise ValueError(f"unknown precisions: {sorted(unknown_precisions)}")
-    if executor not in EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; expected one of {EXECUTORS}")
+    # The axes with a closed set of values, checked by their table rows.
+    for name, value in (("strategies", tuple(strategies)),
+                        ("precisions", tuple(precisions)),
+                        ("executor", executor)):
+        FIELDS[name].read(value)
     if on_error not in ("raise", "skip"):
         raise ValueError(f"unknown on_error {on_error!r}; expected 'raise' or 'skip'")
     worker_counts = list(worker_counts)

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import build_parser, main
+from repro.core.spec import PLAN_FIELDS, SIM_FIELDS
+from repro.serve.service import normalize_simulate_request
 
 
 class TestModels:
@@ -175,3 +178,69 @@ class TestTimeline:
         out = capsys.readouterr().out
         assert "worker 0" in out
         assert "utilization" in out
+
+
+#: Hostile argv the field table refuses: each exits 2 naming its flag,
+#: with no traceback (an uncaught exception would not be a SystemExit).
+HOSTILE_ARGV = [
+    (["plan", "vgg16", "--servers", "0"], "servers"),
+    (["plan", "vgg16", "--servers", "100000000"], "--servers"),
+    (["plan", "vgg16", "--servers", "300"], "1200 workers"),
+    (["plan", "vgg16", "--workers", "-1"], "--workers"),
+    (["plan", "vgg16", "--workers", "0"], "--workers"),
+    (["plan", "vgg16", "--workers", "5"], "5 workers"),
+    (["profile", "vgg16", "--batch", "-3"], "--batch"),
+    (["serve", "--plan-cache", "-1"], "--plan-cache"),
+    (["serve", "--context-capacity", "-1"], "--context-capacity"),
+    (["timeline", "--stages", "0"], "stages"),
+    (["timeline", "--stages", "2000"], "2000 workers"),
+    (["timeline", "--minibatches", "-1"], "minibatches"),
+    (["sweep", "vgg16", "--counts", "0"], "--counts"),
+    (["sweep", "vgg16", "--counts", "100000"], "--counts"),
+    (["plan", "vgg16", "--memory-limit-bytes", "1000"],
+     "memory_limit_bytes=1000"),
+    (["simulate", "vgg16", "--memory-limit-bytes", "1000"],
+     "memory_limit_bytes=1000"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", HOSTILE_ARGV,
+                         ids=[" ".join(argv) for argv, _ in HOSTILE_ARGV])
+def test_hostile_argv_exits_2_naming_its_flag(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
+#: One valid value per plan / sim field, as argv words and as JSON.
+SPEC_VALUES = {
+    "memory_limit_bytes": (["16e9"], 16e9),
+    "bucket_bytes": (["25e6"], 25e6),
+    "recompute": (["auto"], "auto"),
+    "tp_degrees": (["2", "4"], [2, 4]),
+    "strategy": (["dp"], "dp"),
+    "minibatches": (["16"], 16),
+    "schedule_family": (["2bp"], "2bp"),
+}
+#: Plan fields only a service request carries.
+JSON_ONLY = {"allow_replication", "memory_refine"}
+
+
+def test_argv_and_json_build_equal_specs():
+    """Drift check: every plan or sim field given through argv and
+    through JSON yields equal ``PlanSpec`` / ``SimSpec`` values."""
+    assert set(SPEC_VALUES) | JSON_ONLY == set(PLAN_FIELDS + SIM_FIELDS)
+    parser = build_parser()
+    for name, (words, value) in SPEC_VALUES.items():
+        flag = "--" + name.replace("_", "-")
+        extra = {"memory_limit_bytes": 16e9} if name == "recompute" else {}
+        args = parser.parse_args(
+            ["simulate", "vgg16", "--servers", "1", flag, *words]
+            + [f"--memory-limit-bytes={v}" for v in extra.values()])
+        query, sim = normalize_simulate_request(
+            {"model": "vgg16", "servers": 1, name: value, **extra})
+        assert cli._plan_spec(args) == query.spec, name
+        assert cli._sim_spec(args) == sim, name

@@ -273,6 +273,78 @@ class TestSimulateSweepBatch:
         assert "eval_tables" in stats
 
 
+def _topo(compute_scale=1.0, extra=None, **level):
+    """A one-server cluster_a-like inline topology with one level edited."""
+    inner = dict({"count": 4, "bandwidth": 12e9}, **level)
+    topology = {"levels": [inner], "compute_scale": compute_scale}
+    return dict(topology, **(extra or {}))
+
+
+#: Hostile requests the field table refuses: (endpoint, body, the field's
+#: name as the message gives it).
+HOSTILE_REQUESTS = [
+    # Inline topologies read through the table, strictly.
+    ("plan", dict(model="vgg16", topology=_topo(count=1e400)), "bad count inf"),
+    ("plan", dict(model="vgg16", topology=_topo(count=2.7)), "bad count 2.7"),
+    ("plan", dict(model="vgg16", topology=_topo(count=True)), "bad count True"),
+    ("plan", dict(model="vgg16", topology=_topo(count=10**7)),
+     "count must be an int <= 1024"),
+    ("plan", dict(model="vgg16", topology=_topo(bandwidth=float("nan"))),
+     "bandwidth must be positive"),
+    ("plan", dict(model="vgg16", topology=_topo(allreduce_latency=float("nan"))),
+     "allreduce_latency must be >= 0"),
+    ("plan", dict(model="vgg16", topology=_topo(compute_scale=0)),
+     "compute_scale must be finite and > 0, got 0"),
+    ("plan", dict(model="vgg16", topology=_topo(compute_scale=float("nan"))),
+     "compute_scale must be finite and > 0, got nan"),
+    ("plan", dict(model="vgg16", topology=_topo(bw=1e9)),
+     r"unknown level fields: \['bw'\]"),
+    ("plan", dict(model="vgg16", topology=_topo(extra={"speed": 2})),
+     r"unknown topology fields: \['speed'\]"),
+    ("sweep", dict(models=["vgg16"], counts=[4], topology=_topo(count=2.7)),
+     "bad count 2.7"),
+    # Worker counts and sweep bounds.
+    ("plan", dict(model="vgg16", num_workers=0), "num_workers must be an int >= 1"),
+    ("sweep", dict(models=["vgg16"], counts=[0]), "counts must be an int >= 1"),
+    ("sweep", dict(models=["vgg16"], counts=[4], workers=0),
+     "workers must be an int >= 1"),
+    # List fields are lists, of the row's kind.
+    ("sweep", dict(models=["vgg16"], counts=[4], strategies="dp"),
+     "bad strategies 'dp': expected a list"),
+    ("sweep", dict(models=["vgg16"], counts=[4], precisions="fp16"),
+     "bad precisions 'fp16': expected a list"),
+    ("sweep", dict(models=["vgg16"], counts=[4], bucket_sizes=25e6),
+     "bad bucket_sizes 25000000.0: expected a list"),
+    ("sweep", dict(models=["vgg16"], counts=[4], strategies=[]),
+     "strategies must be a non-empty list"),
+    ("plan", dict(model="vgg16", tp_degrees="24"),
+     "bad tp_degrees '24': expected a list"),
+    # Scalars are of the row's kind, not coerced with str() or float().
+    ("plan", dict(model="vgg16", recompute=5), "bad recompute 5: expected str"),
+    ("plan", dict(model="vgg16", memory_limit_bytes=True),
+     "bad memory_limit_bytes True: expected float"),
+    ("simulate", dict(model="vgg16", strategy=7), "bad strategy 7: expected str"),
+]
+
+
+@pytest.mark.parametrize(
+    "endpoint, body, message", HOSTILE_REQUESTS,
+    ids=[f"{endpoint}-{i}" for i, (endpoint, _, _) in
+         enumerate(HOSTILE_REQUESTS)])
+def test_hostile_request_is_a_request_error_naming_its_field(
+        endpoint, body, message):
+    with pytest.raises(RequestError, match=message):
+        getattr(PlannerService(), endpoint)(body)
+
+
+def test_hostile_batch_slot_is_answered_in_slot():
+    bad = dict(VGG, topology=_topo(count=2.7))
+    del bad["cluster"], bad["servers"]
+    results = PlannerService().batch([VGG, bad])
+    assert "stages" in results[0]
+    assert results[1] == {"error": "bad topology: bad count 2.7: expected int"}
+
+
 class TestHTTPTransport:
     @pytest.fixture(scope="class")
     def server(self):

@@ -47,6 +47,8 @@ def test_the_check_sees_both_import_forms():
 REEXPORTS = {
     "repro/api.py": None,
     "repro/core/partition.py": {"clear_eval_tables", "eval_tables_stats"},
+    # benchmarks/e2e/sweep_grid.py imports the strategy table from here.
+    "repro/sim/sweep.py": {"STRATEGIES"},
 }
 
 

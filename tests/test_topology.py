@@ -8,6 +8,7 @@ from repro.core.topology import (
     CLUSTER_C,
     GBPS,
     GBYTES,
+    MAX_WORKERS,
     Topology,
     TopologyLevel,
     cluster_1080ti,
@@ -107,3 +108,23 @@ class TestPaperClusters:
 
     def test_scaling_cluster_a(self):
         assert cluster_a(8).total_workers == 32
+
+
+class TestRejectedTopologies:
+    @pytest.mark.parametrize("scale", [0, -1.0, float("nan"), float("inf")])
+    def test_compute_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match="compute_scale must be finite"):
+            Topology("t", [TopologyLevel(4, 1e9)], compute_scale=scale)
+
+    @pytest.mark.parametrize("field, value", [
+        ("bandwidth", float("nan")), ("allreduce_latency", float("nan"))])
+    def test_nan_level_fields_are_refused(self, field, value):
+        level = {"count": 4, "bandwidth": 1e9, field: value}
+        with pytest.raises(ValueError, match=field.split("_")[-1]):
+            TopologyLevel(**level)
+
+    def test_worker_ceiling(self):
+        assert make_cluster("x", 8, MAX_WORKERS // 8, 1e9, 1e9) \
+            .total_workers == MAX_WORKERS
+        with pytest.raises(ValueError, match=f"{MAX_WORKERS + 8} workers"):
+            make_cluster("x", 8, MAX_WORKERS // 8 + 1, 1e9, 1e9)

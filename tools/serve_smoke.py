@@ -6,7 +6,8 @@ per endpoint through :class:`HTTPPlannerClient`, and asserts the answers
 are identical to the in-process service and (for /plan) bitwise-equal to
 a cold :meth:`PipeDreamOptimizer.solve`.  Error mapping is exercised too:
 a bad request must come back as HTTP 400 carrying the same message the
-in-process path raises.  The wire itself is checked over a raw socket: two
+in-process path raises, and one malformed field per endpoint (and in one
+batch slot) must come back as a 400 naming the field.  The wire itself is checked over a raw socket: two
 plan requests on one keep-alive connection, a sweep whose cap no plan
 fits, then a request that declares a body over the limit — 200, 200, 400,
 413.
@@ -36,6 +37,13 @@ from repro.serve import (  # noqa: E402
 
 PLAN_REQUEST = {"model": "vgg16", "cluster": "a", "servers": 4,
                 "num_workers": 16, "memory_limit_bytes": 16e9}
+#: One malformed field per endpoint, and the field each 400 must name.
+MALFORMED = [
+    ("/plan", {"model": "vgg16", "topology": {
+        "levels": [{"count": 2.7, "bandwidth": 1e9}]}}, "count"),
+    ("/simulate", dict(PLAN_REQUEST, minibatches=-1), "minibatches"),
+    ("/sweep", {"models": ["vgg16"], "strategies": "dp"}, "strategies"),
+]
 #: No plan fits a 1000-byte cap: the client's error (400), not the server's.
 INFEASIBLE_SWEEP = {"models": ["vgg16"], "cluster": "a", "servers": 1,
                     "counts": [4], "minibatches": 8,
@@ -129,6 +137,19 @@ def main() -> int:
         else:
             check("errors: /simulate {engine} is an unknown field (400)",
                   False)
+
+        for path, body, field in MALFORMED:
+            try:
+                http._request(path, body)
+            except RequestError as exc:
+                named = field in str(exc)
+            else:
+                named = False
+            check(f"errors: malformed {field} on {path} is a 400 naming it",
+                  named)
+        slot = http.batch([{"model": "vgg16", "num_workers": 0}])[0]
+        check("errors: malformed num_workers in a /batch slot is named",
+              "num_workers" in slot.get("error", ""))
 
         check("wire: keep-alive 200, 200, 400 for an infeasible sweep, "
               "then 413 for an oversized body",
