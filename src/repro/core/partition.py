@@ -806,14 +806,13 @@ class PipeDreamOptimizer:
         for level in topology.levels:
             per.append(per[-1] * level.count)
         depth = range(topology.num_levels)
-        dp_c = [[0.0] * (m + 1) for m in range(W + 1)]
-        dp_l = [[0.0] * (m + 1) for m in range(W + 1)]
-        tp_c = [[0.0] * (m + 1) for m in range(W + 1)]
-        tp_l = [[0.0] * (m + 1) for m in range(W + 1)]
+        dp_c, dp_l, tp_c, tp_l = (
+            [[0.0] * (m + 1) for m in range(W + 1)] for _ in range(4))
         shard = [
             allreduce_cost_factors(placement, list(range(w, w + t)))
             for w in range(W - t + 1)
         ]
+        ring = functools.cache(functools.partial(ring_cost_factors, topology))
         for m in range(t, W + 1):
             worst_c = worst_l = 0.0
             children = [{} for _ in depth]
@@ -825,8 +824,7 @@ class PipeDreamOptimizer:
                     members.add(rep // per[k])
                     sizes[k] = max(sizes[k], len(members))
                 if mp > t:
-                    dp_c[m][mp], dp_l[m][mp] = ring_cost_factors(
-                        topology, sizes)
+                    dp_c[m][mp], dp_l[m][mp] = ring(tuple(sizes))
                 c, l = shard[rep]
                 worst_c = max(worst_c, c)
                 worst_l = max(worst_l, l)
@@ -909,9 +907,8 @@ class PipeDreamOptimizer:
         return self._tables
 
     def _sync_terms(self, stream, deferred, coeff, lat, div):
-        """§3.1's sync term, spelled once for both plane functions (and so
-        for both DPs): a stage replicated ``r`` ways costs
-        ``max(compute / r, overlappable) + blocked`` with
+        """§3.1's sync term, spelled once for both DPs: a stage replicated
+        ``r`` ways costs ``max(compute / r, overlappable) + blocked`` with
 
             overlappable = stream · coeff / div + α · buckets / div
             blocked      = deferred · coeff / div + α / div
@@ -920,50 +917,54 @@ class PipeDreamOptimizer:
         BPTT-deferred, see ``RECURRENT_KINDS``); ``coeff`` / ``lat`` are the
         replica group's ring seconds-per-byte and setup latency α, ``div``
         the minibatches one sync round covers, ``buckets`` the
-        :meth:`_bucket_matrix`.  A payload-free span pays no α, and the
-        ``lat > 0`` guard keeps α = 0 tables bitwise equal to the
-        latency-free model.
+        :meth:`_bucket_matrix`.  ``coeff`` / ``lat`` / ``div`` may be
+        scalars or ``(K, 1, 1)`` arrays (one plane per entry).  A
+        payload-free span pays no α, and where no entry has ``lat > 0`` the
+        α terms are skipped, keeping α = 0 tables bitwise equal to the
+        latency-free model (an entry with α = 0 beside one with α > 0 adds
+        an exact ``+0.0``).
         """
         overlappable = stream * coeff / div
         blocked = deferred * coeff / div
-        if lat > 0.0:
+        if np.any(lat > 0.0):
             overlappable = overlappable + np.where(
                 stream > 0, lat * self._bucket_matrix() / div, 0.0
             )
             blocked = blocked + np.where(deferred > 0, lat / div, 0.0)
         return overlappable, blocked
 
-    def _refined_fits(self, versions: int, replicas: int, t: int):
-        """(n, n) memory masks ``(fits, fits_checkpointed)`` of a leading
-        stage: the shared kernel at the exact 1F1B depth ``versions`` =
+    def _refined_fits(self, versions, replicas, t: int):
+        """Memory masks ``(fits, fits_checkpointed)`` of a leading stage:
+        the shared kernel at the exact 1F1B depth ``versions`` =
         ``ceil(m/mp)`` (physical workers downstream over physical workers
         held — :func:`warmup_count`'s tp-aware generalization) with
-        ``replicas`` logical replicas of ``t`` shards.  The arguments are
-        everything the planes depend on, so the suffix DP memoises on them
-        (``ceil(m/mp)`` repeats across most of its ``(m, mp)`` cells).
+        ``replicas`` logical replicas of ``t`` shards.  Integer
+        ``versions`` / ``replicas`` give ``(n, n)`` masks; ``(K, 1, 1)``
+        integer arrays give ``(K, n, n)`` stacks, one per entry, which is
+        how the suffix DP prices every distinct ``(ceil(m/mp), mp/t)`` in
+        one call (:meth:`_refined_planes`).
         """
         tb = self._span_tables()
         limit = self.memory_limit_bytes
         shard = dict(tp_degree=t, shardable_weight_bytes=tb.SW,
                      shardable_activation_bytes=tb.SA)
-        cost = self._stage_memory_cost(
-            tb.W, tb.D, tb.A, versions, replicas, **shard
-        )
+        fits = self._stage_memory_cost(
+            tb.W, tb.D, tb.A, versions, replicas, **shard) <= limit
         if not self._recompute_auto:
-            return cost <= limit, None
+            return fits, None
         cost_r = self._stage_memory_cost(
             tb.W, tb.D, tb.A, versions, replicas, recompute=True,
-            boundary_activation_bytes=tb.bacts[:, None], **shard
-        )
-        return cost <= limit, cost_r <= limit
+            boundary_activation_bytes=tb.bacts[:, None], **shard)
+        return fits, cost_r <= limit
 
-    def _tp_plane(self, compute, mask, t: int, r: int, div: int,
-                  tp_coeff: float, tp_lat: float, dp_coeff: float,
-                  dp_lat: float):
-        """(n, n) time of a stage of ``r`` replicas of ``t`` consecutive
-        shards — the level DP's ``T^k(i→j, m)`` and the refined DP's cell
-        — whose ``compute`` already divides the shardable share by ``t``
-        (the rest is replicated work every shard repeats).
+    def _tp_plane(self, compute, mask, t: int, r, div, dp_coeff, dp_lat,
+                  tp_coeff, tp_lat):
+        """Time of a stage of ``r`` replicas of ``t`` consecutive shards —
+        the level DP's ``T^k(i→j, m)`` and the refined DP's cell — whose
+        ``compute`` already divides the shardable share by ``t`` (the rest
+        is replicated work every shard repeats).  ``r`` and the ring terms
+        are scalars (one ``(n, n)`` plane) or ``(K, 1, 1)`` arrays (a
+        ``(K, n, n)`` stack, one plane per entry); ``t`` is one degree.
 
         - with ``t > 1`` every minibatch pays two intra-stage collectives
           on the slowest shard group (ring ``tp_coeff`` seconds per byte +
@@ -972,41 +973,84 @@ class PipeDreamOptimizer:
           never degenerates into free compute division — and the backward
           reduce-scatter of the *input* boundary (zero at the input stage,
           which reads training data);
-        - with ``r > 1`` the replicas pay §3.1's sync term
-          (:meth:`_sync_terms`): the *sharded* eager payload streams over
-          the strided representative group (``dp_coeff``/``dp_lat``), one
-          round covering ``div`` minibatches; deferred (BPTT) weights are
-          unshardable by construction and sync in full.
+        - the replicas pay §3.1's sync term (:meth:`_sync_terms`): the
+          *sharded* eager payload streams over the strided representative
+          group (``dp_coeff``/``dp_lat``), one round covering ``div``
+          minibatches; deferred (BPTT) weights are unshardable by
+          construction and sync in full.  A single replica has a zero ring
+          coefficient and its α is dropped here, so its sync is an exact
+          ``+0.0`` and its plane is ``compute``.
 
         The level DP prices both rings with its level's flat ring (both
         stay within one level-1 component group there) and amortises an
         inner level's sync over the components' workers too; the refined
         DP reads the placement-exact tables of :meth:`_refined_tp_tables`.
-        Cells outside ``mask`` — all of them for a replicated plane with
+        Cells outside ``mask`` — and every replicated cell with
         replication off — are ``inf``.
         """
-        if r > 1 and not self.allow_replication:
-            return np.full((self._n, self._n), math.inf)
         tb = self._span_tables()
+        if not self.allow_replication:
+            mask = mask & (r == 1)
         if t > 1:
-            out_term = tb.acts * tp_coeff
-            in_term = tb.bacts * tp_coeff
-            if tp_lat > 0.0:
-                out_term = out_term + np.where(tb.acts > 0, tp_lat, 0.0)
-                in_term = in_term + np.where(tb.bacts > 0, tp_lat, 0.0)
-            compute = compute + (out_term[None, :] + in_term[:, None])
-        if r == 1:
-            return np.where(mask, compute / 1, math.inf)
+            acts, bacts = tb.acts[None, :], tb.bacts[:, None]
+            out_term, in_term = acts * tp_coeff, bacts * tp_coeff
+            if np.any(tp_lat > 0.0):
+                out_term = out_term + np.where(acts > 0, tp_lat, 0.0)
+                in_term = in_term + np.where(bacts > 0, tp_lat, 0.0)
+            compute = compute + (out_term + in_term)
         stream = tb.WD if t == 1 else tb.WD - tb.SW + tb.SW / t
-        overl, nonov = self._sync_terms(stream, tb.D, dp_coeff, dp_lat, div)
+        overl, nonov = self._sync_terms(
+            stream, tb.D, dp_coeff, np.where(r > 1, dp_lat, 0.0), div)
         return np.where(mask, np.maximum(compute / r, overl) + nonov, math.inf)
+
+    def _refined_planes(self, rows: Sequence[int], tables) -> dict:
+        """The masked stage-time planes the suffix-DP rows ``rows`` read.
+
+        Per degree ``t``, cell ``(m, mp)`` (``mp = t, 2t, … <= m``) needs
+        the memory masks at depth ``ceil(m/mp)`` and ``mp/t`` replicas
+        (:meth:`_refined_fits`) and the stage times at ``mp/t`` replicas
+        over its ring entries (:meth:`_tp_plane`); both repeat across
+        cells.  Each distinct key is priced once, in one batched kernel
+        call per checkpoint depth over ``(K, 1, 1)`` key arrays, and each
+        distinct (mask, time) pair is masked once: checkpointed times
+        where they fit, stash-everything over them where *those* fit.
+        Returns ``{t: (stack, index)}`` with ``stack[index[m]]`` row
+        ``m``'s ``(m/t, n, n)`` cube, in ``mp`` order.
+        """
+        tb = self._span_tables()
+        depth = 2 if self._recompute_auto else 1
+        planes = {}
+        for t in self._tp_options:
+            ms = [m for m in rows if m >= t]
+            if not ms:
+                break
+            # One entry per cell: rows in order, mp ascending within each.
+            mp = np.concatenate([np.arange(t, m + 1, t) for m in ms])
+            depths = -(-np.repeat(ms, [m // t for m in ms]) // mp)
+            rings = [np.concatenate([table[m][t::t] for m in ms])
+                     for table in tables[t]]
+            fits_at, fits_of = _distinct(depths, mp // t)
+            time_at, time_of = _distinct(mp // t, *rings)
+            pair_at, pair_of = _distinct(fits_of, time_of)
+            fits = self._refined_fits(depths[fits_at, None, None],
+                                      (mp // t)[fits_at, None, None], t)
+            r, *ring = (column[time_at, None, None]
+                        for column in (mp // t, *rings))
+            stack = np.full((len(pair_at),) + tb.valid.shape, math.inf)
+            for c in reversed(range(depth)):
+                times = self._tp_plane(tb.sharded[t][c], tb.valid, t, r, r,
+                                       *ring)
+                np.copyto(stack, times[time_of[pair_at]],
+                          where=fits[c][fits_of[pair_at]])
+            offsets = np.cumsum([m // t for m in ms])[:-1]
+            planes[t] = stack, dict(zip(ms, np.split(pair_of, offsets)))
+        return planes
 
     def _solve_refined_dp(
         self, topology: Topology, link_bw, tables
     ) -> Optional[List[Stage]]:
         """The suffix DP: per worker count, one argmin over a (k, m')
-        candidate cube.  The (k-major, m'-minor) flattening makes
-        ``argmin``'s first-minimum rule the (k asc, m' asc, t asc)
+        candidate cube, in the (k asc, m' asc, t asc) first-minimum
         tie-break of the scalar loop nest kept as the oracle in
         ``tests/oracles/partition_reference.py``; values are selections of
         identically computed floats, so the two agree bitwise.
@@ -1019,45 +1063,21 @@ class PipeDreamOptimizer:
         busts the cap.  :meth:`_reconstruct_refined` re-derives the same
         decision from the same arithmetic.
 
-        The (n, n) planes a cell is assembled from repeat across cells,
-        so each is built once per solve and memoised on exactly the scalars
-        it depends on (see :meth:`_refined_fits`).  Row ``m`` stacks its
-        ``m`` degree-1 planes into one ``(m, n, n)`` cube and takes the
-        boundary and rest terms as ``(m, n)`` slices, so a row is one array
-        pass; each larger degree ``t`` on the menu (``tables`` holds one
-        ring table per degree) folds into the strided slice ``mp = t, 2t,
-        …`` of the same cube.
+        Every masked plane the rows read is built up front in batched
+        array passes (:meth:`_refined_planes`), for the rows the shared
+        context's ``refined_rows`` does not already hold.  Row ``m``'s
+        ``(m, n, n)`` cube is one gather from the degree-1 stack; the
+        boundary and rest terms fold in as one ``(m, 1, n)`` max, and each
+        larger degree ``t`` on the menu (``tables`` holds one ring table
+        per degree) folds into the strided slice ``mp = t, 2t, …`` of the
+        same cube.  The argmin runs in passes — the minimum over ``mp``
+        per ``(j, k)``, the first ``k`` reaching it per ``j``, then the
+        first ``mp`` at that ``k`` — which is the k-major first minimum
+        without the transposed copy a flattened argmin needs.
         """
         n = self._n
         W = topology.total_workers
-        inf = math.inf
         tb = self._span_tables()
-        memo = functools.lru_cache(maxsize=None)  # dies with this solve
-        fits_of = memo(self._refined_fits)
-        # Stage-time planes per cell: stash-everything[, checkpointed].
-        depth = 2 if self._recompute_auto else 1
-
-        @memo
-        def times_of(mp, t, dp_c, dp_l, tp_c, tp_l):
-            # mp/t replicas of t shards; checkpointing replays the
-            # *sharded* forward.
-            r = mp // t
-            return tuple(
-                self._tp_plane(c, tb.valid, t, r, r, tp_c, tp_l, dp_c, dp_l)
-                for c in tb.sharded[t][:depth]
-            )
-
-        def masked_cube(fits, times):
-            # One (len, n, n) cube of masked planes: checkpointed where
-            # that fits, then stash-everything over it wherever *that*
-            # fits (bitwise no-op under generous limits).  np.array stacks
-            # the planes faster than np.stack.
-            cube = np.full((len(fits), n, n), inf)
-            for c in reversed(range(depth)):
-                np.copyto(cube, np.array([x[c] for x in times]),
-                          where=np.array([f[c] for f in fits]))
-            return cube
-
         # boundary[w]: 2 a_k / B over the link into worker w, where a
         # rest starting at w receives layer k's output (the last layer
         # sends nothing).
@@ -1065,23 +1085,25 @@ class PipeDreamOptimizer:
         if n > 1:
             bw = np.asarray([link_bw[min(w, W - 1)] for w in range(W + 1)])
             boundary[:, : n - 1] = 2.0 * tb.acts[None, : n - 1] / bw[:, None]
-        R = np.full((W + 1, n + 1), inf)
+        R = np.full((W + 1, n + 1), math.inf)
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
         ptr_mp = np.full((W + 1, n), -1, dtype=np.int64)
         ptr_tp = np.ones((W + 1, n), dtype=np.int64)
         cols = np.arange(n)
-        row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (None if row_cache is None
-                    else self._refined_row_keys(W, link_bw, tables))
+        row_cache = self.context and self.context.refined_rows
+        hits = {}
+        if row_cache is not None:
+            row_keys = self._refined_row_keys(W, link_bw, tables)
+            hits = {m: row_cache.get(row_keys[m]) for m in range(1, W + 1)}
+        planes = self._refined_planes(
+            [m for m in range(1, W + 1) if hits.get(m) is None], tables)
         for m in range(1, W + 1):
-            if row_cache is not None:
-                hit = row_cache.get(row_keys[m])
-                if hit is not None:
-                    for table, row in zip((R, ptr_k, ptr_mp, ptr_tp), hit):
-                        table[m] = row
-                    self.context._bump("row_hits")
-                    continue
+            if hits.get(m) is not None:
+                for table, row in zip((R, ptr_k, ptr_mp, ptr_tp), hits[m]):
+                    table[m] = row
+                self.context._bump("row_hits")
+                continue
             # cand[mp-1] = max(stage, boundary, rest) for mp = 1..m: the
             # rest R[m-mp] starts at worker W-m+mp.  Degree 1 seeds every
             # mp; each larger degree folds into its strided slice with
@@ -1090,22 +1112,16 @@ class PipeDreamOptimizer:
             # earlier (smaller) degree keeps the cell.  tp_sel[mp-1, j, k]
             # is the cell's degree, copied out of a read-only view of ones
             # only once a larger degree folds.
-            bound = boundary[W - m + 1:, None, :]
-            rest = R[m - 1::-1, None, 1:]
+            bound_rest = np.maximum(boundary[W - m + 1:, None, :],
+                                    R[m - 1::-1, None, 1:])
             tp_sel = np.broadcast_to(np.int64(1), (m, n, n))
             for t in self._tp_options:
                 if t > m:
                     break
-                dp_c, dp_l, tp_c, tp_l = tables[t]
-                mps = range(t, m + 1, t)
-                cube = masked_cube(
-                    [fits_of(-(-m // mp), mp // t, t) for mp in mps],
-                    [times_of(mp, t, dp_c[m][mp], dp_l[m][mp],
-                              tp_c[m][mp], tp_l[m][mp]) for mp in mps],
-                )
+                stack, index = planes[t]
+                cube = stack[index[m]]
                 sl = slice(t - 1, m, t)
-                np.maximum(cube, bound[sl], out=cube)
-                np.maximum(cube, rest[sl], out=cube)
+                np.maximum(cube, bound_rest[sl], out=cube)
                 if t == 1:
                     cand = cube
                     continue
@@ -1114,14 +1130,15 @@ class PipeDreamOptimizer:
                 if not tp_sel.flags.writeable:
                     tp_sel = tp_sel.copy()
                 tp_sel[sl][better] = t
-            candf = cand.transpose(2, 0, 1).reshape(n * m, n)
-            flat = np.argmin(candf, axis=0)
-            best = np.take_along_axis(candf, flat[None], axis=0)[0]
+            by_k = cand.min(axis=0)  # [j, k]
+            k = np.argmin(by_k, axis=1)
+            mp = np.argmin(cand[:, cols, k], axis=0)
+            best = by_k[cols, k]
             finite = np.isfinite(best)
-            R[m, :n] = np.where(finite, best, inf)
-            ptr_k[m] = np.where(finite, flat // m, -1)
-            ptr_mp[m] = np.where(finite, flat % m + 1, -1)
-            ptr_tp[m] = np.where(finite, tp_sel[flat % m, cols, flat // m], 1)
+            R[m, :n] = np.where(finite, best, math.inf)
+            ptr_k[m] = np.where(finite, k, -1)
+            ptr_mp[m] = np.where(finite, mp + 1, -1)
+            ptr_tp[m] = np.where(finite, tp_sel[mp, cols, k], 1)
             if row_cache is not None:
                 row_cache[row_keys[m]] = tuple(
                     table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp))
@@ -1264,32 +1281,26 @@ class PipeDreamOptimizer:
         # recurrence so splits see the tp'd stage times.  The tp axis
         # shards level-1 (leaf) stages only: upper levels replicate
         # whatever the leaf chose, keeping the conservative full-payload
-        # sync of the two-axis model.  tchoice[m, i, j] is the cell's
-        # degree, copied out of a read-only view of ones only once a
-        # larger degree folds.
+        # sync of the two-axis model.  One _tp_plane call per degree
+        # prices its cells m = t, 2t, ... as one stack.  tchoice[m, i, j]
+        # is the cell's degree, copied out of a read-only view of ones
+        # only once a larger degree folds.
         tb = self._span_tables()
         menu = ({t: tb.sharded[t][0] for t in self._tp_options} if leaf
                 else {1: compute})
         T = np.full((mk + 1, n, n), inf)
         tchoice = np.broadcast_to(np.int64(1), T.shape)
-        for m in range(1, mk + 1):
-            for t, sharded in menu.items():
-                if m % t:
-                    continue
-                r = m // t
-                plane = self._tp_plane(
-                    sharded, feasible, t, r, r * prev_workers,
-                    2.0 * (t - 1) / t / arbw, alpha,
-                    2.0 * (r - 1) / r / arbw, alpha,
-                )
-                if t == 1:
-                    T[m] = plane
-                    continue
-                better = plane < T[m]
-                T[m] = np.where(better, plane, T[m])
-                if not tchoice.flags.writeable:
-                    tchoice = tchoice.copy()
-                tchoice[m] = np.where(better, t, tchoice[m])
+        for t, sharded in menu.items():
+            ms = np.arange(t, mk + 1, t)
+            r = (ms // t)[:, None, None]
+            planes = self._tp_plane(
+                sharded, feasible, t, r, r * prev_workers,
+                2.0 * (r - 1) / r / arbw, alpha, 2.0 * (t - 1) / t / arbw, alpha)
+            better = planes < T[ms]  # degree 1 over inf: the plane itself
+            T[ms] = np.where(better, planes, T[ms])
+            if t > 1:
+                tchoice = np.array(tchoice, copy=not tchoice.flags.writeable)
+                tchoice[ms] = np.where(better, t, tchoice[ms])
 
         # ----- A^k recurrence -------------------------------------------
         # Rows i the table holds: all of them for an inner level (the
@@ -1303,23 +1314,23 @@ class PipeDreamOptimizer:
             for m in range(2, mk + 1):
                 A[m] = T[m]
         elif mk > 1:
-            boundary = 2.0 * tb.acts[: n - 1] / bandwidth
+            boundary = 2.0 * tb.acts[None, : n - 1, None] / bandwidth
             for m in range(2, mk + 1):
-                # cand[mp-1, s, i, j] = max(A[m-mp][i, s], 2a_s/B,
-                #                           T[mp][s+1, j]); out-of-range
-                # splits (s < i or s >= j) are inf via the tables.
-                AP = A[m - 1:0:-1]  # axis-0 index mp-1 → A[m-mp]
-                APt = AP.transpose(0, 2, 1)[:, : n - 1, :]  # [mp, s, i]
-                TP = T[1:m, 1:, :]  # [mp, s, j] = T[mp][s+1, j]
-                cand = np.maximum(APt[:, :, :, None], TP[:, :, None, :])
-                np.maximum(cand, boundary[None, :, None, None], out=cand)
-                # s-major, m'-minor flattening: argmin's first-minimum
-                # rule = the (s asc, m' asc) tie-break.
-                cand = cand.transpose(1, 0, 2, 3).reshape(
-                    (n - 1) * (m - 1), ni, n
-                )
-                flat = np.argmin(cand, axis=0)
-                best_split = np.take_along_axis(cand, flat[None], axis=0)[0]
+                # cand[i, j, s, mp-1] = max(A[m-mp][i, s], 2a_s/B,
+                #                           T[mp][s+1, j]): the boundary
+                # folds into the small left operand, and the (s-major,
+                # m'-minor) split axis is last, so the flattening is a view
+                # and argmin reduces along contiguous rows; its
+                # first-minimum rule = the (s asc, m' asc) tie-break.
+                # Out-of-range splits (s < i or s >= j) are inf via the
+                # tables.
+                left = np.ascontiguousarray(np.maximum(
+                    A[m - 1:0:-1, :, : n - 1].transpose(1, 2, 0), boundary))
+                right = np.ascontiguousarray(T[1:m, 1:, :].transpose(2, 1, 0))
+                cand = np.maximum(left[:, None], right[None]).reshape(
+                    ni, n, (n - 1) * (m - 1))
+                flat = np.argmin(cand, axis=-1)
+                best_split = cand.min(axis=-1)
                 use = best_split < T[m, :ni]  # strict: single stage wins ties
                 A[m] = np.where(use, best_split, T[m, :ni])
                 ptr_s[m] = np.where(use, flat // (m - 1), -1)
@@ -1369,6 +1380,21 @@ class PipeDreamOptimizer:
                 replace(st, replicas=st.replicas * m_prime) for st in inner
             ]
         return left + right
+
+
+def _distinct(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(at, of)`` over equal-length 1-D key columns: ``at`` indexes one
+    entry per distinct key tuple, and entry ``e``'s key is that of
+    ``at[of[e]]``.  Each column is ranked by a 1-D sort and folded into
+    the running code, which is re-ranked densely after every column — so
+    it stays below ``len(entries)**2`` and cannot overflow — and no tuple
+    is hashed or compared."""
+    at, code = None, np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        values, rank = np.unique(column, return_inverse=True)
+        _, at, code = np.unique(code * len(values) + rank,
+                                return_index=True, return_inverse=True)
+    return at, code
 
 
 # ----------------------------------------------------------------------

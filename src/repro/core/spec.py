@@ -164,7 +164,9 @@ FIELDS: Dict[str, Field] = {field.name: field for field in (
           "assign per stage (e.g. 1 2 4)", many=True, raw=True),
     Field("strategy", str, "pipedream", "strategy", choices=STRATEGY_NAMES),
     Field("minibatches", int, 48, "run length in minibatches (gpipe: "
-          "batches of 4 microbatches)", lo=1),
+          "batches of 4 microbatches); a sweep's pipedream cells run it "
+          "and its dp / mp / gpipe cells grid_minibatches(strategy, it)",
+          lo=1),
     Field("schedule_family", str, "1f1b", "pipeline schedule family: 1f1b "
           "or the backward-split 2bp (pipedream strategy only)"),
     Field("faults", str, "", _FAULTS_HELP),

@@ -90,14 +90,19 @@ def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,
                       depth, replicas=1, recompute=False,
                       boundary_activation_bytes=0, tp_degree=1,
                       shardable_weight_bytes=0, shardable_activation_bytes=0):
-    """The shared §3.3 payload kernel: bytes one replica holds at ``depth``.
+    """The shared §3.3 payload kernel: bytes one replica holds at ``depth``
+    — per entry, when ``depth`` / ``replicas`` are integer arrays.
 
     ``weight_bytes`` / ``deferred_weight_bytes`` / ``activation_bytes`` /
     ``boundary_activation_bytes`` may be scalars or numpy arrays (the
-    refined DP passes range-table arrays); ``depth`` and
-    ``replicas`` are integers.  All consumers — the bound, the refined DP
-    and its oracle, and the footprint — evaluate exactly this expression, so their
-    admit/reject decisions can only differ through the
+    refined DP passes range-table arrays); ``depth`` and ``replicas`` are
+    integers or integer arrays that broadcast against them — the refined
+    DP passes ``(K, 1, 1)`` arrays with ``(n, n)`` span planes and gets
+    ``K`` stacked planes, each bitwise the plane the scalar pair of that
+    entry gives.  ``tp_degree`` and ``recompute`` stay scalars.  All
+    consumers — the bound, the refined DP and its oracle, and the
+    footprint — evaluate exactly this expression, so their admit/reject
+    decisions can only differ through the
     ``depth``/``replicas``/``recompute``/``tp_degree`` they plug in, never
     through the formula:
 

@@ -7,21 +7,26 @@ Two reductions are locked down here, both required to leave every plan
   ``A(0→n-1, m_L)`` and its left operands ``A(0→s, m-m')`` never leave
   it), so the top level costs ``O(N² m²)`` instead of ``O(N³ m²)``;
 - the refined suffix DP builds each memory / stage-time plane once per
-  distinct ``(depth, replicas, tp)`` / ``(mp, coeff, lat)`` and prices
-  each distinct tp shard group once.
+  distinct ``(depth, replicas, tp)`` / ``(mp, coeff, lat)`` — batched, one
+  kernel call per degree and checkpoint depth, for the rows a shared
+  context does not already hold — and prices each distinct tp shard
+  group and ring-size tuple once.
 
 The oracle (:class:`tests.oracles.ReferenceOptimizer`) fills every span of
 every level and recomputes every plane and group per cell.
 """
 
+import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.partition import (
     PipeDreamOptimizer,
     SolverContext,
+    _distinct,
     evaluate_partition_on_topology,
 )
 from repro.core.profile import LayerProfile, ModelProfile
@@ -269,6 +274,28 @@ def test_grown_strided_rings_equal_walked_ones(counts, t, alphas):
             assert tp_l[m][mp] == max(l for _, l in shards)
 
 
+def test_distinct_groups_entries_like_their_key_tuples():
+    """The refined DP's key ranking groups entries exactly as their key
+    tuples do."""
+    columns = [np.array([2.0, 1.0, 2.0, 1.0, 2.0]), np.array([5, 5, 5, 6, 5])]
+    at, of = _distinct(*columns)
+    tuples = list(zip(*(column.tolist() for column in columns)))
+    assert len(at) == len(set(tuples)) == 3
+    assert all(tuples[e] == tuples[at[of[e]]] for e in range(len(tuples)))
+    assert of[0] == of[2] == of[4] != of[1] != of[3]
+
+
+def test_distinct_survives_a_code_wider_than_int64():
+    """Five columns of 2^16 distinct values each: a code folded as
+    ``code * 2^16 + rank`` without re-ranking wraps at 2^64, which would
+    merge the two entries that differ in the first column only."""
+    columns = [np.arange(2**16 + 1) for _ in range(5)]
+    for column in columns[1:]:
+        column[1] = column[0]
+    at, of = _distinct(*columns)
+    assert len(at) == 2**16 + 1 and of[0] != of[1]
+
+
 class TestPlanScaleShape:
     """The shape of ``plan_scale``'s slowest solve: 26 layers on 64
     workers over two levels, recompute + tp, at a binding cap."""
@@ -288,10 +315,24 @@ class TestPlanScaleShape:
         assert any(stage.recompute for stage in plan.stages)
         assert any(stage.tp_degree > 1 for stage in plan.stages)
 
-    def test_warm_equals_cold_through_row_cache_hits(self):
+    def test_warm_equals_cold_through_row_cache_hits(self, monkeypatch):
+        """Worker counts that share suffix rows: the warm solve is the
+        cold one bitwise, the row counters are the ones pinned before the
+        planes were batched, and a warm solve builds planes only for the
+        rows the context misses — none when every row hits."""
+        built = []
+        batched = PipeDreamOptimizer._refined_planes
+
+        def spy(optimizer, rows, tables):
+            if optimizer.context is not None:
+                built.append(list(rows))
+            return batched(optimizer, rows, tables)
+
+        monkeypatch.setattr(PipeDreamOptimizer, "_refined_planes", spy)
         options = self.options()
         context = SolverContext(self.PROFILE)
-        for workers in (32, 64):
+        counters = []
+        for workers in (32, 64, 16, 48):
             warm = PipeDreamOptimizer(
                 self.PROFILE, self.TOPO, context=context, **options
             ).solve(workers)
@@ -300,14 +341,19 @@ class TestPlanScaleShape:
             assert warm.stages == cold.stages
             assert warm.slowest_stage_time == cold.slowest_stage_time
             assert warm.memory_bytes == cold.memory_bytes
-        # The 64-worker suffix rows the 32-worker solve already built.
-        assert context.stats()["row_hits"] > 0
+            stats = context.stats()
+            counters.append((stats["row_hits"], stats["row_misses"]))
+        # The 64-worker solve reuses the 32-worker suffix rows; the 16- and
+        # 48-worker solves find every row in the context.
+        assert counters == [(0, 32), (32, 64), (48, 64), (96, 64)]
+        assert built == [list(range(1, 33)), list(range(33, 65)), [], []]
 
     def test_refined_solve_never_materialises_a_4d_cube(self):
         """Timing-free complexity guard: a row builds one ``(m, n, n)``
         cube, so the refined solve's peak stays far below one ``(W, W, n,
-        n)`` float64 array (≈ 22 MB here).  Most of the peak is the
-        per-solve plane memos (≈ 17·W·n²·8 at this shape)."""
+        n)`` float64 array (≈ 22 MB here).  Most of the peak (≈ 8.4 MB)
+        is the memory kernel's temporaries over the 337 distinct degree-1
+        mask keys and the ≈ 2.8 MB stack of masked planes."""
         n, W = len(self.PROFILE), self.TOPO.total_workers
         optimizer = PipeDreamOptimizer(self.PROFILE, self.TOPO,
                                        **self.options())
@@ -320,6 +366,71 @@ class TestPlanScaleShape:
             tracemalloc.stop()
         assert stages is not None
         assert peak < W * W * n * n * 8 // 2
+
+
+def decoder_profile(num_layers, seed):
+    """Transformer-style, as the planner benchmark draws them: embedding
+    + (attention, mlp) blocks + head of a 1024-wide, 128-token, batch-32
+    fp32 decoder, compute jittered +-20 %."""
+    rng = random.Random(seed)
+    acts, wide = 32 * 128 * 1024 * 4, 1024 * 1024 * 4
+    rows = [("embedding", 4e-3, acts, 8192 * 1024 * 4, "embedding")]
+    for block in range((num_layers - 2) // 2):
+        rows.append((f"attention{block}", 24e-3, acts, 4 * wide, "fc"))
+        rows.append((f"mlp{block}", 36e-3, acts, 8 * wide, "fc"))
+    rows.append(("head", 32e-3, 32 * 128 * 4, 8192 * 1024 * 4, "fc"))
+    return ModelProfile(f"decoder{num_layers}", [
+        LayerProfile(name, t * rng.uniform(0.8, 1.2), a, w, kind=kind)
+        for name, t, a, w, kind in rows
+    ], batch_size=32)
+
+
+def latency_cluster(servers):
+    return make_cluster("latency", 4, servers, 12e9, 1.25e9,
+                        intra_allreduce_efficiency=0.10,
+                        inter_allreduce_efficiency=0.25,
+                        intra_allreduce_latency=50e-6,
+                        inter_allreduce_latency=5e-3)
+
+
+class TestPlanScaleFlavours:
+    """Production == oracle bitwise on transformer-style profiles at the
+    planner benchmark's small sizes, one case per planning axis, plus one
+    32-worker tp + recompute case under a binding cap."""
+
+    TP = (1, 2, 4)
+    CASES = {
+        "deep-free": (26, cluster_a(1), None, {}),
+        "free": (18, cluster_a(2), None, {}),
+        "capped": (18, cluster_a(2), 0.75, {}),
+        "recompute-tp": (18, cluster_a(2), 0.42,
+                         dict(recompute="auto", tp_degrees=TP)),
+        "tp": (18, cluster_a(2), None, dict(tp_degrees=TP)),
+        "bucketed": (18, latency_cluster(2), None, dict(bucket_bytes=25e6)),
+        "widest-recompute-tp": (14, cluster_a(4), 0.30,
+                                dict(recompute="auto", tp_degrees=TP)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_production_matches_oracle(self, case, seed):
+        layers, topology, share, options = self.CASES[case]
+        profile = decoder_profile(layers, seed)
+        if share is not None:
+            free = PipeDreamOptimizer(profile, topology).solve()
+            options = dict(options,
+                           memory_limit_bytes=share * max(free.memory_bytes))
+        assert assert_twins_identical(profile, topology, **options)
+
+    def test_32_workers_tp_recompute_at_a_binding_cap(self):
+        profile, topology = decoder_profile(14, 2), cluster_a(8)
+        free = PipeDreamOptimizer(profile, topology).solve()
+        plan = assert_twins_identical(
+            profile, topology, recompute="auto", tp_degrees=self.TP,
+            memory_limit_bytes=0.3 * max(free.memory_bytes))
+        assert plan.num_workers == 32
+        assert any(stage.recompute for stage in plan.stages)
+        assert any(stage.tp_degree > 1 for stage in plan.stages)
 
 
 class TestWhyTwoDPs:

@@ -30,6 +30,7 @@ This file covers:
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -40,10 +41,15 @@ from repro.core.partition import (
     evaluate_partition_details,
 )
 from repro.core.profile import LayerProfile, ModelProfile
+from repro.core.ranges import range_table
 from repro.core.schedule import warmup_count
 from repro.core.topology import cluster_a, cluster_b, cluster_c, make_cluster
 from repro.profiler import analytic_profile
-from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
+from repro.sim.memory import (
+    pipeline_memory_footprint,
+    stage_memory_bytes,
+    stage_memory_cost,
+)
 from tests.oracles import ReferenceOptimizer
 
 TOPO_A = cluster_a(4)
@@ -601,6 +607,72 @@ class TestRecomputeBoundaryDepthAudit:
         assert phase1_admits(auto, 1, 1)
         assert auto._bound_matrix()[1][1] <= on_cost
         assert not phase1_admits(default, 1, 1)
+
+
+class TestArrayKernel:
+    """``stage_memory_cost`` over ``(K, 1, 1)`` integer ``depth`` /
+    ``replicas`` arrays — how the refined DP prices every distinct mask
+    key of a solve in one call — gives, entry by entry, the bits of the
+    scalar call on the same ``(n, n)`` span planes."""
+
+    KINDS = ("embedding", "fc", "lstm", "conv", "relu", "fc")
+    #: (depth, replicas): depth above, at and below the replica count.
+    KEYS = [(d, r) for d in (1, 2, 3, 5, 8, 13) for r in (1, 2, 3, 8)]
+
+    def planes(self):
+        # Thin and fat activations alternate, so a recompute span can
+        # come out under or over stash-everything; fc/conv shard, lstm
+        # and embedding weights are deferred.
+        profile = ModelProfile("kernel", [
+            LayerProfile(f"l{i}", 0.01, (40_000, 900, 70_000)[i % 3],
+                         100_000 + 37_000 * i, kind=self.KINDS[i % 6])
+            for i in range(9)
+        ], batch_size=4)
+        rt, n = range_table(profile), len(profile)
+
+        def span(prefix):
+            p = np.asarray(prefix, dtype=float)
+            return p[None, 1:] - p[:n, None]
+
+        return dict(
+            weight_bytes=span(rt.weights),
+            deferred_weight_bytes=span(rt.deferred),
+            activation_bytes=span(rt.acts),
+            boundary_activation_bytes=np.asarray(
+                rt.in_bytes, dtype=float)[:, None],
+            shardable_weight_bytes=span(rt.shard_weights),
+            shardable_activation_bytes=span(rt.shard_acts),
+        )
+
+    @pytest.mark.parametrize("tp_degree", [1, 2, 4])
+    @pytest.mark.parametrize("recompute", [False, True])
+    def test_array_call_equals_scalar_calls(self, recompute, tp_degree):
+        planes = self.planes()
+        depth = np.array([d for d, _ in self.KEYS])[:, None, None]
+        replicas = np.array([r for _, r in self.KEYS])[:, None, None]
+        stack = stage_memory_cost(depth=depth, replicas=replicas,
+                                  recompute=recompute, tp_degree=tp_degree,
+                                  **planes)
+        assert stack.shape == (len(self.KEYS),) + planes["weight_bytes"].shape
+        for entry, (d, r) in enumerate(self.KEYS):
+            scalar = stage_memory_cost(depth=d, replicas=r,
+                                       recompute=recompute,
+                                       tp_degree=tp_degree, **planes)
+            assert stack[entry].tobytes() == scalar.tobytes(), (d, r)
+
+    def test_cases_reach_the_clamp_and_the_tp_branch(self):
+        """The cases above are not vacuous: recompute saves bytes on some
+        spans and is clamped at stash-everything on others, and sharding
+        changes the price."""
+        planes = self.planes()
+
+        def cost(**kw):
+            return stage_memory_cost(depth=5, replicas=2, **planes, **kw)
+
+        spans = np.triu(np.ones(planes["weight_bytes"].shape, dtype=bool))
+        saved = cost(recompute=True) < cost()
+        assert saved[spans].any() and not saved[spans].all()
+        assert (cost(tp_degree=2) < cost())[spans].any()
 
 
 class TestPrecisionMemoryShift:
