@@ -1,90 +1,59 @@
-"""Flat convenience API: one import surface over the whole library."""
+"""Flat convenience API: one import surface over the whole library.
 
-from repro.autodiff import Tensor, functional, gradcheck, no_grad
-from repro.core import (
-    CLUSTER_A,
-    CLUSTER_B,
-    CLUSTER_C,
-    LayerGraph,
-    LayerProfile,
-    LayerSpec,
-    ModelProfile,
-    PartitionResult,
-    PipeDreamOptimizer,
-    PlanSpec,
-    Schedule,
-    SimSpec,
-    Stage,
-    Topology,
-    WeightStore,
-    asp_schedule,
-    data_parallel_schedule,
-    gpipe_schedule,
-    model_parallel_schedule,
-    one_f_one_b_rr_schedule,
-    one_f_one_b_schedule,
-    validate_schedule,
-)
-from repro.core.deploy import DeploymentPlan
-from repro.core.opgraph import OperatorGraph, OperatorNode, residual_block_graph
-from repro.core.topology import cluster_1080ti, cluster_a, cluster_b, cluster_c, make_cluster
-from repro.data import (
-    Batcher,
-    corpus_bleu,
-    translation_bleu,
-)
-from repro.data.augment import (
-    AugmentedBatcher,
-    normalize_images,
-    random_crop,
-    random_horizontal_flip,
-    train_val_split,
-)
-from repro.data import (
-    make_captioning_data,
-    make_classification_data,
-    make_image_data,
-    make_lm_data,
-    make_seq2seq_data,
-)
-from repro.models.seq2seq import make_reversal_data
-from repro.models import (
-    LayeredModel,
-    build_alexnet,
-    build_awd_lm,
-    build_gnmt,
-    build_mlp,
-    build_resnet,
-    build_attention_seq2seq,
-    build_s2vt,
-    build_transformer,
-    build_vgg,
-)
-from repro.nn import CrossEntropyLoss, MSELoss
-from repro.optim import LARS, SGD, Adam, StepLR, WarmupLR
-from repro.profiler import analytic_profile, available_models, profile_model
-from repro.runtime import (
-    CheckpointManager,
-    fit,
-    PipelineTrainer,
-    SequentialTrainer,
-    ThreadedPipelineTrainer,
-    TrainingHistory,
-    evaluate_accuracy,
-    evaluate_loss,
-    evaluate_perplexity,
-    split_microbatches,
-)
-from repro.sim import (
-    SimOptions,
-    simulate,
-    simulate_data_parallel,
-    simulate_gpipe,
-    simulate_model_parallel,
-    simulate_partition,
-    simulate_pipedream,
-    simulate_plan,
-    simulate_strategy,
-)
+Each name is read from the module that defines it on first use (see
+:func:`repro.lazy_exports`), so ``from repro.api import
+PipeDreamOptimizer`` loads the planner and not the training stack.
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from repro import lazy_exports
+
+__all__ = lazy_exports(globals(), {
+    ".autodiff.engine": "Tensor no_grad",
+    ".autodiff.": "functional",
+    ".autodiff.gradcheck": "gradcheck",
+    ".core.graph": "LayerGraph LayerSpec",
+    ".core.profile": "LayerProfile ModelProfile",
+    ".core.topology": "CLUSTER_A CLUSTER_B CLUSTER_C Topology cluster_1080ti "
+                      "cluster_a cluster_b cluster_c make_cluster",
+    ".core.partition": "PartitionResult PipeDreamOptimizer Stage",
+    ".core.spec": "PlanSpec SimSpec",
+    ".core.schedule": "Schedule asp_schedule data_parallel_schedule "
+                      "gpipe_schedule model_parallel_schedule "
+                      "one_f_one_b_rr_schedule one_f_one_b_schedule "
+                      "validate_schedule",
+    ".core.stashing": "WeightStore",
+    ".core.deploy": "DeploymentPlan",
+    ".core.opgraph": "OperatorGraph OperatorNode residual_block_graph",
+    ".data.synthetic": "Batcher make_captioning_data make_classification_data "
+                       "make_image_data make_lm_data make_seq2seq_data",
+    ".data.metrics": "corpus_bleu translation_bleu",
+    ".data.augment": "AugmentedBatcher normalize_images random_crop "
+                     "random_horizontal_flip train_val_split",
+    ".models.base": "LayeredModel",
+    ".models.alexnet": "build_alexnet",
+    ".models.awd_lm": "build_awd_lm",
+    ".models.gnmt": "build_gnmt",
+    ".models.mlp": "build_mlp",
+    ".models.resnet": "build_resnet",
+    ".models.s2vt": "build_s2vt",
+    ".models.seq2seq": "build_attention_seq2seq make_reversal_data",
+    ".models.transformer": "build_transformer",
+    ".models.vgg": "build_vgg",
+    ".nn.loss": "CrossEntropyLoss MSELoss",
+    ".optim.sgd": "SGD",
+    ".optim.adam": "Adam",
+    ".optim.lars": "LARS",
+    ".optim.lr_scheduler": "StepLR WarmupLR",
+    ".profiler.analytic": "analytic_profile available_models",
+    ".profiler.measured": "profile_model",
+    ".runtime.checkpoint": "CheckpointManager",
+    ".runtime.loop": "fit",
+    ".runtime.pipeline": "PipelineTrainer",
+    ".runtime.threaded": "ThreadedPipelineTrainer",
+    ".runtime.trainer": "SequentialTrainer TrainingHistory evaluate_accuracy "
+                        "evaluate_loss evaluate_perplexity split_microbatches",
+    ".sim.executor": "SimOptions simulate",
+    ".sim.strategies": "simulate_data_parallel simulate_gpipe "
+                       "simulate_model_parallel simulate_partition "
+                       "simulate_pipedream simulate_plan simulate_strategy",
+})

@@ -7,15 +7,10 @@ pooling, embedding lookups, and the pieces needed for LSTMs), and numerical
 gradient checking utilities used throughout the test suite.
 """
 
-from repro.autodiff.engine import Function, Tensor, no_grad
-from repro.autodiff import functional
-from repro.autodiff.gradcheck import gradcheck, numerical_gradient
+from repro import lazy_exports
 
-__all__ = [
-    "Tensor",
-    "Function",
-    "no_grad",
-    "functional",
-    "gradcheck",
-    "numerical_gradient",
-]
+__all__ = lazy_exports(globals(), {
+    ".engine": "Tensor Function no_grad",
+    ".": "functional",
+    ".gradcheck": "gradcheck numerical_gradient",
+})

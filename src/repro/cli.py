@@ -19,30 +19,11 @@ import signal
 import sys
 from typing import List, Optional
 
-from repro.core.deploy import DeploymentPlan
-from repro.core.partition import PipeDreamOptimizer
 from repro.core.profile import PRECISION_BYTES
-from repro.core.schedule import (
-    gpipe_schedule,
-    model_parallel_schedule,
-    one_f_one_b_schedule,
-)
 from repro.core.spec import (FIELDS, PLAN_FIELDS, SIM_FIELDS, SWEEP_OPTIONS,
                               Field, PlanSpec, SimSpec, check_scenario)
 from repro.core.topology import CLUSTERS
 from repro.profiler import analytic_profile, available_models
-from repro.sim import (
-    SimOptions,
-    SweepError,
-    parse_faults,
-    precision_chart,
-    records_to_csv,
-    run_sweep,
-    simulate,
-    simulate_strategy,
-)
-from repro.sim.strategies import _check_run_lengths
-from repro.utils import format_table, format_timeline
 
 
 def _topology(args):
@@ -58,6 +39,8 @@ def _profile(args):
 
 
 def cmd_models(args) -> int:
+    from repro.utils import format_table
+
     rows = []
     for name in available_models():
         profile = analytic_profile(name, device=args.device)
@@ -75,6 +58,8 @@ def cmd_models(args) -> int:
 
 
 def cmd_profile(args) -> int:
+    from repro.utils import format_table
+
     profile = analytic_profile(args.model, batch_size=args.batch,
                                device=args.device)
     if args.json:
@@ -92,6 +77,9 @@ def cmd_profile(args) -> int:
 
 
 def cmd_plan(args) -> int:
+    from repro.core.deploy import DeploymentPlan
+    from repro.core.partition import PipeDreamOptimizer
+
     result = PipeDreamOptimizer(_profile(args), _topology(args),
                                 **_plan_spec(args).options()).solve()
     plan = DeploymentPlan.from_partition(result)
@@ -115,6 +103,9 @@ def cmd_plan(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from repro.sim import parse_faults, simulate_strategy
+    from repro.utils import format_table
+
     spec = _plan_spec(args)
     topology = _topology(args)
     profile = _profile(args)
@@ -167,6 +158,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Figure-12-style grid: models x worker counts x strategies x precisions."""
+    from repro.sim import precision_chart, records_to_csv, run_sweep
+    from repro.utils import format_table
+
     records = run_sweep(args.models, _topology(args), args.counts,
                         **_given(args, SWEEP_OPTIONS))
     rows = [
@@ -225,7 +219,12 @@ def cmd_serve(args) -> int:
 
 def cmd_timeline(args) -> int:
     from repro.core.profile import LayerProfile, ModelProfile
+    from repro.core.schedule import (gpipe_schedule, model_parallel_schedule,
+                                     one_f_one_b_schedule)
     from repro.core.topology import make_cluster
+    from repro.sim import SimOptions, simulate
+    from repro.sim.strategies import _check_run_lengths
+    from repro.utils import format_timeline
 
     _check_run_lengths(stages=args.stages, minibatches=args.minibatches)
     layers = [LayerProfile(f"l{i}", 3.0, 0, 0) for i in range(args.stages)]
@@ -356,8 +355,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     # What the library refuses is a usage error, exit 2 with its message:
     # a ValueError (a spec, a topology, a fault, a run length), a plan no
     # partition satisfies (the planner's RuntimeError) or a sweep whose
-    # cells cannot plan.
-    except (ValueError, RuntimeError, SweepError) as exc:
+    # cells cannot plan (a SweepError, also a RuntimeError).
+    except (ValueError, RuntimeError) as exc:
         args.error(str(exc))
 
 

@@ -7,18 +7,10 @@ accounting, so the training runtime's *measured* communication volumes can
 be cross-checked against the analytic model behind Figure 17.
 """
 
-from repro.comm.channel import Channel, Message, Network
-from repro.comm.collective import (
-    allreduce_bytes_for_profile,
-    ring_allreduce,
-    ring_allreduce_bytes,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Channel",
-    "Message",
-    "Network",
-    "allreduce_bytes_for_profile",
-    "ring_allreduce",
-    "ring_allreduce_bytes",
-]
+__all__ = lazy_exports(globals(), {
+    ".channel": "Channel Message Network",
+    ".collective": "allreduce_bytes_for_profile ring_allreduce "
+                   "ring_allreduce_bytes",
+})

@@ -15,53 +15,17 @@ The pieces map onto the paper as follows:
 - :mod:`repro.core.stashing` — weight stashing and vertical sync (§3.3).
 """
 
-from repro.core.graph import LayerGraph, LayerSpec
-from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.topology import Topology, CLUSTER_A, CLUSTER_B, CLUSTER_C
-from repro.core.partition import (
-    PartitionResult,
-    Stage,
-    PipeDreamOptimizer,
-)
-from repro.core.spec import PlanSpec, SimSpec
-from repro.core.schedule import (
-    Op,
-    OpKind,
-    Schedule,
-    asp_schedule,
-    data_parallel_schedule,
-    gpipe_schedule,
-    model_parallel_schedule,
-    one_f_one_b_rr_schedule,
-    one_f_one_b_schedule,
-    validate_schedule,
-)
-from repro.core.stashing import WeightStore, WeightVersion
+from repro import lazy_exports
 
-__all__ = [
-    "LayerGraph",
-    "LayerSpec",
-    "LayerProfile",
-    "ModelProfile",
-    "Topology",
-    "CLUSTER_A",
-    "CLUSTER_B",
-    "CLUSTER_C",
-    "PartitionResult",
-    "Stage",
-    "PipeDreamOptimizer",
-    "PlanSpec",
-    "SimSpec",
-    "Op",
-    "OpKind",
-    "Schedule",
-    "one_f_one_b_schedule",
-    "one_f_one_b_rr_schedule",
-    "gpipe_schedule",
-    "model_parallel_schedule",
-    "data_parallel_schedule",
-    "asp_schedule",
-    "validate_schedule",
-    "WeightStore",
-    "WeightVersion",
-]
+__all__ = lazy_exports(globals(), {
+    ".graph": "LayerGraph LayerSpec",
+    ".profile": "LayerProfile ModelProfile",
+    ".topology": "Topology CLUSTER_A CLUSTER_B CLUSTER_C",
+    ".partition": "PartitionResult Stage PipeDreamOptimizer",
+    ".spec": "PlanSpec SimSpec",
+    ".schedule": "Op OpKind Schedule one_f_one_b_schedule "
+                 "one_f_one_b_rr_schedule gpipe_schedule "
+                 "model_parallel_schedule data_parallel_schedule "
+                 "asp_schedule validate_schedule",
+    ".stashing": "WeightStore WeightVersion",
+})

@@ -143,7 +143,8 @@ FIELDS: Dict[str, Field] = {field.name: field for field in (
     Field("device", str, "v100", "device profiled", choices=DEVICE_PEAK_FLOPS),
     Field("precision", str, "fp32", "element width", choices=PRECISION_BYTES),
     Field("cluster", str, "a", "Table 2 cluster", choices=CLUSTERS),
-    Field("servers", int, 4, "servers of the cluster", hi=MAX_WORKERS),
+    Field("servers", int, 4, "servers of the cluster", lo=1,
+          hi=MAX_WORKERS),
     Field("topology", dict, None, "inline topology_to_dict() topology"),
     Field("num_workers", int, None, "plan on the first N workers only", lo=1,
           hi=MAX_WORKERS, flag="--workers"),

@@ -6,32 +6,11 @@ the substitution that preserves the paper's statistical-efficiency
 experiments (DESIGN.md §2).
 """
 
-from repro.data.metrics import (
-    corpus_bleu,
-    greedy_decode,
-    perplexity_from_loss,
-    token_f_score,
-    translation_bleu,
-)
-from repro.data.synthetic import (
-    Batcher,
-    make_captioning_data,
-    make_classification_data,
-    make_image_data,
-    make_lm_data,
-    make_seq2seq_data,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Batcher",
-    "corpus_bleu",
-    "greedy_decode",
-    "perplexity_from_loss",
-    "token_f_score",
-    "translation_bleu",
-    "make_classification_data",
-    "make_image_data",
-    "make_seq2seq_data",
-    "make_lm_data",
-    "make_captioning_data",
-]
+__all__ = lazy_exports(globals(), {
+    ".synthetic": "Batcher make_classification_data make_image_data "
+                  "make_seq2seq_data make_lm_data make_captioning_data",
+    ".metrics": "corpus_bleu greedy_decode perplexity_from_loss "
+                "token_f_score translation_bleu",
+})

@@ -7,27 +7,17 @@ numpy autodiff substrate; the full-size counterparts used by the paper's
 evaluation exist as analytic profiles in :mod:`repro.profiler.analytic`.
 """
 
-from repro.models.base import LayeredModel
-from repro.models.mlp import build_mlp
-from repro.models.vgg import build_vgg
-from repro.models.alexnet import build_alexnet
-from repro.models.resnet import build_resnet
-from repro.models.gnmt import build_gnmt
-from repro.models.awd_lm import build_awd_lm
-from repro.models.s2vt import build_s2vt
-from repro.models.transformer import build_transformer
-from repro.models.seq2seq import build_attention_seq2seq, make_reversal_data
+from repro import lazy_exports
 
-__all__ = [
-    "LayeredModel",
-    "build_mlp",
-    "build_vgg",
-    "build_alexnet",
-    "build_resnet",
-    "build_gnmt",
-    "build_awd_lm",
-    "build_s2vt",
-    "build_transformer",
-    "build_attention_seq2seq",
-    "make_reversal_data",
-]
+__all__ = lazy_exports(globals(), {
+    ".base": "LayeredModel",
+    ".mlp": "build_mlp",
+    ".vgg": "build_vgg",
+    ".alexnet": "build_alexnet",
+    ".resnet": "build_resnet",
+    ".gnmt": "build_gnmt",
+    ".awd_lm": "build_awd_lm",
+    ".s2vt": "build_s2vt",
+    ".transformer": "build_transformer",
+    ".seq2seq": "build_attention_seq2seq make_reversal_data",
+})

@@ -6,48 +6,14 @@ behaviour, and ``state_dict``/``load_state_dict`` enable the parameter
 versioning that PipeDream's weight stashing requires.
 """
 
-from repro.nn.module import Module, Parameter, Sequential
-from repro.nn.layers import (
-    AvgPool2d,
-    BatchNorm2d,
-    Conv2d,
-    Dropout,
-    Embedding,
-    Flatten,
-    GlobalAvgPool2d,
-    Identity,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Sigmoid,
-    Tanh,
-)
-from repro.nn.rnn import LSTM, LSTMCell
-from repro.nn.attention import LayerNorm, MultiHeadSelfAttention, TransformerEncoderLayer
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro import lazy_exports
 
-__all__ = [
-    "Module",
-    "Parameter",
-    "Sequential",
-    "Linear",
-    "Conv2d",
-    "MaxPool2d",
-    "AvgPool2d",
-    "GlobalAvgPool2d",
-    "BatchNorm2d",
-    "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Dropout",
-    "Embedding",
-    "Flatten",
-    "Identity",
-    "LSTM",
-    "LSTMCell",
-    "LayerNorm",
-    "MultiHeadSelfAttention",
-    "TransformerEncoderLayer",
-    "CrossEntropyLoss",
-    "MSELoss",
-]
+__all__ = lazy_exports(globals(), {
+    ".module": "Module Parameter Sequential",
+    ".layers": "Linear Conv2d MaxPool2d AvgPool2d GlobalAvgPool2d "
+               "BatchNorm2d ReLU Tanh Sigmoid Dropout Embedding Flatten "
+               "Identity",
+    ".rnn": "LSTM LSTMCell",
+    ".attention": "LayerNorm MultiHeadSelfAttention TransformerEncoderLayer",
+    ".loss": "CrossEntropyLoss MSELoss",
+})

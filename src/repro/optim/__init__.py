@@ -1,9 +1,11 @@
 """Optimizers and learning-rate schedulers."""
 
-from repro.optim.optimizer import Optimizer
-from repro.optim.sgd import SGD
-from repro.optim.adam import Adam
-from repro.optim.lars import LARS
-from repro.optim.lr_scheduler import LRScheduler, StepLR, WarmupLR
+from repro import lazy_exports
 
-__all__ = ["Optimizer", "SGD", "Adam", "LARS", "LRScheduler", "StepLR", "WarmupLR"]
+__all__ = lazy_exports(globals(), {
+    ".optimizer": "Optimizer",
+    ".sgd": "SGD",
+    ".adam": "Adam",
+    ".lars": "LARS",
+    ".lr_scheduler": "LRScheduler StepLR WarmupLR",
+})

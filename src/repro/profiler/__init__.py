@@ -11,22 +11,11 @@ Two profilers feed the partitioner:
   real V100s.
 """
 
-from repro.profiler.flops import flops_of
-from repro.profiler.measured import profile_model
-from repro.profiler.analytic import (
-    ANALYTIC_MODELS,
-    analytic_profile,
-    available_models,
-    clear_profile_cache,
-    profile_cache_stats,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "flops_of",
-    "profile_model",
-    "analytic_profile",
-    "available_models",
-    "clear_profile_cache",
-    "profile_cache_stats",
-    "ANALYTIC_MODELS",
-]
+__all__ = lazy_exports(globals(), {
+    ".flops": "flops_of",
+    ".measured": "profile_model",
+    ".analytic": "analytic_profile available_models clear_profile_cache "
+                 "profile_cache_stats ANALYTIC_MODELS",
+})

@@ -17,44 +17,16 @@ reproduce each strategy's **semantics**:
   interpreter with one OS thread per worker.
 """
 
-from repro.runtime.amp import AmpTrainer, GradScaler
-from repro.runtime.trainer import (
-    SequentialTrainer,
-    TrainingHistory,
-    evaluate_accuracy,
-    evaluate_loss,
-    evaluate_perplexity,
-    split_microbatches,
-)
-from repro.runtime.pipeline import PipelineTrainer
-from repro.runtime.checkpoint import CheckpointManager
-from repro.runtime.elastic import (
-    ElasticCoordinator,
-    RecoveryReport,
-    remap_checkpoints,
-    restore_remapped,
-    surviving_worker_count,
-)
-from repro.runtime.loop import FitResult, fit
-from repro.runtime.threaded import ThreadedPipelineTrainer
+from repro import lazy_exports
 
-__all__ = [
-    "AmpTrainer",
-    "CheckpointManager",
-    "ElasticCoordinator",
-    "RecoveryReport",
-    "remap_checkpoints",
-    "restore_remapped",
-    "surviving_worker_count",
-    "FitResult",
-    "fit",
-    "GradScaler",
-    "SequentialTrainer",
-    "PipelineTrainer",
-    "ThreadedPipelineTrainer",
-    "TrainingHistory",
-    "evaluate_accuracy",
-    "evaluate_loss",
-    "evaluate_perplexity",
-    "split_microbatches",
-]
+__all__ = lazy_exports(globals(), {
+    ".amp": "AmpTrainer GradScaler",
+    ".checkpoint": "CheckpointManager",
+    ".elastic": "ElasticCoordinator RecoveryReport remap_checkpoints "
+                "restore_remapped surviving_worker_count",
+    ".loop": "FitResult fit",
+    ".trainer": "SequentialTrainer TrainingHistory evaluate_accuracy "
+                "evaluate_loss evaluate_perplexity split_microbatches",
+    ".pipeline": "PipelineTrainer",
+    ".threaded": "ThreadedPipelineTrainer",
+})

@@ -1,21 +1,13 @@
 """Shared utilities: report formatting, bounded caching, SVG plotting.
 
 :mod:`repro.utils.lru` is import-light (stdlib only) so core modules can
-use it; the reporting helpers transitively import the simulator, so they
-are re-exported lazily (PEP 562) to keep ``repro.core`` importable without
-dragging :mod:`repro.sim` in first.
+use it; the reporting helpers transitively import the simulator, which the
+lazy export table (see :func:`repro.lazy_exports`) loads only on first use.
 """
 
-from repro.utils.lru import LRUCache
+from repro import lazy_exports
 
-_REPORTING = ("format_table", "format_timeline", "speedup")
-
-__all__ = ["LRUCache", *_REPORTING]
-
-
-def __getattr__(name):
-    if name in _REPORTING:
-        from repro.utils import reporting
-
-        return getattr(reporting, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = lazy_exports(globals(), {
+    ".lru": "LRUCache",
+    ".reporting": "format_table format_timeline speedup",
+})

@@ -183,7 +183,9 @@ class TestTimeline:
 #: Hostile argv the field table refuses: each exits 2 naming its flag,
 #: with no traceback (an uncaught exception would not be a SystemExit).
 HOSTILE_ARGV = [
-    (["plan", "vgg16", "--servers", "0"], "servers"),
+    (["plan", "vgg16", "--servers", "0"],
+     "argument --servers: servers must be an int >= 1, got 0"),
+    (["sweep", "vgg16", "--counts", "4", "--servers", "0"], "--servers"),
     (["plan", "vgg16", "--servers", "100000000"], "--servers"),
     (["plan", "vgg16", "--servers", "300"], "1200 workers"),
     (["plan", "vgg16", "--workers", "-1"], "--workers"),

@@ -401,7 +401,8 @@ class TestHTTPTransport:
                     "bucket_sizes": [float("nan")]},
          "bucket_bytes must be > 0"),
         ("/plan", {"model": "vgg16", "device": "tpu9"}, "unknown device"),
-        ("/plan", {"model": "vgg16", "servers": 0}, "num_servers"),
+        ("/plan", {"model": "vgg16", "servers": 0},
+         "servers must be an int >= 1, got 0"),
         ("/plan", {"model": "vgg16", "vectorize": False},
          "unknown request fields"),
         ("/plan", {"profile": {

@@ -2,7 +2,8 @@
 # Single verification entry point, running every CI step in CI's order:
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
 # seeded chaos suite, the elastic-recovery smoke, the threaded-runtime
-# example, the planner-service smoke, the end-to-end benchmark's selftest
+# example, the quickstart / cluster-planner / DAG examples, the
+# planner-service smoke, the end-to-end benchmark's selftest
 # (its pinned call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -31,6 +32,12 @@ python examples/elastic_recovery.py --smoke
 echo
 echo "== threaded runtime end to end =="
 python examples/production_run.py
+
+echo
+echo "== documented examples =="
+python examples/quickstart.py
+python examples/cluster_planner.py
+python examples/dag_partitioning.py
 
 echo
 echo "== planner service smoke =="
