@@ -16,7 +16,7 @@ from common import print_header, print_rows, run_once
 from repro.core.partition import (
     PipeDreamOptimizer,
     Stage,
-    evaluate_partition,
+    evaluate_partition_on_topology,
 )
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
@@ -50,12 +50,10 @@ def run():
     topology = cluster_a(4)
     plan = PipeDreamOptimizer(profile, topology).solve()
     flat = topology.flat()
-    bandwidth = flat.levels[0].bandwidth
-    efficiency = flat.levels[0].allreduce_efficiency
 
     points = []
     for name, stages in _candidates(profile, plan).items():
-        predicted = 1.0 / evaluate_partition(profile, stages, bandwidth, efficiency)
+        predicted = 1.0 / evaluate_partition_on_topology(profile, stages, flat)
         if len(stages) == 1:
             sim = simulate_data_parallel(profile, topology, num_minibatches=8)
             real = sim.throughput * 16  # 16 minibatches per DP round

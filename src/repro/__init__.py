@@ -71,10 +71,6 @@ def lazy_exports(namespace: dict, table: dict) -> list:
 
     namespace["__getattr__"] = __getattr__
     namespace["__dir__"] = lambda: sorted({*namespace, *where})
-    # Importing a submodule binds its name on the package, so a name that
-    # the submodule of the same name defines is bound now, to win.
-    for name in [n for n, module in where.items() if module == "." + n]:
-        __getattr__(name)
     return list(where)
 
 

@@ -10,8 +10,6 @@ from repro import lazy_exports
 __all__ = lazy_exports(globals(), {
     ".autodiff.engine": "Tensor no_grad",
     ".autodiff.": "functional",
-    ".autodiff.gradcheck": "gradcheck",
-    ".core.graph": "LayerGraph LayerSpec",
     ".core.profile": "LayerProfile ModelProfile",
     ".core.topology": "CLUSTER_A CLUSTER_B CLUSTER_C Topology cluster_1080ti "
                       "cluster_a cluster_b cluster_c make_cluster",

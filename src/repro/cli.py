@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import signal
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core.profile import PRECISION_BYTES
@@ -223,10 +224,8 @@ def cmd_timeline(args) -> int:
                                      one_f_one_b_schedule)
     from repro.core.topology import make_cluster
     from repro.sim import SimOptions, simulate
-    from repro.sim.strategies import _check_run_lengths
     from repro.utils import format_timeline
 
-    _check_run_lengths(stages=args.stages, minibatches=args.minibatches)
     layers = [LayerProfile(f"l{i}", 3.0, 0, 0) for i in range(args.stages)]
     profile = ModelProfile("uniform", layers, batch_size=1)
     topology = make_cluster("cli", args.stages, 1, 1e9, 1e9)
@@ -339,11 +338,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verbose", action="store_true",
                    help="log each HTTP request")
 
-    p = command("timeline", cmd_timeline, "print an ASCII pipeline timeline")
-    p.add_argument("--stages", type=int, default=4)
-    p.add_argument("--minibatches", type=int, default=8)
-    p.add_argument("--schedule", default="1f1b", choices=["1f1b", "gpipe", "mp"])
-    p.add_argument("--width", type=int, default=78)
+    command("timeline", cmd_timeline, "print an ASCII pipeline timeline", [
+        Field("stages", int, 4, "pipeline stages", lo=1),
+        replace(FIELDS["minibatches"], default=8,
+                help="run length in minibatches"),
+        Field("schedule", str, "1f1b", "schedule to draw",
+              choices=("1f1b", "gpipe", "mp")),
+        Field("width", int, 78, "timeline columns", lo=1),
+    ])
 
     return parser
 

@@ -111,24 +111,6 @@ def gradient_buckets(
     )
 
 
-def stream_bucket_count(
-    profile: ModelProfile, start: int, stop: int, bucket_bytes: float
-) -> int:
-    """Number of buckets :func:`gradient_buckets` would form (no objects)."""
-    if bucket_bytes <= 0:
-        raise ValueError("bucket_bytes must be positive")
-    count = 0
-    fill = 0
-    for layer in reversed(profile.layers[start:stop]):
-        if layer.kind in RECURRENT_KINDS or layer.weight_bytes <= 0:
-            continue
-        if fill and fill + layer.weight_bytes > bucket_bytes:
-            count += 1
-            fill = 0
-        fill += layer.weight_bytes
-    return count + (1 if fill else 0)
-
-
 def stream_bucket_count_table(
     profile: ModelProfile, bucket_bytes: float
 ) -> List[List[int]]:

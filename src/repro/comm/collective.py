@@ -9,14 +9,11 @@ through a :class:`~repro.comm.channel.Network` so the bytes are observable.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.channel import Network
-
-if TYPE_CHECKING:  # pragma: no cover — payload sizing only needs the type
-    from repro.core.profile import ModelProfile
 
 
 def ring_allreduce(
@@ -91,56 +88,3 @@ def ring_allreduce(
             offset += size
         results.append(out)
     return results
-
-
-def ring_allreduce_bytes(num_elements: int, num_participants: int,
-                         bytes_per_element: int = 8) -> int:
-    """Closed-form total bytes a ring all_reduce moves (all links summed):
-    ``2 (m-1) * |data|`` — each participant ships ``2 (m-1)/m`` of it.
-
-    The default ``bytes_per_element=8`` matches :func:`ring_allreduce`
-    itself, which moves the engine's float64 arrays over a real
-    :class:`~repro.comm.channel.Network`.  When sizing *hypothetical*
-    payloads from a profile (fp16 what-ifs via ``with_precision(2)``),
-    use :func:`allreduce_bytes_for_profile`, which reads the element
-    width off the profile instead of assuming the engine's.
-    """
-    if num_participants <= 1:
-        return 0
-    # Every step moves exactly one chunk per rank, and the chunks of one
-    # step always partition the full vector — so each of the (m - 1)
-    # reduce-scatter and (m - 1) all-gather steps moves |data| elements.
-    return 2 * (num_participants - 1) * int(num_elements) * bytes_per_element
-
-
-def allreduce_bytes_for_profile(
-    profile: "ModelProfile",
-    num_participants: int,
-    start: int = 0,
-    stop: Optional[int] = None,
-) -> int:
-    """Ring all_reduce volume for a profile's weight range, *at the
-    profile's own precision*.
-
-    A profile's ``weight_bytes`` already carry its ``bytes_per_element``
-    (``with_precision(2)`` halves them), so the element count is
-    recovered by dividing it back out before applying the closed form —
-    an fp16 profile therefore reports half the volume of its fp32
-    counterpart, which is the whole point of Figure 12's comparison.
-
-    Element counts are recovered *per layer*: ``with_precision`` clamps
-    each layer's bytes via ``max(1, round(...))``, so dividing the
-    *summed* bytes would drift whenever any layer was clamped (a 1-byte
-    fp16 layer would otherwise vanish from — or distort — the count).
-    Per-layer recovery inverts the same clamp, keeping the element count
-    precision-invariant and the fp16/fp32 volume ratio exactly the byte
-    ratio.
-    """
-    stop = len(profile) if stop is None else stop
-    per_element = max(1, int(profile.bytes_per_element))
-    num_elements = sum(
-        max(1, round(layer.weight_bytes / per_element))
-        for layer in profile.layers[start:stop]
-        if layer.weight_bytes > 0
-    )
-    return ring_allreduce_bytes(num_elements, num_participants, per_element)

@@ -18,7 +18,6 @@ The pieces map onto the paper as follows:
 from repro import lazy_exports
 
 __all__ = lazy_exports(globals(), {
-    ".graph": "LayerGraph LayerSpec",
     ".profile": "LayerProfile ModelProfile",
     ".topology": "Topology CLUSTER_A CLUSTER_B CLUSTER_C",
     ".partition": "PartitionResult Stage PipeDreamOptimizer",

@@ -3,10 +3,11 @@
 The paper's optimizer "returns an annotated operator graph, with each model
 layer mapped to a stage ID", from which per-worker modules and the static
 1F1B-RR schedule are generated.  :class:`DeploymentPlan` is that artifact:
-layer→stage annotations, per-worker stage/replica assignments, NOAM, and
-the worker op schedules — fully JSON-serializable so a plan can be computed
-once and shipped to workers (or to the simulator) without re-running the
-optimizer.
+layer→stage annotations, per-worker stage/replica assignments and NOAM —
+fully JSON-serializable so a plan can be computed once and shipped to
+workers (or to the simulator) without re-running the optimizer.  The
+worker op schedules are not shipped: :meth:`DeploymentPlan.schedule`
+rebuilds them from the stages.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.partition import PartitionResult, Stage
-from repro.core.schedule import Op, OpKind, Schedule, one_f_one_b_rr_schedule
+from repro.core.schedule import Schedule, one_f_one_b_rr_schedule
 
 
 @dataclass(frozen=True)
@@ -162,8 +163,8 @@ class DeploymentPlan:
 
 def _stage_to_dict(stage: Stage) -> Dict:
     """Stage -> JSON-ready dict.  ``tp_degree`` and ``recompute`` are
-    written only when set, so a plan or schedule without them serializes
-    as it always has."""
+    written only when set, so a plan without them serializes as it always
+    has."""
     return dict(
         {"start": stage.start, "stop": stage.stop, "replicas": stage.replicas},
         **({"tp_degree": stage.tp_degree} if stage.tp_degree > 1 else {}),
@@ -175,43 +176,3 @@ def _stage_from_dict(data: Dict) -> Stage:
     return Stage(data["start"], data["stop"], data["replicas"],
                  recompute=data.get("recompute", False),
                  tp_degree=data.get("tp_degree", 1))
-
-
-def serialize_schedule(schedule: Schedule) -> Dict:
-    """Schedule -> JSON-ready dict (per-worker op lists).
-
-    ``backward_split`` is written only when set, as the stages' optional
-    fields are (:func:`_stage_to_dict`), so a schedule without them
-    serializes as it always has.
-    """
-    data = {
-        "num_minibatches": schedule.num_minibatches,
-        "noam": schedule.noam,
-        "flush_after": list(schedule.flush_after),
-        "stages": [_stage_to_dict(s) for s in schedule.stages],
-        "worker_ops": {
-            str(worker): [[op.kind.value, op.stage, op.minibatch] for op in ops]
-            for worker, ops in schedule.worker_ops.items()
-        },
-    }
-    if schedule.backward_split:
-        data["backward_split"] = True
-    return data
-
-
-def deserialize_schedule(data: Dict) -> Schedule:
-    stages = [_stage_from_dict(s) for s in data["stages"]]
-    kind_map = {k.value: k for k in OpKind}
-    worker_ops = {
-        int(worker): [Op(kind_map[k], stage, mb) for k, stage, mb in ops]
-        for worker, ops in data["worker_ops"].items()
-    }
-    # stage_workers defaults to the builders' (tp-strided) assignment.
-    return Schedule(
-        stages=stages,
-        num_minibatches=data["num_minibatches"],
-        worker_ops=worker_ops,
-        noam=data["noam"],
-        flush_after=list(data.get("flush_after", [])),
-        backward_split=data.get("backward_split", False),
-    )

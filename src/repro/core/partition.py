@@ -165,15 +165,6 @@ def plan_config(stages: Sequence[Stage]) -> str:
     )
 
 
-def allreduce_bytes_per_worker(weight_bytes: float, num_workers: int) -> float:
-    """Bytes each of ``num_workers`` workers sends (and receives) to
-    synchronize ``weight_bytes`` of parameters with a ring all_reduce:
-    ``2 (m-1)/m * |w|`` (§3.1)."""
-    if num_workers <= 1:
-        return 0.0
-    return 2.0 * (num_workers - 1) / num_workers * weight_bytes
-
-
 def canonical_spec_key(
     spec: PlanSpec, profile: ModelProfile, num_workers: int
 ) -> tuple:
@@ -1401,38 +1392,6 @@ def _distinct(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 # Evaluation of arbitrary partitions (used for Figure 15 and the simulator
 # cross-checks) and communication accounting (Figure 17).
 # ----------------------------------------------------------------------
-
-def evaluate_partition(
-    profile: ModelProfile,
-    stages: Sequence[Stage],
-    bandwidth: float,
-    allreduce_efficiency: float = 1.0,
-) -> float:
-    """Bottleneck time per minibatch of an arbitrary stage list.
-
-    Applies the same cost model the DP uses, with a single (flat) link
-    bandwidth: per-stage effective time is the max of the amortized compute
-    and the once-per-round ring all_reduce share; stage boundaries pay a
-    2 a_s / B point-to-point transfer per minibatch.
-    """
-    _check_stages(len(profile), stages)
-    tables = range_table(profile)
-    worst = 0.0
-    for idx, stage in enumerate(stages):
-        compute = profile.compute_time(stage.start, stage.stop)
-        weights = profile.weight_bytes(stage.start, stage.stop)
-        r = stage.replicas
-        cost = compute / r
-        if r > 1:
-            deferred = tables.deferred[stage.stop] - tables.deferred[stage.start]
-            ring = 2.0 * (r - 1) / r / (bandwidth * allreduce_efficiency)
-            cost = max(cost, ring * (weights - deferred) / r) + ring * deferred / r
-        worst = max(worst, cost)
-        if idx + 1 < len(stages):
-            boundary = 2.0 * profile.activation_bytes(stage.stop - 1) / bandwidth
-            worst = max(worst, boundary)
-    return worst
-
 
 def communication_bytes_per_minibatch(
     profile: ModelProfile, stages: Sequence[Stage]

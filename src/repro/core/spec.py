@@ -38,6 +38,10 @@ STRATEGY_NAMES = ("dp", "pipedream", "mp", "gpipe")
 #: ``run_sweep`` executors (see :func:`repro.sim.sweep.run_sweep`).
 EXECUTORS = ("auto", "process", "thread", "serial")
 
+#: The longest run any surface simulates: ~10x the longest run a test,
+#: probe or figure uses (1 024 minibatches); a run's cost grows linearly.
+MAX_MINIBATCHES = 10_000
+
 #: The default of a field that must be given.
 REQUIRED = object()
 
@@ -167,7 +171,7 @@ FIELDS: Dict[str, Field] = {field.name: field for field in (
     Field("minibatches", int, 48, "run length in minibatches (gpipe: "
           "batches of 4 microbatches); a sweep's pipedream cells run it "
           "and its dp / mp / gpipe cells grid_minibatches(strategy, it)",
-          lo=1),
+          lo=1, hi=MAX_MINIBATCHES),
     Field("schedule_family", str, "1f1b", "pipeline schedule family: 1f1b "
           "or the backward-split 2bp (pipedream strategy only)"),
     Field("faults", str, "", _FAULTS_HELP),

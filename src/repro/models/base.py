@@ -3,9 +3,10 @@
 A layered model is an ordered sequence of named modules; running them in
 order is the forward pass.  PipeDream stages are contiguous slices of this
 sequence, so the model also knows how to materialize a stage as a single
-:class:`~repro.nn.Sequential` and how to trace itself into a
-:class:`~repro.core.graph.LayerGraph` carrying per-layer parameter counts,
-activation sizes, and FLOP estimates.
+:class:`~repro.nn.Sequential`.  Its per-layer description — compute time,
+activation and weight bytes, and operator kind — is the
+:class:`~repro.core.profile.ModelProfile` that
+:func:`~repro.profiler.measured.profile_model` measures.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff.engine import Tensor
-from repro.core.graph import LayerGraph, LayerSpec
 from repro.nn.module import Module, Sequential
-from repro.profiler.flops import flops_of
 
 
 class LayeredModel(Module):
@@ -85,46 +84,6 @@ class LayeredModel(Module):
     def stage_module(self, start: int, stop: int) -> Sequential:
         """The contiguous slice of layers as one module (shared params)."""
         return Sequential(*(self._modules[n] for n in self.layer_names[start:stop]))
-
-    # ------------------------------------------------------------------
-    # Tracing into a layer graph
-    # ------------------------------------------------------------------
-    def layer_graph(self, sample_input) -> LayerGraph:
-        """Trace one sample through the model, recording per-layer stats.
-
-        ``sample_input`` should have batch size 1 so ``output_elements`` and
-        ``flops`` are per-sample quantities.
-        """
-        def payload_elements(value) -> int:
-            if isinstance(value, tuple):
-                return sum(payload_elements(v) for v in value)
-            return int(np.prod(np.asarray(value.data if isinstance(value, Tensor) else value).shape))
-
-        def payload_shape(value):
-            if isinstance(value, tuple):
-                return payload_shape(value[0])
-            return value.shape if hasattr(value, "shape") else np.asarray(value).shape
-
-        x = self.wrap_input(sample_input)
-        specs: List[LayerSpec] = []
-        for index, name in enumerate(self.layer_names):
-            module = self._modules[name]
-            in_shape = payload_shape(x)
-            x = module(x)
-            out_elements = payload_elements(x)
-            params = module.num_parameters()
-            kind = _kind_of(module)
-            specs.append(
-                LayerSpec(
-                    name=name,
-                    kind=kind,
-                    param_count=params,
-                    output_elements=out_elements,
-                    flops=flops_of(module, in_shape, payload_shape(x)),
-                    builder=(lambda m=module: m),
-                )
-            )
-        return LayerGraph(self.model_name, specs)
 
     def __repr__(self) -> str:
         return f"LayeredModel({self.model_name!r}, {self.num_layers} layers)"

@@ -14,7 +14,6 @@ Two profilers feed the partitioner:
 from repro import lazy_exports
 
 __all__ = lazy_exports(globals(), {
-    ".flops": "flops_of",
     ".measured": "profile_model",
     ".analytic": "analytic_profile available_models clear_profile_cache "
                  "profile_cache_stats ANALYTIC_MODELS",

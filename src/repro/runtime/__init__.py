@@ -15,12 +15,16 @@ reproduce each strategy's **semantics**:
   :func:`~repro.runtime.trainer.split_microbatches`.
 - :class:`~repro.runtime.threaded.ThreadedPipelineTrainer` — the same
   interpreter with one OS thread per worker.
+
+Mixed precision is the interpreter's ``precision="fp16"`` with a
+:class:`~repro.runtime.amp.GradScaler`; on ``[Stage(0, L, 1)]`` it is
+sequential fp16 training.
 """
 
 from repro import lazy_exports
 
 __all__ = lazy_exports(globals(), {
-    ".amp": "AmpTrainer GradScaler",
+    ".amp": "GradScaler",
     ".checkpoint": "CheckpointManager",
     ".elastic": "ElasticCoordinator RecoveryReport remap_checkpoints "
                 "restore_remapped surviving_worker_count",

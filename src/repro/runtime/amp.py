@@ -21,17 +21,15 @@ Precision Training"):
   scheme: skip the step and shrink the scale when scaled gradients
   overflow to inf/nan, grow the scale again after a run of stable steps.
 
-:class:`AmpTrainer` is the sequential reference for fp16 semantics, the
-mixed-precision twin of
-:class:`~repro.runtime.trainer.SequentialTrainer`; the pipelined
-equivalent is ``PipelineTrainer(..., precision="fp16")``, which stores the
-low-precision copy in every stashed weight version (§3.3) while each
-replica's optimizer updates full-precision masters.
+The trainer is ``PipelineTrainer(..., precision="fp16")`` — one stage
+of one replica for sequential training — which stores the low-precision
+copy in every stashed weight version (§3.3) while each replica's
+optimizer updates full-precision masters.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +37,6 @@ from repro.core.profile import PRECISION_BYTES
 
 __all__ = [
     "GradScaler",
-    "AmpTrainer",
     "PRECISION_BYTES",
     "quantize_fp16",
     "cast_payload_fp16",
@@ -216,79 +213,3 @@ class GradScaler:
         mode = "dynamic" if self.dynamic else "static"
         return (f"GradScaler({mode}, scale={self._scale:g}, "
                 f"skipped={self.num_skipped}, growths={self.num_growths})")
-
-
-class AmpTrainer:
-    """Sequential mixed-precision trainer: the fp16 semantic reference.
-
-    Per minibatch: bind fp16-quantized copies of the full-precision master
-    weights, run forward/backward on the scaled loss, round-trip the
-    gradients through fp16 (where overflow manifests as ``inf``), then
-    either skip (overflow: scaler backs off) or unscale and apply the
-    update to the masters.  With ``precision="fp32"`` every cast and the
-    scale-by-one multiply are bypassed, so the weight trajectory is
-    bitwise-identical to :class:`~repro.runtime.trainer.SequentialTrainer`.
-    """
-
-    def __init__(
-        self,
-        model,
-        loss_fn,
-        optimizer,
-        grad_scaler: Optional[GradScaler] = None,
-        precision: str = "fp16",
-    ):
-        if precision not in PRECISION_BYTES:
-            raise ValueError(
-                f"unknown precision {precision!r}; expected one of "
-                f"{sorted(PRECISION_BYTES)}")
-        self.model = model
-        self.loss_fn = loss_fn
-        self.optimizer = optimizer
-        self.precision = precision
-        self.grad_scaler = (
-            grad_scaler if grad_scaler is not None else GradScaler()
-        ) if precision == "fp16" else None
-        if precision == "fp32" and grad_scaler is not None:
-            raise ValueError("grad_scaler requires precision='fp16'")
-        self.params = optimizer.params
-        self._masters: List[np.ndarray] = [p.data.copy() for p in self.params]
-
-    @property
-    def masters(self) -> List[np.ndarray]:
-        """The full-precision master weights the optimizer accumulates in."""
-        return self._masters
-
-    def train_minibatch(self, x, y) -> float:
-        if self.precision == "fp32":
-            self.model.zero_grad()
-            loss = self.loss_fn(self.model(x), y)
-            loss.backward()
-            self.optimizer.step()
-            self._masters = [p.data for p in self.params]
-            return loss.item()
-
-        scaler = self.grad_scaler
-        for p, master in zip(self.params, self._masters):
-            p.data = quantize_fp16(master)
-        self.model.zero_grad()
-        loss = self.loss_fn(self.model(x), y)
-        scaler.scale_loss(loss).backward()
-        grads = [
-            quantize_fp16(p.grad) if p.grad is not None
-            else np.zeros_like(p.data)
-            for p in self.params
-        ]
-        # Rebind the masters before the update so the optimizer accumulates
-        # at full precision (the "keep fp32 masters" half of the recipe).
-        for p, master in zip(self.params, self._masters):
-            p.data = master
-        if scaler.step(self.optimizer, grads):
-            self._masters = [p.data for p in self.params]
-        return loss.item()
-
-    def train_epoch(self, batches: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
-        total = 0.0
-        for x, y in batches:
-            total += self.train_minibatch(x, y)
-        return total / max(len(batches), 1)

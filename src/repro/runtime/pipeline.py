@@ -367,6 +367,11 @@ class PipelineTrainer:
         optimizer_factory: builds a fresh optimizer from a parameter list
             for every stage replica.
         policy: ``"stashing"`` | ``"vertical_sync"`` | ``"none"``.
+        gradient_accumulation: update rounds aggregated per weight update.
+            Set to the pipeline's warmup depth
+            (``core.schedule.warmup_count(stages, 0)``), it gives
+            PipeDream-2BW's double-buffered weights: every in-flight
+            minibatch stashes one of at most two versions.
         precision: ``"fp32"`` (default, byte-for-byte the historical
             behavior) or ``"fp16"`` — emulated mixed precision: stashed
             weight versions and inter-stage payloads are ``np.float16``,
@@ -436,26 +441,6 @@ class PipelineTrainer:
         # chunks) flows through one accounted network, so measured volumes
         # can be checked against the Figure 17 model.
         self.network = Network()
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    @classmethod
-    def two_buffered(cls, model, stages, loss_fn, optimizer_factory, **kwargs):
-        """PipeDream-2BW-style configuration (double-buffered weights).
-
-        The follow-up paper (PipeDream-2BW, ICML'21) bounds the number of
-        live weight versions to two by committing one aggregated update per
-        full sweep of in-flight minibatches instead of one per minibatch.
-        The same semantics fall out of this runtime by setting the gradient
-        aggregation window to the pipeline's warmup depth: every in-flight
-        minibatch then stashes one of at most two versions.
-        """
-        from repro.core.schedule import warmup_count
-
-        depth = warmup_count(list(stages), 0)
-        kwargs.setdefault("gradient_accumulation", max(1, depth))
-        return cls(model, stages, loss_fn, optimizer_factory, **kwargs)
 
     # ------------------------------------------------------------------
     # Scheduling and execution

@@ -15,8 +15,7 @@ __all__ = lazy_exports(globals(), {
     ".faults": "FaultEvent FaultSchedule parse_faults",
     ".executor": "SimOptions SimResult OpRecord simulate",
     ".memory": "pipeline_memory_footprint data_parallel_memory_footprint "
-               "stage_memory_cost stage_memory_bytes "
-               "stage_deferred_weight_bytes",
+               "stage_memory_cost stage_memory_bytes",
     ".trace": "chrome_trace_events export_chrome_trace",
     ".sweep": "SweepRecord SweepError SweepFailure run_sweep records_to_csv "
               "speedup_table precision_chart",

@@ -8,11 +8,10 @@ simulator/strategy footprint all price stashed state through :func:`stage_memory
 formulas in the codebase — keeping one formula is what guarantees the
 planner's bound-admitted ⊇ refined-admitted ⊇ footprint-feasible
 invariant (see ``docs/INTERNALS.md`` §7).  The aggregate helpers below
-(`stage_weight_bytes` / `stage_activation_bytes` /
-:func:`stage_deferred_weight_bytes` / :func:`stage_boundary_activation_bytes`)
-share one ``(profile, start, stop)`` signature and read the profile's one
-range table (:func:`repro.core.ranges.range_table`, the only place its
-layer lists are summed); :func:`stage_memory_bytes` reads the same columns.
+(:func:`stage_weight_bytes` / :func:`stage_activation_bytes`) read the
+profile's one range table (:func:`repro.core.ranges.range_table`, the only
+place its layer lists are summed); :func:`stage_memory_bytes` reads the
+same columns, including ``deferred`` and ``in_bytes``.
 
 PipeDream's per-stage footprint is governed by the number of in-flight
 minibatches a stage holds.  The in-flight count at stage ``s`` is the
@@ -61,29 +60,6 @@ def stage_activation_bytes(profile: ModelProfile, start: int, stop: int) -> int:
     """
     acts = range_table(profile).acts
     return acts[stop] - acts[start]
-
-
-def stage_boundary_activation_bytes(profile: ModelProfile, start: int) -> int:
-    """Input-boundary activation bytes of a stage starting at ``start``.
-
-    This is what a recompute-on stage must keep per in-flight minibatch:
-    the upstream stage's output (layer ``start - 1``), from which the
-    interior activations are rebuilt during backward.  The input stage
-    reads training data, which is not stashed activation state.
-    """
-    return range_table(profile).in_bytes[start]
-
-
-def stage_deferred_weight_bytes(profile: ModelProfile, start: int, stop: int) -> int:
-    """Weight bytes of the stage's BPTT-accumulated (deferred) layers.
-
-    The same overlappable/non-overlappable decomposition the evaluator and
-    the simulator use for all_reduce pricing: gradients of these kinds only
-    materialize at the end of a backward pass, and their updates land at
-    round boundaries.
-    """
-    deferred = range_table(profile).deferred
-    return deferred[stop] - deferred[start]
 
 
 def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,

@@ -18,7 +18,9 @@ more literal twin lives here, where only tests import it:
   exhaustive search over flat partitions (``partition_brute_force.py``);
 - :class:`~tests.oracles.asp_reference.ASPTrainer` — the asynchronous
   parameter-server trainer the ``asp_schedule`` table is pinned to
-  (``asp_reference.py``).
+  (``asp_reference.py``);
+- :func:`~tests.oracles.gradcheck.gradcheck` — finite differences, the
+  autodiff engine's oracle (``gradcheck.py``).
 """
 
 from repro.core.partition import PartitionEvaluation, Stage

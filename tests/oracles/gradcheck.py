@@ -1,4 +1,4 @@
-"""Finite-difference gradient checking for the autodiff engine."""
+"""Finite-difference gradient checking: the autodiff engine's oracle."""
 
 from __future__ import annotations
 

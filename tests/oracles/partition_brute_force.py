@@ -1,7 +1,8 @@
 """Exhaustive search over flat partitions — the planner's optimality oracle.
 
-Moved here unchanged from ``core/partition.py``; nothing under ``src/``
-imports this module.
+Nothing under ``src/`` imports this module.  Each plan is priced by the
+closed-form oracle evaluator, so the search stays independent of the
+production pricing loop.
 """
 
 from __future__ import annotations
@@ -10,9 +11,10 @@ import itertools
 import math
 from typing import List, Optional, Tuple
 
-from repro.core.partition import Stage, evaluate_partition
+from repro.core.partition import Stage
 from repro.core.profile import ModelProfile
 from repro.core.topology import Topology
+from tests.oracles.evaluator_closed_form import evaluate_details_closed_form
 
 
 def brute_force_partition(
@@ -30,8 +32,6 @@ def brute_force_partition(
         raise ValueError("brute force supports single-level topologies only")
     n = len(profile)
     workers = topology.total_workers
-    bandwidth = topology.levels[0].bandwidth
-    efficiency = topology.levels[0].allreduce_efficiency
     best: Tuple[Optional[List[Stage]], float] = (None, math.inf)
 
     for num_stages in range(1, min(n, workers) + 1):
@@ -42,7 +42,8 @@ def brute_force_partition(
                 if not allow_replication and any(a != 1 for a in alloc):
                     continue
                 stages = [Stage(s, e, a) for (s, e), a in zip(spans, alloc)]
-                cost = evaluate_partition(profile, stages, bandwidth, efficiency)
+                cost = evaluate_details_closed_form(
+                    profile, stages, topology).bottleneck_time
                 if cost < best[1] - 1e-15:
                     best = (stages, cost)
     assert best[0] is not None

@@ -2,9 +2,9 @@
 
 The lockdown contract has two halves:
 
-* **fp32 is untouched** — ``AmpTrainer(precision="fp32")`` and
-  ``PipelineTrainer(precision="fp32")`` produce weight trajectories
-  bitwise-identical to the precision-less reference paths.
+* **fp32 is untouched** — ``PipelineTrainer(precision="fp32")``, on one
+  stage or several, produces weight trajectories bitwise-identical to the
+  precision-less reference paths.
 * **fp16 obeys the scaler recipe** — masters stay full precision, stashed
   versions and wire payloads are real ``np.float16``, overflowing rounds
   are skipped with a scale backoff, stable runs grow the scale, and the
@@ -20,7 +20,6 @@ from repro.models.mlp import build_mlp
 from repro.nn.loss import CrossEntropyLoss
 from repro.optim.sgd import SGD
 from repro.runtime import (
-    AmpTrainer,
     CheckpointManager,
     GradScaler,
     PipelineTrainer,
@@ -194,32 +193,47 @@ class TestGradScaler:
 
 
 # ----------------------------------------------------------------------
-# AmpTrainer: the sequential fp16 reference
+# Pipelined AMP
 # ----------------------------------------------------------------------
 
-class TestAmpTrainer:
-    def test_fp32_bitwise_matches_sequential(self):
+def _stages(model):
+    return [Stage(0, 2, 1), Stage(2, model.num_layers, 1)]
+
+
+def _one_stage(model, **kwargs):
+    """Sequential mixed-precision training: one stage of one replica."""
+    return PipelineTrainer(model, [Stage(0, model.num_layers, 1)], LOSS,
+                           lambda ps: SGD(ps, lr=0.1), **kwargs)
+
+
+def _masters(trainer):
+    replica = trainer.replicas[0][0]
+    return [replica.master[name] for name in replica.param_names]
+
+
+class TestPipelineAmp:
+    def test_one_stage_fp32_bitwise_matches_sequential(self):
         batches = _batches()
         m_ref, m_amp = _mlp(), _mlp()
         ref = SequentialTrainer(m_ref, LOSS, SGD(m_ref.parameters(), lr=0.1))
-        amp = AmpTrainer(m_amp, LOSS, SGD(m_amp.parameters(), lr=0.1),
-                         precision="fp32")
+        amp = _one_stage(m_amp, precision="fp32")
         assert amp.grad_scaler is None
         for _ in range(3):
             assert ref.train_epoch(batches) == amp.train_epoch(batches)
         assert all(
             (a.data == b.data).all()
-            for a, b in zip(m_ref.parameters(), m_amp.parameters())
+            for a, b in zip(m_ref.parameters(),
+                            amp.replicas[0][0].module.parameters())
         )
 
-    def test_fp16_converges_to_fp32_loss(self):
+    def test_one_stage_fp16_converges_to_fp32_loss(self):
         """The headline convergence check: fp16 + dynamic scaling lands
         within tolerance of the fp32 final loss on a seeded small model."""
         batches = _batches()
         m32, m16 = _mlp(), _mlp()
         t32 = SequentialTrainer(m32, LOSS, SGD(m32.parameters(), lr=0.1))
-        t16 = AmpTrainer(
-            m16, LOSS, SGD(m16.parameters(), lr=0.1),
+        t16 = _one_stage(
+            m16, precision="fp16",
             grad_scaler=GradScaler(init_scale=2.0 ** 10, growth_interval=8),
         )
         for _ in range(20):
@@ -229,58 +243,42 @@ class TestAmpTrainer:
         assert abs(loss16 - loss32) < 0.02
         assert t16.grad_scaler.num_skipped == 0
 
-    def test_masters_stay_full_precision(self):
-        model = _mlp()
-        trainer = AmpTrainer(model, LOSS, SGD(model.parameters(), lr=0.1))
+    def test_one_stage_masters_stay_full_precision(self):
+        trainer = _one_stage(_mlp(), precision="fp16")
         trainer.train_epoch(_batches())
-        for master in trainer.masters:
+        masters = _masters(trainer)
+        for master in masters:
             assert master.dtype == np.float64
         # Masters hold values the fp16 round-trip would alter (i.e. the
         # accumulate really happened at full precision).
-        assert any(
-            (quantize_fp16(m) != m).any() for m in trainer.masters
-        )
+        assert any((quantize_fp16(m) != m).any() for m in masters)
 
-    def test_oversized_scale_skips_then_recovers(self):
+    # The oversized scale overflows the fp16 gradients to inf.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_stage_oversized_scale_skips_then_recovers(self):
         """An absurd initial scale overflows the fp16 gradients; dynamic
         backoff halves it until steps land, and training proceeds."""
         batches = _batches()
-        model = _mlp()
-        trainer = AmpTrainer(
-            model, LOSS, SGD(model.parameters(), lr=0.1),
-            grad_scaler=GradScaler(init_scale=2.0 ** 40),
-        )
-        before = [m.copy() for m in trainer.masters]
-        trainer.train_minibatch(*batches[0])
+        trainer = _one_stage(_mlp(), precision="fp16",
+                             grad_scaler=GradScaler(init_scale=2.0 ** 40))
+        before = [m.copy() for m in _masters(trainer)]
+        trainer.train_epoch(batches[:1])
         assert trainer.grad_scaler.num_skipped == 1
         assert trainer.grad_scaler.scale == 2.0 ** 39
         assert all(
-            (m == b).all() for m, b in zip(trainer.masters, before)
+            (m == b).all() for m, b in zip(_masters(trainer), before)
         )  # the skipped step touched nothing
         losses = [trainer.train_epoch(batches) for _ in range(14)]
         assert trainer.grad_scaler.num_skipped > 1  # kept backing off...
         assert np.isfinite(losses[-1])
         assert losses[-1] < losses[2]  # ...then actually trained
 
-    def test_fp32_rejects_scaler(self):
-        model = _mlp()
+    def test_one_stage_rejects_bad_precision(self):
         with pytest.raises(ValueError):
-            AmpTrainer(model, LOSS, SGD(model.parameters(), lr=0.1),
-                       grad_scaler=GradScaler(), precision="fp32")
+            _one_stage(_mlp(), grad_scaler=GradScaler(), precision="fp32")
         with pytest.raises(ValueError):
-            AmpTrainer(model, LOSS, SGD(model.parameters(), lr=0.1),
-                       precision="bf16")
+            _one_stage(_mlp(), precision="bf16")
 
-
-# ----------------------------------------------------------------------
-# Pipelined AMP
-# ----------------------------------------------------------------------
-
-def _stages(model):
-    return [Stage(0, 2, 1), Stage(2, model.num_layers, 1)]
-
-
-class TestPipelineAmp:
     def test_fp32_kwarg_is_bitwise_noop(self):
         """``precision="fp32"`` must leave the pipeline byte-for-byte on
         the historical path — the runtime half of the differential

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, functional as F, gradcheck
+from repro.autodiff import Tensor, functional as F
 from repro.autodiff.engine import concatenate, stack
+from tests.oracles.gradcheck import gradcheck
 
 
 def t(rng, *shape, scale=1.0):

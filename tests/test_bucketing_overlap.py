@@ -7,8 +7,8 @@ Four groups:
    cap semantics, recurrent/zero-weight exclusion, count table agreement.
 2. Collective pricing fixes: the largest-per-parent ring sizing of
    ``allreduce_time`` (uneven packings were mean-rounded before), the
-   per-level setup latency α, the closed-form ``ring_allreduce_bytes``,
-   and per-layer element recovery in ``allreduce_bytes_for_profile``.
+   per-level setup latency α, the bytes a ring all_reduce moves, and the
+   profile-sized all_reduce volume.
 3. Fusion-off transparency: ``bucket_bytes=None`` is bitwise the
    pre-bucketing evaluator and simulator; with fusion on, the event and
    reference engines stay bitwise twins, and the analytic evaluator's
@@ -20,20 +20,13 @@ Four groups:
 
 import pytest
 
-from repro.comm.bucketing import (
-    gradient_buckets,
-    stream_bucket_count,
-    stream_bucket_count_table,
-)
+from repro.comm.bucketing import gradient_buckets, stream_bucket_count_table
 from repro.comm.channel import Network
-from repro.comm.collective import (
-    allreduce_bytes_for_profile,
-    ring_allreduce,
-    ring_allreduce_bytes,
-)
+from repro.comm.collective import ring_allreduce
 from repro.core.partition import (
     PipeDreamOptimizer,
     Stage,
+    data_parallel_bytes_per_minibatch,
     evaluate_partition_details,
 )
 from repro.core.profile import LayerProfile, ModelProfile
@@ -110,7 +103,6 @@ class TestBucketFormer:
         for start in range(n):
             for stop in range(start + 1, n + 1):
                 formed = len(gradient_buckets(profile, start, stop, 10))
-                assert stream_bucket_count(profile, start, stop, 10) == formed
                 assert table[start][stop - 1] == formed
 
     def test_rejects_nonpositive_cap(self):
@@ -118,7 +110,7 @@ class TestBucketFormer:
         with pytest.raises(ValueError):
             gradient_buckets(profile, 0, 1, 0)
         with pytest.raises(ValueError):
-            stream_bucket_count(profile, 0, 1, -1)
+            stream_bucket_count_table(profile, -1)
 
 
 # ----------------------------------------------------------------------
@@ -177,11 +169,6 @@ class TestAllreduceGroupSizing:
 
 
 class TestRingAllreduceBytes:
-    def test_closed_form(self):
-        assert ring_allreduce_bytes(10, 4, 8) == 2 * 3 * 10 * 8
-        assert ring_allreduce_bytes(10, 1) == 0
-        assert ring_allreduce_bytes(0, 4) == 0
-
     def test_matches_observed_network_bytes(self):
         rng = np.random.default_rng(7)
         contributions = [
@@ -190,7 +177,8 @@ class TestRingAllreduceBytes:
         ]
         network = Network()
         results = ring_allreduce(contributions, network=network)
-        assert network.total_bytes == ring_allreduce_bytes(18, 4, 8)
+        # 2 (m-1) steps, each moving all 18 float64 elements once.
+        assert network.total_bytes == 2 * 3 * 18 * 8
         stacked = np.stack([c["w"] for c in contributions]).mean(axis=0)
         np.testing.assert_allclose(results[0]["w"], stacked)
 
@@ -203,23 +191,10 @@ class TestRingAllreduceBytes:
 
 
 class TestProfileVolumeRecovery:
-    def test_fp16_halves_volume_despite_clamped_layer(self):
-        # A 1-byte layer clamps to one element at every precision; the
-        # per-layer recovery keeps the element count precision-invariant
-        # so the fp32:fp16 volume ratio is exactly the byte ratio.
-        fp32 = hand_profile([4000, 1])
-        fp16 = fp32.with_precision(2)
-        b32 = allreduce_bytes_for_profile(fp32, 4)
-        b16 = allreduce_bytes_for_profile(fp16, 4)
-        assert b32 == ring_allreduce_bytes(1001, 4, 4)
-        assert b16 == ring_allreduce_bytes(1001, 4, 2)
-        assert b32 == 2 * b16
-
     def test_zero_weight_layers_ignored(self):
+        # 400 bytes on a 2-ring: 2 (m-1) |w| / m per minibatch.
         profile = hand_profile([0, 400, 0])
-        assert allreduce_bytes_for_profile(profile, 2) == ring_allreduce_bytes(
-            100, 2, 4
-        )
+        assert data_parallel_bytes_per_minibatch(profile, 2) == 400.0
 
 
 # ----------------------------------------------------------------------

@@ -197,6 +197,9 @@ HOSTILE_ARGV = [
     (["timeline", "--stages", "0"], "stages"),
     (["timeline", "--stages", "2000"], "2000 workers"),
     (["timeline", "--minibatches", "-1"], "minibatches"),
+    (["timeline", "--minibatches", "10001"], "--minibatches"),
+    (["timeline", "--width", "0"], "--width"),
+    (["simulate", "vgg16", "--minibatches", "10001"], "--minibatches"),
     (["sweep", "vgg16", "--counts", "0"], "--counts"),
     (["sweep", "vgg16", "--counts", "100000"], "--counts"),
     (["plan", "vgg16", "--memory-limit-bytes", "1000"],

@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.comm import (
-    Channel,
-    Network,
-    allreduce_bytes_for_profile,
-    ring_allreduce,
-    ring_allreduce_bytes,
+from repro.comm import Channel, Network, ring_allreduce
+from repro.core.partition import (
+    Stage,
+    communication_bytes_per_minibatch,
+    data_parallel_bytes_per_minibatch,
 )
-from repro.core.partition import Stage, communication_bytes_per_minibatch
 from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
@@ -100,7 +98,8 @@ class TestRingAllReduce:
             contributions = [{"w": rng.standard_normal(17)} for _ in range(m)]
             network = Network()
             ring_allreduce(contributions, network)
-            assert network.total_bytes == ring_allreduce_bytes(17, m)
+            # Each of the 2 (m-1) steps moves the whole float64 vector.
+            assert network.total_bytes == 2 * (m - 1) * 17 * 8
             assert network.in_flight() == 0
 
     def test_volume_is_2_m_minus_1_over_m(self):
@@ -130,12 +129,9 @@ class TestProfilePayloadSizing:
         fp32 = analytic_profile("vgg16")
         fp16 = fp32.with_precision(2)
         for m in (2, 4, 8):
-            full = allreduce_bytes_for_profile(fp32, m)
-            half = allreduce_bytes_for_profile(fp16, m)
-            assert half == full // 2
-        # Layer ranges size from that range's weights only.
-        assert allreduce_bytes_for_profile(fp32, 4, start=0, stop=3) < \
-            allreduce_bytes_for_profile(fp32, 4)
+            full = data_parallel_bytes_per_minibatch(fp32, m)
+            half = data_parallel_bytes_per_minibatch(fp16, m)
+            assert half == full / 2
 
     def test_profile_sizing_matches_element_count(self):
         from repro.core.profile import LayerProfile, ModelProfile
@@ -146,8 +142,10 @@ class TestProfilePayloadSizing:
             batch_size=1,
             bytes_per_element=4,
         )
-        assert allreduce_bytes_for_profile(profile, 3) == \
-            ring_allreduce_bytes(1000, 3, 4)
+        # 1000 fp32 elements over a 3-ring: 2 (m-1) * 1000 * 4 bytes a
+        # round of 3 minibatches.
+        assert 3 * data_parallel_bytes_per_minibatch(profile, 3) == \
+            pytest.approx(2 * 2 * 1000 * 4, rel=1e-15)
 
     def test_measured_profile_reads_dtype_width(self):
         """The measured profiler derives bytes_per_element from the
@@ -223,7 +221,8 @@ class TestRuntimeAccounting:
             stage0_params = sum(
                 p.size for p in trainer.replicas[0][0].module.parameters()
             )
-            allreduce = ring_allreduce_bytes(stage0_params, 2) * 4  # 4 rounds
+            # A 2-member ring moves 2 (m-1) = 2 copies; 4 rounds.
+            allreduce = 2 * stage0_params * 8 * 4
             assert trainer.network.total_bytes == boundary + allreduce, (
                 trainer_cls)
             assert trainer.network.in_flight() == 0

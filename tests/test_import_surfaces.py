@@ -114,11 +114,3 @@ def test_the_report_names_the_importer():
     rows = importtime("from repro.profiler import profile_model")
     assert first_training_module(rows) == (
         "repro.autodiff.engine (imported by repro.profiler.measured)")
-
-
-def test_a_name_that_shadows_its_submodule_stays_the_name():
-    """Importing ``repro.autodiff.gradcheck`` binds the module on the
-    package; the package's ``gradcheck`` must still be the function."""
-    importtime("import repro.autodiff.gradcheck\n"
-               "from repro.autodiff import gradcheck\n"
-               "assert callable(gradcheck), gradcheck\n")

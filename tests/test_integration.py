@@ -61,12 +61,12 @@ class TestFullWorkflow:
             [Stage(0, 2, 1), Stage(2, 3, 1), Stage(3, 4, 1), Stage(4, 5, 1)],
             [Stage(0, 4, 3), Stage(4, 5, 1)],
         ]
-        from repro.core.partition import evaluate_partition
+        from repro.core.partition import evaluate_partition_on_topology
 
         predicted, simulated = [], []
         for stages in configs:
             predicted.append(
-                1.0 / evaluate_partition(toy_profile, stages, 5000.0)
+                1.0 / evaluate_partition_on_topology(toy_profile, stages, topo)
             )
             result = simulate_partition(toy_profile, topo, stages, num_minibatches=40)
             simulated.append(result.throughput)

@@ -1,4 +1,4 @@
-"""Model zoo: construction, tracing, stage slicing."""
+"""Model zoo: construction, per-layer profiles, stage slicing."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,18 @@ from repro.models import (
 )
 from repro.models.base import LayeredModel
 from repro.nn import Linear, ReLU, Sequential
+from repro.profiler import profile_model
+
+
+def one_sample_profile(model, shape, dtype=float):
+    """The model's per-layer description, traced at one sample; the
+    engine computes in float64, so bytes are 8 per element."""
+    return profile_model(model, np.zeros((1, *shape), dtype=dtype),
+                         num_iterations=1, warmup=0)
+
+
+def elements(nbytes):
+    return nbytes // 8
 
 
 class TestLayeredModel:
@@ -49,15 +61,24 @@ class TestLayeredModel:
 
     def test_layer_graph_param_counts(self, rng):
         model = build_mlp(in_features=8, hidden=(4,), num_classes=3, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 8)))
-        assert graph.total_params == model.num_parameters()
-        assert [l.name for l in graph] == model.layer_names
+        profile = one_sample_profile(model, (8,))
+        assert elements(profile.total_weight_bytes) == model.num_parameters()
+        assert [l.name for l in profile] == model.layer_names
 
     def test_layer_graph_activation_elements(self, rng):
         model = build_mlp(in_features=8, hidden=(4,), num_classes=3, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 8)))
-        assert graph.layers[0].output_elements == 4
-        assert graph.layers[1].output_elements == 3
+        profile = one_sample_profile(model, (8,))
+        assert elements(profile.layers[0].activation_bytes) == 4
+        assert elements(profile.layers[1].activation_bytes) == 3
+
+    def test_profile_kinds_classified(self, rng):
+        model = build_vgg(scale=0.25, rng=rng)
+        profile = one_sample_profile(model, (3, 32, 32))
+        kinds = {l.name: l.kind for l in profile}
+        assert kinds["conv1_1"] == "conv"
+        assert kinds["pool1"] == "pool"
+        assert kinds["fc8"] == "fc"
+        assert kinds["flatten"] == "flatten"
 
 
 class TestVGG:
@@ -75,16 +96,16 @@ class TestVGG:
     def test_fc_holds_most_weights(self, rng):
         """The property behind the 15-1 configuration."""
         model = build_vgg(scale=0.5, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 3, 32, 32)))
-        fc_params = sum(l.param_count for l in graph if l.name.startswith("fc"))
-        assert fc_params > 0.4 * graph.total_params
+        profile = one_sample_profile(model, (3, 32, 32))
+        fc_bytes = sum(l.weight_bytes for l in profile if l.name.startswith("fc"))
+        assert fc_bytes > 0.4 * profile.total_weight_bytes
 
     def test_conv_activations_dominate(self, rng):
         model = build_vgg(scale=0.5, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 3, 32, 32)))
-        conv1 = graph.layers[0]
-        fc = graph.layers[-1]
-        assert conv1.output_elements > 50 * fc.output_elements
+        profile = one_sample_profile(model, (3, 32, 32))
+        conv1 = profile.layers[0]
+        fc = profile.layers[-1]
+        assert conv1.activation_bytes > 50 * fc.activation_bytes
 
     def test_small_image_rejected(self, rng):
         with pytest.raises(ValueError):
@@ -103,9 +124,9 @@ class TestResNet:
     def test_compact_weights_large_activations(self, rng):
         """ResNet's signature: activations dwarf weights early on."""
         model = build_resnet(blocks_per_group=1, base_channels=8, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 3, 32, 32)))
-        stem = graph.layers[0]
-        assert stem.output_elements > stem.param_count
+        profile = one_sample_profile(model, (3, 32, 32))
+        stem = profile.layers[0]
+        assert stem.activation_bytes > stem.weight_bytes
 
     def test_trains_one_step(self, rng):
         from repro.nn import CrossEntropyLoss
@@ -157,9 +178,9 @@ class TestSequenceModels:
     def test_awd_lm_weight_heavy(self, rng):
         """LSTM/decoder weights dominate activations (the paper's 0.41GB)."""
         model = build_awd_lm(vocab_size=64, embed_size=24, hidden_size=32, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 5), dtype=np.int64))
-        lstm_params = sum(l.param_count for l in graph if l.kind == "lstm")
-        assert lstm_params > 0.4 * graph.total_params
+        profile = one_sample_profile(model, (5,), dtype=np.int64)
+        lstm_bytes = sum(l.weight_bytes for l in profile if l.kind == "lstm")
+        assert lstm_bytes > 0.4 * profile.total_weight_bytes
 
     def test_s2vt_shapes(self, rng):
         model = build_s2vt(feature_size=10, hidden_size=6, vocab_size=9, rng=rng)
@@ -168,35 +189,3 @@ class TestSequenceModels:
 
     def test_s2vt_layer_count(self, rng):
         assert build_s2vt(rng=rng).num_layers == 4
-
-
-class TestLayerGraphAPI:
-    def test_index_of(self, rng):
-        graph = build_mlp(rng=rng).layer_graph(np.zeros((1, 16)))
-        assert graph.index_of("fc1") == 0
-        with pytest.raises(KeyError):
-            graph.index_of("nope")
-
-    def test_slice(self, rng):
-        graph = build_mlp(rng=rng).layer_graph(np.zeros((1, 16)))
-        sub = graph[1:3]
-        assert len(sub) == 2
-
-    def test_stage_names(self, rng):
-        graph = build_mlp(rng=rng).layer_graph(np.zeros((1, 16)))
-        names = graph.stage_names([(0, 2), (2, 3)])
-        assert names == ["fc1..fc2", "head..head"]
-
-    def test_kinds_classified(self, rng):
-        model = build_vgg(scale=0.25, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 3, 32, 32)))
-        kinds = {l.name: l.kind for l in graph}
-        assert kinds["conv1_1"] == "conv"
-        assert kinds["pool1"] == "pool"
-        assert kinds["fc8"] == "fc"
-        assert kinds["flatten"] == "flatten"
-
-    def test_builder_returns_module(self, rng):
-        graph = build_mlp(rng=rng).layer_graph(np.zeros((1, 16)))
-        module = graph.layers[0].build()
-        assert module is not None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.nn import (
     BatchNorm2d,
     Conv2d,
@@ -22,6 +22,7 @@ from repro.nn import (
     Sigmoid,
     Tanh,
 )
+from tests.oracles.gradcheck import gradcheck
 
 
 class TestModule:

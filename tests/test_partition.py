@@ -7,10 +7,8 @@ import pytest
 from repro.core.partition import (
     PipeDreamOptimizer,
     Stage,
-    allreduce_bytes_per_worker,
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
-    evaluate_partition,
     evaluate_partition_on_topology,
 )
 from repro.core.profile import LayerProfile, ModelProfile
@@ -170,26 +168,25 @@ class TestMemoryLimit:
 
 
 class TestCostAccounting:
-    def test_allreduce_bytes(self):
-        assert allreduce_bytes_per_worker(100, 1) == 0.0
-        assert allreduce_bytes_per_worker(100, 4) == pytest.approx(150.0)
-
     def test_evaluate_partition_single_stage(self, toy_profile):
-        cost = evaluate_partition(toy_profile, [Stage(0, 5, 1)], bandwidth=100.0)
-        assert cost == pytest.approx(toy_profile.total_compute_time)
+        cost = evaluate_partition_on_topology(
+            toy_profile, [Stage(0, 5, 1)], make_cluster("t", 2, 1, 100.0, 100.0))
+        assert cost == pytest.approx(toy_profile.total_compute_time, rel=1e-12)
 
     def test_evaluate_partition_includes_boundary(self, toy_profile):
         stages = [Stage(0, 3, 1), Stage(3, 5, 1)]
-        cost = evaluate_partition(toy_profile, stages, bandwidth=1.0)
+        cost = evaluate_partition_on_topology(
+            toy_profile, stages, make_cluster("t", 2, 1, 1.0, 1.0))
         # Boundary = 2 * a_2 / B = 1200 dominates.
-        assert cost == pytest.approx(1200.0)
+        assert cost == pytest.approx(1200.0, rel=1e-12)
 
     def test_evaluate_partition_checks_coverage(self, toy_profile):
+        flat = make_cluster("t", 2, 1, 1.0, 1.0)
         with pytest.raises(ValueError):
-            evaluate_partition(toy_profile, [Stage(0, 3, 1)], bandwidth=1.0)
+            evaluate_partition_on_topology(toy_profile, [Stage(0, 3, 1)], flat)
         with pytest.raises(ValueError):
-            evaluate_partition(
-                toy_profile, [Stage(0, 3, 1), Stage(4, 5, 1)], bandwidth=1.0
+            evaluate_partition_on_topology(
+                toy_profile, [Stage(0, 3, 1), Stage(4, 5, 1)], flat
             )
 
     def test_communication_volume_dp_vs_pipeline(self, toy_profile):

@@ -17,8 +17,6 @@ from repro.profiler.analytic import (
     resnet50_layers,
     vgg16_layers,
 )
-from repro.profiler.flops import flops_of
-from repro.nn import Conv2d, Linear, LSTM
 
 
 class TestMeasuredProfiler:
@@ -60,7 +58,7 @@ class TestMeasuredProfiler:
         fp32 default (4), not the engine's float64 (8) — otherwise the
         same model gets 2x-different allreduce sizing depending on which
         profiler built its profile."""
-        from repro.comm.collective import allreduce_bytes_for_profile
+        from repro.core.partition import data_parallel_bytes_per_minibatch
         from repro.models.base import LayeredModel
         from repro.nn import ReLU
 
@@ -71,42 +69,22 @@ class TestMeasuredProfiler:
         assert measured.bytes_per_element == analytic.bytes_per_element == 4
         # Zero weights -> zero allreduce volume on both paths, and the
         # divisor the sizing uses is identical for both profiles.
-        assert allreduce_bytes_for_profile(measured, 4) == 0
+        assert data_parallel_bytes_per_minibatch(measured, 4) == 0
         assert measured.total_weight_bytes == 0
 
     def test_parameterized_model_reads_dtype(self, rng):
         """With parameters present the element width still comes from the
         arrays themselves (the engine runs float64 today)."""
-        from repro.comm.collective import allreduce_bytes_for_profile
+        from repro.core.partition import data_parallel_bytes_per_minibatch
 
         model = build_mlp(rng=rng)
         profile = profile_model(model, rng.standard_normal((8, 16)),
                                 num_iterations=1, warmup=0)
         assert profile.bytes_per_element == 8
-        # allreduce element count = weight bytes / element width; sizing
-        # re-applies the profile's own width, so the closed-form volume
-        # 2 (m-1) |w| is exact in bytes.
-        assert allreduce_bytes_for_profile(profile, 4) == \
+        # A round of 4 minibatches moves the ring volume 2 (m-1) |w|,
+        # exact in bytes.
+        assert 4 * data_parallel_bytes_per_minibatch(profile, 4) == \
             2 * 3 * profile.total_weight_bytes
-
-
-class TestFlopsEstimates:
-    def test_conv_flops(self, rng):
-        conv = Conv2d(3, 8, 3, padding=1, rng=rng)
-        flops = flops_of(conv, (1, 3, 8, 8), (1, 8, 8, 8))
-        assert flops == 8 * 8 * 8 * 3 * 9
-
-    def test_linear_flops(self, rng):
-        fc = Linear(10, 5, rng=rng)
-        assert flops_of(fc, (1, 10), (1, 5)) == 50
-
-    def test_linear_sequence_flops(self, rng):
-        fc = Linear(10, 5, rng=rng)
-        assert flops_of(fc, (1, 7, 10), (1, 7, 5)) == 7 * 50
-
-    def test_lstm_flops(self, rng):
-        lstm = LSTM(4, 6, rng=rng)
-        assert flops_of(lstm, (1, 5, 4), (1, 5, 6)) == 5 * 4 * 6 * 10
 
 
 class TestAnalyticProfiles:

@@ -10,7 +10,7 @@ from repro.core.partition import (
     PipeDreamOptimizer,
     Stage,
     communication_bytes_per_minibatch,
-    evaluate_partition,
+    evaluate_partition_on_topology,
 )
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.schedule import (
@@ -101,8 +101,8 @@ class TestPartitionerProperties:
         profile = build_profile(spec)
         topo = make_cluster("h", workers, 1, bandwidth, bandwidth)
         result = PipeDreamOptimizer(profile, topo).solve()
-        evaluated = evaluate_partition(profile, result.stages, bandwidth)
-        assert result.slowest_stage_time == pytest.approx(evaluated)
+        evaluated = evaluate_partition_on_topology(profile, result.stages, topo)
+        assert result.slowest_stage_time == pytest.approx(evaluated, rel=1e-12)
 
     @settings(max_examples=20, deadline=None)
     @given(spec=layer_lists)

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.comm import Network, ring_allreduce, ring_allreduce_bytes
-from repro.core.deploy import DeploymentPlan, deserialize_schedule, serialize_schedule
-from repro.core.partition import Stage
+from repro.comm import Network, ring_allreduce
+from repro.core.deploy import DeploymentPlan
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.partition import PipeDreamOptimizer
-from repro.core.schedule import one_f_one_b_rr_schedule, validate_schedule
 from repro.core.topology import make_cluster
 
 
@@ -33,7 +31,7 @@ class TestAllReduceProperties:
     def test_bytes_always_match_closed_form(self, m, size):
         network = Network()
         ring_allreduce([{"w": np.zeros(size)} for _ in range(m)], network)
-        assert network.total_bytes == ring_allreduce_bytes(size, m)
+        assert network.total_bytes == 2 * (m - 1) * size * 8
         assert network.in_flight() == 0
 
     @settings(max_examples=30, deadline=None)
@@ -58,19 +56,7 @@ class TestAllReduceProperties:
         np.testing.assert_allclose(summed, m * averaged, atol=1e-9)
 
 
-configs = st.lists(st.integers(1, 4), min_size=1, max_size=4)
-
-
 class TestDeployProperties:
-    @settings(max_examples=30, deadline=None)
-    @given(config=configs, minibatches=st.integers(1, 12))
-    def test_schedule_serialization_roundtrip(self, config, minibatches):
-        stages = [Stage(i, i + 1, r) for i, r in enumerate(config)]
-        schedule = one_f_one_b_rr_schedule(stages, minibatches)
-        restored = deserialize_schedule(serialize_schedule(schedule))
-        assert restored.worker_ops == schedule.worker_ops
-        validate_schedule(restored)
-
     @settings(max_examples=25, deadline=None)
     @given(
         n_layers=st.integers(2, 5),

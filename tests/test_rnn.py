@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.nn import LSTM, LSTMCell
+from tests.oracles.gradcheck import gradcheck
 
 
 class TestLSTMCell:

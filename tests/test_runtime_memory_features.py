@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.partition import Stage
+from repro.core.schedule import warmup_count
 from repro.data import make_classification_data, make_seq2seq_data
 from repro.models import build_gnmt, build_mlp
 from repro.nn import CrossEntropyLoss
@@ -141,13 +142,18 @@ class TestGradientAccumulation:
         assert losses[-1] < 0.5 * losses[0]
 
 
+def two_buffered(lr):
+    """PipeDream-2BW: aggregate gradients over the pipeline's warmup depth."""
+    return PipelineTrainer(fresh_model(), STAGES, LOSS,
+                           lambda ps: SGD(ps, lr=lr),
+                           gradient_accumulation=warmup_count(STAGES, 0))
+
+
 class TestTwoBufferedWeights:
     """PipeDream-2BW extension: at most two live weight versions."""
 
     def test_live_versions_bounded_by_two(self, task):
-        model = fresh_model()
-        trainer = PipelineTrainer.two_buffered(
-            model, STAGES, LOSS, lambda ps: SGD(ps, lr=0.05))
+        trainer = two_buffered(lr=0.05)
         for _ in range(3):
             trainer.train_minibatches(task)
         assert max(trainer.stats.peak_live_versions.values()) <= 2
@@ -161,12 +167,10 @@ class TestTwoBufferedWeights:
         assert trainer.stats.peak_live_versions[0] > 2
 
     def test_two_buffered_converges(self, task):
-        trainer = PipelineTrainer.two_buffered(
-            fresh_model(), STAGES, LOSS, lambda ps: SGD(ps, lr=0.1))
+        trainer = two_buffered(lr=0.1)
         losses = [trainer.train_minibatches(task) for _ in range(6)]
         assert losses[-1] < 0.6 * losses[0]
 
     def test_accumulation_window_is_warmup_depth(self, task):
-        trainer = PipelineTrainer.two_buffered(
-            fresh_model(), STAGES, LOSS, lambda ps: SGD(ps, lr=0.05))
+        trainer = two_buffered(lr=0.05)
         assert trainer.gradient_accumulation == 3  # 3-stage straight pipeline

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.core.partition import Stage
 from repro.models.seq2seq import (
     LuongAttention,
@@ -18,6 +18,7 @@ from repro.runtime import (
     ThreadedPipelineTrainer,
     evaluate_accuracy,
 )
+from tests.oracles.gradcheck import gradcheck
 
 LOSS = CrossEntropyLoss()
 
@@ -84,11 +85,13 @@ class TestModel:
         assert logits.shape == (4, 5, 10)
 
     def test_layer_graph_traces_tuples(self, task):
+        from repro.profiler import profile_model
+
         (src, tgt_in), _, _ = task
         model = build()
-        graph = model.layer_graph((src[:1], tgt_in[:1]))
-        assert len(graph) == model.num_layers
-        assert all(l.output_elements > 0 for l in graph)
+        profile = profile_model(model, (src[:1], tgt_in[:1]), 1, 0)
+        assert len(profile) == model.num_layers
+        assert all(l.activation_bytes > 0 for l in profile)
 
     def test_learns_reversal(self, task):
         """Reversal needs attention: output t depends on input S-1-t."""

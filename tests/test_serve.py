@@ -470,6 +470,12 @@ class TestHTTPTransport:
          "bad counts '4': expected a list"),
         ("/sweep", {"models": ["vgg16"], "counts": ["4"]},
          "bad counts '4': expected int"),
+    ] + [
+        # Run lengths are capped at MAX_MINIBATCHES.
+        ("/simulate", {"model": "vgg16", "minibatches": 10001},
+         "minibatches must be an int <= 10000"),
+        ("/sweep", {"models": ["vgg16"], "counts": [4], "minibatches": 10001},
+         "minibatches must be an int <= 10000"),
     ])
     def test_malformed_field_is_400_not_500(self, server, endpoint, body,
                                             message):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.autodiff import Tensor, gradcheck
+from repro.autodiff import Tensor
 from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.topology import make_cluster
 from repro.data import make_lm_data
@@ -17,6 +17,7 @@ from repro.nn.attention import (
 from repro.optim import Adam
 from repro.profiler import profile_model
 from repro.runtime import PipelineTrainer, SequentialTrainer, evaluate_accuracy
+from tests.oracles.gradcheck import gradcheck
 
 
 class TestLayerNorm:
@@ -98,8 +99,9 @@ class TestTransformerModel:
     def test_layer_graph_kinds(self, rng):
         model = build_transformer(num_layers=2, vocab_size=16, dim=8,
                                   num_heads=2, rng=rng)
-        graph = model.layer_graph(np.zeros((1, 6), dtype=np.int64))
-        kinds = [l.kind for l in graph]
+        profile = profile_model(model, np.zeros((1, 6), dtype=np.int64),
+                                num_iterations=1, warmup=0)
+        kinds = [l.kind for l in profile]
         assert kinds == ["embedding", "attention", "attention", "norm", "fc"]
 
     def test_sequence_too_long_rejected(self, rng):

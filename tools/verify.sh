@@ -2,9 +2,10 @@
 # Single verification entry point, running every CI step in CI's order:
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
 # seeded chaos suite, the elastic-recovery smoke, the threaded-runtime
-# example, the quickstart / cluster-planner / DAG examples, the
-# planner-service smoke, the end-to-end benchmark's selftest
-# (its pinned call surface), and the perf-regression gate.
+# example, the quickstart / cluster-planner / DAG / image-classification /
+# GNMT-translation examples, the planner-service smoke, the end-to-end
+# benchmark's selftest (its pinned call surface), and the perf-regression
+# gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,6 +39,8 @@ echo "== documented examples =="
 python examples/quickstart.py
 python examples/cluster_planner.py
 python examples/dag_partitioning.py
+python examples/image_classification.py
+python examples/translation_gnmt.py
 
 echo
 echo "== planner service smoke =="
