@@ -776,52 +776,41 @@ class PipeDreamOptimizer:
           slowest one, e.g. the group straddling a machine boundary).
           A one-worker group at ``t = 1`` prices 0.
 
-        Along row ``m`` each step ``mp += t`` adds one shard group, so
-        both factors are grown, not re-walked: each distinct shard group is
-        priced once (:func:`repro.sim.network.allreduce_cost_factors`) and
-        a cell keeps the running max; the added representative joins its
-        parent's child set at every level, and the level's ring size is
-        the running max of those set sizes — exactly the integers
-        :meth:`~repro.sim.network.Placement.ring_sizes` counts, priced by
-        the same :func:`~repro.sim.network.ring_cost_factors` loop, so the
-        planner and the simulator agree bitwise.  Returns ``(dp_coeff,
-        dp_lat, tp_coeff, tp_lat)`` tables indexed ``[m][mp]``.
+        Every cell is priced in array passes.  Cell ``mp`` of row ``m``
+        holds the first ``mp/t`` representatives, so its per-level ring
+        sizes are running maxima of segmented cumulative counts along the
+        row (:func:`_prefix_ring_sizes`, the integers
+        :meth:`~repro.sim.network.Placement.ring_sizes` counts); each
+        shard group's sizes are the last prefix of its own row.  Each
+        distinct size tuple, strided or shard, is priced by one
+        :func:`~repro.sim.network.ring_cost_factors` call, so the planner
+        and the simulator agree bitwise, and a row's shard factor is the
+        running max of its groups'.  Returns ``(dp_coeff, dp_lat,
+        tp_coeff, tp_lat)`` as ``(W+1, W+1)`` arrays indexed ``[m][mp]``
+        (0 off the cells).
         """
-        from repro.sim.network import (
-            Placement, allreduce_cost_factors, ring_cost_factors)
+        from repro.sim.network import ring_cost_factors
 
-        placement = Placement(topology)
         W = topology.total_workers
-        # Worker w's level-k component is w // per[k] (innermost first).
-        per = [1]
-        for level in topology.levels:
-            per.append(per[-1] * level.count)
-        depth = range(topology.num_levels)
-        dp_c, dp_l, tp_c, tp_l = (
-            [[0.0] * (m + 1) for m in range(W + 1)] for _ in range(4))
-        shard = [
-            allreduce_cost_factors(placement, list(range(w, w + t)))
-            for w in range(W - t + 1)
-        ]
-        ring = functools.cache(functools.partial(ring_cost_factors, topology))
-        for m in range(t, W + 1):
-            worst_c = worst_l = 0.0
-            children = [{} for _ in depth]
-            sizes = [0] * topology.num_levels
-            for mp in range(t, m + 1, t):
-                rep = W - m + mp - t
-                for k in depth:
-                    members = children[k].setdefault(rep // per[k + 1], set())
-                    members.add(rep // per[k])
-                    sizes[k] = max(sizes[k], len(members))
-                if mp > t:
-                    dp_c[m][mp], dp_l[m][mp] = ring(tuple(sizes))
-                c, l = shard[rep]
-                worst_c = max(worst_c, c)
-                worst_l = max(worst_l, l)
-                tp_c[m][mp] = worst_c
-                tp_l[m][mp] = worst_l
-        return dp_c, dp_l, tp_c, tp_l
+        # Row m - t lists row m's representatives W-m+q*t; row w of
+        # ``shards`` the shard group starting at worker w.
+        m = np.arange(t, W + 1)[:, None]
+        q = np.arange(W // t)[None, :]
+        valid = q < m // t
+        reps = np.minimum(W - m + q * t, W - t)  # past a row's end: unread
+        shards = np.arange(max(W - t + 1, 0))[:, None] + np.arange(t)
+        # One (coeff, lat) per strided cell, then one per shard group.
+        sizes = np.concatenate([_prefix_ring_sizes(topology, reps)[valid],
+                                _prefix_ring_sizes(topology, shards)[:, -1]])
+        at, of = _distinct(*sizes.T)
+        priced = np.array([ring_cost_factors(topology, sizes[e].tolist())
+                           for e in at]).reshape(-1, 2)[of]
+        row, col = np.nonzero(valid)
+        tables = np.zeros((4, W + 1, W + 1))
+        tables[:2, row + t, (col + 1) * t] = priced[:len(row)].T
+        worst = np.maximum.accumulate(priced[len(row):][reps], axis=1)
+        tables[2:, row + t, (col + 1) * t] = worst[valid].T
+        return tuple(tables)
 
     def _refined_row_keys(self, W: int, link_bw, tables) -> List[tuple]:
         """Chained placement signatures for suffix-DP rows ``1..W``.
@@ -850,7 +839,8 @@ class PipeDreamOptimizer:
                 link_bw[min(W - m + mp, W - 1)] for mp in range(1, m + 1)
             )
             rings = tuple(
-                (t,) + tuple(tuple(table[m][1 : m + 1]) for table in tabs)
+                (t,) + tuple(np.asarray(table[m][1 : m + 1]).tobytes()
+                             for table in tabs)
                 for t, tabs in tables.items()
             )
             chain = (bw_m, rings, chain)
@@ -932,8 +922,8 @@ class PipeDreamOptimizer:
         ``replicas`` logical replicas of ``t`` shards.  Integer
         ``versions`` / ``replicas`` give ``(n, n)`` masks; ``(K, 1, 1)``
         integer arrays give ``(K, n, n)`` stacks, one per entry, which is
-        how the suffix DP prices every distinct ``(ceil(m/mp), mp/t)`` in
-        one call (:meth:`_refined_planes`).
+        how the suffix DP prices every distinct mask key in one call
+        (:meth:`_refined_planes`).
         """
         tb = self._span_tables()
         limit = self.memory_limit_bytes
@@ -998,10 +988,13 @@ class PipeDreamOptimizer:
         """The masked stage-time planes the suffix-DP rows ``rows`` read.
 
         Per degree ``t``, cell ``(m, mp)`` (``mp = t, 2t, … <= m``) needs
-        the memory masks at depth ``ceil(m/mp)`` and ``mp/t`` replicas
-        (:meth:`_refined_fits`) and the stage times at ``mp/t`` replicas
-        over its ring entries (:meth:`_tp_plane`); both repeat across
-        cells.  Each distinct key is priced once, in one batched kernel
+        the memory masks at depth ``d = ceil(m/mp)`` and ``r = mp/t``
+        replicas (:meth:`_refined_fits`) and the stage times at ``r``
+        replicas over its ring entries (:meth:`_tp_plane`); both repeat
+        across cells.  The kernel reads ``r`` only through the stash
+        versions ``ceil(d/r)``, so masks are keyed ``(d, ceil(d/r))`` and
+        priced at one representative cell's real ``r``.  Each distinct
+        key is priced once, in one batched kernel
         call per checkpoint depth over ``(K, 1, 1)`` key arrays, and each
         distinct (mask, time) pair is masked once: checkpointed times
         where they fit, stash-everything over them where *those* fit.
@@ -1017,10 +1010,10 @@ class PipeDreamOptimizer:
                 break
             # One entry per cell: rows in order, mp ascending within each.
             mp = np.concatenate([np.arange(t, m + 1, t) for m in ms])
-            depths = -(-np.repeat(ms, [m // t for m in ms]) // mp)
-            rings = [np.concatenate([table[m][t::t] for m in ms])
-                     for table in tables[t]]
-            fits_at, fits_of = _distinct(depths, mp // t)
+            row = np.repeat(ms, [m // t for m in ms])
+            depths = -(-row // mp)
+            rings = [table[row, mp] for table in tables[t]]
+            fits_at, fits_of = _distinct(depths, -(-depths // (mp // t)))
             time_at, time_of = _distinct(mp // t, *rings)
             pair_at, pair_of = _distinct(fits_of, time_of)
             fits = self._refined_fits(depths[fits_at, None, None],
@@ -1373,19 +1366,40 @@ class PipeDreamOptimizer:
         return left + right
 
 
+def _prefix_ring_sizes(topology: Topology, members: np.ndarray) -> np.ndarray:
+    """``(R, C, levels)`` per-level ring sizes
+    (:meth:`~repro.sim.network.Placement.ring_sizes`) of every prefix
+    ``members[r, :c+1]`` of ``(R, C)`` rows of ascending worker ids.  A
+    level's parents and children are runs along a row, so the child count
+    under the current parent is a cumulative count of child changes minus
+    the count where that parent's run began, and the ring size is its
+    running max."""
+    sizes, per = [], 1
+    for level in topology.levels:
+        child, per = members // per, per * level.count
+        count = np.cumsum(np.diff(child, axis=1, prepend=-1) > 0, axis=1)
+        start = np.diff(members // per, axis=1, prepend=-1) > 0
+        count -= np.maximum.accumulate(np.where(start, count - 1, 0), axis=1)
+        sizes.append(np.maximum.accumulate(count, axis=1))
+    return np.stack(sizes, axis=-1)
+
+
 def _distinct(*columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """``(at, of)`` over equal-length 1-D key columns: ``at`` indexes one
     entry per distinct key tuple, and entry ``e``'s key is that of
-    ``at[of[e]]``.  Each column is ranked by a 1-D sort and folded into
-    the running code, which is re-ranked densely after every column — so
-    it stays below ``len(entries)**2`` and cannot overflow — and no tuple
-    is hashed or compared."""
-    at, code = None, np.zeros(len(columns[0]), dtype=np.int64)
+    ``at[of[e]]``.  One stable lexicographic sort (``np.lexsort``) puts
+    equal key tuples next to each other and a group starts wherever a
+    column changes, so no tuple is hashed and no combined code can
+    overflow; ``at`` is each group's first entry, in key order."""
+    order = np.lexsort(columns[::-1])
+    start = np.zeros(len(order), dtype=bool)
+    start[:1] = True
     for column in columns:
-        values, rank = np.unique(column, return_inverse=True)
-        _, at, code = np.unique(code * len(values) + rank,
-                                return_index=True, return_inverse=True)
-    return at, code
+        ranked = column[order]
+        start[1:] |= ranked[1:] != ranked[:-1]
+    of = np.empty_like(order)
+    of[order] = np.cumsum(start) - 1
+    return order[start], of
 
 
 # ----------------------------------------------------------------------

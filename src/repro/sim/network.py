@@ -106,9 +106,11 @@ def transfer_time(placement: Placement, src: int, dst: int, num_bytes: float) ->
     return num_bytes / placement.link_bandwidth(src, dst)
 
 
-def allreduce_cost_factors(placement: Placement, workers: Sequence[int]) -> Tuple[float, float]:
-    """Per-byte coefficient and fixed latency of a ring all_reduce over
-    ``workers`` — ``allreduce_time`` decomposed as ``coeff * bytes + lat``.
+def ring_cost_factors(topology: Topology, sizes: Sequence[int]) -> Tuple[float, float]:
+    """``(coeff, lat)`` of a ring all_reduce with per-level ring ``sizes``
+    (:meth:`Placement.ring_sizes`) — :func:`allreduce_time` decomposed as
+    ``coeff * bytes + lat``, the one spelling of the per-level sum the
+    planner's ring tables read.
 
     The planner's tensor-parallel cells price a stage's dp replica group
     and tp shard groups as *separate* collectives over the worker ids each
@@ -118,18 +120,7 @@ def allreduce_cost_factors(placement: Placement, workers: Sequence[int]) -> Tupl
     planner's pricing identical to the simulator's, which also runs the
     groups separately.  A level a group does not span (ring size 1)
     contributes neither bandwidth nor α, exactly as in
-    :func:`allreduce_time`.
-    """
-    if len(workers) <= 1:
-        return 0.0, 0.0
-    return ring_cost_factors(placement.topology, placement.ring_sizes(workers))
-
-
-def ring_cost_factors(topology: Topology, sizes: Sequence[int]) -> Tuple[float, float]:
-    """``(coeff, lat)`` of a ring all_reduce with per-level ring ``sizes``
-    (:meth:`Placement.ring_sizes`): the one spelling of the per-level sum
-    :func:`allreduce_cost_factors` and the planner's incrementally grown
-    strided groups share, so both produce the same float bits."""
+    :func:`allreduce_time`."""
     coeff = 0.0
     lat = 0.0
     for k, level in enumerate(topology.levels):

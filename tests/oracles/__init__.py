@@ -4,7 +4,9 @@ Production code carries one implementation of each idea; the slower or
 more literal twin lives here, where only tests import it:
 
 - :class:`ReferenceOptimizer` — scalar loop-nest forms of the level DP
-  and the refined suffix DP (``partition_reference.py``);
+  and the refined suffix DP, and the group-walk
+  :func:`~tests.oracles.partition_reference.allreduce_cost_factors` its
+  ring tables call (``partition_reference.py``);
 - :func:`evaluate_details_closed_form` — the numpy closed-form plan
   evaluator, a second derivation of the placement/all_reduce pricing
   (``evaluator_closed_form.py``);

@@ -26,6 +26,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.topology import Topology
+from repro.sim.network import Placement, ring_cost_factors
+
+
+def allreduce_cost_factors(placement: Placement,
+                           workers: Sequence[int]) -> Tuple[float, float]:
+    """``(coeff, lat)`` of a ring all_reduce over the group ``workers``,
+    walked from the group itself (production prices its array-built ring
+    sizes through :func:`~repro.sim.network.ring_cost_factors`).  A group
+    of at most one worker is free."""
+    if len(workers) <= 1:
+        return 0.0, 0.0
+    return ring_cost_factors(placement.topology, placement.ring_sizes(workers))
 
 
 class ReferenceOptimizer(PipeDreamOptimizer):
@@ -241,8 +253,6 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         distinct group once and keeps a running max).  At ``t = 1`` the
         replica group is the contiguous span and every shard group one
         worker."""
-        from repro.sim.network import Placement, allreduce_cost_factors
-
         placement = Placement(topology)
         W = topology.total_workers
         dp_c = [[0.0] * (m + 1) for m in range(W + 1)]

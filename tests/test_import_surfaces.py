@@ -110,6 +110,29 @@ def test_planning_never_loads_the_training_stack(check):
         assert len(loaded(rows)) <= 25, sorted(loaded(rows))
 
 
+#: ``numpy.ma`` costs about a megabyte of RSS; a plain ``np.unique(x)``
+#: imports it, ``return_inverse`` / ``return_index`` calls do not.
+NO_MASKED_ARRAYS = {
+    "capped-recompute-tp-solve": """
+from repro.api import PipeDreamOptimizer, analytic_profile, cluster_a
+profile, topology = analytic_profile("gnmt8"), cluster_a(2)
+free = PipeDreamOptimizer(profile, topology).solve()
+PipeDreamOptimizer(profile, topology, recompute="auto", tp_degrees=(1, 2, 4),
+                   memory_limit_bytes=0.4 * max(free.memory_bytes)).solve()
+""",
+    "simulate": CHECKS["simulate"],
+    "sweep": CHECKS["sweep"],
+}
+
+
+@pytest.mark.parametrize("check", sorted(NO_MASKED_ARRAYS))
+def test_planning_never_loads_numpy_ma(check):
+    rows = importtime(NO_MASKED_ARRAYS[check])
+    names = [name for _, name in rows]
+    assert "numpy.ma" not in names, (
+        importer(rows, names.index("numpy.ma")) or "the check")
+
+
 def test_the_report_names_the_importer():
     rows = importtime("from repro.profiler import profile_model")
     assert first_training_module(rows) == (

@@ -7,10 +7,10 @@ Two reductions are locked down here, both required to leave every plan
   ``A(0→n-1, m_L)`` and its left operands ``A(0→s, m-m')`` never leave
   it), so the top level costs ``O(N² m²)`` instead of ``O(N³ m²)``;
 - the refined suffix DP builds each memory / stage-time plane once per
-  distinct ``(depth, replicas, tp)`` / ``(mp, coeff, lat)`` — batched, one
-  kernel call per degree and checkpoint depth, for the rows a shared
-  context does not already hold — and prices each distinct tp shard
-  group and ring-size tuple once.
+  distinct ``(depth, ceil(depth/replicas), tp)`` / ``(mp, coeff, lat)``
+  — batched, one kernel call per degree and checkpoint depth, for the
+  rows a shared context does not already hold — and prices each
+  distinct ring-size tuple once.
 
 The oracle (:class:`tests.oracles.ReferenceOptimizer`) fills every span of
 every level and recomputes every plane and group per cell.
@@ -33,8 +33,9 @@ from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import memory_ceiling
-from repro.sim.network import Placement, allreduce_cost_factors
+from repro.sim.network import Placement
 from tests.oracles import ReferenceOptimizer
+from tests.oracles.partition_reference import allreduce_cost_factors
 
 
 def toy_profile(num_layers, name="toy"):
@@ -221,12 +222,28 @@ class TestRefinedPlaneMemoisation:
     OPTIONS = dict(recompute="auto", tp_degrees=(1, 2, 4))
 
     def test_deduplicated_tp_tables_equal_exhaustive_ones(self):
-        profile = toy_profile(4)
-        prod = PipeDreamOptimizer(profile, self.TOPO, **self.OPTIONS)
-        ref = ReferenceOptimizer(profile, self.TOPO, **self.OPTIONS)
-        for t in (1, 2, 4):
-            assert (prod._refined_tp_tables(self.TOPO, t)
-                    == ref._refined_tp_tables(self.TOPO, t))
+        """Every cell of the array-built ring tables carries the oracle's
+        float bits, on 1-3 level topologies of W = 1..64 workers, for
+        degrees that divide W, that do not, and that exceed it."""
+        for counts in [(1,), (3,), (8,), (12,), (4, 3), (4, 16), (2, 2, 3),
+                       (2, 2, 2)]:
+            topology = Topology("t", [
+                TopologyLevel(count, 1e9 / (k + 1), 0.5 / (k + 1),
+                              (0.0, 5e-5, 3e-3)[k])
+                for k, count in enumerate(counts)
+            ])
+            W = topology.total_workers
+            prod = PipeDreamOptimizer(toy_profile(4), topology)
+            ref = ReferenceOptimizer(toy_profile(4), topology)
+            for t in (1, 2, 3, 4, 8):
+                tables = prod._refined_tp_tables(topology, t)
+                oracle = ref._refined_tp_tables(topology, t)
+                for table, expected in zip(tables, oracle):
+                    assert table.shape == (W + 1, W + 1)
+                    assert [[table[m][mp].hex() for mp in range(m + 1)]
+                            for m in range(W + 1)] == [
+                        [float(value).hex() for value in row]
+                        for row in expected], (counts, t)
 
     def test_memoised_planes_give_the_recomputed_plan(self):
         profile = toy_profile(7)
@@ -247,7 +264,7 @@ class TestRefinedPlaneMemoisation:
                     max_size=3),
 )
 def test_grown_strided_rings_equal_walked_ones(counts, t, alphas):
-    """Every cell of the incrementally grown ring tables equals the
+    """Every cell of the array-built ring tables equals the
     simulator's pricing of the same groups walked from scratch: the
     strided dp group ``{W-m+q*t}`` and the slowest of the ``mp/t``
     consecutive shard groups (1-3 levels, counts not powers of two).  At
@@ -348,12 +365,50 @@ class TestPlanScaleShape:
         assert counters == [(0, 32), (32, 64), (48, 64), (96, 64)]
         assert built == [list(range(1, 33)), list(range(33, 65)), [], []]
 
+    def test_each_mask_key_and_ring_is_priced_once(self, monkeypatch):
+        """Work counters of a cold refined solve.  The memory kernel runs
+        once per degree and checkpoint depth, over one plane per distinct
+        ``(depth, ceil(depth / replicas))`` — 132 / 60 / 27 at degree 1 /
+        2 / 4, against 337 / 145 / 61 distinct ``(depth, replicas)``.
+        Each degree's ring table calls ``ring_cost_factors`` once per
+        distinct size tuple among its strided and shard groups."""
+        from repro.sim import memory, network
+
+        kernel, ring = memory.stage_memory_cost, network.ring_cost_factors
+        planes, rings = {}, []
+
+        def kernel_spy(*args, tp_degree=1, **kw):
+            if np.ndim(args[3]) == 3:
+                planes.setdefault(tp_degree, []).append(len(args[3]))
+            return kernel(*args, tp_degree=tp_degree, **kw)
+
+        def ring_spy(topology, sizes):
+            rings.append(tuple(sizes))
+            return ring(topology, sizes)
+
+        options = self.options()
+        monkeypatch.setattr(memory, "stage_memory_cost", kernel_spy)
+        monkeypatch.setattr(network, "ring_cost_factors", ring_spy)
+        optimizer = PipeDreamOptimizer(self.PROFILE, self.TOPO, **options)
+        assert optimizer._solve_refined(self.TOPO) is not None
+        assert planes == {1: [132, 132], 2: [60, 60], 4: [27, 27]}
+        W, placement = self.TOPO.total_workers, Placement(self.TOPO)
+        for t in (1, 2, 4):
+            rings.clear()
+            optimizer._refined_tp_tables(self.TOPO, t)
+            groups = [range(w, w + t) for w in range(W - t + 1)] + [
+                range(W - m, W - m + mp, t)
+                for m in range(t, W + 1) for mp in range(t, m + 1, t)]
+            assert sorted(rings) == sorted(
+                {tuple(placement.ring_sizes(group)) for group in groups})
+
     def test_refined_solve_never_materialises_a_4d_cube(self):
         """Timing-free complexity guard: a row builds one ``(m, n, n)``
         cube, so the refined solve's peak stays far below one ``(W, W, n,
-        n)`` float64 array (≈ 22 MB here).  Most of the peak (≈ 8.4 MB)
-        is the memory kernel's temporaries over the 337 distinct degree-1
-        mask keys and the ≈ 2.8 MB stack of masked planes."""
+        n)`` float64 array (≈ 22 MB here).  The peak is ≈ 8.5 MB: the
+        ≈ 2.8 MB stack of 522 masked degree-1 planes beside the stage-time
+        and memory-kernel temporaries (the kernel over the 132 distinct
+        degree-1 mask keys)."""
         n, W = len(self.PROFILE), self.TOPO.total_workers
         optimizer = PipeDreamOptimizer(self.PROFILE, self.TOPO,
                                        **self.options())

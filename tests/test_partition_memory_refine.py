@@ -675,6 +675,48 @@ class TestArrayKernel:
         assert (cost(tp_degree=2) < cost())[spans].any()
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), recompute=st.booleans(),
+           tp_degree=st.sampled_from([1, 2, 4]),
+           keys=st.lists(st.tuples(st.integers(1, 1024), st.integers(1, 1024)),
+                         min_size=1, max_size=6))
+    def test_replicas_enter_only_through_the_stash_versions(
+            self, data, recompute, tp_degree, keys):
+        """The refined DP keys its masks by ``(depth, ceil(depth /
+        replicas))`` and prices a representative's replica count: sound
+        only because two replica counts with the same ceiling give the
+        same bits, scalar and ``(K, 1, 1)`` alike."""
+        planes = self.planes()
+        other = []
+        for d, r in keys:
+            v = -(-d // r)
+            # Every r' with ceil(d / r') == v lies in [ceil(d/v), hi].
+            hi = 2048 if v == 1 else -(-d // (v - 1)) - 1
+            other.append(data.draw(st.integers(-(-d // v), hi)))
+            assert -(-d // other[-1]) == v
+        kw = dict(recompute=recompute, tp_degree=tp_degree, **planes)
+
+        def column(values):
+            return np.array(values)[:, None, None]
+
+        depth = column([d for d, _ in keys])
+        stacks = [stage_memory_cost(depth=depth, replicas=column(rs), **kw)
+                  for rs in ([r for _, r in keys], other)]
+        assert stacks[0].tobytes() == stacks[1].tobytes()
+        for (d, r), r2 in zip(keys, other):
+            assert (stage_memory_cost(depth=d, replicas=r, **kw).tobytes()
+                    == stage_memory_cost(depth=d, replicas=r2, **kw).tobytes())
+
+    def test_replicas_move_the_price_when_the_ceiling_moves(self):
+        """The property above is not vacuous: where a span holds deferred
+        weights, ``ceil(5/1) != ceil(5/2)`` changes its price."""
+        planes = self.planes()
+        deferred = planes["deferred_weight_bytes"] > 0
+        one, two = (stage_memory_cost(depth=5, replicas=r, **planes)
+                    for r in (1, 2))
+        assert deferred.any() and (one != two)[deferred].all()
+
+
 class TestPrecisionMemoryShift:
     """fp16 roughly halves every §3.3 footprint, so under a fixed
     ``memory_limit_bytes`` the feasible-plan set strictly grows."""

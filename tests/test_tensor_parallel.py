@@ -52,11 +52,12 @@ from repro.core.spec import PlanSpec
 from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import pipeline_memory_footprint, stage_memory_bytes
-from repro.sim.network import Placement, allreduce_cost_factors, allreduce_time
+from repro.sim.network import Placement, allreduce_time
 from repro.sim import strategies
 from repro.sim.strategies import simulate_pipedream
 from repro.sim.sweep import records_to_csv, run_sweep
 from tests.oracles import ReferenceOptimizer, evaluate_details_closed_form
+from tests.oracles.partition_reference import allreduce_cost_factors
 from tests.oracles.sim_reference import ENGINES
 from tests.test_partition_memory_refine import phase1_admits
 
