@@ -13,11 +13,12 @@ import numpy as np
 
 from common import print_header, print_rows, run_once
 
+from repro.core.partition import Stage
 from repro.data import make_image_data
 from repro.models import build_alexnet
 from repro.nn import CrossEntropyLoss
 from repro.optim import LARS
-from repro.runtime import SequentialTrainer, evaluate_accuracy
+from repro.runtime import PipelineTrainer, evaluate_accuracy
 
 EPOCHS = 10
 #: scaled-down analogues of the paper's 1024 / 4096 / 8192 global batches
@@ -33,10 +34,11 @@ def run():
                               rng=np.random.default_rng(4))
         # LARS prescribes scaling the base LR linearly with the batch size.
         lr = 0.5 * batch / BATCH_SIZES[0]
-        trainer = SequentialTrainer(
-            model, CrossEntropyLoss(),
-            LARS(model.parameters(), lr=lr, momentum=0.9,
-                 trust_coefficient=0.02),
+        # Sequential training: the runtime on one stage of every layer.
+        trainer = PipelineTrainer(
+            model, [Stage(0, model.num_layers, 1)], CrossEntropyLoss(),
+            lambda params: LARS(params, lr=lr, momentum=0.9,
+                                trust_coefficient=0.02),
         )
         accs = []
         for _ in range(EPOCHS):
@@ -45,7 +47,7 @@ def run():
                 for i in range(0, len(X) - batch + 1, batch)
             ]
             trainer.train_epoch(batches)
-            accs.append(evaluate_accuracy(model, X, y))
+            accs.append(evaluate_accuracy(trainer.consolidated_model(), X, y))
         curves[batch] = accs
     return curves
 

@@ -26,7 +26,6 @@ from repro.data import make_image_data
 from repro.models import build_vgg
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
-from repro.runtime import SequentialTrainer
 from repro.sim import simulate
 
 
@@ -78,8 +77,15 @@ def test_perf_vgg_training_step(benchmark):
     model = build_vgg(scale=0.25, num_classes=4, fc_width=64,
                       rng=np.random.default_rng(0))
     X, y = make_image_data(num_samples=8, image_size=32, num_classes=4, seed=0)
-    trainer = SequentialTrainer(model, CrossEntropyLoss(),
-                                SGD(model.parameters(), lr=0.01))
+    loss_fn = CrossEntropyLoss()
+    optimizer = SGD(model.parameters(), lr=0.01)
 
-    loss = benchmark(lambda: trainer.train_minibatch(X, y))
+    def step():
+        model.zero_grad()
+        loss = loss_fn(model(X), y)
+        loss.backward()
+        optimizer.step()
+        return loss.item()
+
+    loss = benchmark(step)
     assert np.isfinite(loss)

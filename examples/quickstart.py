@@ -2,7 +2,8 @@
 
 Profiles an MLP, partitions it with the §3.1 optimizer for a 4-worker
 cluster, trains it through the 1F1B pipeline runtime with weight stashing,
-and cross-checks the result against plain single-worker SGD.
+and cross-checks the result against plain single-worker SGD (the same
+runtime on one stage holding every layer).
 
 Run:  python examples/quickstart.py
 """
@@ -54,12 +55,14 @@ def main() -> None:
     # 5. Sanity check against sequential SGD on a fresh copy.
     reference = api.build_mlp(in_features=16, hidden=(32, 32, 32),
                               num_classes=4, rng=np.random.default_rng(0))
-    seq = api.SequentialTrainer(reference, api.CrossEntropyLoss(),
-                                api.SGD(reference.parameters(), lr=0.1))
+    seq = api.PipelineTrainer(
+        reference, [api.Stage(0, reference.num_layers, 1)],
+        api.CrossEntropyLoss(), lambda params: api.SGD(params, lr=0.1),
+    )
     for _ in range(5):
         seq.train_epoch(batches)
     print(f"\nSequential SGD reference accuracy: "
-          f"{api.evaluate_accuracy(reference, X, y):.1%}")
+          f"{api.evaluate_accuracy(seq.consolidated_model(), X, y):.1%}")
 
 
 if __name__ == "__main__":

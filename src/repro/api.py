@@ -22,11 +22,9 @@ __all__ = lazy_exports(globals(), {
     ".core.stashing": "WeightStore",
     ".core.deploy": "DeploymentPlan",
     ".core.opgraph": "OperatorGraph OperatorNode residual_block_graph",
-    ".data.synthetic": "Batcher make_captioning_data make_classification_data "
+    ".data.synthetic": "make_captioning_data make_classification_data "
                        "make_image_data make_lm_data make_seq2seq_data",
     ".data.metrics": "corpus_bleu translation_bleu",
-    ".data.augment": "AugmentedBatcher normalize_images random_crop "
-                     "random_horizontal_flip train_val_split",
     ".models.base": "LayeredModel",
     ".models.alexnet": "build_alexnet",
     ".models.awd_lm": "build_awd_lm",
@@ -37,19 +35,17 @@ __all__ = lazy_exports(globals(), {
     ".models.seq2seq": "build_attention_seq2seq make_reversal_data",
     ".models.transformer": "build_transformer",
     ".models.vgg": "build_vgg",
-    ".nn.loss": "CrossEntropyLoss MSELoss",
+    ".nn.loss": "CrossEntropyLoss",
     ".optim.sgd": "SGD",
     ".optim.adam": "Adam",
     ".optim.lars": "LARS",
-    ".optim.lr_scheduler": "StepLR WarmupLR",
     ".profiler.analytic": "analytic_profile available_models",
     ".profiler.measured": "profile_model",
     ".runtime.checkpoint": "CheckpointManager",
     ".runtime.loop": "fit",
     ".runtime.pipeline": "PipelineTrainer",
     ".runtime.threaded": "ThreadedPipelineTrainer",
-    ".runtime.trainer": "SequentialTrainer TrainingHistory evaluate_accuracy "
-                        "evaluate_loss evaluate_perplexity split_microbatches",
+    ".runtime.trainer": "TrainingHistory evaluate_accuracy split_microbatches",
     ".sim.executor": "SimOptions simulate",
     ".sim.strategies": "simulate_data_parallel simulate_gpipe "
                        "simulate_model_parallel simulate_partition "

@@ -162,8 +162,12 @@ def cmd_sweep(args) -> int:
     from repro.sim import precision_chart, records_to_csv, run_sweep
     from repro.utils import format_table
 
-    records = run_sweep(args.models, _topology(args), args.counts,
+    topology = _topology(args)
+    records = run_sweep(args.models, topology, args.counts,
                         **_given(args, SWEEP_OPTIONS))
+    if not records:
+        args.error(f"no worker count in {list(args.counts)} packs onto the "
+                   f"{topology.total_workers}-worker cluster")
     rows = [
         [r.model, str(r.workers), r.strategy, r.precision,
          "-" if r.bucket_bytes is None else f"{r.bucket_bytes / 1e6:g}MB",
@@ -279,6 +283,19 @@ def _add(parser: argparse.ArgumentParser, field) -> None:
                         **keywords)
 
 
+class _SweepMetrics:
+    """``--metric``'s choices: the scalar numeric ``SweepRecord`` fields,
+    read on first use so that building the parser loads no simulator."""
+
+    def __iter__(self):
+        from dataclasses import fields
+
+        from repro.sim.sweep import SweepRecord
+
+        return (f.name for f in fields(SweepRecord)
+                if f.type in ("int", "float"))
+
+
 _WHERE = ("cluster", "servers", "num_workers", "device")
 _PLAN_ARGV = ("precision", "bucket_bytes", "memory_limit_bytes", "recompute",
               "tp_degrees")
@@ -318,8 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
          "precisions", "bucket_sizes", "recomputes", "schedule_families",
          "memory_limit_bytes", "tp_degrees", "device", "minibatches"],
         precisions=("fp32", "fp16"))
-    p.add_argument("--metric", default="samples_per_second",
-                   help="SweepRecord field plotted by --svg")
+    _add(p, Field("metric", str, "samples_per_second",
+                  "SweepRecord field plotted by --svg",
+                  choices=_SweepMetrics()))
     p.add_argument("--csv", help="write the records to this CSV file")
     p.add_argument("--svg", help="write a precision comparison chart here")
 

@@ -3,11 +3,9 @@
 The paper's optimizer "returns an annotated operator graph, with each model
 layer mapped to a stage ID", from which per-worker modules and the static
 1F1B-RR schedule are generated.  :class:`DeploymentPlan` is that artifact:
-layer→stage annotations, per-worker stage/replica assignments and NOAM —
-fully JSON-serializable so a plan can be computed once and shipped to
-workers (or to the simulator) without re-running the optimizer.  The
-worker op schedules are not shipped: :meth:`DeploymentPlan.schedule`
-rebuilds them from the stages.
+layer→stage annotations, per-worker stage/replica assignments and NOAM,
+written as JSON by ``repro plan --json``.  The worker op schedules are not
+written: :meth:`DeploymentPlan.schedule` rebuilds them from the stages.
 """
 
 from __future__ import annotations
@@ -83,19 +81,6 @@ class DeploymentPlan:
     def num_workers(self) -> int:
         return len(self.assignments)
 
-    def stage_of_layer(self, layer_index: int) -> int:
-        """The §4 annotation: layer index -> stage id."""
-        for s, stage in enumerate(self.stages):
-            if stage.start <= layer_index < stage.stop:
-                return s
-        raise IndexError(f"layer {layer_index} outside the model")
-
-    def annotated_layers(self) -> List[Dict]:
-        return [
-            {"layer": name, "index": i, "stage": self.stage_of_layer(i)}
-            for i, name in enumerate(self.layer_names)
-        ]
-
     def workers_for_stage(self, stage: int) -> List[int]:
         return [a.worker for a in self.assignments if a.stage == stage]
 
@@ -144,22 +129,6 @@ class DeploymentPlan:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_dict(cls, data: Dict) -> "DeploymentPlan":
-        stages = [_stage_from_dict(s) for s in data["stages"]]
-        assignments = [WorkerAssignment(**a) for a in data["assignments"]]
-        return cls(
-            model_name=data["model_name"],
-            stages=stages,
-            layer_names=list(data["layer_names"]),
-            noam=data["noam"],
-            assignments=assignments,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DeploymentPlan":
-        return cls.from_dict(json.loads(text))
-
 
 def _stage_to_dict(stage: Stage) -> Dict:
     """Stage -> JSON-ready dict.  ``tp_degree`` and ``recompute`` are
@@ -169,10 +138,3 @@ def _stage_to_dict(stage: Stage) -> Dict:
         {"start": stage.start, "stop": stage.stop, "replicas": stage.replicas},
         **({"tp_degree": stage.tp_degree} if stage.tp_degree > 1 else {}),
         **({"recompute": True} if stage.recompute else {}))
-
-
-def _stage_from_dict(data: Dict) -> Stage:
-    """Inverse of :func:`_stage_to_dict`."""
-    return Stage(data["start"], data["stop"], data["replicas"],
-                 recompute=data.get("recompute", False),
-                 tp_degree=data.get("tp_degree", 1))

@@ -108,15 +108,6 @@ class PartitionResult:
         return len(self.stages) == 1 and self.stages[0].replicas == self.num_workers
 
     @property
-    def is_straight(self) -> bool:
-        """A straight pipeline has one worker per stage, no replication."""
-        return (
-            all(stage.replicas == 1 for stage in self.stages)
-            and all(stage.tp_degree == 1 for stage in self.stages)
-            and len(self.stages) > 1
-        )
-
-    @property
     def config_string(self) -> str:
         """Paper-style name of the plan (:func:`plan_config`)."""
         return plan_config(self.stages)

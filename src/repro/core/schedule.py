@@ -185,14 +185,6 @@ class Schedule:
         workers = self.stage_workers[stage]
         return workers[minibatch % len(workers)]
 
-    def ops_of_kind(self, worker: int, kind: OpKind) -> List[Op]:
-        return [op for op in self.worker_ops[worker] if op.kind == kind]
-
-    def steady_state_pattern(self, worker: int, skip: int = 0) -> str:
-        """F/B pattern string for a worker after ``skip`` warmup ops."""
-        ops = [op for op in self.worker_ops[worker] if op.kind != OpKind.UPDATE]
-        return "".join(op.kind.value for op in ops[skip:])
-
 
 def _assign_workers(stages: Sequence[Stage]) -> Dict[int, List[int]]:
     """Give each stage replica a global worker id, stage-major.

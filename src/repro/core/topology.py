@@ -103,13 +103,6 @@ class Topology:
             total *= level.count
         return total
 
-    def workers_per_component(self, level: int) -> int:
-        """Workers inside one level-``level`` component (1-based level index)."""
-        total = 1
-        for l in self.levels[:level]:
-            total *= l.count
-        return total
-
     def bandwidth(self, level: int) -> float:
         """Bandwidth of links at 1-based level ``level``."""
         return self.levels[level - 1].bandwidth

@@ -9,7 +9,7 @@ experiments (DESIGN.md §2).
 from repro import lazy_exports
 
 __all__ = lazy_exports(globals(), {
-    ".synthetic": "Batcher make_classification_data make_image_data "
+    ".synthetic": "make_classification_data make_image_data "
                   "make_seq2seq_data make_lm_data make_captioning_data",
     ".metrics": "corpus_bleu greedy_decode perplexity_from_loss "
                 "token_f_score translation_bleu",

@@ -16,7 +16,7 @@ one training loop serves every model family:
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -102,42 +102,3 @@ def make_captioning_data(
     projection = rng.standard_normal((feature_size, vocab_size))
     captions = (features @ projection).argmax(axis=-1)
     return features, captions.astype(np.int64)
-
-
-class Batcher:
-    """Deterministic minibatch iterator with optional per-epoch shuffling."""
-
-    def __init__(
-        self,
-        inputs: np.ndarray,
-        targets: np.ndarray,
-        batch_size: int,
-        shuffle: bool = True,
-        seed: int = 0,
-        drop_last: bool = True,
-    ):
-        if len(inputs) != len(targets):
-            raise ValueError("inputs and targets must have the same length")
-        if batch_size < 1:
-            raise ValueError("batch size must be positive")
-        self.inputs = inputs
-        self.targets = targets
-        self.batch_size = batch_size
-        self.shuffle = shuffle
-        self.drop_last = drop_last
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def num_batches(self) -> int:
-        if self.drop_last:
-            return len(self.inputs) // self.batch_size
-        return -(-len(self.inputs) // self.batch_size)
-
-    def epoch(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        order = np.arange(len(self.inputs))
-        if self.shuffle:
-            self._rng.shuffle(order)
-        limit = self.num_batches * self.batch_size if self.drop_last else len(order)
-        for start in range(0, limit, self.batch_size):
-            idx = order[start : start + self.batch_size]
-            yield self.inputs[idx], self.targets[idx]

@@ -11,9 +11,8 @@ from repro import lazy_exports
 __all__ = lazy_exports(globals(), {
     ".module": "Module Parameter Sequential",
     ".layers": "Linear Conv2d MaxPool2d AvgPool2d GlobalAvgPool2d "
-               "BatchNorm2d ReLU Tanh Sigmoid Dropout Embedding Flatten "
-               "Identity",
+               "BatchNorm2d ReLU Tanh Sigmoid Dropout Embedding Flatten",
     ".rnn": "LSTM LSTMCell",
     ".attention": "LayerNorm MultiHeadSelfAttention TransformerEncoderLayer",
-    ".loss": "CrossEntropyLoss MSELoss",
+    ".loss": "CrossEntropyLoss",
 })

@@ -210,8 +210,3 @@ class Flatten(Module):
 
     def __repr__(self) -> str:
         return "Flatten()"
-
-
-class Identity(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x

@@ -16,10 +16,3 @@ class CrossEntropyLoss(Module):
         if isinstance(targets, Tensor):
             targets = targets.data
         return F.cross_entropy(logits, np.asarray(targets, dtype=np.int64))
-
-
-class MSELoss(Module):
-    def forward(self, pred: Tensor, target) -> Tensor:
-        if not isinstance(target, Tensor):
-            target = Tensor(np.asarray(target, dtype=pred.dtype))
-        return F.mse_loss(pred, target)

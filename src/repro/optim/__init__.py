@@ -1,4 +1,4 @@
-"""Optimizers and learning-rate schedulers."""
+"""Optimizers."""
 
 from repro import lazy_exports
 
@@ -7,5 +7,4 @@ __all__ = lazy_exports(globals(), {
     ".sgd": "SGD",
     ".adam": "Adam",
     ".lars": "LARS",
-    ".lr_scheduler": "LRScheduler StepLR WarmupLR",
 })

@@ -3,8 +3,6 @@
 All trainers run in one process with *logical* workers, but faithfully
 reproduce each strategy's **semantics**:
 
-- :class:`~repro.runtime.trainer.SequentialTrainer` — reference minibatch
-  SGD on one worker.
 - :class:`~repro.runtime.pipeline.PipelineTrainer` — the one schedule-table
   interpreter: weight stashing / vertical sync / naive policies (§3.3),
   round-robin routing and gradient sync across replicated stages.  Each
@@ -29,8 +27,7 @@ __all__ = lazy_exports(globals(), {
     ".elastic": "ElasticCoordinator RecoveryReport remap_checkpoints "
                 "restore_remapped surviving_worker_count",
     ".loop": "FitResult fit",
-    ".trainer": "SequentialTrainer TrainingHistory evaluate_accuracy "
-                "evaluate_loss evaluate_perplexity split_microbatches",
+    ".trainer": "TrainingHistory evaluate_accuracy split_microbatches",
     ".pipeline": "PipelineTrainer",
     ".threaded": "ThreadedPipelineTrainer",
 })

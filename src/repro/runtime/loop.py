@@ -1,16 +1,16 @@
-"""High-level training loop: epochs, evaluation, LR schedules, checkpoints.
+"""High-level training loop: epochs, evaluation, checkpoints.
 
 ``fit`` drives any trainer with ``train_epoch`` (PipeDream or BSP through
-``PipelineTrainer``, threaded, AMP, sequential) through a full
+``PipelineTrainer``, threaded, fp16) through a full
 time-to-target-accuracy run, the measurement unit of the paper's Table 1:
-train epochs, evaluate after each, apply the learning-rate schedule,
-optionally checkpoint, and stop as soon as the target metric is reached.
+train epochs, evaluate after each, optionally checkpoint, and stop as soon
+as the target metric is reached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ def fit(
     epochs: int,
     target_metric: Optional[float] = None,
     higher_is_better: bool = True,
-    schedulers: Optional[List] = None,
     checkpoint_manager: Optional[CheckpointManager] = None,
     checkpoint_every: int = 1,
     resume: bool = False,
@@ -52,7 +51,6 @@ def fit(
             pipelined trainers it should consolidate first.
         epochs: maximum epochs to run.
         target_metric: stop early once the metric reaches this value.
-        schedulers: LR schedulers stepped once per epoch.
         checkpoint_manager / checkpoint_every: per-stage checkpoints (§4)
             written by pipelined trainers every N epochs.
         resume: restore the newest complete checkpoint before training.
@@ -83,9 +81,6 @@ def fit(
         )
         if verbose:
             print(f"epoch {epoch}: loss={loss:.4f} metric={metric:.4f}")
-        if schedulers:
-            for scheduler in schedulers:
-                scheduler.step()
         if (checkpoint_manager is not None
                 and isinstance(trainer, PipelineTrainer)
                 and (epoch + 1) % checkpoint_every == 0):

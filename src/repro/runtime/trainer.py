@@ -1,4 +1,4 @@
-"""Sequential reference trainer, GPipe's microbatch split, evaluation, history."""
+"""GPipe's microbatch split, evaluation, training history."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.autodiff.engine import no_grad
-from repro.models.base import LayeredModel
 from repro.nn.module import Module
-from repro.optim.optimizer import Optimizer
 
 
 @dataclass
@@ -34,13 +32,6 @@ class TrainingHistory:
         self.wall_time.append(elapsed)
         if loss_scale is not None:
             self.loss_scale.append(loss_scale)
-
-    def epochs_to_reach(self, target_metric: float, higher_is_better: bool = True) -> Optional[int]:
-        """First epoch whose eval metric reaches the target, or None."""
-        for epoch, metric in zip(self.epochs, self.eval_metric):
-            if (metric >= target_metric) if higher_is_better else (metric <= target_metric):
-                return epoch
-        return None
 
     @property
     def final_metric(self) -> float:
@@ -78,18 +69,6 @@ def split_microbatches(batches: Sequence[Tuple], num_microbatches: int) -> List[
     return micros
 
 
-def evaluate_loss(model: Module, loss_fn, inputs, targets, batch_size: int = 64) -> float:
-    total, count = 0.0, 0
-    with no_grad():
-        for start in range(0, _num_samples(inputs), batch_size):
-            x = _slice_samples(inputs, start, start + batch_size)
-            y = targets[start : start + batch_size]
-            loss = loss_fn(model(x), y)
-            total += loss.item() * len(y)
-            count += len(y)
-    return total / max(count, 1)
-
-
 def evaluate_accuracy(model: Module, inputs, targets, batch_size: int = 64) -> float:
     """Top-1 accuracy; for sequence outputs, per-token accuracy."""
     correct, count = 0, 0
@@ -102,41 +81,3 @@ def evaluate_accuracy(model: Module, inputs, targets, batch_size: int = 64) -> f
             correct += int((pred == y).sum())
             count += y.size
     return correct / max(count, 1)
-
-
-def evaluate_perplexity(model: Module, loss_fn, inputs, targets, batch_size: int = 64) -> float:
-    return float(np.exp(evaluate_loss(model, loss_fn, inputs, targets, batch_size)))
-
-
-class SequentialTrainer:
-    """Vanilla minibatch SGD on a single worker — the semantic reference.
-
-    Every schedule :class:`~repro.runtime.pipeline.PipelineTrainer` runs
-    is validated against this one: the GPipe table (any microbatch count,
-    any stages) and BSP (one stage of ``n`` replicas, against SGD on the
-    concatenated batch) match it to rounding, and PipeDream, BSP and ASP
-    with one worker each reproduce it exactly.
-    """
-
-    def __init__(
-        self,
-        model: LayeredModel,
-        loss_fn,
-        optimizer: Optimizer,
-    ):
-        self.model = model
-        self.loss_fn = loss_fn
-        self.optimizer = optimizer
-
-    def train_minibatch(self, x, y) -> float:
-        self.model.zero_grad()
-        loss = self.loss_fn(self.model(x), y)
-        loss.backward()
-        self.optimizer.step()
-        return loss.item()
-
-    def train_epoch(self, batches: Sequence[Tuple[np.ndarray, np.ndarray]]) -> float:
-        total = 0.0
-        for x, y in batches:
-            total += self.train_minibatch(x, y)
-        return total / max(len(batches), 1)

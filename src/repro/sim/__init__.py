@@ -11,14 +11,14 @@ physical GPU clusters (DESIGN.md §2).
 from repro import lazy_exports
 
 __all__ = lazy_exports(globals(), {
-    ".network": "Placement allreduce_time transfer_time",
+    ".network": "Placement allreduce_time",
     ".faults": "FaultEvent FaultSchedule parse_faults",
     ".executor": "SimOptions SimResult OpRecord simulate",
     ".memory": "pipeline_memory_footprint data_parallel_memory_footprint "
                "stage_memory_cost stage_memory_bytes",
     ".trace": "chrome_trace_events export_chrome_trace",
     ".sweep": "SweepRecord SweepError SweepFailure run_sweep records_to_csv "
-              "speedup_table precision_chart",
+              "precision_chart",
     ".strategies": "StrategyResult simulate_data_parallel "
                    "simulate_model_parallel simulate_gpipe simulate_pipedream "
                    "simulate_partition simulate_plan simulate_strategy",

@@ -255,22 +255,6 @@ class FaultSchedule:
             events.append(FaultEvent("crash", time, worker))
         return cls(events, seed=seed)
 
-    def to_spec(self) -> str:
-        """Inverse of :func:`parse_faults` (floats round-trip via repr)."""
-        parts = []
-        for e in self.events:
-            if e.kind == "crash":
-                parts.append(f"crash@{e.time!r}:w{e.worker}")
-            else:
-                token = "slow" if e.kind == "straggler" else "bw"
-                spec = f"{token}@{e.time!r}:x{e.factor!r}:d{e.duration!r}"
-                if e.worker >= 0:
-                    spec += f":w{e.worker}"
-                if e.level >= 0:
-                    spec += f":l{e.level}"
-                parts.append(spec)
-        return ",".join(parts)
-
 
 def parse_faults(
     spec: str,

@@ -64,19 +64,6 @@ class Placement:
             return float("inf")
         return self.topology.levels[self.link_level(src, dst)].bandwidth
 
-    def group_span(self, workers: Sequence[int]) -> List[int]:
-        """Number of distinct level-k components the group spans, per level.
-
-        Entry 0 is the number of distinct workers; entry k (k >= 1) counts
-        distinct level-k parents.
-        """
-        spans = []
-        coords = [self.coordinates(w) for w in workers]
-        for k in range(self.topology.num_levels):
-            parents = {c[k:] for c in coords}
-            spans.append(len(parents))
-        return spans
-
     def ring_sizes(self, workers: Sequence[int]) -> List[int]:
         """Per-level ring size: the *largest* per-parent sibling group.
 
@@ -97,13 +84,6 @@ class Placement:
                 children.setdefault(c[k + 1:], set()).add(c[k:])
             sizes.append(max(len(members) for members in children.values()))
         return sizes
-
-
-def transfer_time(placement: Placement, src: int, dst: int, num_bytes: float) -> float:
-    """Serialized time to move ``num_bytes`` from ``src`` to ``dst``."""
-    if src == dst or num_bytes <= 0:
-        return 0.0
-    return num_bytes / placement.link_bandwidth(src, dst)
 
 
 def ring_cost_factors(topology: Topology, sizes: Sequence[int]) -> Tuple[float, float]:

@@ -13,7 +13,7 @@ strategy) regardless of completion order, so ``workers=N`` output is
 cell-for-cell identical to the ``workers=1`` serial fallback (asserted by
 ``tests/test_sweep_parallel.py``).  A failing cell does not kill the
 sweep: every other cell completes, and the failures are reported per cell
-via :class:`SweepError` (or skipped with ``on_error="skip"``).
+via :class:`SweepError`, which also carries the surviving cells' records.
 """
 
 from __future__ import annotations
@@ -353,7 +353,6 @@ def run_sweep(
     minibatches: int = DEFAULTS["minibatches"],
     workers: int = DEFAULTS["workers"],
     executor: str = DEFAULTS["executor"],
-    on_error: str = "raise",
     precisions: Sequence[str] = DEFAULTS["precisions"],
     bucket_sizes: Sequence[Optional[float]] = DEFAULTS["bucket_sizes"],
     recomputes: Sequence[Optional[str]] = DEFAULTS["recomputes"],
@@ -418,9 +417,6 @@ def run_sweep(
             the pool initializer, or shared in-process for threads)
             restores the per-cell table reuse the split would otherwise
             lose.  Output order and values are identical in every mode.
-        on_error: ``"raise"`` (default) raises :class:`SweepError` *after*
-            all cells complete when any cell failed; ``"skip"`` returns the
-            successful cells' records and drops the failures.
         contexts: optional :class:`SolverContextPool` whose warm-started
             solver tables the cells read and extend (the planner service
             threads its pool through here).  In-process modes use it
@@ -433,8 +429,6 @@ def run_sweep(
                         ("precisions", tuple(precisions)),
                         ("executor", executor)):
         FIELDS[name].read(value)
-    if on_error not in ("raise", "skip"):
-        raise ValueError(f"unknown on_error {on_error!r}; expected 'raise' or 'skip'")
     worker_counts = list(worker_counts)
     # Every planned cell's spec, built (and so validated) before any cell
     # runs.  Only pipedream plans: the other strategies read the bucket
@@ -547,7 +541,7 @@ def run_sweep(
         for record in by_cell[cell][idx] or ()
     ]
 
-    if failures and on_error == "raise":
+    if failures:
         raise SweepError(failures, records)
     return records
 
@@ -587,41 +581,6 @@ def records_to_csv(records: Iterable[SweepRecord],
         with open(path, "w") as f:
             f.write(text)
     return text
-
-
-def speedup_table(records: Sequence[SweepRecord],
-                  baseline: str = "dp") -> List[Dict]:
-    """One row per non-baseline record: its speedup over the baseline
-    record of the same (model, workers, precision, bucket_bytes).
-
-    Rows are ordered by (model, workers, strategy), the remaining axes in
-    record order; a record with no baseline to compare with is skipped.
-    """
-    def axes(record: SweepRecord) -> tuple:
-        return (record.model, record.workers, record.precision,
-                record.bucket_bytes)
-
-    bases = {axes(r): r.samples_per_second
-             for r in records if r.strategy == baseline}
-    rows = []
-    for record in sorted(records, key=lambda r: (r.model, r.workers,
-                                                 r.strategy)):
-        base = bases.get(axes(record))
-        if record.strategy == baseline or base is None:
-            continue
-        rows.append({
-            "model": record.model,
-            "workers": record.workers,
-            "strategy": record.strategy,
-            "precision": record.precision,
-            "bucket_bytes": record.bucket_bytes,
-            "schedule_family": record.schedule_family,
-            "recompute": record.recompute,
-            "config": record.config,
-            "speedup": (record.samples_per_second / base if base
-                        else float("inf")),
-        })
-    return rows
 
 
 def precision_chart(records: Sequence[SweepRecord],

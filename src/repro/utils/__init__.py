@@ -9,5 +9,5 @@ from repro import lazy_exports
 
 __all__ = lazy_exports(globals(), {
     ".lru": "LRUCache",
-    ".reporting": "format_table format_timeline speedup",
+    ".reporting": "format_table format_timeline",
 })

@@ -22,13 +22,6 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(out)
 
 
-def speedup(baseline: float, improved: float) -> str:
-    """'2.34x' style ratio of an epoch time over a faster one."""
-    if improved <= 0:
-        return "inf"
-    return f"{baseline / improved:.2f}x"
-
-
 def format_timeline(sim: SimResult, time_unit: float = 1.0, width: int = 78) -> str:
     """ASCII Gantt chart of a simulated run (Figures 2/3/4/8 visuals).
 

@@ -1,7 +1,7 @@
 """Minimal dependency-free SVG charts for the figure benches.
 
-The environment ships no plotting library, so this module renders line and
-bar charts directly to SVG — enough to turn each ``bench_fig*`` run into an
+The environment ships no plotting library, so this module renders line
+charts directly to SVG — enough to turn each ``bench_fig*`` run into an
 actual figure file.  Output is deliberately simple: one plot area, linear
 axes with automatic ticks, a categorical color cycle, and a legend.
 """
@@ -130,94 +130,6 @@ class LineChart:
                          f'y2="{ly - 4}" stroke="{color}" stroke-width="2"/>')
             parts.append(f'<text x="{lx + 22}" y="{ly}">{escape(s.label)}</text>')
 
-        parts.append("</svg>")
-        return "\n".join(parts)
-
-    def save(self, path: str) -> str:
-        with open(path, "w") as f:
-            f.write(self.to_svg())
-        return path
-
-
-@dataclass
-class BarChart:
-    """Grouped bar chart: categories on x, one bar per series."""
-
-    title: str
-    categories: List[str]
-    y_label: str = ""
-    width: int = 560
-    height: int = 360
-    series: List[Series] = field(default_factory=list)
-    y_percent: bool = False
-
-    def add_series(self, label: str, values: Sequence[float]) -> None:
-        if len(values) != len(self.categories):
-            raise ValueError("one value per category required")
-        self.series.append(
-            Series(label, [(i, float(v)) for i, v in enumerate(values)])
-        )
-
-    def to_svg(self) -> str:
-        if not self.series:
-            raise ValueError("chart has no data")
-        margin_left, margin_right = 62, 140
-        margin_top, margin_bottom = 42, 60
-        plot_w = self.width - margin_left - margin_right
-        plot_h = self.height - margin_top - margin_bottom
-
-        ys = [y for s in self.series for _, y in s.points]
-        y_ticks = _nice_ticks(min(0.0, min(ys)), max(ys))
-        y_lo, y_hi = y_ticks[0], y_ticks[-1]
-
-        def sy(y: float) -> float:
-            return margin_top + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
-
-        n_cat = len(self.categories)
-        n_series = len(self.series)
-        group_w = plot_w / n_cat
-        bar_w = group_w * 0.8 / n_series
-
-        parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="11">',
-            f'<rect width="{self.width}" height="{self.height}" fill="white"/>',
-            f'<text x="{self.width / 2}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(self.title)}</text>',
-        ]
-        for tick in y_ticks:
-            y = sy(tick)
-            label = f"{tick:.0%}" if self.y_percent else f"{tick:g}"
-            parts.append(f'<line x1="{margin_left}" y1="{y:.1f}" '
-                         f'x2="{margin_left + plot_w}" y2="{y:.1f}" stroke="#e0e0e0"/>')
-            parts.append(f'<text x="{margin_left - 6}" y="{y + 4:.1f}" '
-                         f'text-anchor="end">{escape(label)}</text>')
-        for c, category in enumerate(self.categories):
-            cx = margin_left + (c + 0.5) * group_w
-            parts.append(f'<text x="{cx:.1f}" y="{margin_top + plot_h + 16}" '
-                         f'text-anchor="middle">{escape(category)}</text>')
-            for i, s in enumerate(self.series):
-                color = PALETTE[i % len(PALETTE)]
-                value = s.points[c][1]
-                x = margin_left + c * group_w + group_w * 0.1 + i * bar_w
-                y = sy(value)
-                height = margin_top + plot_h - y
-                parts.append(f'<rect x="{x:.1f}" y="{y:.1f}" width="{bar_w:.1f}" '
-                             f'height="{height:.1f}" fill="{color}"/>')
-        for i, s in enumerate(self.series):
-            color = PALETTE[i % len(PALETTE)]
-            ly = margin_top + 14 + i * 16
-            lx = margin_left + plot_w + 10
-            parts.append(f'<rect x="{lx}" y="{ly - 10}" width="12" height="12" '
-                         f'fill="{color}"/>')
-            parts.append(f'<text x="{lx + 16}" y="{ly}">{escape(s.label)}</text>')
-        parts.append(f'<rect x="{margin_left}" y="{margin_top}" width="{plot_w}" '
-                     f'height="{plot_h}" fill="none" stroke="#333"/>')
-        if self.y_label:
-            cx, cy = 14, margin_top + plot_h / 2
-            parts.append(f'<text x="{cx}" y="{cy}" text-anchor="middle" '
-                         f'transform="rotate(-90 {cx} {cy})">'
-                         f'{escape(self.y_label)}</text>')
         parts.append("</svg>")
         return "\n".join(parts)
 

@@ -21,6 +21,9 @@ more literal twin lives here, where only tests import it:
 - :class:`~tests.oracles.asp_reference.ASPTrainer` — the asynchronous
   parameter-server trainer the ``asp_schedule`` table is pinned to
   (``asp_reference.py``);
+- :class:`~tests.oracles.sgd_reference.SequentialTrainer` — minibatch SGD
+  on one worker, the reference every runtime schedule is checked against
+  (``sgd_reference.py``);
 - :func:`~tests.oracles.gradcheck.gradcheck` — finite differences, the
   autodiff engine's oracle (``gradcheck.py``).
 """

@@ -23,7 +23,6 @@ from repro.runtime import (
     CheckpointManager,
     GradScaler,
     PipelineTrainer,
-    SequentialTrainer,
     ThreadedPipelineTrainer,
     fit,
 )
@@ -33,6 +32,7 @@ from repro.runtime.amp import (
     quantize_fp16,
     upcast_payload,
 )
+from tests.oracles.sgd_reference import SequentialTrainer
 
 
 def _mlp(seed=0):

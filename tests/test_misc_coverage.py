@@ -7,7 +7,6 @@ from repro.autodiff import Tensor
 from repro.core.schedule import OpKind, one_f_one_b_schedule
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import make_cluster
-from repro.data import Batcher, make_classification_data
 from repro.nn import Linear
 from repro.sim import simulate
 
@@ -44,13 +43,14 @@ class TestTensorMisc:
 class TestScheduleMisc:
     def test_steady_state_pattern_helper(self):
         schedule = one_f_one_b_schedule(3, 6)
-        pattern = schedule.steady_state_pattern(0, skip=3)
-        assert pattern.startswith("BF")
+        kinds = [op.kind for op in schedule.worker_ops[0]
+                 if op.kind != OpKind.UPDATE]
+        assert kinds[3:5] == [OpKind.BACKWARD, OpKind.FORWARD]
 
     def test_ops_of_kind(self):
         schedule = one_f_one_b_schedule(2, 4)
-        forwards = schedule.ops_of_kind(0, OpKind.FORWARD)
-        assert len(forwards) == 4
+        kinds = [op.kind for op in schedule.worker_ops[0]]
+        assert kinds.count(OpKind.FORWARD) == 4
 
     def test_num_workers_property(self):
         schedule = one_f_one_b_schedule(3, 4)
@@ -73,14 +73,6 @@ class TestSimMisc:
         topo = make_cluster("t", 1, 1, 1e9, 1e9)
         sim = simulate(one_f_one_b_schedule(1, 4), profile, topo)
         assert sim.throughput == pytest.approx(4 / sim.total_time)
-
-
-class TestBatcherMisc:
-    def test_drop_last_false_yields_tail(self):
-        X, y = make_classification_data(num_samples=20)
-        batches = list(Batcher(X, y, batch_size=8, drop_last=False,
-                               shuffle=False).epoch())
-        assert [len(b[0]) for b in batches] == [8, 8, 4]
 
 
 class TestModuleMisc:

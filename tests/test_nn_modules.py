@@ -11,10 +11,8 @@ from repro.nn import (
     Dropout,
     Embedding,
     Flatten,
-    Identity,
     Linear,
     MaxPool2d,
-    MSELoss,
     Module,
     Parameter,
     ReLU,
@@ -187,10 +185,6 @@ class TestEmbeddingAndMisc:
     def test_flatten(self, rng):
         assert Flatten()(Tensor(rng.standard_normal((2, 3, 4)))).shape == (2, 12)
 
-    def test_identity(self, rng):
-        x = Tensor(rng.standard_normal(3))
-        assert Identity()(x) is x
-
     def test_activations(self, rng):
         x = Tensor(rng.standard_normal((2, 3)))
         assert (Sigmoid()(x).data > 0).all()
@@ -216,7 +210,3 @@ class TestLosses:
         targets = Tensor(np.array([0, 1]))
         loss = CrossEntropyLoss()(Tensor(rng.standard_normal((2, 3))), targets)
         assert np.isfinite(loss.item())
-
-    def test_mse_module(self, rng):
-        pred = Tensor(rng.standard_normal((3, 2)))
-        assert MSELoss()(pred, pred.data).item() < 1e-12

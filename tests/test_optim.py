@@ -1,4 +1,4 @@
-"""Optimizers and schedulers."""
+"""Optimizers."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from repro.autodiff import Tensor
 from repro.nn import Linear
 from repro.nn.module import Parameter
-from repro.optim import LARS, SGD, Adam, StepLR, WarmupLR
+from repro.optim import LARS, SGD, Adam
 from repro.optim.optimizer import Optimizer
 
 
@@ -60,6 +60,12 @@ class TestSGD:
         view = p.data
         SGD([p], lr=1.0).step([np.array([1.0])])
         np.testing.assert_allclose(view, [1.0])  # old array untouched
+
+    def test_step_count(self):
+        opt = SGD([make_param([0.0])], lr=1.0)
+        opt.step([np.array([0.0])])
+        opt.step([np.array([0.0])])
+        assert opt.step_count == 2
 
     def test_empty_params_raises(self):
         with pytest.raises(ValueError):
@@ -132,33 +138,3 @@ class TestLARS:
             loss.backward()
             opt.step()
         assert loss.item() < first_loss
-
-
-class TestSchedulers:
-    def test_step_lr(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
-        sched = StepLR(opt, step_size=2, gamma=0.1)
-        lrs = []
-        for _ in range(5):
-            sched.step()
-            lrs.append(opt.lr)
-        np.testing.assert_allclose(lrs, [1.0, 0.1, 0.1, 0.01, 0.01])
-
-    def test_warmup_lr(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
-        sched = WarmupLR(opt, warmup_epochs=4)
-        assert opt.lr == 0.25
-        lrs = []
-        for _ in range(5):
-            sched.step()
-            lrs.append(opt.lr)
-        np.testing.assert_allclose(lrs, [0.5, 0.75, 1.0, 1.0, 1.0])
-
-    def test_step_count(self):
-        p = make_param([0.0])
-        opt = SGD([p], lr=1.0)
-        opt.step([np.array([0.0])])
-        opt.step([np.array([0.0])])
-        assert opt.step_count == 2

@@ -1,5 +1,7 @@
 """Property-based tests for the comm substrate and deployment plans."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,12 +75,13 @@ class TestDeployProperties:
         profile = ModelProfile("h", layers, batch_size=1)
         topology = make_cluster("h", workers, 1, 100.0, 100.0)
         result = PipeDreamOptimizer(profile, topology).solve()
-        plan = DeploymentPlan.from_partition(result)
-        restored = DeploymentPlan.from_json(plan.to_json())
-        assert restored.stages == plan.stages
-        # Every layer annotated with a stage containing it.
-        for annotation in restored.annotated_layers():
-            stage = restored.stages[annotation["stage"]]
-            assert stage.start <= annotation["index"] < stage.stop
-        # Worker ids are contiguous and complete.
-        assert [a.worker for a in restored.assignments] == list(range(workers))
+        data = json.loads(DeploymentPlan.from_partition(result).to_json())
+        assert [(s["start"], s["stop"], s["replicas"])
+                for s in data["stages"]] == [
+            (s.start, s.stop, s.replicas) for s in result.stages]
+        # The stages tile the layers, and every worker has one role.
+        assert data["stages"][0]["start"] == 0
+        assert data["stages"][-1]["stop"] == n_layers
+        assert all(a["stop"] == b["start"]
+                   for a, b in zip(data["stages"], data["stages"][1:]))
+        assert [a["worker"] for a in data["assignments"]] == list(range(workers))

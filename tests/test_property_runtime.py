@@ -9,7 +9,8 @@ from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
-from repro.runtime import CheckpointManager, PipelineTrainer, SequentialTrainer
+from repro.runtime import CheckpointManager, PipelineTrainer
+from tests.oracles.sgd_reference import SequentialTrainer
 
 LOSS = CrossEntropyLoss()
 

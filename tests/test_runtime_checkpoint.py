@@ -8,7 +8,7 @@ from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
-from repro.runtime import CheckpointManager, PipelineTrainer, SequentialTrainer
+from repro.runtime import CheckpointManager, PipelineTrainer
 
 LOSS = CrossEntropyLoss()
 STAGES = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)]

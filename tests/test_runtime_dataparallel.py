@@ -16,8 +16,9 @@ from repro.data import make_classification_data
 from repro.models import build_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
-from repro.runtime import PipelineTrainer, SequentialTrainer
+from repro.runtime import PipelineTrainer
 from tests.oracles.asp_reference import ASPTrainer
+from tests.oracles.sgd_reference import SequentialTrainer
 
 
 LOSS = CrossEntropyLoss()

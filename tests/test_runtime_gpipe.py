@@ -18,10 +18,10 @@ from repro.nn import CrossEntropyLoss
 from repro.optim import SGD
 from repro.runtime import (
     PipelineTrainer,
-    SequentialTrainer,
     ThreadedPipelineTrainer,
     split_microbatches,
 )
+from tests.oracles.sgd_reference import SequentialTrainer
 from tests.test_runtime_golden import outcome
 
 

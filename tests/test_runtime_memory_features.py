@@ -10,7 +10,8 @@ from repro.data import make_classification_data, make_seq2seq_data
 from repro.models import build_gnmt, build_mlp
 from repro.nn import CrossEntropyLoss
 from repro.optim import SGD, Adam
-from repro.runtime import PipelineTrainer, SequentialTrainer
+from repro.runtime import PipelineTrainer
+from tests.oracles.sgd_reference import SequentialTrainer
 
 LOSS = CrossEntropyLoss()
 STAGES = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)]

@@ -14,11 +14,11 @@ from repro.nn import CrossEntropyLoss
 from repro.optim import Adam
 from repro.runtime import (
     PipelineTrainer,
-    SequentialTrainer,
     ThreadedPipelineTrainer,
     evaluate_accuracy,
 )
 from tests.oracles.gradcheck import gradcheck
+from tests.oracles.sgd_reference import SequentialTrainer
 
 LOSS = CrossEntropyLoss()
 

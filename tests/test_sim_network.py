@@ -11,7 +11,6 @@ from repro.sim.network import (
     allreduce_time,
     stage_collectives,
     stage_sync_seconds,
-    transfer_time,
 )
 
 
@@ -37,25 +36,6 @@ class TestPlacement:
 
     def test_self_link_infinite(self, placement):
         assert placement.link_bandwidth(2, 2) == float("inf")
-
-    def test_group_span(self, placement):
-        assert placement.group_span([0, 1, 2, 3]) == [4, 1]
-        assert placement.group_span([0, 4]) == [2, 2]
-        assert placement.group_span(list(range(8))) == [8, 2]
-
-
-class TestTransferTime:
-    def test_intra(self, placement):
-        assert transfer_time(placement, 0, 1, 200.0) == pytest.approx(2.0)
-
-    def test_inter(self, placement):
-        assert transfer_time(placement, 0, 4, 200.0) == pytest.approx(20.0)
-
-    def test_zero_bytes(self, placement):
-        assert transfer_time(placement, 0, 1, 0.0) == 0.0
-
-    def test_same_worker(self, placement):
-        assert transfer_time(placement, 2, 2, 1e9) == 0.0
 
 
 class TestAllReduce:

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.utils.svgplot import BarChart, LineChart, _nice_ticks
+from repro.utils.svgplot import LineChart, _nice_ticks
 
 
 def parse(svg: str) -> ET.Element:
@@ -84,33 +84,3 @@ class TestLineChart:
         y_low = float(circles[0].get("cy"))
         y_high = float(circles[1].get("cy"))
         assert y_high < y_low
-
-
-class TestBarChart:
-    def make(self):
-        chart = BarChart("speedup", categories=["vgg16", "resnet50"],
-                         y_label="x over DP")
-        chart.add_series("pipedream", [5.28, 1.0])
-        chart.add_series("gpipe", [3.1, 0.9])
-        return chart
-
-    def test_valid_xml_and_bar_count(self):
-        root = parse(self.make().to_svg())
-        bars = [e for e in root.iter() if e.tag.endswith("rect")]
-        # background + frame + 2 legend swatches + 4 data bars
-        data_bars = [b for b in bars if b.get("fill", "").startswith("#")
-                     and b.get("fill") != "#333"]
-        assert len(data_bars) >= 4
-
-    def test_mismatched_values_rejected(self):
-        chart = BarChart("t", categories=["a", "b"])
-        with pytest.raises(ValueError):
-            chart.add_series("s", [1.0])
-
-    def test_category_labels_present(self):
-        svg = self.make().to_svg()
-        assert "vgg16" in svg and "resnet50" in svg
-
-    def test_save(self, tmp_path):
-        path = self.make().save(str(tmp_path / "bars.svg"))
-        parse(open(path).read())

@@ -4,7 +4,7 @@
 pool; the records must be *identical* (same keys, same floats, same
 order) to the ``workers=1`` serial fallback.  A raising cell must not
 kill the sweep: every other cell completes and the failure is reported
-per cell via :class:`SweepError` (or dropped with ``on_error="skip"``).
+per cell via :class:`SweepError`, which carries the surviving records.
 """
 
 import pytest
@@ -106,11 +106,6 @@ def test_unknown_executor_rejected():
         run(workers=2, executor="goroutine")
 
 
-def test_unknown_on_error_rejected():
-    with pytest.raises(ValueError, match="unknown on_error"):
-        run(on_error="explode")
-
-
 # ----------------------------------------------------------------------
 # Failure isolation: one bad cell must not kill the sweep.
 # ----------------------------------------------------------------------
@@ -147,12 +142,13 @@ def test_failing_cell_reported_per_cell(failing_dp_for_resnet, workers,
     assert ("vgg16", "dp") in keys
 
 
-def test_on_error_skip_returns_survivors(serial_records,
-                                         failing_dp_for_resnet):
-    survivors = run(workers=2, executor="thread", on_error="skip")
+def test_error_records_are_the_serial_survivors(serial_records,
+                                                failing_dp_for_resnet):
+    with pytest.raises(SweepError) as excinfo:
+        run(workers=2, executor="thread")
     expected = [r for r in serial_records
                 if not (r.model == "resnet50" and r.strategy == "dp")]
-    assert survivors == expected
+    assert excinfo.value.records == expected
 
 
 # ----------------------------------------------------------------------

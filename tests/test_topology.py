@@ -21,10 +21,6 @@ class TestTopology:
     def test_total_workers(self, two_level):
         assert two_level.total_workers == 4
 
-    def test_workers_per_component(self, two_level):
-        assert two_level.workers_per_component(1) == 2
-        assert two_level.workers_per_component(2) == 4
-
     def test_bandwidth_indexing(self, two_level):
         assert two_level.bandwidth(1) == 100.0
         assert two_level.bandwidth(2) == 10.0

@@ -16,8 +16,9 @@ from repro.nn.attention import (
 )
 from repro.optim import Adam
 from repro.profiler import profile_model
-from repro.runtime import PipelineTrainer, SequentialTrainer, evaluate_accuracy
+from repro.runtime import PipelineTrainer, evaluate_accuracy
 from tests.oracles.gradcheck import gradcheck
+from tests.oracles.sgd_reference import SequentialTrainer
 
 
 class TestLayerNorm:

@@ -30,8 +30,9 @@ from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
-CLI = ("models", "profile vgg16", "plan vgg16", "simulate vgg16",
-       "sweep vgg16 --counts 4", "timeline")
+CLI = ("models", "profile vgg16", "plan vgg16 --json plan.json",
+       "simulate vgg16", "sweep vgg16 --counts 4 --csv sweep.csv --svg sweep.svg",
+       "timeline")
 SMOKE = {"elastic_recovery.py", "mixed_precision_sweep.py"}
 
 #: Written as ``sitecustomize.py``: records each code object a process
