@@ -114,7 +114,8 @@ def smoke() -> None:
         MINIBATCHES, faults)
     for field in ("fault_time", "detection_time", "detection_latency",
                   "surviving_workers", "plan_config", "minibatches_completed",
-                  "minibatches_resumed", "oracle_seconds"):
+                  "minibatches_resumed", "oracle_seconds",
+                  "recovery_total_seconds", "minibatches_lost"):
         assert getattr(again.metrics, field) == getattr(m, field), field
     assert again.new_stages == report.new_stages
 

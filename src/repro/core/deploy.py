@@ -89,12 +89,13 @@ class DeploymentPlan:
         return one_f_one_b_rr_schedule(self.stages, num_minibatches, noam=self.noam)
 
     def describe(self) -> str:
-        """Human-readable deployment summary."""
+        """Human-readable deployment summary; each stage's workers print as
+        contiguous runs (``[0-1022]``, ``[3, 5-7]``)."""
         lines = [f"model {self.model_name}: {len(self.stages)} stage(s), "
                  f"{self.num_workers} worker(s), NOAM={self.noam}"]
         for s, stage in enumerate(self.stages):
             span = f"{self.layer_names[stage.start]}..{self.layer_names[stage.stop - 1]}"
-            workers = self.workers_for_stage(s)
+            workers = _runs(self.workers_for_stage(s))
             width = (f"x{stage.replicas}" if stage.tp_degree == 1
                      else f"x{stage.replicas}x{stage.tp_degree}tp")
             lines.append(f"  stage {s}: layers {span} {width} "
@@ -128,6 +129,18 @@ class DeploymentPlan:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
+
+
+def _runs(workers: List[int]) -> str:
+    """``[0-3, 8, 10-11]``: ascending worker ids as contiguous runs."""
+    runs: List[List[int]] = []
+    for worker in workers:
+        if runs and worker == runs[-1][1] + 1:
+            runs[-1][1] = worker
+        else:
+            runs.append([worker, worker])
+    return "[" + ", ".join(
+        str(a) if a == b else f"{a}-{b}" for a, b in runs) + "]"
 
 
 def _stage_to_dict(stage: Stage) -> Dict:

@@ -40,6 +40,7 @@ from repro.core.profile import ModelProfile
 from repro.core.ranges import clear_eval_tables, eval_tables_stats, range_table
 from repro.core.spec import PlanSpec
 from repro.core.topology import Topology, TopologyLevel
+from repro.utils import obs
 from repro.utils.lru import LRUCache
 
 
@@ -454,7 +455,8 @@ class PipeDreamOptimizer:
         return value
 
     def _bucket_matrix(self):
-        """(n, n) streamable collectives per round for every span i..j.
+        """Streamable collectives per round of every span, packed like the
+        :meth:`_span_tables` planes.
 
         With fusion off the stage all_reduces its streamable gradients as
         one payload (the scalar 1); with ``bucket_bytes`` set it launches
@@ -474,11 +476,12 @@ class PipeDreamOptimizer:
                     self._device_profile, self.bucket_bytes
                 ),
                 dtype=np.float64,
-            )
+            )[self._span_tables().tri]
         return self._bucket_matrix_cache
 
     def _bound_matrix(self) -> List[List[float]]:
-        """(n, n) per-span memory lower/upper bounds for phase-1 pruning.
+        """(n, n) per-span memory lower/upper bounds for phase-1 pruning
+        (``inf`` below the diagonal).
 
         Every entry is a :func:`repro.sim.memory.stage_memory_cost` value —
         the bound differs from the refined mask and the simulated footprint
@@ -527,10 +530,13 @@ class PipeDreamOptimizer:
         """The :meth:`_bound_matrix` values: one kernel call per depth."""
         tb = self._span_tables()
         kernel = self._stage_memory_cost
+        n = self._n
         if not self.memory_refine:
             W = max(1, self.topology.total_workers)
-            return np.where(tb.valid, kernel(tb.W, tb.D, tb.A, W, 1), math.inf)
-        # Per-layer floors (the span tables' diagonals).  With recompute
+            bound = np.full((n, n), math.inf)
+            bound[tb.tri] = kernel(tb.W, tb.D, tb.A, W, 1)
+            return bound
+        # Per-layer floors (the planes' single-layer entries).  With recompute
         # available the optimistic floor is the checkpointing cost at a
         # zero-byte boundary (a stage starting at layer 0 stashes no
         # boundary activations): eager*depth + one deferred version + one
@@ -542,7 +548,7 @@ class PipeDreamOptimizer:
         # shardable share is 0, which the kernel leaves untouched) — the
         # kernel is non-increasing in tp_degree, so the superset invariant
         # extends to tp assignments.
-        layer = {name: np.diagonal(getattr(tb, name))
+        layer = {name: getattr(tb, name)[tb.diag]
                  for name in ("W", "D", "A", "SW", "SA")}
 
         def floor(depth: int) -> np.ndarray:
@@ -559,9 +565,10 @@ class PipeDreamOptimizer:
         # floors.  A span reaching layer n-1 may place *any* of its layers
         # in the final depth-1 stage, so that column is the suffix max of
         # the depth-1 floors.
+        valid = np.arange(n)[:, None] <= np.arange(n)[None, :]
         bound = np.where(
-            tb.valid,
-            np.maximum.accumulate(np.where(tb.valid, floor(2), 0.0), axis=1),
+            valid,
+            np.maximum.accumulate(np.where(valid, floor(2), 0.0), axis=1),
             math.inf,
         )
         bound[:, -1] = np.maximum.accumulate(floor(1)[::-1])[::-1]
@@ -602,27 +609,44 @@ class PipeDreamOptimizer:
         topology = self.topology
         if num_workers is not None and num_workers != topology.total_workers:
             topology = topology.subset(num_workers)
+        with obs.span("solve", model=self.profile.model_name,
+                      workers=topology.total_workers):
+            cost, stages, memory = self._solve_phases(topology)
+        return PartitionResult(
+            stages=stages, slowest_stage_time=cost,
+            num_workers=topology.total_workers, profile=self.profile,
+            topology=topology, solve_seconds=time.perf_counter() - start_time,
+            memory_bytes=tuple(memory),
+            memory_limit_bytes=self.memory_limit_bytes,
+        )
 
+    def _solve_phases(self, topology: Topology):
+        """:meth:`solve`'s phases, one :mod:`repro.utils.obs` span each:
+        ``levels`` per decomposition, ``refined`` (``refined.rings``,
+        ``refined.planes`` and ``refined.rows`` inside), ``footprint`` and
+        ``score``.  Returns the winner's ``(cost, stages, footprint)``."""
         # Phase 1: the bound-filtered level DPs.  A binding limit can rule
         # out one decomposition (the hierarchy masks whole spans) while the
         # other still has feasible plans, and under a tight limit both may
         # find nothing where the refined pass still can — only fail when
         # *every* candidate source comes up empty.
-        candidates = [
-            stages
-            for stages in map(self._solve_for, self._decompositions(topology))
-            if stages is not None
-        ]
+        candidates = []
+        for decomposition in self._decompositions(topology):
+            with obs.span("levels", depth=decomposition.num_levels):
+                candidates.append(self._solve_for(decomposition))
+        candidates = [stages for stages in candidates if stages is not None]
         footprints: Dict[int, List[int]] = {}  # by id(stages)
         if self.memory_refine and self.memory_limit_bytes is not None:
             # Phase 2: depth-aware placement-exact DP (exact warmup_count
             # versions, evaluator-model sync and boundary costs).
-            refined = self._solve_refined(topology)
+            with obs.span("refined"):
+                refined = self._solve_refined(topology)
             if refined is not None:
                 candidates.append(refined)
             # Ground truth: keep only plans whose simulated footprint fits.
             limit = self.memory_limit_bytes
-            footprints = {id(c): self._true_footprint(c) for c in candidates}
+            with obs.span("footprint"):
+                footprints = {id(c): self._true_footprint(c) for c in candidates}
             candidates = [
                 c for c in candidates if max(footprints[id(c)]) <= limit]
         if not candidates:
@@ -640,16 +664,10 @@ class PipeDreamOptimizer:
             raise RuntimeError(f"no feasible partition found: {why}")
         # Note: the evaluator applies the topology's compute scale itself,
         # so the raw (reference-device) profile is passed here.
-        scored = [
-            (
-                evaluate_partition_on_topology(
-                    self.profile, stages, topology,
-                    bucket_bytes=self.bucket_bytes,
-                ),
-                stages,
-            )
-            for stages in candidates
-        ]
+        with obs.span("score"):
+            scored = [(evaluate_partition_on_topology(
+                self.profile, stages, topology, bucket_bytes=self.bucket_bytes,
+            ), stages) for stages in candidates]
         best_cost = min(cost for cost, _ in scored)
         # Within the solver's tolerance (the cost model has error bars of a
         # few percent), prefer the simplest plan — fewer stages, and vanilla
@@ -658,18 +676,10 @@ class PipeDreamOptimizer:
         tolerance = 1.03
         near_best = [item for item in scored if item[0] <= best_cost * tolerance]
         cost, stages = min(near_best, key=lambda item: (len(item[1]), item[0]))
-        elapsed = time.perf_counter() - start_time
-        return PartitionResult(
-            stages=stages,
-            slowest_stage_time=cost,
-            num_workers=topology.total_workers,
-            profile=self.profile,
-            topology=topology,
-            solve_seconds=elapsed,
-            memory_bytes=tuple(footprints.get(id(stages))
-                               or self._true_footprint(stages)),
-            memory_limit_bytes=self.memory_limit_bytes,
-        )
+        if id(stages) not in footprints:
+            with obs.span("footprint"):
+                footprints[id(stages)] = self._true_footprint(stages)
+        return cost, stages, footprints[id(stages)]
 
     def _decompositions(self, topology: Topology) -> List[Topology]:
         """The topologies the per-level DP is run on: the hierarchy itself
@@ -732,11 +742,12 @@ class PipeDreamOptimizer:
             # A ring table is a pure function of the topology signature
             # and its degree (no memory / option dependence), so one entry
             # serves every cap, option mix and menu holding that degree.
-            tables = {
-                t: self._memo("comm", (sig, t), functools.partial(
-                    self._refined_tp_tables, topology, t))
-                for t in self._tp_options
-            }
+            with obs.span("refined.rings"):
+                tables = {
+                    t: self._memo("comm", (sig, t), functools.partial(
+                        self._refined_tp_tables, topology, t))
+                    for t in self._tp_options
+                }
             # link_bw[w]: the link between workers w-1 and w (w >= 1).
             placement = Placement(topology)
             link_bw = [topology.levels[0].bandwidth] + [
@@ -839,30 +850,36 @@ class PipeDreamOptimizer:
         return keys
 
     def _span_tables(self) -> SimpleNamespace:
-        """The (n, n) planes both DPs read, built once per optimizer from
-        the range table: ``[i, j]`` sums over span ``i..j`` of compute /
-        weights / deferred (BPTT) weights / activations / backward and
-        their shardable shares (``S*``), plus the per-layer output
-        (``acts``) and input-boundary (``bacts``, 0 at layer 0) bytes, and
-        per tp degree the ``sharded`` compute planes.
-        Cells with ``i > j`` are meaningless; ``valid`` masks them.
+        """The span planes both DPs read, built once per optimizer from the
+        range table and held as a *packed upper triangle*: entry ``c``
+        sums span ``tri[0][c]..tri[1][c]`` of compute / weights / deferred
+        (BPTT) weights / activations / backward and their shardable shares
+        (``S*``), for the ``n(n+1)/2`` spans ``i <= j`` in row-major
+        order; ``at[i, j]`` is span ``i..j``'s entry (0 for ``i > j``,
+        which no plan reads) and ``diag`` the single-layer entries.
+        ``acts`` / ``bacts`` are the per-layer output and input-boundary
+        (0 at layer 0) bytes, ``out_acts`` / ``in_acts`` their value per
+        entry (the span's last layer's output, its first layer's input),
+        and ``sharded`` holds per tp degree the sharded compute planes.
         """
         if self._tables is None:
             rt, n = self._table, self._n
-            rows = np.arange(n)
+            iu, ju = np.triu_indices(n)
+            at = np.zeros((n, n), dtype=np.int64)
+            at[iu, ju] = np.arange(len(iu))
 
-            def span(prefix):
-                p = np.asarray(prefix, dtype=float)
-                return p[None, 1:] - p[:n, None]
-
+            columns = {"compute": "compute", "B": "backward", "W": "weights",
+                       "D": "deferred", "A": "acts", "ST": "shard_compute",
+                       "SB": "shard_backward", "SW": "shard_weights",
+                       "SA": "shard_acts"}
+            prefix = np.array([getattr(rt, c) for c in columns.values()],
+                              dtype=float)
+            acts = np.asarray(rt.out_bytes, dtype=float)
+            bacts = np.asarray(rt.in_bytes, dtype=float)
             tb = SimpleNamespace(
-                valid=rows[:, None] <= rows[None, :],
-                compute=span(rt.compute), B=span(rt.backward),
-                W=span(rt.weights), D=span(rt.deferred), A=span(rt.acts),
-                ST=span(rt.shard_compute), SB=span(rt.shard_backward),
-                SW=span(rt.shard_weights), SA=span(rt.shard_acts),
-                acts=np.asarray(rt.out_bytes, dtype=float),
-                bacts=np.asarray(rt.in_bytes, dtype=float),
+                tri=(iu, ju), at=at, diag=np.diagonal(at),
+                acts=acts, bacts=bacts, out_acts=acts[ju], in_acts=bacts[iu],
+                **dict(zip(columns, prefix[:, ju + 1] - prefix[:, iu])),
             )
             tb.WD = tb.W - tb.D
             # Checkpointed stage time: one extra forward (compute minus
@@ -885,12 +902,12 @@ class PipeDreamOptimizer:
             overlappable = stream · coeff / div + α · buckets / div
             blocked      = deferred · coeff / div + α / div
 
-        over (n, n) ``stream`` / ``deferred`` payload bytes (wait-free vs.
+        over packed ``stream`` / ``deferred`` payload bytes (wait-free vs.
         BPTT-deferred, see ``RECURRENT_KINDS``); ``coeff`` / ``lat`` are the
         replica group's ring seconds-per-byte and setup latency α, ``div``
         the minibatches one sync round covers, ``buckets`` the
         :meth:`_bucket_matrix`.  ``coeff`` / ``lat`` / ``div`` may be
-        scalars or ``(K, 1, 1)`` arrays (one plane per entry).  A
+        scalars or ``(K, 1)`` arrays (one plane per entry).  A
         payload-free span pays no α, and where no entry has ``lat > 0`` the
         α terms are skipped, keeping α = 0 tables bitwise equal to the
         latency-free model (an entry with α = 0 beside one with α > 0 adds
@@ -911,10 +928,10 @@ class PipeDreamOptimizer:
         ``ceil(m/mp)`` (physical workers downstream over physical workers
         held — :func:`warmup_count`'s tp-aware generalization) with
         ``replicas`` logical replicas of ``t`` shards.  Integer
-        ``versions`` / ``replicas`` give ``(n, n)`` masks; ``(K, 1, 1)``
-        integer arrays give ``(K, n, n)`` stacks, one per entry, which is
-        how the suffix DP prices every distinct mask key in one call
-        (:meth:`_refined_planes`).
+        ``versions`` / ``replicas`` give packed masks over the spans;
+        ``(K, 1)`` integer arrays give ``(K, spans)`` stacks, one per
+        entry, which is how the suffix DP prices every distinct mask key
+        in one call (:meth:`_refined_planes`).
         """
         tb = self._span_tables()
         limit = self.memory_limit_bytes
@@ -926,7 +943,7 @@ class PipeDreamOptimizer:
             return fits, None
         cost_r = self._stage_memory_cost(
             tb.W, tb.D, tb.A, versions, replicas, recompute=True,
-            boundary_activation_bytes=tb.bacts[:, None], **shard)
+            boundary_activation_bytes=tb.in_acts, **shard)
         return fits, cost_r <= limit
 
     def _tp_plane(self, compute, mask, t: int, r, div, dp_coeff, dp_lat,
@@ -934,9 +951,10 @@ class PipeDreamOptimizer:
         """Time of a stage of ``r`` replicas of ``t`` consecutive shards —
         the level DP's ``T^k(i→j, m)`` and the refined DP's cell — whose
         ``compute`` already divides the shardable share by ``t`` (the rest
-        is replicated work every shard repeats).  ``r`` and the ring terms
-        are scalars (one ``(n, n)`` plane) or ``(K, 1, 1)`` arrays (a
-        ``(K, n, n)`` stack, one plane per entry); ``t`` is one degree.
+        is replicated work every shard repeats).  Planes are packed like
+        the :meth:`_span_tables` ones.  ``r`` and the ring terms are
+        scalars (one plane) or ``(K, 1)`` arrays (a ``(K, spans)`` stack,
+        one plane per entry); ``t`` is one degree.
 
         - with ``t > 1`` every minibatch pays two intra-stage collectives
           on the slowest shard group (ring ``tp_coeff`` seconds per byte +
@@ -964,7 +982,7 @@ class PipeDreamOptimizer:
         if not self.allow_replication:
             mask = mask & (r == 1)
         if t > 1:
-            acts, bacts = tb.acts[None, :], tb.bacts[:, None]
+            acts, bacts = tb.out_acts, tb.in_acts
             out_term, in_term = acts * tp_coeff, bacts * tp_coeff
             if np.any(tp_lat > 0.0):
                 out_term = out_term + np.where(acts > 0, tp_lat, 0.0)
@@ -986,11 +1004,11 @@ class PipeDreamOptimizer:
         versions ``ceil(d/r)``, so masks are keyed ``(d, ceil(d/r))`` and
         priced at one representative cell's real ``r``.  Each distinct
         key is priced once, in one batched kernel
-        call per checkpoint depth over ``(K, 1, 1)`` key arrays, and each
+        call per checkpoint depth over ``(K, 1)`` key arrays, and each
         distinct (mask, time) pair is masked once: checkpointed times
         where they fit, stash-everything over them where *those* fit.
         Returns ``{t: (stack, index)}`` with ``stack[index[m]]`` row
-        ``m``'s ``(m/t, n, n)`` cube, in ``mp`` order.
+        ``m``'s ``(m/t, spans)`` packed planes, in ``mp`` order.
         """
         tb = self._span_tables()
         depth = 2 if self._recompute_auto else 1
@@ -1007,14 +1025,13 @@ class PipeDreamOptimizer:
             fits_at, fits_of = _distinct(depths, -(-depths // (mp // t)))
             time_at, time_of = _distinct(mp // t, *rings)
             pair_at, pair_of = _distinct(fits_of, time_of)
-            fits = self._refined_fits(depths[fits_at, None, None],
-                                      (mp // t)[fits_at, None, None], t)
-            r, *ring = (column[time_at, None, None]
+            fits = self._refined_fits(depths[fits_at, None],
+                                      (mp // t)[fits_at, None], t)
+            r, *ring = (column[time_at, None]
                         for column in (mp // t, *rings))
-            stack = np.full((len(pair_at),) + tb.valid.shape, math.inf)
+            stack = np.full((len(pair_at), len(tb.W)), math.inf)
             for c in reversed(range(depth)):
-                times = self._tp_plane(tb.sharded[t][c], tb.valid, t, r, r,
-                                       *ring)
+                times = self._tp_plane(tb.sharded[t][c], True, t, r, r, *ring)
                 np.copyto(stack, times[time_of[pair_at]],
                           where=fits[c][fits_of[pair_at]])
             offsets = np.cumsum([m // t for m in ms])[:-1]
@@ -1041,83 +1058,88 @@ class PipeDreamOptimizer:
         Every masked plane the rows read is built up front in batched
         array passes (:meth:`_refined_planes`), for the rows the shared
         context's ``refined_rows`` does not already hold.  Row ``m``'s
-        ``(m, n, n)`` cube is one gather from the degree-1 stack; the
-        boundary and rest terms fold in as one ``(m, 1, n)`` max, and each
-        larger degree ``t`` on the menu (``tables`` holds one ring table
-        per degree) folds into the strided slice ``mp = t, 2t, …`` of the
-        same cube.  The argmin runs in passes — the minimum over ``mp``
-        per ``(j, k)``, the first ``k`` reaching it per ``j``, then the
-        first ``mp`` at that ``k`` — which is the k-major first minimum
+        ``(m, spans)`` candidates are one gather from the degree-1 stack
+        over the packed spans ``j <= k`` (:meth:`_span_tables`); the
+        boundary and rest terms fold in as one ``(m, spans)`` max, and
+        each larger degree ``t`` on the menu (``tables`` holds one ring
+        table per degree) folds into the strided slice ``mp = t, 2t, …``
+        of the same array.  The argmin runs in passes — the minimum over
+        ``mp`` per span, unpacked into an ``(n, n)`` plane of ``inf``
+        below the diagonal for the first ``k`` reaching it per ``j``, then
+        the first ``mp`` at that span — which is the k-major first minimum
         without the transposed copy a flattened argmin needs.
         """
         n = self._n
         W = topology.total_workers
         tb = self._span_tables()
-        # boundary[w]: 2 a_k / B over the link into worker w, where a
-        # rest starting at w receives layer k's output (the last layer
-        # sends nothing).
-        boundary = np.zeros((W + 1, n))
-        if n > 1:
-            bw = np.asarray([link_bw[min(w, W - 1)] for w in range(W + 1)])
-            boundary[:, : n - 1] = 2.0 * tb.acts[None, : n - 1] / bw[:, None]
+        iu, ju = tb.tri
+        # boundary[w, c]: 2 a_k / B over the link into worker w, where a
+        # rest starting at w receives the output of span c's last layer k
+        # (the model's last layer sends nothing).
+        bw = np.asarray([link_bw[min(w, W - 1)] for w in range(W + 1)])
+        boundary = np.where(ju < n - 1, 2.0 * tb.out_acts / bw[:, None], 0.0)
         R = np.full((W + 1, n + 1), math.inf)
         R[0, n] = 0.0
         ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
         ptr_mp = np.full((W + 1, n), -1, dtype=np.int64)
         ptr_tp = np.ones((W + 1, n), dtype=np.int64)
         cols = np.arange(n)
+        by_k = np.full((n, n), math.inf)
         row_cache = self.context and self.context.refined_rows
         hits = {}
         if row_cache is not None:
             row_keys = self._refined_row_keys(W, link_bw, tables)
             hits = {m: row_cache.get(row_keys[m]) for m in range(1, W + 1)}
-        planes = self._refined_planes(
-            [m for m in range(1, W + 1) if hits.get(m) is None], tables)
-        for m in range(1, W + 1):
-            if hits.get(m) is not None:
-                for table, row in zip((R, ptr_k, ptr_mp, ptr_tp), hits[m]):
-                    table[m] = row
-                self.context._bump("row_hits")
-                continue
-            # cand[mp-1] = max(stage, boundary, rest) for mp = 1..m: the
-            # rest R[m-mp] starts at worker W-m+mp.  Degree 1 seeds every
-            # mp; each larger degree folds into its strided slice with
-            # strict '<' on the *full* candidate — the (k, mp, t)
-            # tie-break: when the boundary or the rest dominates both, the
-            # earlier (smaller) degree keeps the cell.  tp_sel[mp-1, j, k]
-            # is the cell's degree, copied out of a read-only view of ones
-            # only once a larger degree folds.
-            bound_rest = np.maximum(boundary[W - m + 1:, None, :],
-                                    R[m - 1::-1, None, 1:])
-            tp_sel = np.broadcast_to(np.int64(1), (m, n, n))
-            for t in self._tp_options:
-                if t > m:
-                    break
-                stack, index = planes[t]
-                cube = stack[index[m]]
-                sl = slice(t - 1, m, t)
-                np.maximum(cube, bound_rest[sl], out=cube)
-                if t == 1:
-                    cand = cube
+        with obs.span("refined.planes"):
+            planes = self._refined_planes(
+                [m for m in range(1, W + 1) if hits.get(m) is None], tables)
+        with obs.span("refined.rows"):
+            for m in range(1, W + 1):
+                if hits.get(m) is not None:
+                    for table, row in zip((R, ptr_k, ptr_mp, ptr_tp), hits[m]):
+                        table[m] = row
+                    self.context._bump("row_hits")
                     continue
-                better = cube < cand[sl]
-                np.copyto(cand[sl], cube, where=better)
-                if not tp_sel.flags.writeable:
-                    tp_sel = tp_sel.copy()
-                tp_sel[sl][better] = t
-            by_k = cand.min(axis=0)  # [j, k]
-            k = np.argmin(by_k, axis=1)
-            mp = np.argmin(cand[:, cols, k], axis=0)
-            best = by_k[cols, k]
-            finite = np.isfinite(best)
-            R[m, :n] = np.where(finite, best, math.inf)
-            ptr_k[m] = np.where(finite, k, -1)
-            ptr_mp[m] = np.where(finite, mp + 1, -1)
-            ptr_tp[m] = np.where(finite, tp_sel[mp, cols, k], 1)
-            if row_cache is not None:
-                row_cache[row_keys[m]] = tuple(
-                    table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp))
-                self.context._bump("row_misses")
+                # cand[mp-1] = max(stage, boundary, rest) for mp = 1..m: the
+                # rest R[m-mp] starts at worker W-m+mp.  Degree 1 seeds every
+                # mp; each larger degree folds into its strided slice with
+                # strict '<' on the *full* candidate — the (k, mp, t)
+                # tie-break: when the boundary or the rest dominates both, the
+                # earlier (smaller) degree keeps the cell.  tp_sel[mp-1, c]
+                # is the cell's degree, copied out of a read-only view of ones
+                # only once a larger degree folds.
+                bound_rest = np.maximum(boundary[W - m + 1:],
+                                        R[m - 1::-1, ju + 1])
+                tp_sel = np.broadcast_to(np.int64(1), bound_rest.shape)
+                for t in self._tp_options:
+                    if t > m:
+                        break
+                    stack, index = planes[t]
+                    cube = stack[index[m]]
+                    sl = slice(t - 1, m, t)
+                    np.maximum(cube, bound_rest[sl], out=cube)
+                    if t == 1:
+                        cand = cube
+                        continue
+                    better = cube < cand[sl]
+                    np.copyto(cand[sl], cube, where=better)
+                    if not tp_sel.flags.writeable:
+                        tp_sel = tp_sel.copy()
+                    tp_sel[sl][better] = t
+                by_k[iu, ju] = cand.min(axis=0)
+                k = by_k.argmin(axis=1)
+                span = tb.at[cols, k]
+                mp = cand[:, span].argmin(axis=0)
+                best = by_k[cols, k]
+                finite = np.isfinite(best)
+                R[m, :n] = np.where(finite, best, math.inf)
+                ptr_k[m] = np.where(finite, k, -1)
+                ptr_mp[m] = np.where(finite, mp + 1, -1)
+                ptr_tp[m] = np.where(finite, tp_sel[mp, span], 1)
+                if row_cache is not None:
+                    row_cache[row_keys[m]] = tuple(
+                        table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp))
+                    self.context._bump("row_misses")
         if not np.isfinite(R[W, 0]):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
@@ -1143,10 +1165,11 @@ class PipeDreamOptimizer:
             t = int(ptr_tp[m][j])
             recompute = False
             if self._recompute_auto:
+                c = tb.at[j, k]
                 cost = self._stage_memory_cost(
-                    tb.W[j, k], tb.D[j, k], tb.A[j, k], -(-m // mp), mp // t,
-                    tp_degree=t, shardable_weight_bytes=tb.SW[j, k],
-                    shardable_activation_bytes=tb.SA[j, k],
+                    tb.W[c], tb.D[c], tb.A[c], -(-m // mp), mp // t,
+                    tp_degree=t, shardable_weight_bytes=tb.SW[c],
+                    shardable_activation_bytes=tb.SA[c],
                 )
                 recompute = bool(cost > self.memory_limit_bytes)
             stages.append(
@@ -1168,25 +1191,28 @@ class PipeDreamOptimizer:
                                                T^k(s+1→j, m')) )
 
         runs as array operations: ``T[m]`` is an (n, n) stage-time table
-        built from the prefix sums (or the previous level's ``A`` table),
-        and for each m the split minimization is one ``argmin`` over a
-        (s, m') candidate cube — infeasible cells carry +inf, and the
-        (s-major, m'-minor) flattening makes ``argmin``'s first-minimum
-        rule the (s asc, m' asc) tie-break of the scalar loop nest kept as
-        the oracle in ``tests/oracles/partition_reference.py``.  Values
-        are selections (max/min) of identically-computed floats, so the
-        two agree bitwise.
+        built from the packed span sums (or the previous level's ``A``
+        table), and for each m the split minimization reduces a
+        (m', i, j, s) candidate cube in passes — the minimum over m', the
+        first s reaching it, the first m' at that s — which is the
+        (s asc, m' asc) tie-break of the scalar loop nest kept as the
+        oracle in ``tests/oracles/partition_reference.py``; infeasible
+        cells carry +inf.  Values are selections (max/min) of
+        identically-computed floats, so the two agree bitwise.
 
         An inner level fills ``A^k`` for every span — the level above
-        reads all of them through ``T^{k+1}`` — at ``O(N³ m_k²)``.
+        reads all of them through ``T^{k+1}`` — and prices only splits
+        ``i <= s < j``: its (i, j) plane is tiled into blocks, each
+        scanning the splits from its first row to its last column, about
+        ``n³ m_k² / 12`` cells against the full cube's ``n³ m_k² / 2``.
         Nothing reads the *last* level except the answer
         ``A^L(0→N-1, m_L)``, whose recurrence never leaves row ``i = 0``
         (``A(0→s, m-m')`` on the left, ``T(s+1→j, m')`` on the right), so
-        the top level's ``A``/pointer tables hold that one row:
-        ``O(N² m_L²)``, and the flat decomposition — a single, top level
-        of all ``W`` workers — is ``O(N² W²)``.  The same cube code runs
-        on either row count; the level-cache key carries a ``"row0"`` tag
-        for the one-row tables.
+        the top level's ``A``/pointer tables hold that one row, one
+        block of the same cube code: ``O(N² m_L²)``, and the flat
+        decomposition — a single, top level of all ``W`` workers — is
+        ``O(N² W²)``.  The level-cache key carries a ``"row0"`` tag for
+        the one-row tables.
 
         ``T^k(i→j, m)`` is a stage spanning layers i..j replicated over
         ``m`` level-(k-1) components (each holding ``prev_workers``
@@ -1203,11 +1229,11 @@ class PipeDreamOptimizer:
         """
         n = self._n
         tb = self._span_tables()
-        feasible = tb.valid
+        feasible = True
         if self.memory_limit_bytes is not None:
             # Phase-1 feasibility of span i..j: the shared-kernel bound.
-            feasible = feasible & (
-                self._bound_matrix() <= self.memory_limit_bytes)
+            feasible = (self._bound_matrix()[tb.tri]
+                        <= self.memory_limit_bytes)
 
         # tables[k-1] = (A, ptr_s, ptr_mp, tchoice); ptr < 0 encodes
         # "single stage".  The namespace prefix keeps a table to the solver
@@ -1225,7 +1251,7 @@ class PipeDreamOptimizer:
             row0 = k == len(topology.levels)
             full_key = self._cache_ns + ("level", tuple(key_parts))
             compute = (tb.compute if k == 1
-                       else tables[-1][0][topology.levels[k - 2].count])
+                       else tables[-1][0][topology.levels[k - 2].count][tb.tri])
             tables.append(self._memo(
                 "level", full_key + ("row0",) if row0 else full_key,
                 lambda: self._level_table(
@@ -1243,8 +1269,9 @@ class PipeDreamOptimizer:
     def _level_table(self, level: TopologyLevel, compute, prev_workers: int,
                      feasible, row0: bool, leaf: bool) -> tuple:
         """One level's ``(A, ptr_s, ptr_mp, tchoice)`` arrays (see
-        :meth:`_solve_for`); ``compute`` is ``T^{k-1}``'s answer per span
-        (the span sums at the leaf), ``row0`` keeps row ``i = 0`` only."""
+        :meth:`_solve_for`); ``compute`` is ``T^{k-1}``'s answer per packed
+        span (the span sums at the leaf), ``feasible`` the packed phase-1
+        mask, ``row0`` keeps row ``i = 0`` only."""
         n = self._n
         inf = math.inf
         mk, bandwidth = level.count, level.bandwidth
@@ -1257,59 +1284,76 @@ class PipeDreamOptimizer:
         # shards level-1 (leaf) stages only: upper levels replicate
         # whatever the leaf chose, keeping the conservative full-payload
         # sync of the two-axis model.  One _tp_plane call per degree
-        # prices its cells m = t, 2t, ... as one stack.  tchoice[m, i, j]
-        # is the cell's degree, copied out of a read-only view of ones
-        # only once a larger degree folds.
+        # prices its cells m = t, 2t, ... as one packed stack, unpacked
+        # once into (m, i, j) planes, inf below the diagonal.  tchoice[m,
+        # c] is packed span c's degree, copied out of a read-only view of
+        # ones only once a larger degree folds.
         tb = self._span_tables()
         menu = ({t: tb.sharded[t][0] for t in self._tp_options} if leaf
                 else {1: compute})
-        T = np.full((mk + 1, n, n), inf)
-        tchoice = np.broadcast_to(np.int64(1), T.shape)
+        packed = np.full((mk + 1, len(tb.W)), inf)
+        tchoice = np.broadcast_to(np.int64(1), packed.shape)
         for t, sharded in menu.items():
             ms = np.arange(t, mk + 1, t)
-            r = (ms // t)[:, None, None]
+            r = (ms // t)[:, None]
             planes = self._tp_plane(
                 sharded, feasible, t, r, r * prev_workers,
                 2.0 * (r - 1) / r / arbw, alpha, 2.0 * (t - 1) / t / arbw, alpha)
-            better = planes < T[ms]  # degree 1 over inf: the plane itself
-            T[ms] = np.where(better, planes, T[ms])
+            better = planes < packed[ms]  # degree 1 over inf: the plane
+            packed[ms] = np.where(better, planes, packed[ms])
             if t > 1:
                 tchoice = np.array(tchoice, copy=not tchoice.flags.writeable)
                 tchoice[ms] = np.where(better, t, tchoice[ms])
+        T = np.full((mk + 1, n, n), inf)
+        T[:, tb.tri[0], tb.tri[1]] = packed
 
         # ----- A^k recurrence -------------------------------------------
         # Rows i the table holds: all of them for an inner level (the
-        # level above reads every span), row 0 alone for the top one.
+        # level above reads every span), row 0 alone for the top one.  A
+        # cell keeps its single-stage time unless a split beats it.
         ni = 1 if row0 else n
-        A = np.full((mk + 1, ni, n), inf)
+        A = T[:, :ni].copy()
         ptr_s = np.full((mk + 1, ni, n), -1, dtype=np.int64)
         ptr_mp = np.full((mk + 1, ni, n), -1, dtype=np.int64)
-        A[1] = T[1, :ni]
-        if n == 1:
-            for m in range(2, mk + 1):
-                A[m] = T[m]
-        elif mk > 1:
-            boundary = 2.0 * tb.acts[None, : n - 1, None] / bandwidth
-            for m in range(2, mk + 1):
-                # cand[i, j, s, mp-1] = max(A[m-mp][i, s], 2a_s/B,
-                #                           T[mp][s+1, j]): the boundary
-                # folds into the small left operand, and the (s-major,
-                # m'-minor) split axis is last, so the flattening is a view
-                # and argmin reduces along contiguous rows; its
-                # first-minimum rule = the (s asc, m' asc) tie-break.
-                # Out-of-range splits (s < i or s >= j) are inf via the
-                # tables.
-                left = np.ascontiguousarray(np.maximum(
-                    A[m - 1:0:-1, :, : n - 1].transpose(1, 2, 0), boundary))
-                right = np.ascontiguousarray(T[1:m, 1:, :].transpose(2, 1, 0))
-                cand = np.maximum(left[:, None], right[None]).reshape(
-                    ni, n, (n - 1) * (m - 1))
-                flat = np.argmin(cand, axis=-1)
-                best_split = cand.min(axis=-1)
-                use = best_split < T[m, :ni]  # strict: single stage wins ties
-                A[m] = np.where(use, best_split, T[m, :ni])
-                ptr_s[m] = np.where(use, flat // (m - 1), -1)
-                ptr_mp[m] = np.where(use, flat % (m - 1) + 1, -1)
+        if n == 1 or mk == 1:
+            return A, ptr_s, ptr_mp, tchoice
+        boundary = 2.0 * tb.acts[: n - 1] / bandwidth
+        # right[mp-1, j, s] = T[mp][s+1, j], built once: each m reads its
+        # mp < m prefix.
+        right = np.ascontiguousarray(T[1:mk, 1:, :].transpose(0, 2, 1))
+        # The split cube is priced in (row, column) blocks: a row-0 table
+        # is one block, a full one has about 20 layers a side (one block
+        # below 30 layers, where a smaller cube does not repay numpy's
+        # per-call cost); only blocks holding a span i < j are kept.
+        size = n if row0 else -(-n // max(1, round(n / 20)))
+        spans = [(slice(i, min(i + size, ni)), slice(j, min(j + size, n)))
+                 for i in range(0, ni, size) for j in range(0, n, size)
+                 if i < min(j + size, n) - 1]
+        blocks = [(rows, cols, np.arange(rows.stop - rows.start)[:, None],
+                   np.arange(cols.stop - cols.start)) for rows, cols in spans]
+        for m in range(2, mk + 1):
+            # left[mp-1, i, s] = max(A[m-mp][i, s], 2a_s/B): the boundary
+            # folds into the small left operand.
+            left = np.maximum(A[m - 1:0:-1, :, : n - 1], boundary)
+            for rows, cols, ii, jj in blocks:
+                # cand[mp-1, i, j, s] = max(left[mp-1, i, s], right[mp-1,
+                # j, s]) over the splits s the block's cells can take,
+                # first row <= s < last column (every other split is inf
+                # via the tables).  The argmin runs in passes — the minimum
+                # over m' per (i, j, s), the first s reaching it, then the
+                # first m' at that s — which is the (s asc, m' asc)
+                # first-minimum tie-break.
+                first, stop = rows.start, cols.stop - 1
+                cand = np.maximum(left[:, rows, None, first:stop],
+                                  right[: m - 1, None, cols, first:stop])
+                by_s = cand.min(axis=0)
+                split = by_s.argmin(axis=-1)
+                best = by_s[ii, jj, split]
+                use = best < T[m, rows, cols]  # strict: single stage wins ties
+                np.copyto(A[m, rows, cols], best, where=use)
+                np.copyto(ptr_s[m, rows, cols], first + split, where=use)
+                np.copyto(ptr_mp[m, rows, cols],
+                          cand[:, ii, jj, split].argmin(axis=0) + 1, where=use)
         return A, ptr_s, ptr_mp, tchoice
 
     def _reconstruct_arrays(
@@ -1332,7 +1376,7 @@ class PipeDreamOptimizer:
         s = int(ptr_s[m, i, j])
         if s < 0:
             if k == 1:
-                t = int(tchoice[m, i, j])
+                t = int(tchoice[m, self._span_tables().at[i, j]])
                 return [Stage(i, j + 1, m // t, tp_degree=t)]
             # Single level-k stage replicated over m components; expand its
             # internal level-(k-1) pipeline and multiply replica counts.
@@ -1344,7 +1388,7 @@ class PipeDreamOptimizer:
         m_prime = int(ptr_mp[m, i, j])
         left = self._reconstruct_arrays(tables, topology, k, i, s, m - m_prime)
         if k == 1:
-            t = int(tchoice[m_prime, s + 1, j])
+            t = int(tchoice[m_prime, self._span_tables().at[s + 1, j]])
             right = [Stage(s + 1, j + 1, m_prime // t, tp_degree=t)]
         else:
             prev_capacity = topology.levels[k - 2].count

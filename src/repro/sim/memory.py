@@ -73,7 +73,7 @@ def stage_memory_cost(weight_bytes, deferred_weight_bytes, activation_bytes,
     ``boundary_activation_bytes`` may be scalars or numpy arrays (the
     refined DP passes range-table arrays); ``depth`` and ``replicas`` are
     integers or integer arrays that broadcast against them — the refined
-    DP passes ``(K, 1, 1)`` arrays with ``(n, n)`` span planes and gets
+    DP passes ``(K, 1)`` arrays with packed span planes and gets
     ``K`` stacked planes, each bitwise the plane the scalar pair of that
     entry gives.  ``tp_degree`` and ``recompute`` stay scalars.  All
     consumers — the bound, the refined DP and its oracle, and the

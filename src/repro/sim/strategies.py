@@ -42,12 +42,13 @@ from repro.sim.memory import data_parallel_memory_footprint, pipeline_memory_foo
 class RecoveryMetrics:
     """What one crash/re-plan/resume cycle cost (vs a fault-free oracle).
 
-    Simulated seconds and real (wall) seconds deliberately mix here: the
-    fault timeline, detection, and resumed execution live on the simulated
-    clock, while re-planning runs on the host — PipeDream-style recovery
-    pays the planner's wall time on the cluster's critical path, so the
-    downtime charged to the simulated timeline is
-    ``detection_latency + replan_wall_seconds``.
+    Every field but ``replan_wall_seconds`` and ``service_cached`` reads
+    the simulated clock only: the fault timeline, detection and the
+    resumed execution, so ``recovery_total_seconds`` (the crash-free
+    prefix, the detection downtime and the resumed run) and
+    ``minibatches_lost`` reproduce bitwise from run to run.  The re-plan
+    runs on the host; its wall clock is reported in
+    ``replan_wall_seconds`` beside them and charged to no simulated field.
     """
 
     fault_time: float  # sim seconds: when the worker crashed
@@ -58,7 +59,7 @@ class RecoveryMetrics:
     plan_config: str  # replica signature of the recovery plan
     minibatches_completed: int  # finished before the crash
     minibatches_resumed: int  # re-run + remaining after resume
-    recovery_total_seconds: float  # sim: crash-free prefix + downtime + resumed run
+    recovery_total_seconds: float  # sim: crash-free prefix + detection + resumed run
     oracle_seconds: float  # sim: fault-free run of the same workload
     minibatches_lost: float  # extra time, in units of oracle minibatches
     service_cached: bool = False  # re-plan answered from the planner cache

@@ -423,18 +423,22 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                 stage_cache[(i, j, m)] = result
                 return result
 
+            boundaries = [2.0 * self.profile.activation_bytes(s) / bandwidth
+                          for s in range(n)]
             for m in range(1, mk + 1):
                 for j in range(n):
                     for i in range(j, -1, -1):
                         best = stage_time(i, j, m)
                         best_ptr: Optional[Tuple[int, int]] = None
                         for s in range(i, j):
-                            boundary = 2.0 * self.profile.activation_bytes(s) / bandwidth
+                            boundary = boundaries[s]
                             for m_prime in range(1, m):
                                 left = table.get((i, s, m - m_prime))
                                 if left is None:
                                     continue
-                                right = stage_time(s + 1, j, m_prime)
+                                right = stage_cache.get((s + 1, j, m_prime))
+                                if right is None:
+                                    right = stage_time(s + 1, j, m_prime)
                                 candidate = max(left[0], boundary, right)
                                 if candidate < best:
                                     best = candidate

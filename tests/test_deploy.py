@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.deploy import DeploymentPlan
+from repro.core.deploy import DeploymentPlan, _runs
 from repro.core.partition import PartitionResult, PipeDreamOptimizer, Stage
 from repro.core.schedule import validate_schedule
 from repro.core.topology import cluster_a
@@ -74,3 +74,11 @@ class TestDeploymentPlan:
         text = plan.describe()
         for s in range(len(plan.stages)):
             assert f"stage {s}:" in text
+
+    def test_describe_prints_worker_runs(self):
+        """A 63-way stage prints as one run, not 63 ids."""
+        result = PipeDreamOptimizer(
+            analytic_profile("vgg16"), cluster_a(16)).solve()
+        text = DeploymentPlan.from_partition(result).describe()
+        assert "on workers [0-62]" in text and "on workers [63]" in text
+        assert _runs([0, 1, 2, 5, 7, 8]) == "[0-2, 5, 7-8]"

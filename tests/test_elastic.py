@@ -7,8 +7,8 @@ Locks the recovery invariants:
   different plan), including through the :class:`PlannerService` path
   (which additionally answers repeat recoveries from its plan cache);
 - :func:`run_with_recovery` is deterministic in every simulated-time
-  field (wall-clock planning time is measured, not simulated, so the
-  composite ``minibatches_lost`` is excluded by design);
+  field, ``recovery_total_seconds`` and ``minibatches_lost`` included
+  (the re-plan's wall clock is reported beside them, never added);
 - remapping per-stage checkpoints onto a different partition preserves
   every parameter bitwise, and training resumed through the remap path
   is bitwise-equal to a fresh run started on the surviving partition
@@ -135,7 +135,7 @@ class TestWarmReplan:
 SIM_SIDE_FIELDS = (
     "fault_time", "detection_time", "detection_latency", "surviving_workers",
     "plan_config", "minibatches_completed", "minibatches_resumed",
-    "oracle_seconds",
+    "oracle_seconds", "recovery_total_seconds", "minibatches_lost",
 )
 
 
@@ -174,9 +174,9 @@ class TestRunWithRecovery:
 
     @pytest.mark.chaos
     def test_sim_side_fields_deterministic(self, report):
-        """Fresh coordinators reproduce every simulated-time field.
-        ``replan_wall_seconds`` (and the composite ``minibatches_lost``)
-        are host wall-clock by design and excluded."""
+        """Fresh coordinators reproduce every simulated-time field,
+        the recovery bill included; only ``replan_wall_seconds`` reads the
+        host clock."""
         again = ElasticCoordinator(VGG, TOPO_A).run_with_recovery(32, CRASH)
         assert sim_side(again) == sim_side(report)
 

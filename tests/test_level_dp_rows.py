@@ -1,11 +1,15 @@
 """The planner computes only the DP cells its answer reads.
 
-Two reductions are locked down here, both required to leave every plan
+Three reductions are locked down here, all required to leave every plan
 *bitwise* unchanged:
 
 - the last level of the level DP holds row ``i = 0`` only (the answer
   ``A(0→n-1, m_L)`` and its left operands ``A(0→s, m-m')`` never leave
   it), so the top level costs ``O(N² m²)`` instead of ``O(N³ m²)``;
+- an inner level prices its split cube in row / column blocks, each
+  scanning only the splits ``first row <= s < last column``, and both DPs
+  price stage times and memory masks over the packed spans ``i <= j``
+  only;
 - the refined suffix DP builds each memory / stage-time plane once per
   distinct ``(depth, ceil(depth/replicas), tp)`` / ``(mp, coeff, lat)``
   — batched, one kernel call per degree and checkpoint depth, for the
@@ -17,6 +21,7 @@ every level and recomputes every plane and group per cell.
 """
 
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -34,6 +39,7 @@ from repro.core.topology import Topology, TopologyLevel, cluster_a, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.memory import memory_ceiling
 from repro.sim.network import Placement
+from repro.utils import obs
 from tests.oracles import ReferenceOptimizer
 from tests.oracles.partition_reference import allreduce_cost_factors
 
@@ -210,6 +216,54 @@ def test_top_level_never_materialises_a_full_cube():
     assert peak < (workers - 1) * (n - 1) * n * n * 8
 
 
+def test_inner_level_never_materialises_a_full_cube():
+    """Timing-free complexity guard: a cold 66-layer free solve on
+    ``cluster_a(4)`` peaks below one full ``n²(n-1)(m_k-1)`` float64 split
+    cube of its inner level (≈ 6.8 MB): the blocked triangle peaks near
+    4.2 MB, the full cube with its transposed copies at 12.9 MB."""
+    n, inner = 66, 4
+    profile = toy_profile(n)
+    tracemalloc.start()
+    try:
+        plan = PipeDreamOptimizer(profile, cluster_a(4)).solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.num_workers == 16
+    assert peak < n * n * (n - 1) * (inner - 1) * 8
+
+
+class TestEveryCandidateTies:
+    """Forty identical layers: every split, replica count and degree ties
+    with its neighbours, so the first-minimum tie-breaks — (s, m') in the
+    level DP's blocks, (k, m', t) in the refined DP's packed rows — decide
+    every cell, and a block or a packed span that scanned its candidates
+    in another order would pick another plan than the oracle."""
+
+    PROFILE = ModelProfile("same40", [
+        LayerProfile(f"l{i}", compute_time=0.01, activation_bytes=50_000,
+                     weight_bytes=400_000, kind="fc")
+        for i in range(40)
+    ], batch_size=8)
+    TOPOLOGIES = {
+        "2-level": levels((4, 8e7, 0.25), (4, 1e7, 0.5)),
+        "flat-32": levels((32, 4e7, 0.5)),
+    }
+
+    @pytest.mark.parametrize("capped", [False, True], ids=["free", "capped"])
+    @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
+    def test_production_matches_oracle(self, topology, capped):
+        topo, options = self.TOPOLOGIES[topology], {}
+        if capped:
+            free = PipeDreamOptimizer(self.PROFILE, topo).solve()
+            options = dict(recompute="auto", tp_degrees=(1, 2, 4),
+                           memory_limit_bytes=0.3 * max(free.memory_bytes))
+        plan = assert_twins_identical(self.PROFILE, topo, **options)
+        assert plan.num_workers == topo.total_workers
+        if capped:
+            assert any(stage.tp_degree > 1 for stage in plan.stages)
+
+
 class TestRefinedPlaneMemoisation:
     """W = 64 on a [4, 16] cluster with recompute + tp: the shape where
     ``ceil(m/mp)`` and the ring alignments repeat the most."""
@@ -378,7 +432,8 @@ class TestPlanScaleShape:
         planes, rings = {}, []
 
         def kernel_spy(*args, tp_degree=1, **kw):
-            if np.ndim(args[3]) == 3:
+            # A batched call passes (K, 1) depths against packed planes.
+            if np.ndim(args[3]) == 2:
                 planes.setdefault(tp_degree, []).append(len(args[3]))
             return kernel(*args, tp_degree=tp_degree, **kw)
 
@@ -401,6 +456,29 @@ class TestPlanScaleShape:
                 for m in range(t, W + 1) for mp in range(t, m + 1, t)]
             assert sorted(rings) == sorted(
                 {tuple(placement.ring_sizes(group)) for group in groups})
+
+    def test_phase_spans_cover_the_solve(self):
+        """Enabled, the registry's phase spans — the children of the
+        ``solve`` span — sum to the solve's wall time within 5 %;
+        disabled, a solve records nothing."""
+        options = self.options()
+        obs.reset()
+        PipeDreamOptimizer(self.PROFILE, self.TOPO, **options).solve()
+        assert obs.registry.spans == []
+        obs.enable()
+        try:
+            start = time.perf_counter()
+            PipeDreamOptimizer(self.PROFILE, self.TOPO, **options).solve()
+            wall = time.perf_counter() - start
+        finally:
+            obs.disable()
+        spans, _ = list(obs.registry.spans), obs.reset()
+        phases = {span.name for span in spans if span.depth == 1}
+        assert phases == {"levels", "refined", "footprint", "score"}
+        assert {span.name for span in spans if span.depth == 2} == {
+            "refined.rings", "refined.planes", "refined.rows"}
+        covered = sum(span.seconds for span in spans if span.depth == 1)
+        assert abs(covered - wall) <= 0.05 * wall
 
     def test_refined_solve_never_materialises_a_4d_cube(self):
         """Timing-free complexity guard: a row builds one ``(m, n, n)``

@@ -3,7 +3,8 @@
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
 # seeded chaos suite, the elastic-recovery smoke, the threaded-runtime
 # example, the quickstart / cluster-planner / DAG / image-classification /
-# GNMT-translation examples, the planner-service smoke, the end-to-end
+# GNMT-translation examples, the 1 024-worker `repro plan` smoke, the
+# planner-service smoke, the end-to-end
 # benchmark's selftest (its pinned call surface), and the perf-regression
 # gate.
 set -euo pipefail
@@ -41,6 +42,10 @@ python examples/cluster_planner.py
 python examples/dag_partitioning.py
 python examples/image_classification.py
 python examples/translation_gnmt.py
+
+echo
+echo "== largest admitted plan =="
+python -m repro.cli plan vgg16 --servers 256
 
 echo
 echo "== planner service smoke =="
