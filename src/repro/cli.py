@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.cli models
     python -m repro.cli profile vgg16 --device v100
-    python -m repro.cli plan vgg16 --cluster a --servers 4 [--json out.json]
+    python -m repro.cli plan vgg16 --cluster a --servers 4 [--json out.json] [--trace solve.json]
     python -m repro.cli simulate vgg16 --cluster a --servers 4 --strategy pipedream
     python -m repro.cli simulate vgg16 --strategy gpipe --minibatches 12 --bucket-bytes 25e6
     python -m repro.cli sweep vgg16 gnmt8 --counts 4 16 --precisions fp32 fp16
@@ -15,6 +15,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import os
 import signal
 import sys
 from dataclasses import replace
@@ -39,6 +40,25 @@ def _profile(args):
                             bytes_per_element=PRECISION_BYTES[args.precision])
 
 
+def _check_outputs(args, *flags) -> None:
+    """Exit 2 naming the flag when an output path among ``flags`` cannot
+    be written, before any work runs and without creating a file."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            why = f"no such directory {folder!r}"
+        elif os.path.isdir(path):
+            why = "it is a directory"
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            why = "permission denied"
+        else:
+            continue
+        args.error(f"argument --{flag}: cannot write {path!r}: {why}")
+
+
 def cmd_models(args) -> int:
     from repro.utils import format_table
 
@@ -61,6 +81,7 @@ def cmd_models(args) -> int:
 def cmd_profile(args) -> int:
     from repro.utils import format_table
 
+    _check_outputs(args, "json")
     profile = analytic_profile(args.model, batch_size=args.batch,
                                device=args.device)
     if args.json:
@@ -80,9 +101,23 @@ def cmd_profile(args) -> int:
 def cmd_plan(args) -> int:
     from repro.core.deploy import DeploymentPlan
     from repro.core.partition import PipeDreamOptimizer
+    from repro.utils import obs
 
-    result = PipeDreamOptimizer(_profile(args), _topology(args),
-                                **_plan_spec(args).options()).solve()
+    _check_outputs(args, "json", "trace")
+    optimizer = PipeDreamOptimizer(_profile(args), _topology(args),
+                                   **_plan_spec(args).options())
+    if args.trace is None:
+        result = optimizer.solve()
+    else:
+        # Record this solve's spans only, and leave the registry as found.
+        first, was_enabled = len(obs.registry.spans), obs.registry.enabled
+        obs.enable()
+        try:
+            result = optimizer.solve()
+        finally:
+            if not was_enabled:
+                obs.disable()
+        spans = obs.registry.spans[first:]
     plan = DeploymentPlan.from_partition(result)
     print(plan.describe())
     if any(s.recompute for s in result.stages):
@@ -100,6 +135,14 @@ def cmd_plan(args) -> int:
         with open(args.json, "w") as f:
             f.write(plan.to_json())
         print(f"wrote {args.json}")
+    if args.trace:
+        import json
+
+        from repro.sim.trace import span_trace_events
+
+        with open(args.trace, "w") as f:
+            json.dump({"traceEvents": span_trace_events(spans)}, f)
+        print(f"wrote {args.trace} ({len(spans)} spans)")
     return 0
 
 
@@ -162,6 +205,7 @@ def cmd_sweep(args) -> int:
     from repro.sim import precision_chart, records_to_csv, run_sweep
     from repro.utils import format_table
 
+    _check_outputs(args, "csv", "svg")
     topology = _topology(args)
     records = run_sweep(args.models, topology, args.counts,
                         **_given(args, SWEEP_OPTIONS))
@@ -323,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("plan", cmd_plan, "run the partitioning optimizer",
                 ("model",) + _WHERE + _PLAN_ARGV)
     p.add_argument("--json", help="write the deployment plan to this file")
+    p.add_argument("--trace", help="write the solve's phase spans here as "
+                   "Chrome trace events (chrome://tracing, Perfetto)")
     command("simulate", cmd_simulate, "simulate a training strategy",
             ("model",) + _WHERE + _PLAN_ARGV
             + ("strategy", "minibatches", "schedule_family", "faults"))

@@ -445,11 +445,9 @@ class PipeDreamOptimizer:
         value = store.get(key)
         if value is None and fallback is not None:
             value = store.get(fallback)
-        outcome = "hits"
+        outcome = "hits" if value is not None else "misses"
         if value is None:
-            value = build()
-            store[key] = value
-            outcome = "misses"
+            value = store[key] = build()
         if self.context is not None:
             self.context._bump(f"{kind}_{outcome}")
         return value
@@ -632,7 +630,7 @@ class PipeDreamOptimizer:
         # *every* candidate source comes up empty.
         candidates = []
         for decomposition in self._decompositions(topology):
-            with obs.span("levels", depth=decomposition.num_levels):
+            with obs.span("levels", levels=decomposition.num_levels):
                 candidates.append(self._solve_for(decomposition))
         candidates = [stages for stages in candidates if stages is not None]
         footprints: Dict[int, List[int]] = {}  # by id(stages)
@@ -732,11 +730,8 @@ class PipeDreamOptimizer:
         """
         from repro.sim.network import Placement
 
-        sig = tuple(
-            (lv.count, lv.bandwidth, lv.allreduce_bandwidth,
-             lv.allreduce_latency)
-            for lv in topology.levels
-        )
+        sig = tuple((lv.count, lv.bandwidth, lv.allreduce_bandwidth,
+                     lv.allreduce_latency) for lv in topology.levels)
 
         def solve_dp():
             # A ring table is a pure function of the topology signature
@@ -752,8 +747,7 @@ class PipeDreamOptimizer:
             placement = Placement(topology)
             link_bw = [topology.levels[0].bandwidth] + [
                 placement.link_bandwidth(w - 1, w)
-                for w in range(1, topology.total_workers)
-            ]
+                for w in range(1, topology.total_workers)]
             return (self._solve_refined_dp(topology, link_bw, tables),)
 
         return self._memo(
@@ -837,9 +831,8 @@ class PipeDreamOptimizer:
         keys: List[tuple] = [()] * (W + 1)
         chain: tuple = ("base", self._n)
         for m in range(1, W + 1):
-            bw_m = tuple(
-                link_bw[min(W - m + mp, W - 1)] for mp in range(1, m + 1)
-            )
+            bw_m = tuple(link_bw[min(W - m + mp, W - 1)]
+                         for mp in range(1, m + 1))
             rings = tuple(
                 (t,) + tuple(np.asarray(table[m][1 : m + 1]).tobytes()
                              for table in tabs)
@@ -882,16 +875,16 @@ class PipeDreamOptimizer:
                 **dict(zip(columns, prefix[:, ju + 1] - prefix[:, iu])),
             )
             tb.WD = tb.W - tb.D
-            # Checkpointed stage time: one extra forward (compute minus
-            # backward).
-            tb.compute_r = tb.compute + (tb.compute - tb.B)
             # Per tp degree: the stage compute with the shardable share
             # divided by t, and its checkpointed form (one extra *sharded*
-            # forward); degree 1 is the unsharded pair.
-            tb.sharded = {1: (tb.compute, tb.compute_r)}
+            # forward: compute minus backward), stacked as a (2, spans)
+            # array; degree 1 is the unsharded pair.
+            tb.sharded = {1: np.array(
+                [tb.compute, tb.compute + (tb.compute - tb.B)])}
             for t in self._tp_options[1:]:
                 sc = tb.compute - tb.ST + tb.ST / t
-                tb.sharded[t] = (sc, sc + (sc - (tb.B - tb.SB + tb.SB / t)))
+                tb.sharded[t] = np.array(
+                    [sc, sc + (sc - (tb.B - tb.SB + tb.SB / t))])
             self._tables = tb
         return self._tables
 
@@ -954,7 +947,9 @@ class PipeDreamOptimizer:
         is replicated work every shard repeats).  Planes are packed like
         the :meth:`_span_tables` ones.  ``r`` and the ring terms are
         scalars (one plane) or ``(K, 1)`` arrays (a ``(K, spans)`` stack,
-        one plane per entry); ``t`` is one degree.
+        one plane per entry); ``t`` is one degree.  A ``(D, 1, spans)``
+        ``compute`` (both checkpoint depths) gives a ``(D, K, spans)``
+        stack that prices the sync terms the depths share once.
 
         - with ``t > 1`` every minibatch pays two intra-stage collectives
           on the slowest shard group (ring ``tp_coeff`` seconds per byte +
@@ -981,20 +976,31 @@ class PipeDreamOptimizer:
         tb = self._span_tables()
         if not self.allow_replication:
             mask = mask & (r == 1)
+        # One output array, every step in place in it; the tp terms are
+        # freed before the sync terms are priced.
+        plane = np.empty(np.broadcast(
+            compute, r, div, dp_coeff, dp_lat, tp_coeff, tp_lat).shape)
         if t > 1:
             acts, bacts = tb.out_acts, tb.in_acts
             out_term, in_term = acts * tp_coeff, bacts * tp_coeff
             if np.any(tp_lat > 0.0):
-                out_term = out_term + np.where(acts > 0, tp_lat, 0.0)
-                in_term = in_term + np.where(bacts > 0, tp_lat, 0.0)
-            compute = compute + (out_term + in_term)
+                out_term += np.where(acts > 0, tp_lat, 0.0)
+                in_term += np.where(bacts > 0, tp_lat, 0.0)
+            out_term += in_term
+            compute = np.add(compute, out_term, out=plane)
+            del out_term, in_term
+        np.divide(compute, r, out=plane)
         stream = tb.WD if t == 1 else tb.WD - tb.SW + tb.SW / t
         overl, nonov = self._sync_terms(
             stream, tb.D, dp_coeff, np.where(r > 1, dp_lat, 0.0), div)
-        return np.where(mask, np.maximum(compute / r, overl) + nonov, math.inf)
+        np.maximum(plane, overl, out=plane)
+        plane += nonov
+        np.copyto(plane, math.inf, where=np.logical_not(mask))
+        return plane
 
-    def _refined_planes(self, rows: Sequence[int], tables) -> dict:
-        """The masked stage-time planes the suffix-DP rows ``rows`` read.
+    def _refined_planes(self, rows: Sequence[int], tables) -> SimpleNamespace:
+        """The masked stage-time planes the suffix-DP rows ``rows`` read,
+        and the rows' candidate entries into them.
 
         Per degree ``t``, cell ``(m, mp)`` (``mp = t, 2t, … <= m``) needs
         the memory masks at depth ``d = ceil(m/mp)`` and ``r = mp/t``
@@ -1003,47 +1009,74 @@ class PipeDreamOptimizer:
         across cells.  The kernel reads ``r`` only through the stash
         versions ``ceil(d/r)``, so masks are keyed ``(d, ceil(d/r))`` and
         priced at one representative cell's real ``r``.  Each distinct
-        key is priced once, in one batched kernel
-        call per checkpoint depth over ``(K, 1)`` key arrays, and each
-        distinct (mask, time) pair is masked once: checkpointed times
-        where they fit, stash-everything over them where *those* fit.
-        Returns ``{t: (stack, index)}`` with ``stack[index[m]]`` row
-        ``m``'s ``(m/t, spans)`` packed planes, in ``mp`` order.
+        key is priced once, in one batched kernel call per checkpoint
+        depth over ``(K, 1)`` key arrays; one :meth:`_tp_plane` call per
+        degree prices both depths' times; and each distinct (mask, time)
+        pair is masked once, in place in its degree's block of the one
+        ``stack``: checkpointed times where they fit, stash-everything over
+        them where *those* fit.
+
+        Returns a namespace: ``stack`` (``sizes[t]`` rows per degree, in
+        menu order) and one entry per cell, ordered ``(m asc, mp asc, t
+        asc)`` — its stack row ``sel``, ``mp``, ``t`` and ``rest = m - mp``
+        — with ``at[m]`` the slice of row ``m``'s entries.
         """
         tb = self._span_tables()
         depth = 2 if self._recompute_auto else 1
-        planes = {}
+        wanted = np.asarray(rows, dtype=np.int64)
+        # Every (m, mp) pair, then one entry per degree dividing mp: the
+        # row-major order is (m, mp, t), and one degree's entries alone
+        # are its cells in (m, mp) order.
+        row = np.repeat(wanted, wanted)
+        mp = np.arange(1, len(row) + 1) - np.repeat(
+            np.cumsum(wanted) - wanted, wanted)
+        menu = np.asarray(self._tp_options)
+        pair, degree = np.nonzero(mp[:, None] % menu == 0)
+        row, out = row[pair], SimpleNamespace(mp=mp[pair], t=menu[degree])
+        out.rest, out.sel = row - out.mp, np.empty(len(row), dtype=np.int64)
+        out.at = dict(zip(rows, map(slice, np.searchsorted(row, wanted),
+                                    np.searchsorted(row, wanted, "right"))))
+        # The index passes and the memory kernel run before the stack is
+        # allocated, and the masking gathers 64 pairs at a time, so neither
+        # the kernel's temporaries nor a degree's gathered times sit beside
+        # the whole stack.
+        blocks, out.sizes = [], {}
         for t in self._tp_options:
-            ms = [m for m in rows if m >= t]
-            if not ms:
+            cell = np.flatnonzero(out.t == t)
+            if not len(cell):
                 break
-            # One entry per cell: rows in order, mp ascending within each.
-            mp = np.concatenate([np.arange(t, m + 1, t) for m in ms])
-            row = np.repeat(ms, [m // t for m in ms])
-            depths = -(-row // mp)
-            rings = [table[row, mp] for table in tables[t]]
-            fits_at, fits_of = _distinct(depths, -(-depths // (mp // t)))
-            time_at, time_of = _distinct(mp // t, *rings)
+            m, r = row[cell], out.mp[cell] // t
+            depths = -(-m // (r * t))
+            rings = [table[m, r * t] for table in tables[t]]
+            fits_at, fits_of = _distinct(depths, -(-depths // r))
+            time_at, time_of = _distinct(r, *rings)
             pair_at, pair_of = _distinct(fits_of, time_of)
-            fits = self._refined_fits(depths[fits_at, None],
-                                      (mp // t)[fits_at, None], t)
-            r, *ring = (column[time_at, None]
-                        for column in (mp // t, *rings))
-            stack = np.full((len(pair_at), len(tb.W)), math.inf)
-            for c in reversed(range(depth)):
-                times = self._tp_plane(tb.sharded[t][c], True, t, r, r, *ring)
-                np.copyto(stack, times[time_of[pair_at]],
-                          where=fits[c][fits_of[pair_at]])
-            offsets = np.cumsum([m // t for m in ms])[:-1]
-            planes[t] = stack, dict(zip(ms, np.split(pair_of, offsets)))
-        return planes
+            out.sel[cell] = sum(out.sizes.values()) + pair_of
+            out.sizes[t] = len(pair_at)
+            blocks.append((t, self._refined_fits(
+                depths[fits_at, None], r[fits_at, None], t),
+                [column[time_at, None] for column in (r, *rings)],
+                fits_of[pair_at], time_of[pair_at]))
+        block = out.stack = np.full((sum(out.sizes.values()), len(tb.W)),
+                                    math.inf)
+        for t, fits, (r, *ring), fits_of, time_of in blocks:
+            times = self._tp_plane(tb.sharded[t][:depth, None], True, t,
+                                   r, r, *ring)
+            for first in range(0, len(time_of), 64):
+                part = slice(first, min(first + 64, len(time_of)))
+                for c in reversed(range(depth)):
+                    np.copyto(block[part], times[c][time_of[part]],
+                              where=fits[c][fits_of[part]])
+            # On to the next degree's block, this degree's times freed.
+            block, times = block[len(time_of):], None
+        return out
 
     def _solve_refined_dp(
         self, topology: Topology, link_bw, tables
     ) -> Optional[List[Stage]]:
-        """The suffix DP: per worker count, one argmin over a (k, m')
-        candidate cube, in the (k asc, m' asc, t asc) first-minimum
-        tie-break of the scalar loop nest kept as the oracle in
+        """The suffix DP: per worker count, one argmin over its (k, m', t)
+        candidates in the (k asc, m' asc, t asc) first-minimum tie-break of
+        the scalar loop nest kept as the oracle in
         ``tests/oracles/partition_reference.py``; values are selections of
         identically computed floats, so the two agree bitwise.
 
@@ -1057,17 +1090,17 @@ class PipeDreamOptimizer:
 
         Every masked plane the rows read is built up front in batched
         array passes (:meth:`_refined_planes`), for the rows the shared
-        context's ``refined_rows`` does not already hold.  Row ``m``'s
-        ``(m, spans)`` candidates are one gather from the degree-1 stack
-        over the packed spans ``j <= k`` (:meth:`_span_tables`); the
-        boundary and rest terms fold in as one ``(m, spans)`` max, and
-        each larger degree ``t`` on the menu (``tables`` holds one ring
-        table per degree) folds into the strided slice ``mp = t, 2t, …``
-        of the same array.  The argmin runs in passes — the minimum over
-        ``mp`` per span, unpacked into an ``(n, n)`` plane of ``inf``
-        below the diagonal for the first ``k`` reaching it per ``j``, then
-        the first ``mp`` at that span — which is the k-major first minimum
-        without the transposed copy a flattened argmin needs.
+        context's ``refined_rows`` does not already hold.  A candidate's
+        boundary (into worker ``W-m+mp``) and rest (``R[m-mp]``) share one
+        index ``r = m - mp``, so ``BR[r]``, their max per packed span, is
+        folded once, when row ``r`` becomes final (computed or restored).
+        Row ``m``'s candidates are then ``max(stack[sel], BR[rest])`` over
+        its entries, one gather from each, ordered ``(mp asc, t asc)``.
+        The argmin runs in passes — the minimum over entries per span,
+        unpacked into an ``(n, n)`` plane of ``inf`` below the diagonal for
+        the first ``k`` reaching it per ``j``, then the first entry at that
+        span — which is the k-major first minimum without the transposed
+        copy a flattened argmin needs.
         """
         n = self._n
         W = topology.total_workers
@@ -1080,9 +1113,10 @@ class PipeDreamOptimizer:
         boundary = np.where(ju < n - 1, 2.0 * tb.out_acts / bw[:, None], 0.0)
         R = np.full((W + 1, n + 1), math.inf)
         R[0, n] = 0.0
-        ptr_k = np.full((W + 1, n), -1, dtype=np.int64)
-        ptr_mp = np.full((W + 1, n), -1, dtype=np.int64)
+        BR = np.full((W + 1, len(ju)), math.inf)
+        ptr_k, ptr_mp = np.full((2, W + 1, n), -1, dtype=np.int64)
         ptr_tp = np.ones((W + 1, n), dtype=np.int64)
+        dp = (R, ptr_k, ptr_mp, ptr_tp)
         cols = np.arange(n)
         by_k = np.full((n, n), math.inf)
         row_cache = self.context and self.context.refined_rows
@@ -1090,56 +1124,37 @@ class PipeDreamOptimizer:
         if row_cache is not None:
             row_keys = self._refined_row_keys(W, link_bw, tables)
             hits = {m: row_cache.get(row_keys[m]) for m in range(1, W + 1)}
-        with obs.span("refined.planes"):
-            planes = self._refined_planes(
-                [m for m in range(1, W + 1) if hits.get(m) is None], tables)
-        with obs.span("refined.rows"):
-            for m in range(1, W + 1):
-                if hits.get(m) is not None:
-                    for table, row in zip((R, ptr_k, ptr_mp, ptr_tp), hits[m]):
+        missed = [m for m in range(1, W + 1) if hits.get(m) is None]
+        with obs.span("refined.planes") as phase:
+            planes = self._refined_planes(missed, tables)
+            if phase is not None:
+                phase.attrs["stack_rows"] = planes.sizes
+        with obs.span("refined.rows", computed=len(missed),
+                      cached=W - len(missed)):
+            for m in range(W + 1):
+                e = planes.at.get(m)
+                if e is not None:
+                    cand = planes.stack[planes.sel[e]]
+                    np.maximum(cand, BR[planes.rest[e]], out=cand)
+                    by_k[iu, ju] = cand.min(axis=0)
+                    k = by_k.argmin(axis=1)
+                    pick = cand[:, tb.at[cols, k]].argmin(axis=0) + e.start
+                    best = by_k[cols, k]
+                    finite = np.isfinite(best)
+                    R[m, :n] = np.where(finite, best, math.inf)
+                    ptr_k[m] = np.where(finite, k, -1)
+                    ptr_mp[m] = np.where(finite, planes.mp[pick], -1)
+                    ptr_tp[m] = np.where(finite, planes.t[pick], 1)
+                    if row_cache is not None:
+                        row_cache[row_keys[m]] = tuple(a[m].copy() for a in dp)
+                        self.context._bump("row_misses")
+                elif m:
+                    for table, row in zip(dp, hits[m]):
                         table[m] = row
                     self.context._bump("row_hits")
-                    continue
-                # cand[mp-1] = max(stage, boundary, rest) for mp = 1..m: the
-                # rest R[m-mp] starts at worker W-m+mp.  Degree 1 seeds every
-                # mp; each larger degree folds into its strided slice with
-                # strict '<' on the *full* candidate — the (k, mp, t)
-                # tie-break: when the boundary or the rest dominates both, the
-                # earlier (smaller) degree keeps the cell.  tp_sel[mp-1, c]
-                # is the cell's degree, copied out of a read-only view of ones
-                # only once a larger degree folds.
-                bound_rest = np.maximum(boundary[W - m + 1:],
-                                        R[m - 1::-1, ju + 1])
-                tp_sel = np.broadcast_to(np.int64(1), bound_rest.shape)
-                for t in self._tp_options:
-                    if t > m:
-                        break
-                    stack, index = planes[t]
-                    cube = stack[index[m]]
-                    sl = slice(t - 1, m, t)
-                    np.maximum(cube, bound_rest[sl], out=cube)
-                    if t == 1:
-                        cand = cube
-                        continue
-                    better = cube < cand[sl]
-                    np.copyto(cand[sl], cube, where=better)
-                    if not tp_sel.flags.writeable:
-                        tp_sel = tp_sel.copy()
-                    tp_sel[sl][better] = t
-                by_k[iu, ju] = cand.min(axis=0)
-                k = by_k.argmin(axis=1)
-                span = tb.at[cols, k]
-                mp = cand[:, span].argmin(axis=0)
-                best = by_k[cols, k]
-                finite = np.isfinite(best)
-                R[m, :n] = np.where(finite, best, math.inf)
-                ptr_k[m] = np.where(finite, k, -1)
-                ptr_mp[m] = np.where(finite, mp + 1, -1)
-                ptr_tp[m] = np.where(finite, tp_sel[mp, span], 1)
-                if row_cache is not None:
-                    row_cache[row_keys[m]] = tuple(
-                        table[m].copy() for table in (R, ptr_k, ptr_mp, ptr_tp))
-                    self.context._bump("row_misses")
+                # Row m is final (row 0, the empty suffix, from the start):
+                # its boundary and rest fold once.
+                BR[m] = np.maximum(boundary[W - m], R[m, ju + 1])
         if not np.isfinite(R[W, 0]):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)
@@ -1160,23 +1175,18 @@ class PipeDreamOptimizer:
         stages: List[Stage] = []
         j, m = 0, W
         while j < n:
-            k = int(ptr_k[m][j])
-            mp = int(ptr_mp[m][j])
-            t = int(ptr_tp[m][j])
+            k, mp, t = (int(ptr[m][j]) for ptr in (ptr_k, ptr_mp, ptr_tp))
             recompute = False
             if self._recompute_auto:
                 c = tb.at[j, k]
-                cost = self._stage_memory_cost(
+                recompute = bool(self._stage_memory_cost(
                     tb.W[c], tb.D[c], tb.A[c], -(-m // mp), mp // t,
                     tp_degree=t, shardable_weight_bytes=tb.SW[c],
                     shardable_activation_bytes=tb.SA[c],
-                )
-                recompute = bool(cost > self.memory_limit_bytes)
-            stages.append(
-                Stage(j, k + 1, mp // t, recompute=recompute, tp_degree=t)
-            )
-            j = k + 1
-            m -= mp
+                ) > self.memory_limit_bytes)
+            stages.append(Stage(j, k + 1, mp // t, recompute=recompute,
+                                tp_degree=t))
+            j, m = k + 1, m - mp
         return stages
 
     def _solve_for(self, topology: Topology) -> Optional[List[Stage]]:

@@ -16,7 +16,7 @@ __all__ = lazy_exports(globals(), {
     ".executor": "SimOptions SimResult OpRecord simulate",
     ".memory": "pipeline_memory_footprint data_parallel_memory_footprint "
                "stage_memory_cost stage_memory_bytes",
-    ".trace": "chrome_trace_events export_chrome_trace",
+    ".trace": "chrome_trace_events export_chrome_trace span_trace_events",
     ".sweep": "SweepRecord SweepError SweepFailure run_sweep records_to_csv "
               "precision_chart",
     ".strategies": "StrategyResult simulate_data_parallel "

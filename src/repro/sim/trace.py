@@ -1,28 +1,36 @@
-"""Export simulated timelines as Chrome trace-event JSON.
+"""Export timelines as Chrome trace-event JSON.
 
-Open the produced file in ``chrome://tracing`` or Perfetto to inspect the
-pipeline visually — forward/backward/update ops per worker, with minibatch
-ids as arguments.  This is the tooling equivalent of the paper's Figure 4
-timelines.
+Open the produced file in ``chrome://tracing`` or Perfetto.  Two sources:
+
+- a simulation (:func:`chrome_trace_events`): forward/backward/update ops
+  per worker, with minibatch ids as arguments — the tooling equivalent of
+  the paper's Figure 4 timelines;
+- :mod:`repro.utils.obs` span records (:func:`span_trace_events`): the
+  planner's solve phases, which ``repro plan --trace`` writes.
+
+Nothing here imports the engine at module level, so a plan that exports
+its spans loads no simulator.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.core.schedule import OpKind
-from repro.sim.executor import SimResult
-
-_COLOR = {
-    OpKind.FORWARD: "good",  # Chrome trace color names
-    OpKind.BACKWARD: "bad",
-    OpKind.UPDATE: "grey",
-}
+if TYPE_CHECKING:
+    from repro.sim.executor import SimResult
+    from repro.utils.obs import Span
 
 
 def chrome_trace_events(sim: SimResult, time_scale: float = 1e6) -> List[Dict]:
     """Convert a simulation to trace-event dicts (times in microseconds)."""
+    from repro.core.schedule import OpKind
+
+    color = {  # Chrome trace color names
+        OpKind.FORWARD: "good",
+        OpKind.BACKWARD: "bad",
+        OpKind.UPDATE: "grey",
+    }
     events: List[Dict] = []
     for record in sim.records:
         duration = (record.end - record.start) * time_scale
@@ -36,7 +44,7 @@ def chrome_trace_events(sim: SimResult, time_scale: float = 1e6) -> List[Dict]:
             "dur": max(duration, 0.01),
             "pid": 0,
             "tid": record.worker,
-            "cname": _COLOR[record.op.kind],
+            "cname": color[record.op.kind],
             "args": {
                 "stage": record.op.stage,
                 "minibatch": record.op.minibatch,
@@ -52,6 +60,27 @@ def chrome_trace_events(sim: SimResult, time_scale: float = 1e6) -> List[Dict]:
             "args": {"name": f"worker {worker}"},
         })
     return events
+
+
+def span_trace_events(spans: Sequence[Span]) -> List[Dict]:
+    """One complete (``"X"``) event per span, in the spans' order.
+
+    Times are microseconds from the earliest span's start; each thread
+    the spans ran on is one ``tid`` (0, 1, … in order of first
+    appearance); ``args`` holds the span's nesting ``depth`` and its
+    attributes."""
+    origin = min((span.start for span in spans), default=0.0)
+    tids: Dict[int, int] = {}
+    return [{
+        "name": span.name,
+        "cat": "span",
+        "ph": "X",
+        "ts": (span.start - origin) * 1e6,
+        "dur": span.seconds * 1e6,
+        "pid": 0,
+        "tid": tids.setdefault(span.thread, len(tids)),
+        "args": {"depth": span.depth, **span.attrs},
+    } for span in spans]
 
 
 def export_chrome_trace(sim: SimResult, path: str, time_scale: float = 1e6) -> str:

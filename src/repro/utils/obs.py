@@ -6,7 +6,7 @@
     with obs.span("solve", workers=64):
         with obs.span("levels"):
             ...
-    obs.registry.spans   # [Span(name, depth, start, seconds, attrs), ...]
+    obs.registry.spans   # [Span(name, depth, start, seconds, attrs, thread)]
     obs.totals()         # {"solve": seconds, "levels": seconds}
     obs.disable()
 
@@ -14,7 +14,16 @@ Disabled (the default), :func:`span` checks one flag and returns a shared
 no-op context manager: nothing is recorded and nothing is allocated.
 Enabled, each span appends one :class:`Span` record when it closes, in
 closing order; ``depth`` counts the spans open around it on the same
-thread, so concurrent solves nest independently.  Standard library only.
+thread, so concurrent solves nest independently.  A count known only
+inside the body goes into the open span's ``attrs``:
+
+    with obs.span("rows") as open_span:   # None while disabled
+        ...
+        if open_span is not None:
+            open_span.attrs["computed"] = count
+
+:func:`repro.sim.trace.span_trace_events` turns the records into Chrome
+trace events.  Standard library only.
 """
 
 from __future__ import annotations
@@ -26,13 +35,15 @@ from typing import Any, Dict, List, NamedTuple
 
 
 class Span(NamedTuple):
-    """One closed span: ``start`` is ``time.perf_counter()`` at entry."""
+    """One closed span: ``start`` is ``time.perf_counter()`` at entry and
+    ``thread`` the :func:`threading.get_ident` of the thread it ran on."""
 
     name: str
     depth: int
     start: float
     seconds: float
     attrs: Dict[str, Any]
+    thread: int
 
 
 class Registry:
@@ -62,8 +73,9 @@ class _Open:
     def __exit__(self, *exc) -> None:
         seconds = time.perf_counter() - self.start
         self.registry._local.depth = self.depth
-        self.registry.spans.append(
-            Span(self.name, self.depth, self.start, seconds, self.attrs))
+        self.registry.spans.append(Span(self.name, self.depth, self.start,
+                                        seconds, self.attrs,
+                                        threading.get_ident()))
 
 
 #: The process-wide registry every :func:`span` writes to.

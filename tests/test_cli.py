@@ -9,6 +9,7 @@ from repro import cli
 from repro.cli import build_parser, main
 from repro.core.spec import PLAN_FIELDS, SIM_FIELDS
 from repro.serve.service import normalize_simulate_request
+from repro.utils import obs
 
 
 class TestModels:
@@ -57,6 +58,52 @@ class TestPlan:
                      "--workers", "4"]) == 0
         out = capsys.readouterr().out
         assert "4 worker(s)" in out
+
+    def test_trace_holds_one_event_per_span(self, tmp_path, capsys):
+        """``--trace`` on a capped recompute + tp plan: the file parses,
+        holds one complete event per span the solve recorded (the
+        registry is left disabled, as found), every phase event lies
+        inside the solve event, and the refined spans carry their sizes."""
+        path = tmp_path / "solve.json"
+        first = len(obs.registry.spans)
+        try:
+            assert main(["plan", "vgg16", "--servers", "2",
+                         "--memory-limit-bytes", "1.5e9", "--recompute",
+                         "auto", "--tp-degrees", "1", "2", "4",
+                         "--trace", str(path)]) == 0
+            spans = obs.registry.spans[first:]
+        finally:
+            del obs.registry.spans[first:]
+        assert not obs.registry.enabled
+        assert f"wrote {path} ({len(spans)} spans)" in capsys.readouterr().out
+        events = json.loads(path.read_text())["traceEvents"]
+        assert [e["name"] for e in events] == [span.name for span in spans]
+        assert {e["ph"] for e in events} == {"X"}
+        assert {e["tid"] for e in events} == {0}
+        (solve,) = [e for e in events if e["name"] == "solve"]
+        assert solve["args"] == {"depth": 0, "model": "vgg16", "workers": 8}
+        phases = [e for e in events if e["args"]["depth"] == 1]
+        assert {e["name"] for e in phases} == {
+            "levels", "refined", "footprint", "score"}
+        for event in phases:
+            assert solve["ts"] <= event["ts"]
+            assert event["ts"] + event["dur"] <= solve["ts"] + solve["dur"] + 1e-3
+        by_name = {e["name"]: e["args"] for e in events}
+        assert by_name["refined.rows"] == {
+            "depth": 2, "computed": 8, "cached": 0}
+        assert set(by_name["refined.planes"]["stack_rows"]) == {"1", "2", "4"}
+
+    def test_an_unwritable_output_leaves_no_other_file(self, tmp_path,
+                                                       capsys):
+        """Every output path is checked before the solve: a bad
+        ``--trace`` stops the run before ``--json`` is written."""
+        plan = tmp_path / "plan.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["plan", "alexnet", "--servers", "1", "--json", str(plan),
+                  "--trace", str(tmp_path / "missing" / "solve.json")])
+        assert excinfo.value.code == 2
+        assert "argument --trace" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSimulate:
@@ -212,6 +259,19 @@ HOSTILE_ARGV = [
     (["sweep", "vgg16", "--counts", "1000", "--svg", os.devnull], "[1000]"),
     (["plan", "vgg16", "--memory-limit-bytes", "1000"],
      "memory_limit_bytes=1000"),
+    # Unwritable outputs are refused before the solve, profile or sweep.
+    (["plan", "alexnet", "--servers", "1", "--json", "/nonexistent/x.json"],
+     "argument --json: cannot write '/nonexistent/x.json'"),
+    (["plan", "alexnet", "--servers", "1", "--trace", "/nonexistent/x.json"],
+     "argument --trace: cannot write"),
+    (["plan", "alexnet", "--servers", "1", "--trace", os.curdir],
+     "argument --trace: cannot write '.': it is a directory"),
+    (["profile", "alexnet", "--json", "/nonexistent/x.json"],
+     "argument --json: cannot write"),
+    (["sweep", "alexnet", "--counts", "4", "--csv", "/nonexistent/x.csv"],
+     "argument --csv: cannot write"),
+    (["sweep", "alexnet", "--counts", "4", "--svg", "/nonexistent/x.svg"],
+     "argument --svg: cannot write"),
     (["simulate", "vgg16", "--memory-limit-bytes", "1000"],
      "memory_limit_bytes=1000"),
 ]

@@ -113,6 +113,18 @@ def test_planning_never_loads_the_training_stack(check):
         assert "repro.utils.obs" in loaded(rows)
 
 
+def test_plan_loads_the_trace_exporter_only_with_trace(tmp_path):
+    """``repro plan`` without ``--trace`` loads what it always did; with
+    it, the Chrome exporter and nothing more (no simulator engine)."""
+    plan = CHECKS["cli"]
+    traced = plan.replace('main(["plan", "vgg16"])', 'main(["plan", "vgg16", '
+                          f'"--trace", {str(tmp_path / "t.json")!r}])')
+    assert traced != plan
+    plain = loaded(importtime(plan))
+    assert "repro.sim.trace" not in plain
+    assert loaded(importtime(traced)) - plain == {"repro.sim.trace"}
+
+
 #: ``numpy.ma`` costs about a megabyte of RSS; a plain ``np.unique(x)``
 #: imports it, ``return_inverse`` / ``return_index`` calls do not.
 NO_MASKED_ARRAYS = {

@@ -481,12 +481,13 @@ class TestPlanScaleShape:
         assert abs(covered - wall) <= 0.05 * wall
 
     def test_refined_solve_never_materialises_a_4d_cube(self):
-        """Timing-free complexity guard: a row builds one ``(m, n, n)``
-        cube, so the refined solve's peak stays far below one ``(W, W, n,
-        n)`` float64 array (≈ 22 MB here).  The peak is ≈ 8.5 MB: the
-        ≈ 2.8 MB stack of 522 masked degree-1 planes beside the stage-time
-        and memory-kernel temporaries (the kernel over the 132 distinct
-        degree-1 mask keys)."""
+        """Timing-free complexity guard: a row gathers one ``(entries,
+        spans)`` candidate array, so the refined solve's peak stays far
+        below one ``(W, W, n, n)`` float64 array (≈ 22 MB here).  The peak
+        is ≈ 5.8 MB: the one ≈ 2.8 MB stack of every degree's masked
+        planes (522 / 332 / 151 at degree 1 / 2 / 4) beside the degree-1
+        stage-time temporaries (both checkpoint depths of its 112 time
+        keys); the memory kernel runs before the stack is allocated."""
         n, W = len(self.PROFILE), self.TOPO.total_workers
         optimizer = PipeDreamOptimizer(self.PROFILE, self.TOPO,
                                        **self.options())

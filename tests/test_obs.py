@@ -67,3 +67,38 @@ def test_each_thread_nests_on_its_own():
     assert inside.is_set()
     depths = {span.name: span.depth for span in obs.registry.spans}
     assert depths == {"thread": 0, "main": 0}
+
+
+def test_an_open_span_takes_counts_known_only_inside_it():
+    with obs.span("rows") as disabled:
+        pass
+    assert disabled is None
+    obs.enable()
+    with obs.span("rows", computed=3) as open_span:
+        open_span.attrs["cached"] = 5
+    (span,) = obs.registry.spans
+    assert span.attrs == {"computed": 3, "cached": 5}
+    assert span.thread == threading.get_ident()
+
+
+def test_trace_events_give_each_thread_a_tid():
+    from repro.sim.trace import span_trace_events
+
+    def worker():
+        with obs.span("thread"):
+            pass
+
+    obs.enable()
+    with obs.span("main", workers=2):
+        thread = threading.Thread(target=worker)
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    events = span_trace_events(obs.registry.spans)
+    assert [(e["name"], e["tid"], e["ph"]) for e in events] == [
+        ("thread", 0, "X"), ("main", 1, "X")]
+    main = events[1]
+    assert main["args"] == {"depth": 0, "workers": 2}
+    assert main["ts"] <= events[0]["ts"]
+    assert events[0]["ts"] + events[0]["dur"] <= main["ts"] + main["dur"] + 1e-3
+    assert min(e["ts"] for e in events) == 0.0
