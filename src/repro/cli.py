@@ -5,7 +5,7 @@ Usage::
     python -m repro.cli models
     python -m repro.cli profile vgg16 --device v100
     python -m repro.cli plan vgg16 --cluster a --servers 4 [--json out.json] [--trace solve.json]
-    python -m repro.cli simulate vgg16 --cluster a --servers 4 --strategy pipedream
+    python -m repro.cli simulate vgg16 --cluster a --servers 4 --strategy pipedream [--trace run.json]
     python -m repro.cli simulate vgg16 --strategy gpipe --minibatches 12 --bucket-bytes 25e6
     python -m repro.cli sweep vgg16 gnmt8 --counts 4 16 --precisions fp32 fp16
     python -m repro.cli serve --port 8941
@@ -59,6 +59,36 @@ def _check_outputs(args, *flags) -> None:
         args.error(f"argument --{flag}: cannot write {path!r}: {why}")
 
 
+def _traced(args, work):
+    """``(work(), spans)``: with ``--trace``, the spans ``work`` recorded
+    (the registry is left as found), else None."""
+    if args.trace is None:
+        return work(), None
+    from repro.utils import obs
+
+    first, was_enabled = len(obs.registry.spans), obs.registry.enabled
+    obs.enable()
+    try:
+        result = work()
+    finally:
+        if not was_enabled:
+            obs.disable()
+    return result, obs.registry.spans[first:]
+
+
+def _write_trace(path, spans) -> None:
+    """Write ``spans`` to ``path`` as Chrome trace events (no-op for None)."""
+    if path is None:
+        return
+    import json
+
+    from repro.sim.trace import span_trace_events
+
+    with open(path, "w") as f:
+        json.dump({"traceEvents": span_trace_events(spans)}, f)
+    print(f"wrote {path} ({len(spans)} spans)")
+
+
 def cmd_models(args) -> int:
     from repro.utils import format_table
 
@@ -101,23 +131,11 @@ def cmd_profile(args) -> int:
 def cmd_plan(args) -> int:
     from repro.core.deploy import DeploymentPlan
     from repro.core.partition import PipeDreamOptimizer
-    from repro.utils import obs
 
     _check_outputs(args, "json", "trace")
     optimizer = PipeDreamOptimizer(_profile(args), _topology(args),
                                    **_plan_spec(args).options())
-    if args.trace is None:
-        result = optimizer.solve()
-    else:
-        # Record this solve's spans only, and leave the registry as found.
-        first, was_enabled = len(obs.registry.spans), obs.registry.enabled
-        obs.enable()
-        try:
-            result = optimizer.solve()
-        finally:
-            if not was_enabled:
-                obs.disable()
-        spans = obs.registry.spans[first:]
+    result, spans = _traced(args, optimizer.solve)
     plan = DeploymentPlan.from_partition(result)
     print(plan.describe())
     if any(s.recompute for s in result.stages):
@@ -135,14 +153,7 @@ def cmd_plan(args) -> int:
         with open(args.json, "w") as f:
             f.write(plan.to_json())
         print(f"wrote {args.json}")
-    if args.trace:
-        import json
-
-        from repro.sim.trace import span_trace_events
-
-        with open(args.trace, "w") as f:
-            json.dump({"traceEvents": span_trace_events(spans)}, f)
-        print(f"wrote {args.trace} ({len(spans)} spans)")
+    _write_trace(args.trace, spans)
     return 0
 
 
@@ -150,13 +161,16 @@ def cmd_simulate(args) -> int:
     from repro.sim import parse_faults, simulate_strategy
     from repro.utils import format_table
 
+    _check_outputs(args, "trace")
     spec = _plan_spec(args)
     topology = _topology(args)
     profile = _profile(args)
-    report = None
     sim = _sim_spec(args, parse_faults(args.faults, topology.total_workers))
     check_scenario(spec, sim)
-    if sim.faults is not None and sim.faults.halt_time is not None:
+
+    def run():
+        if sim.faults is None or sim.faults.halt_time is None:
+            return simulate_strategy(profile, topology, sim, spec), None
         # A crash in the schedule: run the full elastic cycle (fault-free
         # oracle, crash-interrupted run, warm re-plan, resumed run) and
         # report the recovery bill alongside the resumed result.
@@ -167,9 +181,9 @@ def cmd_simulate(args) -> int:
 
         report = ElasticCoordinator(profile, topology).run_with_recovery(
             args.minibatches, sim.faults)
-        result = report.resumed
-    else:
-        result = simulate_strategy(profile, topology, sim, spec)
+        return report.resumed, report
+
+    (result, report), spans = _traced(args, run)
     if report is not None:
         m = report.metrics
         rows = [
@@ -197,6 +211,7 @@ def cmd_simulate(args) -> int:
         ["peak worker memory", f"{max(result.memory_per_worker) / 1e9:.2f} GB"],
     ]
     print(format_table(["metric", "value"], rows))
+    _write_trace(args.trace, spans)
     return 0
 
 
@@ -369,9 +384,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", help="write the deployment plan to this file")
     p.add_argument("--trace", help="write the solve's phase spans here as "
                    "Chrome trace events (chrome://tracing, Perfetto)")
-    command("simulate", cmd_simulate, "simulate a training strategy",
-            ("model",) + _WHERE + _PLAN_ARGV
-            + ("strategy", "minibatches", "schedule_family", "faults"))
+    p = command("simulate", cmd_simulate, "simulate a training strategy",
+                ("model",) + _WHERE + _PLAN_ARGV
+                + ("strategy", "minibatches", "schedule_family", "faults"))
+    p.add_argument("--trace", help="write the run's spans (solve and "
+                   "simulation phases) here as Chrome trace events")
     # The CLI sweeps fp32 and fp16 by default; run_sweep and the service
     # sweep fp32 alone.
     p = command(

@@ -27,10 +27,12 @@ min-heap of ready ops with lazy invalidation — O(ops · log workers)
 commits.  Fault-free and faulted runs commit through the same inlined
 code; an injected fault only changes how long an op or a transfer takes,
 or where the timeline halts.  Its oracle, a full-rescan loop with its own
-readiness and commit functions that re-evaluates every worker's head op
-on every commit (O(ops · workers)) over the same ``_SimCore`` state,
-lives in ``tests/oracles/sim_reference.py``; the test suite asserts
-bitwise-identical :class:`OpRecord` timelines, faulted and fault-free.
+readiness, op commit, round commit and send that re-evaluates every
+worker's head op on every commit (O(ops · workers)) over ``_SimCore``'s
+precomputed durations and clocks, lives in
+``tests/oracles/sim_reference.py``; the test suite asserts
+bitwise-identical :class:`OpRecord` timelines and aggregates, faulted
+and fault-free.
 
 Interchangeable ranks: a fault-free BSP stage whose ranks run identical
 rows at one speed commits in *block order* (each op of the row by ranks
@@ -59,6 +61,7 @@ from repro.core.schedule import (
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
 from repro.sim.network import Placement, stage_collectives
+from repro.utils import obs
 
 
 @dataclass(slots=True)
@@ -187,14 +190,19 @@ class SimResult:
 
     @property
     def steady_state_throughput(self) -> float:
-        """Minibatches/second over the second half (startup excluded)."""
+        """Minibatches/second over the second half (startup excluded).
+
+        Completions are taken in minibatch order, so a run that finishes
+        its minibatches out of order (GPipe's backward drains a batch's
+        microbatches last to first) can give the second half no positive
+        span; the whole-run :attr:`throughput` stands in then."""
         done = [self.minibatch_done[b] for b in sorted(self.minibatch_done)]
         if len(done) < 4:
             return self.throughput
         half = len(done) // 2
         span = done[-1] - done[half - 1]
         if span <= 0:
-            return math.inf
+            return self.throughput
         return (len(done) - half) / span
 
     @property
@@ -230,7 +238,7 @@ def stage_compute_times(
 
 
 class _SimCore:
-    """Simulation state, shared with the oracle, and the event loop.
+    """Simulation state, read by the oracle too, and the event loop.
 
     State is indexed by *rank* — a worker's row in the schedule table,
     whose order is the commit tie-break.  Every dependency an op can wait
@@ -250,13 +258,11 @@ class _SimCore:
         "stage_workers_list", "stage_ranks",
         "replicas", "round_div", "round_expected", "gated_forward",
         "pd_gated", "update_simple", "is_bsp", "is_gpipe",
-        "worker_free", "speed", "channel_free", "channel_busy",
-        "nic_send_free", "nic_recv_free", "sync_free", "sync_busy",
-        "dep", "fe_base", "bwd_start",
-        "round_backwards", "minibatch_done", "compute_time",
+        "worker_free", "speed", "channel_busy", "sync_free", "sync_busy",
+        "dep", "fe_base", "minibatch_done", "compute_time",
         "log_rank", "log_start", "log_end",
-        "fired", "bumped", "nk", "AB_OFF", "UD_OFF", "_bw_cache",
-        "faults", "halt_time", "halted", "_lvl_cache",
+        "nk", "AB_OFF", "UD_OFF",
+        "faults", "halt_time", "halted",
         "buckets", "sync_exposed", "fanout",
     )
 
@@ -448,13 +454,14 @@ class _SimCore:
         n = len(self.workers)
         self.worker_free = [0.0] * n
         self.speed = speed[:n]
-        self.channel_free: Dict[Tuple[int, int], float] = defaultdict(float)
-        self.channel_busy: Dict[Tuple[int, int], float] = defaultdict(float)
-        self.nic_send_free: Dict[int, float] = defaultdict(float)
-        self.nic_recv_free: Dict[int, float] = defaultdict(float)
         self.sync_free = [0.0] * self.S
         self.sync_busy: Dict[int, float] = defaultdict(float)
         self.sync_exposed: Dict[int, float] = defaultdict(float)
+        #: Per-rank compute seconds and per-(src, dst) transfer seconds,
+        #: in first-commit order; :meth:`run_event` fills them when it
+        #: ends (its own clocks are lists).
+        self.compute_time: Dict[int, float] = {}
+        self.channel_busy: Dict[Tuple[int, int], float] = {}
 
         # The flat dependency list (see the class docstring).  A rank's
         # last-stage backward reads *its own* forward's end and a BSP round
@@ -469,27 +476,11 @@ class _SimCore:
         for slot, rank in enumerate(fe_ranks):
             self.fe_base[rank] = 3 * nk + slot * self.B
         self.dep: List[Optional[float]] = [None] * (3 * nk + len(fe_ranks) * self.B)
-        #: Backward starts by ``rank * nk + s * B + b``, on round-gathering
-        #: stages only.
-        self.bwd_start: Dict[int, float] = {}
-        self.round_backwards: Dict[int, List[Tuple[float, float]]] = {}
         self.minibatch_done: Dict[int, float] = {}
-        self.compute_time: Dict[int, float] = defaultdict(float)
         # The timeline, as commit-ordered columns.
         self.log_rank: List[int] = []
         self.log_start: List[float] = []
         self.log_end: List[float] = []
-
-        #: ``dep`` slots the most recent :meth:`_execute_update` resolved.
-        self.fired: List[int] = []
-        #: Ranks whose ``worker_free`` the most recent update pushed
-        #: forward from *outside* their own commit — only BSP round commits
-        #: do this (the whole stage group resumes at the round's commit
-        #: time).  The loop uses it for per-stage-group dirty
-        #: marking: only these ranks' queued ready times can be stale.
-        self.bumped: List[int] = []
-        self._bw_cache: Dict[Tuple[int, int], float] = {}
-        self._lvl_cache: Dict[Tuple[int, int], int] = {}
 
     # ------------------------------------------------------------------
     # Round semantics
@@ -500,90 +491,6 @@ class _SimCore:
     # round is one sweep across the stage's replicas.  A round-gathering
     # stage's membership is read off the schedule itself (``round_expected``
     # in ``__init__``).
-
-    # ------------------------------------------------------------------
-    # Commit helpers the loop calls
-    # ------------------------------------------------------------------
-    def _link_level(self, src: int, dst: int) -> int:
-        cached = self._lvl_cache.get((src, dst))
-        if cached is None:
-            cached = self.placement.link_level(src, dst)
-            self._lvl_cache[(src, dst)] = cached
-        return cached
-
-    def _execute_update(self, rank: int, s: int, b: int, start: float) -> float:
-        rnd = b // self.round_div[s]
-        sBr = s * self.B + rnd
-        is_bsp = self.is_bsp
-        members = 1 if self.update_simple[s] else self.round_expected.get(sBr, 1)
-        if members == 1 and not is_bsp:
-            # Single-member round (straight 1F1B, GPipe): the general path
-            # below specialized to one backward — sync starts when it ends.
-            duration = self.sync_duration[s]
-            sync_free = self.sync_free[s]
-            done = (start if start >= sync_free else sync_free) + duration
-            self.sync_free[s] = done
-            self.sync_busy[s] += duration
-            if duration > 0:
-                self.sync_exposed[s] += done - start
-            self.dep[self.UD_OFF + sBr] = done
-            self.fired.append(self.UD_OFF + sBr)
-            self.worker_free[rank] = start  # async commit; not blocked
-            return start if duration == 0 else done
-        bwd_start = self.bwd_start.get(rank * self.nk + s * self.B + b, start)
-        backwards = self.round_backwards.get(sBr)
-        if backwards is None:
-            backwards = self.round_backwards[sBr] = []
-        backwards.append((bwd_start, start))
-        if len(backwards) < members:
-            # Not the last replica of the round: update commits later, the
-            # worker moves on (the round's completion is handled below).
-            self.worker_free[rank] = start
-            return start
-        starts = [x[0] for x in backwards]
-        ends = [x[1] for x in backwards]
-        duration = self.sync_duration[s]
-        last_end = max(ends)
-        if self.buckets is not None:
-            # Bucketed wait-free backprop: each bucket's collective fires
-            # once every member's backward has produced its last gradient
-            # (the bucket's ready fraction, interpolated on each member's
-            # own backward window) and the stage sync channel is free;
-            # buckets serialize on the channel in firing order.  The
-            # BPTT-deferred payload exists only after every backward ends,
-            # so it runs strictly last.  Applies to BSP and pipedream
-            # rounds alike — with no buckets (pure-deferred stage) both
-            # legacy formulas reduce to this same expression.
-            t = self.sync_free[s]
-            for dur, frac in self.buckets[s]:
-                ready = max(st + frac * (en - st) for st, en in backwards)
-                if ready > t:
-                    t = ready
-                t += dur
-            done = (t if t > last_end else last_end) + self.sync_deferred[s]
-        elif is_bsp:
-            # Wait-free backprop: streamable gradients overlap the backward
-            # pass; BPTT-deferred gradients only start when it ends.
-            sync_start = max(max(starts), self.sync_free[s])
-            done = max(last_end, sync_start + self.sync_stream[s]) + self.sync_deferred[s]
-        else:
-            sync_start = max(last_end, self.sync_free[s])
-            done = sync_start + duration
-        self.sync_free[s] = done
-        self.sync_busy[s] += duration
-        if duration > 0:
-            self.sync_exposed[s] += done - last_end
-        self.dep[self.UD_OFF + sBr] = done
-        self.fired.append(self.UD_OFF + sBr)
-        if is_bsp:
-            # Blocking: every replica of the stage resumes after commit.
-            for r in self.stage_ranks[s]:
-                if self.worker_free[r] < done:
-                    self.worker_free[r] = done
-                    self.bumped.append(r)
-            return done
-        self.worker_free[rank] = start  # async commit; worker not blocked
-        return start if duration == 0 else done
 
     # ------------------------------------------------------------------
     # The loop
@@ -604,9 +511,8 @@ class _SimCore:
         (head op ready when enqueued) or parked on exactly one wakeup list
         (head op blocked on that event).  Heap entries can only go stale
         when a BSP round commit pushes ``worker_free`` forward for a whole
-        stage group; those commits report exactly which ranks they
-        bumped (``_SimCore.bumped``), and the engine *dirty-marks* them
-        instead of re-validating every pop.  A queued entry's dependency
+        stage group; that commit *dirty-marks* the ranks it bumped instead
+        of re-validating every pop.  A queued entry's dependency
         component never changes after enqueue (dependencies resolve
         monotonically and their times are final), so the fresh ready time
         of a dirty entry is simply ``max(t, worker_free)`` — a clamp, not
@@ -615,6 +521,20 @@ class _SimCore:
         blocked and a ready time never decreases, so the heap minimum
         matches the oracle's full-rescan minimum, and (time, rank)
         ordering reproduces its first-wins tie-break exactly.
+
+        Every commit runs inline on local state.  An UPDATE that commits
+        alone (straight 1F1B, GPipe, a one-member round) prices its sync
+        at once; a round-gathering one appends its backward to the round
+        and the round's last member prices the collective.  Only BSP and
+        bucketed rounds read a backward's start, so only their stages
+        record it.  Point-to-point channels are numbered on first use: a
+        *route* per (rank, stage, direction) holds, for each replica of
+        the peer stage, the channel id (-1 when the peer is the same
+        worker or the boundary carries no bytes) and the transfer seconds.
+        Channel clocks and busy seconds, and per-rank compute seconds, are
+        lists; ``channel_busy`` and ``compute_time`` are rebuilt from them
+        when the loop ends, halted or not, in first-send and first-compute
+        order.
 
         Faulted and fault-free runs commit through the same inlined code.
         With a fault schedule present, a compute op's end integrates its
@@ -634,55 +554,91 @@ class _SimCore:
         nranks = len(kinds_of)
         pointers = [0] * nranks
         lengths = [len(k) for k in kinds_of]
-        total_ops = sum(lengths)
         heap: List[Tuple[float, int]] = []
 
         B = self.B
+        S = self.S
         last_stage = self.last_stage
         workers = self.workers
         worker_free = self.worker_free
         dep = self.dep
         waiters: List[Optional[List[int]]] = [None] * len(dep)
         fe_base = self.fe_base
-        bwd_start = self.bwd_start
         round_div = self.round_div
         gated_forward = self.gated_forward
         pd_gated = self.pd_gated
         update_simple = self.update_simple
+        round_expected = self.round_expected
+        is_bsp = self.is_bsp
+        stage_ranks = self.stage_ranks if is_bsp else None
+        buckets = self.buckets
+        keep_start = [not simple and (is_bsp or buckets is not None)
+                      for simple in update_simple]
+        bwd_start: Dict[int, float] = {}  # by rank * nk + s * B + b
+        round_backwards: Dict[int, list] = {}
         # Per-op-kind durations, indexed by the FWD / BWD / BWD_W codes.
         op_time = (self.fwd_time, self.bwd_time, self.bwd_w_time)
-        boundary_bytes = self.boundary_bytes
-        stage_workers_list = self.stage_workers_list
-        group_len = [len(g) for g in stage_workers_list]
         speed = self.speed
-        compute_time = self.compute_time
+        busy = [0.0] * nranks
         minibatch_done = self.minibatch_done
-        fired = self.fired
-        bumped = self.bumped
         nk = self.nk
         AB_OFF = self.AB_OFF
         UD_OFF = self.UD_OFF
-        execute_update = self._execute_update
         log_rank = self.log_rank.append
         log_start = self.log_start.append
         log_end = self.log_end.append
         # Per-rank staleness flags driven by BSP round commits; see the
         # docstring.
         dirty = [False] * nranks
-        nic_contention = self.options.nic_contention
         sync_duration = self.sync_duration
+        sync_stream = self.sync_stream
+        sync_deferred = self.sync_deferred
         sync_free = self.sync_free
         sync_busy = self.sync_busy
         sync_exposed = self.sync_exposed
-        channel_free = self.channel_free
-        channel_busy = self.channel_busy
-        nic_send_free = self.nic_send_free
-        nic_recv_free = self.nic_recv_free
-        bw_cache = self._bw_cache
-        link_bandwidth = self.placement.link_bandwidth
         faults = self.faults
         halt = self.halt_time
-        link_level = self._link_level
+        halted = False
+
+        # Channels by id: worker pair, clock, busy seconds, link level
+        # (read only under faults); ``first_sent`` lists ids in send order.
+        nic_contention = self.options.nic_contention
+        paced = nic_contention or faults is not None
+        nic_send_free: Dict[int, float] = defaultdict(float)
+        nic_recv_free: Dict[int, float] = defaultdict(float)
+        channel_of: Dict[Tuple[int, int], int] = {}
+        pairs: List[Tuple[int, int]] = []
+        channel_free: List[float] = []
+        channel_busy: List[float] = []
+        level: List[int] = []
+        first_sent: List[int] = []
+        # Routes by rank * S + s: activations down, gradients up.
+        routes = ([None] * (nranks * S), [None] * (nranks * S))
+        placement = self.placement
+        boundary_bytes = self.boundary_bytes
+        stage_workers_list = self.stage_workers_list
+
+        def route(rank: int, s: int, up: int) -> List[Tuple[int, float]]:
+            """(channel id, transfer seconds) per replica of the stage that
+            ``rank``'s stage ``s`` ships its boundary tensor to."""
+            worker = workers[rank]
+            nbytes = boundary_bytes[s - up]
+            hops = []
+            for dst in stage_workers_list[s - 1 if up else s + 1]:
+                if worker == dst or nbytes <= 0:
+                    hops.append((-1, 0.0))
+                    continue
+                channel = channel_of.get((worker, dst))
+                if channel is None:
+                    channel = channel_of[(worker, dst)] = len(pairs)
+                    pairs.append((worker, dst))
+                    channel_free.append(0.0)
+                    channel_busy.append(0.0)
+                    if faults is not None:
+                        level.append(placement.link_level(worker, dst))
+                hops.append(
+                    (channel, nbytes / placement.link_bandwidth(worker, dst)))
+            return hops
 
         def enqueue(rank: int) -> Optional[Tuple[float, int]]:
             """Readiness check for ``rank``'s head op: return a heap
@@ -748,9 +704,8 @@ class _SimCore:
                 if cand is not None:
                     heappush(heap, cand)
 
-        committed = 0
         nxt: Optional[Tuple[float, int]] = None
-        while committed < total_ops:
+        while True:
             if nxt is not None:
                 # Fast lane: the previous commit's own next op was already
                 # known to precede everything in the heap — skip push+pop.
@@ -758,9 +713,11 @@ class _SimCore:
                 nxt = None
             else:
                 if not heap:
-                    raise self._deadlock(pointers)
+                    if pointers != lengths:
+                        raise self._deadlock(pointers)
+                    break
                 t, rank = heappop(heap)
-                if dirty[rank]:
+                if is_bsp and dirty[rank]:
                     # A BSP round commit bumped this rank after its entry
                     # was queued.  Dependency times are final once resolved,
                     # so the fresh ready time is the clamp against the
@@ -773,8 +730,8 @@ class _SimCore:
             if halt is not None and t >= halt:
                 # A worker crashed: the globally earliest startable op is
                 # already past the crash instant, so nothing else starts.
-                self.halted = True
-                return
+                halted = True
+                break
             idx = pointers[rank]
             kinds = kinds_of[rank]
             kind = kinds[idx]
@@ -783,11 +740,15 @@ class _SimCore:
             sB = s * B
             wake_key = -1
             if kind == UPD:
-                if update_simple[s]:
-                    # Inline of _execute_update's single-member path
-                    # (identical arithmetic).
-                    rd = round_div[s]
-                    wake_key = UD_OFF + sB + (b if rd == 1 else b // rd)
+                # An UPDATE starts when its worker is free (t is its
+                # worker_free) and leaves that clock alone: the commit is
+                # asynchronous, except that a BSP round holds the whole
+                # stage group until it commits.
+                rd = round_div[s]
+                sBr = sB + (b if rd == 1 else b // rd)
+                if update_simple[s] or (not is_bsp and round_expected[sBr] == 1):
+                    # Commits alone: sync starts when this backward ends.
+                    wake_key = UD_OFF + sBr
                     duration = sync_duration[s]
                     sf = sync_free[s]
                     done = (t if t >= sf else sf) + duration
@@ -796,20 +757,68 @@ class _SimCore:
                     if duration > 0:
                         sync_exposed[s] += done - t
                     dep[wake_key] = done
-                    worker_free[rank] = t
                     end = t if duration == 0 else done
                 else:
-                    del fired[:]
-                    del bumped[:]
-                    end = execute_update(rank, s, b, t)
-                    if fired:
-                        wake_key = fired[0]
-                    for r2 in bumped:
-                        # Dirty-mark ranks whose queued ready times a BSP
-                        # round commit just made stale.  The committing
-                        # rank's own next candidate is computed fresh below.
-                        if r2 != rank:
-                            dirty[r2] = True
+                    gathered = round_backwards.get(sBr)
+                    if gathered is None:
+                        gathered = round_backwards[sBr] = []
+                    gathered.append(
+                        (bwd_start.get(rank * nk + sB + b, t), t)
+                        if keep_start[s] else t)
+                    end = t
+                    if len(gathered) == round_expected[sBr]:
+                        # The round's last member prices the collective.
+                        wake_key = UD_OFF + sBr
+                        duration = sync_duration[s]
+                        if not keep_start[s]:
+                            last_end = max(gathered)
+                            sf = sync_free[s]
+                            done = (last_end if last_end >= sf else sf) + duration
+                        elif buckets is not None:
+                            # Bucketed wait-free backprop: each bucket's
+                            # collective fires once every member's backward
+                            # has produced its last gradient (the bucket's
+                            # ready fraction of each member's own backward
+                            # window) and the stage sync channel is free;
+                            # buckets serialize in firing order.  The
+                            # BPTT-deferred payload runs strictly last.
+                            last_end = max([en for _, en in gathered])
+                            sf = sync_free[s]
+                            for dur, frac in buckets[s]:
+                                ready = max(st + frac * (en - st)
+                                            for st, en in gathered)
+                                if ready > sf:
+                                    sf = ready
+                                sf += dur
+                            done = ((sf if sf > last_end else last_end)
+                                    + sync_deferred[s])
+                        else:
+                            # BSP wait-free backprop: streamable gradients
+                            # overlap the backward pass; BPTT-deferred ones
+                            # start when it ends.
+                            last_end = max([en for _, en in gathered])
+                            sync_start = max(max([st for st, _ in gathered]),
+                                             sync_free[s])
+                            done = max(last_end, sync_start + sync_stream[s]) \
+                                + sync_deferred[s]
+                        sync_free[s] = done
+                        sync_busy[s] += duration
+                        if duration > 0:
+                            sync_exposed[s] += done - last_end
+                        dep[wake_key] = done
+                        if is_bsp:
+                            # The stage group resumes after the commit; the
+                            # others' queued entries go stale (the
+                            # committing rank's next candidate is computed
+                            # fresh below).
+                            for r2 in stage_ranks[s]:
+                                if worker_free[r2] < done:
+                                    worker_free[r2] = done
+                                    if r2 != rank:
+                                        dirty[r2] = True
+                            end = done
+                        elif duration != 0:
+                            end = done
             else:
                 dur = op_time[kind][s] / speed[rank]
                 if faults is None:
@@ -817,63 +826,62 @@ class _SimCore:
                 else:
                     end = faults.compute_end(workers[rank], t, dur)
                     dur = end - t
-                compute_time[rank] += dur
+                busy[rank] += dur
                 worker_free[rank] = end
-                # The stage this commit ships a boundary tensor to —
-                # activations downstream, gradients upstream — or -1.  A
+                # The route this commit ships a boundary tensor on —
+                # activations downstream, gradients upstream — or None.  A
                 # 2BP grad-weight half (BWD_W) is local compute only: it
                 # sends nothing and fires nothing.
-                peer = -1
+                hops = None
                 if kind == FWD:
                     if s < last_stage:
-                        peer = s + 1
-                        nbytes = boundary_bytes[s]
                         wake_key = sB + B + b
+                        hops = routes[0][rank * S + s]
+                        if hops is None:
+                            hops = routes[0][rank * S + s] = route(rank, s, 0)
                     else:
                         # Only the last stage's own backward waits on
                         # forward completion.
                         wake_key = fe_base[rank] + b
                         dep[wake_key] = end
                 elif kind == BWD:
-                    if not update_simple[s]:
+                    if keep_start[s]:
                         bwd_start[rank * nk + sB + b] = t
                     if s > 0:
-                        peer = s - 1
-                        nbytes = boundary_bytes[peer]
                         wake_key = AB_OFF + sB - B + b
+                        hops = routes[1][rank * S + s]
+                        if hops is None:
+                            hops = routes[1][rank * S + s] = route(rank, s, 1)
                     else:
                         minibatch_done[b] = end
-                if peer >= 0:
-                    worker = workers[rank]
-                    dst = stage_workers_list[peer][b % group_len[peer]]
-                    if worker == dst or nbytes <= 0:
+                if hops is not None:
+                    channel, duration = hops[b % len(hops)]
+                    if channel < 0:
                         dep[wake_key] = end
                     else:
-                        ch = (worker, dst)
-                        bw = bw_cache.get(ch)
-                        if bw is None:
-                            bw = bw_cache[ch] = link_bandwidth(worker, dst)
-                        duration = nbytes / bw
-                        cf = channel_free[ch]
+                        cf = channel_free[channel]
                         begin = end if end >= cf else cf
-                        if nic_contention:
-                            begin = max(begin, nic_send_free[worker],
-                                        nic_recv_free[dst])
-                        if faults is not None:
-                            duration *= faults.bandwidth_factor(
-                                worker, dst, begin, link_level(worker, dst))
-                        if nic_contention:
-                            nic_send_free[worker] = begin + duration
-                            nic_recv_free[dst] = begin + duration
-                        channel_free[ch] = begin + duration
-                        channel_busy[ch] += duration
-                        dep[wake_key] = begin + duration
+                        if paced:
+                            src, dst = pairs[channel]
+                            if nic_contention:
+                                begin = max(begin, nic_send_free[src],
+                                            nic_recv_free[dst])
+                            if faults is not None:
+                                duration *= faults.bandwidth_factor(
+                                    src, dst, begin, level[channel])
+                            if nic_contention:
+                                nic_send_free[src] = begin + duration
+                                nic_recv_free[dst] = begin + duration
+                        cb = channel_busy[channel]
+                        if not cb:
+                            first_sent.append(channel)
+                        channel_busy[channel] = cb + duration
+                        channel_free[channel] = dep[wake_key] = begin + duration
             log_rank(rank)
             log_start(t)
             log_end(end)
             idx += 1
             pointers[rank] = idx
-            committed += 1
             if idx < lengths[rank]:
                 # UPDATE and grad-weight heads are unconditionally ready at
                 # worker_free.
@@ -905,6 +913,19 @@ class _SimCore:
                 else:
                     heappush(heap, own)
 
+        self.halted = halted
+        # A rank's first commit is a compute op when its row starts with
+        # one; otherwise walk the log for each rank's first compute commit.
+        ranks = self.log_rank
+        if all(kinds[0] != UPD for kinds in kinds_of if kinds):
+            first = dict.fromkeys(ranks)
+        else:
+            heads = [iter(kinds) for kinds in kinds_of]
+            first = dict.fromkeys(
+                rank for rank in ranks if next(heads[rank]) != UPD)
+        self.compute_time = {rank: busy[rank] for rank in first}
+        self.channel_busy = {pairs[c]: channel_busy[c] for c in first_sent}
+
     def result(self) -> SimResult:
         table, n = self.table, self.fanout
         ranks, starts, ends = self.log_rank, self.log_start, self.log_end
@@ -924,7 +945,7 @@ class _SimCore:
             num_workers=self.schedule.num_workers,
             compute_time_per_worker={
                 table.workers[rank]: t for rank, t in busy.items()},
-            channel_busy=dict(self.channel_busy),
+            channel_busy=self.channel_busy,
             sync_busy=dict(self.sync_busy),
             minibatch_done=self.minibatch_done,
             halted_at=self.halt_time if self.halted else None,
@@ -933,18 +954,34 @@ class _SimCore:
         )
 
 
+def _run(schedule: Schedule, profile: ModelProfile, topology: Topology,
+         options: SimOptions, collapse: bool) -> _SimCore:
+    with obs.span("sim.init"):
+        core = _SimCore(schedule, profile, topology, options, collapse)
+    with obs.span("sim.loop") as span:
+        core.run_event()
+        if span is not None:
+            span.attrs.update(ops=len(core.log_rank), ranks=len(core.kinds))
+    return core
+
+
 def simulate(
     schedule: Schedule,
     profile: ModelProfile,
     topology: Topology,
     options: Optional[SimOptions] = None,
 ) -> SimResult:
-    """Execute ``schedule`` with the cluster's cost model; see module doc."""
+    """Execute ``schedule`` with the cluster's cost model; see module doc.
+
+    Records the :mod:`repro.utils.obs` spans ``simulate`` around
+    ``sim.init``, ``sim.loop`` (attrs ``ops``, ``ranks``) and
+    ``sim.result``; a collapsed BSP run that is re-run on every rank
+    records a second init and loop."""
     options = options or SimOptions()
-    core = _SimCore(schedule, profile, topology, options, collapse=True)
-    core.run_event()
-    if core.fanout > 1 and any(start == end for kind, start, end in zip(
-            core.kinds[0], core.log_start, core.log_end) if kind != UPD):
-        core = _SimCore(schedule, profile, topology, options)  # absorbed
-        core.run_event()
-    return core.result()
+    with obs.span("simulate"):
+        core = _run(schedule, profile, topology, options, collapse=True)
+        if core.fanout > 1 and any(start == end for kind, start, end in zip(
+                core.kinds[0], core.log_start, core.log_end) if kind != UPD):
+            core = _run(schedule, profile, topology, options, False)  # absorbed
+        with obs.span("sim.result"):
+            return core.result()

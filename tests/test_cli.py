@@ -166,6 +166,48 @@ class TestSimulate:
         assert excinfo.value.code == 2
         assert message in capsys.readouterr().err
 
+    def test_one_batch_gpipe_reports_a_finite_rate(self, capsys):
+        """GPipe's backward completes a batch's microbatches last to first;
+        the one-batch run printed ``inf minibatches/s``."""
+        assert main(["simulate", "alexnet", "--servers", "1", "--strategy",
+                     "gpipe", "--minibatches", "1"]) == 0
+        assert "inf" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("strategy, solves", [
+        ("pipedream", True), ("dp", False)])
+    def test_trace_holds_one_event_per_span(self, tmp_path, capsys,
+                                            strategy, solves):
+        """``--trace`` writes the run's spans: the file parses, holds one
+        complete event per recorded span (the registry is left disabled,
+        as found), and every simulation phase lies inside its
+        ``simulate`` event; a pipedream run shows its solve too."""
+        path = tmp_path / "run.json"
+        first = len(obs.registry.spans)
+        try:
+            assert main(["simulate", "vgg16", "--servers", "2",
+                         "--strategy", strategy, "--minibatches", "64",
+                         "--trace", str(path)]) == 0
+            spans = obs.registry.spans[first:]
+        finally:
+            del obs.registry.spans[first:]
+        assert not obs.registry.enabled
+        assert f"wrote {path} ({len(spans)} spans)" in capsys.readouterr().out
+        events = json.loads(path.read_text())["traceEvents"]
+        assert [e["name"] for e in events] == [span.name for span in spans]
+        assert {e["ph"] for e in events} == {"X"}
+        assert any(e["name"] == "solve" for e in events) == solves
+        (run,) = [e for e in events if e["name"] == "simulate"]
+        phases = [e for e in events if e["name"].startswith("sim.")]
+        assert [e["name"] for e in phases] == [
+            "sim.init", "sim.loop", "sim.result"]
+        for event in phases:
+            assert event["args"]["depth"] == run["args"]["depth"] + 1
+            assert run["ts"] <= event["ts"]
+            assert event["ts"] + event["dur"] <= run["ts"] + run["dur"] + 1e-3
+        loop = phases[1]["args"]
+        assert loop["ranks"] == (8 if strategy == "pipedream" else 1)
+        assert loop["ops"] > 0
+
     def test_faults_in_range_run(self, capsys):
         assert main(["simulate", "vgg16", "--cluster", "a", "--servers", "1",
                      "--strategy", "mp", "--minibatches", "8",
@@ -272,6 +314,10 @@ HOSTILE_ARGV = [
      "argument --csv: cannot write"),
     (["sweep", "alexnet", "--counts", "4", "--svg", "/nonexistent/x.svg"],
      "argument --svg: cannot write"),
+    (["simulate", "alexnet", "--servers", "1", "--trace",
+      "/nonexistent/x.json"], "argument --trace: cannot write"),
+    (["simulate", "alexnet", "--servers", "1", "--trace", os.curdir],
+     "argument --trace: cannot write '.': it is a directory"),
     (["simulate", "vgg16", "--memory-limit-bytes", "1000"],
      "memory_limit_bytes=1000"),
 ]

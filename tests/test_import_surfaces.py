@@ -125,6 +125,19 @@ def test_plan_loads_the_trace_exporter_only_with_trace(tmp_path):
     assert loaded(importtime(traced)) - plain == {"repro.sim.trace"}
 
 
+def test_simulate_loads_the_trace_exporter_only_with_trace(tmp_path):
+    """``repro simulate`` without ``--trace`` loads no exporter; with it,
+    the Chrome exporter and nothing more."""
+    run = CHECKS["cli"].replace(
+        'main(["plan", "vgg16"])',
+        'main(["simulate", "vgg16", "--minibatches", "8"])')
+    traced = run.replace('"8"])', f'"8", "--trace", {str(tmp_path / "t.json")!r}])')
+    assert traced != run != CHECKS["cli"]
+    plain = loaded(importtime(run))
+    assert "repro.sim.trace" not in plain
+    assert loaded(importtime(traced)) - plain == {"repro.sim.trace"}
+
+
 #: ``numpy.ma`` costs about a megabyte of RSS; a plain ``np.unique(x)``
 #: imports it, ``return_inverse`` / ``return_index`` calls do not.
 NO_MASKED_ARRAYS = {

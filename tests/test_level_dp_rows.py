@@ -263,6 +263,19 @@ class TestEveryCandidateTies:
         if capped:
             assert any(stage.tp_degree > 1 for stage in plan.stages)
 
+    def test_two_degrees_tie_at_different_replica_counts(self):
+        """On a slower 32-worker ring at a tighter cap, a row's first
+        minimum is a degree-2 entry that ties with a degree-1 entry at a
+        larger ``m'``: only the ``(m', t)`` entry order picks the oracle's
+        plan (a degree-major ``(t, m')`` scan picks ``3-3x2-…``)."""
+        topo = levels((32, 1e8, 0.25))
+        free = PipeDreamOptimizer(self.PROFILE, topo).solve()
+        plan = assert_twins_identical(
+            self.PROFILE, topo, tp_degrees=(1, 2),
+            memory_limit_bytes=0.2 * max(free.memory_bytes))
+        assert plan.config_string == "-".join(
+            ["1x2"] * 6 + ["2x2"] + ["1x2"] * 5 + ["1"] * 6)
+
 
 class TestRefinedPlaneMemoisation:
     """W = 64 on a [4, 16] cluster with recompute + tp: the shape where

@@ -731,6 +731,29 @@ class TestFraming:
         finally:
             connection.close()
 
+    def test_one_batch_gpipe_reply_is_strict_json(self, url):
+        """A one-batch GPipe run finishes its microbatches last to first;
+        its throughput was ``Infinity``, a token strict parsers reject."""
+        def refuse(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        connection = RawConnection(url)
+        try:
+            connection.send(http_post("/simulate", json.dumps(
+                {"model": "alexnet", "servers": 1, "strategy": "gpipe",
+                 "minibatches": 1}).encode()))
+            line = connection.file.readline()
+            headers = {}
+            while (header := connection.file.readline()) != b"\r\n":
+                name, _, value = header.decode().partition(":")
+                headers[name.lower()] = value.strip()
+            body = connection.file.read(int(headers["content-length"]))
+        finally:
+            connection.close()
+        assert int(line.split()[1]) == 200
+        reply = json.loads(body, parse_constant=refuse)
+        assert 0 < reply["throughput"] < float("inf")
+
     def test_unread_body_is_never_taken_for_a_request(self, url):
         """The parent answered ``400 Bad request syntax ('{"model": ...}GET
         /healthz HTTP/1.1')`` here: the body it had refused to read."""

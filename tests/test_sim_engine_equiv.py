@@ -24,6 +24,9 @@ from hypothesis import strategies as st
 from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.schedule import (
+    Op,
+    OpKind,
+    Schedule,
     data_parallel_schedule,
     gpipe_schedule,
     model_parallel_schedule,
@@ -33,6 +36,7 @@ from repro.core.schedule import (
 from repro.core.topology import cluster_a, cluster_b, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.executor import SimOptions, simulate
+from repro.sim.faults import parse_faults
 from repro.sim.strategies import balanced_straight_stages
 from tests.oracles import ReferenceOptimizer
 from tests.oracles.sim_reference import simulate_reference
@@ -133,6 +137,95 @@ SCENARIOS = {
         VGG, TOPO_A,
         SimOptions(worker_speed={2: 0.7, 12: 1.6}, bucket_bytes=25e6)),
 }
+
+
+# ----------------------------------------------------------------------
+# Schedules the builders never emit: what the loop's channel ids, routes
+# and busy lists must still reproduce.
+# ----------------------------------------------------------------------
+
+#: Four layers whose boundaries carry different byte counts.
+UNEVEN = ModelProfile("uneven", [
+    LayerProfile("l0", 3.0, 4000, 200), LayerProfile("l1", 2.0, 900, 300),
+    LayerProfile("l2", 4.0, 2500, 100), LayerProfile("l3", 1.0, 10, 50),
+], batch_size=1)
+UNEVEN_TOPO = make_cluster("t4", 4, 1, 1e3, 1e3)
+
+
+def _one_worker_two_stages(minibatches):
+    """Worker 0 runs stages 0 and 2, worker 1 stage 1: the pair (0, 1)
+    carries stage 0's activations and stage 2's gradients, which cross
+    different boundaries and so differ in size."""
+    def op(kind, s, b):
+        return Op(OpKind(kind), s, b)
+
+    ops0 = [op("F", 0, 0)]
+    ops1 = []
+    for b in range(minibatches):
+        if b + 1 < minibatches:
+            ops0.append(op("F", 0, b + 1))
+        ops0 += [op("F", 2, b), op("B", 2, b), op("U", 2, b),
+                 op("B", 0, b), op("U", 0, b)]
+        ops1 += [op("F", 1, b), op("B", 1, b), op("U", 1, b)]
+    stages = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 4, 1)]
+    return Schedule(stages, minibatches, worker_ops={0: ops0, 1: ops1},
+                    stage_workers={0: [0], 1: [1], 2: [0]})
+
+
+def _update_first_row(minibatches):
+    """Rank 0 (worker 0, stage 1) opens with an UPDATE that commits at
+    t=0 before rank 1's first forward: the ranks' first commits come in
+    the order 0, 1, their first compute commits in the order 1, 0."""
+    def op(kind, s, b):
+        return Op(OpKind(kind), s, b)
+
+    ops0 = [op("U", 1, 0)]
+    ops1 = []
+    for b in range(minibatches):
+        ops0 += [op("F", 1, b), op("B", 1, b), op("U", 1, b)]
+        ops1 += [op("F", 0, b), op("B", 0, b), op("U", 0, b)]
+    return Schedule([Stage(0, 2, 1), Stage(2, 4, 1)], minibatches,
+                    worker_ops={0: ops0, 1: ops1},
+                    stage_workers={0: [1], 1: [0]})
+
+
+def _halted_bucketed_rr():
+    """A crash halts a bucketed, replicated 1F1B-RR run midway."""
+    sched, profile, topo, options = SCENARIOS["bucketed_rr_8_8_stragglers"]()
+    clean = simulate(sched, profile, topo, options)
+    crash = parse_faults(f"crash@{clean.total_time / 2!r}:w3",
+                         num_workers=topo.total_workers)
+    return sched, profile, topo, SimOptions(
+        worker_speed=options.worker_speed, bucket_bytes=options.bucket_bytes,
+        faults=crash)
+
+
+LOOP_STATE_SCENARIOS = {
+    "one_worker_two_stages": lambda: (
+        _one_worker_two_stages(6), UNEVEN, UNEVEN_TOPO, None),
+    "one_worker_two_stages_nic_bw_fault": lambda: (
+        _one_worker_two_stages(6), UNEVEN, UNEVEN_TOPO,
+        SimOptions(nic_contention=True,
+                   faults=parse_faults("bw@5:x3.0:d20", num_workers=4))),
+    "update_first_row": lambda: (
+        _update_first_row(4), UNEVEN, UNEVEN_TOPO, None),
+    "halted_bucketed_rr_8_8": _halted_bucketed_rr,
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(LOOP_STATE_SCENARIOS))
+def test_loop_state_matches_reference(scenario):
+    sched, profile, topo, options = LOOP_STATE_SCENARIOS[scenario]()
+    sim = assert_engines_identical(sched, profile, topo, options)
+    if scenario.startswith("one_worker_two_stages"):
+        # Both directions of both worker pairs carried traffic.
+        assert set(sim.channel_busy) == {(0, 1), (1, 0)}
+    elif scenario == "update_first_row":
+        assert sim.raw_records[0][:2] == (0, Op(OpKind.UPDATE, 1, 0))
+        assert list(sim.compute_time_per_worker) == [1, 0]
+    else:
+        assert sim.halted_at is not None
+        assert sim.channel_busy and sim.compute_time_per_worker
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
@@ -314,6 +407,30 @@ def test_dp_absorbed_duration_runs_every_rank(loop_commits):
     assert_engines_identical(sched, profile, topo, options)
     rows = sched.table().kinds
     assert loop_commits == [len(rows[0]), sum(map(len, rows))]
+
+
+def test_rerun_records_a_second_init_and_loop():
+    """The spans of a collapsed run that is re-run on every rank."""
+    from repro.utils import obs
+
+    sched, profile, topo, options = _dp(_vgg_forward(1e-30), 4, 3,
+                                        cluster_a(1))
+    first, was_enabled = len(obs.registry.spans), obs.registry.enabled
+    obs.enable()
+    try:
+        simulate(sched, profile, topo, options)
+        spans = obs.registry.spans[first:]
+    finally:
+        if not was_enabled:
+            obs.disable()
+        del obs.registry.spans[first:]
+    assert [(span.name, span.depth) for span in spans] == [
+        ("sim.init", 1), ("sim.loop", 1), ("sim.init", 1), ("sim.loop", 1),
+        ("sim.result", 1), ("simulate", 0)]
+    rows = sched.table().kinds
+    assert [span.attrs for span in spans if span.name == "sim.loop"] == [
+        {"ops": len(rows[0]), "ranks": 1},
+        {"ops": sum(map(len, rows)), "ranks": len(rows)}]
 
 
 def test_data_parallel_driver_simulates_one_row(loop_commits):

@@ -169,6 +169,16 @@ class TestGPipeSemantics:
         # Same 32 work items in both runs.
         assert pd.total_time < gp.total_time
 
+    def test_one_batch_steady_rate_is_the_whole_run_rate(self, topo4):
+        """One batch's backward drains its microbatches last to first, so
+        by minibatch id the second half of completions has a negative
+        span; the steady rate falls back to the whole-run rate."""
+        sim = simulate(gpipe_schedule(4, 1, 4), uniform_profile(n=4), topo4,
+                       SimOptions(sync_mode="gpipe", microbatches_per_batch=4))
+        done = [sim.minibatch_done[b] for b in sorted(sim.minibatch_done)]
+        assert done == sorted(done, reverse=True)
+        assert sim.steady_state_throughput == sim.throughput < float("inf")
+
 
 class TestStageComputeTimes:
     def test_split_and_scale(self, toy_profile):

@@ -33,7 +33,10 @@ SRC = ROOT / "src"
 CLI = ("models", "profile vgg16", "plan vgg16 --json plan.json",
        "plan vgg16 --servers 2 --memory-limit-bytes 1.5e9 --recompute auto "
        "--tp-degrees 1 2 4 --trace solve.json",
-       "simulate vgg16", "sweep vgg16 --counts 4 --csv sweep.csv --svg sweep.svg",
+       "simulate vgg16",
+       "simulate vgg16 --servers 2 --strategy pipedream --minibatches 64 "
+       "--trace simulate.json",
+       "sweep vgg16 --counts 4 --csv sweep.csv --svg sweep.svg",
        "timeline")
 SMOKE = {"elastic_recovery.py", "mixed_precision_sweep.py"}
 

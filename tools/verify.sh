@@ -3,10 +3,10 @@
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
 # seeded chaos suite, the elastic-recovery smoke, the threaded-runtime
 # example, the quickstart / cluster-planner / DAG / image-classification /
-# GNMT-translation examples, the 1 024-worker `repro plan` smoke, a
-# `repro plan --trace` export, the planner-service smoke, the end-to-end
-# benchmark's selftest (its pinned call surface), and the perf-regression
-# gate.
+# GNMT-translation examples, the 1 024-worker `repro plan` smoke, the
+# `repro plan --trace` and `repro simulate --trace` exports, the
+# planner-service smoke, the end-to-end benchmark's selftest (its pinned
+# call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,6 +53,11 @@ trace_dir="$(mktemp -d)"
 trap 'rm -rf "$trace_dir"' EXIT
 python -m repro.cli plan vgg16 --servers 2 --memory-limit-bytes 1.5e9 \
     --recompute auto --tp-degrees 1 2 4 --trace "$trace_dir/solve.json"
+
+echo
+echo "== simulation-phase trace =="
+python -m repro.cli simulate vgg16 --servers 2 --strategy pipedream \
+    --minibatches 64 --trace "$trace_dir/simulate.json"
 
 echo
 echo "== planner service smoke =="
