@@ -1472,22 +1472,20 @@ def communication_bytes_per_minibatch(
     (integer byte counts keep the payload exact).
     """
     _check_stages(len(profile), stages)
-    from repro.core import sharding
+    from repro.sim.network import _shard_share
 
+    tables = range_table(profile)
     total = 0.0
     for idx, stage in enumerate(stages):
-        weights = profile.weight_bytes(stage.start, stage.stop)
         t = stage.tp_degree
-        shard_w = sharding.shardable_weight_bytes(
-            profile, stage.start, stage.stop)
-        payload = t * ((weights - shard_w) + shard_w / t)
+        payload = t * _shard_share(
+            tables, stage,
+            tables.weights[stage.stop] - tables.weights[stage.start])
         total += 2.0 * (stage.replicas - 1) * payload / stage.replicas
-        out_act = profile.activation_bytes(stage.stop - 1)
-        in_act = (profile.activation_bytes(stage.start - 1)
-                  if stage.start > 0 else 0)
-        total += 2.0 * (t - 1) * (out_act + in_act)
+        out_act = tables.out_bytes[stage.stop - 1]
+        total += 2.0 * (t - 1) * (out_act + tables.in_bytes[stage.start])
         if idx + 1 < len(stages):
-            total += 2.0 * profile.activation_bytes(stage.stop - 1)
+            total += 2.0 * out_act
     return total
 
 
@@ -1563,7 +1561,7 @@ def evaluate_partition_details(
     """Like :func:`evaluate_partition_on_topology` with the full breakdown.
 
     One pricing loop (:func:`_evaluate_details`) composes each stage's
-    compute with :func:`repro.sim.network.stage_collectives`.
+    terms from :func:`repro.sim.network.stage_terms`.
     ``bucket_bytes`` switches a replicated stage's sync pricing from the
     legacy single-payload model to the bucketed wait-free walk of
     :func:`_bucketed_stage_sync` (gradients fused into buckets of at most
@@ -1595,8 +1593,8 @@ def evaluate_partition_on_topology(
 ) -> float:
     """Bottleneck time per minibatch of a stage list on a real topology.
 
-    Reads the discrete-event simulator's collective kernel
-    (:func:`repro.sim.network.stage_collectives`): a stage's sync is
+    Reads the discrete-event simulator's stage terms
+    (:func:`repro.sim.network.stage_terms`): a stage's sync is
     charged once per round of ``replicas`` minibatches (the
     non-overlappable BPTT portion additively); stage boundaries pay a
     point-to-point transfer at the bandwidth of the link between adjacent
@@ -1619,13 +1617,13 @@ def _evaluate_details(
     """The per-stage pricing loop behind every plan evaluation.
 
     A stage is ``replicas x tp_degree`` physical workers placed by
-    :func:`repro.core.schedule._assign_workers`.  Shardable compute
-    divides by ``t`` (the complement stays replicated, same split as the
-    shared memory kernel).  Every collective — the tp boundary all_reduces
-    (paid by every minibatch, the last stage included, so sharded compute
-    is never free), the stream and deferred sync over the leader ring and
-    the bucket list — comes from :func:`repro.sim.network.stage_collectives`,
-    the kernel the event engine reads too; this loop only composes them.
+    :func:`repro.core.schedule._assign_workers`.  Every term — the
+    tp-sharded compute and backward, the checkpoint replay, the tp
+    boundary all_reduces (paid by every minibatch, the last stage
+    included, so sharded compute is never free), the stream and deferred
+    sync over the leader ring and the bucket list — comes from
+    :func:`repro.sim.network.stage_terms`, the table the event engine
+    reads too; this loop only composes them.
 
     With ``bucket_bytes`` a replicated stage's sync is the per-bucket walk
     of :func:`_bucketed_stage_sync` instead of the single-payload
@@ -1634,55 +1632,39 @@ def _evaluate_details(
     unbucketed branch bitwise.
     """
     from repro.core.schedule import _assign_workers
-    from repro.sim.network import Placement, stage_collectives
+    from repro.sim.network import Placement, stage_terms
 
     occupied = sum(stage.replicas * stage.tp_degree for stage in stages)
     if occupied > topology.total_workers:
         raise ValueError(
             f"the plan occupies {occupied} workers but the topology "
             f"has {topology.total_workers}")
-    tables = range_table(profile)
     placement = Placement(topology)
-    scale = topology.compute_scale
-    pt, pb = tables.compute, tables.backward
-    pst, psb = tables.shard_compute, tables.shard_backward
-    acts = tables.out_bytes
     leaders = _assign_workers(stages)
+    terms = stage_terms(placement, profile, stages, leaders, bucket_bytes)
     stage_times: List[float] = []
     boundary_times: List[float] = []
     sync_exposed: List[float] = []
     sync_hidden: List[float] = []
-    for idx, stage in enumerate(stages):
+    for idx, (stage, term) in enumerate(zip(stages, terms)):
         r = stage.replicas
-        t = stage.tp_degree
-        compute = (pt[stage.stop] - pt[stage.start]) / scale
-        backward = (pb[stage.stop] - pb[stage.start]) / scale
-        if t > 1:
-            st = (pst[stage.stop] - pst[stage.start]) / scale
-            compute = compute - st + st / t
-            sb = (psb[stage.stop] - psb[stage.start]) / scale
-            backward = backward - sb + sb / t
-        if stage.recompute:
-            # Checkpointing replays the stage's forward inside the backward
-            # window: the round grows by one forward and the backward
-            # phase (which gates bucket readiness) absorbs it.
-            forward_extra = compute - backward
-            compute = compute + forward_extra
-            backward = backward + forward_extra
-        coll = stage_collectives(placement, profile, stage, leaders[idx],
-                                 bucket_bytes)
-        stage_total = compute + (coll.tp_out + coll.tp_in)
+        # Checkpointing replays the stage's forward inside the backward
+        # window: the round grows by one forward and the backward phase
+        # (which gates bucket readiness) absorbs it.
+        compute = term.compute + term.replay
+        backward = term.backward + term.replay
+        stage_total = compute + (term.tp_out + term.tp_in)
         cost = stage_total / r
         exposed = hidden = 0.0
         if r > 1:
             if bucket_bytes is not None:
                 round_time, round_exposed, total_sync = _bucketed_stage_sync(
-                    coll, compute, backward)
+                    term, compute, backward)
                 cost = round_time / r
                 exposed = round_exposed / r
                 hidden = (total_sync - round_exposed) / r
             else:
-                stream, blocked = coll.stream, coll.deferred
+                stream, blocked = term.stream, term.deferred
                 cost = max(cost, stream / r) + blocked / r
                 # Critical-path share of the sync: whatever the round costs
                 # beyond its amortized compute.  The stream hides under the
@@ -1695,7 +1677,7 @@ def _evaluate_details(
         if idx + 1 < len(stages):
             first = leaders[idx + 1][0]
             bandwidth = placement.link_bandwidth(first - 1, first)
-            boundary_times.append(2.0 * acts[stage.stop - 1] / bandwidth)
+            boundary_times.append(2.0 * term.out_bytes / bandwidth)
     worst = max(max(stage_times), max(boundary_times, default=0.0))
     return PartitionEvaluation(
         worst, tuple(stage_times), tuple(boundary_times),
@@ -1704,13 +1686,13 @@ def _evaluate_details(
     )
 
 
-def _bucketed_stage_sync(coll, compute, backward_total):
+def _bucketed_stage_sync(term, compute, backward_total):
     """Wait-free bucketed sync walk for one replicated stage's round.
 
     A round of the stage runs one minibatch per replica: ``compute``
     seconds of forward+backward, the backward portion ``backward_total``
-    at the tail.  Each stream bucket's collective (``coll.buckets``, from
-    :func:`repro.sim.network.stage_collectives`) fires as soon as its last
+    at the tail.  Each stream bucket's collective (``term.buckets``, from
+    :func:`repro.sim.network.stage_terms`) fires as soon as its last
     gradient exists (``ready_fraction`` of the backward elapsed) and the
     per-stage sync channel is free; buckets serialize on that channel in
     firing order.  The BPTT-deferred payload only exists once backward
@@ -1727,10 +1709,10 @@ def _bucketed_stage_sync(coll, compute, backward_total):
     forward = compute - backward_total
     t = 0.0
     total = 0.0
-    for dur, ready_fraction in coll.buckets:
+    for dur, ready_fraction in term.buckets:
         ready = forward + ready_fraction * backward_total
         t = (ready if ready > t else t) + dur
         total += dur
-    blocked = coll.deferred
+    blocked = term.deferred
     round_time = (t if t > compute else compute) + blocked
     return round_time, round_time - compute, total + blocked

@@ -2,11 +2,14 @@
 
 Every consumer that prices a layer span reads its sums from one
 :class:`RangeTable` — both DPs (over the optimizer's compute-scaled
-device profile), the topology evaluator (raw sums divided by
-``compute_scale``), the simulator's tensor-parallel split and the §3.3
-memory helpers — so the sum of a quantity over layers ``[start, stop)``
-is always ``prefix[stop] - prefix[start]`` of the same list.  Each
-consumer keeps its own float expression on top of those differences.
+device profile), :func:`repro.sim.network.stage_terms` (raw sums divided
+by ``compute_scale``) and the §3.3 memory helpers — so the sum of a
+quantity over layers ``[start, stop)`` is always ``prefix[stop] -
+prefix[start]`` of the same list.  The event engine and the topology
+evaluator share one float expression on top of those differences,
+``stage_terms``; the DPs' batched planes spell the same expression over
+every span at once (a tier-1 test holds them bitwise equal at
+``compute_scale`` 1.0 and 0.5).
 
 Prefixes accumulate sequentially in python (seconds as floats, bytes as
 exact ints), never through ``np.cumsum`` / ``np.sum``, whose pairwise
@@ -28,9 +31,9 @@ from repro.utils.lru import LRUCache
 class RangeTable:
     """Prefix sums (length ``n + 1``) of one profile's per-layer columns.
 
-    ``compute`` / ``forward`` / ``backward`` (seconds), ``weights`` /
-    ``acts`` (bytes) and their ``shard_*`` twins over the layers whose
-    kind is in :data:`~repro.core.sharding.SHARDABLE_KINDS` — the share a
+    ``compute`` / ``backward`` (seconds), ``weights`` / ``acts`` (bytes)
+    and their ``shard_*`` twins over the layers whose kind is in
+    :data:`~repro.core.sharding.SHARDABLE_KINDS` — the share a
     tensor-parallel degree divides; ``deferred`` sums the weights of
     :data:`~repro.core.profile.RECURRENT_KINDS` layers.  ``out_bytes[l]``
     is layer ``l``'s output activation (a stage boundary's payload) and
@@ -40,9 +43,9 @@ class RangeTable:
     """
 
     __slots__ = (
-        "compute", "forward", "backward", "weights", "acts", "deferred",
-        "shard_compute", "shard_forward", "shard_backward", "shard_weights",
-        "shard_acts", "out_bytes", "in_bytes",
+        "compute", "backward", "weights", "acts", "deferred",
+        "shard_compute", "shard_backward", "shard_weights", "shard_acts",
+        "out_bytes", "in_bytes",
     )
 
     def __init__(self, profile: ModelProfile):
@@ -60,7 +63,6 @@ class RangeTable:
 
         self.compute, self.shard_compute = with_shard(
             lambda l: l.compute_time, 0.0)
-        self.forward, self.shard_forward = with_shard(lambda l: l.forward, 0.0)
         self.backward, self.shard_backward = with_shard(
             lambda l: l.backward, 0.0)
         self.weights, self.shard_weights = with_shard(

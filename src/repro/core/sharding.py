@@ -35,8 +35,6 @@ import math
 import numbers
 from typing import Dict, Sequence, Tuple
 
-from repro.core.profile import ModelProfile
-
 #: Operator family -> the dimension a tp shard partitions.  Membership in
 #: this mapping *is* the shardability predicate.
 SHARDABLE_KINDS: Dict[str, str] = {
@@ -68,18 +66,3 @@ def validate_tp_degrees(tp_degrees: Sequence[int]) -> Tuple[int, ...]:
     degrees.add(1)
     return tuple(sorted(degrees))
 
-
-def shardable_weight_bytes(profile: ModelProfile, start: int, stop: int) -> int:
-    """Weight bytes of the shardable layers in stage ``[start, stop)``."""
-    from repro.core.ranges import range_table  # the table imports this module
-
-    shard = range_table(profile).shard_weights
-    return shard[stop] - shard[start]
-
-
-def shardable_activation_bytes(profile: ModelProfile, start: int, stop: int) -> int:
-    """Activation-stash bytes of the shardable layers in ``[start, stop)``."""
-    from repro.core.ranges import range_table
-
-    shard = range_table(profile).shard_acts
-    return shard[stop] - shard[start]

@@ -50,17 +50,15 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import compress, starmap
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.core.partition import Stage
 from repro.core.profile import ModelProfile
-from repro.core.ranges import range_table
 from repro.core.schedule import (
     BWD, FWD, OP_KINDS, UPD, Op, Schedule, ScheduleTable,
 )
 from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
-from repro.sim.network import Placement, stage_collectives
+from repro.sim.network import Placement, stage_terms
 from repro.utils import obs
 
 
@@ -224,19 +222,6 @@ class SimResult:
         return [r for r in self.records if r.worker == worker]
 
 
-def stage_compute_times(
-    profile: ModelProfile, stages: Sequence[Stage], compute_scale: float = 1.0
-) -> Tuple[List[float], List[float]]:
-    """Per-stage forward and backward durations for one minibatch."""
-    fwd, bwd = [], []
-    for stage in stages:
-        f = sum(layer.forward for layer in profile.layers[stage.start : stage.stop])
-        total = profile.compute_time(stage.start, stage.stop)
-        fwd.append(f / compute_scale)
-        bwd.append((total - f) / compute_scale)
-    return fwd, bwd
-
-
 class _SimCore:
     """Simulation state, read by the oracle too, and the event loop.
 
@@ -304,81 +289,49 @@ class _SimCore:
         self.B = max(1, schedule.num_minibatches)
         self.placement = Placement(topology)
 
-        fwd_time, bwd_time = stage_compute_times(
-            profile, stages, topology.compute_scale
-        )
-        # Tensor parallelism: a stage's shardable compute divides by its
-        # tp_degree (the non-shardable remainder is replicated across the
-        # tp group), *before* the 2BP split and recompute transforms — the
-        # replayed forward and the grad-weight half operate on the sharded
-        # durations.  The boundary-activation collectives are added after
-        # those transforms (recompute rebuilds from the already-gathered
-        # boundary stash, so it replays compute, not collectives).  Stages
-        # at tp_degree == 1 take no branch, keeping the timeline bitwise
-        # identical to the two-axis simulator.
-        tb = range_table(profile)
-        scale = topology.compute_scale
-        for s, stage in enumerate(stages):
-            t = stage.tp_degree
-            if t > 1:
-                sc = tb.shard_compute[stage.stop] - tb.shard_compute[stage.start]
-                sf = tb.shard_forward[stage.stop] - tb.shard_forward[stage.start]
-                sb = (sc - sf) / scale
-                sf = sf / scale
-                fwd_time[s] = fwd_time[s] - sf + sf / t
-                bwd_time[s] = bwd_time[s] - sb + sb / t
-        # 2BP backward split (schedules with ``backward_split``): the
-        # grad-weight half leaves the critical grad-input path *before*
-        # recompute is applied — the replayed forward must precede
-        # grad-input (it rebuilds the tape), while grad-weight work is
-        # pure local math that checkpointing never touches.  The halves
-        # conserve the unsplit duration exactly (w = b/2, i = b - w).
-        if schedule.backward_split:
-            bwd_w_time = [0.5 * b for b in bwd_time]
-            bwd_time = [b - w for b, w in zip(bwd_time, bwd_w_time)]
-        else:
-            bwd_w_time = [0.0] * len(bwd_time)
-        if options.recompute_activations:
-            bwd_time = [b + f for f, b in zip(fwd_time, bwd_time)]
-        elif any(stage.recompute for stage in stages):
-            # Planner-chosen per-stage checkpointing: only flagged stages
-            # replay their forward; the guard keeps recompute-free plans
-            # on the untouched list.
-            bwd_time = [
-                b + f if stage.recompute else b
-                for stage, f, b in zip(stages, fwd_time, bwd_time)
-            ]
-        # Every collective comes from the one kernel.  A tp stage's
-        # boundary all_reduces fold into its per-op durations: every
-        # forward ends with the output-boundary collective (the last stage
-        # too, so sharded compute is never free) and every backward runs
-        # the input-boundary one.  The sync terms are per stage round; for
+        # Every compute and collective term comes from the one stage-term
+        # table the evaluator reads too.  Two schedule semantics are the
+        # engine's own.  The 2BP backward split (schedules with
+        # ``backward_split``) moves the grad-weight half off the critical
+        # grad-input path *before* the replay is added — the replayed
+        # forward must precede grad-input (it rebuilds the tape), while
+        # grad-weight work is pure local math that checkpointing never
+        # touches; the halves conserve the unsplit duration exactly (w =
+        # b/2, i = b - w).  ``recompute_activations`` (GPipe's trade)
+        # replays every stage's forward, where a planned stage replays only
+        # if it is flagged.  A tp stage's boundary all_reduces fold into
+        # its per-op durations after those transforms (the replay rebuilds
+        # from the already-gathered boundary stash): every forward ends
+        # with the output-boundary collective (the last stage too, so
+        # sharded compute is never free) and every backward runs the
+        # input-boundary one.  The sync terms are per stage round; for
         # wait-free backprop only the stream payload overlaps the backward
         # pass — BPTT-accumulated kinds (LSTM, embedding) keep accumulating
         # until it ends, the reason DP fares poorly on the paper's
         # translation and language-modelling workloads.  With bucketing
         # the round commit walks the stream's buckets in firing order.
-        collectives = [
-            stage_collectives(self.placement, profile, stage,
-                              schedule.stage_workers[s], options.bucket_bytes)
-            for s, stage in enumerate(stages)
-        ]
-        for s, stage in enumerate(stages):
-            if stage.tp_degree > 1:
-                fwd_time[s] = fwd_time[s] + collectives[s].tp_out
-                bwd_time[s] = bwd_time[s] + collectives[s].tp_in
+        terms = stage_terms(self.placement, profile, stages,
+                            schedule.stage_workers, options.bucket_bytes)
+        bwd_time = [x.backward for x in terms]
+        if schedule.backward_split:
+            bwd_w_time = [0.5 * b for b in bwd_time]
+            bwd_time = [b - w for b, w in zip(bwd_time, bwd_w_time)]
+        else:
+            bwd_w_time = [0.0] * len(bwd_time)
+        replay_all = options.recompute_activations
+        fwd_time = [x.forward + x.tp_out for x in terms]
+        bwd_time = [b + (x.forward if replay_all else x.replay) + x.tp_in
+                    for x, b in zip(terms, bwd_time)]
         self.fwd_time = fwd_time
         self.bwd_time = bwd_time
         self.bwd_w_time = bwd_w_time
 
-        self.boundary_bytes = [
-            profile.activation_bytes(stage.stop - 1) for stage in stages[:-1]
-        ]
-        self.sync_stream = [c.stream for c in collectives]
-        self.sync_deferred = [c.deferred for c in collectives]
-        self.sync_duration = [c.stream + c.deferred for c in collectives]
+        self.boundary_bytes = [x.out_bytes for x in terms[:-1]]
+        self.sync_stream = [x.stream for x in terms]
+        self.sync_deferred = [x.deferred for x in terms]
+        self.sync_duration = [x.stream + x.deferred for x in terms]
         self.buckets = (None if options.bucket_bytes is None
-                        else [c.buckets for c in collectives])
+                        else [x.buckets for x in terms])
 
         # An empty schedule is normalized away so the empty case takes
         # the exact fault-free code paths — the bitwise no-op guarantee

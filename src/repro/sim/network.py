@@ -5,14 +5,19 @@ spilling to the next), mirroring how multi-GPU jobs are placed in the
 paper's clusters.  A transfer between two workers runs at the bandwidth of
 the outermost level at which their coordinates diverge; a ring all_reduce
 over a worker group pays ``2 (g_k - 1)/g_k * bytes / B_k`` at every level
-the group spans.  :func:`stage_collectives` is the one place a stage's
-collectives are priced: the event engine, the analytic evaluator and the
-sweep read its terms and compose them each their own way.
+the group spans.  :func:`stage_terms` is the one place a stage is priced:
+its compute, checkpoint replay, tp boundary and sync terms, all from the
+profile's range table.  The event engine and the analytic evaluator read
+the same terms and compose them each their own way (a dependency-driven
+timeline against a max over stages); the sweep's sync column reads
+:func:`stage_sync_seconds`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.comm.bucketing import gradient_buckets
 from repro.core.profile import ModelProfile
@@ -140,12 +145,21 @@ def allreduce_time(placement: Placement, workers: Sequence[int], num_bytes: floa
     return total
 
 
-class StageCollectives(NamedTuple):
-    """Seconds of one stage's collectives (see :func:`stage_collectives`)."""
+class StageTerms(NamedTuple):
+    """Seconds (and boundary bytes) one stage's price is composed from
+    (see :func:`stage_terms`), per minibatch unless noted."""
 
-    #: tp boundary all_reduces per minibatch, each the slowest of the
-    #: stage's concurrent replica groups: the output activation after
-    #: every forward, the input activation in every backward (0.0 at
+    #: Forward + backward compute on one replica, the shardable share
+    #: divided by ``tp_degree``; ``forward`` is ``compute - backward``.
+    compute: float
+    forward: float
+    backward: float
+    #: The forward a checkpointed stage (``stage.recompute``) replays
+    #: inside its backward; 0.0 otherwise.
+    replay: float
+    #: tp boundary all_reduces, each the slowest of the stage's
+    #: concurrent replica groups: the output activation after every
+    #: forward, the input activation in every backward (0.0 at
     #: ``tp_degree == 1``).
     tp_out: float
     tp_in: float
@@ -157,60 +171,83 @@ class StageCollectives(NamedTuple):
     #: ``(seconds, ready_fraction)`` per stream bucket in firing order;
     #: ``()`` unbucketed.
     buckets: Tuple[Tuple[float, float], ...]
+    #: Bytes of the stage's output activation (its boundary payload).
+    out_bytes: int
 
 
-def stage_collectives(
+def stage_terms(
     placement: Placement,
     profile: ModelProfile,
-    stage: Stage,
-    leaders: Sequence[int],
+    stages: Sequence[Stage],
+    stage_workers: Mapping[int, Sequence[int]],
     bucket_bytes: Optional[float] = None,
-) -> StageCollectives:
-    """Price every collective of one stage on ``placement``.
+) -> List[StageTerms]:
+    """Price every compute and collective term of each stage on
+    ``placement``, all from the profile's one range table.
 
-    ``leaders`` holds one worker id per replica — the first of its
-    ``tp_degree`` consecutive ids (the stage-major, tp-strided rule of
-    :func:`repro.core.schedule._assign_workers`).  Replica ``q``'s tp group
-    is ``[leaders[q], leaders[q] + tp_degree)``; the dp sync runs one ring
-    over ``leaders`` (each of the ``tp_degree`` concurrent shard rings
-    crosses the same levels), charged only at the levels that strided
-    ring spans — never the fused ``replicas x tp_degree`` span.  Each shard
-    ring syncs the unshardable weights plus a ``1/tp_degree`` slice of the
-    shardable share (:func:`_shard_share`); deferred (BPTT) weights are
-    unshardable and stay whole.
+    Compute is the span's prefix difference over the topology's
+    ``compute_scale``; at ``tp_degree == t > 1`` its shardable share (and
+    that of the backward) divides by ``t`` while the rest is replicated
+    work every shard repeats.  ``stage_workers[s]`` (a list or a dict keyed
+    by stage index, like :attr:`Schedule.stage_workers`) holds one worker id
+    per replica of stage ``s`` — the first of its ``t`` consecutive ids
+    (the stage-major, tp-strided rule of
+    :func:`repro.core.schedule._assign_workers`).  Replica ``q``'s tp
+    group is ``[leaders[q], leaders[q] + t)``; the dp sync runs one ring
+    over the leaders (each of the ``t`` concurrent shard rings crosses
+    the same levels), charged only at the levels that strided ring spans
+    — never the fused ``replicas x t`` span.  Each shard ring syncs the
+    unshardable weights plus a ``1/t`` slice of the shardable share
+    (:func:`_shard_share`); deferred (BPTT) weights are unshardable and
+    stay whole.
 
     ``bucket_bytes`` splits the stream payload into the
     :func:`~repro.comm.bucketing.gradient_buckets` collectives, each
     paying the per-collective latency again.  Tensor parallelism x
     bucketing is not modeled and is rejected here.
     """
-    t = stage.tp_degree
-    reject_tp_bucketing(t > 1, bucket_bytes)
     tables = range_table(profile)
-    start, stop = stage.start, stage.stop
-    tp_out = tp_in = 0.0
-    if t > 1:
-        out_act = tables.out_bytes[stop - 1]
-        in_act = tables.in_bytes[start]
-        for leader in leaders:
-            group = range(leader, leader + t)
-            tp_out = max(tp_out, allreduce_time(placement, group, out_act))
-            tp_in = max(tp_in, allreduce_time(placement, group, in_act))
-    deferred_bytes = tables.deferred[stop] - tables.deferred[start]
-    deferred = allreduce_time(placement, leaders, deferred_bytes)
-    if bucket_bytes is None:
-        stream_bytes = _shard_share(
-            tables, stage,
-            (tables.weights[stop] - tables.weights[start]) - deferred_bytes)
-        stream = allreduce_time(placement, leaders, stream_bytes)
-        return StageCollectives(tp_out, tp_in, stream, deferred, ())
-    buckets = tuple(
-        (allreduce_time(placement, leaders, bucket.payload_bytes),
-         bucket.ready_fraction)
-        for bucket in gradient_buckets(profile, start, stop, bucket_bytes)
-    )
-    stream = sum(seconds for seconds, _ in buckets)
-    return StageCollectives(tp_out, tp_in, stream, deferred, buckets)
+    scale = placement.topology.compute_scale
+    terms = []
+    for s, stage in enumerate(stages):
+        start, stop, t = stage.start, stage.stop, stage.tp_degree
+        leaders = stage_workers[s]
+        reject_tp_bucketing(t > 1, bucket_bytes)
+        compute = (tables.compute[stop] - tables.compute[start]) / scale
+        backward = (tables.backward[stop] - tables.backward[start]) / scale
+        tp_out = tp_in = 0.0
+        if t > 1:
+            sc = (tables.shard_compute[stop]
+                  - tables.shard_compute[start]) / scale
+            compute = compute - sc + sc / t
+            sb = (tables.shard_backward[stop]
+                  - tables.shard_backward[start]) / scale
+            backward = backward - sb + sb / t
+            out_act = tables.out_bytes[stop - 1]
+            in_act = tables.in_bytes[start]
+            for leader in leaders:
+                group = range(leader, leader + t)
+                tp_out = max(tp_out, allreduce_time(placement, group, out_act))
+                tp_in = max(tp_in, allreduce_time(placement, group, in_act))
+        forward = compute - backward
+        deferred_bytes = tables.deferred[stop] - tables.deferred[start]
+        deferred = allreduce_time(placement, leaders, deferred_bytes)
+        if bucket_bytes is None:
+            buckets = ()
+            stream = allreduce_time(placement, leaders, _shard_share(
+                tables, stage,
+                (tables.weights[stop] - tables.weights[start]) - deferred_bytes))
+        else:
+            buckets = tuple(
+                (allreduce_time(placement, leaders, bucket.payload_bytes),
+                 bucket.ready_fraction)
+                for bucket in gradient_buckets(profile, start, stop, bucket_bytes))
+            stream = sum(seconds for seconds, _ in buckets)
+        terms.append(StageTerms(
+            compute, forward, backward, forward if stage.recompute else 0.0,
+            tp_out, tp_in, stream, deferred, buckets,
+            tables.out_bytes[stop - 1]))
+    return terms
 
 
 def _shard_share(tables: RangeTable, stage: Stage, payload: float) -> float:

@@ -399,11 +399,17 @@ def test_dp_fast_path_matches_reference(scenario, loop_commits):
     assert len(sim.raw_records) == sum(map(len, rows))
 
 
+#: A per-layer forward whose stage forward (compute minus backward: 2**-54
+#: s) stays positive, yet is at most half an ulp of any clock past 0.5 s.
+ABSORBED_FORWARD = 2.5e-18
+
+
 def test_dp_absorbed_duration_runs_every_rank(loop_commits):
     """A positive forward the clock absorbs is zero-length in the run:
     the collapsed run is discarded and every rank runs."""
-    sched, profile, topo, options = _dp(_vgg_forward(1e-30), 4, 3,
+    sched, profile, topo, options = _dp(_vgg_forward(ABSORBED_FORWARD), 4, 3,
                                         cluster_a(1))
+    assert 0.0 < _SimCore(sched, profile, topo, options).fwd_time[0]
     assert_engines_identical(sched, profile, topo, options)
     rows = sched.table().kinds
     assert loop_commits == [len(rows[0]), sum(map(len, rows))]
@@ -413,7 +419,7 @@ def test_rerun_records_a_second_init_and_loop():
     """The spans of a collapsed run that is re-run on every rank."""
     from repro.utils import obs
 
-    sched, profile, topo, options = _dp(_vgg_forward(1e-30), 4, 3,
+    sched, profile, topo, options = _dp(_vgg_forward(ABSORBED_FORWARD), 4, 3,
                                         cluster_a(1))
     first, was_enabled = len(obs.registry.spans), obs.registry.enabled
     obs.enable()

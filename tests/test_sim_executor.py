@@ -13,7 +13,8 @@ from repro.core.schedule import (
     one_f_one_b_schedule,
 )
 from repro.core.topology import make_cluster
-from repro.sim.executor import SimOptions, simulate, stage_compute_times
+from repro.sim.executor import SimOptions, simulate
+from repro.sim.network import Placement, stage_terms
 
 
 def uniform_profile(n=4, compute=3.0, act=0, weights=0):
@@ -182,12 +183,17 @@ class TestGPipeSemantics:
 
 class TestStageComputeTimes:
     def test_split_and_scale(self, toy_profile):
-        fwd, bwd = stage_compute_times(toy_profile, [Stage(0, 3, 1), Stage(3, 5, 1)])
+        def split(stages, compute_scale=1.0):
+            placement = Placement(make_cluster(
+                "t", 2, 1, 1.0, 1.0, compute_scale=compute_scale))
+            terms = stage_terms(placement, toy_profile, stages,
+                                [[s] for s in range(len(stages))])
+            return [x.forward for x in terms], [x.backward for x in terms]
+
+        fwd, bwd = split([Stage(0, 3, 1), Stage(3, 5, 1)])
         assert fwd[0] + bwd[0] == pytest.approx(9.0)
         assert fwd[1] + bwd[1] == pytest.approx(3.0)
-        fwd2, bwd2 = stage_compute_times(
-            toy_profile, [Stage(0, 5, 1)], compute_scale=2.0
-        )
+        fwd2, bwd2 = split([Stage(0, 5, 1)], compute_scale=2.0)
         assert fwd2[0] + bwd2[0] == pytest.approx(6.0)
 
     def test_invalid_sync_mode_rejected(self):

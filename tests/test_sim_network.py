@@ -3,14 +3,15 @@
 import pytest
 
 from repro.comm.bucketing import gradient_buckets
-from repro.core.partition import Stage
+from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.topology import make_cluster
+from repro.core.topology import cluster_a, cluster_c, make_cluster
+from repro.profiler import analytic_profile
 from repro.sim.network import (
     Placement,
     allreduce_time,
-    stage_collectives,
     stage_sync_seconds,
+    stage_terms,
 )
 
 
@@ -83,14 +84,20 @@ def latency_placement():
                                   inter_allreduce_latency=2.0))
 
 
+def one_stage_terms(placement, profile, stage, leaders, bucket_bytes=None):
+    """The :func:`stage_terms` row of one stage."""
+    [terms] = stage_terms(placement, profile, [stage], [leaders], bucket_bytes)
+    return terms
+
+
 class TestStageCollectives:
-    """The one kernel every pricing stack reads, against hand-summed
-    ``allreduce_time`` calls."""
+    """The collective terms of the one table every pricing stack reads,
+    against hand-summed ``allreduce_time`` calls."""
 
     def test_contiguous_ring(self, latency_placement):
         p = latency_placement
-        got = stage_collectives(p, KERNEL_PROFILE, Stage(0, 5, 4),
-                                [0, 1, 2, 3])
+        got = one_stage_terms(p, KERNEL_PROFILE, Stage(0, 5, 4),
+                              [0, 1, 2, 3])
         assert got.tp_out == 0.0 and got.tp_in == 0.0
         assert got.stream == allreduce_time(p, [0, 1, 2, 3], 668 - 200)
         assert got.deferred == allreduce_time(p, [0, 1, 2, 3], 200)
@@ -105,7 +112,7 @@ class TestStageCollectives:
         # crosses the server boundary at id 4.
         p = latency_placement
         stage = Stage(1, 5, 3, tp_degree=2)
-        got = stage_collectives(p, KERNEL_PROFILE, stage, [1, 3, 5])
+        got = one_stage_terms(p, KERNEL_PROFILE, stage, [1, 3, 5])
         groups = ([1, 2], [3, 4], [5, 6])
         assert got.tp_out == max(allreduce_time(p, g, 8) for g in groups)
         assert got.tp_in == max(allreduce_time(p, g, 64) for g in groups)
@@ -119,8 +126,8 @@ class TestStageCollectives:
     def test_bucketed_replicated_stage(self, latency_placement):
         p = latency_placement
         leaders = [2, 3, 4, 5]
-        got = stage_collectives(p, KERNEL_PROFILE, Stage(0, 5, 4), leaders,
-                                bucket_bytes=150)
+        got = one_stage_terms(p, KERNEL_PROFILE, Stage(0, 5, 4), leaders,
+                              bucket_bytes=150)
         # Backward order, lstm left out: [fc2 + norm + fc1] = 168 > 150,
         # so the buckets are [fc2, norm] = 48, [fc1] = 120, [conv] = 300.
         expected = [allreduce_time(p, leaders, payload)
@@ -134,6 +141,49 @@ class TestStageCollectives:
 
     def test_tp_with_buckets_is_rejected(self, placement):
         with pytest.raises(ValueError, match="bucket"):
-            stage_collectives(placement, KERNEL_PROFILE,
-                              Stage(0, 5, 1, tp_degree=2), [0],
-                              bucket_bytes=150)
+            one_stage_terms(placement, KERNEL_PROFILE,
+                            Stage(0, 5, 1, tp_degree=2), [0],
+                            bucket_bytes=150)
+
+
+class TestStageComputeTerms:
+    """The compute side of the one table, and the DP planes pinned to it."""
+
+    def test_tp_sharding_and_replay(self, placement):
+        # Shardable conv + fc1 + fc2 (compute 3.5, default backward 2/3 of
+        # it) divide by 2; lstm + norm (2.5) stay whole.
+        plain, checkpointed = stage_terms(
+            placement, KERNEL_PROFILE,
+            [Stage(0, 5, 1, tp_degree=2), Stage(0, 5, 1, tp_degree=2,
+                                                recompute=True)],
+            [[0], [0]])
+        assert plain.compute == pytest.approx(2.5 + 3.5 / 2)
+        assert plain.backward == pytest.approx((2.5 + 3.5 / 2) * 2 / 3)
+        assert plain.forward == plain.compute - plain.backward
+        assert plain.replay == 0.0
+        assert checkpointed[:3] == plain[:3]
+        assert checkpointed.replay == checkpointed.forward
+        assert plain.out_bytes == 8
+
+    @pytest.mark.parametrize("topology", [cluster_a(4), cluster_c(4)],
+                             ids=["cluster_a", "cluster_c"])
+    @pytest.mark.parametrize("model", ["vgg16", "resnet50", "alexnet",
+                                       "gnmt16", "gnmt8", "awd-lm", "s2vt"])
+    def test_dp_planes_equal_stage_terms(self, model, topology):
+        """Both DPs' per-span compute planes (``_span_tables().sharded``)
+        are the table's ``compute`` and ``compute + replay``, bitwise, for
+        every span at every tp degree.  The optimizer prices the profile
+        scaled by ``1 / compute_scale``, exact at 1.0 and 0.5."""
+        profile = analytic_profile(model)
+        degrees = (1, 2, 4)
+        spans = PipeDreamOptimizer(
+            profile, topology, tp_degrees=degrees)._span_tables()
+        placement = Placement(topology)
+        for t in degrees:
+            stages = [Stage(i, j + 1, 1, recompute=True, tp_degree=t)
+                      for i, j in zip(*spans.tri)]
+            terms = stage_terms(placement, profile, stages,
+                                [[0]] * len(stages))
+            plain, checkpointed = spans.sharded[t].tolist()
+            assert plain == [x.compute for x in terms]
+            assert checkpointed == [x.compute + x.replay for x in terms]

@@ -40,12 +40,11 @@ from repro.core.partition import (
     evaluate_partition_details,
 )
 from repro.core.profile import RECURRENT_KINDS, LayerProfile, ModelProfile
+from repro.core.ranges import range_table
 from repro.core.schedule import warmup_count
 from repro.core.sharding import (
     SHARDABLE_KINDS,
     is_shardable,
-    shardable_activation_bytes,
-    shardable_weight_bytes,
     validate_tp_degrees,
 )
 from repro.core.spec import PlanSpec
@@ -441,9 +440,10 @@ class TestMemoryMonotoneInDegree:
                   for i, (a, w, k) in enumerate(spec)]
         profile = ModelProfile("fuzz", layers, batch_size=1)
         n = len(layers)
-        assert shardable_weight_bytes(profile, 0, n) == sum(
+        table = range_table(profile)
+        assert table.shard_weights[n] - table.shard_weights[0] == sum(
             l.weight_bytes for l in layers)
-        assert shardable_activation_bytes(profile, 0, n) == sum(
+        assert table.shard_acts[n] - table.shard_acts[0] == sum(
             l.activation_bytes for l in layers)
         costs = [
             stage_memory_bytes(profile, 0, n, depth, replicas, tp_degree=t)

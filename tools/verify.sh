@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Single verification entry point, running every CI step in CI's order:
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
-# seeded chaos suite, the elastic-recovery smoke, the threaded-runtime
-# example, the quickstart / cluster-planner / DAG / image-classification /
-# GNMT-translation examples, the 1 024-worker `repro plan` smoke, the
-# `repro plan --trace` and `repro simulate --trace` exports, the
-# planner-service smoke, the end-to-end benchmark's selftest (its pinned
-# call surface), and the perf-regression gate.
+# seeded chaos suite, the price-fidelity ledger, the elastic-recovery
+# smoke, the threaded-runtime example, the quickstart / cluster-planner /
+# DAG / image-classification / GNMT-translation examples, the 1 024-worker
+# `repro plan` smoke, the `repro plan --trace` and `repro simulate
+# --trace` exports, the planner-service smoke, the end-to-end benchmark's
+# selftest (its pinned call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -26,6 +26,10 @@ python tools/gen_api_docs.py --check
 echo
 echo "== seeded chaos suite =="
 python -m pytest -q -m chaos
+
+echo
+echo "== price-fidelity ledger =="
+python -m pytest -q -m ledger
 
 echo
 echo "== elastic recovery smoke =="
