@@ -246,14 +246,12 @@ def serve_warm_start_axes():
         "cold_seconds": cold_seconds,
         "warm_speedup": (cold_seconds / warm_seconds
                          if warm_seconds > 0 else float("inf")),
-        "row_hits": context_stats["row_hits"],
-        "row_misses": context_stats["row_misses"],
         "level_hits": context_stats["level_hits"],
         "bound_hits": context_stats["bound_hits"],
         "comm_hits": context_stats["comm_hits"],
         "warm_start_reused_tables": (
-            context_stats["row_hits"] + context_stats["level_hits"]
-            + context_stats["bound_hits"] + context_stats["comm_hits"]
+            context_stats["level_hits"] + context_stats["bound_hits"]
+            + context_stats["comm_hits"]
         ) > 0,
         "served_equals_cold": parity,
     }

@@ -191,12 +191,12 @@ class SolverContext:
     solver options — the exact query mix a long-lived planner service (and
     an offline sweep) answers:
 
-    - ``level_tables``: the hierarchical DP's per-level ``(A, ptr)`` arrays
-      and the refined pass's final stage lists.  Keys embed the full solver
-      namespace (memory limit, refine/replication flags, compute scale)
-      plus the level-signature prefix, so worker-count
-      subsets of one cluster share every inner level they have in common
-      and no entry can ever be reused under a different feasibility mask.
+    - ``level_tables``: the hierarchical DP's per-level ``(A, ptr)``
+      arrays.  Keys embed the full solver namespace (memory limit,
+      refine/replication flags, compute scale) plus the level-signature
+      prefix, so worker-count subsets of one cluster share every inner
+      level they have in common and no entry can ever be reused under a
+      different feasibility mask.
       A topology's last level holds row 0 only and is keyed with a
       trailing ``"row0"``: a full table (the same level solved as an inner
       one) may answer a row-0 lookup, never the reverse.
@@ -206,15 +206,6 @@ class SolverContext:
     - ``comm_tables``: the refined suffix DP's placement-exact ring
       tables, one per (topology signature, tp degree) — shared across
       memory caps, option mixes and repeated queries.
-    - ``refined_rows``: completed suffix-DP rows ``(R[m], ptr_k[m],
-      ptr_mp[m])``, keyed by a *chained placement signature*: row ``m``
-      depends on the topology only through its all_reduce coefficients and
-      boundary link bandwidths plus the rows below it, so the key chains
-      those values recursively.  Two solves whose chains match compute
-      bitwise-identical rows — which is what lets a 16-worker solve hand
-      its first 8 rows to a subsequent 8-worker solve on the same cluster
-      (suffixes align whenever both counts pack the hierarchy the same
-      way), making worker-count re-plans close to free.
 
     Every cache is value-transparent: a warm-started solve returns results
     bitwise identical to a cold one (asserted across all axes by
@@ -231,16 +222,14 @@ class SolverContext:
         self.lock = threading.RLock()
         # Bounded so a server answering arbitrary (cap, options) mixes for
         # days holds a working set, not a transcript.  Level tables are the
-        # big ones (O(n^2) arrays per level); suffix rows are O(n) each.
+        # big ones (O(n^2) arrays per level).
         self.level_tables = LRUCache(capacity=256, name="level_tables")
         self.bound_matrices: Dict[tuple, np.ndarray] = {}
         self.comm_tables = LRUCache(capacity=64, name="comm_tables")
-        self.refined_rows = LRUCache(capacity=4096, name="refined_rows")
         self._counters = {
             "level_hits": 0, "level_misses": 0,
             "bound_hits": 0, "bound_misses": 0,
             "comm_hits": 0, "comm_misses": 0,
-            "row_hits": 0, "row_misses": 0,
             "solves": 0,
         }
 
@@ -262,7 +251,6 @@ class SolverContext:
             level_entries=len(self.level_tables),
             bound_entries=len(self.bound_matrices),
             comm_entries=len(self.comm_tables),
-            row_entries=len(self.refined_rows),
         )
         return out
 
@@ -289,11 +277,15 @@ class SolverContextPool:
         return len(self._cache)
 
     def stats(self) -> Dict[str, object]:
-        """Pool-level LRU stats plus per-context counter snapshots."""
+        """Pool-level LRU stats plus per-context counter snapshots, keyed
+        by the first 12 hex digits of the profile digest (two precisions of
+        one model, or two inline profiles of one name, are two contexts);
+        each snapshot names its ``model``."""
         return {
             "pool": self._cache.stats(),
             "contexts": {
-                ctx.profile.model_name: ctx.stats()
+                ctx.profile.digest()[:12]: {
+                    "model": ctx.profile.model_name, **ctx.stats()}
                 for ctx in self._cache.values()
             },
         }
@@ -308,12 +300,11 @@ class PipeDreamOptimizer:
             DP per level, innermost first.
         context: optional :class:`SolverContext` built over the same
             profile.  When given, every memoized intermediate (level
-            tables, bound matrices, refined comm tables, suffix-DP rows)
-            is read from and written to the shared context instead of
-            per-instance dicts, so a fresh optimizer answering a query
-            that differs from earlier ones only in worker count or memory
-            cap is warm-started.  Results are bitwise identical to a cold
-            solve.
+            tables, bound matrices, refined comm tables) is read from and
+            written to the shared context instead of per-instance dicts,
+            so a fresh optimizer answering a query that differs from
+            earlier ones only in worker count or memory cap is
+            warm-started.  Results are bitwise identical to a cold solve.
 
     The remaining keywords are the fields of
     :class:`~repro.core.spec.PlanSpec` (which validates and normalises
@@ -417,23 +408,17 @@ class PipeDreamOptimizer:
         #: holds the level DP's per-level tables — keyed by the namespace
         #: plus the (count, bandwidth, allreduce_bandwidth, latency) tuple
         #: of every level up to the table's own, so worker-count subsets
-        #: of one cluster share their inner levels — and the refined DP's
-        #: plans; ``bound`` the phase-1 matrices; ``comm`` the refined DP's
-        #: placement tables.
+        #: of one cluster share their inner levels; ``bound`` the phase-1
+        #: matrices; ``comm`` the refined DP's placement tables.
         self._stores = (
             {"level": context.level_tables, "bound": context.bound_matrices,
              "comm": context.comm_tables}
             if context is not None else {"level": {}, "bound": {}, "comm": {}}
         )
         self._n = len(profile)
-        # Profiles are recorded on the reference device; slower clusters
-        # (compute_scale < 1) stretch compute relative to communication, so
-        # the cost model works on device-adjusted times (as the simulator
-        # and runtime do).
-        if topology.compute_scale != 1.0:
-            profile = profile.scaled(1.0 / topology.compute_scale)
-        self._device_profile = profile
-        #: Range sums of the device-adjusted profile: both DPs read them.
+        #: Range sums of the reference-device profile: both DPs read them
+        #: (:meth:`_span_tables` divides the compute columns by the
+        #: topology's ``compute_scale``).
         self._table = range_table(profile)
 
     def _memo(self, kind: str, key: tuple, build, fallback=None):
@@ -467,12 +452,8 @@ class PipeDreamOptimizer:
         if self._bucket_matrix_cache is None:
             from repro.comm.bucketing import stream_bucket_count_table
 
-            # Weight bytes are compute-scale-invariant, so the device
-            # profile and the raw profile give the same table.
             self._bucket_matrix_cache = np.asarray(
-                stream_bucket_count_table(
-                    self._device_profile, self.bucket_bytes
-                ),
+                stream_bucket_count_table(self.profile, self.bucket_bytes),
                 dtype=np.float64,
             )[self._span_tables().tri]
         return self._bucket_matrix_cache
@@ -732,26 +713,21 @@ class PipeDreamOptimizer:
 
         sig = tuple((lv.count, lv.bandwidth, lv.allreduce_bandwidth,
                      lv.allreduce_latency) for lv in topology.levels)
-
-        def solve_dp():
-            # A ring table is a pure function of the topology signature
-            # and its degree (no memory / option dependence), so one entry
-            # serves every cap, option mix and menu holding that degree.
-            with obs.span("refined.rings"):
-                tables = {
-                    t: self._memo("comm", (sig, t), functools.partial(
-                        self._refined_tp_tables, topology, t))
-                    for t in self._tp_options
-                }
-            # link_bw[w]: the link between workers w-1 and w (w >= 1).
-            placement = Placement(topology)
-            link_bw = [topology.levels[0].bandwidth] + [
-                placement.link_bandwidth(w - 1, w)
-                for w in range(1, topology.total_workers)]
-            return (self._solve_refined_dp(topology, link_bw, tables),)
-
-        return self._memo(
-            "level", self._cache_ns + ("refined", sig), solve_dp)[0]
+        # A ring table is a pure function of the topology signature and its
+        # degree (no memory / option dependence), so one entry serves every
+        # cap, option mix and menu holding that degree.
+        with obs.span("refined.rings"):
+            tables = {
+                t: self._memo("comm", (sig, t), functools.partial(
+                    self._refined_tp_tables, topology, t))
+                for t in self._tp_options
+            }
+        # link_bw[w]: the link between workers w-1 and w (w >= 1).
+        placement = Placement(topology)
+        link_bw = [topology.levels[0].bandwidth] + [
+            placement.link_bandwidth(w - 1, w)
+            for w in range(1, topology.total_workers)]
+        return self._solve_refined_dp(topology, link_bw, tables)
 
     def _refined_tp_tables(self, topology: Topology, t: int):
         """Placement-exact collective factors of degree-``t`` cells.
@@ -808,40 +784,6 @@ class PipeDreamOptimizer:
         tables[2:, row + t, (col + 1) * t] = worst[valid].T
         return tuple(tables)
 
-    def _refined_row_keys(self, W: int, link_bw, tables) -> List[tuple]:
-        """Chained placement signatures for suffix-DP rows ``1..W``.
-
-        Row ``m`` of the suffix DP depends on the topology only through
-        row ``m`` of every degree's ring table (``tables[t][*][m][1..m]``),
-        the boundary bandwidths ``link_bw[W-m+mp]`` for ``mp = 1..m``, and
-        rows ``< m`` — so a key that chains exactly those values
-        identifies the row's *bitwise* value regardless of the total
-        worker count it was computed under.  A 16-worker solve on a 4x4
-        cluster therefore seeds rows 1..8 of a later 8-worker solve: both
-        suffixes occupy the tail of the hierarchy identically, their
-        signatures match, and the rows are handed over instead of
-        recomputed.  The strided tables ride the chain too, so reuse stays
-        value-transparent (warm == cold bitwise) when two suffixes pack
-        the contiguous groups alike but the strided ones differently.
-        Everything else a row depends on (profile arrays, memory limit,
-        replication flag, compute scale, bucket size) lives in the
-        namespace prefix.
-        """
-        ns = ("rows", self._cache_ns)
-        keys: List[tuple] = [()] * (W + 1)
-        chain: tuple = ("base", self._n)
-        for m in range(1, W + 1):
-            bw_m = tuple(link_bw[min(W - m + mp, W - 1)]
-                         for mp in range(1, m + 1))
-            rings = tuple(
-                (t,) + tuple(np.asarray(table[m][1 : m + 1]).tobytes()
-                             for table in tabs)
-                for t, tabs in tables.items()
-            )
-            chain = (bw_m, rings, chain)
-            keys[m] = (ns, m, chain)
-        return keys
-
     def _span_tables(self) -> SimpleNamespace:
         """The span planes both DPs read, built once per optimizer from the
         range table and held as a *packed upper triangle*: entry ``c``
@@ -850,10 +792,13 @@ class PipeDreamOptimizer:
         (``S*``), for the ``n(n+1)/2`` spans ``i <= j`` in row-major
         order; ``at[i, j]`` is span ``i..j``'s entry (0 for ``i > j``,
         which no plan reads) and ``diag`` the single-layer entries.
-        ``acts`` / ``bacts`` are the per-layer output and input-boundary
-        (0 at layer 0) bytes, ``out_acts`` / ``in_acts`` their value per
-        entry (the span's last layer's output, its first layer's input),
-        and ``sharded`` holds per tp degree the sharded compute planes.
+        Seconds are the span's sum over the topology's ``compute_scale``,
+        in :func:`~repro.sim.network.stage_terms`' order (the difference,
+        then the division).  ``acts`` / ``bacts`` are the per-layer output
+        and input-boundary (0 at layer 0) bytes, ``out_acts`` /
+        ``in_acts`` their value per entry (the span's last layer's output,
+        its first layer's input), and ``sharded`` holds per tp degree the
+        sharded compute planes.
         """
         if self._tables is None:
             rt, n = self._table, self._n
@@ -861,18 +806,20 @@ class PipeDreamOptimizer:
             at = np.zeros((n, n), dtype=np.int64)
             at[iu, ju] = np.arange(len(iu))
 
-            columns = {"compute": "compute", "B": "backward", "W": "weights",
-                       "D": "deferred", "A": "acts", "ST": "shard_compute",
-                       "SB": "shard_backward", "SW": "shard_weights",
-                       "SA": "shard_acts"}
+            columns = {"compute": "compute", "B": "backward",
+                       "ST": "shard_compute", "SB": "shard_backward",
+                       "W": "weights", "D": "deferred", "A": "acts",
+                       "SW": "shard_weights", "SA": "shard_acts"}
             prefix = np.array([getattr(rt, c) for c in columns.values()],
                               dtype=float)
+            sums = prefix[:, ju + 1] - prefix[:, iu]
+            sums[:4] /= self.topology.compute_scale  # the seconds columns
             acts = np.asarray(rt.out_bytes, dtype=float)
             bacts = np.asarray(rt.in_bytes, dtype=float)
             tb = SimpleNamespace(
                 tri=(iu, ju), at=at, diag=np.diagonal(at),
                 acts=acts, bacts=bacts, out_acts=acts[ju], in_acts=bacts[iu],
-                **dict(zip(columns, prefix[:, ju + 1] - prefix[:, iu])),
+                **dict(zip(columns, sums)),
             )
             tb.WD = tb.W - tb.D
             # Per tp degree: the stage compute with the shardable share
@@ -998,8 +945,8 @@ class PipeDreamOptimizer:
         np.copyto(plane, math.inf, where=np.logical_not(mask))
         return plane
 
-    def _refined_planes(self, rows: Sequence[int], tables) -> SimpleNamespace:
-        """The masked stage-time planes the suffix-DP rows ``rows`` read,
+    def _refined_planes(self, W: int, tables) -> SimpleNamespace:
+        """The masked stage-time planes the suffix-DP rows ``1..W`` read,
         and the rows' candidate entries into them.
 
         Per degree ``t``, cell ``(m, mp)`` (``mp = t, 2t, … <= m``) needs
@@ -1019,11 +966,11 @@ class PipeDreamOptimizer:
         Returns a namespace: ``stack`` (``sizes[t]`` rows per degree, in
         menu order) and one entry per cell, ordered ``(m asc, mp asc, t
         asc)`` — its stack row ``sel``, ``mp``, ``t`` and ``rest = m - mp``
-        — with ``at[m]`` the slice of row ``m``'s entries.
+        — with ``at[m - 1]`` the slice of row ``m``'s entries.
         """
         tb = self._span_tables()
         depth = 2 if self._recompute_auto else 1
-        wanted = np.asarray(rows, dtype=np.int64)
+        wanted = np.arange(1, W + 1)
         # Every (m, mp) pair, then one entry per degree dividing mp: the
         # row-major order is (m, mp, t), and one degree's entries alone
         # are its cells in (m, mp) order.
@@ -1034,8 +981,8 @@ class PipeDreamOptimizer:
         pair, degree = np.nonzero(mp[:, None] % menu == 0)
         row, out = row[pair], SimpleNamespace(mp=mp[pair], t=menu[degree])
         out.rest, out.sel = row - out.mp, np.empty(len(row), dtype=np.int64)
-        out.at = dict(zip(rows, map(slice, np.searchsorted(row, wanted),
-                                    np.searchsorted(row, wanted, "right"))))
+        ends = np.searchsorted(row, np.arange(W + 1), "right")
+        out.at = [slice(a, b) for a, b in zip(ends, ends[1:])]
         # The index passes and the memory kernel run before the stack is
         # allocated, and the masking gathers 64 pairs at a time, so neither
         # the kernel's temporaries nor a degree's gathered times sit beside
@@ -1089,18 +1036,17 @@ class PipeDreamOptimizer:
         decision from the same arithmetic.
 
         Every masked plane the rows read is built up front in batched
-        array passes (:meth:`_refined_planes`), for the rows the shared
-        context's ``refined_rows`` does not already hold.  A candidate's
-        boundary (into worker ``W-m+mp``) and rest (``R[m-mp]``) share one
-        index ``r = m - mp``, so ``BR[r]``, their max per packed span, is
-        folded once, when row ``r`` becomes final (computed or restored).
-        Row ``m``'s candidates are then ``max(stack[sel], BR[rest])`` over
-        its entries, one gather from each, ordered ``(mp asc, t asc)``.
-        The argmin runs in passes — the minimum over entries per span,
-        unpacked into an ``(n, n)`` plane of ``inf`` below the diagonal for
-        the first ``k`` reaching it per ``j``, then the first entry at that
-        span — which is the k-major first minimum without the transposed
-        copy a flattened argmin needs.
+        array passes (:meth:`_refined_planes`).  A candidate's boundary
+        (into worker ``W-m+mp``) and rest (``R[m-mp]``) share one index
+        ``r = m - mp``, so ``BR[r]``, their max per packed span, is folded
+        once, right after row ``r`` is computed.  Row ``m``'s candidates
+        are then ``max(stack[sel], BR[rest])`` over its entries, one
+        gather from each, ordered ``(mp asc, t asc)``.  The argmin runs in
+        passes — the minimum over entries per span, unpacked into an
+        ``(n, n)`` plane of ``inf`` below the diagonal for the first ``k``
+        reaching it per ``j``, then the first entry at that span — which
+        is the k-major first minimum without the transposed copy a
+        flattened argmin needs.
         """
         n = self._n
         W = topology.total_workers
@@ -1116,44 +1062,27 @@ class PipeDreamOptimizer:
         BR = np.full((W + 1, len(ju)), math.inf)
         ptr_k, ptr_mp = np.full((2, W + 1, n), -1, dtype=np.int64)
         ptr_tp = np.ones((W + 1, n), dtype=np.int64)
-        dp = (R, ptr_k, ptr_mp, ptr_tp)
         cols = np.arange(n)
         by_k = np.full((n, n), math.inf)
-        row_cache = self.context and self.context.refined_rows
-        hits = {}
-        if row_cache is not None:
-            row_keys = self._refined_row_keys(W, link_bw, tables)
-            hits = {m: row_cache.get(row_keys[m]) for m in range(1, W + 1)}
-        missed = [m for m in range(1, W + 1) if hits.get(m) is None]
         with obs.span("refined.planes") as phase:
-            planes = self._refined_planes(missed, tables)
+            planes = self._refined_planes(W, tables)
             if phase is not None:
                 phase.attrs["stack_rows"] = planes.sizes
-        with obs.span("refined.rows", computed=len(missed),
-                      cached=W - len(missed)):
-            for m in range(W + 1):
-                e = planes.at.get(m)
-                if e is not None:
-                    cand = planes.stack[planes.sel[e]]
-                    np.maximum(cand, BR[planes.rest[e]], out=cand)
-                    by_k[iu, ju] = cand.min(axis=0)
-                    k = by_k.argmin(axis=1)
-                    pick = cand[:, tb.at[cols, k]].argmin(axis=0) + e.start
-                    best = by_k[cols, k]
-                    finite = np.isfinite(best)
-                    R[m, :n] = np.where(finite, best, math.inf)
-                    ptr_k[m] = np.where(finite, k, -1)
-                    ptr_mp[m] = np.where(finite, planes.mp[pick], -1)
-                    ptr_tp[m] = np.where(finite, planes.t[pick], 1)
-                    if row_cache is not None:
-                        row_cache[row_keys[m]] = tuple(a[m].copy() for a in dp)
-                        self.context._bump("row_misses")
-                elif m:
-                    for table, row in zip(dp, hits[m]):
-                        table[m] = row
-                    self.context._bump("row_hits")
-                # Row m is final (row 0, the empty suffix, from the start):
-                # its boundary and rest fold once.
+        # Row 0, the empty suffix, is final from the start.
+        BR[0] = np.maximum(boundary[W], R[0, ju + 1])
+        with obs.span("refined.rows", rows=W):
+            for m, e in enumerate(planes.at, start=1):
+                cand = planes.stack[planes.sel[e]]
+                np.maximum(cand, BR[planes.rest[e]], out=cand)
+                by_k[iu, ju] = cand.min(axis=0)
+                k = by_k.argmin(axis=1)
+                pick = cand[:, tb.at[cols, k]].argmin(axis=0) + e.start
+                best = by_k[cols, k]
+                finite = np.isfinite(best)
+                R[m, :n] = np.where(finite, best, math.inf)
+                ptr_k[m] = np.where(finite, k, -1)
+                ptr_mp[m] = np.where(finite, planes.mp[pick], -1)
+                ptr_tp[m] = np.where(finite, planes.t[pick], 1)
                 BR[m] = np.maximum(boundary[W - m], R[m, ju + 1])
         if not np.isfinite(R[W, 0]):
             return None

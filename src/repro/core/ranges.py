@@ -1,15 +1,14 @@
 """The per-profile range table: prefix sums of §3.1's ``(T_l, a_l, w_l)``.
 
 Every consumer that prices a layer span reads its sums from one
-:class:`RangeTable` — both DPs (over the optimizer's compute-scaled
-device profile), :func:`repro.sim.network.stage_terms` (raw sums divided
-by ``compute_scale``) and the §3.3 memory helpers — so the sum of a
-quantity over layers ``[start, stop)`` is always ``prefix[stop] -
-prefix[start]`` of the same list.  The event engine and the topology
-evaluator share one float expression on top of those differences,
-``stage_terms``; the DPs' batched planes spell the same expression over
-every span at once (a tier-1 test holds them bitwise equal at
-``compute_scale`` 1.0 and 0.5).
+:class:`RangeTable` — both DPs, :func:`repro.sim.network.stage_terms`
+and the §3.3 memory helpers — so the sum of a quantity over layers
+``[start, stop)`` is always ``prefix[stop] - prefix[start]`` of the same
+list, seconds then divided by the topology's ``compute_scale``.  The
+event engine and the topology evaluator share one float expression on
+top of those differences, ``stage_terms``; the DPs' batched planes spell
+the same expression over every span at once (a tier-1 test holds them
+bitwise equal at ``compute_scale`` 1.0, 0.5 and 0.4).
 
 Prefixes accumulate sequentially in python (seconds as floats, bytes as
 exact ints), never through ``np.cumsum`` / ``np.sum``, whose pairwise

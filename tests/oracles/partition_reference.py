@@ -59,15 +59,19 @@ class ReferenceOptimizer(PipeDreamOptimizer):
             from repro.comm.bucketing import stream_bucket_count_table
 
             self._bucket_table_cache = stream_bucket_count_table(
-                self._device_profile, self.bucket_bytes
+                self.profile, self.bucket_bytes
             )
         return self._bucket_table_cache[i][j]
 
     def _range(self, column: str, i: int, j: int):
-        """Sum of the range table's ``column`` over layers i..j inclusive
-        (the optimizer's device-adjusted table)."""
+        """Sum of the range table's ``column`` over layers i..j inclusive;
+        seconds over the topology's ``compute_scale``, the difference
+        first, as :func:`~repro.sim.network.stage_terms` divides."""
         prefix = getattr(self._table, column)
-        return prefix[j + 1] - prefix[i]
+        total = prefix[j + 1] - prefix[i]
+        if column in ("compute", "backward", "shard_compute", "shard_backward"):
+            return total / self.topology.compute_scale
+        return total
 
     def _time(self, i: int, j: int) -> float:
         """Sum of T_l for layers i..j inclusive."""
@@ -299,22 +303,7 @@ class ReferenceOptimizer(PipeDreamOptimizer):
         ptr_mp = [[-1] * n for _ in range(W + 1)]
         ptr_tp = [[1] * n for _ in range(W + 1)]
         R[0][n] = 0.0
-        row_cache = None if self.context is None else self.context.refined_rows
-        row_keys = (
-            self._refined_row_keys(W, link_bw, tables)
-            if row_cache is not None
-            else None
-        )
         for m in range(1, W + 1):
-            if row_cache is not None:
-                hit = row_cache.get(row_keys[m])
-                if hit is not None:
-                    R[m] = list(hit[0])
-                    ptr_k[m] = list(hit[1])
-                    ptr_mp[m] = list(hit[2])
-                    ptr_tp[m] = list(hit[3])
-                    self.context._bump("row_hits")
-                    continue
             for j in range(n - 1, -1, -1):
                 best = inf
                 best_k = -1
@@ -363,12 +352,6 @@ class ReferenceOptimizer(PipeDreamOptimizer):
                 ptr_k[m][j] = best_k
                 ptr_mp[m][j] = best_mp
                 ptr_tp[m][j] = best_tp
-            if row_cache is not None:
-                row_cache[row_keys[m]] = (
-                    list(R[m]), list(ptr_k[m]), list(ptr_mp[m]),
-                    list(ptr_tp[m]),
-                )
-                self.context._bump("row_misses")
         if not math.isfinite(R[W][0]):
             return None
         return self._reconstruct_refined(ptr_k, ptr_mp, W, ptr_tp)

@@ -89,8 +89,7 @@ class TestPlan:
             assert solve["ts"] <= event["ts"]
             assert event["ts"] + event["dur"] <= solve["ts"] + solve["dur"] + 1e-3
         by_name = {e["name"]: e["args"] for e in events}
-        assert by_name["refined.rows"] == {
-            "depth": 2, "computed": 8, "cached": 0}
+        assert by_name["refined.rows"] == {"depth": 2, "rows": 8}
         assert set(by_name["refined.planes"]["stack_rows"]) == {"1", "2", "4"}
 
     def test_an_unwritable_output_leaves_no_other_file(self, tmp_path,

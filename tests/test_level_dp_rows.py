@@ -399,20 +399,11 @@ class TestPlanScaleShape:
         assert any(stage.recompute for stage in plan.stages)
         assert any(stage.tp_degree > 1 for stage in plan.stages)
 
-    def test_warm_equals_cold_through_row_cache_hits(self, monkeypatch):
-        """Worker counts that share suffix rows: the warm solve is the
-        cold one bitwise, the row counters are the ones pinned before the
-        planes were batched, and a warm solve builds planes only for the
-        rows the context misses — none when every row hits."""
-        built = []
-        batched = PipeDreamOptimizer._refined_planes
-
-        def spy(optimizer, rows, tables):
-            if optimizer.context is not None:
-                built.append(list(rows))
-            return batched(optimizer, rows, tables)
-
-        monkeypatch.setattr(PipeDreamOptimizer, "_refined_planes", spy)
+    def test_warm_equals_cold_through_a_shared_context(self):
+        """Worker counts re-planned through one context: the warm solve is
+        the cold one bitwise; every count after the first reuses the inner
+        level table and the bound matrix, and builds one ring table per
+        degree for its own topology."""
         options = self.options()
         context = SolverContext(self.PROFILE)
         counters = []
@@ -426,11 +417,11 @@ class TestPlanScaleShape:
             assert warm.slowest_stage_time == cold.slowest_stage_time
             assert warm.memory_bytes == cold.memory_bytes
             stats = context.stats()
-            counters.append((stats["row_hits"], stats["row_misses"]))
-        # The 64-worker solve reuses the 32-worker suffix rows; the 16- and
-        # 48-worker solves find every row in the context.
-        assert counters == [(0, 32), (32, 64), (48, 64), (96, 64)]
-        assert built == [list(range(1, 33)), list(range(33, 65)), [], []]
+            counters.append(tuple(stats[f"{kind}_{outcome}"]
+                                  for kind in ("level", "bound", "comm")
+                                  for outcome in ("hits", "misses")))
+        assert counters == [(0, 3, 0, 1, 0, 3), (1, 5, 1, 1, 0, 6),
+                            (2, 7, 2, 1, 0, 9), (3, 9, 3, 1, 0, 12)]
 
     def test_each_mask_key_and_ring_is_priced_once(self, monkeypatch):
         """Work counters of a cold refined solve.  The memory kernel runs

@@ -896,7 +896,7 @@ class TestConcurrencyStress:
 
     The mix is what the shared state sees in service — repeated keys
     (plan cache, single-flight), binding and non-binding caps on shared
-    contexts (level tables, suffix rows, bound matrices written by racing
+    contexts (level tables, bound matrices, ring tables written by racing
     solves), never-seen inline profiles (pool churn), tp and recompute
     (the per-solve memoised planes, the evaluator's table cache)."""
 

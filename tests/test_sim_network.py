@@ -5,7 +5,7 @@ import pytest
 from repro.comm.bucketing import gradient_buckets
 from repro.core.partition import PipeDreamOptimizer, Stage
 from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.topology import cluster_a, cluster_c, make_cluster
+from repro.core.topology import cluster_1080ti, cluster_a, cluster_c, make_cluster
 from repro.profiler import analytic_profile
 from repro.sim.network import (
     Placement,
@@ -165,15 +165,16 @@ class TestStageComputeTerms:
         assert checkpointed.replay == checkpointed.forward
         assert plain.out_bytes == 8
 
-    @pytest.mark.parametrize("topology", [cluster_a(4), cluster_c(4)],
-                             ids=["cluster_a", "cluster_c"])
+    @pytest.mark.parametrize(
+        "topology", [cluster_a(4), cluster_c(4), cluster_1080ti(4)],
+        ids=["cluster_a", "cluster_c", "cluster_1080ti"])
     @pytest.mark.parametrize("model", ["vgg16", "resnet50", "alexnet",
                                        "gnmt16", "gnmt8", "awd-lm", "s2vt"])
     def test_dp_planes_equal_stage_terms(self, model, topology):
         """Both DPs' per-span compute planes (``_span_tables().sharded``)
         are the table's ``compute`` and ``compute + replay``, bitwise, for
-        every span at every tp degree.  The optimizer prices the profile
-        scaled by ``1 / compute_scale``, exact at 1.0 and 0.5."""
+        every span at every tp degree, at ``compute_scale`` 1.0, 0.5 and
+        0.4: both divide the raw span sums by the scale."""
         profile = analytic_profile(model)
         degrees = (1, 2, 4)
         spans = PipeDreamOptimizer(

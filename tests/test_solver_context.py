@@ -1,7 +1,7 @@
 """Warm-started solves are bitwise-identical to cold solves.
 
 The :class:`SolverContext` reuse layers (level tables, bound matrices,
-comm tables, suffix-DP rows) are pure caches of deterministic
+comm tables) are pure caches of deterministic
 intermediates, so a warm-started :meth:`PipeDreamOptimizer.solve` must
 return exactly — bitwise — what a cold solve returns, across every axis a
 planner service varies: worker count, memory cap, precision, solver
@@ -17,6 +17,7 @@ from repro.core.partition import (
     SolverContext,
     SolverContextPool,
 )
+from repro.core.profile import ModelProfile
 from repro.core.topology import cluster_a, cluster_b
 from repro.profiler import analytic_profile
 from tests.oracles import ReferenceOptimizer
@@ -50,7 +51,8 @@ class TestWarmStartBitwise:
             )
         stats = context.stats()
         assert stats["solves"] == 4
-        assert stats["row_hits"] > 0, "suffix rows must be reused across counts"
+        assert stats["level_hits"] > 0, "inner levels must be reused across counts"
+        assert (stats["bound_misses"], stats["bound_hits"]) == (1, 3)
 
     def test_memory_cap_axis(self):
         profile = analytic_profile("vgg16")
@@ -114,7 +116,7 @@ class TestWarmStartBitwise:
                 cold_solve(profile, workers, ReferenceOptimizer,
                            memory_limit_bytes=7e9),
             )
-        assert context.stats()["row_hits"] > 0
+        assert context.stats()["bound_hits"] > 0
 
     def test_cross_topology_shapes_share_context(self):
         """One context serves different clusters; keys keep them apart."""
@@ -137,7 +139,7 @@ class TestWarmStartBitwise:
 class TestTpNamespace:
     """Tensor-parallel menus get their own cache namespace inside a
     shared context: interleaving tp and non-tp queries (or two different
-    menus) must never serve one query a row cached by the other."""
+    menus) must never serve one query a table cached by the other."""
 
     def test_tp_and_plain_queries_never_collide(self):
         profile = analytic_profile("vgg16")
@@ -160,7 +162,7 @@ class TestTpNamespace:
 
     def test_degenerate_menu_shares_the_default_namespace(self):
         """``tp_degrees=(1,)`` is the disabled axis: it must warm-hit the
-        rows a plain query populated (one bound build, not two)."""
+        tables a plain query populated (one bound build, not two)."""
         profile = analytic_profile("vgg16")
         context = SolverContext(profile)
         plain = PipeDreamOptimizer(
@@ -174,7 +176,7 @@ class TestTpNamespace:
         assert_same_plan(degenerate, plain)
         assert context.stats()["bound_misses"] == before
 
-    def test_tp_warm_solves_reuse_rows_across_counts(self):
+    def test_tp_warm_solves_reuse_levels_across_counts(self):
         profile = analytic_profile("vgg16")
         context = SolverContext(profile)
         for workers in (16, 8, 4):
@@ -187,7 +189,7 @@ class TestTpNamespace:
                 cold_solve(profile, workers, memory_limit_bytes=LIMIT,
                            tp_degrees=(1, 2)),
             )
-        assert context.stats()["row_hits"] > 0
+        assert context.stats()["level_hits"] > 0
 
 
 class TestContextSafety:
@@ -264,4 +266,23 @@ class TestContextPool:
         PipeDreamOptimizer(profile, TOPO, context=pool.get(profile)).solve(16)
         stats = pool.stats()
         assert stats["pool"]["entries"] == 1
-        assert stats["contexts"]["vgg16"]["solves"] == 1
+        assert stats["contexts"][profile.digest()[:12]] == {
+            "model": "vgg16", **pool.get(profile).stats()}
+        assert stats["contexts"][profile.digest()[:12]]["solves"] == 1
+
+    def test_stats_keep_same_named_contexts_apart(self):
+        """Contexts are listed by digest: two precisions of one model and
+        two inline profiles of one name are four entries, not two."""
+        pool = SolverContextPool()
+        fp32, fp16 = (analytic_profile("vgg16", bytes_per_element=b)
+                      for b in (4, 2))
+        inline = [ModelProfile.from_dict({**analytic_profile(m).to_dict(),
+                                          "model_name": "inline"})
+                  for m in ("alexnet", "resnet50")]
+        for profile in (fp32, fp16, *inline):
+            PipeDreamOptimizer(profile, TOPO, context=pool.get(profile)).solve(4)
+        contexts = pool.stats()["contexts"]
+        assert pool.stats()["pool"]["entries"] == len(contexts) == 4
+        assert sorted(ctx["model"] for ctx in contexts.values()) == \
+            ["inline", "inline", "vgg16", "vgg16"]
+        assert all(ctx["solves"] == 1 for ctx in contexts.values())
