@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cold", action="store_true",
                    help="disable warm-started solves (benchmark baseline)")
     p.add_argument("--verbose", action="store_true",
-                   help="log each HTTP request")
+                   help="log each HTTP request to stderr as one JSON line")
 
     command("timeline", cmd_timeline, "print an ASCII pipeline timeline", [
         Field("stages", int, 4, "pipeline stages", lo=1),

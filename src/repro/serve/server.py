@@ -1,4 +1,4 @@
-"""Stdlib HTTP front end for :class:`~repro.serve.service.PlannerService`.
+"""Stdlib HTTP/1.1 front end for :class:`~repro.serve.service.PlannerService`.
 
 A thin JSON-over-HTTP adapter: every endpoint body is exactly the dict the
 in-process service method takes, and every response body is exactly what
@@ -15,17 +15,32 @@ Endpoints::
                     hit/miss counters
     GET  /healthz   {"ok": true}
 
-``ThreadingHTTPServer`` gives one thread per connection (HTTP/1.1
-keep-alive); the service itself is thread-safe, so concurrent clients are
-supported directly.  The wire rules, all in this module:
+``socketserver`` gives each connection a thread, and the thread runs one
+keep-alive loop that reads the request line, the headers and the
+``Content-Length`` body itself; the service is thread-safe, so concurrent
+clients are supported directly.  The wire rules, all in this module:
 
 - every reply — status line, headers, body — leaves in one ``sendall`` on
-  a ``TCP_NODELAY`` socket;
+  a ``TCP_NODELAY`` socket, and every body is JSON (``{"error": ...}``
+  when the status is not 200);
+- HTTP/1.1 keeps the connection open unless the request says
+  ``Connection: close``; HTTP/1.0, and HTTP/0.9's bare ``GET /path``, close
+  it unless the request says ``Connection: keep-alive``.  ``Expect:
+  100-continue`` is answered ``100 Continue`` before the body is read;
+- a head the loop refuses is answered, and the connection closed: a
+  request line over ``_MAX_LINE`` bytes (414), a header line over it or
+  more than ``_MAX_HEADERS`` lines in the header block (431), a request
+  line that does not parse (400), an HTTP version of 2 or more (505), a
+  method other than GET and POST (501);
 - a request whose body is not read (``Content-Length`` missing, not a
-  number, or over ``_MAX_BODY_BYTES`` → 400 / 413) closes the connection
-  with its reply, so unread bytes are never parsed as the next request;
-  a :class:`~repro.serve.service.RequestError` answers with its
-  ``status`` (400, or 413 for a batch over its limit);
+  number, or over ``_MAX_BODY_BYTES`` → 400 / 413; a GET that declares a
+  body) closes the connection with its reply, so unread bytes are never
+  parsed as the next request; a
+  :class:`~repro.serve.service.RequestError` answers with its ``status``
+  (400, or 413 for a batch over its limit);
+- with ``verbose`` on, each request writes one JSON line to stderr:
+  ``method``, ``path``, ``status``, ``bytes`` (of the reply body) and
+  ``seconds`` (from its request line read to its reply sent);
 - :meth:`PlannerHTTPServer.server_close` stops listening, closes idle
   keep-alive connections and gives requests in flight ``_DRAIN_SECONDS``
   to be answered.
@@ -34,65 +49,148 @@ supported directly.  The wire rules, all in this module:
 from __future__ import annotations
 
 import json
+import re
 import socket
+import socketserver
+import sys
 import threading
+import time
 from http import HTTPStatus
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.serve.service import PlannerService, RequestError, RequestTooLarge
 
 _MAX_BODY_BYTES = 16 * 1024 * 1024  # inline profiles are ~KBs; 16MB is ample
+#: The longest request or header line, and the most lines a header block
+#: may hold counting the blank line that ends it (``http.server``'s limits).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
 #: How long :meth:`PlannerHTTPServer.server_close` waits for requests in
 #: flight to be answered.
 _DRAIN_SECONDS = 2.0
+_VERSION = re.compile(r"HTTP/(\d{1,10})\.(\d{1,10})", re.ASCII)
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
+
+#: The POST endpoints that hand their body to a service method of the name.
+_POST = {"/plan": "plan", "/simulate": "simulate", "/sweep": "sweep"}
 
 
-class _PlannerRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs to service methods; owns no state of its own."""
+class _PlannerRequestHandler(socketserver.StreamRequestHandler):
+    """One connection's keep-alive loop: frames each request, routes it to
+    a service method and writes the reply; owns no state but the
+    connection's."""
 
     server: "PlannerHTTPServer"
-    protocol_version = "HTTP/1.1"
     # A reply is one small segment; Nagle would hold it for the client's
     # delayed ACK of the one before.
     disable_nagle_algorithm = True
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def log_message(self, format: str, *args: Any) -> None:
-        if self.server.verbose:
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        verbose = self.server.verbose
+        while True:
+            line = self.rfile.readline(_MAX_LINE + 1).decode("latin-1")
+            words = line.split()
+            if not words:  # end of input, or a blank request line
+                return
+            if verbose:
+                started = time.perf_counter()
+                status, sent = self._answer(line, words)
+                # One write a line, so two threads' lines do not interleave.
+                sys.stderr.write(json.dumps({
+                    "method": words[0],
+                    "path": words[1] if len(words) > 1 else "",
+                    "status": status, "bytes": sent,
+                    "seconds": round(time.perf_counter() - started, 6),
+                }) + "\n")
+            else:
+                self._answer(line, words)
+            if self.close_connection:
+                return
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        """The one response writer: status line, headers and body leave in
-        a single ``sendall`` (``wfile`` is unbuffered), so no reply waits
-        on an ACK of its own first half."""
-        body = json.dumps(payload).encode()
-        head = (
-            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
-            f"Server: {self.version_string()}\r\n"
-            f"Date: {self.date_time_string()}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            + ("Connection: close\r\n" if self.close_connection else "")
-            + "\r\n"
-        )
-        self.log_request(status)
-        self.wfile.write(head.encode("latin-1") + body)
-
-    def send_error(self, code: int, message: Optional[str] = None,
-                   explain: Optional[str] = None) -> None:
-        """``http.server``'s own rejections (a request line it cannot
-        parse, an unsupported method) as the same JSON, the same way."""
+    def _answer(self, line: str, words: List[str]) -> Tuple[int, int]:
+        """Reply to one request; its status and body size.  Sets
+        ``close_connection`` when the connection is to end with it."""
         self.close_connection = True
-        self._send_json(code, {"error": message or HTTPStatus(code).phrase})
+        try:
+            status, payload = self._respond(line, words)
+        except RequestError as exc:
+            status, payload = exc.status, {"error": str(exc)}
+        except Exception as exc:  # noqa: BLE001 - server must not die
+            status, payload = 500, {"error": f"{type(exc).__name__}: {exc}"}
+        body = json.dumps(payload).encode()
+        day, month, mday, clock, year = time.asctime(time.gmtime()).split()
+        head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
+                f"Server: repro-planner\r\nDate: {day}, {mday:0>2} {month} "
+                f"{year} {clock} GMT\r\nContent-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        close = "Connection: close\r\n" if self.close_connection else ""
+        self.connection.sendall(f"{head}{close}\r\n".encode() + body)
+        return status, len(body)
 
-    def _read_json(self) -> Any:
+    def _respond(self, line: str, words: List[str]) -> Tuple[int, Any]:
+        """Read the rest of the request that ``line`` starts, and serve it:
+        the reply's status and JSON payload."""
+        if len(line) > _MAX_LINE:
+            return 414, {"error": _REASONS[414]}
+        version = (0, 9)
+        if len(words) >= 3:
+            match = _VERSION.fullmatch(words[-1])
+            if match is None:
+                return 400, {"error": f"Bad request version ({words[-1]!r})"}
+            version = (int(match[1]), int(match[2]))
+            if version >= (2, 0):
+                number = words[-1][5:]
+                return 505, {"error": f"Invalid HTTP version ({number})"}
+        if not 2 <= len(words) <= 3:
+            request_line = line.rstrip("\r\n")
+            return 400, {"error": f"Bad request syntax ({request_line!r})"}
+        method, path = words[0], words[1]
+        if len(words) == 2 and method != "GET":
+            return 400, {"error": f"Bad HTTP/0.9 request type ({method!r})"}
+        headers: Dict[str, str] = {}
+        for _ in range(_MAX_HEADERS):
+            header = self.rfile.readline(_MAX_LINE + 1)
+            if len(header) > _MAX_LINE:
+                return 431, {"error": "Line too long"}
+            if header in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = header.decode("latin-1").partition(":")
+            headers.setdefault(name.strip().lower(), value.strip())
+        else:
+            return 431, {"error": "Too many headers"}
+        connection = headers.get("connection", "").lower()
+        self.close_connection = (connection == "close" if connection in
+                                 ("close", "keep-alive") else version < (1, 1))
+        if headers.get("expect", "").lower() == "100-continue" \
+                and version >= (1, 1):
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        service = self.server.service
+        if method == "GET":
+            # A GET's body is never read: one it declares ends the connection.
+            if headers.get("content-length", "0") != "0" \
+                    or "transfer-encoding" in headers:
+                self.close_connection = True
+            if path == "/healthz":
+                return 200, {"ok": True}
+            if path == "/stats":
+                return 200, service.stats()
+        elif method == "POST":
+            body = self._read_json(headers.get("content-length"))
+            if path in _POST:
+                return 200, getattr(service, _POST[path])(body)
+            if path == "/batch":
+                if not isinstance(body, dict) or "requests" not in body:
+                    raise RequestError("body must be {\"requests\": [...]}")
+                return 200, {"results": service.batch(body["requests"])}
+        else:
+            self.close_connection = True
+            return 501, {"error": f"Unsupported method ({method!r})"}
+        return 404, {"error": f"no such endpoint: {path}"}
+
+    def _read_json(self, declared: Optional[str]) -> Any:
         """The request body, parsed.  A body that is not read leaves the
         stream mis-framed — its bytes would be taken for the next request
         line — so those errors close the connection with their reply."""
-        declared = self.headers.get("Content-Length")
         try:
             length = int(declared)
             if length < 0:
@@ -114,63 +212,24 @@ class _PlannerRequestHandler(BaseHTTPRequestHandler):
         except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
             raise RequestError(f"invalid JSON body: {exc}") from exc
 
-    # ------------------------------------------------------------------
-    # Verbs
-    # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (http.server's naming)
-        service = self.server.service
-        if self.path == "/healthz":
-            self._send_json(200, {"ok": True})
-        elif self.path == "/stats":
-            self._send_json(200, service.stats())
-        else:
-            self._send_json(404, {"error": f"no such endpoint: {self.path}"})
 
-    def do_POST(self) -> None:  # noqa: N802
-        service = self.server.service
-        try:
-            body = self._read_json()
-            if self.path == "/plan":
-                payload = service.plan(body)
-            elif self.path == "/simulate":
-                payload = service.simulate(body)
-            elif self.path == "/sweep":
-                payload = service.sweep(body)
-            elif self.path == "/batch":
-                if not isinstance(body, dict) or "requests" not in body:
-                    raise RequestError("body must be {\"requests\": [...]}")
-                payload = {"results": service.batch(body["requests"])}
-            else:
-                self._send_json(
-                    404, {"error": f"no such endpoint: {self.path}"}
-                )
-                return
-        except RequestError as exc:
-            self._send_json(exc.status, {"error": str(exc)})
-        except Exception as exc:  # noqa: BLE001 - server must not die
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-        else:
-            self._send_json(200, payload)
-
-
-class PlannerHTTPServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` bound to one planner service.
+class PlannerHTTPServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server bound to one planner service, one
+    keep-alive loop per connection.
 
     :meth:`server_close` is a graceful stop: it stops listening, closes
     the keep-alive connections that are idle, and gives the requests in
     flight ``_DRAIN_SECONDS`` to be answered.
     """
 
+    # A restarted server takes its port back at once.
+    allow_reuse_address = True
     # A request still running when the drain runs out does not hold the
     # process.
     daemon_threads = True
 
-    def __init__(
-        self,
-        address: Tuple[str, int],
-        service: PlannerService,
-        verbose: bool = False,
-    ):
+    def __init__(self, address: Tuple[str, int], service: PlannerService,
+                 verbose: bool = False):
         super().__init__(address, _PlannerRequestHandler)
         self.service = service
         self.verbose = verbose

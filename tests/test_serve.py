@@ -24,6 +24,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.partition import PipeDreamOptimizer
 from repro.core.profile import LayerProfile, ModelProfile
@@ -694,9 +695,43 @@ class TestFraming:
         (http_post("/plan", b"\xff\xfe\xfd"), 400, "invalid JSON body", "open"),
         (http_post("/plan", b""), 400, "body is required", "open"),
         (http_post("/plan", BODY), 200, None, "open"),
+        # The head itself is refused: the connection closes with the reply.
+        (http_post("/plan", BODY).replace(b"POST", b"PUT"),
+         501, "Unsupported method ('PUT')", "closed"),
+        (HEALTHZ.replace(b"GET", b"HEAD"),
+         501, "Unsupported method ('HEAD')", "closed"),
+        (HEALTHZ.replace(b"HTTP/1.1", b"HTTP/2.0"),
+         505, "Invalid HTTP version (2.0)", "closed"),
+        (b"GET /" + b"a" * 65_536 + b" HTTP/1.1\r\n\r\n",
+         414, "Request-URI Too Long", "closed"),
+        (HEALTHZ.replace(b"\r\n\r\n", b"\r\n" + b"X-A: b\r\n" * 101 + b"\r\n"),
+         431, "Too many headers", "closed"),
+        (HEALTHZ.replace(b"\r\n\r\n",
+                         b"\r\nX-A: " + b"b" * 65_536 + b"\r\n\r\n"),
+         431, "Line too long", "closed"),
+        (http_post("/plan", b"").replace(b"Content-Length: 0",
+                                         b"Transfer-Encoding: chunked")
+         + f"{len(BODY):x}\r\n".encode() + BODY + b"\r\n0\r\n\r\n",
+         400, "bad Content-Length None", "closed"),
+        # The request is whole: a 404 leaves the connection open.
+        (HEALTHZ.replace(b"/healthz", b"/healthz?x=1"),
+         404, "no such endpoint: /healthz?x=1", "open"),
+        # HTTP/1.0 closes unless it asks to keep alive; HTTP/1.1 stays
+        # open unless it asks to close.
+        (http_post("/plan", BODY).replace(b"HTTP/1.1", b"HTTP/1.0"),
+         200, None, "closed"),
+        (http_post("/plan", BODY).replace(
+            b"HTTP/1.1\r\n", b"HTTP/1.0\r\nConnection: keep-alive\r\n"),
+         200, None, "open"),
+        (http_post("/plan", BODY).replace(
+            b"Host: test\r\n", b"Host: test\r\nConnection: close\r\n"),
+         200, None, "closed"),
     ], ids=["length-abc", "length-negative", "length-missing",
             "length-over-limit", "request-line-garbage", "batch-over-limit",
-            "bad-json", "bad-utf8", "empty-body", "good"])
+            "bad-json", "bad-utf8", "empty-body", "good", "put", "head",
+            "http-2.0", "request-line-too-long", "too-many-headers",
+            "header-line-too-long", "chunked-body", "query-string",
+            "http-1.0", "http-1.0-keep-alive", "connection-close"])
     def test_reply_and_what_the_connection_does_next(
             self, url, message, status, error, then):
         connection = RawConnection(url)
@@ -712,6 +747,34 @@ class TestFraming:
                 assert error in body["error"]
             assert (headers.get("connection") == "close") == (then == "closed")
             assert connection.next_request_state() == then
+        finally:
+            connection.close()
+
+    def test_expect_100_continue_is_answered_before_the_body(self, url):
+        """curl sends ``Expect: 100-continue`` with a body over 1 KiB and
+        holds the body back until the interim reply comes."""
+        head, body = http_post("/plan", self.BODY).split(b"\r\n\r\n", 1)
+        connection = RawConnection(url)
+        try:
+            connection.send(head + b"\r\nExpect: 100-continue\r\n\r\n")
+            assert connection.file.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert connection.file.readline() == b"\r\n"
+            connection.send(body)
+            status, headers, reply = connection.reply()
+            assert (status, reply["config"]) == (200, "3-1")
+            assert "connection" not in headers
+            assert connection.next_request_state() == "open"
+        finally:
+            connection.close()
+
+    def test_http_0_9_request_line_is_answered_then_closed(self, url):
+        connection = RawConnection(url)
+        try:
+            connection.send(b"GET /healthz\r\n\r\n")
+            status, headers, reply = connection.reply()
+            assert (status, reply) == (200, {"ok": True})
+            assert headers["connection"] == "close"
+            assert connection.next_request_state() == "closed"
         finally:
             connection.close()
 
@@ -773,6 +836,153 @@ class TestFraming:
         assert too_large.value.status == 413
         assert len(PlannerService().batch([{}] * MAX_BATCH_REQUESTS)) == \
             MAX_BATCH_REQUESTS
+
+
+def read_reply(file):
+    """``(status, headers, raw body)`` of the next final reply on ``file``,
+    past any interim ``1xx``."""
+    while True:
+        line = file.readline()
+        headers = {}
+        while (header := file.readline()) not in (b"\r\n", b""):
+            name, _, value = header.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        status = int(line.split()[1])
+        if status >= 200:
+            return status, headers, file.read(int(headers["content-length"]))
+
+
+def strict_json(body):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+    return json.loads(body, parse_constant=refuse)
+
+
+#: What the wire fuzzer draws from: the request line's parts, the body,
+#: its declared length, and the header block's size and options.
+WIRE = dict(
+    method=["POST", "GET", "POST", "GET", "PUT", "HEAD", "get"],
+    path=["/plan", "/healthz", "/stats", "/batch", "/simulate", "/nope",
+          "/healthz?x=1", "*"],
+    version=["HTTP/1.1", "HTTP/1.1", "HTTP/1.0", "HTTP/2.0", "HTTP/0.9",
+             None, "HTTP/1", "HTTP/1.1.1", "HTTP/x.y", "FTP/1.1"],
+    body=[json.dumps(VGG).encode(), json.dumps(VGG).encode()[:20], b"{}",
+          b"[]", b"null", b"{not json", b"\xff\xfe", b""],
+    length=["true", "-1", "abc", "1e3", "true", "missing", "over-limit",
+            "longer"],
+    fill=[0, 0, 2, 98, 99, 100],
+    long=[None, None, 1_000, 65_526, 65_528, 70_000],
+    connection=[None, None, "close", "keep-alive"],
+    expect=[None, "100-continue"],
+)
+
+
+def wire_message(method, path, version, body, length, fill, long,
+                 connection, expect):
+    """One request as bytes, and whether its body falls short of the
+    length it declares."""
+    headers = ["Host: fuzz"] + [f"X-Fill-{i}: v" for i in range(fill)]
+    if long is not None:
+        headers.append("X-Long: " + "v" * long)
+    if connection is not None:
+        headers.append(f"Connection: {connection}")
+    if expect is not None:
+        headers.append(f"Expect: {expect}")
+    if length == "missing":
+        body = b""  # bytes nothing declares would be the client's error
+    else:
+        declared = {"true": len(body), "longer": len(body) + 7,
+                    "over-limit": server_module._MAX_BODY_BYTES + 1,
+                    }.get(length, length)
+        headers.append(f"Content-Length: {declared}")
+    line = f"{method} {path}" + (f" {version}" if version else "")
+    head = "\r\n".join([line, *headers, "", ""]).encode("latin-1")
+    return head + body, length == "longer"
+
+
+class TestWireFuzz:
+    """Seeded request heads and bodies against one server: every request
+    gets a JSON reply with a status from the transport's table, none
+    hangs, and a connection left open still serves."""
+
+    STATUSES = {200, 400, 404, 413, 414, 431, 501, 505}
+
+    def test_every_request_gets_a_framed_reply(self):
+        with ServerThread(PlannerService()) as url:
+            host, port = url.split("//")[1].split(":")
+
+            @settings(max_examples=400, deadline=None, derandomize=True)
+            @given(st.fixed_dictionaries(
+                {name: st.sampled_from(values)
+                 for name, values in WIRE.items()}))
+            def check(drawn):
+                message, short = wire_message(**drawn)
+                with socket.create_connection((host, int(port)),
+                                              timeout=5) as sock, \
+                        sock.makefile("rb") as file:
+                    sock.sendall(message)
+                    if short:  # end of input is what ends the body
+                        with contextlib.suppress(OSError):  # already shut
+                            sock.shutdown(socket.SHUT_WR)
+                    status, headers, body = read_reply(file)
+                    assert status in self.STATUSES
+                    reply = strict_json(body)
+                    # 200 with its endpoint's payload, or an error's status
+                    # with its message
+                    assert (status == 200) == ("error" not in reply)
+                    if headers.get("connection") == "close" or short:
+                        return
+                    sock.sendall(HEALTHZ)
+                    status, _, body = read_reply(file)
+                    assert (status, strict_json(body)) == (200, {"ok": True})
+
+            check()
+
+
+class TestAccessLog:
+    REQUESTS = [HEALTHZ, http_post("/plan", json.dumps(VGG).encode()),
+                HEALTHZ.replace(b"/healthz", b"/nope"),
+                http_post("/plan", b"{not json")]
+
+    def served_log(self, capsys, verbose):
+        """What serving :attr:`REQUESTS` on one connection writes to
+        stderr, and the replies' ``(status, body size)``."""
+        thread = ServerThread(PlannerService())
+        thread.server.verbose = verbose
+        replies = []
+        with thread as url:
+            connection = RawConnection(url)
+            try:
+                for message in self.REQUESTS:
+                    connection.send(message)
+                    status, headers, _ = connection.reply()
+                    replies.append((status, int(headers["content-length"])))
+            finally:
+                connection.close()
+        return capsys.readouterr().err, replies
+
+    def test_verbose_writes_one_json_line_per_request(self, capsys):
+        err, replies = self.served_log(capsys, verbose=True)
+        lines = [json.loads(line) for line in err.splitlines()]
+        assert [(line["method"], line["path"]) for line in lines] == [
+            ("GET", "/healthz"), ("POST", "/plan"), ("GET", "/nope"),
+            ("POST", "/plan")]
+        assert [(line["status"], line["bytes"]) for line in lines] == replies
+        assert [status for status, _ in replies] == [200, 200, 404, 400]
+        assert all(0 <= line["seconds"] < 5 for line in lines)
+
+    def test_quiet_by_default(self, capsys):
+        assert self.served_log(capsys, verbose=False)[0] == ""
+
+
+def test_loading_the_server_loads_no_http_server_or_email_parser():
+    src = Path(__file__).resolve().parents[1] / "src"
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.serve.server; print("
+         "[m for m in ('http.server', 'email.parser') if m in sys.modules])"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, check=True).stdout
+    assert loaded.strip() == "[]"
 
 
 class TestKeepAlive:

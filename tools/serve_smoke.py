@@ -1,16 +1,19 @@
 #!/usr/bin/env python
 """CI smoke test for the planner service's HTTP surface.
 
-Boots a real ``ThreadingHTTPServer`` on a free port, issues one request
+Boots the real planner server on a free port, issues one request
 per endpoint through :class:`HTTPPlannerClient`, and asserts the answers
 are identical to the in-process service and (for /plan) bitwise-equal to
 a cold :meth:`PipeDreamOptimizer.solve`.  Error mapping is exercised too:
 a bad request must come back as HTTP 400 carrying the same message the
 in-process path raises, and one malformed field per endpoint (and in one
-batch slot) must come back as a 400 naming the field.  The wire itself is checked over a raw socket: two
-plan requests on one keep-alive connection, a sweep whose cap no plan
-fits, then a request that declares a body over the limit — 200, 200, 400,
-413.
+batch slot) must come back as a 400 naming the field.  The wire itself
+is checked over a raw socket: two plan requests on one keep-alive
+connection, a sweep whose cap no plan fits, then a request that declares
+a body over the limit — 200, 200, 400, 413; then the two paths curl
+takes: a plan POST with ``Expect: 100-continue`` that holds its body back
+until the interim ``100`` arrives, and an ``HTTP/1.0`` health check the
+server must answer and close.
 
 Usage: ``python tools/serve_smoke.py``  (exit 0 = pass)
 """
@@ -80,6 +83,34 @@ def statuses_on_one_connection(url: str) -> list:
                     length = int(value)
             replies.read(length)
     return statuses
+
+
+def curl_paths(url: str) -> list:
+    """Status codes of a plan POST with ``Expect: 100-continue`` (the
+    interim one, read before the body is sent, then the final one), and of
+    an ``HTTP/1.0`` health check with what its connection did next."""
+    host, port = url.split("//")[1].split(":")
+    plan = json.dumps(PLAN_REQUEST).encode()
+    with socket.create_connection((host, int(port)), timeout=30) as sock, \
+            sock.makefile("rb") as replies:
+        sock.sendall(("POST /plan HTTP/1.1\r\nHost: smoke\r\n"
+                      "Content-Type: application/json\r\n"
+                      f"Content-Length: {len(plan)}\r\n"
+                      "Expect: 100-continue\r\n\r\n").encode())
+        codes = [replies.readline().split()[1].decode()]
+        replies.readline()  # the interim reply's blank line
+        sock.sendall(plan)
+        codes.append(replies.readline().split()[1].decode())
+    with socket.create_connection((host, int(port)), timeout=5) as sock, \
+            sock.makefile("rb") as replies:
+        sock.sendall(b"GET /healthz HTTP/1.0\r\n\r\n")
+        codes.append(replies.readline().split()[1].decode())
+        try:
+            replies.read()  # returns at end of input: the server closed
+            codes.append("closed")
+        except socket.timeout:
+            codes.append("open")
+    return codes
 
 
 def main() -> int:
@@ -154,6 +185,9 @@ def main() -> int:
         check("wire: keep-alive 200, 200, 400 for an infeasible sweep, "
               "then 413 for an oversized body",
               statuses_on_one_connection(url) == [200, 200, 400, 413])
+        check("wire: Expect: 100-continue gets 100 before its body, then "
+              "200; HTTP/1.0 gets 200, then the server closes",
+              curl_paths(url) == ["100", "200", "200", "closed"])
 
         stats = http.stats()
         check("stats: plan cache hit recorded",
