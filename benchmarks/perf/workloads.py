@@ -363,14 +363,13 @@ def full_sweep():
     """The headline sweep: 7 paper models x {4,8,16} workers x {dp, pd}.
 
     The tracked number is the serial path; the detail keeps a
-    bitwise-equality flag for a 2-worker parallel run against the serial
-    records.
+    bitwise-equality flag for a 2-worker process-pool run against the
+    serial records.
     """
     topology = cluster_a(4)
     counts = (4, 8, 16)
     serial = run_sweep(PAPER_MODELS, topology, counts, workers=1)
-    parallel = run_sweep(PAPER_MODELS, topology, counts, workers=2,
-                         executor="thread")
+    parallel = run_sweep(PAPER_MODELS, topology, counts, workers=2)
     seconds = best_of(
         lambda: run_sweep(PAPER_MODELS, topology, counts, workers=1)
     )

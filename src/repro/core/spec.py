@@ -35,9 +35,6 @@ if TYPE_CHECKING:  # repro.sim imports this module
 #: column order; ``repro.sim.strategies.STRATEGIES`` maps each to a driver.
 STRATEGY_NAMES = ("dp", "pipedream", "mp", "gpipe")
 
-#: ``run_sweep`` executors (see :func:`repro.sim.sweep.run_sweep`).
-EXECUTORS = ("auto", "process", "thread", "serial")
-
 #: The longest run any surface simulates: ~10x the longest run a test,
 #: probe or figure uses (1 024 minibatches); a run's cost grows linearly.
 MAX_MINIBATCHES = 10_000
@@ -188,8 +185,6 @@ FIELDS: Dict[str, Field] = {field.name: field for field in (
     Field("recomputes", str, (None,), "recompute policies ('none' = off)",
           many=True, nullable=True),
     Field("schedule_families", str, ("1f1b",), "schedule families", many=True),
-    Field("executor", str, "process", "sweep pool kind", choices=EXECUTORS),
-    Field("workers", int, 1, "sweep parallelism", lo=1),
 )}
 DEFAULTS = {name: field.default for name, field in FIELDS.items()}
 
@@ -199,9 +194,9 @@ LEVEL_FIELDS = ("count", "bandwidth", "allreduce_efficiency",
                 "allreduce_latency")
 SIM_FIELDS = ("strategy", "minibatches", "schedule_family")
 #: ``run_sweep``'s keyword options, as a sweep request gives them.
-SWEEP_OPTIONS = ("strategies", "device", "minibatches", "workers",
-                 "executor", "precisions", "bucket_sizes", "recomputes",
-                 "schedule_families", "memory_limit_bytes", "tp_degrees")
+SWEEP_OPTIONS = ("strategies", "device", "minibatches", "precisions",
+                 "bucket_sizes", "recomputes", "schedule_families",
+                 "memory_limit_bytes", "tp_degrees")
 
 
 def reject_tp_bucketing(tp_active: bool, bucket_bytes: Optional[float]) -> None:

@@ -285,9 +285,11 @@ class ServerThread:
     def __init__(self, service: Optional[PlannerService] = None,
                  host: str = "127.0.0.1", port: int = 0):
         self.server = make_server(service, host, port)
+        # serve_forever checks for shutdown() once per poll: the default
+        # 0.5 s would be most of what stop() takes.
         self._thread = threading.Thread(
-            target=self.server.serve_forever, name="planner-http", daemon=True
-        )
+            target=self.server.serve_forever, args=(0.05,),
+            name="planner-http", daemon=True)
 
     @property
     def url(self) -> str:

@@ -402,16 +402,16 @@ class PlannerService:
     def sweep(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Run a figure-12-style grid and return its records.
 
-        Mirrors the CLI ``sweep`` subcommand; cells thread the service's
-        context pool so per-cell solves are warm-started.
+        Mirrors the CLI ``sweep`` subcommand: the grid runs in-process, and
+        its cells thread the service's context pool so per-cell solves are
+        warm-started.  A client does not size the server's pool: no
+        request field forks the server.
         """
         self._count("sweep")
         _require_object(request, REQUEST_FIELDS["sweep"])
         models, counts = _read(request, "models", "counts")
         topology = _request_topology(request)
         options = dict(zip(SWEEP_OPTIONS, _read(request, *SWEEP_OPTIONS)))
-        if request.get("executor") is None:
-            options["executor"] = "auto"  # run_sweep's own is "process"
 
         from repro.sim import SweepError, run_sweep
 

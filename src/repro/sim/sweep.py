@@ -7,13 +7,14 @@ tidy records, with CSV export for downstream analysis.
 The sweep decomposes into independent *cells* — one per ``(model,
 strategy, precision, plan spec)``, each cell covering every worker count
 and planned once per count however many schedule families it is simulated
-under — so it can fan out over a :mod:`concurrent.futures` executor.  Results are
-reassembled in the serial iteration order (model, then worker count, then
-strategy) regardless of completion order, so ``workers=N`` output is
-cell-for-cell identical to the ``workers=1`` serial fallback (asserted by
-``tests/test_sweep_parallel.py``).  A failing cell does not kill the
-sweep: every other cell completes, and the failures are reported per cell
-via :class:`SweepError`, which also carries the surviving cells' records.
+under.  The cell list runs through one ``map``: the builtin one in-process,
+or a process pool's for ``workers > 1``.  Results are reassembled in the
+serial iteration order (model, then worker count, then strategy), so
+``workers=N`` output is cell-for-cell identical to the in-process run
+(asserted by ``tests/test_sweep_parallel.py``).  A failing cell does not
+kill the sweep: every other cell completes, and the failures are reported
+per cell via :class:`SweepError`, which also carries the surviving cells'
+records.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import io
-import os
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -167,33 +167,6 @@ def _plan_allreduce_seconds(
     return total
 
 
-#: Per-process shared solver contexts, created by :func:`_pool_init` in
-#: process-pool workers (a context pool holds locks, so it cannot cross a
-#: pickle boundary — each worker builds its own).  Stays ``None`` in the
-#: main process: serial sweeps only warm-start when the caller passes a
-#: pool explicitly, keeping the default serial path byte-for-byte the
-#: historical one.
-_WORKER_CONTEXTS: Optional[SolverContextPool] = None
-
-#: Per-process shared runs (see :func:`_run_cell`), created by
-#: :func:`_pool_init` like ``_WORKER_CONTEXTS``.
-_WORKER_RUNS: Optional[dict] = None
-
-
-def _pool_init() -> None:
-    """Process-pool initializer: one-time per-worker setup.
-
-    Workers pay module import on their first task regardless; what would
-    otherwise be paid *per split subtask* is solver-table construction and
-    re-simulating runs another subtask already did, so the initializer
-    installs a worker-local :class:`SolverContextPool` and runs dict that
-    every subtask handled by this worker shares.
-    """
-    global _WORKER_CONTEXTS, _WORKER_RUNS
-    _WORKER_CONTEXTS = SolverContextPool()
-    _WORKER_RUNS = {}
-
-
 class _Cell(NamedTuple):
     """One sweep cell: what is planned (``spec``), what it runs on, and
     the simulations (``sims``, one per schedule family) of that one plan."""
@@ -236,17 +209,14 @@ def _run_cell(
         model, device=device,
         bytes_per_element=PRECISION_BYTES[precision],
     )
-    if contexts is None:
-        contexts = _WORKER_CONTEXTS
     if runs is None:
-        runs = {} if _WORKER_RUNS is None else _WORKER_RUNS
+        runs = {}
     optimizer = None
     if strategy == "pipedream":
         # One optimizer per cell: its memoized level tables are shared by
         # every solve of the worker-count loop.  A shared context extends
-        # that reuse across cells (and across the split per-count subtasks
-        # of the parallel path) — warm-started solves are bitwise identical
-        # to cold ones, so records don't change.
+        # that reuse across cells — warm-started solves are bitwise
+        # identical to cold ones, so records don't change.
         optimizer = PipeDreamOptimizer(
             profile, topology, **spec.options(),
             context=None if contexts is None else contexts.get(profile),
@@ -274,8 +244,6 @@ def _run_cell(
                     simulate_strategy(profile, sub, sim, spec) if plan is None
                     else simulate_plan(profile, sub, plan, sim,
                                        spec.bucket_bytes))
-                # The breakdown goes in first: a thread that finds the run
-                # reads its breakdown next.
                 if key.priced not in runs:
                     runs[key.priced] = _breakdown(
                         profile, result.stages, sub, spec.bucket_bytes)
@@ -326,24 +294,6 @@ def _run_cell_guarded(args) -> Tuple[list, Optional[str]]:
         return [], f"{type(exc).__name__}: {exc}"
 
 
-def _resolve_executor(executor: str, workers: int, num_tasks: int) -> str:
-    """Pick an execution mode for ``executor="auto"``.
-
-    Process pools only pay off when there are enough independent tasks to
-    amortize fork/pickle overhead *and* enough CPUs to run them — on a
-    1-2 CPU box (CI containers) or a handful of tasks, a thread pool (or
-    plain serial for a single task) wins outright.
-    """
-    if executor != "auto":
-        return executor
-    if workers <= 1 or num_tasks <= 1:
-        return "serial"
-    cpus = os.cpu_count() or 1
-    if cpus <= 2 or num_tasks < 8:
-        return "thread"
-    return "process"
-
-
 def run_sweep(
     models: Sequence[str],
     topology: Topology,
@@ -351,8 +301,7 @@ def run_sweep(
     strategies: Sequence[str] = DEFAULTS["strategies"],
     device: str = DEFAULTS["device"],
     minibatches: int = DEFAULTS["minibatches"],
-    workers: int = DEFAULTS["workers"],
-    executor: str = DEFAULTS["executor"],
+    workers: int = 1,
     precisions: Sequence[str] = DEFAULTS["precisions"],
     bucket_sizes: Sequence[Optional[float]] = DEFAULTS["bucket_sizes"],
     recomputes: Sequence[Optional[str]] = DEFAULTS["recomputes"],
@@ -375,9 +324,10 @@ def run_sweep(
         minibatches: run length of a pipedream cell; the other strategies
             run :func:`~repro.sim.strategies.grid_minibatches` of it.
         workers: sweep parallelism.  ``1`` (default) runs every cell
-            serially in-process; ``N > 1`` fans the (model, strategy,
-            precision) cells out over ``N`` executor workers.  Output order
-            and values are identical either way.
+            in-process; ``N > 1`` maps the cells over a process pool of
+            ``min(N, cells)`` workers.  Pooled cells plan cold and share no
+            runs, since a context pool holds locks and does not pickle;
+            output order and values are identical either way.
         precisions: element widths to sweep (keys of ``PRECISION_BYTES``).
             The default single-``"fp32"`` axis reproduces the historical
             sweep bit for bit; adding ``"fp16"`` doubles the grid with
@@ -403,31 +353,15 @@ def run_sweep(
             :class:`~repro.core.spec.PlanSpec`; every plan and simulation
             spec is built before the first cell runs, so an invalid
             combination fails up front.
-        executor: ``"process"`` (default) or ``"thread"`` pool for
-            ``workers > 1``; ``"serial"`` forces the in-process loop, and
-            ``"auto"`` picks: serial for a single task, threads on small
-            grids or CPU-starved machines (fork+import would dominate),
-            processes otherwise.  Processes sidestep the GIL for the
-            pure-Python simulator loops; threads avoid fork/pickle
-            overhead and see in-process monkeypatching (useful in tests).
-            In the pooled modes the fan-out unit is one *(cell, worker
-            count)* subtask — not a whole cell — so one heavy
-            configuration (gnmt16 at the largest count) cannot dominate a
-            pool slot; a per-worker ``SolverContextPool`` (installed by
-            the pool initializer, or shared in-process for threads)
-            restores the per-cell table reuse the split would otherwise
-            lose.  Output order and values are identical in every mode.
         contexts: optional :class:`SolverContextPool` whose warm-started
             solver tables the cells read and extend (the planner service
-            threads its pool through here).  In-process modes use it
-            directly; process pools build their own per-worker pool
-            instead (locks don't pickle).  Warm starts are
-            value-transparent, so records are unchanged.
+            threads its pool through here).  In-process runs only: pooled
+            cells plan cold.  Warm starts are value-transparent, so
+            records are unchanged.
     """
     # The axes with a closed set of values, checked by their table rows.
     for name, value in (("strategies", tuple(strategies)),
-                        ("precisions", tuple(precisions)),
-                        ("executor", executor)):
+                        ("precisions", tuple(precisions))):
         FIELDS[name].read(value)
     worker_counts = list(worker_counts)
     # Every planned cell's spec, built (and so validated) before any cell
@@ -457,66 +391,18 @@ def run_sweep(
     cells = [cell for model in models for strategy in strategies
              for cell in cells_of(model, strategy)]
 
-    resolved = _resolve_executor(
-        executor, workers, len(cells) * len(worker_counts)
-    )
-    runs: dict = {}  # run key -> record fields, for this call only
-    if workers <= 1 or len(cells) <= 1 or resolved == "serial":
-        cell_args = [
-            (cell, topology, worker_counts, device, contexts, runs)
-            for cell in cells
-        ]
-        outcomes = [_run_cell_guarded(args) for args in cell_args]
+    pooled = workers > 1 and len(cells) > 1
+    # In-process cells share the caller's contexts and one runs dict (run
+    # key -> record fields, for this call only); pooled cells get neither.
+    shared = () if pooled else (contexts, {})
+    tasks = [(cell, topology, worker_counts, device, *shared)
+             for cell in cells]
+    if pooled:
+        with concurrent.futures.ProcessPoolExecutor(
+                min(workers, len(cells))) as pool:
+            outcomes = list(pool.map(_run_cell_guarded, tasks))
     else:
-        # Fan out per (cell, worker count): the heaviest configuration of
-        # the grid becomes one subtask instead of serializing a whole
-        # cell behind it.  Heavy counts are submitted first so they don't
-        # land last on an otherwise-drained pool.
-        if resolved == "process":
-            pool_cls = concurrent.futures.ProcessPoolExecutor
-            pool_kwargs = {"initializer": _pool_init}
-            # Workers build their own (a pool is unpicklable, and a dict
-            # would be copied into every subtask).
-            subtask_contexts = subtask_runs = None
-        else:
-            pool_cls = concurrent.futures.ThreadPoolExecutor
-            pool_kwargs = {}
-            # Threads share one pool: split subtasks of a cell regain the
-            # table reuse a per-cell optimizer used to provide.
-            subtask_contexts = (contexts if contexts is not None
-                                else SolverContextPool())
-            subtask_runs = runs
-        subtasks = [
-            (cell_index, count_index,
-             (cell, topology, [count], device, subtask_contexts,
-              subtask_runs))
-            for cell_index, cell in enumerate(cells)
-            for count_index, count in enumerate(worker_counts)
-        ]
-        subtasks.sort(key=lambda task: -worker_counts[task[1]])
-        with pool_cls(
-            max_workers=min(workers, len(subtasks)), **pool_kwargs
-        ) as pool:
-            results = list(
-                pool.map(_run_cell_guarded, [args for _, _, args in subtasks])
-            )
-        per_cell: List[list] = [[None] * len(worker_counts) for _ in cells]
-        cell_errors: Dict[int, str] = {}
-        # zip() pairs each result with its (cell, count) slot; iteration
-        # follows submission order, so on a multi-count failure the
-        # largest count's error is reported — deterministically.
-        for (cell_index, count_index, _), (sub_records, error) in zip(
-            subtasks, results
-        ):
-            if error is not None:
-                cell_errors.setdefault(cell_index, error)
-            elif sub_records:
-                per_cell[cell_index][count_index] = sub_records[0]
-        outcomes = [
-            ([], cell_errors[index]) if index in cell_errors
-            else (per_cell[index], None)
-            for index in range(len(cells))
-        ]
+        outcomes = list(map(_run_cell_guarded, tasks))
 
     by_cell: Dict[_Cell, list] = {}
     failures: List[SweepFailure] = []

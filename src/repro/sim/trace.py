@@ -2,9 +2,9 @@
 
 Open the produced file in ``chrome://tracing`` or Perfetto.  Two sources:
 
-- a simulation (:func:`chrome_trace_events`): forward/backward/update ops
-  per worker, with minibatch ids as arguments — the tooling equivalent of
-  the paper's Figure 4 timelines;
+- a simulation (:func:`chrome_trace_events`): forward, backward, 2BP
+  grad-weight and update ops per worker, with minibatch ids as arguments
+  — the tooling equivalent of the paper's Figure 4 timelines;
 - :mod:`repro.utils.obs` span records (:func:`span_trace_events`): the
   planner's solve phases, which ``repro plan --trace`` writes.
 
@@ -23,12 +23,16 @@ if TYPE_CHECKING:
 
 
 def chrome_trace_events(sim: SimResult, time_scale: float = 1e6) -> List[Dict]:
-    """Convert a simulation to trace-event dicts (times in microseconds)."""
+    """Convert a simulation to trace-event dicts (times in microseconds).
+
+    Each op kind is its own category (``forward``, ``backward``,
+    ``backward_w``, ``update``) and colour."""
     from repro.core.schedule import OpKind
 
     color = {  # Chrome trace color names
         OpKind.FORWARD: "good",
         OpKind.BACKWARD: "bad",
+        OpKind.BACKWARD_W: "olive",
         OpKind.UPDATE: "grey",
     }
     events: List[Dict] = []

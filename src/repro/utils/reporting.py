@@ -25,8 +25,10 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
 def format_timeline(sim: SimResult, time_unit: float = 1.0, width: int = 78) -> str:
     """ASCII Gantt chart of a simulated run (Figures 2/3/4/8 visuals).
 
-    Each worker is one row; forward slots print the minibatch id, backward
-    slots print the id bracketed (e.g. ``[3]``), idle time is ``.``.
+    Each worker is one row.  An op's first slot prints its minibatch id
+    (mod 10) and the rest print its kind: ``F`` forward, ``B`` backward
+    (the grad-input half under 2BP), ``W`` 2BP grad-weight.  Idle time is
+    ``.``; updates are not drawn.
     """
     if not sim.records:
         return "(empty timeline)"
@@ -41,13 +43,8 @@ def format_timeline(sim: SimResult, time_unit: float = 1.0, width: int = 78) -> 
                 continue
             start = int(record.start * scale)
             end = max(start + 1, int(record.end * scale))
-            mark = str(record.op.minibatch % 10)
-            if record.op.kind == OpKind.BACKWARD:
-                mark = mark.upper() if mark.isalpha() else f"{mark}"
-                fill = ["B"] * (end - start)
-            else:
-                fill = ["F"] * (end - start)
+            glyph = record.op.kind.value  # "F", "B" or "W"
             for i in range(start, min(end, width)):
-                row[i] = fill[0] if i > start else mark
+                row[i] = glyph if i > start else str(record.op.minibatch % 10)
         rows.append(f"worker {w}: " + "".join(row))
     return "\n".join(rows)

@@ -39,7 +39,7 @@ simulate_partition(analytic_profile("vgg16"), cluster_a(1),
     "sweep": """
 from repro.api import cluster_a
 from repro.sim import run_sweep
-run_sweep(["alexnet"], cluster_a(1), [4], executor="serial", minibatches=8)
+run_sweep(["alexnet"], cluster_a(1), [4], minibatches=8)
 """,
     "serve": """
 from repro.serve import PlannerService

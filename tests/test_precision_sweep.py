@@ -87,12 +87,12 @@ class TestFp32Differential:
             assert record.stage_seconds == priced.stage_times
             assert record.boundary_seconds == priced.boundary_times
 
-    def test_parallel_thread_identical_to_serial(self):
+    def test_parallel_identical_to_serial(self):
         serial = run_sweep(MODELS, TOPO, COUNTS,
                            precisions=("fp32", "fp16"))
         parallel = run_sweep(MODELS, TOPO, COUNTS,
                              precisions=("fp32", "fp16"),
-                             workers=3, executor="thread")
+                             workers=3)
         assert serial == parallel
 
     def test_fp32_records_carry_default_precision_fields(self):

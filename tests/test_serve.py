@@ -308,7 +308,7 @@ HOSTILE_REQUESTS = [
     ("plan", dict(model="vgg16", num_workers=0), "num_workers must be an int >= 1"),
     ("sweep", dict(models=["vgg16"], counts=[0]), "counts must be an int >= 1"),
     ("sweep", dict(models=["vgg16"], counts=[4], workers=0),
-     "workers must be an int >= 1"),
+     r"unknown request fields: \['workers'\]"),
     # List fields are lists, of the row's kind.
     ("sweep", dict(models=["vgg16"], counts=[4], strategies="dp"),
      "bad strategies 'dp': expected a list"),
@@ -477,6 +477,12 @@ class TestHTTPTransport:
          "minibatches must be an int <= 10000"),
         ("/sweep", {"models": ["vgg16"], "counts": [4], "minibatches": 10001},
          "minibatches must be an int <= 10000"),
+    ] + [
+        # A client does not size the server's sweep pool.
+        ("/sweep", {"models": ["vgg16"], "counts": [4], "workers": 2},
+         r"unknown request fields: \['workers'\]"),
+        ("/sweep", {"models": ["vgg16"], "counts": [4], "executor": "thread"},
+         r"unknown request fields: \['executor'\]"),
     ])
     def test_malformed_field_is_400_not_500(self, server, endpoint, body,
                                             message):

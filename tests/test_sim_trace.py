@@ -5,9 +5,10 @@ import json
 import pytest
 
 from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.schedule import one_f_one_b_schedule
+from repro.core.schedule import one_f_one_b_schedule, split_backward_schedule
 from repro.core.topology import make_cluster
 from repro.sim import SimOptions, chrome_trace_events, export_chrome_trace, simulate
+from repro.utils import format_timeline
 
 
 @pytest.fixture
@@ -41,6 +42,27 @@ class TestChromeTrace:
         data = json.loads(open(path).read())
         assert "traceEvents" in data
         assert len(data["traceEvents"]) > 0
+
+
+def test_2bp_grad_weight_ops_are_their_own_kind_in_both_exporters():
+    """A 2BP run's W ops get their own trace category and colour, and their
+    own timeline glyph, rather than a KeyError or the forward's ``F``."""
+    layers = [LayerProfile(f"l{i}", 3.0, 0, 0) for i in range(2)]
+    profile = ModelProfile("m", layers, batch_size=1)
+    topology = make_cluster("t", 2, 1, 1e9, 1e9)
+    sim = simulate(split_backward_schedule(one_f_one_b_schedule(2, 4)),
+                   profile, topology)
+    ops = [e for e in chrome_trace_events(sim) if e["ph"] == "X"]
+    by_cat = {}
+    for event in ops:
+        by_cat.setdefault(event["cat"], set()).add(event["cname"])
+    assert set(by_cat) == {"forward", "backward", "backward_w"}
+    assert len({color for (color,) in by_cat.values()}) == 3
+    assert sum(e["cat"] == "backward_w" for e in ops) == 2 * 4
+    rows = format_timeline(sim, width=120).splitlines()
+    assert all("W" in row for row in rows)
+    assert {glyph for row in rows for glyph in row.split(": ")[1]
+            if not glyph.isdigit()} == {".", "F", "B", "W"}
 
 
 class TestStragglers:

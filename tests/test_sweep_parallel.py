@@ -1,8 +1,8 @@
 """Parallel ``run_sweep`` is an optimization, not a semantic change.
 
-``workers=N`` fans the (model, strategy) cells over a process or thread
-pool; the records must be *identical* (same keys, same floats, same
-order) to the ``workers=1`` serial fallback.  A raising cell must not
+``workers=N`` maps the (model, strategy) cells over a process pool; the
+records must be *identical* (same keys, same floats, same order) to the
+``workers=1`` in-process run.  A raising cell must not
 kill the sweep: every other cell completes and the failure is reported
 per cell via :class:`SweepError`, which carries the surviving records.
 """
@@ -34,9 +34,8 @@ def serial_records():
     return run(workers=1)
 
 
-@pytest.mark.parametrize("executor", ["process", "thread"])
-def test_parallel_identical_to_serial(serial_records, executor):
-    parallel = run(workers=2, executor=executor)
+def test_parallel_identical_to_serial(serial_records):
+    parallel = run(workers=2)
     assert len(parallel) == len(serial_records)
     # Cell-for-cell: same keys in the same order, bitwise-equal floats.
     for got, want in zip(parallel, serial_records):
@@ -44,20 +43,19 @@ def test_parallel_identical_to_serial(serial_records, executor):
 
 
 def test_more_workers_than_cells(serial_records):
-    assert run(workers=32, executor="thread") == serial_records
+    assert run(workers=32) == serial_records
 
 
 def test_single_cell_grid_matches():
     serial = run(models=["vgg16"], strategies=("pipedream",), workers=1)
-    parallel = run(models=["vgg16"], strategies=("pipedream",), workers=4,
-                   executor="thread")
+    parallel = run(models=["vgg16"], strategies=("pipedream",), workers=4)
     assert parallel == serial
 
 
 def test_profile_cache_does_not_change_results(serial_records):
     clear_profile_cache()
-    cold = run(workers=2, executor="thread")
-    warm = run(workers=2, executor="thread")
+    cold = run(workers=2)
+    warm = run(workers=2)
     assert cold == serial_records
     assert warm == serial_records
 
@@ -69,14 +67,6 @@ def test_records_match_oracle_stack(serial_records):
         priced = price_sweep_record(record, TOPO)
         assert record.stage_seconds == priced.stage_times
         assert record.boundary_seconds == priced.boundary_times
-
-
-def test_auto_executor_matches_serial(serial_records):
-    assert run(workers=2, executor="auto") == serial_records
-
-
-def test_serial_executor_explicit(serial_records):
-    assert run(workers=2, executor="serial") == serial_records
 
 
 def test_warm_contexts_do_not_change_results(serial_records):
@@ -93,18 +83,6 @@ def test_warm_contexts_do_not_change_results(serial_records):
     # And a second sweep over the same pool reuses tables, bitwise-equal.
     again = run(workers=1, contexts=contexts)
     assert again == serial_records
-
-
-def test_warm_contexts_with_thread_pool(serial_records):
-    from repro.core.partition import SolverContextPool
-
-    assert run(workers=2, executor="thread",
-               contexts=SolverContextPool()) == serial_records
-
-
-def test_unknown_executor_rejected():
-    with pytest.raises(ValueError, match="unknown executor"):
-        run(workers=2, executor="goroutine")
 
 
 # ----------------------------------------------------------------------
@@ -124,11 +102,9 @@ def failing_dp_for_resnet(monkeypatch):
     monkeypatch.setitem(sweep_mod.STRATEGIES, "dp", exploding)
 
 
-@pytest.mark.parametrize("workers,executor", [(1, "process"), (2, "thread")])
-def test_failing_cell_reported_per_cell(failing_dp_for_resnet, workers,
-                                        executor):
+def test_failing_cell_reported_per_cell(failing_dp_for_resnet):
     with pytest.raises(SweepError) as excinfo:
-        run(workers=workers, executor=executor)
+        run(workers=1)
     error = excinfo.value
     assert len(error.failures) == 1
     failure = error.failures[0]
@@ -146,10 +122,28 @@ def test_failing_cell_reported_per_cell(failing_dp_for_resnet, workers,
 def test_error_records_are_the_serial_survivors(serial_records,
                                                 failing_dp_for_resnet):
     with pytest.raises(SweepError) as excinfo:
-        run(workers=2, executor="thread")
+        run(workers=1)
     expected = [r for r in serial_records
                 if not (r.model == "resnet50" and r.strategy == "dp")]
     assert excinfo.value.records == expected
+
+
+def over_a_tiny_cap(workers):
+    """Every pipedream cell fails to plan under a 1 kB cap; the dp cells,
+    which do not plan, survive.  A real failure, so a pool's workers meet
+    it whatever their start method."""
+    with pytest.raises(SweepError) as excinfo:
+        run(workers=workers, memory_limit_bytes=1000)
+    return excinfo.value
+
+
+def test_pool_isolates_failing_cells_like_the_serial_run(serial_records):
+    serial, pooled = over_a_tiny_cap(1), over_a_tiny_cap(2)
+    assert [(f.model, f.strategy) for f in serial.failures] == [
+        (model, "pipedream") for model in MODELS]
+    assert pooled.failures == serial.failures
+    assert pooled.records == serial.records == [
+        r for r in serial_records if r.strategy == "dp"]
 
 
 # ----------------------------------------------------------------------
@@ -181,19 +175,7 @@ def test_family_twins_share_one_solve_per_count():
     assert [r.schedule_family for r in both] == list(FAMILIES) * 2
 
 
-def test_threaded_subtasks_plan_once_into_the_callers_pool():
-    """An *empty* pool is falsy (``__len__``); the threaded path must
-    still solve into it, not into a throw-away one."""
-    pool = SolverContextPool()
-    threaded = family_sweep(precisions=("fp32", "fp16"), workers=2,
-                            executor="thread", contexts=pool)
-    assert solves(pool, "fp32") + solves(pool, "fp16") == 4
-    assert threaded == family_sweep(precisions=("fp32", "fp16"))
-
-
-@pytest.mark.parametrize("workers,executor", [(1, "serial"), (2, "thread")])
-def test_failing_solve_fails_every_family_of_its_cell(monkeypatch, workers,
-                                                      executor):
+def test_failing_solve_fails_every_family_of_its_cell(monkeypatch):
     class Exploding(sweep_mod.PipeDreamOptimizer):
         def solve(self, num_workers=None):
             if self.profile.model_name == "gnmt8":
@@ -204,8 +186,7 @@ def test_failing_solve_fails_every_family_of_its_cell(monkeypatch, workers,
     with pytest.raises(SweepError) as excinfo:
         run_sweep(["gnmt8", "vgg16"], TOPO_2, [4, 8],
                   strategies=("dp", "pipedream"), minibatches=16,
-                  schedule_families=FAMILIES, workers=workers,
-                  executor=executor)
+                  schedule_families=FAMILIES)
     error = excinfo.value
     assert [(f.model, f.strategy, f.schedule_family)
             for f in error.failures] == [
