@@ -26,11 +26,9 @@ def run():
         pipedream = simulate_partition(profile, topology, stages,
                                        num_minibatches=64)
         gpipe_noam = simulate_gpipe(profile, topology, stages=stages,
-                                    num_batches=8, num_microbatches=noam,
-                                    recompute=True)
+                                    num_batches=8, num_microbatches=noam)
         gpipe_max = simulate_gpipe(profile, topology, stages=stages,
-                                   num_batches=4, num_microbatches=2 * noam,
-                                   recompute=True)
+                                   num_batches=4, num_microbatches=2 * noam)
         results[label] = {
             "pipedream": pipedream.samples_per_second,
             "gpipe_noam": gpipe_noam.samples_per_second,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from perf.harness import best_of, workload
 
 from repro.core.partition import PipeDreamOptimizer, SolverContext
+from repro.core.spec import SimSpec
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 from repro.runtime.elastic import ElasticCoordinator, surviving_worker_count
@@ -46,7 +47,8 @@ LOST_BOUND = 8.0
 def recovery_replan_vgg16():
     profile = analytic_profile("vgg16")
     topology = cluster_a(4)
-    faults = FaultSchedule([FaultEvent("crash", CRASH_TIME, CRASH_WORKER)])
+    sim = SimSpec(minibatches=MINIBATCHES, faults=FaultSchedule(
+        [FaultEvent("crash", CRASH_TIME, CRASH_WORKER)]))
     survivors = surviving_worker_count(topology, 1)
 
     # Re-plan speed: warm (full plan's SolverContext) vs cold, both
@@ -71,7 +73,7 @@ def recovery_replan_vgg16():
     reports = []
 
     def cycle():
-        reports.append(coordinator.run_with_recovery(MINIBATCHES, faults))
+        reports.append(coordinator.run_with_recovery(sim))
 
     seconds = best_of(cycle, repeats=3)
     metrics = reports[-1].metrics

@@ -12,7 +12,9 @@ same workload in minibatches lost.
 The smoke mode is the CI gate: it asserts the recovery invariants —
 warm re-plan bitwise-equal to a cold solve, positive bounded detection
 latency, bounded recovery bill, and a deterministic repeat of every
-simulated-time metric.
+simulated-time metric — and then runs one memory-capped cycle, whose
+recovery plan must fit the cap and whose oracle must be the fault-free
+run every other surface reports for the same scenario.
 
 Artifacts: ``figures/recovery_sweep.csv`` (elastic sweep rows with the
 recovery columns filled).
@@ -25,16 +27,20 @@ from __future__ import annotations
 import argparse
 import os
 
+from dataclasses import replace
+
 from repro.core.partition import PipeDreamOptimizer
-from repro.core.spec import SimSpec
+from repro.core.spec import PlanSpec, SimSpec
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 from repro.runtime import ElasticCoordinator
 from repro.sim import (
     FaultEvent,
     FaultSchedule,
+    pipeline_memory_footprint,
     records_to_csv,
     simulate_plan,
+    simulate_strategy,
 )
 from repro.utils import format_table
 
@@ -45,6 +51,14 @@ FULL_MODELS = ("vgg16", "resnet50", "gnmt8")
 #: (models differ by orders of magnitude in per-minibatch seconds).
 FULL_CRASH_FRACTIONS = (0.25, 0.5, 0.75)
 SMOKE_BOUND = 8.0  # matches the perf gate on recovery_replan_vgg16
+SMOKE_CAP = 3e9  # per-worker bytes of the capped smoke cycle
+
+
+def crash_run(crash_time: float) -> SimSpec:
+    """The pipedream run of ``MINIBATCHES`` that ``CRASH_WORKER`` leaves
+    at ``crash_time``."""
+    return SimSpec(minibatches=MINIBATCHES,
+                   faults=crash_schedule(crash_time))
 
 
 def crash_schedule(crash_time: float) -> FaultSchedule:
@@ -65,8 +79,7 @@ def run_grid(models, crash_fractions):
         horizon = max(oracle.sim.minibatch_done.values())
         for fraction in crash_fractions:
             crash_time = fraction * horizon
-            report = coordinator.run_with_recovery(
-                MINIBATCHES, crash_schedule(crash_time))
+            report = coordinator.run_with_recovery(crash_run(crash_time))
             m = report.metrics
             records.append(report.as_sweep_record(model, "cluster_a"))
             rows.append([
@@ -95,9 +108,9 @@ def smoke() -> None:
     profile = analytic_profile("vgg16")
     topology = cluster_a(4)
     coordinator = ElasticCoordinator(profile, topology)
-    faults = crash_schedule(0.5)
+    sim = crash_run(0.5)
 
-    report = coordinator.run_with_recovery(MINIBATCHES, faults)
+    report = coordinator.run_with_recovery(sim)
     m = report.metrics
 
     # Warm re-plan == cold solve, bitwise.
@@ -110,8 +123,7 @@ def smoke() -> None:
         f"recovery bill {m.minibatches_lost:.2f} outside (0, {SMOKE_BOUND}]"
 
     # Deterministic repeat: every simulated-time field reproduces.
-    again = ElasticCoordinator(profile, topology).run_with_recovery(
-        MINIBATCHES, faults)
+    again = ElasticCoordinator(profile, topology).run_with_recovery(sim)
     for field in ("fault_time", "detection_time", "detection_latency",
                   "surviving_workers", "plan_config", "minibatches_completed",
                   "minibatches_resumed", "oracle_seconds",
@@ -122,6 +134,23 @@ def smoke() -> None:
     print(f"recovery smoke ok: crash@{m.fault_time}, detected at "
           f"{m.detection_time}, {m.surviving_workers} survivors, plan "
           f"{m.plan_config}, {m.minibatches_lost:.2f} minibatches lost")
+
+    # The capped cycle: the re-plan honours the scenario's cap, and the
+    # oracle is the scenario's fault-free run.
+    topology = cluster_a(2)
+    plan = PlanSpec(memory_limit_bytes=SMOKE_CAP)
+    capped = ElasticCoordinator(profile, topology, plan).run_with_recovery(sim)
+    peak = max(pipeline_memory_footprint(profile, capped.new_stages))
+    assert peak <= SMOKE_CAP, \
+        f"recovery plan needs {peak / 1e9:.2f} GB > the {SMOKE_CAP / 1e9:g} GB cap"
+    served = simulate_strategy(profile, topology,
+                               replace(sim, faults=None), plan)
+    assert capped.oracle.config == served.config, "oracle plan != served plan"
+    assert capped.oracle.sim.records == served.sim.records, \
+        "oracle run != the fault-free run of the same scenario"
+    print(f"capped smoke ok: plan {capped.metrics.plan_config} on "
+          f"{capped.metrics.surviving_workers} survivors, peak "
+          f"{peak / 1e9:.2f} GB <= {SMOKE_CAP / 1e9:g} GB")
 
 
 def save_artifacts(records, directory: str = "figures") -> None:

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from repro.core.profile import PRECISION_BYTES
 from repro.core.spec import (FIELDS, PLAN_FIELDS, SIM_FIELDS, SWEEP_OPTIONS,
-                              Field, PlanSpec, SimSpec, check_scenario)
+                              Field, PlanSpec, SimSpec)
 from repro.core.topology import CLUSTERS
 from repro.profiler import analytic_profile, available_models
 
@@ -166,21 +166,18 @@ def cmd_simulate(args) -> int:
     topology = _topology(args)
     profile = _profile(args)
     sim = _sim_spec(args, parse_faults(args.faults, topology.total_workers))
-    check_scenario(spec, sim)
 
     def run():
         if sim.faults is None or sim.faults.halt_time is None:
             return simulate_strategy(profile, topology, sim, spec), None
         # A crash in the schedule: run the full elastic cycle (fault-free
-        # oracle, crash-interrupted run, warm re-plan, resumed run) and
-        # report the recovery bill alongside the resumed result.
-        if args.strategy != "pipedream":
-            args.error("--faults with a crash event requires "
-                       "--strategy pipedream")
+        # oracle, crash-interrupted run, warm re-plan, resumed run) of the
+        # same scenario and report the recovery bill beside the resumed
+        # result.
         from repro.runtime.elastic import ElasticCoordinator
 
-        report = ElasticCoordinator(profile, topology).run_with_recovery(
-            args.minibatches, sim.faults)
+        report = ElasticCoordinator(profile, topology,
+                                    spec).run_with_recovery(sim)
         return report.resumed, report
 
     (result, report), spans = _traced(args, run)

@@ -112,8 +112,6 @@ class Schedule:
             (default: the stage-major, tp-strided assignment every builder
             uses).
         noam: in-flight minibatches admitted per input-stage replica.
-        flush_after: for GPipe-style schedules, minibatch ids after whose
-            UPDATE the pipeline flushes (empty for 1F1B).
         backward_split: True for 2BP schedules — every BACKWARD op is the
             grad-input half of a split backward pass, with a matching
             BACKWARD_W (grad-weight) op later on the same worker.
@@ -132,7 +130,6 @@ class Schedule:
         worker_ops: Optional[Dict[int, List[Op]]] = None,
         stage_workers: Optional[Dict[int, List[int]]] = None,
         noam: int = 1,
-        flush_after: Optional[List[int]] = None,
         backward_split: bool = False,
         table: Optional[ScheduleTable] = None,
     ):
@@ -143,7 +140,6 @@ class Schedule:
         self.stage_workers = (_assign_workers(stages) if stage_workers is None
                               else stage_workers)
         self.noam = noam
-        self.flush_after = [] if flush_after is None else flush_after
         self.backward_split = backward_split
         self._ops = worker_ops
         self._table = table
@@ -385,7 +381,6 @@ def gpipe_schedule(
         mbs.append(base + m - 1)
     return Schedule(
         stages, num_batches * m, noam=m,
-        flush_after=list(range(m - 1, num_batches * m, m)),
         table=ScheduleTable(list(range(num_stages)), [kinds] * num_stages,
                             [[s] * len(kinds) for s in range(num_stages)],
                             [mbs] * num_stages))
@@ -458,7 +453,6 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
         num_minibatches=schedule.num_minibatches,
         stage_workers={s: list(w) for s, w in schedule.stage_workers.items()},
         noam=schedule.noam,
-        flush_after=list(schedule.flush_after),
         backward_split=True,
         table=split,
     )

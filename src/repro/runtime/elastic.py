@@ -6,39 +6,39 @@ The control loop closes the gap between the fault injector
 1. **Detect** — workers heartbeat on a fixed cadence; a crash at time
    ``t`` is noticed at the first heartbeat boundary strictly after ``t``
    (deterministic detection latency, no randomness).
-2. **Re-plan** — solve the partitioning problem again on the largest
-   packable surviving sub-cluster, warm-started from the previous plan's
-   :class:`~repro.core.partition.SolverContext` (or through a
-   :class:`~repro.serve.PlannerService`, whose plan cache answers repeat
-   recoveries).  Warm and cold plans are bitwise-equal
-   (``tests/test_elastic.py``); warmth only buys wall-clock time.
+2. **Re-plan** — solve the partitioning problem again, under the same
+   :class:`~repro.core.spec.PlanSpec`, on the largest packable surviving
+   sub-cluster, warm-started from the previous plan's
+   :class:`~repro.core.partition.SolverContext`.  Warm and cold plans
+   are bitwise-equal (``tests/test_elastic.py``); warmth only buys
+   wall-clock time.
 3. **Resume** — remap the per-stage checkpoints the runtime already
    writes onto the new partition (stage state keys are stage-relative
    ``"{layer_offset}.{param}"``, so remapping is key arithmetic, no
    tensor surgery) and restart training on the surviving topology.
 
-Recovery cost is reported as :class:`~repro.sim.strategies.RecoveryMetrics`
-against a fault-free oracle run of the same workload.
+Every run of the cycle — the fault-free oracle, the crash-interrupted run
+and the resumed run — is the scenario's :class:`~repro.core.spec.SimSpec`
+through :func:`~repro.sim.strategies.simulate_plan`, the path every other
+surface simulates a plan through.  Recovery cost is reported as
+:class:`~repro.sim.strategies.RecoveryMetrics` against the oracle.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.partition import PipeDreamOptimizer, SolverContext, Stage
-from repro.core.spec import SimSpec
-from repro.core.topology import Topology
-from repro.sim.faults import FaultSchedule
-from repro.sim.strategies import (
-    RecoveryMetrics,
-    StrategyResult,
-    _simulate_stages,
+from repro.core.partition import (
+    PartitionResult, PipeDreamOptimizer, SolverContext, Stage,
 )
+from repro.core.spec import PlanSpec, SimSpec, check_scenario
+from repro.core.topology import Topology
+from repro.sim.strategies import RecoveryMetrics, StrategyResult, simulate_plan
 from repro.sim.sweep import SweepRecord
 
 __all__ = [
@@ -100,34 +100,27 @@ class RecoveryReport:
 class ElasticCoordinator:
     """Detect a crash, re-plan warm, resume — and price each step.
 
-    ``service`` (a :class:`~repro.serve.PlannerService`) makes re-plan
-    requests go through the planner service's canonical request path, so
-    repeat recoveries on the same degraded shape are answered from its
-    plan cache.  Without it, the coordinator solves directly on a
-    private warm :class:`SolverContext`.
+    The healthy plan and every re-plan are solved under ``plan`` on one
+    private warm :class:`SolverContext` (``context``, or a fresh one).
     """
 
     def __init__(
         self,
         profile,
         topology: Topology,
+        plan: PlanSpec = PlanSpec(),
         heartbeat_interval: float = 0.05,
-        allow_replication: bool = True,
-        service=None,
         context: Optional[SolverContext] = None,
     ):
         if heartbeat_interval <= 0:
             raise ValueError("heartbeat_interval must be positive")
         self.profile = profile
         self.topology = topology
+        self.plan = plan
         self.heartbeat_interval = heartbeat_interval
-        self.service = service
         self.context = context if context is not None else SolverContext(profile)
         self.optimizer = PipeDreamOptimizer(
-            profile, topology,
-            allow_replication=allow_replication,
-            context=self.context,
-        )
+            profile, topology, context=self.context, **plan.options())
 
     # -- detection ------------------------------------------------------
     def detection_time(self, crash_time: float) -> float:
@@ -137,78 +130,71 @@ class ElasticCoordinator:
         return beats * self.heartbeat_interval
 
     # -- re-planning ----------------------------------------------------
-    def replan(self, num_workers: int) -> Tuple[List[Stage], float, bool]:
-        """Plan for ``num_workers`` survivors: (stages, wall seconds,
-        answered-from-cache).  Warm-started either way — through the
-        planner service's cache + context pool, or this coordinator's own
-        :class:`SolverContext`."""
+    def replan(self, num_workers: int) -> Tuple[PartitionResult, float]:
+        """Plan for ``num_workers`` survivors, warm-started from this
+        coordinator's :class:`SolverContext`: (plan, wall seconds)."""
         begin = time.perf_counter()
-        if self.service is not None:
-            from repro.serve import topology_to_dict
-
-            payload = self.service.plan({
-                "profile": self.profile.to_dict(),
-                "topology": topology_to_dict(self.topology),
-                "num_workers": num_workers,
-                **dict(self.optimizer.spec.key()),
-            })
-            stages = [Stage(s, e, r) for s, e, r in payload["stages"]]
-            return stages, time.perf_counter() - begin, bool(payload["cached"])
         plan = self.optimizer.solve(num_workers)
-        return list(plan.stages), time.perf_counter() - begin, False
+        return plan, time.perf_counter() - begin
 
     # -- the full cycle -------------------------------------------------
     def run_with_recovery(
-        self,
-        num_minibatches: int,
-        faults: FaultSchedule,
-        checkpoint_every: int = 1,
+        self, sim: SimSpec, checkpoint_every: int = 1,
     ) -> RecoveryReport:
-        """Simulate a crash-interrupted run, recover, and price it.
+        """Simulate the crash-interrupted run ``sim``, recover, and price it.
 
-        ``checkpoint_every`` is the stage-checkpoint cadence in
-        minibatches (§4 checkpoints without coordination): work since the
-        last boundary is lost and re-run on the surviving cluster.
+        ``sim.faults`` must hold a crash; the oracle and the resumed run
+        are ``sim`` without faults.  ``checkpoint_every`` is the
+        stage-checkpoint cadence in minibatches (§4 checkpoints without
+        coordination): work since the last boundary is lost and re-run on
+        the surviving cluster.
         """
-        if faults.halt_time is None:
+        check_scenario(self.plan, sim)
+        if sim.strategy != "pipedream":
+            raise ValueError(
+                "crash recovery re-plans the pipedream strategy only, not "
+                f"{sim.strategy!r}")
+        faults = sim.faults
+        if faults is None or faults.halt_time is None:
             raise ValueError("fault schedule has no crash to recover from")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         profile, topology = self.profile, self.topology
-        plan = self.optimizer.solve()
-        old_stages = list(plan.stages)
+        bucket_bytes = self.plan.bucket_bytes
+        healthy = self.optimizer.solve()
+        fault_free = replace(sim, faults=None)
 
-        # Every run goes through the plan surfaces' one rule, so a
-        # data-parallel plan runs under BSP like everywhere else.
-        oracle = _simulate_stages(
-            profile, topology, old_stages, SimSpec(minibatches=num_minibatches))
-        faulted = _simulate_stages(
-            profile, topology, old_stages,
-            SimSpec(minibatches=num_minibatches, faults=faults))
+        oracle = simulate_plan(profile, topology, healthy, fault_free,
+                               bucket_bytes)
+        faulted = simulate_plan(profile, topology, healthy, sim, bucket_bytes)
         crash_time = faulted.sim.halted_at
         if crash_time is None:
             raise ValueError(
                 f"crash at t={faults.halt_time} lands after the "
-                f"{num_minibatches}-minibatch run already finished — "
+                f"{sim.minibatches}-minibatch run already finished — "
                 "nothing to recover")
 
         detection = self.detection_time(crash_time)
         failed = set(faults.crashed_workers(crash_time))
         survivors = surviving_worker_count(topology, len(failed))
-
-        new_stages, replan_seconds, cached = self.replan(survivors)
+        try:
+            recovery, replan_seconds = self.replan(survivors)
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"re-plan on {survivors} surviving workers after the crash "
+                f"at t={crash_time:g} failed: {exc}") from exc
 
         # Work since the last checkpoint boundary is lost; the survivors
         # re-run it plus everything the crash preempted.  The last
         # minibatch is always re-run: its trailing update rounds can't be
         # attested complete after the crash.
-        completed = min(len(faulted.sim.minibatch_done), num_minibatches - 1)
+        completed = min(len(faulted.sim.minibatch_done), sim.minibatches - 1)
         kept = (completed // checkpoint_every) * checkpoint_every
-        resumed_count = num_minibatches - kept
+        resumed_count = sim.minibatches - kept
 
-        sub_topology = topology.subset(survivors)
-        resumed = _simulate_stages(
-            profile, sub_topology, new_stages, SimSpec(minibatches=resumed_count))
+        resumed = simulate_plan(
+            profile, topology.subset(survivors), recovery,
+            replace(fault_free, minibatches=resumed_count), bucket_bytes)
 
         # Detection lands on the simulated critical path; the resumed run
         # then starts from zero pipeline state.  The re-plan's host wall
@@ -219,8 +205,7 @@ class ElasticCoordinator:
         # pay and which would mask the recovery gap.
         oracle_done = max(oracle.sim.minibatch_done.values())
         recovery_total = detection + max(resumed.sim.minibatch_done.values())
-        oracle_seconds = oracle.sim.total_time
-        oracle_rate = num_minibatches / oracle_done
+        oracle_rate = sim.minibatches / oracle_done
         lost = (recovery_total - oracle_done) * oracle_rate
 
         metrics = RecoveryMetrics(
@@ -233,9 +218,8 @@ class ElasticCoordinator:
             minibatches_completed=kept,
             minibatches_resumed=resumed_count,
             recovery_total_seconds=recovery_total,
-            oracle_seconds=oracle_seconds,
+            oracle_seconds=oracle.sim.total_time,
             minibatches_lost=lost,
-            service_cached=cached,
         )
         resumed.recovery = metrics
         return RecoveryReport(
@@ -243,8 +227,8 @@ class ElasticCoordinator:
             faulted=faulted,
             resumed=resumed,
             oracle=oracle,
-            old_stages=old_stages,
-            new_stages=new_stages,
+            old_stages=list(healthy.stages),
+            new_stages=list(recovery.stages),
         )
 
 

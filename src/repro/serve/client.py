@@ -1,12 +1,11 @@
-"""Planner clients: in-process and HTTP, with one shared surface.
+"""The HTTP planner client.
 
-``PlannerClient`` wraps a :class:`~repro.serve.service.PlannerService`
-directly (no sockets — embedders and the sweep harness use this);
-``HTTPPlannerClient`` speaks the JSON API of
-:mod:`repro.serve.server` over one persistent ``http.client``
-connection.  Both expose ``plan`` /
-``simulate`` / ``sweep`` / ``batch`` / ``stats`` with identical payloads,
-so code written against one runs against the other.
+``HTTPPlannerClient`` speaks the JSON API of :mod:`repro.serve.server`
+over one persistent ``http.client`` connection.  Its ``plan`` /
+``simulate`` / ``sweep`` / ``batch`` / ``stats`` take and return the
+payloads of the :class:`~repro.serve.service.PlannerService` methods of
+the same names, so code written against an in-process service runs
+against a server.
 """
 
 from __future__ import annotations
@@ -17,29 +16,7 @@ import threading
 import urllib.parse
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.serve.service import PlannerService, RequestError
-
-
-class PlannerClient:
-    """In-process client: method calls straight into the service."""
-
-    def __init__(self, service: Optional[PlannerService] = None):
-        self.service = service or PlannerService()
-
-    def plan(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self.service.plan(request)
-
-    def simulate(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self.service.simulate(request)
-
-    def sweep(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self.service.sweep(request)
-
-    def batch(self, requests: Sequence[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        return self.service.batch(list(requests))
-
-    def stats(self) -> Dict[str, Any]:
-        return self.service.stats()
+from repro.serve.service import RequestError
 
 
 class HTTPPlannerClient:

@@ -18,8 +18,8 @@ answer is bitwise identical to a cold :meth:`PipeDreamOptimizer.solve`):
    Identical misses in flight at once are answered by one solve.
 2. **Warm-started solves** — cache misses solve with a
    :class:`~repro.core.partition.SolverContext` drawn from a per-profile
-   pool, reusing level tables, bound matrices, comm tables, and suffix-DP
-   rows across queries that differ in worker count, cap, or options.
+   pool, reusing level tables, bound matrices and comm tables across
+   queries that differ in worker count, cap, or options.
 3. **Batched execution** — :meth:`PlannerService.batch` groups a mixed
    request list by profile digest so each group runs against hot solver
    and evaluator tables, then restores the caller's order.

@@ -70,12 +70,6 @@ class SimOptions:
     recompute_activations: bool = False  # GPipe's memory/compute trade
     microbatches_per_batch: int = 1  # for gpipe round bookkeeping
     worker_speed: Optional[Dict[int, float]] = None  # straggler modelling
-    #: When True, every worker has one half-duplex NIC per direction:
-    #: concurrent transfers sharing a source (or a destination) serialize
-    #: instead of using independent per-pair channels.  Models shared PCIe
-    #: and single-port Ethernet more faithfully; off by default so the
-    #: calibrated Figure 1 shapes stay put.
-    nic_contention: bool = False
     #: Deterministic fault injection (crash / straggler / bandwidth
     #: degradation at simulated timestamps).  None or an empty schedule
     #: leaves every code path — and hence the timeline — bitwise
@@ -217,9 +211,6 @@ class SimResult:
     def communication_overhead(self) -> float:
         """Fraction of worker time lost to stalls (Figure 1's metric)."""
         return 1.0 - self.average_utilization
-
-    def worker_timeline(self, worker: int) -> List[OpRecord]:
-        return [r for r in self.records if r.worker == worker]
 
 
 class _SimCore:
@@ -555,10 +546,6 @@ class _SimCore:
 
         # Channels by id: worker pair, clock, busy seconds, link level
         # (read only under faults); ``first_sent`` lists ids in send order.
-        nic_contention = self.options.nic_contention
-        paced = nic_contention or faults is not None
-        nic_send_free: Dict[int, float] = defaultdict(float)
-        nic_recv_free: Dict[int, float] = defaultdict(float)
         channel_of: Dict[Tuple[int, int], int] = {}
         pairs: List[Tuple[int, int]] = []
         channel_free: List[float] = []
@@ -814,17 +801,9 @@ class _SimCore:
                     else:
                         cf = channel_free[channel]
                         begin = end if end >= cf else cf
-                        if paced:
-                            src, dst = pairs[channel]
-                            if nic_contention:
-                                begin = max(begin, nic_send_free[src],
-                                            nic_recv_free[dst])
-                            if faults is not None:
-                                duration *= faults.bandwidth_factor(
-                                    src, dst, begin, level[channel])
-                            if nic_contention:
-                                nic_send_free[src] = begin + duration
-                                nic_recv_free[dst] = begin + duration
+                        if faults is not None:
+                            duration *= faults.bandwidth_factor(
+                                *pairs[channel], begin, level[channel])
                         cb = channel_busy[channel]
                         if not cb:
                             first_sent.append(channel)

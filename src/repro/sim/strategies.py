@@ -42,13 +42,13 @@ from repro.sim.memory import data_parallel_memory_footprint, pipeline_memory_foo
 class RecoveryMetrics:
     """What one crash/re-plan/resume cycle cost (vs a fault-free oracle).
 
-    Every field but ``replan_wall_seconds`` and ``service_cached`` reads
-    the simulated clock only: the fault timeline, detection and the
-    resumed execution, so ``recovery_total_seconds`` (the crash-free
-    prefix, the detection downtime and the resumed run) and
-    ``minibatches_lost`` reproduce bitwise from run to run.  The re-plan
-    runs on the host; its wall clock is reported in
-    ``replan_wall_seconds`` beside them and charged to no simulated field.
+    Every field but ``replan_wall_seconds`` reads the simulated clock
+    only: the fault timeline, detection and the resumed execution, so
+    ``recovery_total_seconds`` (the crash-free prefix, the detection
+    downtime and the resumed run) and ``minibatches_lost`` reproduce
+    bitwise from run to run.  The re-plan runs on the host; its wall
+    clock is reported in ``replan_wall_seconds`` beside them and charged
+    to no simulated field.
     """
 
     fault_time: float  # sim seconds: when the worker crashed
@@ -62,7 +62,6 @@ class RecoveryMetrics:
     recovery_total_seconds: float  # sim: crash-free prefix + detection + resumed run
     oracle_seconds: float  # sim: fault-free run of the same workload
     minibatches_lost: float  # extra time, in units of oracle minibatches
-    service_cached: bool = False  # re-plan answered from the planner cache
 
 
 @dataclass
@@ -176,15 +175,15 @@ def simulate_gpipe(
     stages: Optional[Sequence[Stage]] = None,
     num_batches: int = 8,
     num_microbatches: int = 4,
-    recompute: bool = True,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
 ) -> StrategyResult:
     """GPipe-style inter-batch pipelining with flushes (§2.2, Figure 3).
 
     The minibatch is split into microbatches whose compute/communication
-    scale down proportionally; activation recomputation (GPipe's default)
-    adds a forward's worth of compute to every backward.
+    scale down proportionally; GPipe recomputes activations: every
+    backward pays a forward's worth of compute, and the footprint counts
+    one microbatch in flight per stage.
     """
     _check_run_lengths(num_batches=num_batches,
                        num_microbatches=num_microbatches)
@@ -200,7 +199,7 @@ def simulate_gpipe(
     )
     options = SimOptions(
         sync_mode="gpipe",
-        recompute_activations=recompute,
+        recompute_activations=True,
         microbatches_per_batch=num_microbatches,
         faults=faults,
         bucket_bytes=bucket_bytes,
@@ -214,7 +213,6 @@ def simulate_gpipe(
     )
     # Throughput in *minibatches* (not microbatches) per second.
     throughput = sim.steady_state_throughput / num_microbatches
-    in_flight = [num_microbatches if not recompute else 1] * len(stages)
     return StrategyResult(
         strategy="gpipe",
         config=f"straight-m{num_microbatches}",
@@ -223,7 +221,8 @@ def simulate_gpipe(
         epoch_time=sim.total_time,
         communication_overhead=sim.communication_overhead,
         bytes_per_sample=total_bytes / samples,
-        memory_per_worker=pipeline_memory_footprint(micro_profile, stages, in_flight=in_flight),
+        memory_per_worker=pipeline_memory_footprint(
+            micro_profile, stages, in_flight=[1] * len(stages)),
         sim=sim,
         samples_per_minibatch=profile.batch_size,
         stages=list(stages),
@@ -236,7 +235,6 @@ def simulate_partition(
     stages: Sequence[Stage],
     num_minibatches: int = 16,
     noam: Optional[int] = None,
-    strategy_name: str = "pipedream",
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
     schedule_family: str = "1f1b",
@@ -257,7 +255,7 @@ def simulate_partition(
     samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, stages) * num_minibatches
     return StrategyResult(
-        strategy=strategy_name,
+        strategy="pipedream",
         config=plan_config(stages),
         num_workers=sum(s.replicas * s.tp_degree for s in stages),
         throughput=sim.steady_state_throughput,
@@ -280,36 +278,22 @@ def simulate_plan(
 ) -> StrategyResult:
     """Simulate a solved plan for ``sim.minibatches`` minibatches.
 
-    When the optimizer picked vanilla data parallelism (ResNet-50's case
-    in Table 1) the DP simulation (BSP semantics) runs under the
-    pipedream name; it has no pipeline bubbles to fill and ignores
-    ``sim.schedule_family``.  ``bucket_bytes`` is the planned spec's: it
-    also prices the simulated weight sync.
+    When the optimizer picked vanilla data parallelism (a single stage
+    replicated over every worker of ``topology``, ResNet-50's case in
+    Table 1) the DP simulation (BSP semantics) runs under the pipedream
+    name; it has no pipeline bubbles to fill and ignores
+    ``sim.schedule_family``.  Anything else is the 1F1B-RR pipeline of
+    :func:`simulate_partition`.  ``bucket_bytes`` is the planned spec's:
+    it also prices the simulated weight sync.
     """
-    return _simulate_stages(profile, topology, plan.stages, sim, plan.noam,
-                            bucket_bytes)
-
-
-def _simulate_stages(
-    profile: ModelProfile,
-    topology: Topology,
-    stages: Sequence[Stage],
-    sim: SimSpec,
-    noam: Optional[int] = None,
-    bucket_bytes: Optional[float] = None,
-) -> StrategyResult:
-    """:func:`simulate_plan`'s rule on a bare stage list (the elastic
-    loop's plans arrive as one): a single stage replicated over every
-    worker of ``topology`` is data parallelism and runs under BSP;
-    anything else is the 1F1B-RR pipeline of :func:`simulate_partition`.
-    """
+    stages = plan.stages
     if len(stages) == 1 and stages[0].replicas == topology.total_workers:
         result = simulate_data_parallel(
             profile, topology, sim.minibatches, faults=sim.faults,
             bucket_bytes=bucket_bytes)
         return replace(result, strategy="pipedream")
     return simulate_partition(
-        profile, topology, stages, sim.minibatches, noam,
+        profile, topology, stages, sim.minibatches, plan.noam,
         faults=sim.faults, bucket_bytes=bucket_bytes,
         schedule_family=sim.schedule_family)
 

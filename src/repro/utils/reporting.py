@@ -22,7 +22,7 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence]) -> str:
     return "\n".join(out)
 
 
-def format_timeline(sim: SimResult, time_unit: float = 1.0, width: int = 78) -> str:
+def format_timeline(sim: SimResult, width: int = 78) -> str:
     """ASCII Gantt chart of a simulated run (Figures 2/3/4/8 visuals).
 
     Each worker is one row.  An op's first slot prints its minibatch id

@@ -145,7 +145,6 @@ def gpipe_schedule(
     stages = [Stage(b[0], b[1], 1) for b in layer_bounds]
     stage_workers = _assign_workers(stages)
     worker_ops: Dict[int, List[Op]] = {stage_workers[s][0]: [] for s in range(num_stages)}
-    flush_after: List[int] = []
     for batch in range(num_batches):
         base = batch * num_microbatches
         for s in range(num_stages):
@@ -157,14 +156,12 @@ def gpipe_schedule(
             for micro in reversed(range(num_microbatches)):
                 ops.append(Op(OpKind.BACKWARD, s, base + micro))
             ops.append(Op(OpKind.UPDATE, s, base + num_microbatches - 1))
-        flush_after.append(base + num_microbatches - 1)
     return Schedule(
         stages=stages,
         num_minibatches=num_batches * num_microbatches,
         worker_ops=worker_ops,
         stage_workers=stage_workers,
         noam=num_microbatches,
-        flush_after=flush_after,
     )
 
 
@@ -208,6 +205,5 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
         worker_ops=worker_ops,
         stage_workers={s: list(w) for s, w in schedule.stage_workers.items()},
         noam=schedule.noam,
-        flush_after=list(schedule.flush_after),
         backward_split=True,
     )

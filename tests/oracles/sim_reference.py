@@ -9,7 +9,7 @@ flat ``dep`` layout and the per-stage sync clocks; readiness
 (:func:`ready_time`), the op commit (:func:`execute`), the round commit
 (:func:`commit_update`) and point-to-point transfers (:func:`send`) are
 written here, independently of the engine's inlined loop, over the
-oracle's own channel, NIC, compute and round dicts (:class:`Run`), and call
+oracle's own channel, compute and round dicts (:class:`Run`), and call
 the one fault arithmetic (``FaultSchedule.compute_end`` /
 ``bandwidth_factor``) on their own.  It never asks ``_SimCore`` to
 collapse interchangeable BSP ranks into one row, so it checks the
@@ -40,8 +40,6 @@ class Run:
         self.core = core
         self.channel_free = defaultdict(float)  # (src, dst) -> clock
         self.channel_busy = defaultdict(float)
-        self.nic_send_free = defaultdict(float)  # worker -> clock
-        self.nic_recv_free = defaultdict(float)
         self.compute_time = defaultdict(float)  # rank -> seconds
         self.bwd_start = {}  # (rank, s, b) -> backward start
         self.round_backwards = defaultdict(list)  # (s, round) -> [(st, en)]
@@ -89,16 +87,10 @@ def send(run: Run, src: int, dst: int, num_bytes: float,
     link = (src, dst)
     duration = num_bytes / core.placement.link_bandwidth(src, dst)
     begin = max(ready, run.channel_free[link])
-    nic = core.options.nic_contention
-    if nic:
-        begin = max(begin, run.nic_send_free[src], run.nic_recv_free[dst])
     if core.faults is not None:
         duration *= core.faults.bandwidth_factor(
             src, dst, begin, core.placement.link_level(src, dst))
     done = begin + duration
-    if nic:
-        run.nic_send_free[src] = done
-        run.nic_recv_free[dst] = done
     run.channel_free[link] = done
     run.channel_busy[link] += duration
     core.dep[slot] = done

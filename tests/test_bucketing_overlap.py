@@ -252,10 +252,9 @@ BUCKETED_SCENARIOS = {
         gpipe_schedule(4, 3, 4), VGG, make_cluster("t4", 4, 1, 1e9, 1e9),
         SimOptions(sync_mode="gpipe", microbatches_per_batch=4,
                    bucket_bytes=bb)),
-    "bsp_straggler_nic": lambda bb: (
+    "bsp_straggler": lambda bb: (
         data_parallel_schedule(4, 8, num_layers=len(VGG)), VGG, TOPO_A4,
-        SimOptions(sync_mode="bsp", worker_speed={1: 0.6},
-                   nic_contention=True, bucket_bytes=bb)),
+        SimOptions(sync_mode="bsp", worker_speed={1: 0.6}, bucket_bytes=bb)),
 }
 
 
@@ -290,16 +289,15 @@ class TestBucketedEngineTwins:
             assert 0.0 <= exposed <= sim.sync_busy[s] + 1e-12
 
 
-class TestSendUnderContentionAndFaults:
-    """Satellite: ``_send`` with nic_contention and an active bandwidth
-    degradation window at once — the factor applies to the contended
-    begin time, and both engines agree bitwise."""
+class TestSendUnderFaults:
+    """A send under an active bandwidth degradation window: the factor
+    applies at the transfer's begin time, and both engines agree
+    bitwise."""
 
     def _run(self, faults, engine):
         stages = [Stage(0, 7, 1), Stage(7, 14, 1), Stage(14, len(VGG), 2)]
         sched = one_f_one_b_rr_schedule(stages, 10)
-        options = SimOptions(sync_mode="pipedream", nic_contention=True,
-                             faults=faults)
+        options = SimOptions(sync_mode="pipedream", faults=faults)
         return ENGINES[engine](sched, VGG, TOPO_A4, options)
 
     def test_engines_agree_and_fault_slows_transfers(self):

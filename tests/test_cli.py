@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -214,6 +215,35 @@ class TestSimulate:
         assert "nan" not in capsys.readouterr().out
 
 
+CRASH_RUN = ["simulate", "vgg16", "--servers", "2", "--minibatches", "32",
+             "--faults", "crash@0.5:w5"]
+
+
+def _rows(out: str) -> dict:
+    """A printed two-column table as {name: value}."""
+    rows = (re.split(r"\s{2,}", line.strip()) for line in out.splitlines())
+    return {row[0]: row[1] for row in rows if len(row) == 2}
+
+
+class TestCrashRecovery:
+    def test_recovery_honours_the_memory_cap(self, capsys):
+        """The 4 survivors' uncapped plan, 3-1, needs 7.34 GB per worker;
+        the resumed run must fit the 3 GB cap."""
+        assert main(CRASH_RUN + ["--memory-limit-bytes", "3e9"]) == 0
+        rows = _rows(capsys.readouterr().out)
+        assert rows["surviving workers"] == "4"
+        peak = float(rows["peak worker memory"].removesuffix(" GB"))
+        assert peak <= 3.0
+
+    def test_recovery_runs_the_schedule_family(self, capsys):
+        assert main(CRASH_RUN) == 0
+        one_f_one_b = _rows(capsys.readouterr().out)
+        assert main(CRASH_RUN + ["--schedule-family", "2bp"]) == 0
+        two_bp = _rows(capsys.readouterr().out)
+        assert (two_bp["recovery total (sim s)"]
+                != one_f_one_b["recovery total (sim s)"])
+
+
 class TestSweep:
     def test_cells_that_cannot_plan_exit_2(self, capsys):
         """An infeasible cap is a usage error naming each failed cell,
@@ -319,6 +349,12 @@ HOSTILE_ARGV = [
      "argument --trace: cannot write '.': it is a directory"),
     (["simulate", "vgg16", "--memory-limit-bytes", "1000"],
      "memory_limit_bytes=1000"),
+    # A cap the healthy cluster meets and its survivors cannot.
+    (CRASH_RUN + ["--memory-limit-bytes", "2.5e9"],
+     "re-plan on 4 surviving workers after the crash at t=0.5 failed: "
+     "no feasible partition found"),
+    (CRASH_RUN + ["--strategy", "dp"],
+     "crash recovery re-plans the pipedream strategy only, not 'dp'"),
 ]
 
 

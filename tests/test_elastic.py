@@ -3,22 +3,27 @@
 Locks the recovery invariants:
 
 - a warm-started re-plan on the degraded topology is bitwise-equal to a
-  cold :class:`PipeDreamOptimizer` solve (warmth buys time, never a
-  different plan), including through the :class:`PlannerService` path
-  (which additionally answers repeat recoveries from its plan cache);
+  cold :class:`PipeDreamOptimizer` solve under the same
+  :class:`PlanSpec` (warmth buys time, never a different plan);
 - :func:`run_with_recovery` is deterministic in every simulated-time
   field, ``recovery_total_seconds`` and ``minibatches_lost`` included
   (the re-plan's wall clock is reported beside them, never added);
+- every run of the cycle is the scenario's: the oracle is the fault-free
+  :func:`simulate_strategy` run of the same ``PlanSpec`` x ``SimSpec``,
+  and the recovery plan honours the plan's memory cap;
 - remapping per-stage checkpoints onto a different partition preserves
   every parameter bitwise, and training resumed through the remap path
   is bitwise-equal to a fresh run started on the surviving partition
   from the same weights.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.core.partition import PipeDreamOptimizer, SolverContext, Stage
+from repro.core.schedule import OpKind
 from repro.core.spec import PlanSpec, SimSpec
 from repro.core.topology import cluster_a
 from repro.nn import CrossEntropyLoss
@@ -33,8 +38,8 @@ from repro.runtime import (
     surviving_worker_count,
 )
 from repro.runtime.elastic import consolidated_layer_states, stage_states_for
-from repro.serve import PlannerService
 from repro.sim.faults import FaultEvent, FaultSchedule
+from repro.sim.memory import pipeline_memory_footprint
 from repro.sim.strategies import simulate_strategy
 
 from tests.test_property_runtime import make_model, make_task
@@ -43,6 +48,12 @@ VGG = analytic_profile("vgg16")
 TOPO_A = cluster_a(4)
 LOSS = CrossEntropyLoss()
 CRASH = FaultSchedule([FaultEvent("crash", 0.5, 5)])
+
+
+def crash_run(minibatches, faults=CRASH, **sim):
+    """The pipedream run of ``minibatches`` that ``faults`` interrupts."""
+    return SimSpec(minibatches=minibatches, faults=faults, **sim)
+
 
 OLD_STAGES = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 3, 1)]
 NEW_STAGES = [Stage(0, 2, 1), Stage(2, 3, 1)]
@@ -97,35 +108,22 @@ class TestWarmReplan:
     def test_coordinator_replan_matches_cold(self):
         coordinator = ElasticCoordinator(VGG, TOPO_A)
         coordinator.optimizer.solve()
-        stages, seconds, cached = coordinator.replan(12)
+        plan, seconds = coordinator.replan(12)
         cold = PipeDreamOptimizer(VGG, TOPO_A).solve(12)
-        assert stages == list(cold.stages)
-        assert seconds >= 0.0 and cached is False
+        assert plan.stages == cold.stages
+        assert seconds >= 0.0
 
-    def test_service_replan_matches_direct(self):
-        direct = ElasticCoordinator(VGG, TOPO_A)
-        served = ElasticCoordinator(VGG, TOPO_A, service=PlannerService())
-        stages_a, _, cached_a = direct.replan(12)
-        stages_b, _, cached_b = served.replan(12)
-        assert stages_a == stages_b
-        assert cached_a is False and cached_b is False
-        # Repeat recovery on the same degraded shape: cache answers.
-        stages_c, _, cached_c = served.replan(12)
-        assert stages_c == stages_b and cached_c is True
-
-    def test_service_replan_keeps_the_optimizer_spec(self):
-        # allow_replication=False must reach the service: without it the
-        # served plan replicates ([0,12)x3, [12,21)x1) where the direct
-        # path gives a straight 4-stage pipeline.
+    def test_replan_keeps_the_plan_spec(self):
+        # allow_replication=False must reach the re-plan: without it the
+        # plan replicates ([0,12)x3, [12,21)x1) where the spec asks for a
+        # straight 4-stage pipeline.
         topology = cluster_a(2)
-        direct = ElasticCoordinator(VGG, topology, allow_replication=False)
-        served = ElasticCoordinator(VGG, topology, allow_replication=False,
-                                    service=PlannerService())
-        stages_a, _, _ = direct.replan(4)
-        stages_b, _, _ = served.replan(4)
-        assert stages_a == stages_b
-        assert len(stages_a) == 4
-        assert all(stage.replicas == 1 for stage in stages_a)
+        spec = PlanSpec(allow_replication=False)
+        plan, _ = ElasticCoordinator(VGG, topology, spec).replan(4)
+        cold = PipeDreamOptimizer(VGG, topology, **spec.options()).solve(4)
+        assert plan.stages == cold.stages
+        assert len(plan.stages) == 4
+        assert all(stage.replicas == 1 for stage in plan.stages)
 
 
 # ----------------------------------------------------------------------
@@ -148,13 +146,15 @@ def sim_side(report):
 class TestRunWithRecovery:
     @pytest.fixture(scope="class")
     def report(self):
-        return ElasticCoordinator(VGG, TOPO_A).run_with_recovery(32, CRASH)
+        return ElasticCoordinator(VGG, TOPO_A).run_with_recovery(
+            crash_run(32))
 
     def test_requires_a_crash(self):
         no_crash = FaultSchedule([
             FaultEvent("straggler", 0.1, 2, duration=0.2, factor=2.0)])
-        with pytest.raises(ValueError):
-            ElasticCoordinator(VGG, TOPO_A).run_with_recovery(8, no_crash)
+        for sim in (crash_run(8, no_crash), SimSpec(minibatches=8)):
+            with pytest.raises(ValueError, match="no crash to recover"):
+                ElasticCoordinator(VGG, TOPO_A).run_with_recovery(sim)
 
     def test_detection_follows_heartbeat(self, report):
         m = report.metrics
@@ -177,12 +177,13 @@ class TestRunWithRecovery:
         """Fresh coordinators reproduce every simulated-time field,
         the recovery bill included; only ``replan_wall_seconds`` reads the
         host clock."""
-        again = ElasticCoordinator(VGG, TOPO_A).run_with_recovery(32, CRASH)
+        again = ElasticCoordinator(VGG, TOPO_A).run_with_recovery(
+            crash_run(32))
         assert sim_side(again) == sim_side(report)
 
     def test_checkpoint_cadence_coarsens_resume(self, report):
         sparse = ElasticCoordinator(VGG, TOPO_A).run_with_recovery(
-            32, CRASH, checkpoint_every=8)
+            crash_run(32), checkpoint_every=8)
         m, s = report.metrics, sparse.metrics
         assert s.minibatches_completed % 8 == 0
         assert s.minibatches_completed <= m.minibatches_completed
@@ -206,7 +207,7 @@ class TestRunWithRecovery:
         crash = FaultSchedule([FaultEvent(
             "crash", 0.5 * max(served.sim.minibatch_done.values()), 5)])
         report = ElasticCoordinator(profile, TOPO_A).run_with_recovery(
-            minibatches, crash)
+            crash_run(minibatches, crash))
         assert report.oracle.sim.records == served.sim.records
         assert report.oracle.samples_per_second == served.samples_per_second
         assert report.resumed.config == "12"
@@ -217,14 +218,71 @@ class TestRunWithRecovery:
         assert (report.resumed.samples_per_second
                 < report.oracle.samples_per_second)
 
-    def test_service_backed_recovery_hits_cache(self):
-        coordinator = ElasticCoordinator(VGG, TOPO_A, service=PlannerService())
-        first = coordinator.run_with_recovery(16, CRASH)
-        second = coordinator.run_with_recovery(16, CRASH)
-        assert first.metrics.service_cached is False
-        assert second.metrics.service_cached is True
-        assert second.new_stages == first.new_stages
-        assert sim_side(second) == sim_side(first)
+
+
+# ----------------------------------------------------------------------
+# The scenario: every run of the cycle reads PlanSpec x SimSpec
+# ----------------------------------------------------------------------
+
+CAP = 3e9
+TOPO_A2 = cluster_a(2)
+
+
+class TestScenario:
+    @pytest.mark.parametrize("plan, sim", [
+        (PlanSpec(memory_limit_bytes=CAP), crash_run(32)),
+        (PlanSpec(), crash_run(32, schedule_family="2bp")),
+    ], ids=["capped", "2bp"])
+    def test_oracle_is_the_scenarios_fault_free_run(self, plan, sim):
+        report = ElasticCoordinator(VGG, TOPO_A2, plan).run_with_recovery(
+            sim)
+        served = simulate_strategy(VGG, TOPO_A2, replace(sim, faults=None),
+                                   plan)
+        assert report.oracle == served
+        assert report.oracle.sim.records == served.sim.records
+
+    def test_recovery_plan_fits_the_cap(self):
+        """The healthy 8-worker plan fits 3 GB; the 4 survivors' plan must
+        too (without the cap it needs 7.34 GB per worker)."""
+        report = ElasticCoordinator(
+            VGG, TOPO_A2, PlanSpec(memory_limit_bytes=CAP)).run_with_recovery(
+                crash_run(32))
+        assert report.metrics.surviving_workers == 4
+        for stages in (report.old_stages, report.new_stages):
+            assert max(pipeline_memory_footprint(VGG, stages)) <= CAP
+        assert max(report.resumed.memory_per_worker) <= CAP
+
+    def test_schedule_family_reaches_every_run(self):
+        report = ElasticCoordinator(VGG, TOPO_A2).run_with_recovery(
+            crash_run(32, schedule_family="2bp"))
+        for run in (report.oracle, report.faulted, report.resumed):
+            assert any(r.op.kind is OpKind.BACKWARD_W
+                       for r in run.sim.records)
+
+    def test_replan_failure_names_the_survivors(self):
+        """2.5 GB fits the healthy 8 workers but no plan on 4 survivors."""
+        coordinator = ElasticCoordinator(
+            VGG, TOPO_A2, PlanSpec(memory_limit_bytes=2.5e9))
+        coordinator.optimizer.solve()  # the healthy plan fits
+        with pytest.raises(RuntimeError, match=(
+                r"re-plan on 4 surviving workers after the crash at t=0\.5 "
+                r"failed: no feasible partition found")):
+            coordinator.run_with_recovery(crash_run(32))
+
+    @pytest.mark.parametrize("strategy", ["dp", "mp", "gpipe"])
+    def test_other_strategies_are_refused(self, strategy):
+        with pytest.raises(ValueError, match=(
+                "crash recovery re-plans the pipedream strategy only, not "
+                f"'{strategy}'")):
+            ElasticCoordinator(VGG, TOPO_A2).run_with_recovery(
+                crash_run(8, strategy=strategy))
+
+    def test_check_scenario_runs_first(self):
+        with pytest.raises(ValueError, match="memory_limit_bytes applies to "
+                           "the pipedream strategy only"):
+            ElasticCoordinator(
+                VGG, TOPO_A2, PlanSpec(memory_limit_bytes=CAP)
+            ).run_with_recovery(crash_run(8, strategy="dp"))
 
 
 # ----------------------------------------------------------------------

@@ -23,6 +23,7 @@ import pytest
 from repro.core.partition import Stage
 from repro.profiler import analytic_profile
 from repro.core.schedule import one_f_one_b_rr_schedule
+from repro.core.spec import SimSpec
 from repro.core.topology import cluster_a
 from repro.runtime.elastic import ElasticCoordinator
 from repro.sim.executor import SimOptions, simulate
@@ -248,8 +249,8 @@ class TestFaultsFitTheTopology:
 
     def test_elastic_loop_inherits_the_check(self):
         with pytest.raises(ValueError, match="worker 99"):
-            ElasticCoordinator(VGG, self.TOPO).run_with_recovery(
-                8, parse_faults("crash@0.05:w99"))
+            ElasticCoordinator(VGG, self.TOPO).run_with_recovery(SimSpec(
+                minibatches=8, faults=parse_faults("crash@0.05:w99")))
 
 
 # ----------------------------------------------------------------------

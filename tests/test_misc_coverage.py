@@ -58,15 +58,6 @@ class TestScheduleMisc:
 
 
 class TestSimMisc:
-    def test_worker_timeline_filters(self):
-        layers = [LayerProfile(f"l{i}", 3.0, 0, 0) for i in range(2)]
-        profile = ModelProfile("m", layers, batch_size=1)
-        topo = make_cluster("t", 2, 1, 1e9, 1e9)
-        sim = simulate(one_f_one_b_schedule(2, 4), profile, topo)
-        timeline = sim.worker_timeline(1)
-        assert timeline
-        assert all(r.worker == 1 for r in timeline)
-
     def test_throughput_property(self):
         layers = [LayerProfile("l", 3.0, 0, 0)]
         profile = ModelProfile("m", layers, batch_size=1)

@@ -138,7 +138,11 @@ class TestOneFOneBRR:
 class TestGPipe:
     def test_flush_boundaries(self):
         sched = gpipe_schedule(3, num_batches=2, num_microbatches=4)
-        assert sched.flush_after == [3, 7]
+        # Every stage flushes with one UPDATE after each batch's last
+        # microbatch.
+        for ops in sched.worker_ops.values():
+            assert [o.minibatch for o in ops
+                    if o.kind == OpKind.UPDATE] == [3, 7]
         validate_schedule(sched)
 
     def test_forwards_before_backwards_within_batch(self):

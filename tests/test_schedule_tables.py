@@ -26,7 +26,6 @@ def assert_same_schedule(got: Schedule, want: Schedule) -> None:
     assert got.stages == want.stages
     assert got.num_minibatches == want.num_minibatches
     assert got.noam == want.noam
-    assert got.flush_after == want.flush_after
     assert got.backward_split == want.backward_split
     assert got.num_workers == want.num_workers
 

@@ -6,7 +6,7 @@ Three properties carry the subsystem:
    requests share one cache key; junk fields are rejected, not ignored.
 2. *Value transparency* — a served answer (cache hit, warm start, batch
    slot) is bitwise-equal to a cold :meth:`PipeDreamOptimizer.solve`.
-3. *Transport equivalence* — the HTTP client and the in-process client
+3. *Transport equivalence* — the HTTP client and the in-process service
    return identical payloads, and errors map to the same exception type.
 """
 
@@ -32,7 +32,6 @@ from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 from repro.serve import (
     HTTPPlannerClient,
-    PlannerClient,
     PlannerService,
     RequestError,
     RequestTooLarge,
@@ -352,7 +351,7 @@ class TestHTTPTransport:
         service = PlannerService()
         with ServerThread(service) as url:
             http = HTTPPlannerClient(url)
-            yield http, PlannerClient(service)
+            yield http, service
             http.close()
 
     def test_healthz(self, server):

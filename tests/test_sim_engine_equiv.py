@@ -6,7 +6,7 @@ wakeup lists) and asserts bitwise-identical results: the full OpRecord timeline,
 aggregate busy/sync accounting (exposed sync included), the per-minibatch
 completion times, and the crash halt instant.  ``tests/test_faults.py``
 re-runs every scenario here under seeded faults.
-The hypothesis case fuzzes profiles, stragglers, and NIC contention on
+The hypothesis cases fuzz profiles and stragglers on
 top of the hand-picked regressions.  ``DP_SCENARIOS`` holds the engine's
 one-row fast path for interchangeable BSP ranks to the oracle, which
 always runs every rank, and pins which cases take it.
@@ -87,13 +87,9 @@ SCENARIOS = {
     "straggler_1f1b": lambda: (
         one_f_one_b_rr_schedule(STAGES_16, 32), VGG, TOPO_A,
         SimOptions(worker_speed={3: 0.5, 7: 2.0})),
-    "nic_contention_1f1b": lambda: (
-        one_f_one_b_rr_schedule(STAGES_16, 32), VGG, TOPO_A,
-        SimOptions(nic_contention=True)),
     "bsp_straggler_nic_cluster_b": lambda: (
         data_parallel_schedule(8, 16, num_layers=len(VGG)), VGG, cluster_b(1),
-        SimOptions(sync_mode="bsp", worker_speed={0: 0.7},
-                   nic_contention=True)),
+        SimOptions(sync_mode="bsp", worker_speed={0: 0.7})),
     # BSP round commits bump every sibling's worker_free at once — the
     # event engine's dirty-marking path.  Stragglers desynchronize the
     # round members so the bumps actually move queued ready times.
@@ -112,7 +108,7 @@ SCENARIOS = {
     "asp_dp_single_stage_rr_stragglers": lambda: (
         one_f_one_b_rr_schedule([Stage(0, len(VGG), 8)], 40), VGG,
         cluster_b(1),
-        SimOptions(worker_speed={2: 0.4, 6: 2.5}, nic_contention=True)),
+        SimOptions(worker_speed={2: 0.4, 6: 2.5})),
     # ASP over a *data-parallel* schedule with enough minibatches that the
     # pipedream rnd-2 backward gate is live (rnd reaches 4): every replica
     # runs every minibatch, so each round holds replicas x per-sweep
@@ -123,13 +119,12 @@ SCENARIOS = {
     "asp_dp_rounds_stragglers": lambda: (
         data_parallel_schedule(8, 40, num_layers=len(VGG)), VGG,
         cluster_b(1),
-        SimOptions(worker_speed={1: 0.45, 5: 2.3}, nic_contention=True)),
+        SimOptions(worker_speed={1: 0.45, 5: 2.3})),
     # Replicated-stage 1F1B-RR under stragglers: weight syncs on both
     # 8-replica groups interleave with the pipeline's P2P transfers.
     "rr_8_8_stragglers_nic": lambda: (
         one_f_one_b_rr_schedule([Stage(0, 10, 8), Stage(10, len(VGG), 8)], 48),
-        VGG, TOPO_A,
-        SimOptions(worker_speed={1: 0.6, 9: 1.9}, nic_contention=True)),
+        VGG, TOPO_A, SimOptions(worker_speed={1: 0.6, 9: 1.9})),
     # Gradient bucketing on both replicated groups: per-bucket collectives
     # fire mid-backward while stragglers skew the round members.
     "bucketed_rr_8_8_stragglers": lambda: (
@@ -203,10 +198,9 @@ def _halted_bucketed_rr():
 LOOP_STATE_SCENARIOS = {
     "one_worker_two_stages": lambda: (
         _one_worker_two_stages(6), UNEVEN, UNEVEN_TOPO, None),
-    "one_worker_two_stages_nic_bw_fault": lambda: (
+    "one_worker_two_stages_bw_fault": lambda: (
         _one_worker_two_stages(6), UNEVEN, UNEVEN_TOPO,
-        SimOptions(nic_contention=True,
-                   faults=parse_faults("bw@5:x3.0:d20", num_workers=4))),
+        SimOptions(faults=parse_faults("bw@5:x3.0:d20", num_workers=4))),
     "update_first_row": lambda: (
         _update_first_row(4), UNEVEN, UNEVEN_TOPO, None),
     "halted_bucketed_rr_8_8": _halted_bucketed_rr,
@@ -242,17 +236,14 @@ class TestEngineMatchesReferenceFuzzed:
         weights=st.integers(0, 500),
         minibatches=st.integers(1, 12),
         straggler=st.floats(0.25, 4.0, allow_nan=False),
-        nic=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_1f1b_fuzz(self, compute, act, weights, minibatches, straggler,
-                       nic):
+    def test_1f1b_fuzz(self, compute, act, weights, minibatches, straggler):
         layers = [LayerProfile(f"l{i}", c, act, weights)
                   for i, c in enumerate(compute)]
         profile = ModelProfile("fuzz", layers, batch_size=1)
         topo = make_cluster("t4", 4, 1, 50.0, 50.0)
-        options = SimOptions(worker_speed={1: straggler},
-                             nic_contention=nic)
+        options = SimOptions(worker_speed={1: straggler})
         assert_engines_identical(
             one_f_one_b_schedule(4, minibatches), profile, topo, options)
 
@@ -279,11 +270,9 @@ class TestEngineMatchesReferenceFuzzed:
         minibatches=st.integers(2, 16),
         speeds=st.lists(st.floats(0.25, 4.0, allow_nan=False), min_size=8,
                         max_size=8),
-        nic=st.booleans(),
     )
     @settings(max_examples=25, deadline=None)
-    def test_bsp_straggler_fuzz(self, compute, weights, minibatches, speeds,
-                                nic):
+    def test_bsp_straggler_fuzz(self, compute, weights, minibatches, speeds):
         """8-worker BSP with per-worker speeds: every round commit bumps
         seven siblings, so stale queued entries are the common case."""
         layers = [LayerProfile(f"l{i}", c, 0, weights)
@@ -291,8 +280,7 @@ class TestEngineMatchesReferenceFuzzed:
         profile = ModelProfile("fuzz", layers, batch_size=1)
         topo = make_cluster("t8", 4, 2, 25.0, 5.0)
         options = SimOptions(sync_mode="bsp",
-                             worker_speed=dict(enumerate(speeds)),
-                             nic_contention=nic)
+                             worker_speed=dict(enumerate(speeds)))
         assert_engines_identical(
             data_parallel_schedule(8, minibatches, num_layers=3), profile,
             topo, options)
@@ -551,9 +539,9 @@ TP_SCENARIOS = {
             [Stage(0, 8, 1, tp_degree=2), Stage(8, 14, 1, tp_degree=3),
              Stage(14, len(VGG), 1)], 24),
         VGG, make_cluster("t6", 3, 2, 10e9, 1e9), None),
-    "tp_stragglers_nic": lambda: (
+    "tp_stragglers": lambda: (
         one_f_one_b_rr_schedule(_tp_stages_vgg(), 32), VGG, HIER_TOPO,
-        SimOptions(worker_speed={1: 0.5, 6: 2.0}, nic_contention=True)),
+        SimOptions(worker_speed={1: 0.5, 6: 2.0})),
     # A bandwidth-fault window squeezes the links while tp collectives
     # and dp syncs are in flight.
     "tp_bandwidth_fault_window": lambda: (

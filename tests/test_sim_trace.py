@@ -98,51 +98,3 @@ class TestStragglers:
     def test_invalid_speed_rejected(self):
         with pytest.raises(ValueError):
             SimOptions(worker_speed={0: 0.0})
-
-
-class TestNicContention:
-    def _run(self, contention, minibatches=4):
-        """One producer fanning out to two consumers stresses its send NIC:
-        the warmup burst emits back-to-back activations to different
-        replicas, which overlap on independent channels but serialize on a
-        single NIC."""
-        from repro.core.partition import Stage
-        from repro.core.schedule import one_f_one_b_rr_schedule
-
-        layers = [LayerProfile("a", 3.0, 1000, 0), LayerProfile("b", 3.0, 10, 0)]
-        profile = ModelProfile("m", layers, batch_size=1)
-        stages = [Stage(0, 1, 1), Stage(1, 2, 2)]
-        schedule = one_f_one_b_rr_schedule(stages, minibatches)
-        topology = make_cluster("t", 3, 1, 100.0, 100.0)  # 10 s per transfer
-        return simulate(schedule, profile, topology,
-                        SimOptions(nic_contention=contention))
-
-    def test_contention_never_faster(self):
-        free = self._run(False)
-        contended = self._run(True)
-        assert contended.total_time >= free.total_time
-
-    def test_fanout_burst_serializes(self):
-        """The warmup burst's two transfers leave 10 s apart instead of
-        concurrently, delaying minibatch 1's first arrival by ~one transfer."""
-        free = self._run(False)
-        contended = self._run(True)
-        delay = contended.minibatch_done[1] - free.minibatch_done[1]
-        assert delay >= 6.0
-        assert contended.minibatch_done[2] - free.minibatch_done[2] >= 8.0
-
-    def test_straight_pipeline_unaffected(self):
-        """One flow per NIC direction: contention changes nothing."""
-        from repro.core.schedule import one_f_one_b_schedule
-
-        layers = [LayerProfile("a", 3.0, 1000, 0), LayerProfile("b", 3.0, 10, 0)]
-        profile = ModelProfile("m", layers, batch_size=1)
-        topology = make_cluster("t", 2, 1, 100.0, 100.0)
-        schedule = one_f_one_b_schedule(2, 6)
-        free = simulate(schedule, profile, topology, SimOptions())
-        contended = simulate(schedule, profile, topology,
-                             SimOptions(nic_contention=True))
-        assert contended.total_time == free.total_time
-
-    def test_default_off(self):
-        assert SimOptions().nic_contention is False

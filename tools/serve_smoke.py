@@ -31,7 +31,6 @@ sys.path.insert(0, str(ROOT / "src"))
 from repro.core.partition import PipeDreamOptimizer  # noqa: E402
 from repro.serve import (  # noqa: E402
     HTTPPlannerClient,
-    PlannerClient,
     PlannerService,
     RequestError,
     ServerThread,
@@ -115,7 +114,6 @@ def curl_paths(url: str) -> list:
 
 def main() -> int:
     service = PlannerService()
-    inproc = PlannerClient(service)
     with ServerThread(service) as url:
         http = HTTPPlannerClient(url)
         print(f"planner server up at {url}")
@@ -123,7 +121,7 @@ def main() -> int:
         check("healthz", http.healthy())
 
         served = http.plan(PLAN_REQUEST)
-        local = inproc.plan(PLAN_REQUEST)
+        local = service.plan(PLAN_REQUEST)
         check("plan: http == in-process",
               (served["stages"], served["slowest_stage_time"])
               == (local["stages"], local["slowest_stage_time"]))
