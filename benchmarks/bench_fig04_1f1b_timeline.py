@@ -13,7 +13,7 @@ import pytest
 from common import print_header, run_once
 
 from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.schedule import OpKind, one_f_one_b_schedule
+from repro.core.schedule import OpKind, one_f_one_b_schedule, warmup_count
 from repro.core.topology import make_cluster
 from repro.sim import simulate
 from repro.utils import format_timeline
@@ -31,7 +31,7 @@ def report(result) -> None:
     schedule, sim = result
     print_header("Figure 4 — PipeDream 1F1B, 4 workers, NOAM=4")
     print(format_timeline(sim, width=72))
-    print(f"\nNOAM: {schedule.noam}")
+    print(f"\nNOAM: {warmup_count(schedule.stages, 0)}")
     print(f"steady-state throughput: {sim.steady_state_throughput:.3f} "
           f"minibatches/s (per-stage time = 3s -> ideal 0.333)")
     print(f"average utilization: {sim.average_utilization:.1%}")
@@ -39,7 +39,7 @@ def report(result) -> None:
 
 def test_fig04_steady_state_full(benchmark):
     schedule, sim = run_once(benchmark, run)
-    assert schedule.noam == 4
+    assert warmup_count(schedule.stages, 0) == 4
     # Steady state: one minibatch per stage-time, no flushes.
     assert sim.steady_state_throughput == pytest.approx(1 / 3.0, rel=0.05)
     # Warmup pattern F F F F then alternation on the input stage.

@@ -85,8 +85,11 @@ class DeploymentPlan:
         return [a.worker for a in self.assignments if a.stage == stage]
 
     def schedule(self, num_minibatches: int) -> Schedule:
-        """Materialize the static 1F1B-RR schedule for this deployment."""
-        return one_f_one_b_rr_schedule(self.stages, num_minibatches, noam=self.noam)
+        """Materialize the static 1F1B-RR schedule for this deployment.
+
+        Its input stage admits :attr:`noam` minibatches: the builder
+        derives NOAM from the stages, so it is not passed."""
+        return one_f_one_b_rr_schedule(self.stages, num_minibatches)
 
     def describe(self) -> str:
         """Human-readable deployment summary; each stage's workers print as

@@ -6,12 +6,12 @@ without distributed coordination.  Ops reference (stage, minibatch) pairs;
 weight updates appear as explicit ops so both the real runtime and the
 performance simulator can interpret the same schedule.
 
-The builders emit a schedule as a :class:`ScheduleTable` — three parallel
-int columns (kind code, stage, minibatch) per worker, produced by slice
-arithmetic — which the simulator and the trainers read directly
-(:func:`lockstep_walk` drives a table in dependency order).
-:attr:`Schedule.worker_ops`, the per-worker :class:`Op` lists
-:func:`validate_schedule` reads, is built from the table on first access.
+A schedule is one :class:`ScheduleTable` — three parallel int columns
+(kind code, stage, minibatch) per worker, produced by slice arithmetic —
+which the simulator and the trainers read directly (:func:`lockstep_walk`
+drives a table in dependency order).  :attr:`Schedule.worker_ops`, the
+read-only per-worker :class:`Op` tuples :func:`validate_schedule` reads, is
+built from the table on each read.
 
 1F1B generation: the startup phase admits NOAM minibatches per input-stage
 replica, after which every worker strictly alternates between forward and
@@ -29,8 +29,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, repeat
-from operator import attrgetter
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterator, List, Mapping, NamedTuple, Optional,
+                    Sequence, Set, Tuple)
 
 from repro.core.partition import Stage
 
@@ -67,8 +68,6 @@ class Op:
 #: The op kind of each integer code in a :class:`ScheduleTable` kind column.
 OP_KINDS = (OpKind.FORWARD, OpKind.BACKWARD, OpKind.BACKWARD_W, OpKind.UPDATE)
 FWD, BWD, BWD_W, UPD = range(4)
-_CODE = {kind: code for code, kind in enumerate(OP_KINDS)}
-_op_fields = attrgetter("kind", "stage", "minibatch")
 
 
 class ScheduleTable(NamedTuple):
@@ -85,20 +84,10 @@ class ScheduleTable(NamedTuple):
     stages: List[List[int]]
     minibatches: List[List[int]]
 
-    def ops(self, rank: int) -> List[Op]:
+    def ops(self, rank: int) -> Tuple[Op, ...]:
         """Row ``rank`` as fresh :class:`Op` objects."""
-        return list(map(Op, map(OP_KINDS.__getitem__, self.kinds[rank]),
-                        self.stages[rank], self.minibatches[rank]))
-
-    @classmethod
-    def from_ops(cls, worker_ops: Dict[int, List[Op]]) -> "ScheduleTable":
-        kinds, stages, minibatches = [], [], []
-        for ops in worker_ops.values():
-            k, s, b = zip(*map(_op_fields, ops)) if ops else ((), (), ())
-            kinds.append(list(map(_CODE.__getitem__, k)))
-            stages.append(list(s))
-            minibatches.append(list(b))
-        return cls(list(worker_ops), kinds, stages, minibatches)
+        return tuple(map(Op, map(OP_KINDS.__getitem__, self.kinds[rank]),
+                         self.stages[rank], self.minibatches[rank]))
 
 
 class Schedule:
@@ -107,58 +96,37 @@ class Schedule:
     Attributes:
         stages: the stage list (layer ranges + replica counts).
         num_minibatches: how many minibatches the schedule covers.
-        worker_ops: op list per global worker id, in execution order.
+        table: the ops, one :class:`ScheduleTable` row per worker.
         stage_workers: worker ids serving each stage, replica-indexed
             (default: the stage-major, tp-strided assignment every builder
             uses).
-        noam: in-flight minibatches admitted per input-stage replica.
         backward_split: True for 2BP schedules — every BACKWARD op is the
             grad-input half of a split backward pass, with a matching
             BACKWARD_W (grad-weight) op later on the same worker.
-
-    A schedule holds one source of its ops at a time: a
-    :class:`ScheduleTable` (what the builders emit) or the ``worker_ops``
-    dict (given to the constructor, or built from the table on first
-    access, which retires the table).  :meth:`table` reads whichever is
-    current, so edits to ``worker_ops`` are what gets simulated.
     """
 
     def __init__(
         self,
         stages: List[Stage],
         num_minibatches: int,
-        worker_ops: Optional[Dict[int, List[Op]]] = None,
+        table: ScheduleTable,
         stage_workers: Optional[Dict[int, List[int]]] = None,
-        noam: int = 1,
         backward_split: bool = False,
-        table: Optional[ScheduleTable] = None,
     ):
-        if (worker_ops is None) == (table is None):
-            raise ValueError("give exactly one of worker_ops and table")
         self.stages = stages
         self.num_minibatches = num_minibatches
+        self.table = table
         self.stage_workers = (_assign_workers(stages) if stage_workers is None
                               else stage_workers)
-        self.noam = noam
         self.backward_split = backward_split
-        self._ops = worker_ops
-        self._table = table
 
     @property
-    def worker_ops(self) -> Dict[int, List[Op]]:
-        if self._ops is None:
-            table = self._table
-            self._ops = {w: table.ops(rank)
-                         for rank, w in enumerate(table.workers)}
-            self._table = None
-        return self._ops
-
-    def table(self) -> ScheduleTable:
-        """The ops as a table; derived afresh from ``worker_ops`` once the
-        view has been handed out."""
-        if self._table is not None:
-            return self._table
-        return ScheduleTable.from_ops(self._ops)
+    def worker_ops(self) -> Mapping[int, Tuple[Op, ...]]:
+        """Read-only view of the table, built afresh on each read: worker
+        id -> its ops, in execution order."""
+        table = self.table
+        return MappingProxyType({w: table.ops(rank)
+                                 for rank, w in enumerate(table.workers)})
 
     @property
     def num_workers(self) -> int:
@@ -199,16 +167,6 @@ def _assign_workers(stages: Sequence[Stage]) -> Dict[int, List[int]]:
             range(next_id, next_id + stage.replicas * step, step))
         next_id += stage.replicas * step
     return stage_workers
-
-
-def compute_noam(stages: Sequence[Stage]) -> int:
-    """NUM_OPT_ACTIVE_MINIBATCHES per input-stage replica (§3.2).
-
-    Counts *physical* workers (tp shards included): a tp group deepens
-    the pipeline exactly like the extra pipeline workers it displaces.
-    """
-    workers = sum(stage.replicas * stage.tp_degree for stage in stages)
-    return max(1, math.ceil(workers / (stages[0].replicas * stages[0].tp_degree)))
 
 
 def _interleave(*columns: List[int]) -> List[int]:
@@ -255,7 +213,7 @@ def one_f_one_b_schedule(num_stages: int, num_minibatches: int,
         raise ValueError("need at least one stage")
     # 1F1B-RR's warm-up on single-replica stages is exactly num_stages - s.
     return one_f_one_b_rr_schedule(_straight_stages(num_stages, layer_bounds),
-                                   num_minibatches, noam=num_stages)
+                                   num_minibatches)
 
 
 # ----------------------------------------------------------------------
@@ -302,10 +260,16 @@ def one_f_one_b_rr_schedule(
     ``in_flight_per_replica`` caps the startup depth below the optimal
     warmup — the pipeline-depth knob of Figure 18 (1 = no inter-batch
     pipelining at all, i.e. model/hybrid parallelism on these stages).
+
+    ``noam`` is checked, not read: NOAM is ``warmup_count(stages, 0)``, and
+    any other value is a ``ValueError``.
     """
     stages = list(stages)
-    if noam is None:
-        noam = compute_noam(stages)
+    derived = warmup_count(stages, 0)
+    if noam not in (None, derived):
+        raise ValueError(
+            f"noam={noam} but these stages admit NOAM={derived}; set the "
+            "pipeline depth with in_flight_per_replica")
     stage_workers = _assign_workers(stages)
     table = ScheduleTable([], [], [], [])
 
@@ -318,7 +282,7 @@ def one_f_one_b_rr_schedule(
             # NOAM trades throughput for memory, deeper stashes more
             # versions to hide more communication (Figure 18).
             depth = max(1, in_flight_per_replica)
-            delta = depth - compute_noam(stages)
+            delta = depth - derived
             warmup = warmup + delta if delta >= 0 else min(warmup, depth)
         if s > 0:
             # Deadlock-freedom: a stage cannot hold more minibatches than
@@ -342,8 +306,7 @@ def one_f_one_b_rr_schedule(
             table.minibatches.append(
                 own[:w] + _interleave(own[:k], own[:k], own[w:])
                 + _interleave(own[k:], own[k:]))
-    return Schedule(stages, num_minibatches, stage_workers=stage_workers,
-                    noam=noam, table=table)
+    return Schedule(stages, num_minibatches, table, stage_workers)
 
 
 # ----------------------------------------------------------------------
@@ -354,8 +317,8 @@ def model_parallel_schedule(num_stages: int, num_minibatches: int,
                             layer_bounds: Optional[Sequence[Tuple[int, int]]] = None) -> Schedule:
     """Vanilla model parallelism (Figure 2): one minibatch in flight."""
     stages = _straight_stages(num_stages, layer_bounds)
-    return Schedule(stages, num_minibatches, noam=1,
-                    table=_fbu_schedule(stages, num_minibatches))
+    return Schedule(stages, num_minibatches,
+                    _fbu_schedule(stages, num_minibatches))
 
 
 def gpipe_schedule(
@@ -379,11 +342,9 @@ def gpipe_schedule(
         mbs += range(base, base + m)
         mbs += range(base + m - 1, base - 1, -1)
         mbs.append(base + m - 1)
-    return Schedule(
-        stages, num_batches * m, noam=m,
-        table=ScheduleTable(list(range(num_stages)), [kinds] * num_stages,
-                            [[s] * len(kinds) for s in range(num_stages)],
-                            [mbs] * num_stages))
+    return Schedule(stages, num_batches * m, ScheduleTable(
+        list(range(num_stages)), [kinds] * num_stages,
+        [[s] * len(kinds) for s in range(num_stages)], [mbs] * num_stages))
 
 
 def data_parallel_schedule(num_workers: int, num_minibatches: int,
@@ -395,8 +356,8 @@ def data_parallel_schedule(num_workers: int, num_minibatches: int,
     marker for the simulator).
     """
     stages = [Stage(0, num_layers, num_workers)]
-    return Schedule(stages, num_minibatches, noam=1,
-                    table=_fbu_schedule(stages, num_minibatches))
+    return Schedule(stages, num_minibatches,
+                    _fbu_schedule(stages, num_minibatches))
 
 
 def asp_schedule(num_workers: int, num_minibatches: int,
@@ -409,12 +370,11 @@ def asp_schedule(num_workers: int, num_minibatches: int,
     row, on one stage holding the whole model.  Under weight stashing the
     forward of minibatch ``b`` binds version ``max(0, b - num_workers + 1)``.
     """
-    row = one_f_one_b_schedule(num_workers, num_minibatches).table()
+    row = one_f_one_b_schedule(num_workers, num_minibatches).table
     kinds = row.kinds[0]
     return Schedule([Stage(0, num_layers, 1)], num_minibatches,
-                    noam=num_workers,
-                    table=ScheduleTable([0], [kinds], [[0] * len(kinds)],
-                                        [row.minibatches[0]]))
+                    ScheduleTable([0], [kinds], [[0] * len(kinds)],
+                                  [row.minibatches[0]]))
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +398,7 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
     """
     if schedule.backward_split:
         raise ValueError("schedule backward pass is already split")
-    base = schedule.table()
+    base = schedule.table
     split = ScheduleTable(list(base.workers), [], [], [])
     for kinds, stages, mbs in zip(base.kinds, base.stages, base.minibatches):
         # Each op expands to itself, and a BACKWARD to (BACKWARD, BACKWARD_W).
@@ -449,13 +409,9 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
         split.minibatches.append(list(chain.from_iterable(
             map(repeat, mbs, width))))
     return Schedule(
-        stages=list(schedule.stages),
-        num_minibatches=schedule.num_minibatches,
-        stage_workers={s: list(w) for s, w in schedule.stage_workers.items()},
-        noam=schedule.noam,
-        backward_split=True,
-        table=split,
-    )
+        list(schedule.stages), schedule.num_minibatches, split,
+        {s: list(w) for s, w in schedule.stage_workers.items()},
+        backward_split=True)
 
 
 _SPLIT_KINDS = ((FWD,), (BWD, BWD_W), (BWD_W,), (UPD,))
@@ -587,7 +543,7 @@ def lockstep_walk(schedule: Schedule) -> Iterator[Tuple[int, int, int, int]]:
     that runs nothing means no order could finish the schedule: the walk
     then raises ``ValueError`` naming each blocked worker's next op.
     """
-    table = schedule.table()
+    table = schedule.table
     last_stage = schedule.num_stages - 1
     ranks = sorted(range(len(table.workers)), key=table.workers.__getitem__)
     pointers = [0] * len(table.workers)

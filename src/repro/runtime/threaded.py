@@ -97,7 +97,7 @@ class ThreadedPipelineTrainer(PipelineTrainer):
 
     def execute(self, schedule, batches) -> float:
         run = self._start(schedule, batches)
-        table = schedule.table()
+        table = schedule.table
         self.network.reset()
 
         def work(rank: int, worker: int) -> None:

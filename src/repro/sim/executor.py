@@ -335,7 +335,7 @@ class _SimCore:
         self.halted = False
 
         # Commit-order tie-breaking follows the table's rank order.
-        table = self.table = schedule.table()
+        table = self.table = schedule.table
         speed = [options.speed_of(w) for w in table.workers]
         #: Ranks each simulated row stands for (module docstring); every
         #: UPDATE must be followed by the forward its round gates.

@@ -234,20 +234,21 @@ def simulate_partition(
     topology: Topology,
     stages: Sequence[Stage],
     num_minibatches: int = 16,
-    noam: Optional[int] = None,
     faults: Optional[FaultSchedule] = None,
     bucket_bytes: Optional[float] = None,
     schedule_family: str = "1f1b",
 ) -> StrategyResult:
     """Simulate an explicit PipeDream partition with the 1F1B-RR schedule.
 
+    The schedule admits the NOAM its stages imply,
+    ``warmup_count(stages, 0)``, which is the NOAM a plan reports.
     ``schedule_family="2bp"`` splits every backward into grad-input and
     grad-weight halves (:func:`schedule_for_family`); the default
     ``"1f1b"`` runs the exact historical schedule object.
     """
     _check_run_lengths(num_minibatches=num_minibatches)
     stages = list(stages)
-    schedule = one_f_one_b_rr_schedule(stages, num_minibatches, noam=noam)
+    schedule = one_f_one_b_rr_schedule(stages, num_minibatches)
     schedule = schedule_for_family(schedule, schedule_family)
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
@@ -293,9 +294,8 @@ def simulate_plan(
             bucket_bytes=bucket_bytes)
         return replace(result, strategy="pipedream")
     return simulate_partition(
-        profile, topology, stages, sim.minibatches, plan.noam,
-        faults=sim.faults, bucket_bytes=bucket_bytes,
-        schedule_family=sim.schedule_family)
+        profile, topology, stages, sim.minibatches, faults=sim.faults,
+        bucket_bytes=bucket_bytes, schedule_family=sim.schedule_family)
 
 
 def _planned(profile, topology, sim, *, plan, optimizer=None):
@@ -358,7 +358,6 @@ class RunKey(NamedTuple):
     workers: int
     stages: Tuple[Stage, ...]
     bucket_bytes: Optional[float]
-    noam: Optional[int]
     sim: tuple
 
     @property
@@ -372,13 +371,13 @@ def run_key(
     profile: ModelProfile,
     workers: int,
     stages: Sequence[Stage],
-    noam: Optional[int],
     sim: SimSpec,
     bucket_bytes: Optional[float],
 ) -> RunKey:
-    """Canonical key of the run of ``stages`` (``noam`` for a planned
-    pipeline, else ``None``) on ``workers`` workers under ``sim`` and
-    ``bucket_bytes``: two runs with equal keys are bitwise equal.
+    """Canonical key of the run of ``stages`` on ``workers`` workers under
+    ``sim`` and ``bucket_bytes``: two runs with equal keys are bitwise
+    equal.  ``sim.key()`` leads with the strategy, which tells a planned
+    run from an unplanned one on the same stages.
 
     Two rules drop what a run cannot feel (proof obligations in
     ``tests/test_sweep_shared_runs.py``):
@@ -397,8 +396,7 @@ def run_key(
         bucket_bytes = None
     if data_parallel and sim.schedule_family != "1f1b":
         sim = replace(sim, schedule_family="1f1b")
-    return RunKey(profile.digest(), workers, stages, bucket_bytes, noam,
-                  sim.key())
+    return RunKey(profile.digest(), workers, stages, bucket_bytes, sim.key())
 
 
 def simulate_strategy(

@@ -230,14 +230,13 @@ def _run_cell(
             continue
         if optimizer is not None:
             plan = optimizer.solve(workers)  # once, for every family
-            stages, noam = plan.stages, plan.noam
+            stages = plan.stages
         else:
-            plan, noam = None, None
+            plan = None
             stages = unplanned_stages(strategy, profile, workers)
         records = []
         for sim in sims:
-            key = run_key(profile, workers, stages, noam, sim,
-                          spec.bucket_bytes)
+            key = run_key(profile, workers, stages, sim, spec.bucket_bytes)
             fields = runs.get(key)
             if fields is None:
                 result = (

@@ -6,7 +6,9 @@ direct transcription of §3.2 (Figures 2-4 and 8) and of 2BP.
 Production's builders in :mod:`repro.core.schedule` emit the same
 schedules as int tables by slice arithmetic; the tier-1 suite asserts
 that their ``worker_ops`` views, worker order and ``stage_workers``
-equal these exactly.  Nothing under ``src/`` imports this module.
+equal these exactly.  :func:`schedule_from_ops` turns op lists into the
+table a :class:`~repro.core.schedule.Schedule` holds; hand-built test
+schedules go through it too.  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -15,14 +17,29 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.partition import Stage
 from repro.core.schedule import (
+    OP_KINDS,
     Op,
     OpKind,
     Schedule,
+    ScheduleTable,
     _assign_workers,
-    compute_noam,
     replica_minibatches,
     warmup_count,
 )
+
+
+def schedule_from_ops(stages: Sequence[Stage], num_minibatches: int,
+                      worker_ops: Dict[int, Sequence[Op]],
+                      stage_workers: Optional[Dict[int, List[int]]] = None,
+                      backward_split: bool = False) -> Schedule:
+    """The schedule whose table rows are ``worker_ops``, in its key order."""
+    table = ScheduleTable(list(worker_ops), [], [], [])
+    for ops in worker_ops.values():
+        table.kinds.append([OP_KINDS.index(op.kind) for op in ops])
+        table.stages.append([op.stage for op in ops])
+        table.minibatches.append([op.minibatch for op in ops])
+    return Schedule(stages, num_minibatches, table, stage_workers,
+                    backward_split)
 
 
 def one_f_one_b_schedule(num_stages: int, num_minibatches: int,
@@ -50,25 +67,17 @@ def one_f_one_b_schedule(num_stages: int, num_minibatches: int,
                 ops.append(Op(OpKind.FORWARD, s, fwd))
                 fwd += 1
         worker_ops[stage_workers[s][0]] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=num_stages,
-    )
+    return schedule_from_ops(stages, num_minibatches, worker_ops,
+                             stage_workers)
 
 
 def one_f_one_b_rr_schedule(
     stages: Sequence[Stage],
     num_minibatches: int,
-    noam: Optional[int] = None,
     in_flight_per_replica: Optional[int] = None,
 ) -> Schedule:
     """1F1B-RR for pipelines with replicated stages (§3.2, Figure 8)."""
     stages = list(stages)
-    if noam is None:
-        noam = compute_noam(stages)
     stage_workers = _assign_workers(stages)
     worker_ops: Dict[int, List[Op]] = {}
 
@@ -77,7 +86,7 @@ def one_f_one_b_rr_schedule(
         warmup = warmup_count(stages, s)
         if in_flight_per_replica is not None:
             depth = max(1, in_flight_per_replica)
-            delta = depth - compute_noam(stages)
+            delta = depth - warmup_count(stages, 0)
             warmup = warmup + delta if delta >= 0 else min(warmup, depth)
         if s > 0:
             upstream_global = stages[s - 1].replicas * warmups[s - 1]
@@ -101,13 +110,8 @@ def one_f_one_b_rr_schedule(
                     ops.append(Op(OpKind.FORWARD, s, own[fwd]))
                     fwd += 1
             worker_ops[worker] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=noam,
-    )
+    return schedule_from_ops(stages, num_minibatches, worker_ops,
+                             stage_workers)
 
 
 def model_parallel_schedule(num_stages: int, num_minibatches: int,
@@ -124,13 +128,8 @@ def model_parallel_schedule(num_stages: int, num_minibatches: int,
         for s in reversed(range(num_stages)):
             worker_ops[stage_workers[s][0]].append(Op(OpKind.BACKWARD, s, mb))
             worker_ops[stage_workers[s][0]].append(Op(OpKind.UPDATE, s, mb))
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=1,
-    )
+    return schedule_from_ops(stages, num_minibatches, worker_ops,
+                             stage_workers)
 
 
 def gpipe_schedule(
@@ -156,13 +155,8 @@ def gpipe_schedule(
             for micro in reversed(range(num_microbatches)):
                 ops.append(Op(OpKind.BACKWARD, s, base + micro))
             ops.append(Op(OpKind.UPDATE, s, base + num_microbatches - 1))
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_batches * num_microbatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=num_microbatches,
-    )
+    return schedule_from_ops(stages, num_batches * num_microbatches,
+                             worker_ops, stage_workers)
 
 
 def data_parallel_schedule(num_workers: int, num_minibatches: int,
@@ -178,13 +172,8 @@ def data_parallel_schedule(num_workers: int, num_minibatches: int,
             ops.append(Op(OpKind.BACKWARD, 0, mb))
             ops.append(Op(OpKind.UPDATE, 0, mb))
         worker_ops[w] = ops
-    return Schedule(
-        stages=stages,
-        num_minibatches=num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers=stage_workers,
-        noam=1,
-    )
+    return schedule_from_ops(stages, num_minibatches, worker_ops,
+                             stage_workers)
 
 
 def split_backward_schedule(schedule: Schedule) -> Schedule:
@@ -199,11 +188,6 @@ def split_backward_schedule(schedule: Schedule) -> Schedule:
             if op.kind is OpKind.BACKWARD:
                 out.append(Op(OpKind.BACKWARD_W, op.stage, op.minibatch))
         worker_ops[worker] = out
-    return Schedule(
-        stages=list(schedule.stages),
-        num_minibatches=schedule.num_minibatches,
-        worker_ops=worker_ops,
-        stage_workers={s: list(w) for s, w in schedule.stage_workers.items()},
-        noam=schedule.noam,
-        backward_split=True,
-    )
+    stage_workers = {s: list(w) for s, w in schedule.stage_workers.items()}
+    return schedule_from_ops(list(schedule.stages), schedule.num_minibatches,
+                             worker_ops, stage_workers, backward_split=True)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.deploy import DeploymentPlan, _runs
 from repro.core.partition import PartitionResult, PipeDreamOptimizer, Stage
-from repro.core.schedule import validate_schedule
+from repro.core.schedule import validate_schedule, warmup_count
 from repro.core.topology import cluster_a
 from repro.profiler import analytic_profile
 
@@ -38,7 +38,7 @@ class TestDeploymentPlan:
     def test_materialized_schedule_valid(self, plan):
         schedule = plan.schedule(12)
         validate_schedule(schedule)
-        assert schedule.noam == plan.noam
+        assert warmup_count(schedule.stages, 0) == plan.noam
 
     def test_json_roundtrip(self, toy_profile, flat4):
         """The JSON names each stage, each worker's role and its tp rank;

@@ -326,7 +326,7 @@ def seeded_case(name, seed, crashes):
     — a tp shard outside its group leader never commits one."""
     sched, profile, topo, options = FAULT_MATRIX[name]()
     clean = simulate(sched, profile, topo, with_faults(options, None))
-    workers = sched.table().workers
+    workers = sched.table.workers
     drawn = FaultSchedule.generate(seed, num_workers=len(workers),
                                    horizon=clean.total_time, crashes=crashes)
     faults = FaultSchedule([

@@ -130,15 +130,14 @@ class TestPartitionResultProperties:
 
     def test_noam_straight(self):
         stages = [Stage(i, i + 1, 1) for i in range(4)]
-        result_like = type("R", (), {})
-        from repro.core.schedule import compute_noam
+        from repro.core.schedule import warmup_count
 
-        assert compute_noam(stages) == 4
+        assert warmup_count(stages, 0) == 4
 
     def test_noam_replicated_input(self):
-        from repro.core.schedule import compute_noam
+        from repro.core.schedule import warmup_count
 
-        assert compute_noam([Stage(0, 2, 3), Stage(2, 3, 1)]) == 2
+        assert warmup_count([Stage(0, 2, 3), Stage(2, 3, 1)], 0) == 2
 
     def test_predicted_throughput(self, toy_profile, flat4):
         result = PipeDreamOptimizer(toy_profile, flat4).solve()

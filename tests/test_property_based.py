@@ -15,10 +15,10 @@ from repro.core.partition import (
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.schedule import (
     OpKind,
-    compute_noam,
     gpipe_schedule,
     one_f_one_b_rr_schedule,
     validate_schedule,
+    warmup_count,
 )
 from repro.core.stashing import WeightStore
 from repro.core.topology import make_cluster
@@ -211,7 +211,7 @@ class TestScheduleProperties:
     @given(config=stage_configs)
     def test_noam_bounds(self, config):
         stages = [Stage(i, i + 1, r) for i, r in enumerate(config)]
-        noam = compute_noam(stages)
+        noam = warmup_count(stages, 0)
         workers = sum(config)
         assert 1 <= noam <= workers
 

@@ -1,13 +1,13 @@
 """1F1B / 1F1B-RR / GPipe / MP / DP schedule generation and validation."""
 
+import math
+
 import pytest
 
 from repro.core.partition import Stage
 from repro.core.schedule import (
     Op,
     OpKind,
-    Schedule,
-    compute_noam,
     data_parallel_schedule,
     gpipe_schedule,
     model_parallel_schedule,
@@ -17,6 +17,7 @@ from repro.core.schedule import (
     validate_schedule,
     warmup_count,
 )
+from tests.oracles.schedule_reference import schedule_from_ops
 
 
 def op_pattern(schedule, worker, limit=None):
@@ -62,7 +63,9 @@ class TestOneFOneB:
                     assert prev.minibatch == op.minibatch
 
     def test_noam_equals_num_stages(self):
-        assert one_f_one_b_schedule(4, 8).noam == 4
+        sched = one_f_one_b_schedule(4, 8)
+        assert warmup_count(sched.stages, 0) == 4
+        assert op_pattern(sched, 0, 5) == "FFFFB"
 
     def test_fewer_minibatches_than_stages(self):
         sched = one_f_one_b_schedule(4, 2)
@@ -87,7 +90,28 @@ class TestWarmupCount:
     def test_equals_noam_at_input(self):
         for config in [(1, 1, 1), (2, 1), (3, 1), (2, 2), (4, 2, 1)]:
             stages = [Stage(i, i + 1, r) for i, r in enumerate(config)]
-            assert warmup_count(stages, 0) == compute_noam(stages)
+            assert warmup_count(stages, 0) == math.ceil(sum(config) / config[0])
+
+
+class TestOneTable:
+    def test_worker_ops_is_a_read_only_view(self):
+        sched = one_f_one_b_schedule(2, 3)
+        with pytest.raises(TypeError):
+            sched.worker_ops[1] = ()
+        assert sched.worker_ops[1] == sched.table.ops(1)
+
+    @pytest.mark.parametrize("stages", [
+        [Stage(0, 1, 2), Stage(1, 2, 1)],
+        [Stage(i, i + 1, 1) for i in range(4)],
+        [Stage(0, 1, 1, tp_degree=2), Stage(1, 2, 3)],
+    ])
+    def test_noam_keyword_is_checked(self, stages):
+        derived = warmup_count(stages, 0)
+        assert (one_f_one_b_rr_schedule(stages, 9, noam=derived).table
+                == one_f_one_b_rr_schedule(stages, 9).table)
+        for noam in (derived - 1, derived + 1, 2 * derived + 3):
+            with pytest.raises(ValueError, match="in_flight_per_replica"):
+                one_f_one_b_rr_schedule(stages, 9, noam=noam)
 
 
 class TestOneFOneBRR:
@@ -162,7 +186,7 @@ class TestGPipe:
         assert len(updates) == 3
 
     def test_noam_is_microbatch_count(self):
-        assert gpipe_schedule(2, 1, 5).noam == 5
+        assert op_pattern(gpipe_schedule(2, 1, 5), 0, 6) == "FFFFFB"
 
 
 class TestBaselines:
@@ -188,35 +212,33 @@ class TestBaselines:
 
 class TestValidation:
     def test_detects_missing_backward(self):
-        sched = one_f_one_b_schedule(2, 3)
-        sched.worker_ops[1] = [o for o in sched.worker_ops[1] if not (
+        full = one_f_one_b_schedule(2, 3)
+        ops = dict(full.worker_ops)
+        ops[1] = [o for o in ops[1] if not (
             o.kind == OpKind.BACKWARD and o.minibatch == 2)]
+        sched = schedule_from_ops(full.stages, 3, ops)
         with pytest.raises(ValueError):
             validate_schedule(sched)
 
     def test_detects_backward_before_forward(self):
         stages = [Stage(0, 1, 1)]
-        sched = Schedule(
-            stages=stages,
-            num_minibatches=1,
-            worker_ops={0: [Op(OpKind.BACKWARD, 0, 0), Op(OpKind.FORWARD, 0, 0)]},
+        sched = schedule_from_ops(
+            stages, 1,
+            {0: [Op(OpKind.BACKWARD, 0, 0), Op(OpKind.FORWARD, 0, 0)]},
             stage_workers={0: [0]},
-            noam=1,
         )
         with pytest.raises(ValueError):
             validate_schedule(sched)
 
     def test_detects_replica_mismatch(self):
         stages = [Stage(0, 1, 2)]
-        sched = Schedule(
-            stages=stages,
-            num_minibatches=1,
-            worker_ops={
+        sched = schedule_from_ops(
+            stages, 1,
+            {
                 0: [Op(OpKind.FORWARD, 0, 0)],
                 1: [Op(OpKind.BACKWARD, 0, 0)],
             },
             stage_workers={0: [0, 1]},
-            noam=1,
         )
         with pytest.raises(ValueError):
             validate_schedule(sched)
@@ -225,17 +247,15 @@ class TestValidation:
         # Structurally valid, but the op orders wait on each other: stage 0
         # wants B0 back before sending F1; stage 1 wants F1 before B0.
         stages = [Stage(0, 1, 1), Stage(1, 2, 1)]
-        sched = Schedule(
-            stages=stages,
-            num_minibatches=2,
-            worker_ops={
+        sched = schedule_from_ops(
+            stages, 2,
+            {
                 0: [Op(OpKind.FORWARD, 0, 0), Op(OpKind.BACKWARD, 0, 0),
                     Op(OpKind.FORWARD, 0, 1), Op(OpKind.BACKWARD, 0, 1)],
                 1: [Op(OpKind.FORWARD, 1, 0), Op(OpKind.FORWARD, 1, 1),
                     Op(OpKind.BACKWARD, 1, 0), Op(OpKind.BACKWARD, 1, 1)],
             },
             stage_workers={0: [0], 1: [1]},
-            noam=2,
         )
         with pytest.raises(ValueError,
                            match=r"deadlocks; blocked ops: .*B0@s0.*F1@s1"):

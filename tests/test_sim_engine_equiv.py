@@ -26,7 +26,6 @@ from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.schedule import (
     Op,
     OpKind,
-    Schedule,
     data_parallel_schedule,
     gpipe_schedule,
     model_parallel_schedule,
@@ -39,6 +38,7 @@ from repro.sim.executor import SimOptions, simulate
 from repro.sim.faults import parse_faults
 from repro.sim.strategies import balanced_straight_stages
 from tests.oracles import ReferenceOptimizer
+from tests.oracles.schedule_reference import schedule_from_ops
 from tests.oracles.sim_reference import simulate_reference
 
 VGG = analytic_profile("vgg16")
@@ -87,7 +87,7 @@ SCENARIOS = {
     "straggler_1f1b": lambda: (
         one_f_one_b_rr_schedule(STAGES_16, 32), VGG, TOPO_A,
         SimOptions(worker_speed={3: 0.5, 7: 2.0})),
-    "bsp_straggler_nic_cluster_b": lambda: (
+    "bsp_straggler_cluster_b": lambda: (
         data_parallel_schedule(8, 16, num_layers=len(VGG)), VGG, cluster_b(1),
         SimOptions(sync_mode="bsp", worker_speed={0: 0.7})),
     # BSP round commits bump every sibling's worker_free at once — the
@@ -122,7 +122,7 @@ SCENARIOS = {
         SimOptions(worker_speed={1: 0.45, 5: 2.3})),
     # Replicated-stage 1F1B-RR under stragglers: weight syncs on both
     # 8-replica groups interleave with the pipeline's P2P transfers.
-    "rr_8_8_stragglers_nic": lambda: (
+    "rr_8_8_stragglers": lambda: (
         one_f_one_b_rr_schedule([Stage(0, 10, 8), Stage(10, len(VGG), 8)], 48),
         VGG, TOPO_A, SimOptions(worker_speed={1: 0.6, 9: 1.9})),
     # Gradient bucketing on both replicated groups: per-bucket collectives
@@ -163,8 +163,8 @@ def _one_worker_two_stages(minibatches):
                  op("B", 0, b), op("U", 0, b)]
         ops1 += [op("F", 1, b), op("B", 1, b), op("U", 1, b)]
     stages = [Stage(0, 1, 1), Stage(1, 2, 1), Stage(2, 4, 1)]
-    return Schedule(stages, minibatches, worker_ops={0: ops0, 1: ops1},
-                    stage_workers={0: [0], 1: [1], 2: [0]})
+    return schedule_from_ops(stages, minibatches, {0: ops0, 1: ops1},
+                             stage_workers={0: [0], 1: [1], 2: [0]})
 
 
 def _update_first_row(minibatches):
@@ -179,9 +179,9 @@ def _update_first_row(minibatches):
     for b in range(minibatches):
         ops0 += [op("F", 1, b), op("B", 1, b), op("U", 1, b)]
         ops1 += [op("F", 0, b), op("B", 0, b), op("U", 0, b)]
-    return Schedule([Stage(0, 2, 1), Stage(2, 4, 1)], minibatches,
-                    worker_ops={0: ops0, 1: ops1},
-                    stage_workers={0: [1], 1: [0]})
+    return schedule_from_ops([Stage(0, 2, 1), Stage(2, 4, 1)], minibatches,
+                             {0: ops0, 1: ops1},
+                             stage_workers={0: [1], 1: [0]})
 
 
 def _halted_bucketed_rr():
@@ -291,7 +291,7 @@ class TestEngineMatchesReferenceFuzzed:
 # ----------------------------------------------------------------------
 
 from repro.core.schedule import (  # noqa: E402
-    Op, OpKind, Schedule, schedule_for_family)
+    Op, OpKind, schedule_for_family)
 from repro.sim.executor import _SimCore  # noqa: E402
 from repro.sim.faults import FaultSchedule, parse_faults  # noqa: E402
 from repro.sim.strategies import simulate_data_parallel  # noqa: E402
@@ -320,8 +320,8 @@ def _repeated_minibatch(workers):
     """Identical rows whose UPDATE is followed by a forward its round does
     not gate: F0 B0 U0 F0 B0 U0."""
     ops = [Op(OpKind(kind), 0, 0) for kind in "FBU"] * 2
-    return Schedule([Stage(0, len(VGG), workers)], 1,
-                    worker_ops={w: list(ops) for w in range(workers)})
+    return schedule_from_ops([Stage(0, len(VGG), workers)], 1,
+                             {w: list(ops) for w in range(workers)})
 
 
 #: name -> (case builder, whether the one-row fast path applies).
@@ -381,7 +381,7 @@ def test_dp_fast_path_matches_reference(scenario, loop_commits):
     build, collapses = DP_SCENARIOS[scenario]
     sched, profile, topo, options = build()
     sim = assert_engines_identical(sched, profile, topo, options)
-    rows = sched.table().kinds
+    rows = sched.table.kinds
     assert loop_commits == [len(rows[0]) if collapses
                             else sum(map(len, rows))]
     assert len(sim.raw_records) == sum(map(len, rows))
@@ -399,7 +399,7 @@ def test_dp_absorbed_duration_runs_every_rank(loop_commits):
                                         cluster_a(1))
     assert 0.0 < _SimCore(sched, profile, topo, options).fwd_time[0]
     assert_engines_identical(sched, profile, topo, options)
-    rows = sched.table().kinds
+    rows = sched.table.kinds
     assert loop_commits == [len(rows[0]), sum(map(len, rows))]
 
 
@@ -421,7 +421,7 @@ def test_rerun_records_a_second_init_and_loop():
     assert [(span.name, span.depth) for span in spans] == [
         ("sim.init", 1), ("sim.loop", 1), ("sim.init", 1), ("sim.loop", 1),
         ("sim.result", 1), ("simulate", 0)]
-    rows = sched.table().kinds
+    rows = sched.table.kinds
     assert [span.attrs for span in spans if span.name == "sim.loop"] == [
         {"ops": len(rows[0]), "ranks": 1},
         {"ops": sum(map(len, rows)), "ranks": len(rows)}]
@@ -623,12 +623,14 @@ from repro.sim.sweep import run_sweep  # noqa: E402
 
 class TestTablePath:
     def test_mutated_view_is_what_gets_simulated(self):
-        """Editing ``worker_ops`` after the builder ran changes the run."""
-        sched = one_f_one_b_rr_schedule(
+        """The builder's ops, edited and rebuilt into a table, are what
+        gets simulated."""
+        built = one_f_one_b_rr_schedule(
             [Stage(0, 10, 2), Stage(10, len(VGG), 2)], 12)
-        untouched = simulate(sched, VGG, TOPO_A)
-        for worker, ops in sched.worker_ops.items():
-            sched.worker_ops[worker] = [op for op in ops if op.minibatch < 10]
+        untouched = simulate(built, VGG, TOPO_A)
+        sched = schedule_from_ops(built.stages, 12, {
+            worker: [op for op in ops if op.minibatch < 10]
+            for worker, ops in built.worker_ops.items()}, built.stage_workers)
         assert_engines_identical(sched, VGG, TOPO_A)
         edited = simulate(sched, VGG, TOPO_A)
         assert edited.raw_records == [
@@ -637,8 +639,7 @@ class TestTablePath:
             (r.worker, r.op) for r in untouched.records
             if r.op.minibatch < 10]
         assert sorted(edited.minibatch_done) == list(range(10))
-        rebuilt = Schedule(sched.stages, 12, worker_ops=dict(sched.worker_ops),
-                           noam=sched.noam)
+        rebuilt = schedule_from_ops(sched.stages, 12, dict(sched.worker_ops))
         assert simulate(rebuilt, VGG, TOPO_A).records == edited.records
 
     def test_drivers_and_sweep_build_no_op_or_record(self, monkeypatch):

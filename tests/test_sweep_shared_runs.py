@@ -41,7 +41,13 @@ from repro.core.spec import SimSpec
 from repro.core.topology import Topology, TopologyLevel, cluster_a
 from repro.profiler import analytic_profile
 from repro.sim import SimOptions, records_to_csv, run_sweep, simulate
-from repro.sim.strategies import run_key, simulate_partition, simulate_plan
+from repro.sim.strategies import (
+    run_key,
+    simulate_partition,
+    simulate_plan,
+    simulate_strategy,
+    unplanned_stages,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "plan_spec" / "sweep_strategies.csv"
 
@@ -122,8 +128,8 @@ class TestBucketRule:
         bounds = [(s.start, s.stop) for s in stages]
         schedule, options = STRAIGHT_RUNS[kind](stages, minibatches, bounds)
         sim = SimSpec("pipedream", minibatches)
-        shared = (run_key(profile, workers, stages, None, sim, bucket)
-                  == run_key(profile, workers, stages, None, sim, None))
+        shared = (run_key(profile, workers, stages, sim, bucket)
+                  == run_key(profile, workers, stages, sim, None))
         # The rule collapses every straight list but a lone stage that is
         # the whole (one-worker) cluster: that is a data-parallel run.
         assert shared == (len(stages) > 1 or workers > 1)
@@ -147,8 +153,8 @@ class TestBucketRule:
         topology = cluster_a(1)
         stages = [Stage(0, 10, 2), Stage(10, len(profile), 2)]
         sim = SimSpec("pipedream", 8)
-        assert (run_key(profile, 4, stages, None, sim, 1e6)
-                != run_key(profile, 4, stages, None, sim, None))
+        assert (run_key(profile, 4, stages, sim, 1e6)
+                != run_key(profile, 4, stages, sim, None))
         plain, bucketed = (
             simulate_partition(profile, topology, stages, 8, bucket_bytes=b)
             for b in (None, 1e6))
@@ -168,9 +174,8 @@ class TestFamilyRule:
         assert plan.is_data_parallel
         one_f_one_b, two_bp = (SimSpec("pipedream", minibatches, family)
                                for family in ("1f1b", "2bp"))
-        assert (run_key(profile, workers, stages, plan.noam, two_bp, bucket)
-                == run_key(profile, workers, stages, plan.noam, one_f_one_b,
-                           bucket))
+        assert (run_key(profile, workers, stages, two_bp, bucket)
+                == run_key(profile, workers, stages, one_f_one_b, bucket))
         a = simulate_plan(profile, topology, plan, one_f_one_b, bucket)
         b = simulate_plan(profile, topology, plan, two_bp, bucket)
         assert fingerprint(a.sim) == fingerprint(b.sim)
@@ -185,10 +190,27 @@ class TestFamilyRule:
         plan = PartitionResult(stages, 0.0, 2, profile, topology)
         one_f_one_b, two_bp = (SimSpec("pipedream", 8, family)
                                for family in ("1f1b", "2bp"))
-        assert (run_key(profile, 2, stages, plan.noam, two_bp, None)
-                != run_key(profile, 2, stages, plan.noam, one_f_one_b, None))
+        assert (run_key(profile, 2, stages, two_bp, None)
+                != run_key(profile, 2, stages, one_f_one_b, None))
         a, b = (simulate_plan(profile, topology, plan, sim)
                 for sim in (one_f_one_b, two_bp))
+        assert fingerprint(a.sim) != fingerprint(b.sim)
+
+
+class TestStrategyInTheKey:
+    def test_a_planned_and_an_unplanned_run_key_apart(self):
+        """A pipedream and an mp run on the same stages differ, and the
+        strategy at the head of ``SimSpec.key()`` keys them apart."""
+        profile = analytic_profile("vgg16")
+        topology = cluster_a(1)
+        stages = unplanned_stages("mp", profile, 4)
+        plan = PartitionResult(stages, 0.0, 4, profile, topology)
+        pipedream, mp = SimSpec("pipedream", 8), SimSpec("mp", 8)
+        assert (run_key(profile, 4, stages, pipedream, None)
+                != run_key(profile, 4, stages, mp, None))
+        a = simulate_plan(profile, topology, plan, pipedream)
+        b = simulate_strategy(profile, topology, mp)
+        assert a.stages == b.stages == stages
         assert fingerprint(a.sim) != fingerprint(b.sim)
 
 

@@ -3,10 +3,11 @@
 # tier-1 tests, the fp16/fp32 sweep smoke, the generated-docs check, the
 # seeded chaos suite, the price-fidelity ledger, the elastic-recovery
 # smoke, the threaded-runtime example, the quickstart / cluster-planner /
-# DAG / image-classification / GNMT-translation examples, the 1 024-worker
-# `repro plan` smoke, the `repro plan --trace` and `repro simulate
-# --trace` exports, the planner-service smoke, the end-to-end benchmark's
-# selftest (its pinned call surface), and the perf-regression gate.
+# DAG / image-classification / GNMT-translation examples, the Figure 4
+# and Figure 8 schedule scripts, the 1 024-worker `repro plan` smoke, the
+# `repro plan --trace` and `repro simulate --trace` exports, the
+# planner-service smoke, the end-to-end benchmark's selftest (its pinned
+# call surface), and the perf-regression gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,11 @@ python examples/cluster_planner.py
 python examples/dag_partitioning.py
 python examples/image_classification.py
 python examples/translation_gnmt.py
+
+echo
+echo "== schedule figure scripts =="
+python benchmarks/bench_fig04_1f1b_timeline.py
+python benchmarks/bench_fig08_1f1b_rr.py
 
 echo
 echo "== largest admitted plan =="
