@@ -29,7 +29,7 @@ import functools
 import math
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -98,6 +98,12 @@ class PartitionResult:
     #: 1F1B warmup depths) of the chosen plan, and the solver's limit echo.
     memory_bytes: Tuple[int, ...] = ()
     memory_limit_bytes: Optional[float] = None
+    #: The evaluator's breakdown of the chosen plan, kept from the solve's
+    #: scoring pass with the footprint and limit filled in: equal to
+    #: :func:`evaluate_partition_details` on ``stages``, ``topology`` and
+    #: the solve's ``bucket_bytes``.  ``None`` on a hand-built result.
+    evaluation: Optional[PartitionEvaluation] = field(
+        default=None, compare=False, repr=False)
 
     @property
     def num_stages(self) -> int:
@@ -115,11 +121,13 @@ class PartitionResult:
 
     @property
     def noam(self) -> int:
-        """NUM_OPT_ACTIVE_MINIBATCHES = ceil(workers / input-stage workers)."""
-        return max(1, math.ceil(
-            self.num_workers
-            / (self.stages[0].replicas * self.stages[0].tp_degree)
-        ))
+        """NUM_OPT_ACTIVE_MINIBATCHES: the input stage's
+        :func:`~repro.core.schedule.warmup_count`, ``ceil(physical workers
+        of the stages / input-stage workers)``."""
+        # Imported at call time: repro.core.schedule imports this module.
+        from repro.core.schedule import warmup_count
+
+        return warmup_count(self.stages, 0)
 
     @property
     def predicted_throughput(self) -> float:
@@ -331,7 +339,8 @@ class PipeDreamOptimizer:
       which is what makes fusion granularity a real planning knob on
       latency-bearing clusters.  With every level at the default
       ``allreduce_latency=0`` the DP tables are bitwise unchanged for any
-      value.
+      value, and a shared context serves them all from the unbucketed
+      entries.
     - ``recompute="auto"``: the refined suffix DP decides *per stage*: a
       stage keeps stash-everything whenever that fits the memory limit
       (so generous limits are bitwise no-ops), and switches to
@@ -400,7 +409,13 @@ class PipeDreamOptimizer:
         #: can never be read under another, which is what makes sharing a
         #: context across memory caps / option mixes safe (the memory limit
         #: is baked into the level tables' feasibility masks — except a
-        #: cap no mask can feel, see :func:`canonical_spec_key`).
+        #: cap no mask can feel, see :func:`canonical_spec_key`).  The DPs
+        #: read ``bucket_bytes`` only through the α terms of
+        #: :meth:`_sync_terms`, so on a topology without collective latency
+        #: every bucket size keys as ``None`` and shares the unbucketed
+        #: tables (the plan-cache key and the bucketed score still differ).
+        if all(lv.allreduce_latency == 0 for lv in topology.levels):
+            effective = replace(effective, bucket_bytes=None)
         self._cache_ns = (topology.compute_scale,) + canonical_spec_key(
             effective, profile, topology.total_workers)
         #: The memo stores :meth:`_memo` reads and writes: the shared
@@ -590,20 +605,23 @@ class PipeDreamOptimizer:
             topology = topology.subset(num_workers)
         with obs.span("solve", model=self.profile.model_name,
                       workers=topology.total_workers):
-            cost, stages, memory = self._solve_phases(topology)
+            evaluation, stages, memory = self._solve_phases(topology)
+        memory = tuple(memory)
         return PartitionResult(
-            stages=stages, slowest_stage_time=cost,
+            stages=stages, slowest_stage_time=evaluation.bottleneck_time,
             num_workers=topology.total_workers, profile=self.profile,
             topology=topology, solve_seconds=time.perf_counter() - start_time,
-            memory_bytes=tuple(memory),
-            memory_limit_bytes=self.memory_limit_bytes,
+            memory_bytes=memory, memory_limit_bytes=self.memory_limit_bytes,
+            evaluation=replace(evaluation, memory_bytes=memory,
+                               memory_limit_bytes=self.memory_limit_bytes),
         )
 
     def _solve_phases(self, topology: Topology):
         """:meth:`solve`'s phases, one :mod:`repro.utils.obs` span each:
         ``levels`` per decomposition, ``refined`` (``refined.rings``,
         ``refined.planes`` and ``refined.rows`` inside), ``footprint`` and
-        ``score``.  Returns the winner's ``(cost, stages, footprint)``."""
+        ``score``.  Returns the winner's ``(evaluation, stages,
+        footprint)``, the evaluation as scored (no footprint)."""
         # Phase 1: the bound-filtered level DPs.  A binding limit can rule
         # out one decomposition (the hierarchy masks whole spans) while the
         # other still has feasible plans, and under a tight limit both may
@@ -644,21 +662,25 @@ class PipeDreamOptimizer:
         # Note: the evaluator applies the topology's compute scale itself,
         # so the raw (reference-device) profile is passed here.
         with obs.span("score"):
-            scored = [(evaluate_partition_on_topology(
-                self.profile, stages, topology, bucket_bytes=self.bucket_bytes,
-            ), stages) for stages in candidates]
-        best_cost = min(cost for cost, _ in scored)
+            scored = []
+            for stages in candidates:
+                _check_stages(self._n, stages)
+                evaluation = _evaluate_details(
+                    self.profile, stages, topology, self.bucket_bytes)
+                scored.append((evaluation.bottleneck_time, stages, evaluation))
+        best_cost = min(item[0] for item in scored)
         # Within the solver's tolerance (the cost model has error bars of a
         # few percent), prefer the simplest plan — fewer stages, and vanilla
         # DP over a near-tied pipeline.  This is what makes ResNet-50 land
         # on its Table 1 "16" configuration: non-DP alternatives buy nothing.
         tolerance = 1.03
         near_best = [item for item in scored if item[0] <= best_cost * tolerance]
-        cost, stages = min(near_best, key=lambda item: (len(item[1]), item[0]))
+        _, stages, evaluation = min(
+            near_best, key=lambda item: (len(item[1]), item[0]))
         if id(stages) not in footprints:
             with obs.span("footprint"):
                 footprints[id(stages)] = self._true_footprint(stages)
-        return cost, stages, footprints[id(stages)]
+        return evaluation, stages, footprints[id(stages)]
 
     def _decompositions(self, topology: Topology) -> List[Topology]:
         """The topologies the per-level DP is run on: the hierarchy itself

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 #: Canonical precision names -> element width.  The single registry behind
@@ -200,11 +200,17 @@ class ModelProfile:
     # Serialization (profiles are artifacts of the profiling step)
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict:
+        # Each layer's dict is built directly, in field order: what
+        # ``dataclasses.asdict`` gives, without its per-value deep copy.
         return {
             "model_name": self.model_name,
             "batch_size": self.batch_size,
             "bytes_per_element": self.bytes_per_element,
-            "layers": [asdict(l) for l in self.layers],
+            "layers": [{"name": l.name, "compute_time": l.compute_time,
+                        "activation_bytes": l.activation_bytes,
+                        "weight_bytes": l.weight_bytes,
+                        "forward_time": l.forward_time, "kind": l.kind}
+                       for l in self.layers],
         }
 
     def to_json(self) -> str:

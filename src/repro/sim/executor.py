@@ -46,10 +46,11 @@ positive one is re-run on every rank.  The oracle runs every rank.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import compress, starmap
+from itertools import compress, repeat, starmap
+from operator import and_, floordiv
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.profile import ModelProfile
@@ -60,6 +61,9 @@ from repro.core.topology import Topology
 from repro.sim.faults import FaultSchedule
 from repro.sim.network import Placement, stage_terms
 from repro.utils import obs
+
+#: ``bytes.translate`` table of an op-kind column: 1 for UPDATE, else 0.
+_UPDATE_MASK = bytes(code == UPD for code in range(256))
 
 
 @dataclass(slots=True)
@@ -386,14 +390,27 @@ class _SimCore:
         # minibatch in a round, but ``data_parallel_schedule`` runs every
         # minibatch on every replica.  Counting the schedule's own UPDATEs
         # gives every round its true membership for any schedule shape.
-        # Only round-gathering stages read it.
-        round_expected: Dict[int, int] = defaultdict(int)
+        # Only round-gathering stages read it.  The count runs at C level:
+        # a row's UPDATE mask is one ``bytes`` translate, and each of its
+        # stages' rounds one ``Counter`` pass over the masked minibatch
+        # column, so Python touches one key per round, not one per op.
+        rounds: Dict[int, Counter] = {}
         if not all(self.update_simple):
             for kinds, stage_col, mbs in zip(self.kinds, self.stage_of, self.mb_of):
-                for s, b in compress(zip(stage_col, mbs), map(UPD.__eq__, kinds)):
-                    if not self.update_simple[s]:
-                        round_expected[s * self.B + b // self.round_div[s]] += 1
-        self.round_expected = dict(round_expected)
+                updates = bytes(kinds).translate(_UPDATE_MASK)
+                here = set(stage_col)
+                for s in here:
+                    if self.update_simple[s]:
+                        continue
+                    picks = updates if len(here) == 1 else bytes(
+                        map(and_, updates, map(s.__eq__, stage_col)))
+                    rounds.setdefault(s, Counter()).update(map(
+                        floordiv, compress(mbs, picks),
+                        repeat(self.round_div[s])))
+        self.round_expected = {}
+        for s, counts in rounds.items():
+            self.round_expected.update(
+                zip(map((s * self.B).__add__, counts), counts.values()))
 
         n = len(self.workers)
         self.worker_free = [0.0] * n
@@ -415,7 +432,10 @@ class _SimCore:
         nk = self.nk = self.S * self.B
         self.AB_OFF = nk
         self.UD_OFF = 2 * nk
-        fe_ranks = [r for r, col in enumerate(self.stage_of) if self.last_stage in col]
+        # The ranks whose ops include the last stage's: its workers (a
+        # stage's ops run on its ``stage_workers``, which the sends read).
+        last_workers = set(self.stage_workers_list[self.last_stage])
+        fe_ranks = [r for r, w in enumerate(self.workers) if w in last_workers]
         self.fe_base = [0] * n
         for slot, rank in enumerate(fe_ranks):
             self.fe_base[rank] = 3 * nk + slot * self.B

@@ -134,9 +134,19 @@ def allreduce_time(placement: Placement, workers: Sequence[int], num_bytes: floa
     """
     if len(workers) <= 1 or num_bytes <= 0:
         return 0.0
+    return _ring_seconds(placement.topology, placement.ring_sizes(workers),
+                         num_bytes)
+
+
+def _ring_seconds(topology: Topology, sizes: Optional[Sequence[int]],
+                  num_bytes: float) -> float:
+    """:func:`allreduce_time` of a ring with per-level ``sizes``
+    (:meth:`Placement.ring_sizes`; ``None`` for a group of one), for a
+    caller that prices several payloads over one ring."""
+    if sizes is None or num_bytes <= 0:
+        return 0.0
     total = 0.0
-    sizes = placement.ring_sizes(workers)
-    for k, level in enumerate(placement.topology.levels):
+    for k, level in enumerate(topology.levels):
         group = sizes[k]
         if group > 1:
             total += 2.0 * (group - 1) / group * num_bytes / level.allreduce_bandwidth
@@ -207,7 +217,8 @@ def stage_terms(
     bucketing is not modeled and is rejected here.
     """
     tables = range_table(profile)
-    scale = placement.topology.compute_scale
+    topology = placement.topology
+    scale = topology.compute_scale
     terms = []
     for s, stage in enumerate(stages):
         start, stop, t = stage.start, stage.stop, stage.tp_degree
@@ -230,16 +241,18 @@ def stage_terms(
                 tp_out = max(tp_out, allreduce_time(placement, group, out_act))
                 tp_in = max(tp_in, allreduce_time(placement, group, in_act))
         forward = compute - backward
+        # The leader ring's sizes, counted once for every payload it syncs.
+        ring = placement.ring_sizes(leaders) if len(leaders) > 1 else None
         deferred_bytes = tables.deferred[stop] - tables.deferred[start]
-        deferred = allreduce_time(placement, leaders, deferred_bytes)
+        deferred = _ring_seconds(topology, ring, deferred_bytes)
         if bucket_bytes is None:
             buckets = ()
-            stream = allreduce_time(placement, leaders, _shard_share(
+            stream = _ring_seconds(topology, ring, _shard_share(
                 tables, stage,
                 (tables.weights[stop] - tables.weights[start]) - deferred_bytes))
         else:
             buckets = tuple(
-                (allreduce_time(placement, leaders, bucket.payload_bytes),
+                (_ring_seconds(topology, ring, bucket.payload_bytes),
                  bucket.ready_fraction)
                 for bucket in gradient_buckets(profile, start, stop, bucket_bytes))
             stream = sum(seconds for seconds, _ in buckets)

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.partition import (
+    PartitionEvaluation,
     PipeDreamOptimizer,
     SolverContextPool,
     Stage,
@@ -245,7 +246,8 @@ def _run_cell(
                                        spec.bucket_bytes))
                 if key.priced not in runs:
                     runs[key.priced] = _breakdown(
-                        profile, result.stages, sub, spec.bucket_bytes)
+                        profile, result.stages, sub, spec.bucket_bytes,
+                        None if plan is None else plan.evaluation)
                 fields = runs[key] = dict(
                     config=result.config,
                     samples_per_second=result.samples_per_second,
@@ -271,12 +273,17 @@ def _run_cell(
 
 
 def _breakdown(profile: ModelProfile, stages: Sequence[Stage],
-               topology: Topology, bucket_bytes: Optional[float]) -> dict:
+               topology: Topology, bucket_bytes: Optional[float],
+               details: Optional[PartitionEvaluation]) -> dict:
     """Per-stage breakdown fields of a simulated plan: the evaluator's
     stage/boundary seconds, the §3.3 per-stage footprint and the modeled
-    weight-sync time."""
-    details = evaluate_partition_details(
-        profile, stages, topology, bucket_bytes=bucket_bytes)
+    weight-sync time.  The first three come from ``details`` when the
+    caller has them for these stages, worker count and bucket size (a
+    solved plan's :attr:`~repro.core.partition.PartitionResult.evaluation`),
+    else from :func:`evaluate_partition_details`."""
+    if details is None:
+        details = evaluate_partition_details(
+            profile, stages, topology, bucket_bytes=bucket_bytes)
     return dict(
         stage_seconds=details.stage_times,
         boundary_seconds=details.boundary_times,
@@ -354,9 +361,10 @@ def run_sweep(
             combination fails up front.
         contexts: optional :class:`SolverContextPool` whose warm-started
             solver tables the cells read and extend (the planner service
-            threads its pool through here).  In-process runs only: pooled
-            cells plan cold.  Warm starts are value-transparent, so
-            records are unchanged.
+            threads its pool through here); without one, an in-process
+            call shares a pool of its own across its cells.  In-process
+            runs only: pooled cells plan cold.  Warm starts are
+            value-transparent, so records are unchanged.
     """
     # The axes with a closed set of values, checked by their table rows.
     for name, value in (("strategies", tuple(strategies)),
@@ -391,9 +399,11 @@ def run_sweep(
              for cell in cells_of(model, strategy)]
 
     pooled = workers > 1 and len(cells) > 1
-    # In-process cells share the caller's contexts and one runs dict (run
-    # key -> record fields, for this call only); pooled cells get neither.
-    shared = () if pooled else (contexts, {})
+    # In-process cells share the caller's contexts (else one pool for this
+    # call) and one runs dict (run key -> record fields, for this call
+    # only); pooled cells get neither.
+    shared = () if pooled else (
+        SolverContextPool() if contexts is None else contexts, {})
     tasks = [(cell, topology, worker_counts, device, *shared)
              for cell in cells]
     if pooled:

@@ -5,10 +5,12 @@ import math
 import pytest
 
 from repro.core.partition import (
+    PartitionResult,
     PipeDreamOptimizer,
     Stage,
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
+    evaluate_partition_details,
     evaluate_partition_on_topology,
 )
 from repro.core.profile import LayerProfile, ModelProfile
@@ -139,6 +141,16 @@ class TestPartitionResultProperties:
 
         assert warmup_count([Stage(0, 2, 3), Stage(2, 3, 1)], 0) == 2
 
+    def test_noam_reads_the_stages_not_the_worker_count(self):
+        """A hand-built result on fewer workers than it names reports the
+        NOAM its stages admit, and its deployment plan prints it."""
+        from repro.core.deploy import DeploymentPlan
+
+        result = PartitionResult([Stage(0, 10, 1), Stage(10, 21, 1)], 0.0, 4,
+                                 analytic_profile("vgg16"), cluster_a(1))
+        assert result.noam == 2
+        assert "NOAM=2" in DeploymentPlan.from_partition(result).describe()
+
     def test_predicted_throughput(self, toy_profile, flat4):
         result = PipeDreamOptimizer(toy_profile, flat4).solve()
         assert result.predicted_throughput == pytest.approx(1.0 / result.slowest_stage_time)
@@ -201,6 +213,45 @@ class TestCostAccounting:
 
     def test_dp_volume_single_worker_zero(self, toy_profile):
         assert data_parallel_bytes_per_minibatch(toy_profile, 1) == 0.0
+
+
+class TestTheSolveKeepsItsEvaluation:
+    """``PartitionResult.evaluation`` is the scoring pass's breakdown of
+    the winner, footprint and limit filled in: what
+    ``evaluate_partition_details`` gives on the plan, bitwise."""
+
+    AXES = {
+        "free": {},
+        "capped": dict(memory_limit_bytes=9e9),
+        "recompute": dict(memory_limit_bytes=6e9, recompute="auto"),
+        "tp": dict(tp_degrees=(1, 2)),
+        "bucketed": dict(bucket_bytes=25e6),
+    }
+
+    @pytest.mark.parametrize("axis", sorted(AXES))
+    @pytest.mark.parametrize("model", ["vgg16", "gnmt8", "resnet50"])
+    def test_equals_evaluate_partition_details(self, model, axis):
+        options = self.AXES[axis]
+        profile = analytic_profile(model)
+        optimizer = PipeDreamOptimizer(profile, cluster_a(2), **options)
+        for workers in (4, 8):
+            try:
+                plan = optimizer.solve(workers)
+            except RuntimeError:
+                continue  # no plan fits this cap on this many workers
+            assert plan.evaluation == evaluate_partition_details(
+                profile, plan.stages, plan.topology,
+                memory_limit_bytes=plan.memory_limit_bytes,
+                bucket_bytes=options.get("bucket_bytes"))
+            assert plan.evaluation.bottleneck_time == plan.slowest_stage_time
+            assert plan.evaluation.memory_bytes == plan.memory_bytes
+
+    def test_is_not_part_of_equality(self, toy_profile, flat4):
+        plan = PipeDreamOptimizer(toy_profile, flat4).solve()
+        bare = PartitionResult(plan.stages, plan.slowest_stage_time,
+                               plan.num_workers, plan.profile, plan.topology,
+                               plan.solve_seconds, plan.memory_bytes)
+        assert bare.evaluation is None and bare == plan
 
 
 class TestPlansOnMissingWorkers:

@@ -1,8 +1,30 @@
 """ModelProfile: aggregation, serialization, precision/device scaling."""
 
+from dataclasses import asdict
+
 import pytest
 
-from repro.core.profile import LayerProfile, ModelProfile
+from repro.core.profile import PRECISION_BYTES, LayerProfile, ModelProfile
+from repro.profiler import analytic_profile
+
+#: sha256 of the 7 paper models' analytic profiles: every cache key
+#: (solver contexts, plan cache, sweep run keys) starts with one.
+PAPER_DIGESTS = {
+    "alexnet": ("2c897e73a6e1f85c70a9f3657085390f54c77a093164b57ec749b3b90f665dd6",
+                "a30549ead11dc2d8d48b89e22bb545557bffde6c5b475094784853d15d1b7905"),
+    "awd-lm": ("1bff42d26764fd1f785724082488b7bd4c7d4b93e416a514fe5e3dffbf55ed36",
+               "a4d1ec8aaa8b28ec2ed8ba3700aa31e4afcd73b1b3e1392a9d6c4008ff2886cc"),
+    "gnmt16": ("848bbdfa599a7bc1863116d53977b02fe85c62021715e45892c8c3b13a2820d9",
+               "222abcd32af171915f3163a0df90e676db96765cecf9718322547669c7b6e641"),
+    "gnmt8": ("a721bfcdef5f7ef827a70951aef4e9adc437c74527aa84933208c93bfeb0f540",
+              "42f2ede12e9c5456ab5dc8e32fd06902ecb1c3198d378b7d8e9a60e873b89c43"),
+    "resnet50": ("efce56d9147246c2310d9201cd2e4d622489d113b9de9d6697284bfb96e1f965",
+                 "e42c2678000deafe1b24aacfc738e8dd3a86215290897c63ec65796931e1e41f"),
+    "s2vt": ("588b084da981d6f569ba2ae9261af2c46eb27bc69f88497d338bb3454f28d0e6",
+             "5b77e40bebd1c41724e435e368bf497894e3f39dc012fd724b2e092bbb1d3e5e"),
+    "vgg16": ("b2dad7e9511a718ea95f6d7ff809788d9abca1526a8c31845205ad07825389fa",
+              "da294ff8db5202f8d49c8b272773a68acaecb3df0e396ef9d4f2c4e6b5a9c60b"),
+}
 
 
 class TestLayerProfile:
@@ -83,3 +105,28 @@ class TestModelProfile:
 
     def test_repr(self, toy_profile):
         assert "toy" in repr(toy_profile)
+
+
+class TestDigest:
+    @pytest.mark.parametrize("model", sorted(PAPER_DIGESTS))
+    def test_paper_model_digests_are_pinned(self, model):
+        digests = tuple(
+            analytic_profile(model, bytes_per_element=PRECISION_BYTES[p],
+                             cache=False).digest()
+            for p in ("fp32", "fp16"))
+        assert digests == PAPER_DIGESTS[model]
+
+    @pytest.mark.parametrize("model", sorted(PAPER_DIGESTS))
+    def test_to_dict_is_the_asdict_form(self, model):
+        profile = analytic_profile(model, cache=False)
+        layers = profile.to_dict()["layers"]
+        expected = [asdict(layer) for layer in profile.layers]
+        assert layers == expected
+        # Key order too: ``to_json`` does not sort.
+        assert [list(d) for d in layers] == [list(d) for d in expected]
+
+    def test_round_trip_keeps_the_digest(self, toy_profile):
+        half = toy_profile.with_precision(2)
+        for profile in (toy_profile, half):
+            assert ModelProfile.from_dict(
+                profile.to_dict()).digest() == profile.digest()

@@ -17,6 +17,8 @@ every paper model and the edge cases (no replication, memory limits,
 worker subsets, hierarchical topologies).
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +36,7 @@ from repro.core.schedule import (
 )
 from repro.core.topology import cluster_a, cluster_b, make_cluster
 from repro.profiler import analytic_profile
-from repro.sim.executor import SimOptions, simulate
+from repro.sim.executor import SimOptions, _SimCore, simulate
 from repro.sim.faults import parse_faults
 from repro.sim.strategies import balanced_straight_stages
 from tests.oracles import ReferenceOptimizer
@@ -184,6 +186,20 @@ def _update_first_row(minibatches):
                              stage_workers={0: [1], 1: [0]})
 
 
+def _two_replicated_stages_per_worker(minibatches):
+    """Each of two workers runs one replica of both stages: one row holds
+    two round-gathering stages, whose rounds both span the two rows."""
+    def op(kind, s, b):
+        return Op(OpKind(kind), s, b)
+
+    ops = {0: [], 1: []}
+    for b in range(minibatches):
+        ops[b % 2] += [op("F", 0, b), op("F", 1, b), op("B", 1, b),
+                       op("U", 1, b), op("B", 0, b), op("U", 0, b)]
+    return schedule_from_ops([Stage(0, 2, 2), Stage(2, 4, 2)], minibatches,
+                             ops, stage_workers={0: [0, 1], 1: [0, 1]})
+
+
 def _halted_bucketed_rr():
     """A crash halts a bucketed, replicated 1F1B-RR run midway."""
     sched, profile, topo, options = SCENARIOS["bucketed_rr_8_8_stragglers"]()
@@ -204,6 +220,8 @@ LOOP_STATE_SCENARIOS = {
     "update_first_row": lambda: (
         _update_first_row(4), UNEVEN, UNEVEN_TOPO, None),
     "halted_bucketed_rr_8_8": _halted_bucketed_rr,
+    "two_replicated_stages_per_worker": lambda: (
+        _two_replicated_stages_per_worker(7), UNEVEN, UNEVEN_TOPO, None),
 }
 
 
@@ -217,6 +235,9 @@ def test_loop_state_matches_reference(scenario):
     elif scenario == "update_first_row":
         assert sim.raw_records[0][:2] == (0, Op(OpKind.UPDATE, 1, 0))
         assert list(sim.compute_time_per_worker) == [1, 0]
+    elif scenario == "two_replicated_stages_per_worker":
+        # Both stages synced in rounds of two: 4 full rounds each.
+        assert len(sim.sync_busy) == 2 and not sim.channel_busy
     else:
         assert sim.halted_at is not None
         assert sim.channel_busy and sim.compute_time_per_worker
@@ -358,6 +379,26 @@ DP_SCENARIOS = {
         lambda: (_repeated_minibatch(4), VGG, cluster_a(1),
                  SimOptions(sync_mode="bsp")), False),
 }
+
+
+def _every_case():
+    yield from SCENARIOS.items()
+    yield from LOOP_STATE_SCENARIOS.items()
+    yield from ((name, case) for name, (case, _) in DP_SCENARIOS.items())
+
+
+@pytest.mark.parametrize("scenario", sorted(
+    name for name, _ in _every_case()))
+def test_round_membership_counts_the_schedules_updates(scenario):
+    """``round_expected`` (which the oracle reads too) equals an op-by-op
+    count of each round-gathering stage's UPDATEs."""
+    sched, profile, topo, options = dict(_every_case())[scenario]()
+    core = _SimCore(sched, profile, topo, options or SimOptions())
+    expected = Counter(
+        op.stage * core.B + op.minibatch // core.round_div[op.stage]
+        for ops in sched.worker_ops.values() for op in ops
+        if op.kind == OpKind.UPDATE and not core.update_simple[op.stage])
+    assert core.round_expected == dict(expected)
 
 
 @pytest.fixture

@@ -27,10 +27,11 @@ from hypothesis import given, settings, strategies as st
 import repro.sim.strategies as strategies_mod
 from repro.core.partition import (
     PartitionResult,
+    PipeDreamOptimizer,
     Stage,
     evaluate_partition_details,
 )
-from repro.core.profile import LayerProfile, ModelProfile
+from repro.core.profile import PRECISION_BYTES, LayerProfile, ModelProfile
 from repro.core.schedule import (
     gpipe_schedule,
     model_parallel_schedule,
@@ -249,6 +250,35 @@ class TestGoldenGrid:
         # (80 calls).  mp and gpipe now run once per bucket pair (16 fewer)
         # and pipedream cells share straight and data-parallel runs.
         assert len(calls) == 58
+
+
+class TestBreakdownFromTheSolve:
+    """A planned cell's breakdown columns come from its plan's scoring
+    pass; they equal a fresh ``evaluate_partition_details`` bitwise."""
+
+    def test_every_planned_cell_equals_the_evaluator(self):
+        topology = cluster_a(2)
+        records = run_sweep(
+            ("vgg16", "gnmt8"), topology, (4, 8), minibatches=8,
+            strategies=("pipedream",), precisions=("fp32", "fp16"),
+            bucket_sizes=(None, 25e6), schedule_families=("1f1b", "2bp"),
+            recomputes=(None, "auto"), memory_limit_bytes=12e9)
+        assert len(records) == 64
+        for record in records:
+            profile = analytic_profile(
+                record.model,
+                bytes_per_element=PRECISION_BYTES[record.precision])
+            plan = PipeDreamOptimizer(
+                profile, topology, memory_limit_bytes=12e9,
+                bucket_bytes=record.bucket_bytes,
+                recompute=record.recompute).solve(record.workers)
+            details = evaluate_partition_details(
+                profile, plan.stages, topology.subset(record.workers),
+                bucket_bytes=record.bucket_bytes)
+            assert (record.stage_seconds, record.boundary_seconds,
+                    record.stage_memory_bytes) == (
+                details.stage_times, details.boundary_times,
+                details.memory_bytes)
 
 
 if __name__ == "__main__":
