@@ -39,7 +39,7 @@ from repro.sim import (
     FaultSchedule,
     pipeline_memory_footprint,
     records_to_csv,
-    simulate_plan,
+    simulate_stages,
     simulate_strategy,
 )
 from repro.utils import format_table
@@ -74,8 +74,8 @@ def run_grid(models, crash_fractions):
         # Fault-free minibatch horizon for this model's plan: crash
         # fractions land inside the run for every model.
         plan = coordinator.optimizer.solve()
-        oracle = simulate_plan(
-            profile, topology, plan, SimSpec(minibatches=MINIBATCHES))
+        oracle = simulate_stages(
+            profile, topology, plan.stages, SimSpec(minibatches=MINIBATCHES))
         horizon = max(oracle.sim.minibatch_done.values())
         for fraction in crash_fractions:
             crash_time = fraction * horizon

@@ -49,5 +49,5 @@ __all__ = lazy_exports(globals(), {
     ".sim.executor": "SimOptions simulate",
     ".sim.strategies": "simulate_data_parallel simulate_gpipe "
                        "simulate_model_parallel simulate_partition "
-                       "simulate_pipedream simulate_plan simulate_strategy",
+                       "simulate_pipedream simulate_stages simulate_strategy",
 })

@@ -112,7 +112,7 @@ class PartitionResult:
     @property
     def is_data_parallel(self) -> bool:
         """Vanilla DP is the degenerate single-replicated-stage pipeline."""
-        return len(self.stages) == 1 and self.stages[0].replicas == self.num_workers
+        return is_data_parallel(self.stages, self.num_workers)
 
     @property
     def config_string(self) -> str:
@@ -147,6 +147,12 @@ class PartitionResult:
             f"stages={len(self.stages)}, workers={self.num_workers}, "
             f"bottleneck={self.slowest_stage_time * 1e3:.2f}ms/minibatch)"
         )
+
+
+def is_data_parallel(stages: Sequence[Stage], workers: int) -> bool:
+    """Whether ``stages`` is vanilla data parallelism on ``workers``: one
+    stage replicated over every worker."""
+    return len(stages) == 1 and stages[0].replicas == workers
 
 
 def plan_config(stages: Sequence[Stage]) -> str:

@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # repro.sim imports this module
     from repro.sim.faults import FaultSchedule
 
 #: The training strategies of the paper's evaluation (§5), in the sweep's
-#: column order; ``repro.sim.strategies.STRATEGIES`` maps each to a driver.
+#: column order; ``repro.sim.strategies.simulate_stages`` runs each one.
 STRATEGY_NAMES = ("dp", "pipedream", "mp", "gpipe")
 
 #: The longest run any surface simulates: ~10x the longest run a test,

@@ -50,8 +50,9 @@ class TopologyLevel:
     allreduce_latency: float = 0.0  # seconds per collective at this level
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ValueError("level count must be >= 1")
+        count = self.count
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise ValueError(f"level count must be an int >= 1, got {count!r}")
         if not self.bandwidth > 0:  # NaN too
             raise ValueError("bandwidth must be positive")
         if not 0 < self.allreduce_efficiency <= 1:

@@ -19,9 +19,10 @@ The control loop closes the gap between the fault injector
 
 Every run of the cycle — the fault-free oracle, the crash-interrupted run
 and the resumed run — is the scenario's :class:`~repro.core.spec.SimSpec`
-through :func:`~repro.sim.strategies.simulate_plan`, the path every other
-surface simulates a plan through.  Recovery cost is reported as
-:class:`~repro.sim.strategies.RecoveryMetrics` against the oracle.
+over a solved plan's stages through
+:func:`~repro.sim.strategies.simulate_stages`, the one dispatch every
+other surface simulates through.  Recovery cost is reported as
+:class:`RecoveryMetrics` against the oracle.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from repro.core.partition import (
 )
 from repro.core.spec import PlanSpec, SimSpec, check_scenario
 from repro.core.topology import Topology
-from repro.sim.strategies import RecoveryMetrics, StrategyResult, simulate_plan
+from repro.sim.strategies import StrategyResult, simulate_stages
 from repro.sim.sweep import SweepRecord
 
 __all__ = [
     "ElasticCoordinator",
+    "RecoveryMetrics",
     "RecoveryReport",
     "consolidated_layer_states",
     "remap_checkpoints",
@@ -66,13 +68,39 @@ def surviving_worker_count(topology: Topology, failed: int) -> int:
     raise ValueError(f"no packable sub-cluster with <= {alive} workers")
 
 
+@dataclass(frozen=True)
+class RecoveryMetrics:
+    """What one crash/re-plan/resume cycle cost (vs a fault-free oracle).
+
+    Every field but ``replan_wall_seconds`` reads the simulated clock
+    only: the fault timeline, detection and the resumed execution, so
+    ``recovery_total_seconds`` (the crash-free prefix, the detection
+    downtime and the resumed run) and ``minibatches_lost`` reproduce
+    bitwise from run to run.  The re-plan runs on the host; its wall
+    clock is reported in ``replan_wall_seconds`` beside them and charged
+    to no simulated field.
+    """
+
+    fault_time: float  # sim seconds: when the worker crashed
+    detection_time: float  # sim seconds: first missed heartbeat boundary
+    detection_latency: float  # detection_time - fault_time
+    replan_wall_seconds: float  # warm-started re-plan, host wall clock
+    surviving_workers: int  # workers the new plan runs on
+    plan_config: str  # replica signature of the recovery plan
+    minibatches_completed: int  # finished before the crash
+    minibatches_resumed: int  # re-run + remaining after resume
+    recovery_total_seconds: float  # sim: crash-free prefix + detection + resumed run
+    oracle_seconds: float  # sim: fault-free run of the same workload
+    minibatches_lost: float  # extra time, in units of oracle minibatches
+
+
 @dataclass
 class RecoveryReport:
     """Everything one crash/re-plan/resume cycle produced."""
 
     metrics: RecoveryMetrics
     faulted: StrategyResult  # the run the crash cut short
-    resumed: StrategyResult  # the post-recovery run (recovery metrics attached)
+    resumed: StrategyResult  # the post-recovery run
     oracle: StrategyResult  # fault-free run of the same workload
     old_stages: List[Stage]
     new_stages: List[Stage]
@@ -164,9 +192,10 @@ class ElasticCoordinator:
         healthy = self.optimizer.solve()
         fault_free = replace(sim, faults=None)
 
-        oracle = simulate_plan(profile, topology, healthy, fault_free,
-                               bucket_bytes)
-        faulted = simulate_plan(profile, topology, healthy, sim, bucket_bytes)
+        oracle = simulate_stages(profile, topology, healthy.stages,
+                                 fault_free, bucket_bytes)
+        faulted = simulate_stages(profile, topology, healthy.stages, sim,
+                                  bucket_bytes)
         crash_time = faulted.sim.halted_at
         if crash_time is None:
             raise ValueError(
@@ -192,8 +221,8 @@ class ElasticCoordinator:
         kept = (completed // checkpoint_every) * checkpoint_every
         resumed_count = sim.minibatches - kept
 
-        resumed = simulate_plan(
-            profile, topology.subset(survivors), recovery,
+        resumed = simulate_stages(
+            profile, topology.subset(survivors), recovery.stages,
             replace(fault_free, minibatches=resumed_count), bucket_bytes)
 
         # Detection lands on the simulated critical path; the resumed run
@@ -221,7 +250,6 @@ class ElasticCoordinator:
             oracle_seconds=oracle.sim.total_time,
             minibatches_lost=lost,
         )
-        resumed.recovery = metrics
         return RecoveryReport(
             metrics=metrics,
             faulted=faulted,

@@ -21,5 +21,5 @@ __all__ = lazy_exports(globals(), {
               "precision_chart",
     ".strategies": "StrategyResult simulate_data_parallel "
                    "simulate_model_parallel simulate_gpipe simulate_pipedream "
-                   "simulate_partition simulate_plan simulate_strategy",
+                   "simulate_partition simulate_stages simulate_strategy",
 })

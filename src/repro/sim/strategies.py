@@ -3,24 +3,27 @@
 Each driver builds the appropriate schedule, runs the executor, and returns
 a :class:`StrategyResult` with the metrics the paper's figures report:
 steady-state throughput, communication overhead, per-sample communication
-volume, and per-worker memory.  :func:`simulate_strategy` runs a scenario
+volume, and per-worker memory.  :func:`simulate_stages` is the one place a
+strategy name meets its driver: :func:`simulate_strategy` runs a scenario
 — a :class:`~repro.core.spec.PlanSpec` x a :class:`~repro.core.spec.SimSpec`
-— through :data:`STRATEGIES`, the one table that names a driver per
-strategy.  Precision is a property of the profile
+— by getting its stages (the optimizer's plan, or the stages a strategy
+that does not plan runs) and handing them to it, and the sweep and the
+elastic loop call it with stages they already hold.  Precision is a
+property of the profile
 (:meth:`~repro.core.profile.ModelProfile.with_precision`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.core.partition import (
-    PartitionResult,
     PipeDreamOptimizer,
     Stage,
     communication_bytes_per_minibatch,
     data_parallel_bytes_per_minibatch,
+    is_data_parallel,
     plan_config,
 )
 from repro.core.profile import ModelProfile
@@ -36,32 +39,6 @@ from repro.core.topology import Topology
 from repro.sim.executor import SimOptions, SimResult, simulate
 from repro.sim.faults import FaultSchedule
 from repro.sim.memory import data_parallel_memory_footprint, pipeline_memory_footprint
-
-
-@dataclass(frozen=True)
-class RecoveryMetrics:
-    """What one crash/re-plan/resume cycle cost (vs a fault-free oracle).
-
-    Every field but ``replan_wall_seconds`` reads the simulated clock
-    only: the fault timeline, detection and the resumed execution, so
-    ``recovery_total_seconds`` (the crash-free prefix, the detection
-    downtime and the resumed run) and ``minibatches_lost`` reproduce
-    bitwise from run to run.  The re-plan runs on the host; its wall
-    clock is reported in ``replan_wall_seconds`` beside them and charged
-    to no simulated field.
-    """
-
-    fault_time: float  # sim seconds: when the worker crashed
-    detection_time: float  # sim seconds: first missed heartbeat boundary
-    detection_latency: float  # detection_time - fault_time
-    replan_wall_seconds: float  # warm-started re-plan, host wall clock
-    surviving_workers: int  # workers the new plan runs on
-    plan_config: str  # replica signature of the recovery plan
-    minibatches_completed: int  # finished before the crash
-    minibatches_resumed: int  # re-run + remaining after resume
-    recovery_total_seconds: float  # sim: crash-free prefix + detection + resumed run
-    oracle_seconds: float  # sim: fault-free run of the same workload
-    minibatches_lost: float  # extra time, in units of oracle minibatches
 
 
 @dataclass
@@ -82,9 +59,6 @@ class StrategyResult:
     #: pipeline) — lets callers recompute per-stage breakdowns and §3.3
     #: footprints without re-deriving the plan.
     stages: List[Stage] = field(default_factory=list)
-    #: Filled by the elastic control loop when this result came out of a
-    #: crash/re-plan/resume cycle; None for ordinary runs.
-    recovery: Optional[RecoveryMetrics] = None
 
     @property
     def samples_per_second(self) -> float:
@@ -115,23 +89,13 @@ def simulate_data_parallel(
                               bucket_bytes=bucket_bytes))
     # One simulated iteration = one minibatch per worker, so the run covers
     # ``num_minibatches * workers`` actual minibatches.
-    samples = num_minibatches * profile.batch_size * workers
     total_bytes = (
         data_parallel_bytes_per_minibatch(profile, workers) * num_minibatches * workers
     )
-    return StrategyResult(
-        strategy="dp",
-        config=str(workers),
-        num_workers=workers,
-        throughput=sim.steady_state_throughput,
-        epoch_time=sim.total_time,
-        communication_overhead=sim.communication_overhead,
-        bytes_per_sample=total_bytes / samples,
-        memory_per_worker=[data_parallel_memory_footprint(profile)] * workers,
-        sim=sim,
-        samples_per_minibatch=workers * profile.batch_size,
-        stages=[Stage(0, len(profile), workers)],
-    )
+    return _result(
+        "dp", str(workers), workers, sim, [Stage(0, len(profile), workers)],
+        [data_parallel_memory_footprint(profile)] * workers, total_bytes,
+        ticks=num_minibatches, samples_per_minibatch=workers * profile.batch_size)
 
 
 def simulate_model_parallel(
@@ -152,21 +116,11 @@ def simulate_model_parallel(
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
                               bucket_bytes=bucket_bytes))
-    samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, list(stages)) * num_minibatches
-    return StrategyResult(
-        strategy="mp",
-        config="straight",
-        num_workers=topology.total_workers,
-        throughput=sim.steady_state_throughput,
-        epoch_time=sim.total_time,
-        communication_overhead=sim.communication_overhead,
-        bytes_per_sample=total_bytes / samples,
-        memory_per_worker=pipeline_memory_footprint(profile, stages, in_flight=[1] * len(stages)),
-        sim=sim,
-        samples_per_minibatch=profile.batch_size,
-        stages=list(stages),
-    )
+    return _result(
+        "mp", "straight", topology.total_workers, sim, stages,
+        pipeline_memory_footprint(profile, stages, in_flight=[1] * len(stages)),
+        total_bytes, ticks=num_minibatches, samples_per_minibatch=profile.batch_size)
 
 
 def simulate_gpipe(
@@ -205,28 +159,14 @@ def simulate_gpipe(
         bucket_bytes=bucket_bytes,
     )
     sim = simulate(schedule, micro_profile, topology, options)
-    samples = num_batches * profile.batch_size
-    total_bytes = (
-        communication_bytes_per_minibatch(micro_profile, list(stages))
-        * num_batches
-        * num_microbatches
-    )
-    # Throughput in *minibatches* (not microbatches) per second.
-    throughput = sim.steady_state_throughput / num_microbatches
-    return StrategyResult(
-        strategy="gpipe",
-        config=f"straight-m{num_microbatches}",
-        num_workers=topology.total_workers,
-        throughput=throughput,
-        epoch_time=sim.total_time,
-        communication_overhead=sim.communication_overhead,
-        bytes_per_sample=total_bytes / samples,
-        memory_per_worker=pipeline_memory_footprint(
+    total_bytes = (communication_bytes_per_minibatch(micro_profile, list(stages))
+                   * num_batches * num_microbatches)
+    return _result(
+        "gpipe", f"straight-m{num_microbatches}", topology.total_workers, sim,
+        stages, pipeline_memory_footprint(
             micro_profile, stages, in_flight=[1] * len(stages)),
-        sim=sim,
-        samples_per_minibatch=profile.batch_size,
-        stages=list(stages),
-    )
+        total_bytes, ticks=num_batches, samples_per_minibatch=profile.batch_size,
+        microbatches=num_microbatches)
 
 
 def simulate_partition(
@@ -253,79 +193,68 @@ def simulate_partition(
     sim = simulate(schedule, profile, topology,
                    SimOptions(sync_mode="pipedream", faults=faults,
                               bucket_bytes=bucket_bytes))
-    samples = num_minibatches * profile.batch_size
     total_bytes = communication_bytes_per_minibatch(profile, stages) * num_minibatches
+    return _result(
+        "pipedream", plan_config(stages), sum(s.workers for s in stages), sim,
+        stages, pipeline_memory_footprint(profile, stages), total_bytes,
+        ticks=num_minibatches, samples_per_minibatch=profile.batch_size)
+
+
+def _result(strategy: str, config: str, num_workers: int, sim: SimResult,
+            stages: Sequence[Stage], memory: List[int], total_bytes: float,
+            *, ticks: int, samples_per_minibatch: int,
+            microbatches: int = 1) -> StrategyResult:
+    """The drivers' one :class:`StrategyResult` builder: ``ticks``
+    schedule iterations of ``samples_per_minibatch`` samples each moved
+    ``total_bytes``; a minibatch is ``microbatches`` of the simulated
+    pipeline's ticks, so throughput is counted in minibatches."""
     return StrategyResult(
-        strategy="pipedream",
-        config=plan_config(stages),
-        num_workers=sum(s.replicas * s.tp_degree for s in stages),
-        throughput=sim.steady_state_throughput,
+        strategy=strategy, config=config, num_workers=num_workers,
+        throughput=sim.steady_state_throughput / microbatches,
         epoch_time=sim.total_time,
         communication_overhead=sim.communication_overhead,
-        bytes_per_sample=total_bytes / samples,
-        memory_per_worker=pipeline_memory_footprint(profile, stages),
-        sim=sim,
-        samples_per_minibatch=profile.batch_size,
-        stages=stages,
-    )
+        bytes_per_sample=total_bytes / (ticks * samples_per_minibatch),
+        memory_per_worker=memory, sim=sim,
+        samples_per_minibatch=samples_per_minibatch, stages=list(stages))
 
 
-def simulate_plan(
+def simulate_stages(
     profile: ModelProfile,
     topology: Topology,
-    plan: PartitionResult,
+    stages: Sequence[Stage],
     sim: SimSpec,
     bucket_bytes: Optional[float] = None,
 ) -> StrategyResult:
-    """Simulate a solved plan for ``sim.minibatches`` minibatches.
+    """Simulate ``stages`` on ``topology`` under ``sim``: the one place a
+    strategy name meets its driver.
 
-    When the optimizer picked vanilla data parallelism (a single stage
-    replicated over every worker of ``topology``, ResNet-50's case in
-    Table 1) the DP simulation (BSP semantics) runs under the pipedream
-    name; it has no pipeline bubbles to fill and ignores
-    ``sim.schedule_family``.  Anything else is the 1F1B-RR pipeline of
-    :func:`simulate_partition`.  ``bucket_bytes`` is the planned spec's:
-    it also prices the simulated weight sync.
+    ``mp`` and ``gpipe`` run their schedules over ``stages``.  A
+    data-parallel stage list (:func:`~repro.core.partition.is_data_parallel`:
+    always ``dp``'s, and a pipedream plan's when the optimizer picked
+    vanilla DP, ResNet-50's case in Table 1) runs the BSP driver under
+    ``sim.strategy``'s name; it has no pipeline bubbles to fill and
+    ignores ``sim.schedule_family``.  Any other pipedream stage list is
+    the 1F1B-RR pipeline of :func:`simulate_partition`.  ``bucket_bytes``
+    prices the simulated weight sync.
     """
-    stages = plan.stages
-    if len(stages) == 1 and stages[0].replicas == topology.total_workers:
+    strategy, count, faults = sim.strategy, sim.minibatches, sim.faults
+    if strategy == "mp":
+        return simulate_model_parallel(
+            profile, topology, stages, count, faults, bucket_bytes)
+    if strategy == "gpipe":
+        return simulate_gpipe(profile, topology, stages, count,
+                              faults=faults, bucket_bytes=bucket_bytes)
+    if is_data_parallel(stages, topology.total_workers):
         result = simulate_data_parallel(
-            profile, topology, sim.minibatches, faults=sim.faults,
-            bucket_bytes=bucket_bytes)
-        return replace(result, strategy="pipedream")
-    return simulate_partition(
-        profile, topology, stages, sim.minibatches, faults=sim.faults,
-        bucket_bytes=bucket_bytes, schedule_family=sim.schedule_family)
+            profile, topology, count, faults, bucket_bytes)
+        return replace(result, strategy=strategy)
+    if strategy == "dp":
+        raise ValueError(
+            f"dp runs one stage over all {topology.total_workers} workers, "
+            f"not {plan_config(stages)!r}")
+    return simulate_partition(profile, topology, stages, count, faults,
+                              bucket_bytes, sim.schedule_family)
 
-
-def _planned(profile, topology, sim, *, plan, optimizer=None):
-    """Run the optimizer, then simulate its chosen configuration."""
-    if optimizer is None:
-        optimizer = PipeDreamOptimizer(profile, topology, **plan.options())
-    return simulate_plan(
-        profile, topology, optimizer.solve(topology.total_workers), sim,
-        plan.bucket_bytes)
-
-
-def _unplanned(driver: Callable, count: str) -> Callable:
-    """Table entry of a strategy that does not plan: ``count`` is the
-    driver's run-length keyword, ``bucket_bytes`` all it reads of a plan."""
-    def run(profile, topology, sim, *, plan, optimizer=None):
-        return driver(profile, topology, faults=sim.faults,
-                      bucket_bytes=plan.bucket_bytes,
-                      **{count: sim.minibatches})
-    return run
-
-
-#: strategy name -> ``run(profile, topology, sim, *, plan, optimizer)``:
-#: the one place a name is matched with its driver (keys are
-#: :data:`~repro.core.spec.STRATEGY_NAMES`, in the sweep's column order).
-STRATEGIES: Dict[str, Callable] = {
-    "dp": _unplanned(simulate_data_parallel, "num_minibatches"),
-    "pipedream": _planned,
-    "mp": _unplanned(simulate_model_parallel, "num_minibatches"),
-    "gpipe": _unplanned(simulate_gpipe, "num_batches"),
-}
 
 #: The sweep's grid budget, ``(floor, divisor)`` per strategy — the one
 #: place a run length is rescaled.  A cell's ``minibatches`` is what its
@@ -387,11 +316,11 @@ def run_key(
       and the evaluator walks buckets only for ``replicas > 1`` — so its
       ``bucket_bytes`` is ``None``.  A data-parallel run is exempt even on
       one worker: its BSP round walks the buckets.
-    - *family rule*: :func:`simulate_plan` never reads the schedule family
-      of a data-parallel plan, so it is ``"1f1b"``.
+    - *family rule*: :func:`simulate_stages` never reads the schedule
+      family of a data-parallel stage list, so it is ``"1f1b"``.
     """
     stages = tuple(stages)
-    data_parallel = len(stages) == 1 and stages[0].replicas == workers
+    data_parallel = is_data_parallel(stages, workers)
     if not data_parallel and all(s.replicas == 1 for s in stages):
         bucket_bytes = None
     if data_parallel and sim.schedule_family != "1f1b":
@@ -409,12 +338,13 @@ def simulate_strategy(
 ) -> StrategyResult:
     """Simulate the scenario ``plan`` x ``sim`` on ``topology``.
 
-    Pass a shared ``optimizer`` (built on the *full* cluster with the same
-    profile) to reuse its memoized DP tables across worker counts:
-    ``solve`` is then called for this topology's worker count, the
-    optimizer's own spec is the plan, and giving ``plan`` as well is an
-    error.  :func:`~repro.core.spec.check_scenario` rejects a plan option
-    the strategy would not read.
+    The pipedream strategy runs the optimizer's plan for this topology's
+    worker count; the others run :func:`unplanned_stages`.  Pass a shared
+    ``optimizer`` (built on the *full* cluster with the same profile) to
+    reuse its memoized DP tables across worker counts: the optimizer's own
+    spec is then the plan, and giving ``plan`` as well is an error.
+    :func:`~repro.core.spec.check_scenario` rejects a plan option the
+    strategy would not read.
     """
     if optimizer is not None:
         if plan.key():  # any non-default field
@@ -423,8 +353,13 @@ def simulate_strategy(
                 "them to the shared optimizer's constructor")
         plan = optimizer.spec
     check_scenario(plan, sim)
-    return STRATEGIES[sim.strategy](
-        profile, topology, sim, plan=plan, optimizer=optimizer)
+    if sim.strategy != "pipedream":
+        stages = unplanned_stages(sim.strategy, profile, topology.total_workers)
+    elif optimizer is None:
+        stages = PipeDreamOptimizer(profile, topology, **plan.options()).solve().stages
+    else:
+        stages = optimizer.solve(topology.total_workers).stages
+    return simulate_stages(profile, topology, stages, sim, plan.bucket_bytes)
 
 
 def simulate_pipedream(

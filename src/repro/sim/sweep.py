@@ -35,15 +35,14 @@ from repro.core.partition import (
 from repro.core.profile import PRECISION_BYTES, ModelProfile
 from repro.core.schedule import _assign_workers
 from repro.core.spec import DEFAULTS, FIELDS, PlanSpec, SimSpec
+from repro.core.spec import STRATEGY_NAMES as STRATEGIES
 from repro.core.topology import Topology
 from repro.profiler import analytic_profile
 from repro.sim.network import Placement, stage_sync_seconds
 from repro.sim.strategies import (
-    STRATEGIES,
     grid_minibatches,
     run_key,
-    simulate_plan,
-    simulate_strategy,
+    simulate_stages,
     unplanned_stages,
 )
 
@@ -231,23 +230,20 @@ def _run_cell(
             continue
         if optimizer is not None:
             plan = optimizer.solve(workers)  # once, for every family
-            stages = plan.stages
+            stages, details = plan.stages, plan.evaluation
         else:
-            plan = None
-            stages = unplanned_stages(strategy, profile, workers)
+            stages, details = unplanned_stages(strategy, profile, workers), None
         records = []
         for sim in sims:
             key = run_key(profile, workers, stages, sim, spec.bucket_bytes)
             fields = runs.get(key)
             if fields is None:
-                result = (
-                    simulate_strategy(profile, sub, sim, spec) if plan is None
-                    else simulate_plan(profile, sub, plan, sim,
-                                       spec.bucket_bytes))
+                result = simulate_stages(profile, sub, stages, sim,
+                                         spec.bucket_bytes)
                 if key.priced not in runs:
                     runs[key.priced] = _breakdown(
                         profile, result.stages, sub, spec.bucket_bytes,
-                        None if plan is None else plan.evaluation)
+                        details)
                 fields = runs[key] = dict(
                     config=result.config,
                     samples_per_second=result.samples_per_second,
@@ -327,6 +323,10 @@ def run_sweep(
     give alone.
 
     Args:
+        worker_counts: read through ``FIELDS["counts"]`` like the CLI's
+            and the service's: a non-empty list of ints in ``[1,
+            MAX_WORKERS]``, else a ``ValueError`` up front.  A count that
+            reads but does not pack onto ``topology`` gives no records.
         minibatches: run length of a pipedream cell; the other strategies
             run :func:`~repro.sim.strategies.grid_minibatches` of it.
         workers: sweep parallelism.  ``1`` (default) runs every cell
@@ -366,11 +366,11 @@ def run_sweep(
             runs only: pooled cells plan cold.  Warm starts are
             value-transparent, so records are unchanged.
     """
-    # The axes with a closed set of values, checked by their table rows.
+    # The grid axes, checked by their table rows.
     for name, value in (("strategies", tuple(strategies)),
                         ("precisions", tuple(precisions))):
         FIELDS[name].read(value)
-    worker_counts = list(worker_counts)
+    worker_counts = FIELDS["counts"].read(tuple(worker_counts))
     # Every planned cell's spec, built (and so validated) before any cell
     # runs.  Only pipedream plans: the other strategies read the bucket
     # size alone and keep one cell per (precision, bucket).

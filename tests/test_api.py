@@ -81,7 +81,7 @@ class TestDeletedKnobsStayDeleted:
 
     def test_one_table_names_every_strategy(self):
         assert tuple(sim.sweep.STRATEGIES) == STRATEGY_NAMES
-        assert sim.sweep.STRATEGIES is sim.strategies.STRATEGIES
+        assert sim.sweep.STRATEGIES is STRATEGY_NAMES
 
 
 class TestReporting:

@@ -170,7 +170,7 @@ class TestRunWithRecovery:
         assert m.minibatches_resumed >= 1  # last minibatch always re-runs
         assert m.minibatches_lost > 0.0
         assert report.resumed.num_workers == 12
-        assert report.resumed.recovery is m
+        assert m.plan_config == report.resumed.config
 
     @pytest.mark.chaos
     def test_sim_side_fields_deterministic(self, report):

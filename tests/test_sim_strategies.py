@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.partition import Stage
+from repro.core.partition import Stage, is_data_parallel
+from repro.core.spec import SimSpec
 from repro.core.profile import LayerProfile, ModelProfile
 from repro.core.topology import cluster_a, make_cluster
 from repro.profiler import analytic_profile
@@ -14,8 +15,9 @@ from repro.sim import (
     simulate_model_parallel,
     simulate_partition,
     simulate_pipedream,
+    simulate_stages,
 )
-from repro.sim.strategies import balanced_straight_stages
+from repro.sim.strategies import balanced_straight_stages, unplanned_stages
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +74,50 @@ class TestDrivers:
         stages = [Stage(0, len(vgg) - 1, 3), Stage(len(vgg) - 1, len(vgg), 1)]
         result = simulate_partition(vgg, topo.subset(4), stages, num_minibatches=8)
         assert result.config == "3-1"
+
+
+class TestSimulateStages:
+    """The one dispatch from a stage list to a driver."""
+
+    @pytest.mark.parametrize("strategy", ["dp", "mp", "gpipe"])
+    def test_unplanned_stages_run_their_driver(self, vgg, topo, strategy):
+        stages = unplanned_stages(strategy, vgg, topo.total_workers)
+        got = simulate_stages(vgg, topo, stages, SimSpec(strategy, 4))
+        want = {"dp": lambda: simulate_data_parallel(vgg, topo, 4),
+                "mp": lambda: simulate_model_parallel(vgg, topo, stages, 4),
+                "gpipe": lambda: simulate_gpipe(vgg, topo, stages, 4)}[
+                    strategy]()
+        assert repr(got) == repr(want)
+        assert got.sim.timeline[1:] == want.sim.timeline[1:]
+
+    def test_a_data_parallel_plan_runs_bsp_under_its_name(self, vgg, topo):
+        stages = [Stage(0, len(vgg), topo.total_workers)]
+        assert is_data_parallel(stages, topo.total_workers)
+        got = simulate_stages(vgg, topo, stages, SimSpec("pipedream", 4, "2bp"))
+        want = simulate_data_parallel(vgg, topo, 4)
+        assert got.strategy == "pipedream" and want.strategy == "dp"
+        assert got.config == want.config and got.sim.total_time == \
+            want.sim.total_time
+
+    def test_a_pipeline_runs_1f1b_rr(self, vgg, topo):
+        stages = [Stage(0, 10, 12), Stage(10, len(vgg), 4)]
+        got = simulate_stages(vgg, topo, stages, SimSpec("pipedream", 4, "2bp"))
+        want = simulate_partition(vgg, topo, stages, 4, schedule_family="2bp")
+        assert repr(got) == repr(want)
+
+    def test_dp_refuses_a_pipeline(self, vgg, topo):
+        stages = balanced_straight_stages(vgg, topo.total_workers)
+        with pytest.raises(ValueError, match="dp runs one stage"):
+            simulate_stages(vgg, topo, stages, SimSpec("dp", 4))
+
+    def test_one_worker_mp_is_not_data_parallel(self, vgg, topo):
+        """A one-worker straight pipeline is shaped like DP; the strategy,
+        not the shape, picks the mp driver."""
+        one = topo.subset(1)
+        stages = unplanned_stages("mp", vgg, 1)
+        assert is_data_parallel(stages, 1)
+        got = simulate_stages(vgg, one, stages, SimSpec("mp", 4))
+        assert (got.strategy, got.config) == ("mp", "straight")
 
 
 class TestRunLengths:

@@ -47,7 +47,7 @@ def test_the_check_sees_both_import_forms():
 #: them off it.  Package surfaces import nothing: see :func:`export_table`.
 REEXPORTS = {
     "repro/core/partition.py": {"clear_eval_tables", "eval_tables_stats"},
-    # benchmarks/e2e/sweep_grid.py imports the strategy table from here.
+    # benchmarks/e2e/sweep_grid.py imports the strategy names from here.
     "repro/sim/sweep.py": {"STRATEGIES"},
 }
 

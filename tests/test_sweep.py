@@ -5,8 +5,8 @@ import io
 
 import pytest
 
-from repro.core.topology import cluster_a
-from repro.sim.sweep import SweepRecord, records_to_csv, run_sweep
+from repro.core.topology import MAX_WORKERS, cluster_a
+from repro.sim.sweep import SweepError, SweepRecord, records_to_csv, run_sweep
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +28,22 @@ class TestRunSweep:
         out = run_sweep(["vgg16"], cluster_a(2), worker_counts=[6, 4],
                         strategies=("dp",), minibatches=8)
         assert [r.workers for r in out] == [4]
+
+    @pytest.mark.parametrize("counts", [
+        [0, -3], [True], [2.5], [], [4, MAX_WORKERS + 1]])
+    def test_invalid_counts_fail_loudly(self, counts):
+        """Counts read through ``FIELDS["counts"]``: an invalid one is a
+        ValueError up front, not an empty result or a failed cell."""
+        with pytest.raises(ValueError, match="counts") as excinfo:
+            run_sweep(["vgg16"], cluster_a(1), counts, strategies=("dp",),
+                      minibatches=8)
+        assert not isinstance(excinfo.value, SweepError)
+
+    def test_integral_counts_read_as_ints(self):
+        assert run_sweep(["vgg16"], cluster_a(1), (4.0,), strategies=("dp",),
+                         minibatches=8) == run_sweep(
+            ["vgg16"], cluster_a(1), range(4, 5), strategies=("dp",),
+            minibatches=8)
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):

@@ -92,14 +92,14 @@ def test_warm_contexts_do_not_change_results(serial_records):
 @pytest.fixture()
 def failing_dp_for_resnet(monkeypatch):
     """Make the (resnet50, dp) cell raise; every other cell untouched."""
-    original = sweep_mod.STRATEGIES["dp"]
+    original = sweep_mod.simulate_stages
 
-    def exploding(profile, topo, m, **kw):
-        if profile.model_name == "resnet50":
+    def exploding(profile, topo, stages, sim, *args):
+        if profile.model_name == "resnet50" and sim.strategy == "dp":
             raise RuntimeError("injected cell failure")
-        return original(profile, topo, m, **kw)
+        return original(profile, topo, stages, sim, *args)
 
-    monkeypatch.setitem(sweep_mod.STRATEGIES, "dp", exploding)
+    monkeypatch.setattr(sweep_mod, "simulate_stages", exploding)
 
 
 def test_failing_cell_reported_per_cell(failing_dp_for_resnet):

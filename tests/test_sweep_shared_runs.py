@@ -45,7 +45,7 @@ from repro.sim import SimOptions, records_to_csv, run_sweep, simulate
 from repro.sim.strategies import (
     run_key,
     simulate_partition,
-    simulate_plan,
+    simulate_stages,
     simulate_strategy,
     unplanned_stages,
 )
@@ -177,8 +177,9 @@ class TestFamilyRule:
                                for family in ("1f1b", "2bp"))
         assert (run_key(profile, workers, stages, two_bp, bucket)
                 == run_key(profile, workers, stages, one_f_one_b, bucket))
-        a = simulate_plan(profile, topology, plan, one_f_one_b, bucket)
-        b = simulate_plan(profile, topology, plan, two_bp, bucket)
+        a = simulate_stages(profile, topology, plan.stages, one_f_one_b,
+                            bucket)
+        b = simulate_stages(profile, topology, plan.stages, two_bp, bucket)
         assert fingerprint(a.sim) == fingerprint(b.sim)
         assert repr(dataclasses.replace(a, sim=None)) == \
             repr(dataclasses.replace(b, sim=None))
@@ -188,12 +189,11 @@ class TestFamilyRule:
         profile = analytic_profile("vgg16")
         topology = cluster_a(1).subset(2)
         stages = [Stage(0, 10, 1), Stage(10, len(profile), 1)]
-        plan = PartitionResult(stages, 0.0, 2, profile, topology)
         one_f_one_b, two_bp = (SimSpec("pipedream", 8, family)
                                for family in ("1f1b", "2bp"))
         assert (run_key(profile, 2, stages, two_bp, None)
                 != run_key(profile, 2, stages, one_f_one_b, None))
-        a, b = (simulate_plan(profile, topology, plan, sim)
+        a, b = (simulate_stages(profile, topology, stages, sim)
                 for sim in (one_f_one_b, two_bp))
         assert fingerprint(a.sim) != fingerprint(b.sim)
 
@@ -205,11 +205,10 @@ class TestStrategyInTheKey:
         profile = analytic_profile("vgg16")
         topology = cluster_a(1)
         stages = unplanned_stages("mp", profile, 4)
-        plan = PartitionResult(stages, 0.0, 4, profile, topology)
         pipedream, mp = SimSpec("pipedream", 8), SimSpec("mp", 8)
         assert (run_key(profile, 4, stages, pipedream, None)
                 != run_key(profile, 4, stages, mp, None))
-        a = simulate_plan(profile, topology, plan, pipedream)
+        a = simulate_stages(profile, topology, stages, pipedream)
         b = simulate_strategy(profile, topology, mp)
         assert a.stages == b.stages == stages
         assert fingerprint(a.sim) != fingerprint(b.sim)

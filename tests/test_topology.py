@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.partition import PipeDreamOptimizer
 from repro.core.topology import (
     CLUSTER_A,
     CLUSTER_B,
@@ -15,6 +16,7 @@ from repro.core.topology import (
     cluster_a,
     make_cluster,
 )
+from repro.profiler import analytic_profile
 
 
 class TestTopology:
@@ -40,6 +42,24 @@ class TestTopology:
             TopologyLevel(0, 1.0)
         with pytest.raises(ValueError):
             TopologyLevel(2, 0.0)
+
+    @pytest.mark.parametrize("count", [2.5, 2.0, True, "2", None])
+    def test_level_count_must_be_an_int(self, count):
+        with pytest.raises(ValueError, match="level count must be an int"):
+            TopologyLevel(count, 1.0)
+
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_subset_refuses_non_int_counts(self, workers):
+        """``subset(2.5)`` used to build a level of 2.5 workers and
+        ``subset(True)`` a cluster named ``'Cluster-A-Truew'``."""
+        with pytest.raises(ValueError, match="level count must be an int"):
+            cluster_a(2).subset(workers)
+
+    def test_solve_refuses_a_bool_worker_count(self):
+        """``solve(True)`` used to raise IndexError from the planner."""
+        optimizer = PipeDreamOptimizer(analytic_profile("vgg16"), cluster_a(1))
+        with pytest.raises(ValueError, match="level count must be an int"):
+            optimizer.solve(True)
 
     @pytest.mark.parametrize("num_servers", [0, -2])
     def test_make_cluster_rejects_no_servers(self, num_servers):

@@ -4,7 +4,8 @@
 # seeded chaos suite, the price-fidelity ledger, the elastic-recovery
 # smoke, the threaded-runtime example, the quickstart / cluster-planner /
 # DAG / image-classification / GNMT-translation examples, the Figure 4
-# and Figure 8 schedule scripts, the 1 024-worker `repro plan` smoke, the
+# and Figure 8 schedule scripts and the five print-only scripts that call
+# the strategy drivers, the 1 024-worker `repro plan` smoke, the
 # `repro plan --trace` and `repro simulate --trace` exports, the
 # planner-service smoke, the end-to-end benchmark's selftest (its pinned
 # call surface), and the perf-regression gate.
@@ -52,6 +53,11 @@ echo
 echo "== schedule figure scripts =="
 python benchmarks/bench_fig04_1f1b_timeline.py
 python benchmarks/bench_fig08_1f1b_rr.py
+python benchmarks/bench_fig14_intra_batch.py
+python benchmarks/bench_table1_speedup_summary.py
+python benchmarks/bench_gpipe_comparison.py
+python benchmarks/bench_table3_mlperf_cloud.py
+python benchmarks/bench_ablation_partitioner.py
 
 echo
 echo "== largest admitted plan =="
