@@ -47,11 +47,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from heapq import heappop, heappush
-from itertools import compress, repeat, starmap
-from operator import and_, floordiv
-from typing import Dict, List, Optional, Tuple
+from itertools import compress, repeat
+from operator import and_, eq, floordiv
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.profile import ModelProfile
 from repro.core.schedule import (
@@ -118,6 +120,42 @@ class OpRecord:
     end: float
 
 
+class TimelineView(Sequence):
+    """A run's ops in commit order, streamed from its ``timeline`` columns.
+
+    ``rows`` turns the four column iterables of
+    :meth:`SimResult._columns` — worker, op, start, end — into an
+    iterator of rows.  ``len()`` reads the columns; iteration builds one
+    row at a time; ``==`` compares row by row with any sequence.  The
+    first index or slice materializes the rows on this view.
+    """
+
+    __slots__ = ("_sim", "_rows", "_list")
+
+    def __init__(self, sim: SimResult, rows: Callable[..., Iterator]):
+        self._sim, self._rows, self._list = sim, rows, None
+
+    def __len__(self) -> int:
+        timeline = self._sim.timeline
+        return 0 if timeline is None else len(timeline[2])
+
+    def __iter__(self) -> Iterator:
+        return self._rows(*self._sim._columns())
+
+    def __getitem__(self, index):
+        if self._list is None:
+            self._list = list(self)
+        return self._list[index]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<timeline of {len(self)} ops>"
+
+
 @dataclass
 class SimResult:
     """Timeline and summary statistics of one simulated run.
@@ -125,9 +163,10 @@ class SimResult:
     The engine logs the timeline as commit-ordered ``(rank, start, end)``
     columns over the :class:`ScheduleTable` it ran (``timeline``);
     :attr:`raw_records` (``(worker, op, start, end)`` tuples) and
-    :attr:`records` (:class:`OpRecord` objects) are built from them on
-    first access.  Aggregate-only consumers (the sweeps and strategy
-    drivers) never pay for an op or record object.
+    :attr:`records` (:class:`OpRecord` objects) are :class:`TimelineView`
+    sequences over them, which build one row at a time as they are
+    iterated.  Aggregate-only consumers (the sweeps and strategy drivers)
+    never pay for an op or record object.
     """
 
     total_time: float
@@ -150,34 +189,28 @@ class SimResult:
     sync_exposed: Dict[int, float] = field(default_factory=dict)
     timeline: Optional[Tuple[ScheduleTable, List[int], List[float], List[float]]] = field(
         default=None, repr=False)
-    _raw: Optional[List[Tuple[int, Op, float, float]]] = field(
-        default=None, init=False, repr=False, compare=False)
-    _records: Optional[List[OpRecord]] = field(
-        default=None, init=False, repr=False, compare=False)
 
     def _columns(self):
         """(worker, op, start, end) iterables in commit order: the k-th
-        commit of a rank is that rank's k-th op."""
+        commit of a rank is that rank's k-th op, built as it is read."""
         if self.timeline is None:
             return (), (), (), ()
         table, ranks, starts, ends = self.timeline
-        heads = [iter(table.ops(rank)) for rank in range(len(table.workers))]
+        heads = [map(Op, map(OP_KINDS.__getitem__, kinds), stages, mbs)
+                 for kinds, stages, mbs in zip(
+                     table.kinds, table.stages, table.minibatches)]
         return (map(table.workers.__getitem__, ranks),
                 map(next, map(heads.__getitem__, ranks)), starts, ends)
 
     @property
-    def raw_records(self) -> List[Tuple[int, Op, float, float]]:
-        if self._raw is None:
-            self._raw = list(zip(*self._columns()))
-        return self._raw
+    def raw_records(self) -> TimelineView:
+        """The timeline as ``(worker, op, start, end)`` tuples."""
+        return TimelineView(self, zip)
 
     @property
-    def records(self) -> List[OpRecord]:
-        if self._records is None:
-            self._records = (list(map(OpRecord, *self._columns()))
-                             if self._raw is None
-                             else list(starmap(OpRecord, self._raw)))
-        return self._records
+    def records(self) -> TimelineView:
+        """The timeline as :class:`OpRecord` objects."""
+        return TimelineView(self, partial(map, OpRecord))
 
     @property
     def throughput(self) -> float:

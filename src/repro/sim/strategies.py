@@ -108,8 +108,7 @@ def simulate_model_parallel(
 ) -> StrategyResult:
     """Vanilla model parallelism (Figure 2): no pipelining, one in flight."""
     _check_run_lengths(num_minibatches=num_minibatches)
-    if stages is None:
-        stages = balanced_straight_stages(profile, topology.total_workers)
+    stages = _pipeline_stages("mp", profile, topology, stages)
     schedule = model_parallel_schedule(
         len(stages), num_minibatches, layer_bounds=[(s.start, s.stop) for s in stages]
     )
@@ -141,8 +140,7 @@ def simulate_gpipe(
     """
     _check_run_lengths(num_batches=num_batches,
                        num_microbatches=num_microbatches)
-    if stages is None:
-        stages = balanced_straight_stages(profile, topology.total_workers)
+    stages = _pipeline_stages("gpipe", profile, topology, stages)
     # A microbatch is 1/m of a minibatch: scale compute and activations.
     micro_profile = _scale_batch(profile, 1.0 / num_microbatches)
     schedule = gpipe_schedule(
@@ -228,7 +226,8 @@ def simulate_stages(
     """Simulate ``stages`` on ``topology`` under ``sim``: the one place a
     strategy name meets its driver.
 
-    ``mp`` and ``gpipe`` run their schedules over ``stages``.  A
+    ``mp`` and ``gpipe`` run their schedules over ``stages``, which must
+    be straight (one worker per stage; their drivers refuse others).  A
     data-parallel stage list (:func:`~repro.core.partition.is_data_parallel`:
     always ``dp``'s, and a pipedream plan's when the optimizer picked
     vanilla DP, ResNet-50's case in Table 1) runs the BSP driver under
@@ -385,6 +384,20 @@ def _check_run_lengths(**lengths) -> None:
     for name, count in lengths.items():
         if not count >= 1:
             raise ValueError(f"{name} must be >= 1, got {count!r}")
+
+
+def _pipeline_stages(strategy: str, profile: ModelProfile, topology: Topology,
+                     stages: Optional[Sequence[Stage]]) -> Sequence[Stage]:
+    """The stages an ``mp`` or ``gpipe`` driver runs: ``stages``, or the
+    balanced straight pipeline on every worker.  Their schedules run one
+    worker per stage, so a replicated or tensor-parallel stage is an
+    error, not a run that reports workers it never simulated."""
+    if stages is None:
+        return balanced_straight_stages(profile, topology.total_workers)
+    if any(s.replicas > 1 or s.tp_degree > 1 for s in stages):
+        raise ValueError(
+            f"{strategy} runs one worker per stage, not {plan_config(stages)!r}")
+    return stages
 
 
 def balanced_straight_stages(profile: ModelProfile, num_workers: int) -> List[Stage]:

@@ -36,26 +36,28 @@ def chrome_trace_events(sim: SimResult, time_scale: float = 1e6) -> List[Dict]:
         OpKind.UPDATE: "grey",
     }
     events: List[Dict] = []
-    for record in sim.records:
-        duration = (record.end - record.start) * time_scale
-        if record.op.kind == OpKind.UPDATE and duration <= 0:
+    workers = set()
+    for worker, op, start, end in sim.raw_records:
+        workers.add(worker)
+        duration = (end - start) * time_scale
+        if op.kind == OpKind.UPDATE and duration <= 0:
             continue  # instantaneous updates just clutter the view
         events.append({
-            "name": f"{record.op.kind.value}{record.op.minibatch}",
-            "cat": record.op.kind.name.lower(),
+            "name": f"{op.kind.value}{op.minibatch}",
+            "cat": op.kind.name.lower(),
             "ph": "X",  # complete event
-            "ts": record.start * time_scale,
+            "ts": start * time_scale,
             "dur": max(duration, 0.01),
             "pid": 0,
-            "tid": record.worker,
-            "cname": color[record.op.kind],
+            "tid": worker,
+            "cname": color[op.kind],
             "args": {
-                "stage": record.op.stage,
-                "minibatch": record.op.minibatch,
+                "stage": op.stage,
+                "minibatch": op.minibatch,
             },
         })
     # Name the rows.
-    for worker in sorted({r.worker for r in sim.records}):
+    for worker in sorted(workers):
         events.append({
             "name": "thread_name",
             "ph": "M",

@@ -30,21 +30,20 @@ def format_timeline(sim: SimResult, width: int = 78) -> str:
     (the grad-input half under 2BP), ``W`` 2BP grad-weight.  Idle time is
     ``.``; updates are not drawn.
     """
-    if not sim.records:
+    if not sim.raw_records:
         return "(empty timeline)"
     total = sim.total_time
     scale = width / total if total > 0 else 1.0
-    workers = sorted({r.worker for r in sim.records})
-    rows = []
-    for w in workers:
-        row = ["."] * width
-        for record in sim.records:
-            if record.worker != w or record.op.kind == OpKind.UPDATE:
-                continue
-            start = int(record.start * scale)
-            end = max(start + 1, int(record.end * scale))
-            glyph = record.op.kind.value  # "F", "B" or "W"
-            for i in range(start, min(end, width)):
-                row[i] = glyph if i > start else str(record.op.minibatch % 10)
-        rows.append(f"worker {w}: " + "".join(row))
-    return "\n".join(rows)
+    rows = {}
+    for worker, op, start, end in sim.raw_records:
+        row = rows.get(worker)
+        if row is None:
+            row = rows[worker] = ["."] * width
+        if op.kind == OpKind.UPDATE:
+            continue
+        start = int(start * scale)
+        end = max(start + 1, int(end * scale))
+        glyph = op.kind.value  # "F", "B" or "W"
+        for i in range(start, min(end, width)):
+            row[i] = glyph if i > start else str(op.minibatch % 10)
+    return "\n".join(f"worker {w}: " + "".join(rows[w]) for w in sorted(rows))

@@ -701,3 +701,106 @@ class TestTablePath:
                             strategies=("dp", "pipedream", "mp", "gpipe"),
                             minibatches=8, schedule_families=("1f1b", "2bp"))
         assert records
+
+
+# ----------------------------------------------------------------------
+# The timeline views: sequences streamed from the engine's columns.
+# ----------------------------------------------------------------------
+
+import tracemalloc  # noqa: E402
+
+from repro.sim.executor import OpRecord  # noqa: E402
+from repro.utils import format_timeline  # noqa: E402
+
+
+def _materialized(sim):
+    """The timeline as ``(worker, op, start, end)`` tuples, built the long
+    way: every rank's ops up front, handed out in commit order."""
+    table, ranks, starts, ends = sim.timeline
+    heads = [iter(table.ops(rank)) for rank in range(len(table.workers))]
+    return [(table.workers[rank], next(heads[rank]), start, end)
+            for rank, start, end in zip(ranks, starts, ends)]
+
+
+def _peak_bytes(action):
+    """Peak bytes ``action()`` holds at once, by ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: Every SCENARIOS case, a collapsed BSP fan-out run and a crash-halted
+#: run.
+VIEW_CASES = {**SCENARIOS,
+              "bsp_fanout_dp_16w_m48": DP_SCENARIOS["dp_16w_m48_cluster_a"][0],
+              "halted_bucketed_rr_8_8": _halted_bucketed_rr}
+
+
+class TestTimelineViews:
+    @pytest.fixture(scope="class")
+    def straight(self):
+        """A 64-stage straight 1F1B run of 107 520 ops."""
+        layers = [LayerProfile(f"l{i}", 3.0, 0, 0) for i in range(64)]
+        profile = ModelProfile("uniform", layers, batch_size=1)
+        topology = make_cluster("t64", 64, 1, 1e9, 1e9)
+        return simulate(one_f_one_b_schedule(64, 560), profile, topology)
+
+    @pytest.mark.parametrize("view", ["raw_records", "records"])
+    def test_len_allocates_nothing(self, straight, view):
+        counts = []
+        peak = _peak_bytes(lambda: counts.append(len(getattr(straight, view))))
+        assert counts == [64 * 560 * 3]
+        assert peak < 4 * 1024
+
+    @pytest.mark.parametrize("view", ["raw_records", "records"])
+    def test_iteration_streams(self, straight, view):
+        def walk():
+            for row in getattr(straight, view):
+                pass
+        assert _peak_bytes(walk) < 256 * 1024
+
+    @pytest.mark.parametrize("scenario", sorted(VIEW_CASES))
+    def test_rows_are_the_columns_ops(self, scenario):
+        sim = simulate(*VIEW_CASES[scenario]())
+        assert (sim.halted_at is not None) == scenario.startswith("halted")
+        want = _materialized(sim)
+        assert len(sim.raw_records) == len(sim.records) == len(want)
+        assert list(sim.raw_records) == want
+        assert list(sim.records) == [OpRecord(*row) for row in want]
+
+    def test_equality_is_row_by_row_both_ways(self):
+        sched, profile, topo, options = SCENARIOS["rr_8_8"]()
+        sim = simulate(sched, profile, topo, options)
+        want = _materialized(sim)
+        records = [OpRecord(*row) for row in want]
+        assert sim.raw_records == want and want == sim.raw_records
+        assert sim.records == records and records == sim.records
+        assert sim.records == simulate(sched, profile, topo, options).records
+        assert not (sim.raw_records != want) and not (want != sim.raw_records)
+        assert sim.raw_records != want[:-1] and want[:-1] != sim.raw_records
+        assert sim.records != sim.raw_records  # OpRecords are not tuples
+        assert sim.records != len(want)
+
+    def test_indexing(self):
+        sim = simulate(*SCENARIOS["model_parallel"]())
+        want = _materialized(sim)
+        view = sim.raw_records
+        assert view[0] == want[0] and view[-1] == want[-1]
+        assert view[-len(want)] == want[0]
+        assert sim.records[-2] == OpRecord(*want[-2])
+        assert view[3:9] == want[3:9]
+        with pytest.raises(IndexError):
+            view[len(want)]
+
+    def test_an_empty_timeline_is_falsy(self):
+        crash = parse_faults("crash@0:w0", num_workers=4)
+        sched, profile, topo, _ = SCENARIOS["model_parallel"]()
+        sim = simulate(sched, profile, topo, SimOptions(faults=crash))
+        assert sim.halted_at == 0.0
+        assert not sim.raw_records and not sim.records
+        assert sim.records == [] and list(sim.raw_records) == []
+        assert format_timeline(sim) == "(empty timeline)"
+        assert not SimResult(0.0, 0, 0, {}, {}, {}, {}).records

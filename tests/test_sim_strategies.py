@@ -119,6 +119,26 @@ class TestSimulateStages:
         got = simulate_stages(vgg, one, stages, SimSpec("mp", 4))
         assert (got.strategy, got.config) == ("mp", "straight")
 
+    @pytest.mark.parametrize("stages, config", [
+        ([Stage(0, 10, 2), Stage(10, 21, 2)], "2-2"),
+        ([Stage(0, 10, 1, tp_degree=2), Stage(10, 21, 1)], "1x2-1"),
+        ([Stage(0, 21, 4)], "4"),
+    ])
+    @pytest.mark.parametrize("strategy", ["mp", "gpipe"])
+    def test_mp_and_gpipe_refuse_replicated_or_tp_stages(
+            self, vgg, strategy, stages, config):
+        """Their schedules run one worker per stage: a replicated or
+        sharded stage list is refused, not simulated as the straight
+        pipeline while reporting the workers it never ran."""
+        one = cluster_a(1)
+        driver = {"mp": simulate_model_parallel, "gpipe": simulate_gpipe}[
+            strategy]
+        match = f"{strategy} runs one worker per stage, not '{config}'"
+        with pytest.raises(ValueError, match=match):
+            driver(vgg, one, stages, 4)
+        with pytest.raises(ValueError, match=match):
+            simulate_stages(vgg, one, stages, SimSpec(strategy, 4))
+
 
 class TestRunLengths:
     """A run length below 1 is one ValueError naming the argument, from

@@ -1,12 +1,21 @@
 """Chrome-trace export and straggler modelling."""
 
+import hashlib
 import json
 
 import pytest
 
+from repro.core.partition import Stage
 from repro.core.profile import LayerProfile, ModelProfile
-from repro.core.schedule import one_f_one_b_schedule, split_backward_schedule
-from repro.core.topology import make_cluster
+from repro.core.schedule import (
+    data_parallel_schedule,
+    one_f_one_b_rr_schedule,
+    one_f_one_b_schedule,
+    schedule_for_family,
+    split_backward_schedule,
+)
+from repro.core.topology import cluster_a, make_cluster
+from repro.profiler import analytic_profile
 from repro.sim import SimOptions, chrome_trace_events, export_chrome_trace, simulate
 from repro.utils import format_timeline
 
@@ -63,6 +72,48 @@ def test_2bp_grad_weight_ops_are_their_own_kind_in_both_exporters():
     assert all("W" in row for row in rows)
     assert {glyph for row in rows for glyph in row.split(": ")[1]
             if not glyph.isdigit()} == {".", "F", "B", "W"}
+
+
+class TestOutputsPinned:
+    """Both exporters read the timeline in one pass; their output is
+    pinned byte for byte to the sha256 of the per-worker-pass exporters
+    they replaced."""
+
+    @staticmethod
+    def _runs():
+        vgg = analytic_profile("vgg16")
+        topology = cluster_a(1)
+        rr = one_f_one_b_rr_schedule([Stage(0, 10, 2), Stage(10, len(vgg), 2)],
+                                     12)
+        return {
+            "1f1b_rr": simulate(rr, vgg, topology),
+            "2bp": simulate(schedule_for_family(rr, "2bp"), vgg, topology),
+            # Fault-free one-stage BSP: one row simulated, fanned out.
+            "bsp_fanout": simulate(
+                data_parallel_schedule(4, 6, num_layers=len(vgg)), vgg,
+                topology, SimOptions(sync_mode="bsp")),
+        }
+
+    @staticmethod
+    def _sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_format_timeline(self):
+        assert {name: self._sha(format_timeline(sim, width=120))
+                for name, sim in self._runs().items()} == {
+            "1f1b_rr": "5e831538e95a9671110eaded8195dce0"
+                       "a195ac5dfe54780480c52b7d8a8716cf",
+            "2bp": "6ba70859f10cd94196c306d3932f7e98"
+                   "578dac9ae1e2e7252806468483d1e3de",
+            "bsp_fanout": "c3cca89eec2ee8304a1256e9bb8a5bdd"
+                          "b4f597f8781651c304cfd97baba74d8a",
+        }
+
+    def test_chrome_trace_events(self):
+        events = chrome_trace_events(self._runs()["2bp"])
+        assert self._sha(json.dumps(events)) == (
+            "03c92081bcf85c3e71d16901b7d159b3"
+            "049687f485a383332f12ca7c4b35022e")
 
 
 class TestStragglers:

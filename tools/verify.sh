@@ -6,7 +6,8 @@
 # DAG / image-classification / GNMT-translation examples, the Figure 4
 # and Figure 8 schedule scripts and the five print-only scripts that call
 # the strategy drivers, the 1 024-worker `repro plan` smoke, the
-# `repro plan --trace` and `repro simulate --trace` exports, the
+# `repro plan --trace` and `repro simulate --trace` exports, a 64-stage
+# `repro timeline`, the
 # planner-service smoke, the end-to-end benchmark's selftest (its pinned
 # call surface), and the perf-regression gate.
 set -euo pipefail
@@ -74,6 +75,7 @@ echo
 echo "== simulation-phase trace =="
 python -m repro.cli simulate vgg16 --servers 2 --strategy pipedream \
     --minibatches 64 --trace "$trace_dir/simulate.json"
+python -m repro.cli timeline --stages 64 --minibatches 1000 --width 120
 
 echo
 echo "== planner service smoke =="
